@@ -21,11 +21,8 @@
 //      power-degradation mission served warm, with the bytes a full copy
 //      would have cost and the mission wall time both ways.
 //
-// E20 (pluggable storage engines + adaptive watermarks):
-//   8. The engine frontier: commit throughput, cold/warm recovery latency,
-//      and recovery-cache hit rate for wal, mmap, and lsm across state
-//      sizes and sync policies.
-//   9. Adaptive vs static watermarks: the online-tuned controller against
+// E20 (adaptive watermarks):
+//   8. Adaptive vs static watermarks: the online-tuned controller against
 //      every static bytes watermark {1K..256K} and every-commit, at every
 //      state size (the acceptance bar: adaptive within 10% of the best
 //      static, strictly above every-commit).
@@ -48,7 +45,6 @@
 #include "arfs/storage/durable/backend.hpp"
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/durable/shipping.hpp"
-#include "arfs/storage/durable/wal_snapshot.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/mission.hpp"
@@ -62,11 +58,9 @@ using namespace arfs;
 using storage::StableStorage;
 using storage::durable::DurabilityEngine;
 using storage::durable::DurableOptions;
-using storage::durable::EngineKind;
 using storage::durable::make_memory_engine;
 using storage::durable::RecoveryReport;
 using storage::durable::SyncPolicy;
-using storage::durable::WalSnapshotEngine;
 
 /// The policy frontier every E14 table walks.
 const std::vector<std::pair<std::string, SyncPolicy>>& policies() {
@@ -179,11 +173,10 @@ void report_policy_frontier() {
                    file->truncate(0);
                    DurableOptions options;
                    options.sync = policy;
-                   return std::unique_ptr<DurabilityEngine>(
-                       std::make_unique<WalSnapshotEngine>(
-                           std::move(file),
-                           std::make_unique<storage::durable::MemoryBackend>(),
-                           options));
+                   return std::make_unique<DurabilityEngine>(
+                       std::move(file),
+                       std::make_unique<storage::durable::MemoryBackend>(),
+                       options);
                  });
   std::remove(path.c_str());
 }
@@ -417,86 +410,7 @@ void report_warm_relocation_mission() {
   }
 }
 
-// --- E20: pluggable storage engines + adaptive watermarks ---
-
-const std::vector<std::pair<std::string, EngineKind>>& engine_kinds() {
-  static const std::vector<std::pair<std::string, EngineKind>> kKinds = {
-      {"wal", EngineKind::kWalSnapshot},
-      {"mmap", EngineKind::kMmap},
-      {"lsm", EngineKind::kLsm},
-  };
-  return kKinds;
-}
-
-void report_engine_frontier() {
-  // Engine × policy × state size. Each cell commits `kCommits` frames of
-  // `keys` writes, crashes, then recovers twice: the cold pass decodes the
-  // devices, the warm pass should be served by the block cache — the
-  // crash-sweep restore path in miniature. The cache budget is leveled
-  // across engines so hit rates are comparable.
-  constexpr std::size_t kCommits = 10'000;
-  std::cout << "\nStorage-engine frontier (" << kCommits
-            << " commits, snapshots every 1024 epochs, 8 MiB cache)\n";
-  std::cout << std::left << std::setw(7) << "keys" << std::setw(7) << "engine"
-            << std::setw(14) << "policy" << std::setw(12) << "commits/s"
-            << std::setw(10) << "cold-ms" << std::setw(10) << "warm-ms"
-            << "cache-hit\n";
-  const std::vector<std::pair<std::string, SyncPolicy>> frontier_policies = {
-      {"every-commit", SyncPolicy::every_commit()},
-      {"bytes(64K)", SyncPolicy::bytes(64 * 1024)},
-      {"adaptive", SyncPolicy::adaptive()},
-  };
-  for (const std::size_t keys : {4, 64, 256}) {
-    for (const auto& [engine_name, kind] : engine_kinds()) {
-      for (const auto& [policy_name, policy] : frontier_policies) {
-        DurableOptions options;
-        options.engine = kind;
-        options.sync = policy;
-        options.snapshot_every_epochs = 1024;
-        options.block_cache_bytes = 8u << 20;
-        auto engine = make_memory_engine(options);
-        StableStorage store;
-        const auto start = std::chrono::steady_clock::now();
-        run_commits(*engine, store, kCommits, keys);
-        (void)engine->sync_now();
-        const double commit_ms = wall_ms(start);
-        engine->crash();
-
-        StableStorage cold;
-        const auto cold_start = std::chrono::steady_clock::now();
-        (void)engine->recover_into(cold);
-        const double cold_ms = wall_ms(cold_start);
-        StableStorage warm;
-        const auto warm_start = std::chrono::steady_clock::now();
-        (void)engine->recover_into(warm);
-        const double warm_ms = wall_ms(warm_start);
-
-        const auto& stats = engine->stats();
-        const std::uint64_t lookups =
-            stats.block_cache_hits + stats.block_cache_misses;
-        const double hit_rate =
-            lookups == 0 ? 0.0
-                         : static_cast<double>(stats.block_cache_hits) /
-                               static_cast<double>(lookups);
-        const double rate = kCommits / (commit_ms / 1000.0);
-        const std::string tag = "engine_frontier/" + engine_name + "/" +
-                                policy_name + "/" + std::to_string(keys) +
-                                "keys";
-        bench::trajectory().record(tag + "/commit", rate, "commits/s");
-        bench::trajectory().record(tag + "/recover_cold", cold_ms, "ms");
-        bench::trajectory().record(tag + "/recover_warm", warm_ms, "ms");
-        bench::trajectory().record(tag + "/cache_hit", 100.0 * hit_rate,
-                                   "percent");
-        std::cout << std::left << std::setw(7) << keys << std::setw(7)
-                  << engine_name << std::setw(14) << policy_name
-                  << std::setw(12) << static_cast<std::uint64_t>(rate)
-                  << std::setw(10) << std::fixed << std::setprecision(2)
-                  << cold_ms << std::setw(10) << warm_ms
-                  << std::setprecision(0) << 100.0 * hit_rate << "%\n";
-      }
-    }
-  }
-}
+// --- E20: adaptive watermarks ---
 
 /// A journal device whose sync() pays a fixed deterministic CPU cost before
 /// the transfer — the latency term (fsync, controller round trip) that
@@ -542,7 +456,7 @@ void report_adaptive_watermark_curve() {
   constexpr std::size_t kCommits = 20'000;
   constexpr std::uint32_t kSyncSpin = 20'000;
   std::cout << "\nAdaptive vs static watermarks (up to " << kCommits
-            << " commits, wal engine, modeled device sync latency, "
+            << " commits, modeled device sync latency, "
                "best of 3)\n";
   std::cout << std::left << std::setw(7) << "keys" << std::setw(14)
             << "policy" << std::setw(12) << "commits/s" << std::setw(14)
@@ -577,7 +491,7 @@ void report_adaptive_watermark_curve() {
       for (int trial = 0; trial < 3; ++trial) {
         DurableOptions options;
         options.sync = policy;
-        WalSnapshotEngine engine(
+        DurabilityEngine engine(
             std::make_unique<CostlySyncBackend>(kSyncSpin),
             std::make_unique<storage::durable::MemoryBackend>(), options);
         StableStorage store;
@@ -631,7 +545,6 @@ void report() {
   report_crash_sweep();
   report_ship_vs_full_copy();
   report_warm_relocation_mission();
-  report_engine_frontier();
   report_adaptive_watermark_curve();
   std::cout << "\n";
 }
@@ -692,26 +605,6 @@ void BM_RecoveryWithSnapshots(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoveryWithSnapshots)->Arg(0)->Arg(4096)->Arg(512);
 
-void BM_EngineRecoveryCached(benchmark::State& state) {
-  // Steady-state recovery per engine with the block cache warm — the cost a
-  // crash-sweep restore actually pays after the first crash point.
-  DurableOptions options;
-  options.engine = engine_kinds()[static_cast<std::size_t>(state.range(0))]
-                       .second;
-  options.snapshot_every_epochs = 1024;
-  options.block_cache_bytes = 1u << 20;
-  auto engine = make_memory_engine(options);
-  StableStorage store;
-  run_commits(*engine, store, 10'000, 4);
-  engine->crash();
-  for (auto _ : state) {
-    StableStorage recovered;
-    const RecoveryReport report = engine->recover_into(recovered);
-    benchmark::DoNotOptimize(report.last_epoch);
-  }
-}
-BENCHMARK(BM_EngineRecoveryCached)->ArgName("engine")->Arg(0)->Arg(1)->Arg(2);
-
 void BM_FileBackendCommitSync(benchmark::State& state) {
   // The honest durability number: record appends + fsync on a real file,
   // under the selected sync policy. Policy 0 (every-commit) fsyncs each
@@ -724,7 +617,7 @@ void BM_FileBackendCommitSync(benchmark::State& state) {
     file->truncate(0);
     DurableOptions options;
     options.sync = policy_by_index(state.range(0));
-    WalSnapshotEngine engine(
+    DurabilityEngine engine(
         std::move(file),
         std::make_unique<storage::durable::MemoryBackend>(), options);
     StableStorage store;

@@ -10,10 +10,6 @@
 //      simulated frames at F=256).
 //   2. The stride auto-tune curve at fixed F: simulated frames and wall
 //      time across strides bracketing the √F default.
-//   3. The storage-engine dimension: the same sweep under the wal, mmap,
-//      and lsm durable engines — wall time per engine, with every report
-//      digest checked bit-identical against the wal oracle (the E20
-//      cross-engine recovery contract, timed).
 // Both tables check the checkpointed report's digest against the
 // from-scratch oracle where the oracle is run.
 //
@@ -35,20 +31,17 @@
 namespace {
 
 using namespace arfs;
-using storage::durable::EngineKind;
 using storage::durable::SyncPolicy;
 
 /// Chain-spec durable mission, the same workload bench_recovery sweeps.
-support::MissionFactory sweep_factory(
-    SyncPolicy policy, EngineKind engine = EngineKind::kWalSnapshot) {
-  return [policy, engine] {
+support::MissionFactory sweep_factory(SyncPolicy policy) {
+  return [policy] {
     auto spec = std::make_shared<core::ReconfigSpec>(
         support::make_chain_spec({}));
     core::SystemOptions options;
     options.durable_storage = true;
     options.durability.snapshot_every_epochs = 7;
     options.durability.sync = policy;
-    options.durability.engine = engine;
     auto system = std::make_unique<core::System>(*spec, options);
     for (const core::AppDecl& decl : spec->apps()) {
       system->add_app(
@@ -158,52 +151,11 @@ void report_stride_curve() {
   }
 }
 
-void report_engine_dimension() {
-  // The sweep oracle over every storage engine. The digest covers the
-  // recovered states and durable epochs of every crash point, so equality
-  // against the wal row is the recovery contract: three different byte
-  // layouts, one halt-boundary semantics.
-  constexpr Cycle kFrames = 128;
-  const struct {
-    const char* name;
-    EngineKind kind;
-  } kEngines[] = {
-      {"wal", EngineKind::kWalSnapshot},
-      {"mmap", EngineKind::kMmap},
-      {"lsm", EngineKind::kLsm},
-  };
-  std::cout << "\nStorage-engine sweep dimension (F = " << kFrames
-            << ", frames(4) policy, checkpointed)\n";
-  std::cout << std::left << std::setw(8) << "engine" << std::setw(12)
-            << "frames" << std::setw(12) << "mismatches" << std::setw(10)
-            << "ms" << "digest vs wal\n";
-  std::uint64_t wal_digest = 0;
-  for (const auto& [name, kind] : kEngines) {
-    const auto start = std::chrono::steady_clock::now();
-    const support::CrashSweepReport report = support::run_crash_sweep(
-        sweep_factory(SyncPolicy::frames(4), kind),
-        sweep_options(kFrames, true));
-    const double ms = wall_ms(start);
-    if (kind == EngineKind::kWalSnapshot) wal_digest = report.digest();
-    const bool digests_equal = report.digest() == wal_digest;
-    std::cout << std::left << std::setw(8) << name << std::setw(12)
-              << report.simulated_frames << std::setw(12) << report.mismatches
-              << std::fixed << std::setprecision(1) << std::setw(10) << ms
-              << (digests_equal ? "equal" : "MISMATCH") << "\n";
-    bench::trajectory().record(std::string{"engine_sweep/"} + name + "/wall",
-                               ms, "ms");
-    bench::trajectory().record(
-        std::string{"engine_sweep/"} + name + "/digest_equal",
-        digests_equal ? 1.0 : 0.0, "bool");
-  }
-}
-
 void report() {
   bench::banner("E16: checkpointed crash-point sweep",
                 "the O(F²) → O(F·K) sweep reduction");
   report_scaling();
   report_stride_curve();
-  report_engine_dimension();
   std::cout << "\n";
 }
 

@@ -665,7 +665,7 @@ std::uint64_t fnv_mix_engine(std::uint64_t h,
   h = fnv_mix(h, cp.ship_horizon);
   h = fnv_mix(h, cp.adaptive_watermark_fp);
   h = fnv_mix(h, cp.reconfig_pressure ? 1 : 0);
-  h = fnv_mix(h, cp.state_flush_cycle);
+  h = fnv_mix(h, 0);  // retired state-flush cycle, kept so digests don't move
   return h;
 }
 

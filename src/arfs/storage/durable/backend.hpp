@@ -90,9 +90,9 @@ class MemoryBackend final : public JournalBackend {
  public:
   MemoryBackend() = default;
   /// A device pre-loaded with a durable image and buffered tail — how a
-  /// non-memory device (ArenaBackend) forks its frozen byte image into a
-  /// checkpointable clone. Fault hooks start disarmed; the cloning caller
-  /// re-arms them through the public hook methods.
+  /// caller turns foreign bytes (a journal file read for offline
+  /// inspection) into a simulated device. Fault hooks start disarmed; the
+  /// caller arms them through the public hook methods.
   MemoryBackend(std::vector<std::uint8_t> durable,
                 std::vector<std::uint8_t> buffered);
   /// Copying (incl. fork()) hydrates a spilled source first: the copy is

@@ -5,45 +5,18 @@
 
 #include "arfs/common/check.hpp"
 #include "arfs/storage/arena.hpp"
-#include "arfs/storage/durable/lsm_engine.hpp"
-#include "arfs/storage/durable/mmap_engine.hpp"
-#include "arfs/storage/durable/wal_snapshot.hpp"
 
 namespace arfs::storage::durable {
 
-std::string to_string(SyncMode mode) {
-  switch (mode) {
-    case SyncMode::kEveryCommit:     return "every-commit";
-    case SyncMode::kBytesWatermark:  return "bytes-watermark";
-    case SyncMode::kFramesWatermark: return "frames-watermark";
-    case SyncMode::kHybrid:          return "hybrid";
-    case SyncMode::kAdaptive:        return "adaptive";
-  }
-  return "unknown";
-}
+namespace {
 
-std::string to_string(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kWalSnapshot: return "wal";
-    case EngineKind::kMmap:        return "mmap";
-    case EngineKind::kLsm:         return "lsm";
-  }
-  return "unknown";
-}
+/// GC keeps this many newest images: the current one, plus its predecessor
+/// so recovery can fall back when the current image's sync failed and a
+/// crash tore it (the journal is uncompacted in exactly that case).
+constexpr std::size_t kGcKeepImages = 2;
 
-bool parse_engine_kind(const std::string& text, EngineKind& out) {
-  if (text == "wal") {
-    out = EngineKind::kWalSnapshot;
-  } else if (text == "mmap") {
-    out = EngineKind::kMmap;
-  } else if (text == "lsm") {
-    out = EngineKind::kLsm;
-  } else {
-    return false;
-  }
-  return true;
-}
-
+/// Rebuilds `out` from the snapshot scan's last valid image plus the
+/// journal's valid commit prefix. `out` must be empty of committed state.
 RecoveryReport recover_from_scans(const SnapshotScan& snap,
                                   const ScanResult& scan,
                                   StableStorage& out) {
@@ -79,27 +52,26 @@ RecoveryReport recover_from_scans(const SnapshotScan& snap,
   return report;
 }
 
-RecoveryReport recover_store(const JournalBackend& snapshots,
-                             const JournalBackend& journal,
-                             StableStorage& out) {
-  return recover_from_scans(scan_snapshots(snapshots), scan_journal(journal),
-                            out);
+}  // namespace
+
+std::string to_string(SyncMode mode) {
+  switch (mode) {
+    case SyncMode::kEveryCommit:     return "every-commit";
+    case SyncMode::kBytesWatermark:  return "bytes-watermark";
+    case SyncMode::kFramesWatermark: return "frames-watermark";
+    case SyncMode::kHybrid:          return "hybrid";
+    case SyncMode::kAdaptive:        return "adaptive";
+  }
+  return "unknown";
 }
 
-StorageEngine::StorageEngine(std::unique_ptr<JournalBackend> journal,
-                             std::unique_ptr<JournalBackend> snapshots,
-                             DurableOptions options,
-                             std::uint64_t default_cache_bytes)
+DurabilityEngine::DurabilityEngine(std::unique_ptr<JournalBackend> journal,
+                                   std::unique_ptr<JournalBackend> snapshots,
+                                   DurableOptions options)
     : journal_(std::move(journal)), snapshots_(std::move(snapshots)),
-      options_(std::move(options)) {
+      options_(options) {
   require(journal_ != nullptr && snapshots_ != nullptr,
-          "storage engine needs both devices");
-  cache_budget_ = options_.block_cache_bytes != 0 ? options_.block_cache_bytes
-                                                  : default_cache_bytes;
-  if (cache_budget_ > 0) {
-    scan_cache_ = std::make_unique<BlockCache<ScanResult>>(
-        static_cast<std::size_t>(cache_budget_));
-  }
+          "durability engine needs both devices");
   const SyncPolicy& p = options_.sync;
   adaptive_watermark_fp_ =
       std::clamp(p.bytes_watermark, p.adaptive_min_bytes,
@@ -107,8 +79,8 @@ StorageEngine::StorageEngine(std::unique_ptr<JournalBackend> journal,
       << kAdaptiveFracBits;
 }
 
-void StorageEngine::note_ship(std::uint64_t bytes, std::uint64_t lag,
-                              std::uint64_t horizon) {
+void DurabilityEngine::note_ship(std::uint64_t bytes, std::uint64_t lag,
+                                 std::uint64_t horizon) {
   if (bytes > 0) {
     ++stats_.ship_batches;
     stats_.shipped_bytes += bytes;
@@ -118,17 +90,17 @@ void StorageEngine::note_ship(std::uint64_t bytes, std::uint64_t lag,
   ship_horizon_ = std::max(ship_horizon_, horizon);
 }
 
-void StorageEngine::set_reconfig_pressure(bool on) {
+void DurabilityEngine::set_reconfig_pressure(bool on) {
   if (on && !reconfig_pressure_) ++stats_.pressure_engagements;
   reconfig_pressure_ = on;
 }
 
-std::uint64_t StorageEngine::adaptive_effective_bytes() const {
+std::uint64_t DurabilityEngine::adaptive_effective_bytes() const {
   return reconfig_pressure_ ? options_.sync.adaptive_min_bytes
                             : (adaptive_watermark_fp_ >> kAdaptiveFracBits);
 }
 
-bool StorageEngine::watermark_reached() const {
+bool DurabilityEngine::watermark_reached() const {
   const SyncPolicy& policy = options_.sync;
   switch (policy.mode) {
     case SyncMode::kEveryCommit:
@@ -148,7 +120,7 @@ bool StorageEngine::watermark_reached() const {
   return true;
 }
 
-void StorageEngine::tune_adaptive(std::uint64_t flushed_bytes) {
+void DurabilityEngine::tune_adaptive(std::uint64_t flushed_bytes) {
   // Pure fixed-point arithmetic over engine-local state: same commit
   // history in, same watermark trajectory out, on any thread/shard count.
   const SyncPolicy& p = options_.sync;
@@ -172,7 +144,7 @@ void StorageEngine::tune_adaptive(std::uint64_t flushed_bytes) {
   stats_.adaptive_watermark_bytes = fp >> kAdaptiveFracBits;
 }
 
-bool StorageEngine::do_sync() {
+bool DurabilityEngine::do_sync() {
   const std::uint64_t flushed = stats_.lag_bytes;
   ++stats_.syncs;
   if (!journal_->sync()) {
@@ -189,13 +161,13 @@ bool StorageEngine::do_sync() {
   return true;
 }
 
-bool StorageEngine::sync_now() {
+bool DurabilityEngine::sync_now() {
   if (stats_.lag_frames == 0 && stats_.lag_bytes == 0) return true;
   ++stats_.forced_syncs;
   return do_sync();
 }
 
-void StorageEngine::record_commit(const StableStorage& store, Cycle cycle) {
+void DurabilityEngine::record_commit(const StableStorage& store, Cycle cycle) {
   if (!ensure_header(*journal_)) {
     // A media fault (or foreign content) destroyed the device header. The
     // scanner trusts nothing after a bad magic, so appending here could
@@ -226,7 +198,7 @@ void StorageEngine::record_commit(const StableStorage& store, Cycle cycle) {
   }
 }
 
-void StorageEngine::after_commit(const StableStorage& store) {
+void DurabilityEngine::after_commit(const StableStorage& store) {
   if (options_.snapshot_every_epochs == 0) return;
   if (store.commit_epochs() == 0 ||
       store.commit_epochs() % options_.snapshot_every_epochs != 0) {
@@ -235,20 +207,22 @@ void StorageEngine::after_commit(const StableStorage& store) {
   take_snapshot(store);
 }
 
-bool StorageEngine::take_snapshot(const StableStorage& store) {
+bool DurabilityEngine::take_snapshot(const StableStorage& store) {
   // Snapshot boundary: flush the journal lag first, so durability at the
   // boundary never depends on whether the image itself succeeds.
   (void)sync_now();
-  if (!persist_state(store)) {
+  if (!append_snapshot(*snapshots_, store.commit_epochs(),
+                       store.committed_entries()) ||
+      !snapshots_->sync()) {
     ++stats_.snapshot_failures;
     return false;
   }
   ++stats_.snapshots_taken;
   stats_.last_durable_epoch =
       std::max(stats_.last_durable_epoch, store.commit_epochs());
-  // Reclaim superseded state while the journal still covers everything
+  // Reclaim superseded images while the journal still covers everything
   // since the previous image — a failed rewrite then loses nothing.
-  gc_state();
+  gc_snapshots();
   // Compaction starts a new journal generation for shippers. Retain the
   // outgoing generation's synced bytes so replicas that lag this compaction
   // can finish it and rebase; if the boundary sync above failed, un-shipped
@@ -285,71 +259,45 @@ bool StorageEngine::take_snapshot(const StableStorage& store) {
   return true;
 }
 
-void StorageEngine::crash() {
+void DurabilityEngine::crash() {
   journal_->crash();
   snapshots_->crash();
   ++stats_.crashes;
 }
 
-namespace {
-
-/// FNV-1a over a device's logical bytes, streamed through a small stack
-/// buffer — the scan cache's content address costs one linear pass with no
-/// allocation, against a full decode's CRC walk plus per-record parsing.
-std::uint64_t fingerprint_device(const JournalBackend& device,
-                                 std::uint64_t size) {
-  std::uint64_t h = 1469598103934665603ULL;
-  std::uint8_t buf[4096];
-  std::uint64_t off = 0;
-  while (off < size) {
-    const std::size_t want = static_cast<std::size_t>(
-        std::min<std::uint64_t>(sizeof buf, size - off));
-    const std::size_t got = device.read(off, buf, want);
-    if (got == 0) break;
-    for (std::size_t i = 0; i < got; ++i) {
-      h = (h ^ buf[i]) * 1099511628211ULL;
-    }
-    off += got;
+void DurabilityEngine::gc_snapshots() {
+  const SnapshotScan snap = scan_snapshots(*snapshots_);
+  if (snap.truncated || snap.images <= kGcKeepImages) return;
+  const std::uint64_t keep_from =
+      snap.image_offsets[snap.images - kGcKeepImages];
+  // Copy the whole image tail out so a failed rewrite can be rolled back.
+  std::vector<std::uint8_t> tail(
+      static_cast<std::size_t>(snap.valid_bytes - kHeaderSize));
+  if (snapshots_->read(kHeaderSize, tail.data(), tail.size()) != tail.size()) {
+    return;  // device refused the read; leave it alone
   }
-  return h;
+  const auto keep_offset = static_cast<std::size_t>(keep_from - kHeaderSize);
+  snapshots_->truncate(kHeaderSize);
+  snapshots_->append(tail.data() + keep_offset, tail.size() - keep_offset);
+  if (snapshots_->sync()) {
+    ++stats_.snapshot_gc_runs;
+    stats_.snapshot_bytes_reclaimed += keep_offset;
+    return;
+  }
+  // Rewrite could not be made durable: restore the original device content
+  // so the durable image set is no worse than before the GC attempt.
+  ++stats_.snapshot_failures;
+  snapshots_->truncate(kHeaderSize);
+  snapshots_->append(tail.data(), tail.size());
+  (void)snapshots_->sync();
 }
 
-}  // namespace
-
-ScanResult StorageEngine::scan_journal_cached() {
-  if (scan_cache_ == nullptr) {
-    ScanStats ss;
-    ScanResult scan = scan_journal(*journal_, decode_scratch_, &ss);
-    stats_.decode_buffer_reuses += ss.payload_reuses;
-    return scan;
-  }
-  const std::uint64_t size = journal_->size();
-  const BlockCache<ScanResult>::Key key{size,
-                                        fingerprint_device(*journal_, size)};
-  if (const ScanResult* hit = scan_cache_->find(key)) {
-    ++stats_.block_cache_hits;
-    return *hit;  // decoded records straight from memory; no re-decode
-  }
-  ++stats_.block_cache_misses;
-  ScanStats ss;
-  ScanResult scan = scan_journal(*journal_, decode_scratch_, &ss);
-  stats_.decode_buffer_reuses += ss.payload_reuses;
-  stats_.block_cache_evictions +=
-      scan_cache_->insert(key, scan, static_cast<std::size_t>(size) + 256);
-  refresh_cache_charge();
-  return scan;
-}
-
-void StorageEngine::refresh_cache_charge() {
-  stats_.block_cache_bytes =
-      (scan_cache_ != nullptr ? scan_cache_->charge() : 0) +
-      extra_cache_charge();
-}
-
-RecoveryReport StorageEngine::recover_into(StableStorage& out) {
+RecoveryReport DurabilityEngine::recover_into(StableStorage& out) {
   out.reset_committed();
-  const SnapshotScan snap = scan_state();
-  const ScanResult scan = scan_journal_cached();
+  const SnapshotScan snap = scan_snapshots(*snapshots_);
+  ScanStats ss;
+  const ScanResult scan = scan_journal(*journal_, decode_scratch_, &ss);
+  stats_.decode_buffer_reuses += ss.payload_reuses;
   RecoveryReport report = recover_from_scans(snap, scan, out);
   // Discard the untrusted tails so appends resume after the last good
   // record — the journal analogue of halting at the last completed
@@ -377,21 +325,14 @@ RecoveryReport StorageEngine::recover_into(StableStorage& out) {
   stats_.last_durable_epoch = report.last_epoch;
   appended_epoch_ = report.last_epoch;
   ++stats_.recoveries;
-  after_recover(snap, report);
   return report;
 }
 
-void StorageEngine::after_recover(const SnapshotScan& snap,
-                                  const RecoveryReport& report) {
-  (void)snap;
-  (void)report;
-}
-
-bool StorageEngine::has_state() const {
+bool DurabilityEngine::has_state() const {
   return journal_->size() > kHeaderSize || snapshots_->size() > kHeaderSize;
 }
 
-EngineCheckpoint StorageEngine::checkpoint_state() const {
+EngineCheckpoint DurabilityEngine::checkpoint_state() const {
   EngineCheckpoint cp;
   cp.journal = journal_->fork();
   cp.snapshots = snapshots_->fork();
@@ -407,7 +348,6 @@ EngineCheckpoint StorageEngine::checkpoint_state() const {
   cp.ship_horizon = ship_horizon_;
   cp.adaptive_watermark_fp = adaptive_watermark_fp_;
   cp.reconfig_pressure = reconfig_pressure_;
-  cp.state_flush_cycle = state_flush_cycle_;
   return cp;
 }
 
@@ -421,7 +361,7 @@ std::uint64_t EngineCheckpoint::spill_devices(storage::MappedArena& arena) {
   return bytes;
 }
 
-void StorageEngine::restore_state(const EngineCheckpoint& cp) {
+void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
   journal_ = cp.journal->fork();
   snapshots_ = cp.snapshots->fork();
   ensure(journal_ != nullptr && snapshots_ != nullptr,
@@ -436,29 +376,14 @@ void StorageEngine::restore_state(const EngineCheckpoint& cp) {
   ship_horizon_ = cp.ship_horizon;
   adaptive_watermark_fp_ = cp.adaptive_watermark_fp;
   reconfig_pressure_ = cp.reconfig_pressure;
-  state_flush_cycle_ = cp.state_flush_cycle;
   scratch_.clear();
   decode_scratch_.clear();
-  // The scan cache deliberately survives a restore: its entries are
-  // content-addressed, so a restored mission that re-recovers an identical
-  // journal image hits them — results are bit-identical either way, only
-  // the hit counters differ, and stats are never digested.
 }
 
 std::unique_ptr<DurabilityEngine> make_memory_engine(DurableOptions options) {
-  switch (options.engine) {
-    case EngineKind::kMmap:
-      return std::make_unique<MmapEngine>(std::move(options));
-    case EngineKind::kLsm:
-      return std::make_unique<LsmEngine>(std::make_unique<MemoryBackend>(),
-                                         std::make_unique<MemoryBackend>(),
-                                         std::move(options));
-    case EngineKind::kWalSnapshot:
-      break;
-  }
-  return std::make_unique<WalSnapshotEngine>(std::make_unique<MemoryBackend>(),
-                                             std::make_unique<MemoryBackend>(),
-                                             std::move(options));
+  return std::make_unique<DurabilityEngine>(std::make_unique<MemoryBackend>(),
+                                            std::make_unique<MemoryBackend>(),
+                                            options);
 }
 
 }  // namespace arfs::storage::durable

@@ -1,21 +1,10 @@
-// Storage engines: the persistence layer behind a StableStorage.
+// DurabilityEngine: the persistence layer behind a StableStorage.
 //
-// StorageEngine is the abstract contract; three engines implement it:
-//
-//  * WalSnapshotEngine — the original journal + full-image snapshot pair
-//    (magic "ARFSSNP1" on the state device);
-//  * MmapEngine       — the same WAL + snapshot protocol on devices whose
-//    durable image lives in storage::MappedArena extents (chunked open
-//    regions; see mmap_engine.hpp);
-//  * LsmEngine        — sorted immutable delta runs with key-bounds
-//    iteration and a block cache over decoded runs (lsm_engine.hpp).
-//
-// All three share this base verbatim for the journal side, the sync policy,
-// group commit, shipping bookkeeping, and the recovery skeleton; they differ
-// only in how the *state device* persists, compacts, and scans committed
-// images. That is the invariant the crash-point sweep leans on: every engine
-// recovers the same store at the same epoch from the same commit history,
-// so sweep report digests are bit-identical across engines.
+// One engine owns two devices: the write-ahead *journal* (magic "ARFSWAL2";
+// journal.hpp) and the *snapshot device*, an append-only log of full
+// committed-store images (magic "ARFSSNP1"; snapshot.hpp). Recovery from
+// the same commit history always yields the same store at the same epoch,
+// which is the invariant the crash-point sweep's report digests lean on.
 //
 // Protocol per frame (write-ahead rule):
 //
@@ -24,8 +13,9 @@
 //      default every-commit policy the commit exists on the device before it
 //      exists in memory;
 //   2. the caller applies StableStorage::commit();
-//   3. after_commit() persists a state image every `snapshot_every_epochs`
-//      commits, and compacts the journal once the image is durably synced.
+//   3. after_commit() appends a snapshot image every
+//      `snapshot_every_epochs` commits, and compacts the journal once the
+//      image is durably synced.
 //
 // Group commit: the watermark policies let journal records accumulate in
 // the device's buffered tail and sync only when the accumulated lag crosses
@@ -50,10 +40,10 @@
 //
 // On a fail-stop halt the owner calls crash() (the device loses its
 // unsynced tail, exactly like the processor loses volatile storage) and
-// then recover_into(): scan the state device for the last valid image (or
-// merged run set), replay journal records with later epochs, truncate at
-// the first torn or corrupt record, and physically discard the untrusted
-// tail so journaling can resume. The recovered store is the disk-level
+// then recover_into(): scan the snapshot device for the last valid image,
+// replay journal records with later epochs, truncate at the first torn or
+// corrupt record, and physically discard the untrusted tail so journaling
+// can resume. The recovered store is the disk-level
 // "last successfully completed instruction" state of paper §5.1 — what
 // peers polling the failed processor are entitled to see.
 #pragma once
@@ -65,7 +55,6 @@
 
 #include "arfs/common/types.hpp"
 #include "arfs/storage/durable/backend.hpp"
-#include "arfs/storage/durable/block_cache.hpp"
 #include "arfs/storage/durable/journal.hpp"
 #include "arfs/storage/durable/snapshot.hpp"
 #include "arfs/storage/stable_storage.hpp"
@@ -117,37 +106,12 @@ struct SyncPolicy {
 
 [[nodiscard]] std::string to_string(SyncMode mode);
 
-/// Which StorageEngine implementation backs a processor's durable state.
-enum class EngineKind : std::uint8_t {
-  kWalSnapshot,  ///< Journal + full-image snapshots (the original engine).
-  kMmap,         ///< WAL protocol on MappedArena-extent devices.
-  kLsm,          ///< Sorted immutable runs + block-cached recovery.
-};
-
-[[nodiscard]] std::string to_string(EngineKind kind);
-/// Parses "wal" | "mmap" | "lsm" (the arfsctl --engine spelling).
-[[nodiscard]] bool parse_engine_kind(const std::string& text,
-                                     EngineKind& out);
-
 struct DurableOptions {
-  /// Take a full state image (snapshot / LSM run) every N commit epochs;
-  /// 0 disables the cadence (recovery then replays the whole journal).
+  /// Take a full snapshot image every N commit epochs; 0 disables the
+  /// cadence (recovery then replays the whole journal).
   std::uint64_t snapshot_every_epochs = 0;
   /// Group-commit sync policy. The default syncs every commit.
   SyncPolicy sync;
-  /// Which engine make_memory_engine() builds. Lives here rather than in
-  /// SystemOptions so every creation site (processors, warm standbys,
-  /// quorum members) inherits the choice without plumbing.
-  EngineKind engine = EngineKind::kWalSnapshot;
-  /// Block-cache budget for decoded recovery blocks. 0 picks the engine
-  /// default: LSM enables 512 KiB (its recovery path is built around the
-  /// cache); WAL/mmap leave it off. Nonzero enables it everywhere.
-  std::uint64_t block_cache_bytes = 0;
-  /// LSM only: compact when the valid run count exceeds this.
-  std::uint32_t lsm_run_limit = 4;
-  /// MmapEngine only: backing file of the device arena. Empty uses the
-  /// arena's heap-extent fallback (same layout and semantics, no file).
-  std::string mmap_path;
 };
 
 struct DurabilityStats {
@@ -178,7 +142,7 @@ struct DurabilityStats {
   /// image). A crash recovers exactly this epoch's state.
   std::uint64_t last_durable_epoch = 0;
 
-  // --- state-device GC (snapshot GC / LSM compaction) ---
+  // --- snapshot GC ---
   std::uint64_t snapshot_gc_runs = 0;
   std::uint64_t snapshot_bytes_reclaimed = 0;
 
@@ -187,13 +151,6 @@ struct DurabilityStats {
   /// without a fresh allocation (the recovery mirror of the encode-path
   /// scratch reuse).
   std::uint64_t decode_buffer_reuses = 0;
-
-  // --- block cache (scan cache + LSM run cache; see block_cache.hpp) ---
-  std::uint64_t block_cache_hits = 0;
-  std::uint64_t block_cache_misses = 0;
-  std::uint64_t block_cache_evictions = 0;
-  /// Bytes currently charged against the cache budget(s).
-  std::uint64_t block_cache_bytes = 0;
 
   // --- adaptive sync controller (SyncMode::kAdaptive) ---
   std::uint64_t adaptive_raises = 0;  ///< Watermark-raise steps taken.
@@ -204,12 +161,6 @@ struct DurabilityStats {
   std::uint64_t pressure_engagements = 0;
   /// Watermark syncs triggered only because pressure lowered the bar.
   std::uint64_t pressure_syncs = 0;
-
-  // --- LSM engine ---
-  std::uint64_t lsm_runs_flushed = 0;  ///< Delta runs appended.
-  std::uint64_t lsm_compactions = 0;   ///< Run-merge compactions completed.
-  /// Runs a key probe skipped on min/max key bounds without decoding.
-  std::uint64_t lsm_bounds_skips = 0;
 
   // --- journal shipping (JournalShipper over this engine) ---
   std::uint64_t ship_batches = 0;
@@ -238,19 +189,7 @@ struct RecoveryReport {
   std::string note;                    ///< Scanner's reason, when truncated.
 };
 
-/// Pure recovery from already-performed device scans: rebuilds `out` from
-/// the state scan's last valid image plus the journal's valid commit prefix.
-/// `out` must be empty of committed state (reset_committed() first).
-[[nodiscard]] RecoveryReport recover_from_scans(const SnapshotScan& snap,
-                                                const ScanResult& scan,
-                                                StableStorage& out);
-
-/// Convenience wrapper that scans both devices itself (WAL format).
-[[nodiscard]] RecoveryReport recover_store(const JournalBackend& snapshots,
-                                           const JournalBackend& journal,
-                                           StableStorage& out);
-
-/// Frozen image of a StorageEngine: forked devices (durable image,
+/// Frozen image of a DurabilityEngine: forked devices (durable image,
 /// buffered tail, and armed fault hooks included) plus every piece of
 /// engine bookkeeping. Move-only; a checkpoint can be restored any number
 /// of times because restore re-forks the devices instead of consuming them.
@@ -265,12 +204,11 @@ struct EngineCheckpoint {
   bool rebase_ok = true;
   std::uint64_t rebase_epoch = 0;
   std::uint64_t ship_horizon = 0;
-  /// Adaptive controller state (fixed-point watermark + SCRAM pressure) and
-  /// the LSM delta-flush boundary — restored exactly so a forked mission
-  /// retunes and re-flushes identically to the original.
+  /// Adaptive controller state (fixed-point watermark + SCRAM pressure) —
+  /// restored exactly so a forked mission retunes identically to the
+  /// original.
   std::uint64_t adaptive_watermark_fp = 0;
   bool reconfig_pressure = false;
-  Cycle state_flush_cycle = 0;
 
   /// Spills both forked devices' byte images (the checkpoint's dominant
   /// mass) to CRC-guarded arena regions; memory devices only — file-backed
@@ -279,24 +217,23 @@ struct EngineCheckpoint {
   std::uint64_t spill_devices(storage::MappedArena& arena);
 };
 
-/// Abstract storage engine. Owns the journal device and the state device
-/// plus all shared bookkeeping; concrete engines supply the state-device
-/// format through the protected virtuals at the bottom.
-class StorageEngine {
+/// The durable store of one processor: the journal device, the snapshot
+/// device, and all journaling, sync-policy, and shipping bookkeeping.
+class DurabilityEngine {
  public:
-  virtual ~StorageEngine() = default;
+  DurabilityEngine(std::unique_ptr<JournalBackend> journal,
+                   std::unique_ptr<JournalBackend> snapshots,
+                   DurableOptions options = {});
 
-  StorageEngine(const StorageEngine&) = delete;
-  StorageEngine& operator=(const StorageEngine&) = delete;
-
-  [[nodiscard]] virtual EngineKind kind() const = 0;
+  DurabilityEngine(const DurabilityEngine&) = delete;
+  DurabilityEngine& operator=(const DurabilityEngine&) = delete;
 
   /// Journals the staged batch `store` is about to commit at `cycle`, and
   /// syncs if the policy's watermark is reached.
   /// Call immediately before store.commit(cycle).
   void record_commit(const StableStorage& store, Cycle cycle);
 
-  /// State-image cadence hook; call right after store.commit().
+  /// Snapshot cadence hook; call right after store.commit().
   void after_commit(const StableStorage& store);
 
   /// Boundary sync: flushes any un-synced journal tail now. Used at halt
@@ -306,15 +243,15 @@ class StorageEngine {
   /// persists and the next sync retries).
   bool sync_now();
 
-  /// Forces a state image now (full snapshot / LSM delta run) and compacts
-  /// the journal behind it. Returns false when the image could not be made
-  /// durable (sync failure) — the journal is then left uncompacted.
+  /// Forces a snapshot image now and compacts the journal behind it.
+  /// Returns false when the image could not be made durable (sync
+  /// failure) — the journal is then left uncompacted.
   bool take_snapshot(const StableStorage& store);
 
   /// Device side of a fail-stop halt: unsynced bytes are lost.
   void crash();
 
-  /// Rebuilds `out` from the state device + journal replay, then truncates
+  /// Rebuilds `out` from the snapshot device + journal replay, then truncates
   /// any untrusted journal tail so appends can resume after the last good
   /// record. `out` is cleared of committed state first; its pending buffer
   /// and history configuration are left alone.
@@ -325,7 +262,7 @@ class StorageEngine {
 
   /// Freezes the engine — forked devices plus all bookkeeping — into a
   /// checkpoint restorable many times over. Precondition: both devices are
-  /// forkable (memory/arena devices; FileBackend is not).
+  /// forkable (memory devices; FileBackend is not).
   [[nodiscard]] EngineCheckpoint checkpoint_state() const;
   /// Rewinds this engine to `cp` in place. The engine object's identity is
   /// preserved deliberately: shippers and units hold references to it.
@@ -344,9 +281,6 @@ class StorageEngine {
   [[nodiscard]] std::uint64_t adaptive_watermark_fp() const {
     return adaptive_watermark_fp_;
   }
-  /// Newest committed_at cycle the state device has absorbed (LSM delta
-  /// boundary; 0 on the WAL-family engines).
-  [[nodiscard]] Cycle state_flush_cycle() const { return state_flush_cycle_; }
 
   [[nodiscard]] const DurabilityStats& stats() const { return stats_; }
   [[nodiscard]] const DurableOptions& options() const { return options_; }
@@ -390,57 +324,12 @@ class StorageEngine {
   void note_ship_fallback() { ++stats_.ship_fallbacks; }
   void note_ship_rebase() { ++stats_.ship_rebases; }
 
- protected:
-  /// `default_cache_bytes` applies when options.block_cache_bytes is 0 —
-  /// the engine's own notion of whether a cache is worth having.
-  StorageEngine(std::unique_ptr<JournalBackend> journal,
-                std::unique_ptr<JournalBackend> snapshots,
-                DurableOptions options, std::uint64_t default_cache_bytes);
-
-  // --- the state-device contract concrete engines implement ---
-
-  /// Appends a durable image of the committed store to the state device and
-  /// syncs it. False on failure (the base counts it and aborts the
-  /// snapshot; the journal stays uncompacted).
-  virtual bool persist_state(const StableStorage& store) = 0;
-  /// Reclaims superseded state (snapshot GC / run compaction). Runs after a
-  /// successful persist, before journal compaction, so a failed rewrite
-  /// never orphans journal state.
-  virtual void gc_state() = 0;
-  /// Scans the state device into the shared SnapshotScan shape: `last` is
-  /// the newest recoverable image (for LSM, the newest-wins merge of the
-  /// valid run set), `valid_bytes`/`truncated` describe the trustworthy
-  /// prefix so the base can truncate damage.
-  virtual SnapshotScan scan_state() = 0;
-  /// Post-recovery hook (e.g. the LSM engine re-derives its delta-flush
-  /// boundary from the merged run set). Default: nothing.
-  virtual void after_recover(const SnapshotScan& snap,
-                             const RecoveryReport& report);
-
-  /// Scans the journal through the scan cache when one is enabled: the scan
-  /// is content-addressed by (size, byte fingerprint), so an unchanged
-  /// journal replays from decoded memory instead of re-decoding. Falls back
-  /// to a direct scan (with the hoisted decode scratch) otherwise.
-  [[nodiscard]] ScanResult scan_journal_cached();
-
-  /// The effective block-cache budget after defaulting (0 = disabled).
-  [[nodiscard]] std::uint64_t cache_budget() const { return cache_budget_; }
-
-  /// Recomputes DurabilityStats::block_cache_bytes from every cache the
-  /// engine holds: the base scan cache plus whatever derived engines report
-  /// through extra_cache_charge().
-  void refresh_cache_charge();
-  [[nodiscard]] virtual std::uint64_t extra_cache_charge() const { return 0; }
-
-  std::unique_ptr<JournalBackend> journal_;
-  std::unique_ptr<JournalBackend> snapshots_;  ///< The state device.
-  DurableOptions options_;
-  DurabilityStats stats_;
-  /// LSM delta boundary: committed_at cycles ≤ this are already on the
-  /// state device. Maintained by the LSM engine, checkpointed for all.
-  Cycle state_flush_cycle_ = 0;
-
  private:
+  /// Keeps the newest two snapshot images (the current one plus its
+  /// predecessor as the torn-image fallback) and reclaims the rest. Runs
+  /// after a successful image, before journal compaction, so a failed
+  /// rewrite never orphans journal state.
+  void gc_snapshots();
   [[nodiscard]] bool watermark_reached() const;
   /// The kAdaptive effective bytes watermark right now (pressure applied).
   [[nodiscard]] std::uint64_t adaptive_effective_bytes() const;
@@ -450,6 +339,10 @@ class StorageEngine {
   /// path, sync_now(), and the snapshot boundary.
   bool do_sync();
 
+  std::unique_ptr<JournalBackend> journal_;
+  std::unique_ptr<JournalBackend> snapshots_;
+  DurableOptions options_;
+  DurabilityStats stats_;
   std::vector<std::uint8_t> scratch_;  ///< Reused record encode buffer.
   /// Reused journal-replay payload buffer (the decode mirror of scratch_);
   /// reuse is counted in DurabilityStats::decode_buffer_reuses.
@@ -460,12 +353,8 @@ class StorageEngine {
   std::uint64_t appended_epoch_ = 0;
 
   // --- adaptive sync controller ---
-  std::uint64_t cache_budget_ = 0;
   std::uint64_t adaptive_watermark_fp_ = 0;
   bool reconfig_pressure_ = false;
-
-  /// Decoded-journal-scan cache; engaged when cache_budget_ > 0.
-  std::unique_ptr<BlockCache<ScanResult>> scan_cache_;
 
   // --- journal-shipping state (see the accessors above) ---
   std::uint64_t journal_generation_ = 0;
@@ -478,15 +367,8 @@ class StorageEngine {
   std::uint64_t ship_horizon_ = kHeaderSize;
 };
 
-/// The historical name: every owner (processors, shippers, replicas) holds
-/// engines through this alias, so the refactor to an abstract base changed
-/// no owning code.
-using DurabilityEngine = StorageEngine;
-
-/// Engine factory on fresh simulated devices (sim processors, standbys,
-/// quorum members): builds the engine `options.engine` selects —
-/// memory-backed for WAL/LSM, arena-backed for mmap. The name predates the
-/// engine split and is kept because every creation site funnels through it.
+/// An engine on fresh in-memory devices — what every simulated creation
+/// site (processors, warm standbys, quorum members) funnels through.
 [[nodiscard]] std::unique_ptr<DurabilityEngine> make_memory_engine(
     DurableOptions options = {});
 

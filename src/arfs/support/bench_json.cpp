@@ -8,8 +8,6 @@
 
 namespace arfs::support {
 
-namespace {
-
 void append_escaped(std::string& out, const std::string& s) {
   out += '"';
   for (char c : s) {
@@ -38,6 +36,8 @@ void append_escaped(std::string& out, const std::string& s) {
   }
   out += '"';
 }
+
+namespace {
 
 /// JSON has no NaN/Inf literals; clamp them to null-adjacent zero rather
 /// than emitting an unparsable token.

@@ -46,6 +46,10 @@ class BenchTrajectory {
   std::vector<BenchEntry> entries_;
 };
 
+/// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
+/// backslashes, and control characters.
+void append_escaped(std::string& out, const std::string& s);
+
 /// Structural JSON validity check: objects, arrays, strings (with escapes),
 /// numbers, true/false/null, correct comma/colon placement, nothing after
 /// the top-level value. No semantic interpretation.

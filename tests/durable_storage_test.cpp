@@ -22,7 +22,6 @@
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/durable/journal.hpp"
 #include "arfs/storage/durable/snapshot.hpp"
-#include "arfs/storage/durable/wal_snapshot.hpp"
 #include "arfs/storage/durable/wire.hpp"
 #include "arfs/storage/stable_storage.hpp"
 
@@ -822,16 +821,16 @@ TEST(FileBackend, ColdRestartRecoversFromDisk) {
   {
     DurableOptions options;
     options.snapshot_every_epochs = 3;
-    WalSnapshotEngine engine(std::make_unique<FileBackend>(wal),
-                             std::make_unique<FileBackend>(snap), options);
+    DurabilityEngine engine(std::make_unique<FileBackend>(wal),
+                            std::make_unique<FileBackend>(snap), options);
     StableStorage store;
     run_commits(engine, store, 0, 8);
     before = store.fingerprint();
   }  // process "dies"; only the files survive
 
   {
-    WalSnapshotEngine engine(std::make_unique<FileBackend>(wal),
-                             std::make_unique<FileBackend>(snap));
+    DurabilityEngine engine(std::make_unique<FileBackend>(wal),
+                            std::make_unique<FileBackend>(snap));
     ASSERT_TRUE(engine.has_state());
     StableStorage recovered;
     const RecoveryReport report = engine.recover_into(recovered);

@@ -1,11 +1,10 @@
-// The storage-engine contract (E20): every StorageEngine — WalSnapshot,
-// Mmap, Lsm — recovers the same store at the same epoch from the same
-// commit history, so crash-point sweep digests are bit-identical across
-// engines under plain halts, device faults, warm starts, and quorum kills.
-// Plus the sync-policy edge cases the engines share: degenerate watermarks,
-// adaptive clamp bounds, SCRAM pressure, forced boundary syncs, the hoisted
-// decode scratch, the block cache, and checkpoint round-trips of the
-// adaptive controller state.
+// The durability-engine contract (E20): crash-point sweeps under plain
+// halts, device faults, warm starts, quorum kills, and the adaptive policy
+// recover every crash point exactly, with report digests pinned to recorded
+// oracle constants — a change that moves what recovery sees moves a digest.
+// Plus the sync-policy edge cases: degenerate watermarks, adaptive clamp
+// bounds, SCRAM pressure, forced boundary syncs, the hoisted decode
+// scratch, and checkpoint round-trips of the adaptive controller state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +14,6 @@
 
 #include "arfs/core/system.hpp"
 #include "arfs/storage/durable/engine.hpp"
-#include "arfs/storage/durable/lsm_engine.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/simple_app.hpp"
@@ -27,22 +25,11 @@ namespace {
 using storage::StableStorage;
 using storage::durable::DurabilityEngine;
 using storage::durable::DurableOptions;
-using storage::durable::EngineKind;
-using storage::durable::LsmEngine;
 using storage::durable::RecoveryReport;
 using storage::durable::SyncMode;
 using storage::durable::SyncPolicy;
 using storage::durable::kAdaptiveFracBits;
 using storage::durable::make_memory_engine;
-
-constexpr EngineKind kAllEngines[] = {
-    EngineKind::kWalSnapshot, EngineKind::kMmap, EngineKind::kLsm};
-
-std::unique_ptr<DurabilityEngine> engine_of(EngineKind kind,
-                                            DurableOptions options = {}) {
-  options.engine = kind;
-  return make_memory_engine(options);
-}
 
 /// Commits `n` frames of deterministic writes (same shape as the
 /// durable_storage_test helper, so cross-suite behavior is comparable).
@@ -57,12 +44,12 @@ void run_commits(DurabilityEngine& engine, StableStorage& store, Cycle from,
   }
 }
 
-// --- cross-engine sweep digests -------------------------------------------
+// --- sweep oracle digests ------------------------------------------------
 
-support::MissionFactory chain_factory(SyncPolicy policy, EngineKind kind,
+support::MissionFactory chain_factory(SyncPolicy policy,
                                       bool shipping = false,
                                       std::uint32_t quorum = 0) {
-  return [policy, kind, shipping, quorum] {
+  return [policy, shipping, quorum] {
     auto spec =
         std::make_shared<core::ReconfigSpec>(support::make_chain_spec({}));
     core::SystemOptions options;
@@ -71,7 +58,6 @@ support::MissionFactory chain_factory(SyncPolicy policy, EngineKind kind,
     options.quorum_replicas = quorum;
     options.durability.snapshot_every_epochs = 7;
     options.durability.sync = policy;
-    options.durability.engine = kind;
     auto system = std::make_unique<core::System>(*spec, options);
     for (const core::AppDecl& decl : spec->apps()) {
       system->add_app(
@@ -84,22 +70,16 @@ support::MissionFactory chain_factory(SyncPolicy policy, EngineKind kind,
   };
 }
 
-/// Runs the same sweep under every engine and asserts each report matches
-/// the WalSnapshot oracle bit-for-bit (digest) with zero mismatches.
-void expect_engines_digest_identical(SyncPolicy policy,
-                                     support::CrashSweepOptions options,
-                                     bool shipping = false,
-                                     std::uint32_t quorum = 0) {
-  std::uint64_t oracle = 0;
-  for (const EngineKind kind : kAllEngines) {
-    const support::CrashSweepReport report = support::run_crash_sweep(
-        chain_factory(policy, kind, shipping, quorum), options);
-    EXPECT_EQ(report.mismatches, 0u) << to_string(kind);
-    EXPECT_EQ(report.replica_mismatches, 0u) << to_string(kind);
-    if (kind == EngineKind::kWalSnapshot) oracle = report.digest();
-    EXPECT_EQ(report.digest(), oracle)
-        << to_string(kind) << " diverged from the wal oracle";
-  }
+/// Runs the sweep and asserts zero mismatches and a report digest equal,
+/// bit for bit, to the recorded oracle.
+void expect_sweep_digest(std::uint64_t oracle, SyncPolicy policy,
+                         support::CrashSweepOptions options,
+                         bool shipping = false, std::uint32_t quorum = 0) {
+  const support::CrashSweepReport report = support::run_crash_sweep(
+      chain_factory(policy, shipping, quorum), options);
+  EXPECT_EQ(report.mismatches, 0u);
+  EXPECT_EQ(report.replica_mismatches, 0u);
+  EXPECT_EQ(report.digest(), oracle) << std::hex << "got 0x" << report.digest();
 }
 
 support::CrashSweepOptions sweep_options(Cycle frames) {
@@ -110,69 +90,67 @@ support::CrashSweepOptions sweep_options(Cycle frames) {
 }
 
 TEST(EngineSweep, PlainSweepDigestsMatchWalOracle) {
-  expect_engines_digest_identical(SyncPolicy::frames(3), sweep_options(10));
+  expect_sweep_digest(0xc6dd6608b7d6bca1, SyncPolicy::frames(3),
+                      sweep_options(10));
 }
 
 TEST(EngineSweep, AdaptivePolicySweepDigestsMatchWalOracle) {
-  expect_engines_digest_identical(SyncPolicy::adaptive(), sweep_options(10));
+  expect_sweep_digest(0xeffe8aa264539bb9, SyncPolicy::adaptive(),
+                      sweep_options(10));
 }
 
 TEST(EngineSweep, TornWriteDigestsMatchWalOracle) {
   support::CrashSweepOptions options = sweep_options(10);
   options.io_fault = support::CrashSweepOptions::IoFault::kTornWrite;
-  expect_engines_digest_identical(SyncPolicy::frames(3), options);
+  expect_sweep_digest(0x035af903d8c4b891, SyncPolicy::frames(3), options);
 }
 
 TEST(EngineSweep, BitFlipDigestsMatchWalOracle) {
   support::CrashSweepOptions options = sweep_options(10);
   options.io_fault = support::CrashSweepOptions::IoFault::kBitFlip;
-  expect_engines_digest_identical(SyncPolicy::frames(3), options);
+  expect_sweep_digest(0xdf91008115c27418, SyncPolicy::frames(3), options);
 }
 
 TEST(EngineSweep, WarmStartDigestsMatchWalOracle) {
   support::CrashSweepOptions options = sweep_options(10);
   options.warm_start = true;
-  expect_engines_digest_identical(SyncPolicy::frames(3), options,
-                                  /*shipping=*/true);
+  expect_sweep_digest(0x96944ce6a47ddfd0, SyncPolicy::frames(3), options,
+                      /*shipping=*/true);
 }
 
 TEST(EngineSweep, QuorumKillDigestsMatchWalOracle) {
   support::CrashSweepOptions options = sweep_options(8);
   options.warm_start = true;
   options.quorum_kills = 1;
-  expect_engines_digest_identical(SyncPolicy::frames(3), options,
-                                  /*shipping=*/true, /*quorum=*/3);
+  expect_sweep_digest(0x6b1f9fe026e501b5, SyncPolicy::frames(3), options,
+                      /*shipping=*/true, /*quorum=*/3);
 }
 
 // --- watermark edge cases -------------------------------------------------
 
 TEST(SyncPolicyEdge, ZeroByteWatermarkSyncsEveryCommit) {
-  for (const EngineKind kind : kAllEngines) {
-    DurableOptions options;
-    options.sync = SyncPolicy::bytes(0);
-    auto engine = engine_of(kind, options);
-    StableStorage store;
-    run_commits(*engine, store, 0, 8);
-    // A zero watermark is reached by any nonzero lag: every commit syncs,
-    // exactly like kEveryCommit.
-    EXPECT_EQ(engine->stats().syncs, 8u) << to_string(kind);
-    EXPECT_EQ(engine->stats().lag_bytes, 0u) << to_string(kind);
-    EXPECT_EQ(engine->stats().lag_frames, 0u) << to_string(kind);
-    EXPECT_EQ(engine->stats().last_durable_epoch, 8u) << to_string(kind);
-  }
+  DurableOptions options;
+  options.sync = SyncPolicy::bytes(0);
+  auto engine = make_memory_engine(options);
+  StableStorage store;
+  run_commits(*engine, store, 0, 8);
+  // A zero watermark is reached by any nonzero lag: every commit syncs,
+  // exactly like kEveryCommit.
+  EXPECT_EQ(engine->stats().syncs, 8u);
+  EXPECT_EQ(engine->stats().lag_bytes, 0u);
+  EXPECT_EQ(engine->stats().lag_frames, 0u);
+  EXPECT_EQ(engine->stats().last_durable_epoch, 8u);
 }
 
 TEST(SyncPolicyEdge, OneByteWatermarkSyncsEveryCommit) {
-  for (const EngineKind kind : kAllEngines) {
-    DurableOptions options;
-    options.sync = SyncPolicy::bytes(1);
-    auto engine = engine_of(kind, options);
-    StableStorage store;
-    run_commits(*engine, store, 0, 8);
-    EXPECT_EQ(engine->stats().syncs, 8u) << to_string(kind);
-    EXPECT_EQ(engine->stats().max_lag_frames, 1u) << to_string(kind);
-    EXPECT_EQ(engine->stats().lag_bytes, 0u) << to_string(kind);
-  }
+  DurableOptions options;
+  options.sync = SyncPolicy::bytes(1);
+  auto engine = make_memory_engine(options);
+  StableStorage store;
+  run_commits(*engine, store, 0, 8);
+  EXPECT_EQ(engine->stats().syncs, 8u);
+  EXPECT_EQ(engine->stats().max_lag_frames, 1u);
+  EXPECT_EQ(engine->stats().lag_bytes, 0u);
 }
 
 TEST(SyncPolicyEdge, AdaptiveInitialWatermarkClampsIntoBounds) {
@@ -180,14 +158,14 @@ TEST(SyncPolicyEdge, AdaptiveInitialWatermarkClampsIntoBounds) {
   // down. The clamp happens at construction, before any commit.
   DurableOptions low;
   low.sync = SyncPolicy::adaptive(/*initial=*/1, /*min=*/4096, /*max=*/8192);
-  auto low_engine = engine_of(EngineKind::kWalSnapshot, low);
+  auto low_engine = make_memory_engine(low);
   EXPECT_EQ(low_engine->adaptive_watermark_fp(),
             std::uint64_t{4096} << kAdaptiveFracBits);
 
   DurableOptions high;
   high.sync = SyncPolicy::adaptive(/*initial=*/std::uint64_t{1} << 30,
                                    /*min=*/4096, /*max=*/8192);
-  auto high_engine = engine_of(EngineKind::kWalSnapshot, high);
+  auto high_engine = make_memory_engine(high);
   EXPECT_EQ(high_engine->adaptive_watermark_fp(),
             std::uint64_t{8192} << kAdaptiveFracBits);
 }
@@ -199,7 +177,7 @@ TEST(SyncPolicyEdge, AdaptiveClimbsAndClampsAtMaxOnSmallCommits) {
   DurableOptions options;
   options.sync = SyncPolicy::adaptive(/*initial=*/1024, /*min=*/512,
                                       /*max=*/2048, /*frames_ceiling=*/0);
-  auto engine = engine_of(EngineKind::kWalSnapshot, options);
+  auto engine = make_memory_engine(options);
   StableStorage store;
   const std::uint64_t hi = std::uint64_t{2048} << kAdaptiveFracBits;
   for (Cycle c = 0; c < 512; ++c) {
@@ -219,7 +197,7 @@ TEST(SyncPolicyEdge, AdaptiveDropsAndClampsAtMinOnHugeCommits) {
   options.sync = SyncPolicy::adaptive(/*initial=*/256 * 1024, /*min=*/512,
                                       /*max=*/256 * 1024,
                                       /*frames_ceiling=*/0);
-  auto engine = engine_of(EngineKind::kWalSnapshot, options);
+  auto engine = make_memory_engine(options);
   StableStorage store;
   const std::string blob(320 * 1024, 'x');
   const std::uint64_t lo = std::uint64_t{512} << kAdaptiveFracBits;
@@ -236,39 +214,34 @@ TEST(SyncPolicyEdge, AdaptiveDropsAndClampsAtMinOnHugeCommits) {
 }
 
 TEST(SyncPolicyEdge, ForcedSyncFlushesLagUnderEveryEngine) {
-  for (const EngineKind kind : kAllEngines) {
-    DurableOptions options;
-    options.sync = SyncPolicy::frames(100);  // never reached by 3 commits
-    auto engine = engine_of(kind, options);
-    StableStorage store;
-    run_commits(*engine, store, 0, 3);
-    ASSERT_EQ(engine->stats().lag_frames, 3u) << to_string(kind);
+  DurableOptions options;
+  options.sync = SyncPolicy::frames(100);  // never reached by 3 commits
+  auto engine = make_memory_engine(options);
+  StableStorage store;
+  run_commits(*engine, store, 0, 3);
+  ASSERT_EQ(engine->stats().lag_frames, 3u);
 
-    // The halt-boundary sync: the whole buffered tail becomes durable now.
-    EXPECT_TRUE(engine->sync_now()) << to_string(kind);
-    EXPECT_EQ(engine->stats().forced_syncs, 1u) << to_string(kind);
-    EXPECT_EQ(engine->stats().lag_frames, 0u) << to_string(kind);
-    EXPECT_EQ(engine->stats().last_durable_epoch, 3u) << to_string(kind);
+  // The halt-boundary sync: the whole buffered tail becomes durable now.
+  EXPECT_TRUE(engine->sync_now());
+  EXPECT_EQ(engine->stats().forced_syncs, 1u);
+  EXPECT_EQ(engine->stats().lag_frames, 0u);
+  EXPECT_EQ(engine->stats().last_durable_epoch, 3u);
 
-    // With zero lag it is a no-op, not another device sync.
-    EXPECT_TRUE(engine->sync_now()) << to_string(kind);
-    EXPECT_EQ(engine->stats().forced_syncs, 1u) << to_string(kind);
-  }
+  // With zero lag it is a no-op, not another device sync.
+  EXPECT_TRUE(engine->sync_now());
+  EXPECT_EQ(engine->stats().forced_syncs, 1u);
 }
 
 TEST(SyncPolicyEdge, ReconfigBoundarySyncsUnderEveryEngine) {
   // System-level: the chain mission reconfigures; every halt boundary must
-  // force the victim's lag to zero regardless of which engine backs it.
-  for (const EngineKind kind : kAllEngines) {
-    support::CrashMission mission =
-        chain_factory(SyncPolicy::frames(64), kind)();
-    mission.system->run(48);
-    DurabilityEngine* engine = mission.system->processors()
-                                   .processor(support::synthetic_processor(0))
-                                   .durability();
-    ASSERT_NE(engine, nullptr) << to_string(kind);
-    EXPECT_GT(engine->stats().forced_syncs, 0u) << to_string(kind);
-  }
+  // force the victim's lag to zero.
+  support::CrashMission mission = chain_factory(SyncPolicy::frames(64))();
+  mission.system->run(48);
+  DurabilityEngine* engine = mission.system->processors()
+                                 .processor(support::synthetic_processor(0))
+                                 .durability();
+  ASSERT_NE(engine, nullptr);
+  EXPECT_GT(engine->stats().forced_syncs, 0u);
 }
 
 // --- SCRAM pressure -------------------------------------------------------
@@ -280,7 +253,7 @@ TEST(ReconfigPressure, DropsEffectiveWatermarkOnlyInAdaptiveMode) {
   adaptive.sync = SyncPolicy::adaptive(/*initial=*/64 * 1024, /*min=*/16,
                                        /*max=*/256 * 1024,
                                        /*frames_ceiling=*/0);
-  auto pressured = engine_of(EngineKind::kWalSnapshot, adaptive);
+  auto pressured = make_memory_engine(adaptive);
   pressured->set_reconfig_pressure(true);
   EXPECT_EQ(pressured->stats().pressure_engagements, 1u);
   StableStorage store;
@@ -300,7 +273,7 @@ TEST(ReconfigPressure, DropsEffectiveWatermarkOnlyInAdaptiveMode) {
   // in the buffered tail.
   DurableOptions fixed;
   fixed.sync = SyncPolicy::bytes(64 * 1024);
-  auto unaffected = engine_of(EngineKind::kWalSnapshot, fixed);
+  auto unaffected = make_memory_engine(fixed);
   unaffected->set_reconfig_pressure(true);
   StableStorage other;
   run_commits(*unaffected, other, 0, 1);
@@ -312,168 +285,79 @@ TEST(ReconfigPressure, DropsEffectiveWatermarkOnlyInAdaptiveMode) {
 // --- recovery decode scratch (hoisted buffer) -----------------------------
 
 TEST(RecoveryDecode, ReplayReusesHoistedDecodeBuffer) {
-  for (const EngineKind kind : kAllEngines) {
-    auto engine = engine_of(kind);  // no snapshot cadence: full replay
-    StableStorage store;
-    run_commits(*engine, store, 0, 32);
-    const std::uint64_t before = store.fingerprint();
-
-    engine->crash();
-    StableStorage recovered;
-    const RecoveryReport report = engine->recover_into(recovered);
-    EXPECT_EQ(recovered.fingerprint(), before) << to_string(kind);
-    EXPECT_EQ(report.records_applied, 32u) << to_string(kind);
-    // The first decode sizes the scratch; every later record of this replay
-    // reuses it instead of allocating.
-    EXPECT_GE(engine->stats().decode_buffer_reuses, 31u) << to_string(kind);
-  }
-}
-
-// --- block cache ----------------------------------------------------------
-
-TEST(BlockCache, SecondRecoveryIsServedFromCacheWithIdenticalResult) {
-  for (const EngineKind kind : kAllEngines) {
-    DurableOptions options;
-    options.block_cache_bytes = 1u << 20;
-    options.snapshot_every_epochs = 5;
-    auto engine = engine_of(kind, options);
-    StableStorage store;
-    run_commits(*engine, store, 0, 16);
-    const std::uint64_t before = store.fingerprint();
-
-    engine->crash();
-    StableStorage cold;
-    const RecoveryReport first = engine->recover_into(cold);
-    EXPECT_EQ(cold.fingerprint(), before) << to_string(kind);
-    const std::uint64_t misses = engine->stats().block_cache_misses;
-    EXPECT_GT(misses, 0u) << to_string(kind);
-
-    // Devices unchanged since the first scan: the repeat recovery replays
-    // from decoded memory — hits, no new misses, same store.
-    StableStorage warm;
-    const RecoveryReport second = engine->recover_into(warm);
-    EXPECT_GT(engine->stats().block_cache_hits, 0u) << to_string(kind);
-    EXPECT_EQ(engine->stats().block_cache_misses, misses) << to_string(kind);
-    EXPECT_EQ(warm.fingerprint(), before) << to_string(kind);
-    EXPECT_EQ(second.last_epoch, first.last_epoch) << to_string(kind);
-    EXPECT_GT(engine->stats().block_cache_bytes, 0u) << to_string(kind);
-  }
-}
-
-// --- LSM specifics --------------------------------------------------------
-
-TEST(Lsm, FlushesDeltaRunsCompactsAndSkipsOnKeyBounds) {
-  DurableOptions options;
-  options.snapshot_every_epochs = 2;
-  options.lsm_run_limit = 3;
-  auto engine = engine_of(EngineKind::kLsm, options);
-  auto* lsm = dynamic_cast<LsmEngine*>(engine.get());
-  ASSERT_NE(lsm, nullptr);
-
+  auto engine = make_memory_engine();  // no snapshot cadence: full replay
   StableStorage store;
-  run_commits(*engine, store, 0, 20);
-  EXPECT_GT(engine->stats().lsm_runs_flushed, 3u);
-  EXPECT_GT(engine->stats().lsm_compactions, 0u);
-  EXPECT_LE(lsm->run_count(), std::size_t{options.lsm_run_limit} + 1);
-
-  // Point probe against the run set: a present key decodes to its newest
-  // committed value...
-  const auto hit = lsm->probe("counter");
-  ASSERT_TRUE(hit.has_value());
-
-  // ...and a key past every run's max bound is rejected on bounds alone.
-  const std::uint64_t skips_before = engine->stats().lsm_bounds_skips;
-  EXPECT_FALSE(lsm->probe("~past-every-max-bound").has_value());
-  EXPECT_GT(engine->stats().lsm_bounds_skips, skips_before);
-}
-
-TEST(Lsm, RecoversAcrossCompactionBoundary) {
-  DurableOptions options;
-  options.snapshot_every_epochs = 2;
-  options.lsm_run_limit = 2;
-  auto engine = engine_of(EngineKind::kLsm, options);
-  StableStorage store;
-  run_commits(*engine, store, 0, 17);  // odd count: journal tail past a run
+  run_commits(*engine, store, 0, 32);
   const std::uint64_t before = store.fingerprint();
-  ASSERT_GT(engine->stats().lsm_compactions, 0u);
 
   engine->crash();
   StableStorage recovered;
   const RecoveryReport report = engine->recover_into(recovered);
   EXPECT_EQ(recovered.fingerprint(), before);
-  EXPECT_EQ(report.last_epoch, 17u);
+  EXPECT_EQ(report.records_applied, 32u);
+  // The first decode sizes the scratch; every later record of this replay
+  // reuses it instead of allocating.
+  EXPECT_GE(engine->stats().decode_buffer_reuses, 31u);
 }
 
 // --- adaptive determinism and checkpointing -------------------------------
 
 TEST(AdaptiveDeterminism, IdenticalHistoriesProduceBitIdenticalControllers) {
-  for (const EngineKind kind : kAllEngines) {
-    DurableOptions options;
-    options.sync = SyncPolicy::adaptive();
-    options.snapshot_every_epochs = 5;
-    auto a = engine_of(kind, options);
-    auto b = engine_of(kind, options);
-    StableStorage sa;
-    StableStorage sb;
-    run_commits(*a, sa, 0, 24);
-    run_commits(*b, sb, 0, 24);
+  DurableOptions options;
+  options.sync = SyncPolicy::adaptive();
+  options.snapshot_every_epochs = 5;
+  auto a = make_memory_engine(options);
+  auto b = make_memory_engine(options);
+  StableStorage sa;
+  StableStorage sb;
+  run_commits(*a, sa, 0, 24);
+  run_commits(*b, sb, 0, 24);
 
-    // The controller is pure integer state over the commit history: two
-    // identical runs agree on every tuning step and every byte.
-    EXPECT_EQ(a->adaptive_watermark_fp(), b->adaptive_watermark_fp())
-        << to_string(kind);
-    EXPECT_EQ(a->stats().syncs, b->stats().syncs) << to_string(kind);
-    EXPECT_EQ(a->stats().adaptive_raises, b->stats().adaptive_raises)
-        << to_string(kind);
-    EXPECT_EQ(a->stats().adaptive_drops, b->stats().adaptive_drops)
-        << to_string(kind);
+  // The controller is pure integer state over the commit history: two
+  // identical runs agree on every tuning step and every byte.
+  EXPECT_EQ(a->adaptive_watermark_fp(), b->adaptive_watermark_fp());
+  EXPECT_EQ(a->stats().syncs, b->stats().syncs);
+  EXPECT_EQ(a->stats().adaptive_raises, b->stats().adaptive_raises);
+  EXPECT_EQ(a->stats().adaptive_drops, b->stats().adaptive_drops);
 
-    a->crash();
-    b->crash();
-    StableStorage ra;
-    StableStorage rb;
-    (void)a->recover_into(ra);
-    (void)b->recover_into(rb);
-    EXPECT_EQ(ra.fingerprint(), rb.fingerprint()) << to_string(kind);
-  }
+  a->crash();
+  b->crash();
+  StableStorage ra;
+  StableStorage rb;
+  (void)a->recover_into(ra);
+  (void)b->recover_into(rb);
+  EXPECT_EQ(ra.fingerprint(), rb.fingerprint());
 }
 
 TEST(EngineCheckpointing, AdaptiveControllerStateRoundTrips) {
-  for (const EngineKind kind : kAllEngines) {
-    DurableOptions options;
-    options.sync = SyncPolicy::adaptive();
-    options.snapshot_every_epochs = 4;
-    auto engine = engine_of(kind, options);
-    StableStorage store;
-    run_commits(*engine, store, 0, 12);
-    engine->set_reconfig_pressure(true);
+  DurableOptions options;
+  options.sync = SyncPolicy::adaptive();
+  options.snapshot_every_epochs = 4;
+  auto engine = make_memory_engine(options);
+  StableStorage store;
+  run_commits(*engine, store, 0, 12);
+  engine->set_reconfig_pressure(true);
 
-    const auto cp = engine->checkpoint_state();
-    EXPECT_EQ(cp.adaptive_watermark_fp, engine->adaptive_watermark_fp())
-        << to_string(kind);
-    EXPECT_TRUE(cp.reconfig_pressure) << to_string(kind);
-    EXPECT_EQ(cp.state_flush_cycle, engine->state_flush_cycle())
-        << to_string(kind);
-    const std::uint64_t fp_at_cp = engine->adaptive_watermark_fp();
-    const std::uint64_t fingerprint_at_cp = store.fingerprint();
+  const auto cp = engine->checkpoint_state();
+  EXPECT_EQ(cp.adaptive_watermark_fp, engine->adaptive_watermark_fp());
+  EXPECT_TRUE(cp.reconfig_pressure);
+  const std::uint64_t fp_at_cp = engine->adaptive_watermark_fp();
+  const std::uint64_t fingerprint_at_cp = store.fingerprint();
 
-    // Diverge: release pressure, run more history, let the controller move.
-    engine->set_reconfig_pressure(false);
-    run_commits(*engine, store, 12, 24);
+  // Diverge: release pressure, run more history, let the controller move.
+  engine->set_reconfig_pressure(false);
+  run_commits(*engine, store, 12, 24);
 
-    // Restore rewinds the controller along with the devices.
-    engine->restore_state(cp);
-    EXPECT_EQ(engine->adaptive_watermark_fp(), fp_at_cp) << to_string(kind);
-    EXPECT_TRUE(engine->reconfig_pressure()) << to_string(kind);
-    EXPECT_EQ(engine->state_flush_cycle(), cp.state_flush_cycle)
-        << to_string(kind);
+  // Restore rewinds the controller along with the devices.
+  engine->restore_state(cp);
+  EXPECT_EQ(engine->adaptive_watermark_fp(), fp_at_cp);
+  EXPECT_TRUE(engine->reconfig_pressure());
 
-    engine->crash();
-    StableStorage recovered;
-    const RecoveryReport report = engine->recover_into(recovered);
-    EXPECT_EQ(recovered.fingerprint(), fingerprint_at_cp) << to_string(kind);
-    EXPECT_EQ(report.last_epoch, 12u) << to_string(kind);
-  }
+  engine->crash();
+  StableStorage recovered;
+  const RecoveryReport report = engine->recover_into(recovered);
+  EXPECT_EQ(recovered.fingerprint(), fingerprint_at_cp);
+  EXPECT_EQ(report.last_epoch, 12u);
 }
 
 }  // namespace

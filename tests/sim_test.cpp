@@ -3,7 +3,6 @@
 #include "arfs/common/check.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/sim/clock.hpp"
-#include "arfs/sim/event_queue.hpp"
 #include "arfs/sim/fault_plan.hpp"
 
 namespace arfs::sim {
@@ -44,67 +43,6 @@ TEST(VirtualClock, AdvanceWithinFrameCannotCrossBoundary) {
 
 TEST(VirtualClock, RejectsNonPositiveFrame) {
   EXPECT_THROW(VirtualClock(0), ContractViolation);
-}
-
-TEST(EventQueue, FiresInTimeOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.schedule(30, [&] { fired.push_back(3); });
-  q.schedule(10, [&] { fired.push_back(1); });
-  q.schedule(20, [&] { fired.push_back(2); });
-  EXPECT_EQ(q.run_until(100), 3u);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SameTimeFiresInInsertionOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 5; ++i) q.schedule(10, [&fired, i] { fired.push_back(i); });
-  q.run_until(10);
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RespectsUntil) {
-  EventQueue q;
-  int count = 0;
-  q.schedule(10, [&] { ++count; });
-  q.schedule(20, [&] { ++count; });
-  EXPECT_EQ(q.run_until(15), 1u);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(q.next_time(), 20);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents) {
-  EventQueue q;
-  int count = 0;
-  q.schedule(10, [&] {
-    ++count;
-    q.schedule(15, [&] { ++count; });
-  });
-  q.run_until(20);
-  EXPECT_EQ(count, 2);
-}
-
-TEST(EventQueue, CascadedEventBeyondUntilStaysPending) {
-  EventQueue q;
-  int count = 0;
-  q.schedule(10, [&] {
-    ++count;
-    q.schedule(50, [&] { ++count; });
-  });
-  q.run_until(20);
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, ClearAndEmpty) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  q.schedule(1, [] {});
-  EXPECT_FALSE(q.empty());
-  q.clear();
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_time(), kNoTime);
 }
 
 TEST(FaultPlan, KeepsTimeOrderRegardlessOfInsertion) {

@@ -6,17 +6,16 @@
 //                                           print SFTA phase tables and the
 //                                           SP1-SP4 report
 //   arfsctl sweep <spec> [--frames N] [--io-fault torn|bitflip] [--warm]
-//                 [--engine wal|mmap|lsm] [--adaptive]
-//                 [--checkpoint-stride K] [--json]
+//                 [--adaptive] [--checkpoint-stride K] [--json]
 //                                           crash-point sweep: fail-stop the
 //                                           mission's durable victim at every
 //                                           frame and verify each recovery
 //                                           (checkpointed O(F·K) strategy)
-//   arfsctl engine stat <spec> [--engine wal|mmap|lsm] [--adaptive]
-//                 [--frames N] [--json]     run a durable mission and print
-//                                           the victim's storage-engine
-//                                           counters (cache, adaptive
-//                                           watermark, LSM runs)
+//   arfsctl engine stat <spec> [--adaptive] [--frames N] [--json]
+//                                           run a durable mission and print
+//                                           the victim's durability-engine
+//                                           counters (journal, snapshots,
+//                                           adaptive watermark)
 //   arfsctl fleet <spec> [--samples N] [--frames F] [--warmup W]
 //                 [--shards S] [--threads T] [--no-pool] [--json [path]]
 //                                           fleet-scale Monte-Carlo mission
@@ -38,9 +37,9 @@
 //                                           resume (--dry-run only reports)
 //   arfsctl journal demo <file> [commits] [seed]
 //                                           write a sample journal file
-//   arfsctl journal stats <file> [--json]   recover a journal twice through
-//                                           a block-cached engine and print
-//                                           the decode/cache counters (the
+//   arfsctl journal stats <file> [--json]   recover a journal through a
+//                                           simulated engine and print the
+//                                           recovery/decode counters (the
 //                                           file itself is never modified)
 //   arfsctl journal ship <src> <dst> [--cursor N]
 //                                           replicate a source journal's
@@ -105,7 +104,6 @@
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/durable/journal.hpp"
 #include "arfs/storage/durable/shipping.hpp"
-#include "arfs/storage/durable/wal_snapshot.hpp"
 #include "arfs/storage/durable/wire.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/sim/fleet.hpp"
@@ -128,11 +126,10 @@ int usage() {
          "  certify  <spec> [--json]\n"
          "  simulate <spec> [frames=400] [seed=1]\n"
          "  sweep    <spec> [--frames N] [--io-fault torn|bitflip] [--warm]\n"
-         "           [--engine wal|mmap|lsm] [--adaptive]\n"
-         "           [--quorum N] [--kill K] [--checkpoint-stride K]\n"
+         "           [--adaptive] [--quorum N] [--kill K]\n"
+         "           [--checkpoint-stride K]\n"
          "           [--arena PATH] [--json]\n"
-         "  engine   stat <spec> [--engine wal|mmap|lsm] [--adaptive]\n"
-         "           [--frames N] [--json]\n"
+         "  engine   stat <spec> [--adaptive] [--frames N] [--json]\n"
          "  quorum   <demo|status> [spec=chain] [--replicas N] [--frames F]\n"
          "           [--kill K]\n"
          "  fleet    <spec> [--samples N] [--frames F] [--warmup W]\n"
@@ -333,7 +330,7 @@ int cmd_journal_demo(const std::string& path, Cycle commits,
                      std::uint64_t seed) {
   auto file = std::make_unique<storage::durable::FileBackend>(path);
   file->truncate(0);  // a demo always starts a fresh journal
-  storage::durable::WalSnapshotEngine engine(
+  storage::durable::DurabilityEngine engine(
       std::move(file), std::make_unique<storage::durable::MemoryBackend>());
   storage::StableStorage store;
   Rng rng(seed);
@@ -351,9 +348,9 @@ int cmd_journal_demo(const std::string& path, Cycle commits,
 }
 
 int cmd_journal_stats(const std::string& path, bool json) {
-  // The file's bytes are loaded into a simulated device so the cold and
-  // warm recoveries below can never modify the journal on disk (a corrupt
-  // tail would otherwise be truncated, which is `journal repair`'s job).
+  // The file's bytes are loaded into a simulated device so the recovery
+  // below can never modify the journal on disk (a corrupt tail would
+  // otherwise be truncated, which is `journal repair`'s job).
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     std::cerr << "stats: cannot read " << path << "\n";
@@ -362,48 +359,36 @@ int cmd_journal_stats(const std::string& path, bool json) {
   std::ostringstream raw;
   raw << in.rdbuf();
   const std::string& bytes = raw.str();
-  storage::durable::DurableOptions options;
-  options.block_cache_bytes = 1u << 20;
-  storage::durable::WalSnapshotEngine engine(
+  storage::durable::DurabilityEngine engine(
       std::make_unique<storage::durable::MemoryBackend>(
           std::vector<std::uint8_t>(bytes.begin(), bytes.end()),
           std::vector<std::uint8_t>()),
-      std::make_unique<storage::durable::MemoryBackend>(), options);
+      std::make_unique<storage::durable::MemoryBackend>());
 
-  storage::StableStorage cold;
-  const storage::durable::RecoveryReport first = engine.recover_into(cold);
-  storage::StableStorage warm;
-  (void)engine.recover_into(warm);  // warm pass: served from the block cache
+  storage::StableStorage store;
+  const storage::durable::RecoveryReport report = engine.recover_into(store);
   const storage::durable::DurabilityStats& stats = engine.stats();
 
   if (json) {
-    std::cout << "{\"file\": \"" << path << "\", \"engine\": \""
-              << to_string(engine.kind()) << "\", \"records\": "
-              << first.records_applied << ", \"valid_bytes\": "
-              << first.valid_bytes << ", \"truncated\": "
-              << (first.journal_truncated ? "true" : "false")
-              << ", \"last_epoch\": " << first.last_epoch
+    std::string file;
+    support::append_escaped(file, path);
+    std::cout << "{\"file\": " << file << ", \"records\": "
+              << report.records_applied << ", \"valid_bytes\": "
+              << report.valid_bytes << ", \"truncated\": "
+              << (report.journal_truncated ? "true" : "false")
+              << ", \"last_epoch\": " << report.last_epoch
               << ", \"decode_buffer_reuses\": " << stats.decode_buffer_reuses
-              << ", \"block_cache_hits\": " << stats.block_cache_hits
-              << ", \"block_cache_misses\": " << stats.block_cache_misses
-              << ", \"block_cache_evictions\": " << stats.block_cache_evictions
-              << ", \"block_cache_bytes\": " << stats.block_cache_bytes
-              << ", \"recoveries\": " << stats.recoveries << "}\n";
+              << "}\n";
   } else {
-    std::cout << path << ": " << first.records_applied << " commits, "
-              << first.valid_bytes << " valid bytes, last epoch "
-              << first.last_epoch
-              << (first.journal_truncated ? " (CORRUPT tail)" : ", clean")
+    std::cout << path << ": " << report.records_applied << " commits, "
+              << report.valid_bytes << " valid bytes, last epoch "
+              << report.last_epoch
+              << (report.journal_truncated ? " (CORRUPT tail)" : ", clean")
               << "\n"
               << "decode: " << stats.decode_buffer_reuses
-              << " scratch-buffer reuses across " << stats.recoveries
-              << " recoveries\n"
-              << "block cache: " << stats.block_cache_hits << " hits, "
-              << stats.block_cache_misses << " misses, "
-              << stats.block_cache_evictions << " evictions, "
-              << stats.block_cache_bytes << " bytes charged\n";
+              << " scratch-buffer reuses\n";
   }
-  return first.journal_truncated ? 1 : 0;
+  return report.journal_truncated ? 1 : 0;
 }
 
 int cmd_journal_ship(const std::string& src_path, const std::string& dst_path,
@@ -538,11 +523,8 @@ int cmd_journal_ship(const std::string& src_path, const std::string& dst_path,
 /// so concurrent crash-point jobs share no mutable state.
 support::MissionFactory sweep_mission_factory(
     const std::string& spec_name, bool shipping,
-    std::uint32_t quorum_replicas = 0,
-    storage::durable::EngineKind engine =
-        storage::durable::EngineKind::kWalSnapshot,
-    bool adaptive = false) {
-  return [spec_name, shipping, quorum_replicas, engine, adaptive] {
+    std::uint32_t quorum_replicas = 0, bool adaptive = false) {
+  return [spec_name, shipping, quorum_replicas, adaptive] {
     struct Bundle {
       SpecChoice choice;
       std::optional<avionics::UavPlant> plant;
@@ -557,7 +539,6 @@ support::MissionFactory sweep_mission_factory(
     options.quorum_replicas = quorum_replicas;
     options.durability.snapshot_every_epochs =
         bundle->choice.is_uav ? 16 : 7;
-    options.durability.engine = engine;
     if (adaptive) {
       options.durability.sync = storage::durable::SyncPolicy::adaptive();
     }
@@ -589,7 +570,7 @@ support::MissionFactory sweep_mission_factory(
 int cmd_sweep(const std::string& spec_name, bool is_uav,
               const support::CrashSweepOptions& sweep_options,
               std::uint32_t quorum_replicas, const std::string& arena_path,
-              storage::durable::EngineKind engine, bool adaptive, bool json) {
+              bool adaptive, bool json) {
   support::CrashSweepOptions options = sweep_options;
   options.victim =
       is_uav ? avionics::kComputer1 : support::synthetic_processor(0);
@@ -602,7 +583,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
   }
   const support::CrashSweepReport report = support::run_crash_sweep(
       sweep_mission_factory(spec_name, options.warm_start, quorum_replicas,
-                            engine, adaptive),
+                            adaptive),
       options);
 
   const char* fault =
@@ -612,8 +593,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
                 ? "bitflip"
                 : "none";
   if (json) {
-    std::cout << "{\"spec\": \"" << spec_name << "\", \"engine\": \""
-              << to_string(engine) << "\", \"frames\": "
+    std::cout << "{\"spec\": \"" << spec_name << "\", \"frames\": "
               << options.frames << ", \"io_fault\": \"" << fault
               << "\", \"warm_start\": "
               << (options.warm_start ? "true" : "false")
@@ -628,8 +608,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
               << ", \"digest\": \"0x" << std::hex << report.digest()
               << std::dec << "\"}\n";
   } else {
-    std::cout << "crash-point sweep: " << spec_name << " (engine "
-              << to_string(engine) << "), " << options.frames
+    std::cout << "crash-point sweep: " << spec_name << ", " << options.frames
               << " crash points, io-fault " << fault
               << (options.warm_start ? ", warm-start" : "") << "\n"
               << "stride " << report.stride_used << " ("
@@ -649,14 +628,13 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
   return report.all_match() ? 0 : 1;
 }
 
-/// Runs a durable mission under the chosen storage engine and prints the
-/// victim processor's engine counters — the operator's window onto the
-/// block cache, the adaptive sync controller, and (for lsm) run churn.
-int cmd_engine_stat(const std::string& spec_name, bool is_uav,
-                    storage::durable::EngineKind kind, bool adaptive,
+/// Runs a durable mission and prints the victim processor's engine
+/// counters — the operator's window onto journaling, snapshots, and the
+/// adaptive sync controller.
+int cmd_engine_stat(const std::string& spec_name, bool is_uav, bool adaptive,
                     Cycle frames, bool json) {
   support::CrashMission mission = sweep_mission_factory(
-      spec_name, /*shipping=*/false, /*quorum_replicas=*/0, kind, adaptive)();
+      spec_name, /*shipping=*/false, /*quorum_replicas=*/0, adaptive)();
   core::System& system = *mission.system;
   system.run(frames);
 
@@ -671,8 +649,7 @@ int cmd_engine_stat(const std::string& spec_name, bool is_uav,
   const storage::durable::DurabilityStats& stats = engine->stats();
 
   if (json) {
-    std::cout << "{\"spec\": \"" << spec_name << "\", \"engine\": \""
-              << to_string(engine->kind()) << "\", \"frames\": " << frames
+    std::cout << "{\"spec\": \"" << spec_name << "\", \"frames\": " << frames
               << ", \"sync_mode\": \"" << to_string(engine->options().sync.mode)
               << "\", \"commits\": " << stats.commits_journaled
               << ", \"bytes_appended\": " << stats.bytes_appended
@@ -681,44 +658,31 @@ int cmd_engine_stat(const std::string& spec_name, bool is_uav,
               << ", \"snapshots\": " << stats.snapshots_taken
               << ", \"last_durable_epoch\": " << stats.last_durable_epoch
               << ", \"decode_buffer_reuses\": " << stats.decode_buffer_reuses
-              << ", \"block_cache_hits\": " << stats.block_cache_hits
-              << ", \"block_cache_misses\": " << stats.block_cache_misses
-              << ", \"block_cache_bytes\": " << stats.block_cache_bytes
               << ", \"adaptive_watermark_bytes\": "
               << stats.adaptive_watermark_bytes
               << ", \"adaptive_raises\": " << stats.adaptive_raises
               << ", \"adaptive_drops\": " << stats.adaptive_drops
               << ", \"pressure_engagements\": " << stats.pressure_engagements
-              << ", \"pressure_syncs\": " << stats.pressure_syncs
-              << ", \"lsm_runs_flushed\": " << stats.lsm_runs_flushed
-              << ", \"lsm_compactions\": " << stats.lsm_compactions << "}\n";
+              << ", \"pressure_syncs\": " << stats.pressure_syncs << "}\n";
   } else {
-    std::cout << "engine stat: " << spec_name << ", engine "
-              << to_string(engine->kind()) << ", sync "
+    std::cout << "engine stat: " << spec_name << ", sync "
               << to_string(engine->options().sync.mode) << ", " << frames
               << " frames\n"
               << "journal: " << stats.commits_journaled << " commits, "
               << stats.bytes_appended << " bytes, " << stats.syncs
               << " syncs (" << stats.forced_syncs << " forced), last durable"
               << " epoch " << stats.last_durable_epoch << "\n"
-              << "state images: " << stats.snapshots_taken << " taken, "
+              << "snapshots: " << stats.snapshots_taken << " taken, "
               << stats.snapshot_gc_runs << " GC runs, "
               << stats.snapshot_bytes_reclaimed << " bytes reclaimed\n"
-              << "block cache: " << stats.block_cache_hits << " hits, "
-              << stats.block_cache_misses << " misses, "
-              << stats.block_cache_bytes << " bytes charged; decode reuses "
-              << stats.decode_buffer_reuses << "\n";
+              << "decode: " << stats.decode_buffer_reuses
+              << " scratch-buffer reuses\n";
     if (engine->options().sync.mode == storage::durable::SyncMode::kAdaptive) {
       std::cout << "adaptive: watermark " << stats.adaptive_watermark_bytes
                 << " bytes (" << stats.adaptive_raises << " raises, "
                 << stats.adaptive_drops << " drops), pressure "
                 << stats.pressure_engagements << " engagements, "
                 << stats.pressure_syncs << " extra syncs\n";
-    }
-    if (engine->kind() == storage::durable::EngineKind::kLsm) {
-      std::cout << "lsm: " << stats.lsm_runs_flushed << " runs flushed, "
-                << stats.lsm_compactions << " compactions, "
-                << stats.lsm_bounds_skips << " bounds skips\n";
     }
   }
   return 0;
@@ -1199,18 +1163,12 @@ int main(int argc, char** argv) {
       if (argc < 4 || std::string(argv[2]) != "stat") return usage();
       const std::optional<SpecChoice> choice = make_spec(argv[3]);
       if (!choice.has_value()) return usage();
-      storage::durable::EngineKind kind =
-          storage::durable::EngineKind::kWalSnapshot;
       bool adaptive = false;
       Cycle frames = 48;
       bool json = false;
       for (int i = 4; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--engine" && i + 1 < argc) {
-          if (!storage::durable::parse_engine_kind(argv[++i], kind)) {
-            return usage();
-          }
-        } else if (arg == "--adaptive") {
+        if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--frames" && i + 1 < argc) {
           frames = std::strtoull(argv[++i], nullptr, 10);
@@ -1221,8 +1179,7 @@ int main(int argc, char** argv) {
         }
       }
       if (frames == 0) return usage();
-      return cmd_engine_stat(argv[3], choice->is_uav, kind, adaptive, frames,
-                             json);
+      return cmd_engine_stat(argv[3], choice->is_uav, adaptive, frames, json);
     }
 
     if (cmd == "quorum") {
@@ -1349,18 +1306,12 @@ int main(int argc, char** argv) {
       options.frames = 24;
       std::uint32_t quorum_replicas = 0;
       std::string arena_path;
-      storage::durable::EngineKind engine =
-          storage::durable::EngineKind::kWalSnapshot;
       bool adaptive = false;
       bool json = false;
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--frames" && i + 1 < argc) {
           options.frames = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--engine" && i + 1 < argc) {
-          if (!storage::durable::parse_engine_kind(argv[++i], engine)) {
-            return usage();
-          }
         } else if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--quorum" && i + 1 < argc) {
@@ -1392,7 +1343,7 @@ int main(int argc, char** argv) {
       if (options.frames == 0) return usage();
       if (options.quorum_kills > 0 && quorum_replicas == 0) return usage();
       return cmd_sweep(argv[2], choice->is_uav, options, quorum_replicas,
-                       arena_path, engine, adaptive, json);
+                       arena_path, adaptive, json);
     }
     if (cmd == "fleet") {
       support::FleetMissionOptions options;

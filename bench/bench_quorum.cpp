@@ -9,9 +9,9 @@
 //      crash frames at which a live majority still acknowledged exactly the
 //      epoch the warm start served — against the shipping bytes the fan-out
 //      costs (acceptance: availability 1.0 at every N, bytes ≈ N × single).
-//   2. Majority-ack latency vs the single standby: p50/p95/p99/max commit
-//      lag behind the source's durable epoch over a mission, per sync
-//      policy (at N = 1 the two protocols must coincide exactly).
+//   2. Majority-ack latency vs cohort size: p50/p95/p99/max commit lag
+//      behind the source's durable epoch over a mission, per sync policy
+//      (N = 1 is the warm standby).
 //
 // Emit machine-readable numbers for the perf trajectory with:
 //   bench_quorum --json BENCH_quorum.json
@@ -52,7 +52,7 @@ double wall_ms(const std::chrono::steady_clock::time_point& start) {
 }
 
 /// Chain-spec durable mission with an N-member cohort per processor
-/// (replicas = 0 keeps the classic single warm standby).
+/// (N = 1 is the warm standby).
 support::MissionFactory quorum_factory(SyncPolicy policy,
                                        std::uint32_t replicas,
                                        std::uint32_t slot_bytes = 4096) {
@@ -139,8 +139,8 @@ bool report_availability() {
 }
 
 /// Commit-boundary lag behind the source's durable epoch, frame by frame:
-/// the single standby's replica cursor vs the cohort's majority-acked
-/// commit id. At N = 1 the cohort must coincide with the standby exactly.
+/// the cohort's majority-acked commit id at N = 1 (the warm standby, whose
+/// commit id is its lone replica's cursor), 3 and 5.
 void report_latency() {
   const Cycle frames = env_frames("ARFS_QUORUM_MISSION", 128);
   const ProcessorId victim = support::synthetic_processor(0);
@@ -151,9 +151,8 @@ void report_latency() {
             << "over " << frames << " frames, " << slot_bytes
             << "-byte ship slots)\n";
   std::cout << std::left << std::setw(18) << "policy" << std::setw(16)
-            << "single standby" << std::setw(16) << "cohort N=1"
-            << std::setw(16) << "cohort N=3" << std::setw(16)
-            << "cohort N=5" << "\n";
+            << "cohort N=1" << std::setw(16) << "cohort N=3"
+            << std::setw(16) << "cohort N=5" << "\n";
 
   const std::pair<std::string, SyncPolicy> policies[] = {
       {"every-commit", SyncPolicy::every_commit()},
@@ -162,7 +161,7 @@ void report_latency() {
   };
   for (const auto& [name, policy] : policies) {
     std::cout << std::left << std::setw(18) << name;
-    for (const std::uint32_t n : {0u, 1u, 3u, 5u}) {
+    for (const std::uint32_t n : {1u, 3u, 5u}) {
       support::CrashMission mission = quorum_factory(policy, n, slot_bytes)();
       core::System& system = *mission.system;
       bench::Log2Histogram lag_hist;
@@ -171,17 +170,14 @@ void report_latency() {
         const auto* engine =
             system.processors().processor(victim).durability();
         const std::uint64_t durable = engine->stats().last_durable_epoch;
-        const std::uint64_t acked =
-            n == 0 ? system.ship_replica(victim).cursor().epoch
-                   : system.quorum_group(victim).commit_id();
+        const std::uint64_t acked = system.quorum_group(victim).commit_id();
         lag_hist.record(durable > acked ? durable - acked : 0);
       }
       std::ostringstream cell;
       cell << lag_hist.p50() << "/" << lag_hist.p95() << "/"
            << lag_hist.p99() << "/" << lag_hist.max();
       std::cout << std::setw(16) << cell.str();
-      const std::string key = "lag/" + name + "/" +
-                              (n == 0 ? "single" : "N" + std::to_string(n));
+      const std::string key = "lag/" + name + "/N" + std::to_string(n);
       bench::trajectory().record(key + "/p50",
                                  static_cast<double>(lag_hist.p50()),
                                  "epochs");
@@ -197,11 +193,10 @@ void report_latency() {
     }
     std::cout << "\n";
   }
-  std::cout << "(p50/p95/p99/max epochs; N = 1 must equal the single "
-            << "standby.\n"
-            << " Each member rides its own TDMA slot, so the majority ack\n"
-            << " adds no commit lag over one standby — the cohort's cost is\n"
-            << " purely the N-fold shipping bandwidth above.)\n";
+  std::cout << "(p50/p95/p99/max epochs. Each member rides its own TDMA\n"
+            << " slot, so the majority ack adds no commit lag over the\n"
+            << " one-member standby — the cohort's cost is purely the N-fold\n"
+            << " shipping bandwidth above.)\n";
 }
 
 void report() {

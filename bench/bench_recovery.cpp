@@ -14,9 +14,10 @@
 //
 // E15 (replicated journal shipping):
 //   6. Relocation cost, warm vs cold: journal tail bytes a continuously
-//      shipped standby still needs at a relocation point, against the
-//      encoded full-state copy the peer-reader path would put on the bus —
-//      across state sizes and sync policies.
+//      shipped one-member cohort (the warm standby) still needs at a
+//      relocation point, against the encoded full-state copy the
+//      peer-reader path would put on the bus — across state sizes and sync
+//      policies.
 //   7. The avionics mission end to end: every region relocation of the UAV
 //      power-degradation mission served warm, with the bytes a full copy
 //      would have cost and the mission wall time both ways.
@@ -39,11 +40,10 @@
 #include <vector>
 
 #include "arfs/avionics/uav_system.hpp"
-#include "arfs/bus/interface_unit.hpp"
-#include "arfs/bus/schedule.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/storage/durable/backend.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/storage/durable/quorum.hpp"
 #include "arfs/storage/durable/shipping.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/support/crash_sweep.hpp"
@@ -279,11 +279,11 @@ void report_crash_sweep() {
 // --- E15: replicated journal shipping ---
 
 void report_ship_vs_full_copy() {
-  // A standby replica is fed one shipping slot per commit (4 KB budget,
-  // the System default); at the relocation point the source syncs its
-  // boundary and the standby catches up. "warm" is what that catch-up
-  // still moved; "full" is what polling the whole encoded state — the only
-  // alternative — would have moved.
+  // A one-member replica cohort (the warm standby) is fed one quorum slot
+  // per commit (4 KB budget, the System default); at the relocation point
+  // the source syncs its boundary and the member catches up. "warm" is what
+  // that catch-up still moved; "full" is what polling the whole encoded
+  // state — the only alternative — would have moved.
   // The workload shape that matters: a state much larger than any one
   // frame's delta (4 keys of a rotating working set change per commit).
   // Relocating such a region cold moves the whole state; warm moves only
@@ -303,10 +303,8 @@ void report_ship_vs_full_copy() {
       options.sync = policy;
       auto engine = make_memory_engine(options);
       StableStorage store;
-      storage::durable::ShippedReplica replica;
-      bus::ShippingUnit unit(EndpointId{1}, *engine, replica);
-      bus::TdmaSchedule schedule;
-      schedule.add_ship_slot(EndpointId{1}, 100, 4096);
+      storage::durable::quorum::QuorumGroup standby(
+          *engine, storage::durable::quorum::QuorumOptions{.replicas = 1});
       for (std::size_t c = 0; c < kCommits; ++c) {
         // Commit 0 populates the whole state; later commits touch a small
         // rotating window.
@@ -320,10 +318,10 @@ void report_ship_vs_full_copy() {
         engine->record_commit(store, c);
         store.commit(c);
         engine->after_commit(store);
-        (void)unit.poll(schedule);
+        (void)standby.pump_member(0, 4096);
       }
       (void)engine->sync_now();  // the relocation's halt-boundary flush
-      const std::size_t warm = unit.catch_up();
+      const std::size_t warm = standby.catch_up_member(0);
       const std::uint64_t full =
           storage::durable::encoded_state_bytes(store);
       std::cout << std::left << std::setw(8) << keys << std::setw(14) << name
@@ -332,7 +330,7 @@ void report_ship_vs_full_copy() {
                 << std::setw(10) << std::setprecision(1)
                 << 100.0 * (1.0 - static_cast<double>(warm) /
                                       static_cast<double>(full))
-                << unit.stats().rebases << "\n";
+                << standby.stats().rebases << "\n";
       bench::trajectory().record(
           "ship_avoided/" + std::to_string(keys) + "keys/" + name,
           100.0 * (1.0 - static_cast<double>(warm) /
@@ -343,7 +341,7 @@ void report_ship_vs_full_copy() {
 }
 
 /// One UAV power-degradation mission (the E6 scenario) with durable
-/// storage; `shipping` turns the warm-standby channels on.
+/// storage; `shipping` turns the one-member replica cohorts on.
 std::unique_ptr<core::System> make_uav_mission(
     const std::shared_ptr<core::ReconfigSpec>& spec,
     avionics::UavPlant& plant, bool shipping) {

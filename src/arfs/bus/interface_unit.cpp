@@ -1,17 +1,6 @@
 #include "arfs/bus/interface_unit.hpp"
 
-#include "arfs/common/check.hpp"
-
 namespace arfs::bus {
-
-namespace {
-
-/// Corrupt applies tolerated at one cursor position before concluding the
-/// source journal itself is damaged (transit faults clear on the first
-/// clean retransmission; a latent media fault never does).
-constexpr std::uint32_t kMaxCorruptRetries = 3;
-
-}  // namespace
 
 void SensorUnit::poll(Bus& bus, SimTime now) {
   if (failed_) return;
@@ -22,87 +11,6 @@ void ActuatorUnit::poll(Bus& bus, SimTime now) {
   for (const Message& msg : bus.collect(endpoint_)) {
     if (msg.topic == topic_) apply_(msg.payload, now);
   }
-}
-
-std::size_t ShippingUnit::step(std::size_t budget) {
-  using storage::durable::ApplyStatus;
-  using storage::durable::ShipBatch;
-  using storage::durable::ShipStatus;
-
-  if (needs_full_copy_ || budget == 0) return 0;
-
-  ShipBatch batch;
-  switch (shipper_.next_batch(replica_->cursor(), budget, batch)) {
-    case ShipStatus::kUpToDate:
-      return 0;
-    case ShipStatus::kRebase: {
-      replica_->rebase(shipper_.engine().journal_generation(),
-                       shipper_.engine().rebase_epoch());
-      shipper_.engine().note_ship_rebase();
-      ++stats_.rebases;
-      // The rebase moved no bytes; the fresh generation's tail (if any)
-      // ships in this same slot.
-      if (shipper_.next_batch(replica_->cursor(), budget, batch) !=
-          ShipStatus::kBatch) {
-        return 0;
-      }
-      break;
-    }
-    case ShipStatus::kCursorLost:
-      needs_full_copy_ = true;
-      ++stats_.fallbacks;
-      shipper_.engine().note_ship_fallback();
-      return 0;
-    case ShipStatus::kBatch:
-      break;
-  }
-
-  const std::size_t bytes = batch.bytes.size();
-  switch (replica_->apply(batch)) {
-    case ApplyStatus::kApplied:
-      consecutive_corrupt_ = 0;
-      ++stats_.batches_shipped;
-      stats_.bytes_shipped += bytes;
-      return bytes;
-    case ApplyStatus::kCorrupt:
-      ++stats_.corrupt_batches;
-      if (++consecutive_corrupt_ >= kMaxCorruptRetries) {
-        // The same source bytes failed repeatedly: the journal itself is
-        // damaged in the shipped range. Only a full copy can converge.
-        needs_full_copy_ = true;
-        ++stats_.fallbacks;
-        shipper_.engine().note_ship_fallback();
-      }
-      return 0;
-    case ApplyStatus::kDuplicate:
-    case ApplyStatus::kGap:
-    case ApplyStatus::kBadGeneration:
-      // The shipper reads at the replica's own cursor, so none of these can
-      // occur in-unit; treat as a protocol bug.
-      ensure(false, "shipping unit produced an unappliable batch");
-      return 0;
-  }
-  return 0;
-}
-
-std::size_t ShippingUnit::poll(const TdmaSchedule& schedule) {
-  const std::uint32_t budget = schedule.ship_budget(endpoint_);
-  require(budget > 0, "endpoint owns no shipping slot");
-  ++stats_.slots_polled;
-  return step(budget);
-}
-
-std::size_t ShippingUnit::catch_up() {
-  std::size_t total = 0;
-  // Whole records per step keep the replica's pending buffer bounded; the
-  // loop ends at kUpToDate (step returns 0) or on a fallback.
-  constexpr std::size_t kCatchUpChunk = 64 * 1024;
-  while (true) {
-    const std::size_t moved = step(kCatchUpChunk);
-    if (moved == 0) break;
-    total += moved;
-  }
-  return total;
 }
 
 }  // namespace arfs::bus

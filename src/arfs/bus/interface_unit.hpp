@@ -8,16 +8,14 @@
 // physical side is a std::function supplied by the scenario.
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <utility>
 
 #include "arfs/bus/bus.hpp"
-#include "arfs/bus/schedule.hpp"
 #include "arfs/common/ids.hpp"
 #include "arfs/common/types.hpp"
-#include "arfs/storage/durable/shipping.hpp"
+#include "arfs/storage/value.hpp"
 
 namespace arfs::bus {
 
@@ -69,106 +67,6 @@ class ActuatorUnit {
   EndpointId endpoint_;
   std::string topic_;
   Apply apply_;
-};
-
-/// Journal-shipping interface unit: pairs a source DurabilityEngine with a
-/// standby ShippedReplica and moves one batch per shipping slot, within the
-/// slot's byte budget. A batch that does not fit is simply cut at the
-/// budget — the replica buffers the partial record tail and the next round
-/// resumes it, so shipping consumes exactly its scheduled bandwidth.
-///
-/// Rebases across journal compactions are handled internally; a lost
-/// cursor (lagged past the retained generation, or a lossy recovery) sets
-/// needs_full_copy() and pauses shipping until the owner reseeds the
-/// replica (ShippedReplica::reset_from_full_copy) and acknowledges.
-class ShippingUnit {
- public:
-  /// Both references must outlive the unit.
-  ShippingUnit(EndpointId endpoint,
-               storage::durable::DurabilityEngine& source,
-               storage::durable::ShippedReplica& replica)
-      : endpoint_(endpoint), shipper_(source), replica_(&replica) {}
-
-  /// One shipping slot: moves at most the slot's byte budget. Returns the
-  /// bytes put on the bus. Precondition: `schedule` grants this endpoint a
-  /// shipping slot.
-  std::size_t poll(const TdmaSchedule& schedule);
-
-  /// Relocation-time catch-up: drains the remaining shippable tail
-  /// regardless of slot budgets (the reconfiguration owns the bus at a
-  /// halt boundary). Stops early when a full copy becomes necessary.
-  /// Returns the bytes moved.
-  std::size_t catch_up();
-
-  /// True when the replica's cursor was lost and shipping is paused until
-  /// the owner reseeds the replica from a full-state copy.
-  [[nodiscard]] bool needs_full_copy() const { return needs_full_copy_; }
-  /// Owner reseeded the replica; shipping resumes from its new cursor. The
-  /// replica's warmth is now bought, not streamed, so the next warm
-  /// relocation may not claim avoided-bytes credit.
-  void acknowledge_full_copy() {
-    needs_full_copy_ = false;
-    warm_credit_ = false;
-  }
-  /// Whether a warm relocation may claim avoided-bytes credit: false
-  /// exactly when the warmth was bought by a full-copy reseed since the
-  /// last claim. Consuming the credit re-arms it.
-  [[nodiscard]] bool take_warm_credit() {
-    const bool credit = warm_credit_;
-    warm_credit_ = true;
-    return credit;
-  }
-
-  [[nodiscard]] EndpointId endpoint() const { return endpoint_; }
-  [[nodiscard]] storage::durable::ShippedReplica& replica() {
-    return *replica_;
-  }
-  [[nodiscard]] storage::durable::DurabilityEngine& source() {
-    return shipper_.engine();
-  }
-
-  struct Stats {
-    std::uint64_t slots_polled = 0;
-    std::uint64_t batches_shipped = 0;
-    std::uint64_t bytes_shipped = 0;
-    std::uint64_t rebases = 0;
-    std::uint64_t corrupt_batches = 0;
-    std::uint64_t fallbacks = 0;  ///< Times needs_full_copy() was raised.
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  /// The unit's own mutable state (the endpoint, shipper, and replica
-  /// wiring are construction-time constants).
-  struct Checkpoint {
-    bool needs_full_copy = false;
-    bool warm_credit = true;
-    std::uint32_t consecutive_corrupt = 0;
-    Stats stats;
-  };
-  [[nodiscard]] Checkpoint checkpoint_state() const {
-    return {needs_full_copy_, warm_credit_, consecutive_corrupt_, stats_};
-  }
-  void restore_state(const Checkpoint& cp) {
-    needs_full_copy_ = cp.needs_full_copy;
-    warm_credit_ = cp.warm_credit;
-    consecutive_corrupt_ = cp.consecutive_corrupt;
-    stats_ = cp.stats;
-  }
-
- private:
-  /// Ships at most one batch of up to `budget` bytes; handles rebase.
-  std::size_t step(std::size_t budget);
-
-  EndpointId endpoint_;
-  storage::durable::JournalShipper shipper_;
-  storage::durable::ShippedReplica* replica_;
-  bool needs_full_copy_ = false;
-  bool warm_credit_ = true;
-  /// Consecutive corrupt applies at one cursor position: the source's own
-  /// journal bytes are bad (latent media fault without a crash), so
-  /// retransmission can never succeed — escalate to a full copy.
-  std::uint32_t consecutive_corrupt_ = 0;
-  Stats stats_;
 };
 
 }  // namespace arfs::bus

@@ -10,14 +10,6 @@ void TdmaSchedule::add_slot(EndpointId owner, SimDuration length) {
   round_length_ += length;
 }
 
-void TdmaSchedule::add_ship_slot(EndpointId owner, SimDuration length,
-                                 std::uint32_t byte_budget) {
-  require(length > 0, "TDMA slot length must be positive");
-  require(byte_budget > 0, "shipping slot needs a positive byte budget");
-  slots_.push_back(Slot{owner, length, SlotKind::kShipping, byte_budget, 0});
-  round_length_ += length;
-}
-
 void TdmaSchedule::add_quorum_slot(EndpointId owner, std::uint32_t member,
                                    SimDuration length,
                                    std::uint32_t byte_budget) {
@@ -26,15 +18,6 @@ void TdmaSchedule::add_quorum_slot(EndpointId owner, std::uint32_t member,
   slots_.push_back(
       Slot{owner, length, SlotKind::kQuorumShip, byte_budget, member});
   round_length_ += length;
-}
-
-std::uint32_t TdmaSchedule::ship_budget(EndpointId owner) const {
-  for (const Slot& slot : slots_) {
-    if (slot.kind == SlotKind::kShipping && slot.owner == owner) {
-      return slot.byte_budget;
-    }
-  }
-  return 0;
 }
 
 std::uint32_t TdmaSchedule::quorum_budget(EndpointId owner,

@@ -15,20 +15,20 @@
 
 namespace arfs::bus {
 
-/// What a slot carries. Data slots are the classic TTA message slots;
-/// shipping slots carry journal-record batches (storage::durable shipping)
-/// under an explicit per-slot byte budget, so replication traffic is
-/// schedulable bandwidth like everything else on the bus and can never
-/// crowd out control messages. Quorum-ship slots are shipping slots
-/// addressed to one member of a replica cohort: the fan-out to N replicas
-/// is N statically scheduled slots, not one slot shared N ways.
-enum class SlotKind : std::uint8_t { kData, kShipping, kQuorumShip };
+/// What a slot carries. Data slots are the classic TTA message slots.
+/// Quorum-ship slots carry journal-record batches (storage::durable
+/// shipping) to one member of a replica cohort under an explicit per-slot
+/// byte budget, so replication traffic is schedulable bandwidth like
+/// everything else on the bus and can never crowd out control messages.
+/// The fan-out to N replicas is N statically scheduled slots, not one slot
+/// shared N ways.
+enum class SlotKind : std::uint8_t { kData, kQuorumShip };
 
 struct Slot {
   EndpointId owner;
   SimDuration length;  ///< Slot duration in simulated microseconds.
   SlotKind kind = SlotKind::kData;
-  /// Shipping slots: bytes one round may carry (partial batches resume
+  /// Quorum-ship slots: bytes one round may carry (partial batches resume
   /// next round). 0 for data slots.
   std::uint32_t byte_budget = 0;
   /// Quorum-ship slots: which cohort member this slot feeds. 0 otherwise.
@@ -42,18 +42,10 @@ class TdmaSchedule {
   /// Appends a data slot to the round. Precondition: length > 0.
   void add_slot(EndpointId owner, SimDuration length);
 
-  /// Appends a journal-shipping slot with a per-round byte budget.
-  /// Preconditions: length > 0, byte_budget > 0.
-  void add_ship_slot(EndpointId owner, SimDuration length,
-                     std::uint32_t byte_budget);
-
   /// Appends a quorum-ship slot feeding cohort member `member` of `owner`'s
   /// replica group. Preconditions: length > 0, byte_budget > 0.
   void add_quorum_slot(EndpointId owner, std::uint32_t member,
                        SimDuration length, std::uint32_t byte_budget);
-
-  /// Byte budget of `owner`'s shipping slot; 0 when it holds none.
-  [[nodiscard]] std::uint32_t ship_budget(EndpointId owner) const;
 
   /// Byte budget of `owner`'s quorum-ship slot for `member`; 0 when it
   /// holds none.
@@ -67,7 +59,7 @@ class TdmaSchedule {
   [[nodiscard]] SimDuration round_length() const { return round_length_; }
 
   /// True if `owner` holds at least one *data* slot (message transmission;
-  /// shipping slots carry no messages).
+  /// quorum-ship slots carry no messages).
   [[nodiscard]] bool has_endpoint(EndpointId owner) const;
 
   /// Earliest instant >= `now` at which `owner` may begin transmitting.
@@ -89,7 +81,7 @@ class TdmaSchedule {
  private:
   /// Offset of the first *data* slot owned by `owner` within the round,
   /// plus its length; nullopt if the endpoint owns no data slot. Message
-  /// timing never resolves to a shipping slot.
+  /// timing never resolves to a quorum-ship slot.
   [[nodiscard]] std::optional<Slot> find_slot(EndpointId owner,
                                               SimDuration* offset_out) const;
 

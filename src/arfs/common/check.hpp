@@ -10,6 +10,7 @@
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace arfs {
 
@@ -28,22 +29,26 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Checks a precondition; throws ContractViolation with location info.
-inline void require(bool condition, const std::string& message,
+/// Checks a precondition; throws ContractViolation with location info. The
+/// message is a view and is only copied into a string on failure, so a
+/// passing check allocates nothing.
+inline void require(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw ContractViolation(std::string(loc.file_name()) + ":" +
-                            std::to_string(loc.line()) + ": " + message);
+                            std::to_string(loc.line()) + ": " +
+                            std::string(message));
   }
 }
 
 /// Checks an internal invariant; throws ContractViolation with location info.
-inline void ensure(bool condition, const std::string& message,
+/// Like require(), allocates only on failure.
+inline void ensure(bool condition, std::string_view message,
                    std::source_location loc = std::source_location::current()) {
   if (!condition) {
     throw ContractViolation(std::string(loc.file_name()) + ":" +
                             std::to_string(loc.line()) +
-                            ": invariant broken: " + message);
+                            ": invariant broken: " + std::string(message));
   }
 }
 

@@ -3,31 +3,16 @@
 #include <algorithm>
 #include <utility>
 
-#include "arfs/bus/interface_unit.hpp"
 #include "arfs/common/check.hpp"
 #include "arfs/common/log.hpp"
 
 namespace arfs::core {
 
-/// One warm-standby replication channel: a ShippedReplica shadowing a
-/// source processor's durable store, fed by a ShippingUnit from the source's
-/// journal over the system's shipping schedule. The replica runs its own
-/// standby durability engine, so the standby state survives with the same
+/// One replica cohort: a QuorumGroup fanning the source processor's synced
+/// journal out to N members, each with its own TDMA quorum slot on the
+/// shipping schedule (looked up by the cached endpoint). Every member runs
+/// its own durability engine, so replica state survives with the same
 /// guarantees as the source's.
-struct System::ShipChannel {
-  storage::durable::ShippedReplica replica;
-  bus::ShippingUnit unit;
-
-  ShipChannel(EndpointId endpoint, storage::durable::DurabilityEngine& source,
-              const storage::durable::DurableOptions& standby_options)
-      : unit(endpoint, source, replica) {
-    replica.attach_engine(storage::durable::make_memory_engine(standby_options));
-  }
-};
-
-/// One quorum replica cohort: a QuorumGroup fanning the source processor's
-/// synced journal out to N members, each with its own TDMA quorum slot on
-/// the shipping schedule (looked up by the cached endpoint).
 struct System::QuorumChannel {
   EndpointId endpoint;
   storage::durable::quorum::QuorumGroup group;
@@ -117,30 +102,24 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
   }
   require(!options.journal_shipping || options.durable_storage,
           "journal_shipping requires durable_storage");
-  require(options.quorum_replicas == 0 || options.journal_shipping,
+  require(options.quorum_replicas >= 1, "quorum_replicas must be at least 1");
+  require(options.quorum_replicas == 1 || options.journal_shipping,
           "quorum_replicas requires journal_shipping");
   if (options.journal_shipping) {
+    storage::durable::quorum::QuorumOptions qopts;
+    qopts.replicas = options.quorum_replicas;
+    qopts.member_durability = options.durability;
     for (const ProcessorId p : group_.processor_ids()) {
       storage::durable::DurabilityEngine* engine =
           group_.processor(p).durability();
       ensure(engine != nullptr, "durable processor without engine");
       const EndpointId endpoint{p.value()};
-      if (options.quorum_replicas == 0) {
-        ship_schedule_.add_ship_slot(endpoint, /*length=*/100,
-                                     options.ship_slot_bytes);
-        ship_channels_.emplace(p, std::make_unique<ShipChannel>(
-                                      endpoint, *engine, options.durability));
-      } else {
-        storage::durable::quorum::QuorumOptions qopts;
-        qopts.replicas = options.quorum_replicas;
-        qopts.member_durability = options.durability;
-        for (std::uint32_t m = 0; m < options.quorum_replicas; ++m) {
-          ship_schedule_.add_quorum_slot(endpoint, m, /*length=*/100,
-                                         options.ship_slot_bytes);
-        }
-        quorum_channels_.emplace(
-            p, std::make_unique<QuorumChannel>(endpoint, *engine, qopts));
+      for (std::uint32_t m = 0; m < options.quorum_replicas; ++m) {
+        ship_schedule_.add_quorum_slot(endpoint, m, /*length=*/100,
+                                       options.ship_slot_bytes);
       }
+      quorum_channels_.emplace(
+          p, std::make_unique<QuorumChannel>(endpoint, *engine, qopts));
     }
   }
 
@@ -305,10 +284,6 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
   }
 }
 
-bool System::has_quorum(ProcessorId p) const {
-  return quorum_channels_.find(p) != quorum_channels_.end();
-}
-
 const storage::durable::quorum::QuorumGroup& System::quorum_group(
     ProcessorId p) const {
   const auto it = quorum_channels_.find(p);
@@ -398,11 +373,12 @@ void System::relocate_region_if_needed(AppId app, ProcessorId to,
 
   const auto quorum_it = quorum_channels_.find(from);
   if (quorum_it != quorum_channels_.end()) {
-    // Quorum warm start: drain the un-shipped tail into every live cohort
-    // member, then relocate from the first member — leader first, then the
-    // remaining live members — whose store mirrors the source's commit
-    // boundary exactly. Any fingerprint-matched member serves; a leader
-    // change between frames never forces a full copy.
+    // Warm start: drain the un-shipped tail into every live cohort member
+    // (reseeding lost cursors), then relocate from the first member — leader
+    // first, then the remaining live members — whose store mirrors the
+    // source's commit boundary exactly: the bus carried only the tail, not
+    // the full encoded region. Any fingerprint-matched member serves; a
+    // leader change between frames never forces a full copy.
     QuorumChannel& channel = *quorum_it->second;
     failstop::Processor& source = group_.processor(from);
     const ShipCatchUp caught = quorum_catch_up(from, channel);
@@ -432,57 +408,14 @@ void System::relocate_region_if_needed(AppId app, ProcessorId to,
                 caught.bytes, " tail bytes shipped)");
       return;
     }
-    // No member converged on the source's boundary: full copy from the
+    // No member converged on the source's boundary (every member is down,
+    // or a sync failure left the boundary un-shippable): full copy from the
     // source (reseeds already ran inside the catch-up).
     ++stats_.full_copy_relocations;
     stats_.full_copy_bytes +=
         storage::durable::encoded_state_bytes(source.poll_stable(), prefix);
-  } else if (const auto ship_it = ship_channels_.find(from);
-             ship_it != ship_channels_.end()) {
-    // Warm start: drain the un-shipped journal tail into the standby and,
-    // if the replica then mirrors the source's commit boundary exactly,
-    // relocate from the replica — the bus carried only the tail, not the
-    // full encoded region.
-    ShipChannel& channel = *ship_it->second;
-    failstop::Processor& source = group_.processor(from);
-    if (source.running()) {
-      // Halt-boundary flush: only synced bytes ever ship, so make the
-      // source's current commit boundary shippable before draining.
-      if (auto* engine = source.durability()) (void)engine->sync_now();
-    }
-    const std::size_t moved = channel.unit.catch_up();
-    stats_.ship_bytes_total += moved;
-    stats_.relocation_catchup_bytes += moved;
-    if (!channel.unit.needs_full_copy() &&
-        channel.replica.store().fingerprint() ==
-            source.poll_stable().fingerprint()) {
-      const std::size_t copied = StableRegion::relocate(
-          channel.replica.store(), group_.processor(to).stable(), prefix);
-      region_host_[app] = to;
-      ++stats_.region_relocations;
-      ++stats_.warm_relocations;
-      // No avoided-bytes credit when the standby's warmth was bought by a
-      // full-copy reseed since the last claim (the copy already paid).
-      if (channel.unit.take_warm_credit()) {
-        stats_.full_copy_bytes_avoided +=
-            storage::durable::encoded_state_bytes(source.poll_stable(),
-                                                  prefix);
-      }
-      log_debug("system", "cycle ", cycle, ": warm-relocated region of app ",
-                app.value(), " from processor ", from.value(), " to ",
-                to.value(), " (", copied, " keys, ", moved,
-                " tail bytes shipped)");
-      return;
-    }
-    // The replica did not converge (lost cursor, or a sync failure left the
-    // boundary un-shippable): fall back to polling the source's full state.
-    // A lost cursor also reseeds the standby so shipping resumes cleanly.
-    ++stats_.full_copy_relocations;
-    stats_.full_copy_bytes +=
-        storage::durable::encoded_state_bytes(source.poll_stable(), prefix);
-    if (channel.unit.needs_full_copy()) reseed_ship_channel(from, channel);
   } else {
-    // No shipping channel: every relocation moves the full encoded region.
+    // No replica cohort: every relocation moves the full encoded region.
     ++stats_.full_copy_relocations;
     stats_.full_copy_bytes += storage::durable::encoded_state_bytes(
         group_.processor(from).poll_stable(), prefix);
@@ -498,23 +431,6 @@ void System::relocate_region_if_needed(AppId app, ProcessorId to,
             to.value(), " (", copied, " keys)");
 }
 
-void System::reseed_ship_channel(ProcessorId source, ShipChannel& channel) {
-  failstop::Processor& proc = group_.processor(source);
-  storage::durable::DurabilityEngine* engine = proc.durability();
-  ensure(engine != nullptr, "ship channel without a durability engine");
-  // The copy resumes shipping at the journal's synced end: everything before
-  // it is part of the copied state, everything after it ships normally. The
-  // current dictionary travels with the copy (later records reference ids
-  // announced before it).
-  channel.replica.reset_from_full_copy(
-      proc.poll_stable(), engine->dictionary(), engine->journal_generation(),
-      engine->journal().synced_size());
-  channel.unit.acknowledge_full_copy();
-  ++stats_.ship_reseeds;
-  stats_.full_copy_bytes +=
-      storage::durable::encoded_state_bytes(proc.poll_stable());
-}
-
 void System::reseed_quorum_member(ProcessorId source, QuorumChannel& channel,
                                   std::uint32_t member) {
   failstop::Processor& proc = group_.processor(source);
@@ -526,14 +442,6 @@ void System::reseed_quorum_member(ProcessorId source, QuorumChannel& channel,
   ++stats_.ship_reseeds;
   stats_.full_copy_bytes +=
       storage::durable::encoded_state_bytes(proc.poll_stable());
-}
-
-void System::pump_ship_channels() {
-  for (auto& [pid, channel] : ship_channels_) {
-    ++stats_.ship_slots_polled;
-    stats_.ship_bytes_total += channel->unit.poll(ship_schedule_);
-    if (channel->unit.needs_full_copy()) reseed_ship_channel(pid, *channel);
-  }
 }
 
 void System::pump_quorum_channels() {
@@ -579,43 +487,22 @@ System::ShipCatchUp System::quorum_catch_up(ProcessorId source,
 }
 
 bool System::has_ship_channel(ProcessorId p) const {
-  return ship_channels_.find(p) != ship_channels_.end() ||
-         quorum_channels_.find(p) != quorum_channels_.end();
+  return quorum_channels_.find(p) != quorum_channels_.end();
 }
 
 const storage::durable::ShippedReplica& System::ship_replica(
     ProcessorId p) const {
-  const auto it = ship_channels_.find(p);
-  if (it != ship_channels_.end()) return it->second->replica;
-  const auto qit = quorum_channels_.find(p);
-  require(qit != quorum_channels_.end(), "processor has no shipping channel");
+  const storage::durable::quorum::QuorumGroup& group = quorum_group(p);
   const std::optional<storage::durable::quorum::MemberId> leader =
-      qit->second->group.leader();
+      group.leader();
   require(leader.has_value(), "quorum cohort has no live member");
-  return qit->second->group.replica(*leader);
+  return group.replica(*leader);
 }
 
 System::ShipCatchUp System::ship_catch_up(ProcessorId p) {
-  if (const auto qit = quorum_channels_.find(p);
-      qit != quorum_channels_.end()) {
-    return quorum_catch_up(p, *qit->second);
-  }
-  const auto it = ship_channels_.find(p);
-  require(it != ship_channels_.end(), "processor has no shipping channel");
-  ShipChannel& channel = *it->second;
-  failstop::Processor& source = group_.processor(p);
-  if (source.running()) {
-    if (auto* engine = source.durability()) (void)engine->sync_now();
-  }
-  ShipCatchUp result;
-  result.bytes = channel.unit.catch_up();
-  stats_.ship_bytes_total += result.bytes;
-  stats_.relocation_catchup_bytes += result.bytes;
-  if (channel.unit.needs_full_copy()) {
-    reseed_ship_channel(p, channel);
-    result.reseeded = true;
-  }
-  return result;
+  const auto it = quorum_channels_.find(p);
+  require(it != quorum_channels_.end(), "processor has no quorum cohort");
+  return quorum_catch_up(p, *it->second);
 }
 
 namespace {
@@ -792,20 +679,6 @@ std::uint64_t SystemCheckpoint::digest() const {
   h = fnv_mix(h, noise_rng_state);
   h = fnv_mix(h, trace.has_value() ? trace->size() + 1 : 0);
 
-  for (const auto& [pid, channel] : ship_channels) {
-    h = fnv_mix(h, pid.value());
-    h = fnv_mix_replica(h, channel.replica);
-    h = fnv_mix(h, channel.unit.needs_full_copy ? 1 : 0);
-    h = fnv_mix(h, channel.unit.warm_credit ? 1 : 0);
-    h = fnv_mix(h, channel.unit.consecutive_corrupt);
-    h = fnv_mix(h, channel.unit.stats.slots_polled);
-    h = fnv_mix(h, channel.unit.stats.batches_shipped);
-    h = fnv_mix(h, channel.unit.stats.bytes_shipped);
-    h = fnv_mix(h, channel.unit.stats.rebases);
-    h = fnv_mix(h, channel.unit.stats.corrupt_batches);
-    h = fnv_mix(h, channel.unit.stats.fallbacks);
-  }
-
   for (const auto& [pid, qcp] : quorum_channels) {
     h = fnv_mix(h, pid.value());
     h = fnv_mix(h, qcp.members.size());
@@ -871,11 +744,6 @@ std::uint64_t SystemCheckpoint::spill_devices(storage::MappedArena& arena) {
   for (auto& [pid, p] : processors) {
     if (p.durability.has_value()) bytes += p.durability->spill_devices(arena);
   }
-  for (auto& [pid, channel] : ship_channels) {
-    if (channel.replica.engine.has_value()) {
-      bytes += channel.replica.engine->spill_devices(arena);
-    }
-  }
   for (auto& [pid, qcp] : quorum_channels) {
     for (auto& m : qcp.members) {
       if (m.replica.engine.has_value()) {
@@ -910,12 +778,6 @@ SystemCheckpoint System::checkpoint() const {
   cp.deadline_alarm_raised = deadline_alarm_raised_;
   cp.noise_rng_state = noise_rng_.state();
   cp.trace = trace_;
-  for (const auto& [pid, channel] : ship_channels_) {
-    SystemCheckpoint::ShipChannelCheckpoint scp;
-    scp.replica = channel->replica.checkpoint_state();
-    scp.unit = channel->unit.checkpoint_state();
-    cp.ship_channels.emplace(pid, std::move(scp));
-  }
   for (const auto& [pid, channel] : quorum_channels_) {
     cp.quorum_channels.emplace(pid, channel->group.checkpoint_state());
   }
@@ -929,8 +791,6 @@ void System::restore(const SystemCheckpoint& cp) {
           "checkpoint processor set does not match this system");
   require(cp.apps.size() == apps_.size(),
           "checkpoint application set does not match this system");
-  require(cp.ship_channels.size() == ship_channels_.size(),
-          "checkpoint shipping-channel set does not match this system");
   require(cp.quorum_channels.size() == quorum_channels_.size(),
           "checkpoint quorum-cohort set does not match this system");
   require(cp.monitors.size() == monitors_.size(),
@@ -962,13 +822,6 @@ void System::restore(const SystemCheckpoint& cp) {
   deadline_alarm_raised_ = cp.deadline_alarm_raised;
   noise_rng_.set_state(cp.noise_rng_state);
   trace_ = *cp.trace;
-  for (const auto& [pid, scp] : cp.ship_channels) {
-    const auto it = ship_channels_.find(pid);
-    require(it != ship_channels_.end(),
-            "checkpoint names unknown shipping channel");
-    it->second->replica.restore_state(scp.replica);
-    it->second->unit.restore_state(scp.unit);
-  }
   for (const auto& [pid, qcp] : cp.quorum_channels) {
     const auto it = quorum_channels_.find(pid);
     require(it != quorum_channels_.end(),
@@ -1223,10 +1076,9 @@ void System::run_frame() {
                                           halt_boundary_hosts.end(), p);
     group_.processor(p).commit_frame(cycle, force);
   }
-  // 8b. Journal shipping: each channel gets its one TDMA shipping slot per
-  // round, moving at most the slot's byte budget of freshly-synced journal
-  // toward its warm standby.
-  if (!ship_channels_.empty()) pump_ship_channels();
+  // 8b. Journal shipping: each cohort member gets its one TDMA quorum slot
+  // per round, moving at most the slot's byte budget of freshly-synced
+  // journal toward its replica.
   if (!quorum_channels_.empty()) pump_quorum_channels();
   if (options_.record_trace) {
     record_snapshot(cycle, t0 + options_.frame_length);

@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "arfs/bus/interface_unit.hpp"
 #include "arfs/bus/schedule.hpp"
 #include "arfs/common/ids.hpp"
 #include "arfs/common/rng.hpp"
@@ -79,21 +78,20 @@ struct SystemOptions {
   bool durable_storage = false;
   /// Engine policy used when durable_storage is on.
   storage::durable::DurableOptions durability;
-  /// Ship every durable processor's journal to a warm-standby replica over
-  /// dedicated TDMA shipping slots, so region relocations move only the
-  /// un-shipped journal tail instead of the full encoded state. Requires
-  /// durable_storage.
+  /// Ship every durable processor's journal to a quorum replica cohort
+  /// (storage::durable::quorum::QuorumGroup) over dedicated TDMA quorum
+  /// slots, so region relocations move only the un-shipped journal tail
+  /// instead of the full encoded state. Requires durable_storage.
   bool journal_shipping = false;
-  /// Per-frame byte budget of each processor's shipping slot (the
+  /// Per-frame byte budget of each cohort member's quorum slot (the
   /// schedulable replication bandwidth; partial batches resume next frame).
   std::uint32_t ship_slot_bytes = 4096;
-  /// Quorum replication: 0 keeps the classic single warm standby per
-  /// processor; N >= 1 replaces it with an N-member quorum replica cohort
-  /// (storage::durable::quorum::QuorumGroup) fed over one dedicated TDMA
-  /// quorum slot per member, the durability boundary being the majority-
-  /// acknowledged commit id. N = 1 behaves byte-identically to the single
-  /// standby. Requires journal_shipping.
-  std::uint32_t quorum_replicas = 0;
+  /// Members of each processor's replica cohort, one dedicated TDMA quorum
+  /// slot per member; the durability boundary is the majority-acknowledged
+  /// commit id. The default one-member cohort is the warm standby: its
+  /// majority is the lone member's own cursor. Must be at least 1; a size
+  /// other than 1 requires journal_shipping.
+  std::uint32_t quorum_replicas = 1;
   /// Record the per-frame sys_trace (needed for get_reconfigs and the
   /// SP1-SP4 checkers). Disable only for unbounded benchmark runs.
   bool record_trace = true;
@@ -131,19 +129,18 @@ struct SystemStats {
   /// Bytes of that total moved during relocation catch-ups (the un-shipped
   /// tail a warm start still had to transfer).
   std::uint64_t relocation_catchup_bytes = 0;
-  /// Region relocations served from a warm standby replica.
+  /// Region relocations served from a cohort member's replica.
   std::uint64_t warm_relocations = 0;
   /// Region relocations that moved the source's full encoded state (no
-  /// shipping channel, the channel did not converge, or the replica
-  /// fingerprint disagreed).
+  /// replica cohort, or no member's fingerprint matched the source's).
   std::uint64_t full_copy_relocations = 0;
   /// Encoded bytes those full copies moved.
   std::uint64_t full_copy_bytes = 0;
   /// Encoded region bytes warm relocations did NOT move (the savings
   /// headline: what a full copy of the relocated region would have cost).
   std::uint64_t full_copy_bytes_avoided = 0;
-  /// Standby replicas reseeded from a full-state copy (lost cursors:
-  /// lagged past the retained generation, lossy recovery, media fault).
+  /// Cohort members reseeded from a full-state copy (lost cursors: lagged
+  /// past the retained generation, lossy recovery, media fault).
   std::uint64_t ship_reseeds = 0;
 
   // --- quorum replication (quorum_replicas option) ---
@@ -160,7 +157,7 @@ struct SystemStats {
 /// processors (volatile + committed stores, forked durability devices),
 /// environment and monitors, detection, SCRAM, applications (including
 /// their opaque domain words), region placement, fault-plan cursor,
-/// messaging, shipping replicas and units, trace, and statistics. The
+/// messaging, replica cohorts, trace, and statistics. The
 /// configuration-time constants (spec, options, schedules, hooks, cached
 /// key strings) are deliberately absent: a checkpoint is restored into a
 /// System built by the same factory. Move-only — device forks are owned —
@@ -184,11 +181,6 @@ struct SystemCheckpoint {
   bool deadline_alarm_raised = false;
   std::uint64_t noise_rng_state = 0;
   std::optional<trace::SysTrace> trace;
-  struct ShipChannelCheckpoint {
-    storage::durable::ShippedReplica::Checkpoint replica;
-    bus::ShippingUnit::Checkpoint unit;
-  };
-  std::map<ProcessorId, ShipChannelCheckpoint> ship_channels;
   std::map<ProcessorId, storage::durable::quorum::QuorumGroup::Checkpoint>
       quorum_channels;
   SystemStats stats;
@@ -200,7 +192,7 @@ struct SystemCheckpoint {
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Spills every forked durable-device byte image this checkpoint holds
-  /// (processor engines, ship-channel replicas, quorum members) into
+  /// (processor engines and cohort members' replica engines) into
   /// CRC-guarded regions of `arena` — the byte mass of a durable mission's
   /// checkpoint, freed from the heap until the checkpoint is next restored
   /// (devices hydrate transparently). Returns bytes spilled. The arena must
@@ -266,36 +258,34 @@ class System {
 
   // --- journal shipping (journal_shipping option) ---
 
-  /// True when `p` has a replication channel — a single warm standby or a
-  /// quorum cohort (every durable processor does when the option is on).
+  /// True when `p`'s journal ships to a replica cohort (every durable
+  /// processor's does when the option is on).
   [[nodiscard]] bool has_ship_channel(ProcessorId p) const;
-  /// The warm-standby replica shadowing `p`'s durable store; in quorum mode,
-  /// the elected shipper-leader's replica. Precondition: has_ship_channel(p)
-  /// and, in quorum mode, at least one live member.
+  /// The elected shipper-leader's replica of `p`'s durable store.
+  /// Preconditions: has_ship_channel(p), and the cohort has a live member.
   [[nodiscard]] const storage::durable::ShippedReplica& ship_replica(
       ProcessorId p) const;
   struct ShipCatchUp {
     std::size_t bytes = 0;  ///< Journal bytes moved by the catch-up.
     bool reseeded = false;  ///< Cursor was lost; replica was full-copied.
   };
-  /// Drains `p`'s remaining shippable tail into its replica now (the same
-  /// catch-up a relocation performs), reseeding from a full copy if the
-  /// cursor was lost. In quorum mode every live member catches up (`bytes`
-  /// is the total moved; `reseeded` is true when any member reseeded).
+  /// Drains `p`'s remaining shippable tail into every live cohort member now
+  /// (the same catch-up a relocation performs), reseeding any member whose
+  /// cursor was lost from a full copy. `bytes` is the total moved;
+  /// `reseeded` is true when any member reseeded.
   /// Precondition: has_ship_channel(p).
   ShipCatchUp ship_catch_up(ProcessorId p);
 
   // --- quorum replication (quorum_replicas option) ---
 
-  /// True when `p`'s journal ships to a quorum replica cohort.
-  [[nodiscard]] bool has_quorum(ProcessorId p) const;
-  /// The cohort shadowing `p`'s durable store. Precondition: has_quorum(p).
+  /// The cohort shadowing `p`'s durable store.
+  /// Precondition: has_ship_channel(p).
   [[nodiscard]] const storage::durable::quorum::QuorumGroup& quorum_group(
       ProcessorId p) const;
   /// Fail-stops / repairs cohort member `member` of `p`'s quorum group.
   /// A transition that costs (restores) the live majority raises a
   /// kQuorumLost (kQuorumDurable) signal toward the SCRAM.
-  /// Preconditions: has_quorum(p), member < the cohort's member count.
+  /// Preconditions: has_ship_channel(p), member < the cohort's member count.
   void fail_quorum_member(ProcessorId p, std::uint32_t member);
   void repair_quorum_member(ProcessorId p, std::uint32_t member);
 
@@ -306,14 +296,13 @@ class System {
   [[nodiscard]] SystemCheckpoint checkpoint() const;
   /// Rewinds this system to `cp` in place. Precondition: this System was
   /// built by the same factory as the one checkpointed (same spec, options,
-  /// applications, and shipping channels) — key sets must match exactly.
+  /// applications, and replica cohorts) — key sets must match exactly.
   void restore(const SystemCheckpoint& cp);
   /// Digest of the live mutable state; equals checkpoint().digest().
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
   class SystemPeerReader;
-  struct ShipChannel;
   struct QuorumChannel;
 
   void apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
@@ -328,10 +317,6 @@ class System {
   void relocate_region_if_needed(AppId app, ProcessorId to, Cycle cycle);
   void record_snapshot(Cycle cycle, SimTime frame_end);
   void publish_processor_factors(SimTime now);
-  /// One shipping slot per channel, in schedule order (end of every frame).
-  void pump_ship_channels();
-  /// Full-copy reseed of a channel whose replica cursor was lost.
-  void reseed_ship_channel(ProcessorId source, ShipChannel& channel);
   /// One quorum ship slot per (cohort, member), in schedule order.
   void pump_quorum_channels();
   /// Full-copy reseed of one cohort member whose cursor was lost.
@@ -368,12 +353,9 @@ class System {
   Rng noise_rng_{9001};
   trace::SysTrace trace_;
   std::unique_ptr<SystemPeerReader> peer_reader_;
-  /// Warm-standby replication, keyed by source processor. The schedule
-  /// grants every channel one shipping slot per round (= per frame).
-  std::map<ProcessorId, std::unique_ptr<ShipChannel>> ship_channels_;
-  /// Quorum replica cohorts (quorum_replicas >= 1), keyed by source
-  /// processor; mutually exclusive with ship_channels_. Each member owns a
-  /// dedicated quorum slot in the schedule.
+  /// Replica cohorts (journal_shipping), keyed by source processor. Each
+  /// member owns a dedicated quorum slot per round (= per frame) in the
+  /// schedule.
   std::map<ProcessorId, std::unique_ptr<QuorumChannel>> quorum_channels_;
   bus::TdmaSchedule ship_schedule_;
   SystemStats stats_;

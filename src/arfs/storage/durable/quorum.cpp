@@ -10,13 +10,11 @@ namespace arfs::storage::durable::quorum {
 namespace {
 
 /// Corrupt applies tolerated at one cursor position before concluding the
-/// source journal itself is damaged — the same constant as the
-/// single-standby ShippingUnit, so a one-member group escalates on exactly
-/// the same frame.
+/// source journal itself is damaged (transit faults clear on the first
+/// clean retransmission; a latent media fault never does).
 constexpr std::uint32_t kMaxCorruptRetries = 3;
 
-/// Whole records per catch-up step keep a member's pending buffer bounded
-/// (mirrors ShippingUnit::catch_up).
+/// Whole records per catch-up step keep a member's pending buffer bounded.
 constexpr std::size_t kCatchUpChunk = 64 * 1024;
 
 bool contains(const std::vector<MemberId>& ids, MemberId id) {
@@ -283,15 +281,15 @@ const ShippedReplica& QuorumGroup::replica(MemberId id) const {
   return member_at(id).replica;
 }
 
-std::uint64_t QuorumGroup::majority_ack(
-    const std::vector<MemberId>& voters) const {
-  std::vector<std::uint64_t> acks;
-  acks.reserve(voters.size());
-  for (const MemberId id : voters) acks.push_back(members_[id].last_applied);
-  std::sort(acks.begin(), acks.end(), std::greater<>());
+std::uint64_t QuorumGroup::majority_ack(const std::vector<MemberId>& voters) {
+  ack_scratch_.clear();
+  for (const MemberId id : voters) {
+    ack_scratch_.push_back(members_[id].last_applied);
+  }
+  std::sort(ack_scratch_.begin(), ack_scratch_.end(), std::greater<>());
   // Descending order statistic at |S|/2: the highest epoch held by a strict
   // majority. Dead members' acks count (their stable devices survive).
-  return acks[acks.size() / 2];
+  return ack_scratch_[ack_scratch_.size() / 2];
 }
 
 void QuorumGroup::update_commit() {

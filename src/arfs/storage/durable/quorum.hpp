@@ -1,10 +1,9 @@
 // Quorum-replicated journal shipping: majority-ack durability over an
-// elected cohort of shipped replicas.
+// elected cohort of shipped replicas — the system's one replication path.
 //
-// JournalShipper/ShippedReplica stream one source WAL to exactly one
-// standby — itself a single point of failure during a relocation. A
-// QuorumGroup fans the same synced ARFSWAL2 stream out to N members, each
-// an independent ShippedReplica at its own cursor (the shipper is stateless
+// JournalShipper/ShippedReplica stream one source WAL to one replica. A
+// QuorumGroup fans that synced ARFSWAL2 stream out to N members, each an
+// independent ShippedReplica at its own cursor (the shipper is stateless
 // per cursor, so fan-out costs no source-side state), and tracks the
 // Raft-style split per member:
 //
@@ -15,7 +14,10 @@
 // Fail-stop semantics (paper section 5.1) make the majority rule unusually
 // clean: a member's acknowledged bytes live on its stable devices, which
 // survive the member's own fail-stop, so a dead member's acks still count
-// toward the boundary — only *retired* members leave the vote.
+// toward the boundary — only *retired* members leave the vote. A one-member
+// cohort is the classic warm standby: its majority is the lone member, so
+// the commit id is simply that member's cursor epoch. A single replica is
+// still a single point of failure during a relocation; N >= 3 removes it.
 //
 // Leadership is deterministic: the lowest-id live, non-retired member is
 // the shipper-leader (relocations warm-start from it first). When the
@@ -46,11 +48,11 @@ namespace arfs::storage::durable::quorum {
 using MemberId = std::uint32_t;
 
 struct QuorumOptions {
-  /// Initial cohort size. 1 degenerates to the single-standby protocol
-  /// (the commit boundary is then the lone member's cursor epoch).
+  /// Initial cohort size. 1 is the warm standby (the commit boundary is
+  /// then the lone member's cursor epoch).
   std::uint32_t replicas = 3;
-  /// Durability options of each member's own standby engine (every member
-  /// is itself durable, like the single-standby replica).
+  /// Durability options of each member's own replica engine (every member
+  /// is itself durable).
   DurableOptions member_durability{};
 };
 
@@ -70,10 +72,9 @@ struct QuorumStats {
 };
 
 /// Fans one source engine's synced journal out to N ShippedReplica members
-/// and maintains the majority-acknowledged commit boundary. Shipping per
-/// member mirrors the single-standby ShippingUnit step for step (budgeted
-/// batches, in-slot rebase across compactions, corrupt-retry escalation to
-/// a full copy), so a one-member group is byte-identical to a ShippingUnit.
+/// and maintains the majority-acknowledged commit boundary. Each member
+/// ships in budgeted batches, rebases in-slot across compactions, and
+/// escalates repeated corrupt applies to a full copy.
 class QuorumGroup {
  public:
   /// `source` must outlive the group. Precondition: replicas >= 1.
@@ -204,21 +205,22 @@ class QuorumGroup {
     bool retired = false;
     bool needs_full_copy = false;
     bool warm_credit = true;
-    /// Consecutive corrupt applies at one cursor position — the same
-    /// media-fault escalation as the single-standby unit.
+    /// Consecutive corrupt applies at one cursor position: the source's own
+    /// journal bytes are bad (latent media fault without a crash), so
+    /// retransmission can never succeed — escalate to a full copy.
     std::uint32_t consecutive_corrupt = 0;
   };
 
-  /// Exact mirror of ShippingUnit::step for one member: one budgeted batch,
-  /// in-slot rebase, corrupt-retry escalation. Returns the bytes moved.
+  /// Ships one member one budgeted batch, with in-slot rebase and
+  /// corrupt-retry escalation. Returns the bytes moved.
   std::size_t step_member(Member& m, std::size_t budget);
   /// Recomputes the commit boundary from the voter acks and completes an
   /// in-flight membership change when the new majority has caught up.
   void update_commit();
   /// Majority order statistic of `voters`' last_applied (the epoch held by
   /// more than half of them). Dead members count; `voters` is non-empty.
-  [[nodiscard]] std::uint64_t majority_ack(
-      const std::vector<MemberId>& voters) const;
+  /// Sorts in the reused ack_scratch_, so a commit update allocates nothing.
+  [[nodiscard]] std::uint64_t majority_ack(const std::vector<MemberId>& voters);
   /// Deterministic re-election; bumps stats_.elections when the leader
   /// actually changes.
   void elect();
@@ -238,6 +240,8 @@ class QuorumGroup {
   std::uint64_t commit_id_ = 0;
   std::optional<MemberId> leader_;
   QuorumStats stats_;
+  /// majority_ack's sort buffer (scratch only; never checkpointed).
+  std::vector<std::uint64_t> ack_scratch_;
 };
 
 }  // namespace arfs::storage::durable::quorum

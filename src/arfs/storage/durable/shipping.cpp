@@ -258,7 +258,11 @@ void ShippedReplica::reset_from_full_copy(const StableStorage& source,
   store_.set_commit_epochs(source.commit_epochs());
   dict_ = std::move(dict);
   pending_.clear();
-  cursor_ = ShipCursor{generation, offset, source.commit_epochs()};
+  // A journal that has never synced has not even its header on the device
+  // (synced_size() == 0), but its stream still starts past the header: a
+  // cursor below kHeaderSize would ship the header as record bytes.
+  cursor_ = ShipCursor{generation, std::max(offset, kHeaderSize),
+                       source.commit_epochs()};
   // The stream starts over: warm-progress counters would otherwise keep
   // counting bytes and records the reseed just invalidated, inflating the
   // avoided-full-copy accounting. Fault counters (crc_rejects, duplicates,

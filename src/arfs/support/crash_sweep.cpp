@@ -84,24 +84,22 @@ CrashPoint judge_crash_point(core::System& system,
                           : 0;
 
   if (options.warm_start) {
-    // Warm-start relocation check: drain the victim's shipping channel and
-    // require the standby replica to be bit-identical to the recovered
+    // Warm-start relocation check: drain the victim's replica cohort and
+    // require the leader's replica to be bit-identical to the recovered
     // commit boundary — the state a relocated app would warm-start from.
     require(system.has_ship_channel(options.victim),
             "warm-start sweep needs SystemOptions::journal_shipping");
-    if (options.quorum_kills > 0) {
-      // Quorum adversary: fail-stop the elected leader `quorum_kills`
-      // times, re-electing between kills, so the warm start below must be
-      // served by a surviving (non-leader-at-crash-time) member's cursor —
-      // with no full-copy reseed allowed by the election protocol.
-      require(system.has_quorum(options.victim),
-              "quorum_kills needs SystemOptions::quorum_replicas");
-      for (std::uint32_t k = 0; k < options.quorum_kills; ++k) {
-        const std::optional<storage::durable::quorum::MemberId> leader =
-            system.quorum_group(options.victim).leader();
-        require(leader.has_value(), "quorum kills exhausted the cohort");
-        system.fail_quorum_member(options.victim, *leader);
-      }
+    const storage::durable::quorum::QuorumGroup& group =
+        system.quorum_group(options.victim);
+    // Quorum adversary: fail-stop the elected leader `quorum_kills` times,
+    // re-electing between kills, so the warm start below must be served by
+    // a surviving (non-leader-at-crash-time) member's cursor — with no
+    // full-copy reseed allowed by the election protocol.
+    for (std::uint32_t k = 0; k < options.quorum_kills; ++k) {
+      const std::optional<storage::durable::quorum::MemberId> leader =
+          group.leader();
+      require(leader.has_value(), "quorum kills exhausted the cohort");
+      system.fail_quorum_member(options.victim, *leader);
     }
     const core::System::ShipCatchUp catch_up =
         system.ship_catch_up(options.victim);
@@ -111,23 +109,17 @@ CrashPoint judge_crash_point(core::System& system,
     point.replica_fingerprint = replica.store().fingerprint();
     point.replica_catchup_bytes = catch_up.bytes;
     point.replica_reseeded = catch_up.reseeded;
+    // Commit-rule check: the cohort must still hold a live majority and
+    // its majority-acknowledged boundary must be exactly the epoch the warm
+    // start served. After a full catch-up of every live member the two
+    // coincide whenever the majority survived; at one replica the
+    // commit-rule conjuncts are identically true.
     point.replica_match =
         point.replica_epoch <= crash_frame &&
         point.replica_fingerprint == point.recovered_fingerprint &&
         point.replica_fingerprint ==
-            fingerprints[static_cast<std::size_t>(point.replica_epoch)];
-    if (system.has_quorum(options.victim)) {
-      // Commit-rule check: the cohort must still hold a live majority and
-      // its majority-acknowledged boundary must be exactly the epoch the
-      // warm start served. After a full catch-up of every live member the
-      // two coincide whenever the majority survived; at one replica this
-      // conjunct is identically true, keeping N = 1 sweeps digest-identical
-      // to the single-standby oracle.
-      const storage::durable::quorum::QuorumGroup& group =
-          system.quorum_group(options.victim);
-      point.replica_match = point.replica_match && group.has_majority() &&
-                            group.commit_id() == point.replica_epoch;
-    }
+            fingerprints[static_cast<std::size_t>(point.replica_epoch)] &&
+        group.has_majority() && group.commit_id() == point.replica_epoch;
   }
   return point;
 }

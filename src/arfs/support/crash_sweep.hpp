@@ -78,22 +78,19 @@ struct CrashSweepOptions {
   std::size_t tear_keep = 7;
 
   /// Also verify warm-start relocation at every crash point: after the
-  /// fail-stop, catch the victim's shipping channel up and assert the
-  /// standby replica's fingerprint is bit-identical to the recovered
-  /// commit-boundary fingerprint. The factory's mission must enable
-  /// SystemOptions::journal_shipping. When the mission replicates to a
-  /// quorum cohort (SystemOptions::quorum_replicas) the check reads the
-  /// elected shipper-leader's replica and additionally asserts the commit
-  /// rule: the cohort keeps a live majority and its majority-acknowledged
-  /// commit id equals the epoch the warm start served — at one replica this
-  /// degenerates to the single-standby check exactly, so N = 1 sweeps are
-  /// digest-identical to the single-standby oracle.
+  /// fail-stop, catch the victim's replica cohort up and assert the elected
+  /// shipper-leader's replica is bit-identical to the recovered
+  /// commit-boundary fingerprint, and the commit rule: the cohort keeps a
+  /// live majority and its majority-acknowledged commit id equals the epoch
+  /// the warm start served (at the default one-member cohort the rule is
+  /// the lone member's own cursor, so it always holds). The factory's
+  /// mission must enable SystemOptions::journal_shipping.
   bool warm_start = false;
 
-  /// Quorum adversary (warm_start on a quorum mission only): at every crash
-  /// point, fail-stop this many cohort members — always the current elected
-  /// leader, re-electing between kills — before the catch-up runs. Must
-  /// leave a live majority (at most the minority of the cohort).
+  /// Quorum adversary (warm_start only): at every crash point, fail-stop
+  /// this many cohort members — always the current elected leader,
+  /// re-electing between kills — before the catch-up runs. Must leave a
+  /// live majority (at most the minority of the cohort).
   std::uint32_t quorum_kills = 0;
 
   /// O(F·K) strategy: fork each crash point from a stride-K baseline
@@ -135,15 +132,16 @@ struct CrashPoint {
   bool match = false;
 
   // --- warm-start fields (CrashSweepOptions::warm_start; zero otherwise) ---
-  std::uint64_t replica_epoch = 0;        ///< Standby store's commit epoch.
-  std::uint64_t replica_fingerprint = 0;  ///< Standby store's fingerprint.
+  std::uint64_t replica_epoch = 0;        ///< Leader replica's commit epoch.
+  std::uint64_t replica_fingerprint = 0;  ///< Leader replica's fingerprint.
   /// Journal bytes the post-crash catch-up still had to ship.
   std::uint64_t replica_catchup_bytes = 0;
   /// The catch-up lost its cursor and fell back to a full-copy reseed.
   bool replica_reseeded = false;
-  /// The warm-start contract: after catch-up the standby is bit-identical
-  /// to the recovered commit boundary (same fingerprint as the recovered
-  /// store, and an exact frame commit of this mission).
+  /// The warm-start contract: after catch-up the leader's replica is
+  /// bit-identical to the recovered commit boundary (same fingerprint as
+  /// the recovered store, and an exact frame commit of this mission), and
+  /// the cohort's live majority acknowledges exactly that epoch.
   bool replica_match = false;
 };
 

@@ -48,7 +48,7 @@ void run_commits(DurabilityEngine& engine, StableStorage& store, Cycle from,
 
 support::MissionFactory chain_factory(SyncPolicy policy,
                                       bool shipping = false,
-                                      std::uint32_t quorum = 0) {
+                                      std::uint32_t quorum = 1) {
   return [policy, shipping, quorum] {
     auto spec =
         std::make_shared<core::ReconfigSpec>(support::make_chain_spec({}));
@@ -74,7 +74,7 @@ support::MissionFactory chain_factory(SyncPolicy policy,
 /// bit for bit, to the recorded oracle.
 void expect_sweep_digest(std::uint64_t oracle, SyncPolicy policy,
                          support::CrashSweepOptions options,
-                         bool shipping = false, std::uint32_t quorum = 0) {
+                         bool shipping = false, std::uint32_t quorum = 1) {
   const support::CrashSweepReport report = support::run_crash_sweep(
       chain_factory(policy, shipping, quorum), options);
   EXPECT_EQ(report.mismatches, 0u);

@@ -9,7 +9,8 @@
 // signals, fault-plan routing, warm relocations served by surviving
 // members), and the crash-point sweep with the quorum adversary: the leader
 // fail-stops at every crash frame and the commit rule must still hold —
-// with the N = 1 cohort digest-identical to the single-standby oracle.
+// with the N = 1 cohort pinned to the digests the former single-standby
+// path recorded.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -54,7 +55,7 @@ using support::synthetic_config;
 using support::synthetic_processor;
 
 /// A source store + engine pair driven through the real commit protocol
-/// (the same harness shipping_test uses for the single standby).
+/// (the same harness shipping_test uses for the one-member cohort).
 struct Source {
   StableStorage store;
   std::unique_ptr<DurabilityEngine> engine;
@@ -352,7 +353,7 @@ TEST(QuorumContract, PreconditionsAreEnforced) {
 // --- the assembled system ---
 
 /// Chain-spec mission with an N-member quorum cohort shadowing every
-/// durable processor (N = 0 keeps the classic single warm standby).
+/// durable processor (N = 1 is the warm standby).
 support::MissionFactory quorum_chain_factory(SyncPolicy policy,
                                              std::uint32_t replicas) {
   return [policy, replicas] {
@@ -432,35 +433,37 @@ TEST(QuorumSystem, QuorumReplicasRequiresJournalShipping) {
   EXPECT_THROW(core::System(spec, options), ContractViolation);
 }
 
+TEST(QuorumSystem, QuorumReplicasMustBePositive) {
+  const auto spec = support::make_chain_spec({});
+  core::SystemOptions options;
+  options.durable_storage = true;
+  options.journal_shipping = true;
+  options.quorum_replicas = 0;  // a cohort needs at least one member
+  EXPECT_THROW(core::System(spec, options), ContractViolation);
+  EXPECT_EQ(core::SystemOptions{}.quorum_replicas, 1u);
+}
+
 TEST(QuorumSystem, SingleMemberCohortShipsByteIdenticallyToSingleStandby) {
-  // N = 1 is the degenerate cohort: same slot budgets, same stream, same
-  // replica bytes — the quorum machinery must cost nothing it doesn't use.
-  const auto run_mission = [](std::uint32_t replicas) {
-    support::CrashMission m =
-        quorum_chain_factory(SyncPolicy::frames(3), replicas)();
-    m.system->run(12);
-    return m;
-  };
-  const support::CrashMission single = run_mission(0);
-  const support::CrashMission cohort = run_mission(1);
+  // N = 1 is the warm standby: same slot budgets, same stream, same replica
+  // bytes as the former single-standby path, whose values after 12 frames
+  // of this mission are pinned here.
+  support::CrashMission cohort =
+      quorum_chain_factory(SyncPolicy::frames(3), 1)();
+  cohort.system->run(12);
 
   const ProcessorId victim = synthetic_processor(0);
-  ASSERT_TRUE(single.system->has_ship_channel(victim));
-  ASSERT_TRUE(cohort.system->has_quorum(victim));
-  EXPECT_FALSE(single.system->has_quorum(victim));
-  EXPECT_EQ(single.system->stats().ship_bytes_total,
-            cohort.system->stats().ship_bytes_total);
-  EXPECT_EQ(single.system->stats().ship_slots_polled,
-            cohort.system->stats().ship_slots_polled);
-  EXPECT_EQ(single.system->ship_replica(victim).store().fingerprint(),
-            cohort.system->ship_replica(victim).store().fingerprint());
-  EXPECT_EQ(single.system->ship_replica(victim).cursor().offset,
-            cohort.system->ship_replica(victim).cursor().offset);
+  ASSERT_TRUE(cohort.system->has_ship_channel(victim));
+  EXPECT_EQ(cohort.system->stats().ship_bytes_total, 1788u);
+  EXPECT_EQ(cohort.system->stats().ship_slots_polled, 36u);
+  EXPECT_EQ(cohort.system->ship_replica(victim).store().fingerprint(),
+            0x39a1d39deb6665d8u);
+  EXPECT_EQ(cohort.system->ship_replica(victim).cursor().offset, 200u);
 
   // At one member the commit id IS the lone cursor's epoch.
   const QuorumGroup& group = cohort.system->quorum_group(victim);
   EXPECT_EQ(group.commit_id(),
             cohort.system->ship_replica(victim).cursor().epoch);
+  EXPECT_EQ(group.commit_id(), 10u);
 }
 
 TEST(QuorumSystem, MajorityLossRaisesQuorumLostAndRepairRestoresIt) {
@@ -470,7 +473,7 @@ TEST(QuorumSystem, MajorityLossRaisesQuorumLostAndRepairRestoresIt) {
   system.run(4);
 
   const ProcessorId victim = synthetic_processor(0);
-  ASSERT_TRUE(system.has_quorum(victim));
+  ASSERT_TRUE(system.has_ship_channel(victim));
   ASSERT_EQ(system.quorum_group(victim).member_count(), 3u);
 
   // Losing one member keeps the majority quiet; losing the second raises
@@ -527,21 +530,31 @@ TEST(QuorumSystem, FaultPlanDrivesCohortFailuresAndRepairs) {
 
 // --- crash-point sweeps: the quorum adversary ---
 
+/// Warm-start sweep digests of the former single-standby path on the chain
+/// mission (12 frames), in all_policies() order — the oracle the N = 1
+/// cohort must reproduce bit for bit.
+constexpr std::uint64_t kStandbySweepDigests[] = {
+    0xbb33ec5833c17a3b, 0x99493e1bca4f8d6f, 0xd25f15d0cfd2705a,
+    0x99493e1bca4f8d6f};
+/// The same sweeps with a durable bit flipped at every crash point.
+constexpr std::uint64_t kStandbyBitFlipSweepDigests[] = {
+    0x486bed07f1d40f7e, 0xd0ca9ca775f43f67, 0xb3126fc04baf4ad9,
+    0xd0ca9ca775f43f67};
+
 TEST(QuorumSweep, SingleMemberSweepIsDigestIdenticalToSingleStandbyOracle) {
   // The acceptance anchor: at N = 1 the quorum path must reproduce the
   // single-standby warm-start sweep bit for bit, under every sync policy.
-  for (const auto& [name, policy] : all_policies()) {
+  const auto policies = all_policies();
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const auto& [name, policy] = policies[i];
     CrashSweepOptions options;
     options.frames = 12;
     options.victim = synthetic_processor(0);
     options.warm_start = true;
-    const CrashSweepReport single =
-        run_crash_sweep(quorum_chain_factory(policy, 0), options);
     const CrashSweepReport cohort =
         run_crash_sweep(quorum_chain_factory(policy, 1), options);
-    EXPECT_TRUE(single.all_match()) << name;
     EXPECT_TRUE(cohort.all_match()) << name;
-    EXPECT_EQ(single.digest(), cohort.digest()) << name;
+    EXPECT_EQ(cohort.digest(), kStandbySweepDigests[i]) << name;
   }
 }
 
@@ -550,19 +563,18 @@ TEST(QuorumSweep, SingleMemberBitFlipSweepMatchesOracleThroughTheRebase) {
   // history and the cohort must re-base its commit id onto the reseeded
   // boundary instead of pinning the vanished epoch. At N = 1 this, too,
   // must be digest-identical to the single-standby oracle.
-  for (const auto& [name, policy] : all_policies()) {
+  const auto policies = all_policies();
+  for (std::size_t i = 0; i < policies.size(); ++i) {
+    const auto& [name, policy] = policies[i];
     CrashSweepOptions options;
     options.frames = 12;
     options.victim = synthetic_processor(0);
     options.warm_start = true;
     options.io_fault = CrashSweepOptions::IoFault::kBitFlip;
-    const CrashSweepReport single =
-        run_crash_sweep(quorum_chain_factory(policy, 0), options);
     const CrashSweepReport cohort =
         run_crash_sweep(quorum_chain_factory(policy, 1), options);
-    EXPECT_TRUE(single.all_match()) << name;
     EXPECT_TRUE(cohort.all_match()) << name;
-    EXPECT_EQ(single.digest(), cohort.digest()) << name;
+    EXPECT_EQ(cohort.digest(), kStandbyBitFlipSweepDigests[i]) << name;
   }
 }
 

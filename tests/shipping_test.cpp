@@ -2,10 +2,11 @@
 //
 // Three layers under test: the batch protocol (JournalShipper /
 // ShippedReplica — framing, cursor resume, corruption rewind, compaction
-// rebase, full-copy reseed), the bus-side ShippingUnit (slot byte budgets,
-// media-fault escalation), and the assembled System (warm relocations that
-// move only the un-shipped journal tail, and the journal-aware SCRAM that
-// re-initializes after a lossy recovery instead of silently resuming).
+// rebase, full-copy reseed), the one-member replica cohort that carries it
+// (slot byte budgets, idempotent catch-up, media-fault escalation), and the
+// assembled System (warm relocations that move only the un-shipped journal
+// tail, and the journal-aware SCRAM that re-initializes after a lossy
+// recovery instead of silently resuming).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,13 +16,12 @@
 #include <utility>
 #include <vector>
 
-#include "arfs/bus/interface_unit.hpp"
-#include "arfs/bus/schedule.hpp"
 #include "arfs/common/check.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/durable/journal.hpp"
+#include "arfs/storage/durable/quorum.hpp"
 #include "arfs/storage/durable/shipping.hpp"
 #include "arfs/storage/durable/wire.hpp"
 #include "arfs/storage/stable_storage.hpp"
@@ -48,6 +48,8 @@ using storage::durable::ShipCursor;
 using storage::durable::ShippedReplica;
 using storage::durable::ShipStatus;
 using storage::durable::SyncPolicy;
+using storage::durable::quorum::QuorumGroup;
+using storage::durable::quorum::QuorumOptions;
 
 /// A source store + engine pair driven through the real commit protocol.
 struct Source {
@@ -331,6 +333,27 @@ TEST(ShipReplicate, LaggingTwoCompactionsLosesTheCursor) {
   EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
 }
 
+TEST(ShipReplicate, FullCopyBeforeTheFirstSyncResumesPastTheHeader) {
+  // Nothing has synced yet, so not even the journal header is on the
+  // device: synced_size() is 0. The reseeded cursor must still start past
+  // the header, or the header bytes would ship as a corrupt record.
+  Source source(DurableOptions{.sync = SyncPolicy::bytes(1 << 20)});
+  source.commit_frame(1, {{"k", 1}});
+  ASSERT_EQ(source.engine->journal().synced_size(), 0u);
+
+  ShippedReplica replica;
+  replica.reset_from_full_copy(source.store, source.engine->dictionary(),
+                               source.engine->journal_generation(),
+                               source.engine->journal().synced_size());
+  EXPECT_EQ(replica.cursor().offset, kHeaderSize);
+
+  source.commit_frame(2, {{"k", 2}});
+  ASSERT_TRUE(source.engine->sync_now());
+  JournalShipper shipper(*source.engine);
+  EXPECT_GT(ship_all(shipper, replica), 0u);
+  EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
+}
+
 TEST(ShipReplicate, AttachedEngineMakesTheStandbyItselfDurable) {
   Source source;
   JournalShipper shipper(*source.engine);
@@ -364,7 +387,7 @@ TEST(ShipReplicate, EncodedStateBytesRestrictsToThePrefix) {
   EXPECT_LT(a1, all);
 }
 
-// --- the bus-side shipping unit ---
+// --- the one-member replica cohort (the warm standby) ---
 
 TEST(ShipUnit, PollMovesAtMostTheSlotByteBudget) {
   Source source;
@@ -372,23 +395,20 @@ TEST(ShipUnit, PollMovesAtMostTheSlotByteBudget) {
     source.commit_frame(c, {{"some/topic/key", std::int64_t(c * 7)}});
   }
 
-  ShippedReplica replica;
-  bus::ShippingUnit unit(EndpointId{9}, *source.engine, replica);
-  bus::TdmaSchedule schedule;
-  schedule.add_ship_slot(EndpointId{9}, /*length=*/100, /*byte_budget=*/32);
-
+  QuorumGroup standby(*source.engine, QuorumOptions{.replicas = 1});
   std::size_t rounds = 0;
   std::size_t largest = 0;
   std::size_t moved = 0;
-  while ((moved = unit.poll(schedule)) > 0) {
+  while ((moved = standby.pump_member(0, /*budget=*/32)) > 0) {
     ++rounds;
     largest = std::max(largest, moved);
   }
   EXPECT_GT(rounds, 1u);  // the stream really was budget-limited
   EXPECT_LE(largest, 32u);
-  EXPECT_LE(unit.stats().bytes_shipped, 32u * unit.stats().slots_polled);
-  EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
-  EXPECT_EQ(unit.stats().slots_polled, unit.stats().batches_shipped + 1);
+  EXPECT_LE(standby.stats().bytes_shipped, 32u * standby.stats().slots_polled);
+  EXPECT_EQ(standby.replica(0).store().fingerprint(),
+            source.store.fingerprint());
+  EXPECT_EQ(standby.stats().slots_polled, standby.stats().batches_shipped + 1);
 }
 
 TEST(ShipUnit, CatchUpDrainsTheTailRegardlessOfBudgets) {
@@ -396,12 +416,12 @@ TEST(ShipUnit, CatchUpDrainsTheTailRegardlessOfBudgets) {
   for (Cycle c = 1; c <= 4; ++c) {
     source.commit_frame(c, {{"k", std::int64_t(c)}});
   }
-  ShippedReplica replica;
-  bus::ShippingUnit unit(EndpointId{9}, *source.engine, replica);
-  EXPECT_GT(unit.catch_up(), 0u);
-  EXPECT_EQ(unit.catch_up(), 0u);  // idempotent once caught up
-  EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
-  EXPECT_FALSE(unit.needs_full_copy());
+  QuorumGroup standby(*source.engine, QuorumOptions{.replicas = 1});
+  EXPECT_GT(standby.catch_up_member(0), 0u);
+  EXPECT_EQ(standby.catch_up_member(0), 0u);  // idempotent once caught up
+  EXPECT_EQ(standby.replica(0).store().fingerprint(),
+            source.store.fingerprint());
+  EXPECT_FALSE(standby.member_needs_full_copy(0));
 }
 
 TEST(ShipUnit, SourceMediaFaultEscalatesToFullCopy) {
@@ -427,29 +447,27 @@ TEST(ShipUnit, SourceMediaFaultEscalatesToFullCopy) {
   while (splitmix_pos(seed) < kHeaderSize) ++seed;
   source.engine->journal().corrupt_bit(seed);
 
-  ShippedReplica replica;
-  bus::ShippingUnit unit(EndpointId{9}, *source.engine, replica);
-  bus::TdmaSchedule schedule;
-  schedule.add_ship_slot(EndpointId{9}, 100, 64 * 1024);
+  QuorumGroup standby(*source.engine, QuorumOptions{.replicas = 1});
 
   // Every retransmission re-reads the same damaged bytes: after the retry
-  // limit the unit concludes the journal itself is bad and pauses for a
+  // limit the member concludes the journal itself is bad and pauses for a
   // full copy instead of retrying forever.
-  for (int i = 0; i < 4 && !unit.needs_full_copy(); ++i) {
-    (void)unit.poll(schedule);
+  for (int i = 0; i < 4 && !standby.member_needs_full_copy(0); ++i) {
+    (void)standby.pump_member(0, 64 * 1024);
   }
-  EXPECT_TRUE(unit.needs_full_copy());
-  EXPECT_GE(unit.stats().corrupt_batches, 3u);
-  EXPECT_EQ(unit.stats().fallbacks, 1u);
+  EXPECT_TRUE(standby.member_needs_full_copy(0));
+  EXPECT_GE(standby.stats().corrupt_batches, 3u);
+  EXPECT_EQ(standby.stats().fallbacks, 1u);
   EXPECT_EQ(source.engine->stats().ship_fallbacks, 1u);
 
   // The owner reseeds past the damage and shipping resumes.
-  replica.reset_from_full_copy(source.store, source.engine->dictionary(),
-                               source.engine->journal_generation(),
-                               source.engine->journal().synced_size());
-  unit.acknowledge_full_copy();
-  EXPECT_EQ(unit.catch_up(), 0u);
-  EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
+  standby.reseed_member(0, source.store, source.engine->dictionary(),
+                        source.engine->journal_generation(),
+                        source.engine->journal().synced_size());
+  EXPECT_FALSE(standby.member_needs_full_copy(0));
+  EXPECT_EQ(standby.catch_up_member(0), 0u);
+  EXPECT_EQ(standby.replica(0).store().fingerprint(),
+            source.store.fingerprint());
 }
 
 // --- the assembled system ---
@@ -524,7 +542,7 @@ TEST(ShipSystem, WarmRelocationMovesOnlyTheUnshippedTail) {
   system.run(9);
 
   // The relocation itself happened, onto processor 1 — and it was served
-  // from the warm standby replica, not a full-state copy.
+  // from the one-member cohort's replica, not a full-state copy.
   EXPECT_EQ(system.scram().current_config(), synthetic_config(1));
   EXPECT_EQ(system.region_host(synthetic_app(0)), synthetic_processor(1));
   EXPECT_GE(system.stats().region_relocations, 1u);
@@ -560,6 +578,35 @@ TEST(ShipSystem, ShipReplicaShadowsEveryDurableProcessor) {
   const auto& proc = system.processors().processor(synthetic_processor(0));
   EXPECT_EQ(system.ship_replica(synthetic_processor(0)).store().fingerprint(),
             proc.poll_stable().fingerprint());
+}
+
+TEST(ShipSystem, ProcessorRepairedBeforeItsFirstSyncKeepsShipping) {
+  // Processor 0 fail-stops before its bytes watermark ever synced, so its
+  // replica is reseeded from a journal with nothing on the device. After
+  // the repair, a compaction must rebase the replica cleanly and shipping
+  // must converge on the source again.
+  const auto spec = support::make_chain_spec({});
+  core::SystemOptions options;
+  options.durable_storage = true;
+  options.journal_shipping = true;
+  options.durability.snapshot_every_epochs = 7;
+  options.durability.sync = SyncPolicy::bytes(512);
+  core::System system(spec, options);
+  for (const core::AppDecl& decl : spec.apps()) {
+    system.add_app(std::make_unique<SimpleApp>(decl.id, decl.name));
+  }
+  const ProcessorId p0 = synthetic_processor(0);
+  sim::FaultPlan plan;
+  plan.fail_processor(5 * 10'000, p0);
+  plan.repair_processor(12 * 10'000, p0);
+  system.set_fault_plan(std::move(plan));
+  system.run(24);
+
+  EXPECT_GE(system.stats().ship_reseeds, 1u);
+  EXPECT_GE(system.quorum_group(p0).stats().rebases, 1u);
+  (void)system.ship_catch_up(p0);
+  EXPECT_EQ(system.ship_replica(p0).store().fingerprint(),
+            system.processors().processor(p0).poll_stable().fingerprint());
 }
 
 TEST(ShipSystem, LossyRecoveryTriggersScramReinitWhenEnabled) {

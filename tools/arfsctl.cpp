@@ -80,13 +80,17 @@
 //   chain[:N]    an N-level degradation chain (default 4)
 //   random[:S]   a randomized specification from seed S (default 1)
 
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -152,6 +156,39 @@ int usage() {
   return 2;
 }
 
+/// A whole decimal number: digits only (no sign, space, base prefix or
+/// suffix) that fits T. nullopt otherwise — strtoul would read "4x" as 4,
+/// "abc" as 0 and wrap "-1" to the type's maximum.
+template <typename T>
+std::optional<T> to_number(std::string_view text) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789") != std::string_view::npos) {
+    return std::nullopt;
+  }
+  T value{};
+  if (std::from_chars(text.data(), text.data() + text.size(), value).ec !=
+      std::errc{}) {
+    return std::nullopt;  // out of T's range
+  }
+  return value;
+}
+
+/// A malformed numeric argument; main() answers it with usage and exit 2.
+struct BadNumber : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
+/// Parses a numeric argument into `out`, checked against out's own type.
+/// Throws BadNumber on anything to_number rejects.
+template <typename T>
+void parse_number(std::string_view text, T& out) {
+  const std::optional<T> value = to_number<T>(text);
+  if (!value.has_value()) {
+    throw BadNumber("not a number: '" + std::string(text) + "'");
+  }
+  out = *value;
+}
+
 struct SpecChoice {
   core::ReconfigSpec spec;
   SimDuration frame_length = 10'000;
@@ -176,16 +213,21 @@ std::optional<SpecChoice> make_spec(const std::string& name) {
   }
   if (kind == "chain") {
     support::ChainSpecParams params;
-    if (!arg.empty()) params.configs = std::strtoul(arg.c_str(), nullptr, 10);
+    if (!arg.empty()) {
+      const std::optional<std::size_t> configs = to_number<std::size_t>(arg);
+      if (!configs.has_value()) return std::nullopt;
+      params.configs = *configs;
+    }
     if (params.configs < 2) params.configs = 4;
     choice.spec = support::make_chain_spec(params);
     return choice;
   }
   if (kind == "random") {
     support::RandomSpecParams params;
-    const std::uint64_t seed =
-        arg.empty() ? 1 : std::strtoull(arg.c_str(), nullptr, 10);
-    choice.spec = support::make_random_spec(params, seed);
+    const std::optional<std::uint64_t> seed =
+        arg.empty() ? 1 : to_number<std::uint64_t>(arg);
+    if (!seed.has_value()) return std::nullopt;
+    choice.spec = support::make_random_spec(params, *seed);
     return choice;
   }
   return std::nullopt;
@@ -523,7 +565,7 @@ int cmd_journal_ship(const std::string& src_path, const std::string& dst_path,
 /// so concurrent crash-point jobs share no mutable state.
 support::MissionFactory sweep_mission_factory(
     const std::string& spec_name, bool shipping,
-    std::uint32_t quorum_replicas = 0, bool adaptive = false) {
+    std::uint32_t quorum_replicas = 1, bool adaptive = false) {
   return [spec_name, shipping, quorum_replicas, adaptive] {
     struct Bundle {
       SpecChoice choice;
@@ -535,7 +577,7 @@ support::MissionFactory sweep_mission_factory(
     core::SystemOptions options;
     options.frame_length = bundle->choice.frame_length;
     options.durable_storage = true;
-    options.journal_shipping = shipping || quorum_replicas > 0;
+    options.journal_shipping = shipping;
     options.quorum_replicas = quorum_replicas;
     options.durability.snapshot_every_epochs =
         bundle->choice.is_uav ? 16 : 7;
@@ -634,7 +676,7 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
 int cmd_engine_stat(const std::string& spec_name, bool is_uav, bool adaptive,
                     Cycle frames, bool json) {
   support::CrashMission mission = sweep_mission_factory(
-      spec_name, /*shipping=*/false, /*quorum_replicas=*/0, adaptive)();
+      spec_name, /*shipping=*/false, /*quorum_replicas=*/1, adaptive)();
   core::System& system = *mission.system;
   system.run(frames);
 
@@ -1110,8 +1152,11 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "economics") {
       if (argc != 5) return usage();
-      return cmd_economics(std::atoi(argv[2]), std::atoi(argv[3]),
-                           std::atoi(argv[4]));
+      int full = 0, safe = 0, failures = 0;
+      parse_number(argv[2], full);
+      parse_number(argv[3], safe);
+      parse_number(argv[4], failures);
+      return cmd_economics(full, safe, failures);
     }
 
     if (cmd == "journal") {
@@ -1125,10 +1170,10 @@ int main(int argc, char** argv) {
         return cmd_journal_repair(path, dry_run);
       }
       if (sub == "demo") {
-        const Cycle commits =
-            argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 16;
-        const std::uint64_t seed =
-            argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
+        Cycle commits = 16;
+        std::uint64_t seed = 1;
+        if (argc > 4) parse_number(argv[4], commits);
+        if (argc > 5) parse_number(argv[5], seed);
         return cmd_journal_demo(path, commits, seed);
       }
       if (sub == "stats") {
@@ -1140,7 +1185,7 @@ int main(int argc, char** argv) {
         std::optional<std::uint64_t> cursor;
         if (argc > 5) {
           if (argc != 7 || std::string(argv[5]) != "--cursor") return usage();
-          cursor = std::strtoull(argv[6], nullptr, 10);
+          parse_number(argv[6], cursor.emplace());
         }
         return cmd_journal_ship(path, argv[4], cursor);
       }
@@ -1171,7 +1216,7 @@ int main(int argc, char** argv) {
         if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--frames" && i + 1 < argc) {
-          frames = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], frames);
         } else if (arg == "--json") {
           json = true;
         } else {
@@ -1197,11 +1242,11 @@ int main(int argc, char** argv) {
       for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--replicas" && i + 1 < argc) {
-          replicas = std::strtoul(argv[++i], nullptr, 10);
+          parse_number(argv[++i], replicas);
         } else if (arg == "--frames" && i + 1 < argc) {
-          frames = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], frames);
         } else if (arg == "--kill" && i + 1 < argc) {
-          kills = std::strtoul(argv[++i], nullptr, 10);
+          parse_number(argv[++i], kills);
         } else {
           return usage();
         }
@@ -1233,22 +1278,20 @@ int main(int argc, char** argv) {
       for (; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--sessions" && cmd == "serve" && i + 1 < argc) {
-          sessions = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], sessions);
         } else if (arg == "--frames" && i + 1 < argc) {
-          options.frame_budget = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.frame_budget);
         } else if (arg == "--warmup" && i + 1 < argc) {
-          options.warmup_frames = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.warmup_frames);
         } else if (arg == "--seed" && i + 1 < argc) {
-          options.base_seed = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.base_seed);
         } else if (arg == "--slots" && i + 1 < argc) {
-          options.ring_slot_count =
-              static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+          parse_number(argv[++i], options.ring_slot_count);
         } else if (arg == "--watermark" && cmd == "session" && i + 1 < argc) {
-          options.ring_reclaim_watermark =
-              std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.ring_reclaim_watermark);
         } else if (arg == "--timeout-ms" && cmd == "session" &&
                    i + 1 < argc) {
-          timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], timeout_ms);
         } else if (arg == "--transport" && cmd == "serve" && i + 1 < argc) {
           const std::string t = argv[++i];
           if (t == "shm") {
@@ -1277,7 +1320,7 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--timeout-ms" && i + 1 < argc) {
-          timeout_ms = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], timeout_ms);
         } else {
           return usage();
         }
@@ -1295,30 +1338,30 @@ int main(int argc, char** argv) {
       return cmd_certify(*choice, json);
     }
     if (cmd == "simulate") {
-      const Cycle frames = argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                    : 400;
-      const std::uint64_t seed =
-          argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+      Cycle frames = 400;
+      std::uint64_t seed = 1;
+      if (argc > 3) parse_number(argv[3], frames);
+      if (argc > 4) parse_number(argv[4], seed);
       return cmd_simulate(*choice, frames, seed);
     }
     if (cmd == "sweep") {
       support::CrashSweepOptions options;
       options.frames = 24;
-      std::uint32_t quorum_replicas = 0;
+      std::optional<std::uint32_t> quorum_replicas;
       std::string arena_path;
       bool adaptive = false;
       bool json = false;
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--frames" && i + 1 < argc) {
-          options.frames = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.frames);
         } else if (arg == "--adaptive") {
           adaptive = true;
         } else if (arg == "--quorum" && i + 1 < argc) {
-          quorum_replicas = std::strtoul(argv[++i], nullptr, 10);
+          parse_number(argv[++i], quorum_replicas.emplace());
           options.warm_start = true;  // the cohort IS the warm standby
         } else if (arg == "--kill" && i + 1 < argc) {
-          options.quorum_kills = std::strtoul(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.quorum_kills);
         } else if (arg == "--io-fault" && i + 1 < argc) {
           const std::string fault = argv[++i];
           if (fault == "torn") {
@@ -1331,7 +1374,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--warm") {
           options.warm_start = true;
         } else if (arg == "--checkpoint-stride" && i + 1 < argc) {
-          options.checkpoint_stride = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.checkpoint_stride);
         } else if (arg == "--arena" && i + 1 < argc) {
           arena_path = argv[++i];
         } else if (arg == "--json") {
@@ -1340,10 +1383,13 @@ int main(int argc, char** argv) {
           return usage();
         }
       }
-      if (options.frames == 0) return usage();
-      if (options.quorum_kills > 0 && quorum_replicas == 0) return usage();
-      return cmd_sweep(argv[2], choice->is_uav, options, quorum_replicas,
-                       arena_path, adaptive, json);
+      if (options.frames == 0 || quorum_replicas == 0u) return usage();
+      if (options.quorum_kills > 0 && !quorum_replicas.has_value()) {
+        return usage();
+      }
+      return cmd_sweep(argv[2], choice->is_uav, options,
+                       quorum_replicas.value_or(1), arena_path, adaptive,
+                       json);
     }
     if (cmd == "fleet") {
       support::FleetMissionOptions options;
@@ -1357,23 +1403,23 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--samples" && i + 1 < argc) {
-          options.samples = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.samples);
         } else if (arg == "--frames" && i + 1 < argc) {
-          options.frames = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.frames);
         } else if (arg == "--warmup" && i + 1 < argc) {
-          options.warmup_frames = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.warmup_frames);
         } else if (arg == "--shards" && i + 1 < argc) {
-          engine.shards = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], engine.shards);
         } else if (arg == "--threads" && i + 1 < argc) {
-          engine.threads = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], engine.threads);
         } else if (arg == "--seed" && i + 1 < argc) {
-          options.base_seed = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.base_seed);
         } else if (arg == "--no-pool") {
           options.pool_systems = false;
         } else if (arg == "--arena" && i + 1 < argc) {
           arena_path = argv[++i];
         } else if (arg == "--pool-hot" && i + 1 < argc) {
-          options.pool_hot_limit = std::strtoull(argv[++i], nullptr, 10);
+          parse_number(argv[++i], options.pool_hot_limit);
         } else if (arg == "--json") {
           if (i + 1 < argc && argv[i + 1][0] != '-') {
             json_path = argv[++i];
@@ -1388,6 +1434,9 @@ int main(int argc, char** argv) {
       return cmd_fleet(argv[2], *choice, options, engine, arena_path,
                        json_stdout, json_path);
     }
+    return usage();
+  } catch (const BadNumber& e) {
+    std::cerr << "arfsctl: " << e.what() << "\n";
     return usage();
   } catch (const std::exception& e) {
     std::cerr << "arfsctl: " << e.what() << "\n";

@@ -165,11 +165,10 @@ DesignResult run_design(const std::string& design) {
   for (const trace::SysState& s : system.trace().states()) {
     if (!trace::all_normal(s)) continue;
     ++any;
-    const auto& snaps = s.apps;
-    const bool app0_full =
-        snaps.at(synthetic_app(0)).spec == synthetic_spec(0, 0);
-    const bool app1_full =
-        snaps.at(synthetic_app(1)).spec == synthetic_spec(1, 0);
+    const bool app0_full = trace::find_app(s, synthetic_app(0))->spec ==
+                           synthetic_spec(0, 0);
+    const bool app1_full = trace::find_app(s, synthetic_app(1))->spec ==
+                           synthetic_spec(1, 0);
     if (app0_full) ++critical;
     if (app0_full && app1_full) ++full;
   }

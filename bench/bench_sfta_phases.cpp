@@ -4,7 +4,12 @@
 // admits (no dependency, one dependency, multi-frame stages) and prints the
 // observed frame-by-frame message/action/predicate table next to the
 // expected Table 1 structure. The timing section measures the cost of
-// driving the protocol through the full frame pipeline.
+// driving the protocol through the full frame pipeline; the report also
+// times a steady normal frame at 2/8/32/64 apps and records the costs in
+// BENCH_bench_sfta_phases.json (wall time: reported, never gated).
+#include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <iostream>
 #include <memory>
 
@@ -51,6 +56,57 @@ void run_case(const std::string& label, support::SimpleAppParams app_params,
   std::cout << trace::render_phase_table(system.trace(), reconfigs.front());
 }
 
+/// A warm chain-spec system of `apps` apps with the trace off (the steady
+/// normal frame: no reconfiguration, no events).
+std::unique_ptr<core::System> normal_frame_system(
+    const core::ReconfigSpec& spec) {
+  core::SystemOptions options;
+  options.record_trace = false;  // unbounded run: do not grow the trace
+  auto system = std::make_unique<core::System>(spec, options);
+  for (const core::AppDecl& decl : spec.apps()) {
+    system->add_app(std::make_unique<support::SimpleApp>(decl.id, "a"));
+  }
+  return system;
+}
+
+/// Steady normal-frame cost at several app counts: best of 9 timed blocks
+/// of about 4k app-frames each (the minimum filters scheduler noise on a
+/// shared host). Recorded as normal_frame/<N>apps/ns_per_frame and
+/// .../ns_per_app_frame.
+void report_frame_cost() {
+  constexpr int kBlocks = 9;
+  std::cout << "\n--- steady normal-frame cost (trace off, best of "
+            << kBlocks << " blocks) ---\n"
+            << "apps | ns/frame | ns/app/frame\n";
+  for (const std::size_t apps : {2u, 8u, 32u, 64u}) {
+    support::ChainSpecParams params;
+    params.apps = apps;
+    const core::ReconfigSpec spec = support::make_chain_spec(params);
+    const std::unique_ptr<core::System> system = normal_frame_system(spec);
+    const Cycle frames = static_cast<Cycle>(std::max<std::size_t>(
+        64, 4096 / apps));
+    system->run(frames);  // warm-up block
+    double best_ns = 0.0;
+    for (int b = 0; b < kBlocks; ++b) {
+      const auto start = std::chrono::steady_clock::now();
+      system->run(frames);
+      const auto stop = std::chrono::steady_clock::now();
+      const double ns =
+          std::chrono::duration<double, std::nano>(stop - start).count() /
+          static_cast<double>(frames);
+      if (b == 0 || ns < best_ns) best_ns = ns;
+    }
+    const double per_app = best_ns / static_cast<double>(apps);
+    char line[64];
+    std::snprintf(line, sizeof line, "%4zu | %8.0f | %12.1f\n", apps, best_ns,
+                  per_app);
+    std::cout << line;
+    const std::string row = "normal_frame/" + std::to_string(apps) + "apps";
+    bench::trajectory().record(row + "/ns_per_frame", best_ns, "ns");
+    bench::trajectory().record(row + "/ns_per_app_frame", per_app, "ns");
+  }
+}
+
 void report() {
   bench::banner("E1: SFTA phase protocol", "paper Table 1");
   std::cout
@@ -78,6 +134,7 @@ void report() {
     std::cout << trace::render_phase_table(uav.system().trace(),
                                            reconfigs.front());
   }
+  report_frame_cost();
   std::cout << "\n";
 }
 
@@ -105,15 +162,9 @@ void bm_normal_frame(benchmark::State& state) {
   support::ChainSpecParams params;
   params.apps = state.range(0);
   const core::ReconfigSpec spec = support::make_chain_spec(params);
-  core::SystemOptions options;
-  options.record_trace = false;  // unbounded run: do not grow the trace
-  core::System system(spec, options);
-  for (std::size_t a = 0; a < params.apps; ++a) {
-    system.add_app(std::make_unique<support::SimpleApp>(
-        support::synthetic_app(a), "a"));
-  }
+  const std::unique_ptr<core::System> system = normal_frame_system(spec);
   for (auto _ : state) {
-    system.run_frame();
+    system->run_frame();
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -35,13 +35,14 @@ class Expected {
   }
   explicit operator bool() const { return has_value(); }
 
-  /// Precondition: has_value().
+  /// Precondition: has_value(). The violation message is built only when
+  /// the check fails, so a successful call allocates nothing.
   [[nodiscard]] const T& value() const {
-    require(has_value(), "Expected::value() on error: " + error());
+    if (!has_value()) require(false, "Expected::value() on error: " + error());
     return std::get<T>(data_);
   }
   [[nodiscard]] T& value() {
-    require(has_value(), "Expected::value() on error: " + error());
+    if (!has_value()) require(false, "Expected::value() on error: " + error());
     return std::get<T>(data_);
   }
 

@@ -1,5 +1,6 @@
 #include "arfs/core/reconfig_spec.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "arfs/common/check.hpp"
@@ -18,6 +19,20 @@ void ReconfigSpec::declare_app(AppDecl app) {
       if (&s != &t) require(s.id != t.id, "duplicate spec id within app");
     }
   }
+  const std::size_t position = apps_.size();
+  for (std::size_t k = 0; k < app.specs.size(); ++k) {
+    const SpecSlot slot{app.specs[k].id, position, k};
+    const auto at = std::lower_bound(
+        spec_index_.begin(), spec_index_.end(), slot.id,
+        [](const SpecSlot& e, SpecId id) { return e.id < id; });
+    spec_index_.insert(at, slot);
+  }
+  apps_by_id_.insert(
+      std::lower_bound(apps_by_id_.begin(), apps_by_id_.end(), app.id,
+                       [this](std::size_t pos, AppId id) {
+                         return apps_[pos].id < id;
+                       }),
+      position);
   apps_.push_back(std::move(app));
 }
 
@@ -43,45 +58,50 @@ void ReconfigSpec::set_choose(ChooseFn choose) {
 
 void ReconfigSpec::set_initial_config(ConfigId config) { initial_ = config; }
 
-const AppDecl& ReconfigSpec::app(AppId id) const {
-  for (const AppDecl& a : apps_) {
-    if (a.id == id) return a;
-  }
-  throw Error("unknown app id " + std::to_string(id.value()));
+std::optional<std::size_t> ReconfigSpec::app_index(AppId id) const {
+  const auto it = std::lower_bound(
+      apps_by_id_.begin(), apps_by_id_.end(), id,
+      [this](std::size_t pos, AppId key) { return apps_[pos].id < key; });
+  if (it == apps_by_id_.end() || apps_[*it].id != id) return std::nullopt;
+  return *it;
 }
 
-bool ReconfigSpec::has_app(AppId id) const {
-  for (const AppDecl& a : apps_) {
-    if (a.id == id) return true;
+const AppDecl& ReconfigSpec::app(AppId id) const {
+  const std::optional<std::size_t> pos = app_index(id);
+  if (!pos.has_value()) {
+    throw Error("unknown app id " + std::to_string(id.value()));
   }
-  return false;
+  return apps_[*pos];
+}
+
+bool ReconfigSpec::has_app(AppId id) const { return app_index(id).has_value(); }
+
+const ReconfigSpec::SpecSlot* ReconfigSpec::find_spec(SpecId id) const {
+  const auto it = std::lower_bound(
+      spec_index_.begin(), spec_index_.end(), id,
+      [](const SpecSlot& e, SpecId key) { return e.id < key; });
+  if (it == spec_index_.end() || it->id != id) return nullptr;
+  return &*it;
 }
 
 const FunctionalSpec& ReconfigSpec::spec(SpecId id) const {
-  for (const AppDecl& a : apps_) {
-    for (const FunctionalSpec& s : a.specs) {
-      if (s.id == id) return s;
-    }
+  const SpecSlot* slot = find_spec(id);
+  if (slot == nullptr) {
+    throw Error("unknown spec id " + std::to_string(id.value()));
   }
-  throw Error("unknown spec id " + std::to_string(id.value()));
+  return apps_[slot->app].specs[slot->spec];
 }
 
 bool ReconfigSpec::has_spec(SpecId id) const {
-  for (const AppDecl& a : apps_) {
-    for (const FunctionalSpec& s : a.specs) {
-      if (s.id == id) return true;
-    }
-  }
-  return false;
+  return find_spec(id) != nullptr;
 }
 
 AppId ReconfigSpec::app_of_spec(SpecId id) const {
-  for (const AppDecl& a : apps_) {
-    for (const FunctionalSpec& s : a.specs) {
-      if (s.id == id) return a.id;
-    }
+  const SpecSlot* slot = find_spec(id);
+  if (slot == nullptr) {
+    throw Error("unknown spec id " + std::to_string(id.value()));
   }
-  throw Error("unknown spec id " + std::to_string(id.value()));
+  return apps_[slot->app].id;
 }
 
 const Configuration& ReconfigSpec::config(ConfigId id) const {

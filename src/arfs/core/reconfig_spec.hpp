@@ -60,6 +60,14 @@ class ReconfigSpec {
   [[nodiscard]] const std::vector<AppDecl>& apps() const { return apps_; }
   [[nodiscard]] const AppDecl& app(AppId id) const;
   [[nodiscard]] bool has_app(AppId id) const;
+  /// Position of `id` in apps() (declaration order), or nullopt when the
+  /// app is not declared. Binary search over an index built by declare_app.
+  [[nodiscard]] std::optional<std::size_t> app_index(AppId id) const;
+  /// Positions in apps() ordered by ascending AppId: the order digests,
+  /// trace rows and exports walk, whatever order the apps were declared in.
+  [[nodiscard]] const std::vector<std::size_t>& apps_by_id() const {
+    return apps_by_id_;
+  }
   [[nodiscard]] const FunctionalSpec& spec(SpecId id) const;
   [[nodiscard]] bool has_spec(SpecId id) const;
   /// The app owning `spec`.
@@ -98,7 +106,21 @@ class ReconfigSpec {
   void validate() const;
 
  private:
+  /// Where one declared spec lives: apps_[app].specs[spec].
+  struct SpecSlot {
+    SpecId id;
+    std::size_t app = 0;
+    std::size_t spec = 0;
+  };
+  /// The SpecSlot of `id`, or nullptr when undeclared.
+  [[nodiscard]] const SpecSlot* find_spec(SpecId id) const;
+
   std::vector<AppDecl> apps_;
+  /// Positions in apps_, sorted by AppId (see apps_by_id()).
+  std::vector<std::size_t> apps_by_id_;
+  /// Every declared spec, sorted by SpecId: spec lookups run once per app
+  /// per frame, so they binary-search this instead of scanning all apps.
+  std::vector<SpecSlot> spec_index_;
   std::map<ConfigId, Configuration> configs_;
   env::FactorRegistry factors_;
   std::map<std::pair<ConfigId, ConfigId>, Cycle> bounds_;

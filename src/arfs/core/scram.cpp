@@ -1,13 +1,60 @@
 #include "arfs/core/scram.hpp"
 
+#include <algorithm>
+
 #include "arfs/common/check.hpp"
 #include "arfs/common/log.hpp"
 
 namespace arfs::core {
 
+namespace {
+
+void clear_flags(std::vector<bool>& flags) {
+  std::fill(flags.begin(), flags.end(), false);
+}
+
+bool any_flag(const std::vector<bool>& flags) {
+  return std::find(flags.begin(), flags.end(), true) != flags.end();
+}
+
+/// The AppIds (ascending) whose flag is set.
+std::vector<AppId> flagged_ids(const ReconfigSpec& spec,
+                               const std::vector<bool>& flags) {
+  std::vector<AppId> out;
+  for (const std::size_t pos : spec.apps_by_id()) {
+    if (flags[pos]) out.push_back(spec.apps()[pos].id);
+  }
+  return out;
+}
+
+void set_flags(const ReconfigSpec& spec, const std::vector<AppId>& ids,
+               std::vector<bool>& flags) {
+  clear_flags(flags);
+  for (const AppId id : ids) {
+    const std::optional<std::size_t> pos = spec.app_index(id);
+    require(pos.has_value(), "scram checkpoint names an undeclared app");
+    flags[*pos] = true;
+  }
+}
+
+}  // namespace
+
 Scram::Scram(const ReconfigSpec& spec, ScramOptions options)
     : spec_(spec), options_(options), current_(spec.initial_config()) {
   spec.validate();
+  const std::size_t n = spec.apps().size();
+  done_.assign(n, false);
+  halt_done_.assign(n, false);
+  prepare_done_.assign(n, false);
+  init_done_.assign(n, false);
+}
+
+void Scram::clear_progress() {
+  clear_flags(done_);
+  stage_.clear();
+  clear_flags(halt_done_);
+  clear_flags(prepare_done_);
+  clear_flags(init_done_);
 }
 
 std::optional<ConfigId> Scram::target_config() const {
@@ -35,11 +82,11 @@ DepPhase Scram::phase_dep() const {
 }
 
 bool Scram::deps_met(AppId app, DepPhase phase,
-                     const std::map<AppId, bool>& completed) const {
+                     const std::vector<bool>& completed) const {
   for (const Dependency& c :
        spec_.dependencies().constraints_on(app, phase, target_)) {
-    const auto it = completed.find(c.independent);
-    if (it == completed.end() || !it->second) return false;
+    const std::optional<std::size_t> pos = spec_.app_index(c.independent);
+    if (!pos.has_value() || !completed[*pos]) return false;
   }
   return true;
 }
@@ -74,11 +121,7 @@ bool Scram::try_start(Cycle cycle, const env::EnvState& env_now,
   target_ = chosen;
   phase_ = Phase::kSignaled;
   active_start_ = cycle;
-  done_.clear();
-  stage_.clear();
-  halt_done_.clear();
-  prepare_done_.clear();
-  init_done_.clear();
+  clear_progress();
   plan.trigger_accepted = true;
   plan.target = target_;
   ++stats_.reconfigs_started;
@@ -92,40 +135,41 @@ void Scram::plan_global(FramePlan& plan) const {
   const DepPhase dep_phase = phase_dep();
   const Configuration& target_cfg = spec_.config(target_);
 
-  for (const AppDecl& app : spec_.apps()) {
+  const std::vector<AppDecl>& apps = spec_.apps();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
     Directive d;
-    const auto it = done_.find(app.id);
-    const bool already_done = it != done_.end() && it->second;
-    if (already_done || !deps_met(app.id, dep_phase, done_)) {
+    if (done_[i] || !deps_met(apps[i].id, dep_phase, done_)) {
       d.kind = DirectiveKind::kNone;
     } else {
       d.kind = kind;
     }
-    d.target_spec = target_cfg.spec_of(app.id);
+    d.target_spec = target_cfg.spec_of(apps[i].id);
     d.target_config = target_;
-    plan.directives[app.id] = d;
+    plan.directives.push_back(d);
   }
 }
 
 void Scram::plan_relaxed(FramePlan& plan) const {
   const Configuration& target_cfg = spec_.config(target_);
-  for (const AppDecl& app : spec_.apps()) {
+  const std::vector<AppDecl>& apps = spec_.apps();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    const AppId app = apps[i].id;
     Directive d;
-    d.target_spec = target_cfg.spec_of(app.id);
+    d.target_spec = target_cfg.spec_of(app);
     d.target_config = target_;
-    switch (stage_.at(app.id)) {
+    switch (stage_.at(i)) {
       case AppStage::kHalt:
-        d.kind = deps_met(app.id, DepPhase::kHalt, halt_done_)
+        d.kind = deps_met(app, DepPhase::kHalt, halt_done_)
                      ? DirectiveKind::kHalt
                      : DirectiveKind::kNone;
         break;
       case AppStage::kPrepare:
-        d.kind = deps_met(app.id, DepPhase::kPrepare, prepare_done_)
+        d.kind = deps_met(app, DepPhase::kPrepare, prepare_done_)
                      ? DirectiveKind::kPrepare
                      : DirectiveKind::kNone;
         break;
       case AppStage::kInitialize:
-        d.kind = deps_met(app.id, DepPhase::kInitialize, init_done_)
+        d.kind = deps_met(app, DepPhase::kInitialize, init_done_)
                      ? DirectiveKind::kInitialize
                      : DirectiveKind::kNone;
         break;
@@ -133,17 +177,21 @@ void Scram::plan_relaxed(FramePlan& plan) const {
         d.kind = DirectiveKind::kNone;
         break;
     }
-    plan.directives[app.id] = d;
+    plan.directives.push_back(d);
   }
 }
 
-FramePlan Scram::begin_frame(
+const FramePlan& Scram::begin_frame(
     Cycle cycle, SimTime now,
     const std::vector<failstop::FailureSignal>& hw_signals,
     const std::vector<env::EnvChangeSignal>& env_signals,
     const env::EnvState& env_now) {
   (void)now;
-  FramePlan plan;
+  FramePlan& plan = plan_;
+  plan.directives.clear();
+  plan.trigger_accepted = false;
+  plan.retargeted = false;
+  plan.target = ConfigId{};
 
   const std::size_t signal_count = hw_signals.size() + env_signals.size();
   stats_.triggers_received += signal_count;
@@ -177,22 +225,22 @@ FramePlan Scram::begin_frame(
             // Work toward the old target is void; rerun prepare toward the
             // new target. Applications past halt rewind to halted.
             phase_ = Phase::kPrepare;
-            done_.clear();
+            clear_flags(done_);
             plan.retargeted = true;
           }
           // kSignaled / kHalt: the halt stage is target-independent.
         } else {
           // Relaxed: every application past its halt stage re-prepares.
           bool any_rewound = false;
-          for (auto& [app, stage] : stage_) {
+          for (AppStage& stage : stage_) {
             if (stage == AppStage::kInitialize || stage == AppStage::kDone) {
               stage = AppStage::kPrepare;
               any_rewound = true;
             }
           }
-          if (any_rewound || !prepare_done_.empty()) {
-            prepare_done_.clear();
-            init_done_.clear();
+          if (any_rewound || any_flag(prepare_done_)) {
+            clear_flags(prepare_done_);
+            clear_flags(init_done_);
             plan.retargeted = true;
           }
         }
@@ -213,11 +261,9 @@ FramePlan Scram::begin_frame(
   if (phase_ == Phase::kSignaled) {
     // Frame 1 begins the halt stage.
     phase_ = Phase::kHalt;
-    done_.clear();
+    clear_flags(done_);
     if (options_.barrier == PhaseBarrier::kRelaxed) {
-      for (const AppDecl& app : spec_.apps()) {
-        stage_[app.id] = AppStage::kHalt;
-      }
+      stage_.assign(spec_.apps().size(), AppStage::kHalt);
     }
   }
 
@@ -236,11 +282,7 @@ FrameOutcome Scram::complete(Cycle cycle) {
   outcome.to = target_;
   current_ = target_;
   phase_ = Phase::kIdle;
-  done_.clear();
-  stage_.clear();
-  halt_done_.clear();
-  prepare_done_.clear();
-  init_done_.clear();
+  clear_progress();
   active_start_.reset();
   dwell_until_ = cycle + 1 + spec_.dwell_frames();
   // Re-evaluate once at completion: signals consumed while reconfiguring may
@@ -256,25 +298,23 @@ FrameOutcome Scram::complete(Cycle cycle) {
 }
 
 FrameOutcome Scram::end_frame_global(Cycle cycle,
-                                     const std::map<AppId, bool>& phase_done) {
+                                     const PhaseReport& phase_done) {
   FrameOutcome outcome;
-  for (const auto& [app, done] : phase_done) {
-    if (done) done_[app] = true;
+  for (std::size_t i = 0; i < phase_done.size(); ++i) {
+    if (phase_done[i]) done_[i] = true;
   }
-
-  for (const AppDecl& app : spec_.apps()) {
-    const auto it = done_.find(app.id);
-    if (it == done_.end() || !it->second) return outcome;  // phase incomplete
+  if (std::find(done_.begin(), done_.end(), false) != done_.end()) {
+    return outcome;  // phase incomplete
   }
 
   switch (phase_) {
     case Phase::kHalt:
       phase_ = Phase::kPrepare;
-      done_.clear();
+      clear_flags(done_);
       return outcome;
     case Phase::kPrepare:
       phase_ = Phase::kInitialize;
-      done_.clear();
+      clear_flags(done_);
       return outcome;
     case Phase::kInitialize:
       // Every application established its precondition: the system starts
@@ -285,41 +325,40 @@ FrameOutcome Scram::end_frame_global(Cycle cycle,
   }
 }
 
-FrameOutcome Scram::end_frame_relaxed(
-    Cycle cycle, const std::map<AppId, bool>& phase_done) {
+FrameOutcome Scram::end_frame_relaxed(Cycle cycle,
+                                      const PhaseReport& phase_done) {
   FrameOutcome outcome;
-  for (const auto& [app, done] : phase_done) {
-    if (!done) continue;
-    const auto it = stage_.find(app);
-    if (it == stage_.end()) continue;
-    switch (it->second) {
+  if (stage_.empty()) return outcome;
+  for (std::size_t i = 0; i < phase_done.size(); ++i) {
+    if (!phase_done[i]) continue;
+    switch (stage_[i]) {
       case AppStage::kHalt:
-        halt_done_[app] = true;
-        it->second = AppStage::kPrepare;
+        halt_done_[i] = true;
+        stage_[i] = AppStage::kPrepare;
         break;
       case AppStage::kPrepare:
-        prepare_done_[app] = true;
-        it->second = AppStage::kInitialize;
+        prepare_done_[i] = true;
+        stage_[i] = AppStage::kInitialize;
         break;
       case AppStage::kInitialize:
-        init_done_[app] = true;
-        it->second = AppStage::kDone;
+        init_done_[i] = true;
+        stage_[i] = AppStage::kDone;
         break;
       case AppStage::kDone:
         break;
     }
   }
 
-  for (const AppDecl& app : spec_.apps()) {
-    const auto it = stage_.find(app.id);
-    if (it == stage_.end() || it->second != AppStage::kDone) return outcome;
+  for (const AppStage stage : stage_) {
+    if (stage != AppStage::kDone) return outcome;
   }
   return complete(cycle);
 }
 
-FrameOutcome Scram::end_frame(Cycle cycle,
-                              const std::map<AppId, bool>& phase_done) {
+FrameOutcome Scram::end_frame(Cycle cycle, const PhaseReport& phase_done) {
   if (phase_ == Phase::kIdle || phase_ == Phase::kSignaled) return {};
+  require(phase_done.empty() || phase_done.size() == spec_.apps().size(),
+          "phase report must cover every declared app");
   if (options_.barrier == PhaseBarrier::kGlobal) {
     return end_frame_global(cycle, phase_done);
   }
@@ -331,11 +370,15 @@ Scram::Checkpoint Scram::checkpoint_state() const {
   cp.current = current_;
   cp.target = target_;
   cp.phase = phase_;
-  cp.done = done_;
-  cp.stage = stage_;
-  cp.halt_done = halt_done_;
-  cp.prepare_done = prepare_done_;
-  cp.init_done = init_done_;
+  cp.done = flagged_ids(spec_, done_);
+  if (!stage_.empty()) {
+    for (const std::size_t pos : spec_.apps_by_id()) {
+      cp.stage.emplace_back(spec_.apps()[pos].id, stage_[pos]);
+    }
+  }
+  cp.halt_done = flagged_ids(spec_, halt_done_);
+  cp.prepare_done = flagged_ids(spec_, prepare_done_);
+  cp.init_done = flagged_ids(spec_, init_done_);
   cp.pending_trigger = pending_trigger_;
   cp.lossy_pending = lossy_pending_;
   cp.active_start = active_start_;
@@ -348,11 +391,21 @@ void Scram::restore_state(const Checkpoint& cp) {
   current_ = cp.current;
   target_ = cp.target;
   phase_ = cp.phase;
-  done_ = cp.done;
-  stage_ = cp.stage;
-  halt_done_ = cp.halt_done;
-  prepare_done_ = cp.prepare_done;
-  init_done_ = cp.init_done;
+  set_flags(spec_, cp.done, done_);
+  stage_.clear();
+  if (!cp.stage.empty()) {
+    require(cp.stage.size() == spec_.apps().size(),
+            "scram checkpoint stage table does not match the spec");
+    stage_.resize(cp.stage.size());
+    for (const auto& [id, stage] : cp.stage) {
+      const std::optional<std::size_t> pos = spec_.app_index(id);
+      require(pos.has_value(), "scram checkpoint names an undeclared app");
+      stage_[*pos] = stage;
+    }
+  }
+  set_flags(spec_, cp.halt_done, halt_done_);
+  set_flags(spec_, cp.prepare_done, prepare_done_);
+  set_flags(spec_, cp.init_done, init_done_);
   pending_trigger_ = cp.pending_trigger;
   lossy_pending_ = cp.lossy_pending;
   active_start_ = cp.active_start;

@@ -21,8 +21,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "arfs/common/ids.hpp"
@@ -68,7 +68,9 @@ struct ScramOptions {
 
 /// The SCRAM's plan for one frame.
 struct FramePlan {
-  std::map<AppId, Directive> directives;
+  /// Empty (idle, or an SFTA's frame 0), or one directive per declared app
+  /// in spec.apps() order.
+  std::vector<Directive> directives;
   /// True exactly in an SFTA's frame 0: the trigger was accepted this frame
   /// and every application's current AFTA counts as interrupted.
   bool trigger_accepted = false;
@@ -103,6 +105,11 @@ struct ScramStats {
   std::uint64_t quorum_restores = 0;
 };
 
+/// Dense end-of-frame stage report: entry i (spec.apps() order) is true iff
+/// app i was issued a phase directive this frame and completed that stage.
+/// Empty when no app reports anything.
+using PhaseReport = std::vector<bool>;
+
 class Scram {
  public:
   /// `spec` must outlive the Scram and must validate().
@@ -110,17 +117,18 @@ class Scram {
 
   /// Start-of-frame step: consumes the frame's failure and environment
   /// signals, runs the trigger/dwell/retarget logic, and returns the
-  /// directive for every application.
-  [[nodiscard]] FramePlan begin_frame(
+  /// directive for every application. The plan is the kernel's own reused
+  /// buffer: valid until the next begin_frame.
+  [[nodiscard]] const FramePlan& begin_frame(
       Cycle cycle, SimTime now,
       const std::vector<failstop::FailureSignal>& hw_signals,
       const std::vector<env::EnvChangeSignal>& env_signals,
       const env::EnvState& env_now);
 
-  /// End-of-frame step: `phase_done` reports, for each application that was
-  /// issued a phase directive this frame, whether it completed the stage.
+  /// End-of-frame step: `phase_done` reports which applications completed
+  /// the stage they were directed to run this frame.
   [[nodiscard]] FrameOutcome end_frame(Cycle cycle,
-                                       const std::map<AppId, bool>& phase_done);
+                                       const PhaseReport& phase_done);
 
   [[nodiscard]] ConfigId current_config() const { return current_; }
   [[nodiscard]] bool reconfiguring() const { return phase_ != Phase::kIdle; }
@@ -139,15 +147,20 @@ class Scram {
  public:
   /// Frozen image of the kernel's mutable state (the spec and options are
   /// construction-time constants). Nested so it may name the private enums.
+  /// The per-app tables are stored sparse and in ascending AppId order —
+  /// the order the system digest walks — whatever the declaration order.
   struct Checkpoint {
     ConfigId current{};
     ConfigId target{};
     Phase phase = Phase::kIdle;
-    std::map<AppId, bool> done;
-    std::map<AppId, AppStage> stage;
-    std::map<AppId, bool> halt_done;
-    std::map<AppId, bool> prepare_done;
-    std::map<AppId, bool> init_done;
+    /// Apps that completed the current phase (global barrier).
+    std::vector<AppId> done;
+    /// Relaxed barrier: every app's stage, or empty when none is tracked.
+    std::vector<std::pair<AppId, AppStage>> stage;
+    /// Relaxed barrier: apps that completed each stage.
+    std::vector<AppId> halt_done;
+    std::vector<AppId> prepare_done;
+    std::vector<AppId> init_done;
     bool pending_trigger = false;
     bool lossy_pending = false;
     std::optional<Cycle> active_start;
@@ -168,16 +181,18 @@ class Scram {
   /// Fills plan.directives for the relaxed protocol.
   void plan_relaxed(FramePlan& plan) const;
 
-  [[nodiscard]] FrameOutcome end_frame_global(
-      Cycle cycle, const std::map<AppId, bool>& phase_done);
-  [[nodiscard]] FrameOutcome end_frame_relaxed(
-      Cycle cycle, const std::map<AppId, bool>& phase_done);
+  [[nodiscard]] FrameOutcome end_frame_global(Cycle cycle,
+                                              const PhaseReport& phase_done);
+  [[nodiscard]] FrameOutcome end_frame_relaxed(Cycle cycle,
+                                               const PhaseReport& phase_done);
   FrameOutcome complete(Cycle cycle);
+  /// Forgets every per-app phase completion and stage.
+  void clear_progress();
 
   /// Whether every dependency of `app` for `phase` is satisfied by
-  /// `completed` (the set of apps that finished that phase).
+  /// `completed` (per app in spec.apps() order: finished that phase).
   [[nodiscard]] bool deps_met(AppId app, DepPhase phase,
-                              const std::map<AppId, bool>& completed) const;
+                              const std::vector<bool>& completed) const;
 
   /// Directive kind for the current phase.
   [[nodiscard]] DirectiveKind phase_directive() const;
@@ -188,13 +203,17 @@ class Scram {
   ConfigId current_;
   ConfigId target_{};
   Phase phase_ = Phase::kIdle;
-  std::map<AppId, bool> done_;     ///< Per-app completion of current phase.
-  // Relaxed-barrier state: each app's current stage and per-stage
-  // completions (needed to evaluate dependencies).
-  std::map<AppId, AppStage> stage_;
-  std::map<AppId, bool> halt_done_;
-  std::map<AppId, bool> prepare_done_;
-  std::map<AppId, bool> init_done_;
+  // Per-app tables, indexed by position in spec.apps().
+  std::vector<bool> done_;  ///< Completion of the current phase.
+  // Relaxed-barrier state: each app's current stage (empty while no
+  // reconfiguration tracks stages) and per-stage completions (needed to
+  // evaluate dependencies).
+  std::vector<AppStage> stage_;
+  std::vector<bool> halt_done_;
+  std::vector<bool> prepare_done_;
+  std::vector<bool> init_done_;
+  /// begin_frame's result, reused so planning allocates nothing.
+  FramePlan plan_;
   bool pending_trigger_ = false;   ///< Buffered/deferred evaluation request.
   /// A lossy-recovery signal awaits evaluation; consumed by try_start (it
   /// upgrades an absorbed trigger into a re-initialization when the option

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "arfs/storage/stable_storage.hpp"
@@ -22,39 +23,48 @@ class StableRegion {
   StableRegion(storage::StableStorage& backing, std::string prefix)
       : backing_(&backing), prefix_(std::move(prefix)) {}
 
+  // Keys resolve as (prefix, key) against the backing store's interned
+  // names, so a steady-state access never builds `prefix + key`.
+
   /// Stages a write; visible after the end-of-frame commit.
-  void write(const std::string& key, storage::Value value) {
-    backing_->write(prefix_ + key, std::move(value));
+  void write(std::string_view key, storage::Value value) {
+    backing_->write(backing_->intern(prefix_, key), std::move(value));
   }
 
   /// Reads the committed value (what every *other* frame and application
   /// observes).
-  [[nodiscard]] Expected<storage::Value> read(const std::string& key) const {
-    return backing_->read(prefix_ + key);
+  [[nodiscard]] Expected<storage::Value> read(std::string_view key) const {
+    if (const auto id = backing_->find_key(prefix_, key)) {
+      return backing_->read(*id);
+    }
+    return backing_->read(full_key(key));  // the store's missing-key error
   }
 
   /// Reads this frame's own staged value if present, else the committed one.
-  [[nodiscard]] Expected<storage::Value> read_own(
-      const std::string& key) const {
-    return backing_->read_own(prefix_ + key);
+  [[nodiscard]] Expected<storage::Value> read_own(std::string_view key) const {
+    if (const auto id = backing_->find_key(prefix_, key)) {
+      return backing_->read_own(*id);
+    }
+    return backing_->read_own(full_key(key));
   }
 
   template <typename T>
-  [[nodiscard]] Expected<T> read_as(const std::string& key) const {
+  [[nodiscard]] Expected<T> read_as(std::string_view key) const {
     Expected<storage::Value> v = read(key);
     if (!v) return unexpected(v.error());
     return storage::get_as<T>(v.value());
   }
 
   template <typename T>
-  [[nodiscard]] Expected<T> read_own_as(const std::string& key) const {
+  [[nodiscard]] Expected<T> read_own_as(std::string_view key) const {
     Expected<storage::Value> v = read_own(key);
     if (!v) return unexpected(v.error());
     return storage::get_as<T>(v.value());
   }
 
-  [[nodiscard]] bool contains(const std::string& key) const {
-    return backing_->contains(prefix_ + key);
+  [[nodiscard]] bool contains(std::string_view key) const {
+    const auto id = backing_->find_key(prefix_, key);
+    return id.has_value() && backing_->contains(*id);
   }
 
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
@@ -68,6 +78,10 @@ class StableRegion {
                               const std::string& prefix);
 
  private:
+  [[nodiscard]] std::string full_key(std::string_view key) const {
+    return prefix_ + std::string(key);
+  }
+
   storage::StableStorage* backing_;
   std::string prefix_;
 };

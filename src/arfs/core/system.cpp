@@ -33,21 +33,21 @@ class System::SystemPeerReader final : public PeerReader {
 
   [[nodiscard]] Expected<storage::Value> read_peer(
       AppId peer, const std::string& key) const override {
-    const auto it = system_->region_host_.find(peer);
-    if (it == system_->region_host_.end()) {
+    const std::optional<std::size_t> pos = system_->spec_.app_index(peer);
+    if (!pos.has_value() || system_->region_host_.empty()) {
       return unexpected("peer app has no stable region");
     }
-    // Peer reads happen every frame for every dependency edge; assembling
-    // the full key from the cached prefix into a reused buffer keeps the
-    // per-read cost at one amortized-allocation-free append.
-    key_buf_.assign(system_->app_prefix(peer));
-    key_buf_.append(key);
-    return system_->group_.processor(it->second).poll_stable().read(key_buf_);
+    // Peer reads happen every frame for every dependency edge: the key is
+    // looked up as (prefix, key) without building the concatenation.
+    const std::string& prefix = system_->app_prefix_[*pos];
+    const storage::StableStorage& store =
+        system_->group_.processor(system_->region_host_[*pos]).poll_stable();
+    if (const auto id = store.find_key(prefix, key)) return store.read(*id);
+    return store.read(prefix + key);  // the store's own missing-key error
   }
 
  private:
   const System* system_;
-  mutable std::string key_buf_;
 };
 
 namespace {
@@ -66,7 +66,7 @@ std::vector<ProcessorId> placement_processors(const ReconfigSpec& spec) {
   return out;
 }
 
-std::string directive_name(DirectiveKind kind) {
+const char* directive_name(DirectiveKind kind) {
   switch (kind) {
     case DirectiveKind::kNone:       return "normal";
     case DirectiveKind::kHalt:       return "halt";
@@ -128,19 +128,20 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
     monitors_.emplace_back(spec.factors(), f.id);
   }
 
+  const std::size_t n = spec.apps().size();
+  apps_.resize(n);
+  storage::StableStorage& scram_stable = group_.processor(scram_proc_).stable();
   for (const AppDecl& decl : spec.apps()) {
     const std::string id = std::to_string(decl.id.value());
-    app_prefix_.emplace(decl.id, "a" + id + "/");
-    scram_status_key_.emplace(decl.id, "scram/a" + id + "/status");
+    app_prefix_.push_back("a" + id + "/");
+    scram_status_key_.push_back(
+        scram_stable.intern("scram/a" + id + "/status"));
   }
+  forced_overrun_.assign(n, Forced::kUnset);
+  forced_fault_.assign(n, Forced::kUnset);
+  mailboxes_.assign(n, nullptr);
 
   peer_reader_ = std::make_unique<SystemPeerReader>(*this);
-}
-
-const std::string& System::app_prefix(AppId app) const {
-  const auto it = app_prefix_.find(app);
-  require(it != app_prefix_.end(), "app not declared in the spec");
-  return it->second;
 }
 
 System::~System() = default;
@@ -148,10 +149,11 @@ System::~System() = default;
 void System::add_app(std::unique_ptr<ReconfigurableApp> app) {
   require(app != nullptr, "null application");
   require(!started_, "cannot add applications after the system started");
-  require(spec_.has_app(app->id()), "application was not declared in the spec");
-  const AppId id = app->id();
-  const bool inserted = apps_.emplace(id, std::move(app)).second;
-  require(inserted, "application added twice");
+  const std::optional<std::size_t> pos = spec_.app_index(app->id());
+  require(pos.has_value(), "application was not declared in the spec");
+  require(apps_[*pos] == nullptr, "application added twice");
+  apps_[*pos] = std::move(app);
+  ++apps_added_;
 }
 
 void System::set_fault_plan(sim::FaultPlan plan) {
@@ -175,15 +177,44 @@ void System::set_factor(FactorId factor, std::int64_t value) {
 }
 
 ReconfigurableApp& System::app(AppId id) {
-  const auto it = apps_.find(id);
-  require(it != apps_.end(), "unknown application id");
-  return *it->second;
+  const std::optional<std::size_t> pos = spec_.app_index(id);
+  require(pos.has_value() && apps_[*pos] != nullptr, "unknown application id");
+  return *apps_[*pos];
 }
 
 ProcessorId System::region_host(AppId app) const {
-  const auto it = region_host_.find(app);
-  require(it != region_host_.end(), "app has no stable region yet");
-  return it->second;
+  const std::optional<std::size_t> pos = spec_.app_index(app);
+  require(pos.has_value() && !region_host_.empty(),
+          "app has no stable region yet");
+  return region_host_[*pos];
+}
+
+void System::raise_forced(AppId app, std::vector<Forced>& flags,
+                          std::vector<AppId>& stray) {
+  if (const std::optional<std::size_t> pos = spec_.app_index(app)) {
+    flags[*pos] = Forced::kRaised;
+    return;
+  }
+  const auto it = std::lower_bound(stray.begin(), stray.end(), app);
+  if (it == stray.end() || *it != app) stray.insert(it, app);
+}
+
+const FunctionalSpec& System::spec_of_app(std::size_t pos,
+                                          SpecId spec) const {
+  // An app only ever runs one of its own few specs: scan those first.
+  for (const FunctionalSpec& fs : spec_.apps()[pos].specs) {
+    if (fs.id == spec) return fs;
+  }
+  return spec_.spec(spec);
+}
+
+void System::refresh_mailboxes() {
+  const std::vector<AppDecl>& decls = spec_.apps();
+  for (std::size_t i = 0; i < decls.size(); ++i) {
+    mailboxes_[i] = router_.has_endpoint(decls[i].id)
+                        ? &router_.endpoint(decls[i].id)
+                        : nullptr;
+  }
 }
 
 void System::run(Cycle frames) {
@@ -224,8 +255,12 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
           bank_.raise(std::move(signal));
         }
       }
-      for (const auto& [app_id, host] : region_host_) {
-        if (host == event.processor) apps_.at(app_id)->on_host_failure();
+      if (!region_host_.empty()) {
+        for (const std::size_t pos : spec_.apps_by_id()) {
+          if (region_host_[pos] == event.processor) {
+            apps_[pos]->on_host_failure();
+          }
+        }
       }
       break;
     }
@@ -239,10 +274,10 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
       environment_.set(event.factor, event.new_value, now);
       break;
     case sim::FaultKind::kTimingOverrun:
-      forced_overrun_[event.app] = true;
+      raise_forced(event.app, forced_overrun_, stray_overrun_);
       break;
     case sim::FaultKind::kSoftwareFault:
-      forced_fault_[event.app] = true;
+      raise_forced(event.app, forced_fault_, stray_fault_);
       break;
     case sim::FaultKind::kJournalSyncFail:
     case sim::FaultKind::kJournalTornWrite:
@@ -337,10 +372,10 @@ void System::repair_quorum_member(ProcessorId p, std::uint32_t member) {
 }
 
 std::optional<ProcessorId> System::execution_host(
-    AppId app, const Directive& directive) const {
-  const auto region_it = region_host_.find(app);
-  ensure(region_it != region_host_.end(), "app region host unset");
-  const ProcessorId region = region_it->second;
+    std::size_t pos, const Directive& directive) const {
+  ensure(!region_host_.empty(), "app region host unset");
+  const AppId app = spec_.apps()[pos].id;
+  const ProcessorId region = region_host_[pos];
 
   switch (directive.kind) {
     case DirectiveKind::kNone:
@@ -365,11 +400,12 @@ std::optional<ProcessorId> System::execution_host(
   return std::nullopt;
 }
 
-void System::relocate_region_if_needed(AppId app, ProcessorId to,
+void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
                                        Cycle cycle) {
-  const ProcessorId from = region_host_.at(app);
+  const ProcessorId from = region_host_[pos];
   if (from == to) return;
-  const std::string& prefix = app_prefix(app);
+  const AppId app = spec_.apps()[pos].id;
+  const std::string& prefix = app_prefix_[pos];
 
   const auto quorum_it = quorum_channels_.find(from);
   if (quorum_it != quorum_channels_.end()) {
@@ -392,7 +428,7 @@ void System::relocate_region_if_needed(AppId app, ProcessorId to,
       const std::size_t copied = StableRegion::relocate(
           channel.group.replica(m).store(), group_.processor(to).stable(),
           prefix);
-      region_host_[app] = to;
+      region_host_[pos] = to;
       ++stats_.region_relocations;
       ++stats_.warm_relocations;
       // No avoided-bytes credit when this member's warmth was bought by a
@@ -424,7 +460,7 @@ void System::relocate_region_if_needed(AppId app, ProcessorId to,
   const std::size_t copied = StableRegion::relocate(
       group_.processor(from).poll_stable(), group_.processor(to).stable(),
       prefix);
-  region_host_[app] = to;
+  region_host_[pos] = to;
   ++stats_.region_relocations;
   log_debug("system", "cycle ", cycle, ": relocated region of app ",
             app.value(), " from processor ", from.value(), " to ",
@@ -584,6 +620,10 @@ std::uint64_t fnv_mix_replica(
 }  // namespace
 
 std::uint64_t SystemCheckpoint::digest() const {
+  return hash(trace.has_value() ? trace->size() + 1 : 0);
+}
+
+std::uint64_t SystemCheckpoint::hash(std::uint64_t trace_word) const {
   std::uint64_t h = kFnvBasis;
   h = fnv_mix(h, frame);
   h = fnv_mix(h, static_cast<std::uint64_t>(now));
@@ -616,19 +656,21 @@ std::uint64_t SystemCheckpoint::digest() const {
   h = fnv_mix(h, scram.current.value());
   h = fnv_mix(h, scram.target.value());
   h = fnv_mix(h, static_cast<std::uint64_t>(scram.phase));
-  for (const auto& [app, done] : scram.done) {
+  // The completion sets hash as (app, 1) pairs: the image of maps that
+  // only ever held `true`.
+  for (const AppId app : scram.done) {
     h = fnv_mix(h, app.value());
-    h = fnv_mix(h, done ? 1 : 0);
+    h = fnv_mix(h, 1);
   }
   for (const auto& [app, stage] : scram.stage) {
     h = fnv_mix(h, app.value());
     h = fnv_mix(h, static_cast<std::uint64_t>(stage));
   }
-  for (const auto* phase_map :
+  for (const auto* completed :
        {&scram.halt_done, &scram.prepare_done, &scram.init_done}) {
-    for (const auto& [app, done] : *phase_map) {
+    for (const AppId app : *completed) {
       h = fnv_mix(h, app.value());
-      h = fnv_mix(h, done ? 1 : 0);
+      h = fnv_mix(h, 1);
     }
   }
   h = fnv_mix(h, scram.pending_trigger ? 1 : 0);
@@ -663,8 +705,8 @@ std::uint64_t SystemCheckpoint::digest() const {
 
   h = fnv_mix(h, fault_plan.size());
   h = fnv_mix(h, fault_plan.consumed());
-  for (const auto* flag_map : {&forced_overrun, &forced_fault}) {
-    for (const auto& [app, flag] : *flag_map) {
+  for (const auto* flags : {&forced_overrun, &forced_fault}) {
+    for (const auto& [app, flag] : *flags) {
       h = fnv_mix(h, app.value());
       h = fnv_mix(h, flag ? 1 : 0);
     }
@@ -677,7 +719,7 @@ std::uint64_t SystemCheckpoint::digest() const {
 
   h = fnv_mix(h, deadline_alarm_raised ? 1 : 0);
   h = fnv_mix(h, noise_rng_state);
-  h = fnv_mix(h, trace.has_value() ? trace->size() + 1 : 0);
+  h = fnv_mix(h, trace_word);
 
   for (const auto& [pid, qcp] : quorum_channels) {
     h = fnv_mix(h, pid.value());
@@ -754,7 +796,40 @@ std::uint64_t SystemCheckpoint::spill_devices(storage::MappedArena& arena) {
   return bytes;
 }
 
-SystemCheckpoint System::checkpoint() const {
+std::vector<std::pair<AppId, bool>> System::forced_image(
+    const std::vector<Forced>& flags, const std::vector<AppId>& stray) const {
+  std::vector<std::pair<AppId, bool>> out;
+  auto next_stray = stray.begin();
+  for (const std::size_t pos : spec_.apps_by_id()) {
+    const AppId id = spec_.apps()[pos].id;
+    for (; next_stray != stray.end() && *next_stray < id; ++next_stray) {
+      out.emplace_back(*next_stray, true);
+    }
+    if (flags[pos] != Forced::kUnset) {
+      out.emplace_back(id, flags[pos] == Forced::kRaised);
+    }
+  }
+  for (; next_stray != stray.end(); ++next_stray) {
+    out.emplace_back(*next_stray, true);
+  }
+  return out;
+}
+
+void System::restore_forced(const std::vector<std::pair<AppId, bool>>& image,
+                            std::vector<Forced>& flags,
+                            std::vector<AppId>& stray) {
+  std::fill(flags.begin(), flags.end(), Forced::kUnset);
+  stray.clear();
+  for (const auto& [id, flag] : image) {
+    if (const std::optional<std::size_t> pos = spec_.app_index(id)) {
+      flags[*pos] = flag ? Forced::kRaised : Forced::kClear;
+    } else {
+      stray.push_back(id);
+    }
+  }
+}
+
+SystemCheckpoint System::capture(bool with_trace) const {
   SystemCheckpoint cp;
   cp.frame = clock_.current_frame();
   cp.now = clock_.now();
@@ -767,17 +842,25 @@ SystemCheckpoint System::checkpoint() const {
   cp.bank = bank_;
   cp.health = health_;
   cp.scram = scram_.checkpoint_state();
-  for (const auto& [id, app] : apps_) {
-    cp.apps.emplace(id, app->checkpoint_state());
+  const std::vector<AppDecl>& decls = spec_.apps();
+  cp.apps.reserve(apps_added_);
+  for (const std::size_t pos : spec_.apps_by_id()) {
+    if (apps_[pos] == nullptr) continue;
+    cp.apps.emplace_back(decls[pos].id, apps_[pos]->checkpoint_state());
   }
-  cp.region_host = region_host_;
+  if (!region_host_.empty()) {
+    cp.region_host.reserve(decls.size());
+    for (const std::size_t pos : spec_.apps_by_id()) {
+      cp.region_host.emplace_back(decls[pos].id, region_host_[pos]);
+    }
+  }
   cp.fault_plan = fault_plan_;
-  cp.forced_overrun = forced_overrun_;
-  cp.forced_fault = forced_fault_;
+  cp.forced_overrun = forced_image(forced_overrun_, stray_overrun_);
+  cp.forced_fault = forced_image(forced_fault_, stray_fault_);
   cp.router = router_;
   cp.deadline_alarm_raised = deadline_alarm_raised_;
   cp.noise_rng_state = noise_rng_.state();
-  cp.trace = trace_;
+  if (with_trace) cp.trace = trace_;
   for (const auto& [pid, channel] : quorum_channels_) {
     cp.quorum_channels.emplace(pid, channel->group.checkpoint_state());
   }
@@ -786,10 +869,12 @@ SystemCheckpoint System::checkpoint() const {
   return cp;
 }
 
+SystemCheckpoint System::checkpoint() const { return capture(true); }
+
 void System::restore(const SystemCheckpoint& cp) {
   require(cp.processors.size() == group_.size(),
           "checkpoint processor set does not match this system");
-  require(cp.apps.size() == apps_.size(),
+  require(cp.apps.size() == apps_added_,
           "checkpoint application set does not match this system");
   require(cp.quorum_channels.size() == quorum_channels_.size(),
           "checkpoint quorum-cohort set does not match this system");
@@ -810,15 +895,25 @@ void System::restore(const SystemCheckpoint& cp) {
   health_ = cp.health;
   scram_.restore_state(cp.scram);
   for (const auto& [id, acp] : cp.apps) {
-    const auto it = apps_.find(id);
-    require(it != apps_.end(), "checkpoint names unknown application");
-    it->second->restore_state(acp);
+    const std::optional<std::size_t> pos = spec_.app_index(id);
+    require(pos.has_value() && apps_[*pos] != nullptr,
+            "checkpoint names unknown application");
+    apps_[*pos]->restore_state(acp);
   }
-  region_host_ = cp.region_host;
+  region_host_.clear();
+  if (!cp.region_host.empty()) {
+    region_host_.resize(apps_.size());
+    for (const auto& [id, host] : cp.region_host) {
+      const std::optional<std::size_t> pos = spec_.app_index(id);
+      require(pos.has_value(), "checkpoint places an unknown application");
+      region_host_[*pos] = host;
+    }
+  }
   fault_plan_ = cp.fault_plan;
-  forced_overrun_ = cp.forced_overrun;
-  forced_fault_ = cp.forced_fault;
+  restore_forced(cp.forced_overrun, forced_overrun_, stray_overrun_);
+  restore_forced(cp.forced_fault, forced_fault_, stray_fault_);
   router_ = cp.router;
+  refresh_mailboxes();
   deadline_alarm_raised_ = cp.deadline_alarm_raised;
   noise_rng_.set_state(cp.noise_rng_state);
   trace_ = *cp.trace;
@@ -832,7 +927,11 @@ void System::restore(const SystemCheckpoint& cp) {
   started_ = cp.started;
 }
 
-std::uint64_t System::digest() const { return checkpoint().digest(); }
+std::uint64_t System::digest() const {
+  // checkpoint().digest() without copying the trace: the digest reads only
+  // its row count.
+  return capture(false).hash(trace_.size() + 1);
+}
 
 void System::publish_processor_factors(SimTime now) {
   for (const auto& [processor, factor] : processor_factors_) {
@@ -844,30 +943,34 @@ void System::publish_processor_factors(SimTime now) {
 void System::run_frame() {
   const Cycle cycle = clock_.current_frame();
   const SimTime t0 = clock_.now();
+  const std::vector<AppDecl>& decls = spec_.apps();
 
   if (!started_) {
-    require(apps_.size() == spec_.apps().size(),
+    require(apps_added_ == decls.size(),
             "every declared application must be added before running");
     const Configuration& initial = spec_.config(spec_.initial_config());
-    for (const AppDecl& decl : spec_.apps()) {
-      apps_.at(decl.id)->force_spec(initial.spec_of(decl.id));
-      std::optional<ProcessorId> host = initial.host_of(decl.id);
+    region_host_.resize(decls.size());
+    for (std::size_t i = 0; i < decls.size(); ++i) {
+      const AppId id = decls[i].id;
+      apps_[i]->force_spec(initial.spec_of(id));
+      std::optional<ProcessorId> host = initial.host_of(id);
       if (!host.has_value()) {
         // Off initially: park the region on the first processor any
         // configuration would place the app on.
         for (const auto& [cid, config] : spec_.configs()) {
-          if (const auto h = config.host_of(decl.id); h.has_value()) {
+          if (const auto h = config.host_of(id); h.has_value()) {
             host = h;
             break;
           }
         }
       }
-      region_host_[decl.id] = host.value_or(scram_proc_);
+      region_host_[i] = host.value_or(scram_proc_);
     }
     group_.watch_all(activity_);
-    for (const AppDecl& decl : spec_.apps()) {
+    for (const AppDecl& decl : decls) {
       router_.endpoint(decl.id);
     }
+    refresh_mailboxes();
     if (options_.record_storage_history) {
       for (const ProcessorId p : group_.processor_ids()) {
         if (group_.processor(p).running()) {
@@ -893,7 +996,8 @@ void System::run_frame() {
   if (options_.heartbeat_loss_prob <= 0.0) {
     group_.heartbeat_all(activity_);
   } else {
-    for (const ProcessorId id : group_.running_ids()) {
+    for (const ProcessorId id : group_.processor_ids()) {
+      if (!group_.processor(id).running()) continue;
       if (noise_rng_.chance(options_.heartbeat_loss_prob)) {
         ++stats_.heartbeats_lost;
         continue;
@@ -904,17 +1008,17 @@ void System::run_frame() {
   activity_.end_of_frame(cycle, t0, bank_);
 
   // 4. Virtual monitor applications sample the environment.
-  std::vector<env::EnvChangeSignal> env_signals;
+  env_signals_.clear();
   for (env::FactorMonitor& monitor : monitors_) {
     for (env::EnvChangeSignal& s : monitor.sample(environment_, cycle, t0)) {
-      env_signals.push_back(s);
+      env_signals_.push_back(s);
     }
   }
 
   // 4b. Frame-boundary message delivery (messages sent during the previous
   // frame arrive now; receivers on fail-stopped hosts lose theirs).
   router_.exchange(cycle, [this](AppId app) {
-    return group_.processor(region_host_.at(app)).running();
+    return group_.processor(region_host_[*spec_.app_index(app)]).running();
   });
 
   // 4c. Runtime SP3 watchdog: an in-progress reconfiguration that has
@@ -941,8 +1045,8 @@ void System::run_frame() {
 
   // 5. The SCRAM consumes this frame's signals. Classify processor-failure
   // signals against ground truth for detector-quality accounting.
-  const std::vector<failstop::FailureSignal> hw_signals = bank_.drain();
-  for (const failstop::FailureSignal& s : hw_signals) {
+  bank_.drain_into(hw_signals_);
+  for (const failstop::FailureSignal& s : hw_signals_) {
     if (s.kind != failstop::SignalKind::kProcessorFailure) continue;
     if (group_.processor(s.processor).running()) {
       ++stats_.false_alarms;
@@ -950,29 +1054,26 @@ void System::run_frame() {
       ++stats_.true_detections;
     }
   }
-  FramePlan plan = scram_.begin_frame(cycle, t0, hw_signals, env_signals,
-                                      environment_.state());
+  const FramePlan& plan = scram_.begin_frame(
+      cycle, t0, hw_signals_, env_signals_, environment_.state());
   if (plan.trigger_accepted) {
-    for (const AppDecl& decl : spec_.apps()) {
-      apps_.at(decl.id)->mark_interrupted();
-    }
+    for (const auto& application : apps_) application->mark_interrupted();
   }
   if (plan.retargeted) {
-    for (const AppDecl& decl : spec_.apps()) {
-      apps_.at(decl.id)->rewind_to_halted();
-    }
+    for (const auto& application : apps_) application->rewind_to_halted();
   }
+  // Either no directives at all (kNone for every app) or one per app.
+  const auto directive_of = [&plan](std::size_t i) {
+    return plan.directives.empty() ? Directive{} : plan.directives[i];
+  };
 
   // Record the configuration_status protocol in the SCRAM's stable storage.
   if (group_.processor(scram_proc_).running()) {
     storage::StableStorage& scram_stable =
         group_.processor(scram_proc_).stable();
-    for (const AppDecl& decl : spec_.apps()) {
-      const auto it = plan.directives.find(decl.id);
-      const DirectiveKind kind =
-          it == plan.directives.end() ? DirectiveKind::kNone : it->second.kind;
-      scram_stable.write(scram_status_key_.at(decl.id),
-                         directive_name(kind));
+    for (std::size_t i = 0; i < decls.size(); ++i) {
+      scram_stable.write(scram_status_key_[i],
+                         std::string(directive_name(directive_of(i).kind)));
     }
   }
 
@@ -980,25 +1081,21 @@ void System::run_frame() {
   // where a reconfiguration directive takes effect this frame are halt
   // boundaries: their frame commit must be durable before the new
   // configuration runs, whatever the group-commit sync policy buffers.
-  std::map<AppId, bool> phase_done;
-  std::vector<ProcessorId> halt_boundary_hosts;
-  for (const AppDecl& decl : spec_.apps()) {
-    ReconfigurableApp& application = *apps_.at(decl.id);
-    Directive directive;
-    if (const auto it = plan.directives.find(decl.id);
-        it != plan.directives.end()) {
-      directive = it->second;
-    }
+  phase_done_.assign(decls.size(), false);
+  halt_boundary_hosts_.clear();
+  for (std::size_t i = 0; i < decls.size(); ++i) {
+    const AppId id = decls[i].id;
+    ReconfigurableApp& application = *apps_[i];
+    const Directive directive = directive_of(i);
 
-    const std::optional<ProcessorId> host =
-        execution_host(decl.id, directive);
+    const std::optional<ProcessorId> host = execution_host(i, directive);
     if (directive.kind != DirectiveKind::kNone && host.has_value()) {
-      halt_boundary_hosts.push_back(*host);
+      halt_boundary_hosts_.push_back(*host);
     }
     std::optional<StableRegion> region;
     if (host.has_value()) {
-      relocate_region_if_needed(decl.id, *host, cycle);
-      region.emplace(group_.processor(*host).stable(), app_prefix(decl.id));
+      relocate_region_if_needed(i, *host, cycle);
+      region.emplace(group_.processor(*host).stable(), app_prefix_[i]);
     }
 
     ReconfigurableApp::Ctx ctx;
@@ -1006,13 +1103,13 @@ void System::run_frame() {
     ctx.now = t0;
     ctx.own = region.has_value() ? &*region : nullptr;
     ctx.peers = peer_reader_.get();
-    ctx.mail = &router_.endpoint(decl.id);
+    ctx.mail = mailboxes_[i];
 
     ReconfigurableApp::StepResult result =
         application.frame_step(ctx, directive);
 
-    if (forced_fault_[decl.id]) {
-      forced_fault_[decl.id] = false;
+    // Reading a forced flag leaves it cleared (kClear), raised or not.
+    if (std::exchange(forced_fault_[i], Forced::kClear) == Forced::kRaised) {
       result.ok = false;
       result.fault_detail = "injected software fault";
     }
@@ -1021,32 +1118,32 @@ void System::run_frame() {
     if (directive.kind == DirectiveKind::kNone &&
         application.reconf_state() == trace::ReconfState::kNormal &&
         application.current_spec().has_value()) {
-      const FunctionalSpec& fs = spec_.spec(*application.current_spec());
+      const FunctionalSpec& fs = spec_of_app(i, *application.current_spec());
       SimDuration consumed = result.consumed;
-      if (forced_overrun_[decl.id]) {
-        forced_overrun_[decl.id] = false;
+      if (std::exchange(forced_overrun_[i], Forced::kClear) ==
+          Forced::kRaised) {
         consumed = fs.budget_us + 100;
       }
       if (consumed > fs.budget_us) {
-        health_.report_overrun(PartitionId{decl.id.value()}, decl.id, cycle,
-                               t0, consumed, fs.budget_us, bank_);
+        health_.report_overrun(PartitionId{id.value()}, id, cycle, t0,
+                               consumed, fs.budget_us, bank_);
       }
     }
     if (!result.ok) {
-      health_.report_app_fault(PartitionId{decl.id.value()}, decl.id, cycle,
-                               t0, result.fault_detail, bank_);
+      health_.report_app_fault(PartitionId{id.value()}, id, cycle, t0,
+                               result.fault_detail, bank_);
     }
     if (directive.kind != DirectiveKind::kNone) {
-      phase_done[decl.id] = result.phase_done;
+      phase_done_[i] = result.phase_done;
     }
   }
 
   // 7. The SCRAM collects completion reports; on completion, start signals.
-  const FrameOutcome outcome = scram_.end_frame(cycle, phase_done);
+  const FrameOutcome outcome = scram_.end_frame(cycle, phase_done_);
   if (outcome.completed) {
     const Configuration& cfg = spec_.config(outcome.to);
-    for (const AppDecl& decl : spec_.apps()) {
-      apps_.at(decl.id)->start(cfg.spec_of(decl.id));
+    for (std::size_t i = 0; i < decls.size(); ++i) {
+      apps_[i]->start(cfg.spec_of(decls[i].id));
     }
     deadline_alarm_raised_ = false;
   }
@@ -1054,26 +1151,26 @@ void System::run_frame() {
   // 8. Frame-boundary commit and trace snapshot. The SCRAM's own processor
   // is a boundary too whenever it issued directives this frame — its
   // configuration_status records drive recovery decisions.
-  if (!plan.directives.empty()) halt_boundary_hosts.push_back(scram_proc_);
-  std::sort(halt_boundary_hosts.begin(), halt_boundary_hosts.end());
-  halt_boundary_hosts.erase(
-      std::unique(halt_boundary_hosts.begin(), halt_boundary_hosts.end()),
-      halt_boundary_hosts.end());
+  const bool directives_issued = !plan.directives.empty();
+  if (directives_issued) halt_boundary_hosts_.push_back(scram_proc_);
+  std::sort(halt_boundary_hosts_.begin(), halt_boundary_hosts_.end());
+  halt_boundary_hosts_.erase(
+      std::unique(halt_boundary_hosts_.begin(), halt_boundary_hosts_.end()),
+      halt_boundary_hosts_.end());
   // While a reconfiguration is in flight (or directives were issued this
   // frame), adaptive sync policies drop to their floor watermark: a halt
   // mid-transition should lose as little committed work as possible, so the
   // engines trade throughput for a tight durable boundary until the SCRAM
   // reports completion. Static policies are unaffected.
-  const bool reconfig_pressure =
-      scram_.reconfiguring() || !plan.directives.empty();
+  const bool reconfig_pressure = scram_.reconfiguring() || directives_issued;
   for (const ProcessorId p : group_.processor_ids()) {
     if (auto* engine = group_.processor(p).durability()) {
       engine->set_reconfig_pressure(reconfig_pressure);
     }
   }
   for (const ProcessorId p : group_.processor_ids()) {
-    const bool force = std::binary_search(halt_boundary_hosts.begin(),
-                                          halt_boundary_hosts.end(), p);
+    const bool force = std::binary_search(halt_boundary_hosts_.begin(),
+                                          halt_boundary_hosts_.end(), p);
     group_.processor(p).commit_frame(cycle, force);
   }
   // 8b. Journal shipping: each cohort member gets its one TDMA quorum slot
@@ -1094,17 +1191,17 @@ void System::record_snapshot(Cycle cycle, SimTime frame_end) {
   state.time = frame_end;
   state.svclvl = scram_.current_config();
   state.env = environment_.state();
-  for (const AppDecl& decl : spec_.apps()) {
-    const ReconfigurableApp& application = *apps_.at(decl.id);
+  state.apps.reserve(apps_.size());
+  for (const std::size_t pos : spec_.apps_by_id()) {
+    const ReconfigurableApp& application = *apps_[pos];
     trace::AppSnapshot snap;
     snap.reconf_st = application.reconf_state();
     snap.spec = application.current_spec();
-    snap.host_running =
-        group_.processor(region_host_.at(decl.id)).running();
+    snap.host_running = group_.processor(region_host_[pos]).running();
     snap.postcondition_ok = application.postcondition_ok();
     snap.transition_ok = application.transition_ok();
     snap.precondition_ok = application.precondition_ok();
-    state.apps[decl.id] = snap;
+    state.apps.emplace_back(spec_.apps()[pos].id, snap);
   }
   trace_.append(std::move(state));
 }

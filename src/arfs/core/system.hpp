@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arfs/bus/schedule.hpp"
@@ -162,6 +163,8 @@ struct SystemStats {
 /// key strings) are deliberately absent: a checkpoint is restored into a
 /// System built by the same factory. Move-only — device forks are owned —
 /// but restorable any number of times (restore re-forks, never consumes).
+/// Per-app tables are kept in ascending AppId order, the order the digest
+/// walks, whatever order the spec declares its apps in.
 struct SystemCheckpoint {
   Cycle frame = 0;
   SimTime now = 0;
@@ -172,11 +175,14 @@ struct SystemCheckpoint {
   failstop::DetectorBank bank;
   rtos::HealthMonitor health;
   Scram::Checkpoint scram;
-  std::map<AppId, ReconfigurableApp::Checkpoint> apps;
-  std::map<AppId, ProcessorId> region_host;
+  std::vector<std::pair<AppId, ReconfigurableApp::Checkpoint>> apps;
+  /// Empty before the first frame places the regions.
+  std::vector<std::pair<AppId, ProcessorId>> region_host;
   sim::FaultPlan fault_plan;  ///< Copy carries the consumption cursor.
-  std::map<AppId, bool> forced_overrun;
-  std::map<AppId, bool> forced_fault;
+  /// Forced-fault flags: an app has an entry once a frame has looked it up
+  /// or a fault event named it, so absent, false and true all differ.
+  std::vector<std::pair<AppId, bool>> forced_overrun;
+  std::vector<std::pair<AppId, bool>> forced_fault;
   MessageRouter router;
   bool deadline_alarm_raised = false;
   std::uint64_t noise_rng_state = 0;
@@ -198,6 +204,13 @@ struct SystemCheckpoint {
   /// (devices hydrate transparently). Returns bytes spilled. The arena must
   /// outlive the checkpoint or its next restore.
   std::uint64_t spill_devices(storage::MappedArena& arena);
+
+ private:
+  friend class System;
+  /// The digest with `trace_word` standing in for the trace (its row count
+  /// + 1, or 0 without one): System::digest() hashes the live trace's size
+  /// instead of copying the trace into a checkpoint first.
+  [[nodiscard]] std::uint64_t hash(std::uint64_t trace_word) const;
 };
 
 class System {
@@ -305,16 +318,37 @@ class System {
   class SystemPeerReader;
   struct QuorumChannel;
 
+  /// A forced-fault flag of one app: kUnset until a frame looks it up (the
+  /// digest tells "never looked at" from "cleared").
+  enum class Forced : std::uint8_t { kUnset, kClear, kRaised };
+
   void apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
                          SimTime now);
-  /// Cached "a<id>/" stable-storage prefix for a declared application —
-  /// these strings are rebuilt-per-read hot-path constants otherwise.
-  [[nodiscard]] const std::string& app_prefix(AppId app) const;
-  /// Execution host for `app` this frame given its directive; nullopt when
-  /// the application cannot execute anywhere.
+  /// Raises a forced-fault flag named by a fault event.
+  void raise_forced(AppId app, std::vector<Forced>& flags,
+                    std::vector<AppId>& stray);
+  /// The checkpoint image of one forced-fault kind: the set flags merged
+  /// with the stray raised ids, in ascending AppId order.
+  [[nodiscard]] std::vector<std::pair<AppId, bool>> forced_image(
+      const std::vector<Forced>& flags,
+      const std::vector<AppId>& stray) const;
+  /// The inverse of forced_image.
+  void restore_forced(const std::vector<std::pair<AppId, bool>>& image,
+                      std::vector<Forced>& flags, std::vector<AppId>& stray);
+  /// Execution host for app `pos` this frame given its directive; nullopt
+  /// when the application cannot execute anywhere.
   [[nodiscard]] std::optional<ProcessorId> execution_host(
-      AppId app, const Directive& directive) const;
-  void relocate_region_if_needed(AppId app, ProcessorId to, Cycle cycle);
+      std::size_t pos, const Directive& directive) const;
+  void relocate_region_if_needed(std::size_t pos, ProcessorId to,
+                                 Cycle cycle);
+  /// `spec` as declared, looked up among app `pos`'s own specs first.
+  [[nodiscard]] const FunctionalSpec& spec_of_app(std::size_t pos,
+                                                  SpecId spec) const;
+  /// Re-fetches every app's mailbox pointer from the router (after start
+  /// and after every restore: the router's nodes may have been reused).
+  void refresh_mailboxes();
+  /// Everything checkpoint() captures; the trace only when `with_trace`.
+  [[nodiscard]] SystemCheckpoint capture(bool with_trace) const;
   void record_snapshot(Cycle cycle, SimTime frame_end);
   void publish_processor_factors(SimTime now);
   /// One quorum ship slot per (cohort, member), in schedule order.
@@ -337,17 +371,28 @@ class System {
   failstop::DetectorBank bank_;
   rtos::HealthMonitor health_;
   Scram scram_;
-  std::map<AppId, std::unique_ptr<ReconfigurableApp>> apps_;
-  std::map<AppId, ProcessorId> region_host_;
-  /// Per-app key strings, built once at construction (hot path: every peer
-  /// read, region bind, and SCRAM status write each frame).
-  std::map<AppId, std::string> app_prefix_;
-  std::map<AppId, std::string> scram_status_key_;
+  // Per-app tables, indexed by position in spec_.apps(); the frame loop
+  // walks them in that order, the digest and trace rows in AppId order.
+  std::vector<std::unique_ptr<ReconfigurableApp>> apps_;
+  std::size_t apps_added_ = 0;
+  /// Empty before the first frame places every region.
+  std::vector<ProcessorId> region_host_;
+  /// "a<id>/" stable-storage prefixes, built once at construction.
+  std::vector<std::string> app_prefix_;
+  /// The SCRAM's configuration_status keys, interned once in the SCRAM
+  /// processor's store (ids survive restores; see StableStorage).
+  std::vector<storage::KeyId> scram_status_key_;
+  std::vector<Forced> forced_overrun_;
+  std::vector<Forced> forced_fault_;
+  /// Flags raised by fault events naming apps the spec does not declare:
+  /// never consumed, but part of the digested state. Sorted AppIds.
+  std::vector<AppId> stray_overrun_;
+  std::vector<AppId> stray_fault_;
+  /// Each app's router endpoint (see refresh_mailboxes).
+  std::vector<Mailbox*> mailboxes_;
   std::map<ProcessorId, FactorId> processor_factors_;
   sim::FaultPlan fault_plan_;
   std::vector<EnvHook> env_hooks_;
-  std::map<AppId, bool> forced_overrun_;
-  std::map<AppId, bool> forced_fault_;
   MessageRouter router_;
   bool deadline_alarm_raised_ = false;
   Rng noise_rng_{9001};
@@ -360,6 +405,12 @@ class System {
   bus::TdmaSchedule ship_schedule_;
   SystemStats stats_;
   bool started_ = false;
+
+  // Per-frame scratch, reused so a steady-state frame allocates nothing.
+  std::vector<env::EnvChangeSignal> env_signals_;
+  std::vector<failstop::FailureSignal> hw_signals_;
+  PhaseReport phase_done_;
+  std::vector<ProcessorId> halt_boundary_hosts_;
 };
 
 }  // namespace arfs::core

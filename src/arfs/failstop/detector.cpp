@@ -12,9 +12,14 @@ void DetectorBank::raise(FailureSignal signal) {
 }
 
 std::vector<FailureSignal> DetectorBank::drain() {
-  std::vector<FailureSignal> out = std::move(pending_);
-  pending_.clear();
+  std::vector<FailureSignal> out;
+  drain_into(out);
   return out;
+}
+
+void DetectorBank::drain_into(std::vector<FailureSignal>& out) {
+  out.clear();
+  out.swap(pending_);
 }
 
 ActivityMonitor::ActivityMonitor(Cycle miss_threshold)
@@ -23,18 +28,24 @@ ActivityMonitor::ActivityMonitor(Cycle miss_threshold)
 }
 
 void ActivityMonitor::watch(ProcessorId processor) {
-  watches_.try_emplace(processor);
+  if (watches_.size() <= processor.value()) {
+    watches_.resize(processor.value() + 1);
+  }
+  watches_[processor.value()].watched = true;
 }
 
 void ActivityMonitor::heartbeat(ProcessorId processor) {
-  const auto it = watches_.find(processor);
-  require(it != watches_.end(), "heartbeat from unwatched processor");
-  it->second.beat_this_frame = true;
+  require(processor.value() < watches_.size() &&
+              watches_[processor.value()].watched,
+          "heartbeat from unwatched processor");
+  watches_[processor.value()].beat_this_frame = true;
 }
 
 void ActivityMonitor::end_of_frame(Cycle cycle, SimTime now,
                                    DetectorBank& bank) {
-  for (auto& [processor, watch] : watches_) {
+  for (std::uint32_t id = 0; id < watches_.size(); ++id) {
+    Watch& watch = watches_[id];
+    if (!watch.watched) continue;
     if (watch.beat_this_frame) {
       watch.beat_this_frame = false;
       watch.misses = 0;
@@ -48,7 +59,7 @@ void ActivityMonitor::end_of_frame(Cycle cycle, SimTime now,
       s.at = now;
       s.cycle = cycle;
       s.kind = SignalKind::kProcessorFailure;
-      s.processor = processor;
+      s.processor = ProcessorId{id};
       s.detail = "activity monitor: " + std::to_string(watch.misses) +
                  " silent frames";
       bank.raise(std::move(s));

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -62,6 +61,10 @@ class DetectorBank {
 
   /// Removes and returns all pending signals, in raise order.
   [[nodiscard]] std::vector<FailureSignal> drain();
+  /// Moves all pending signals into `out` (cleared first), in raise order.
+  /// The two buffers trade places, so a caller that drains every frame into
+  /// the same vector allocates nothing in steady state.
+  void drain_into(std::vector<FailureSignal>& out);
 
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
   [[nodiscard]] std::uint64_t total_raised() const { return total_; }
@@ -93,11 +96,13 @@ class ActivityMonitor {
  private:
   struct Watch {
     Cycle misses = 0;
+    bool watched = false;
     bool beat_this_frame = false;
     bool reported = false;
   };
   Cycle miss_threshold_;
-  std::map<ProcessorId, Watch> watches_;
+  /// Indexed by ProcessorId value, so end_of_frame walks ascending ids.
+  std::vector<Watch> watches_;
 };
 
 class TimingMonitor {

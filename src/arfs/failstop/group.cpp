@@ -2,35 +2,26 @@
 
 namespace arfs::failstop {
 
+namespace {
+
+/// Bound on processor id values: they index a dense table.
+constexpr std::uint32_t kMaxProcessorId = 1u << 20;
+
+}  // namespace
+
 Processor& ProcessorGroup::add_processor(ProcessorId id) {
-  require(!processors_.contains(id), "duplicate processor id");
-  auto [it, inserted] =
-      processors_.emplace(id, std::make_unique<Processor>(id));
+  require(id.value() < kMaxProcessorId, "processor id too large");
+  require(!has_processor(id), "duplicate processor id");
+  if (by_id_.size() <= id.value()) by_id_.resize(id.value() + 1);
+  by_id_[id.value()] = std::make_unique<Processor>(id);
   order_.push_back(id);
-  return *it->second;
+  return *by_id_[id.value()];
 }
 
 void ProcessorGroup::assign_app(AppId app, ProcessorId processor) {
-  require(processors_.contains(processor),
-          "assigning app to unknown processor");
+  require(has_processor(processor), "assigning app to unknown processor");
   require(!app_host_.contains(app), "app already assigned to a processor");
   app_host_[app] = processor;
-}
-
-Processor& ProcessorGroup::processor(ProcessorId id) {
-  const auto it = processors_.find(id);
-  require(it != processors_.end(), "unknown processor id");
-  return *it->second;
-}
-
-const Processor& ProcessorGroup::processor(ProcessorId id) const {
-  const auto it = processors_.find(id);
-  require(it != processors_.end(), "unknown processor id");
-  return *it->second;
-}
-
-bool ProcessorGroup::has_processor(ProcessorId id) const {
-  return processors_.contains(id);
 }
 
 ProcessorId ProcessorGroup::host_of(AppId app) const {
@@ -54,7 +45,7 @@ std::vector<AppId> ProcessorGroup::apps_on(ProcessorId processor) const {
 std::vector<ProcessorId> ProcessorGroup::running_ids() const {
   std::vector<ProcessorId> out;
   for (const ProcessorId id : order_) {
-    if (processors_.at(id)->running()) out.push_back(id);
+    if (by_id_[id.value()]->running()) out.push_back(id);
   }
   return out;
 }
@@ -65,7 +56,7 @@ bool ProcessorGroup::app_host_running(AppId app) const {
 
 void ProcessorGroup::heartbeat_all(ActivityMonitor& monitor) const {
   for (const ProcessorId id : order_) {
-    if (processors_.at(id)->running()) monitor.heartbeat(id);
+    if (by_id_[id.value()]->running()) monitor.heartbeat(id);
   }
 }
 
@@ -74,7 +65,7 @@ void ProcessorGroup::watch_all(ActivityMonitor& monitor) const {
 }
 
 void ProcessorGroup::commit_all(Cycle cycle) {
-  for (const ProcessorId id : order_) processors_.at(id)->commit_frame(cycle);
+  for (const ProcessorId id : order_) by_id_[id.value()]->commit_frame(cycle);
 }
 
 }  // namespace arfs::failstop

@@ -29,9 +29,19 @@ class ProcessorGroup {
   /// once; the processor must exist.
   void assign_app(AppId app, ProcessorId processor);
 
-  [[nodiscard]] Processor& processor(ProcessorId id);
-  [[nodiscard]] const Processor& processor(ProcessorId id) const;
-  [[nodiscard]] bool has_processor(ProcessorId id) const;
+  /// O(1): processors live in a table indexed by ProcessorId value (ids are
+  /// small integers — every frame looks processors up many times).
+  [[nodiscard]] Processor& processor(ProcessorId id) {
+    require(has_processor(id), "unknown processor id");
+    return *by_id_[id.value()];
+  }
+  [[nodiscard]] const Processor& processor(ProcessorId id) const {
+    require(has_processor(id), "unknown processor id");
+    return *by_id_[id.value()];
+  }
+  [[nodiscard]] bool has_processor(ProcessorId id) const {
+    return id.value() < by_id_.size() && by_id_[id.value()] != nullptr;
+  }
 
   /// Processor hosting `app`. Precondition: the app was assigned.
   [[nodiscard]] ProcessorId host_of(AppId app) const;
@@ -64,7 +74,8 @@ class ProcessorGroup {
   [[nodiscard]] std::size_t size() const { return order_.size(); }
 
  private:
-  std::map<ProcessorId, std::unique_ptr<Processor>> processors_;
+  /// Indexed by ProcessorId value; null where no processor has that id.
+  std::vector<std::unique_ptr<Processor>> by_id_;
   std::vector<ProcessorId> order_;
   std::map<AppId, ProcessorId> app_host_;
 };

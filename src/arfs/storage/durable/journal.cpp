@@ -67,12 +67,12 @@ void close_envelope(std::vector<std::uint8_t>& out, std::size_t env) {
 
 void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
                    std::uint64_t epoch, Cycle cycle,
-                   const std::vector<std::pair<std::string, Value>>& entries) {
+                   const StableStorage& store) {
   // Intern every key first so one dictionary record covers the whole commit.
   const std::uint32_t first_fresh =
       static_cast<std::uint32_t>(dict.size() - dict.fresh().size());
-  for (const auto& [key, value] : entries) {
-    (void)dict.intern(key);
+  for (const KeyId id : store.pending()) {
+    (void)dict.intern(store.key_name(id));
   }
   if (!dict.fresh().empty()) {
     const std::size_t env = open_envelope(out);
@@ -87,10 +87,10 @@ void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
   put_u8(out, kRecordCommit);
   put_u64(out, epoch);
   put_u64(out, cycle);
-  put_u32(out, static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [key, value] : entries) {
-    put_varint(out, dict.intern(key));
-    put_value(out, value);
+  put_u32(out, static_cast<std::uint32_t>(store.pending().size()));
+  for (const KeyId id : store.pending()) {
+    put_varint(out, dict.intern(store.key_name(id)));
+    put_value(out, store.pending_value(id));
   }
   close_envelope(out, env);
 }

@@ -33,6 +33,7 @@
 
 #include "arfs/common/types.hpp"
 #include "arfs/storage/durable/backend.hpp"
+#include "arfs/storage/stable_storage.hpp"
 #include "arfs/storage/value.hpp"
 
 namespace arfs::storage::durable {
@@ -114,13 +115,15 @@ class KeyInterner {
 /// existing header does not match (foreign or damaged file).
 bool ensure_header(JournalBackend& backend);
 
-/// Encodes one commit into `out`: a dictionary record first when `dict` has
-/// unflushed fresh keys, then the commit record itself. `out` is appended
-/// to, not cleared, and no temporary buffers are allocated — payloads are
-/// encoded in place and their envelopes back-patched.
+/// Encodes `store`'s staged batch (StableStorage::pending(), name order)
+/// as one commit into `out`: a dictionary record first when `dict` has
+/// unflushed fresh keys, then the commit record itself, reading each key's
+/// name through the store's table. `out` is appended to, not cleared, and
+/// no temporary buffers are allocated — payloads are encoded in place and
+/// their envelopes back-patched.
 void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
                    std::uint64_t epoch, Cycle cycle,
-                   const std::vector<std::pair<std::string, Value>>& entries);
+                   const StableStorage& store);
 
 /// Allocation accounting of one scan's payload reads (the decode mirror of
 /// the encode path's reused scratch buffer).

@@ -8,151 +8,293 @@ namespace arfs::storage {
 
 namespace {
 
-/// lower_bound over a sorted (key, payload) vector.
-template <typename Vec>
-auto entry_bound(Vec& entries, const std::string& key) {
-  return std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
+/// Three-way comparison of `name` against the concatenation `prefix + key`,
+/// without building the concatenation.
+int compare_split(std::string_view name, std::string_view prefix,
+                  std::string_view key) {
+  if (const int c = name.substr(0, prefix.size()).compare(prefix); c != 0) {
+    return c;
+  }
+  return name.substr(prefix.size()).compare(key);
+}
+
+Unexpected missing_key(std::string_view key) {
+  return unexpected("stable-storage key not committed: " + std::string(key));
 }
 
 }  // namespace
 
-void StableStorage::write(const std::string& key, Value value) {
-  const auto it = entry_bound(pending_, key);
-  if (it != pending_.end() && it->first == key) {
-    it->second = std::move(value);
+StableStorage& StableStorage::operator=(const StableStorage& other) {
+  if (this == &other) return *this;
+  const std::size_t theirs = other.names_.size();
+  const std::size_t common = std::min(theirs, names_.size());
+  if (std::equal(names_.begin(), names_.begin() + common,
+                 other.names_.begin())) {
+    // One table is a prefix of the other (the usual checkpoint restore):
+    // ids coincide, so slots copy across by index.
+    if (theirs > names_.size()) {
+      names_.insert(names_.end(), other.names_.begin() + common,
+                    other.names_.end());
+      sorted_ = other.sorted_;
+      rank_ = other.rank_;
+      slots_.resize(theirs);
+    }
+    std::copy(other.slots_.begin(), other.slots_.end(), slots_.begin());
+    for (std::size_t id = theirs; id < slots_.size(); ++id) {
+      slots_[id].present = slots_[id].is_staged = false;
+    }
+    pending_ = other.pending_;
   } else {
-    pending_.insert(it, {key, std::move(value)});
+    // A foreign table: translate `other`'s ids by name, interning names this
+    // table lacks. The translation preserves name order, so the staged ids
+    // stay sorted.
+    std::vector<KeyId> ours(theirs);
+    intern_batch(
+        other.sorted_,
+        [&](KeyId id) -> std::string_view { return other.names_[id.value()]; },
+        [&](KeyId mine, KeyId id) { ours[id.value()] = mine; });
+    for (Slot& slot : slots_) slot.present = slot.is_staged = false;
+    for (std::size_t id = 0; id < theirs; ++id) {
+      slots_[ours[id].value()] = other.slots_[id];
+    }
+    pending_.clear();
+    for (const KeyId id : other.pending_) pending_.push_back(ours[id.value()]);
   }
+  committed_ = other.committed_;
+  history_ = other.history_;
+  history_on_ = other.history_on_;
+  epochs_ = other.epochs_;
+  return *this;
+}
+
+std::vector<KeyId>::const_iterator StableStorage::name_bound(
+    std::string_view prefix, std::string_view name) const {
+  return std::partition_point(sorted_.begin(), sorted_.end(), [&](KeyId id) {
+    return compare_split(names_[id.value()], prefix, name) < 0;
+  });
+}
+
+std::optional<KeyId> StableStorage::find_key(std::string_view prefix,
+                                             std::string_view name) const {
+  const auto it = name_bound(prefix, name);
+  if (it == sorted_.end() ||
+      compare_split(names_[it->value()], prefix, name) != 0) {
+    return std::nullopt;
+  }
+  return *it;
+}
+
+KeyId StableStorage::intern(std::string_view prefix, std::string_view name) {
+  const auto it = name_bound(prefix, name);
+  if (it != sorted_.end() &&
+      compare_split(names_[it->value()], prefix, name) == 0) {
+    return *it;
+  }
+  std::string full;
+  full.reserve(prefix.size() + name.size());
+  full.append(prefix).append(name);
+  return add_name(std::move(full),
+                  static_cast<std::size_t>(it - sorted_.begin()));
+}
+
+KeyId StableStorage::add_name(std::string name, std::size_t pos) {
+  const KeyId id{static_cast<std::uint32_t>(names_.size())};
+  names_.push_back(std::move(name));
+  slots_.emplace_back();
+  rank_.push_back(0);
+  sorted_.insert(sorted_.begin() + static_cast<std::ptrdiff_t>(pos), id);
+  for (std::size_t r = pos; r < sorted_.size(); ++r) {
+    rank_[sorted_[r].value()] = static_cast<std::uint32_t>(r);
+  }
+  return id;
+}
+
+template <typename Batch, typename NameOf, typename Apply>
+void StableStorage::intern_batch(const Batch& batch, NameOf name_of,
+                                 Apply apply) {
+  bool sorted = true;
+  for (std::size_t i = 1; i < batch.size() && sorted; ++i) {
+    sorted = name_of(batch[i - 1]) < name_of(batch[i]);
+  }
+  if (!sorted) {
+    // Never produced by this library's encoders, but decoded bytes are
+    // untrusted: stay correct, just not linear.
+    for (const auto& entry : batch) apply(intern(name_of(entry)), entry);
+    return;
+  }
+  // One merge pass: both sides ascend, so the cursor into the sorted index
+  // only moves forward. New names are appended to the table at once and
+  // spliced into the index after the pass.
+  std::vector<std::pair<std::size_t, KeyId>> fresh;  // (index position, id)
+  std::size_t cursor = 0;
+  for (const auto& entry : batch) {
+    const std::string_view name = name_of(entry);
+    while (cursor < sorted_.size() && names_[sorted_[cursor].value()] < name) {
+      ++cursor;
+    }
+    KeyId id;
+    if (cursor < sorted_.size() && names_[sorted_[cursor].value()] == name) {
+      id = sorted_[cursor];
+    } else {
+      id = KeyId{static_cast<std::uint32_t>(names_.size())};
+      names_.emplace_back(name);
+      slots_.emplace_back();
+      rank_.push_back(0);
+      fresh.emplace_back(cursor, id);
+    }
+    apply(id, entry);
+  }
+  if (fresh.empty()) return;
+  std::vector<KeyId> merged;
+  merged.reserve(sorted_.size() + fresh.size());
+  std::size_t next = 0;
+  for (std::size_t pos = 0; pos <= sorted_.size(); ++pos) {
+    while (next < fresh.size() && fresh[next].first == pos) {
+      merged.push_back(fresh[next++].second);
+    }
+    if (pos < sorted_.size()) merged.push_back(sorted_[pos]);
+  }
+  sorted_ = std::move(merged);
+  for (std::size_t r = 0; r < sorted_.size(); ++r) {
+    rank_[sorted_[r].value()] = static_cast<std::uint32_t>(r);
+  }
+}
+
+void StableStorage::write(KeyId key, Value value) {
+  Slot& slot = slots_[key.value()];
+  slot.staged = std::move(value);
+  if (slot.is_staged) return;
+  slot.is_staged = true;
+  const std::uint32_t rank = rank_[key.value()];
+  pending_.insert(std::partition_point(pending_.begin(), pending_.end(),
+                                       [&](KeyId id) {
+                                         return rank_[id.value()] < rank;
+                                       }),
+                  key);
+}
+
+void StableStorage::write(std::string_view key, Value value) {
+  write(intern(key), std::move(value));
+}
+
+void StableStorage::set_slot(KeyId id, Value value, Cycle committed_at) {
+  Slot& slot = slots_[id.value()];
+  if (!slot.present) {
+    slot.present = true;
+    ++committed_;
+  }
+  slot.value = std::move(value);
+  slot.committed_at = committed_at;
 }
 
 std::size_t StableStorage::commit(Cycle cycle) {
   const std::size_t n = pending_.size();
-  // Both vectors are sorted, so each staged key lands at or after the
-  // previous one; carrying the search start across iterations makes a
-  // steady-state commit (all keys already present) one linear merge pass.
-  std::size_t from = 0;
-  for (auto& [key, value] : pending_) {
-    if (history_on_) history_.push_back(CommitRecord{cycle, key, value});
-    const auto it = std::lower_bound(
-        committed_.begin() + static_cast<std::ptrdiff_t>(from),
-        committed_.end(), key,
-        [](const auto& entry, const std::string& k) {
-          return entry.first < k;
-        });
-    if (it != committed_.end() && it->first == key) {
-      it->second = Slot{std::move(value), cycle};
-      from = static_cast<std::size_t>(it - committed_.begin()) + 1;
-    } else {
-      const auto inserted =
-          committed_.insert(it, {key, Slot{std::move(value), cycle}});
-      from = static_cast<std::size_t>(inserted - committed_.begin()) + 1;
+  for (const KeyId id : pending_) {
+    Slot& slot = slots_[id.value()];
+    if (history_on_) {
+      history_.push_back(CommitRecord{cycle, names_[id.value()], slot.staged});
     }
+    slot.is_staged = false;
+    set_slot(id, std::move(slot.staged), cycle);
   }
   pending_.clear();
   ++epochs_;
   return n;
 }
 
-void StableStorage::drop_pending() { pending_.clear(); }
-
-Expected<Value> StableStorage::read(const std::string& key) const {
-  const auto it = entry_bound(committed_, key);
-  if (it == committed_.end() || it->first != key) {
-    return unexpected("stable-storage key not committed: " + key);
-  }
-  return it->second.value;
+void StableStorage::drop_pending() {
+  for (const KeyId id : pending_) slots_[id.value()].is_staged = false;
+  pending_.clear();
 }
 
-Expected<Value> StableStorage::read_own(const std::string& key) const {
-  const auto pit = entry_bound(pending_, key);
-  if (pit != pending_.end() && pit->first == key) return pit->second;
+Expected<Value> StableStorage::read(KeyId key) const {
+  const Slot& slot = slots_[key.value()];
+  if (!slot.present) return missing_key(names_[key.value()]);
+  return slot.value;
+}
+
+Expected<Value> StableStorage::read(std::string_view key) const {
+  const std::optional<KeyId> id = find_key(key);
+  if (!id.has_value()) return missing_key(key);
+  return read(*id);
+}
+
+Expected<Value> StableStorage::read_own(KeyId key) const {
+  const Slot& slot = slots_[key.value()];
+  if (slot.is_staged) return slot.staged;
   return read(key);
 }
 
-bool StableStorage::contains(const std::string& key) const {
-  const auto it = entry_bound(committed_, key);
-  return it != committed_.end() && it->first == key;
+Expected<Value> StableStorage::read_own(std::string_view key) const {
+  const std::optional<KeyId> id = find_key(key);
+  if (!id.has_value()) return missing_key(key);
+  return read_own(*id);
+}
+
+bool StableStorage::contains(std::string_view key) const {
+  const std::optional<KeyId> id = find_key(key);
+  return id.has_value() && contains(*id);
 }
 
 std::optional<Cycle> StableStorage::last_commit_cycle(
-    const std::string& key) const {
-  const auto it = entry_bound(committed_, key);
-  if (it == committed_.end() || it->first != key) return std::nullopt;
-  return it->second.committed_at;
+    std::string_view key) const {
+  const std::optional<KeyId> id = find_key(key);
+  if (!id.has_value() || !contains(*id)) return std::nullopt;
+  return slots_[id->value()].committed_at;
 }
 
 std::vector<std::string> StableStorage::keys() const {
   std::vector<std::string> out;
-  out.reserve(committed_.size());
-  for (const auto& [key, slot] : committed_) out.push_back(key);
+  out.reserve(committed_);
+  for (const KeyId id : sorted_) {
+    if (slots_[id.value()].present) out.push_back(names_[id.value()]);
+  }
   return out;
 }
 
 std::vector<std::tuple<std::string, Value, Cycle>>
 StableStorage::committed_entries() const {
   std::vector<std::tuple<std::string, Value, Cycle>> out;
-  out.reserve(committed_.size());
-  for (const auto& [key, slot] : committed_) {
-    out.emplace_back(key, slot.value, slot.committed_at);
+  out.reserve(committed_);
+  for (const KeyId id : sorted_) {
+    const Slot& slot = slots_[id.value()];
+    if (slot.present) {
+      out.emplace_back(names_[id.value()], slot.value, slot.committed_at);
+    }
   }
   return out;
 }
 
-void StableStorage::restore(const std::string& key, Value value,
+void StableStorage::restore(std::string_view key, Value value,
                             Cycle committed_at) {
-  const auto it = entry_bound(committed_, key);
-  if (it != committed_.end() && it->first == key) {
-    it->second = Slot{std::move(value), committed_at};
-  } else {
-    committed_.insert(it, {key, Slot{std::move(value), committed_at}});
-  }
+  set_slot(intern(key), std::move(value), committed_at);
 }
 
 void StableStorage::restore_batch(
     const std::vector<std::pair<std::string, Value>>& entries,
     Cycle committed_at) {
-  // Same carried-start linear merge as commit(): batch keys arrive sorted,
-  // so each lands at or after the previous insertion point.
-  std::size_t from = 0;
-  for (const auto& [key, value] : entries) {
-    const auto it = std::lower_bound(
-        committed_.begin() + static_cast<std::ptrdiff_t>(from),
-        committed_.end(), key,
-        [](const auto& entry, const std::string& k) {
-          return entry.first < k;
-        });
-    if (it != committed_.end() && it->first == key) {
-      it->second = Slot{value, committed_at};
-      from = static_cast<std::size_t>(it - committed_.begin()) + 1;
-    } else {
-      const auto inserted =
-          committed_.insert(it, {key, Slot{value, committed_at}});
-      from = static_cast<std::size_t>(inserted - committed_.begin()) + 1;
-    }
-  }
+  intern_batch(
+      entries,
+      [](const auto& entry) -> std::string_view { return entry.first; },
+      [&](KeyId id, const auto& entry) {
+        set_slot(id, entry.second, committed_at);
+      });
 }
 
 void StableStorage::restore_batch(
     const std::vector<std::tuple<std::string, Value, Cycle>>& entries) {
-  std::size_t from = 0;
-  for (const auto& [key, value, committed_at] : entries) {
-    const auto it = std::lower_bound(
-        committed_.begin() + static_cast<std::ptrdiff_t>(from),
-        committed_.end(), key,
-        [](const auto& entry, const std::string& k) {
-          return entry.first < k;
-        });
-    if (it != committed_.end() && it->first == key) {
-      it->second = Slot{value, committed_at};
-      from = static_cast<std::size_t>(it - committed_.begin()) + 1;
-    } else {
-      const auto inserted =
-          committed_.insert(it, {key, Slot{value, committed_at}});
-      from = static_cast<std::size_t>(inserted - committed_.begin()) + 1;
-    }
-  }
+  intern_batch(
+      entries,
+      [](const auto& entry) -> std::string_view { return std::get<0>(entry); },
+      [&](KeyId id, const auto& entry) {
+        set_slot(id, std::get<1>(entry), std::get<2>(entry));
+      });
+}
+
+void StableStorage::reset_committed() {
+  for (Slot& slot : slots_) slot.present = false;
+  committed_ = 0;
+  epochs_ = 0;
 }
 
 namespace {
@@ -175,8 +317,10 @@ inline void fnv_mix_bytes(std::uint64_t& h, const std::string& s) {
 
 std::uint64_t StableStorage::fingerprint() const {
   std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (const auto& [key, slot] : committed_) {
-    fnv_mix_bytes(h, key);
+  for (const KeyId id : sorted_) {
+    const Slot& slot = slots_[id.value()];
+    if (!slot.present) continue;
+    fnv_mix_bytes(h, names_[id.value()]);
     fnv_mix(h, slot.value.index());
     if (const bool* b = std::get_if<bool>(&slot.value)) {
       fnv_mix(h, *b ? 1 : 0);

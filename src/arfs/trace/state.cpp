@@ -1,5 +1,7 @@
 #include "arfs/trace/state.hpp"
 
+#include <algorithm>
+
 namespace arfs::trace {
 
 std::string to_string(ReconfState st) {
@@ -25,6 +27,18 @@ bool any_interrupted(const SysState& s) {
     if (snap.reconf_st == ReconfState::kInterrupted) return true;
   }
   return false;
+}
+
+const AppSnapshot* find_app(const SysState& s, AppId app) {
+  const auto it = std::lower_bound(
+      s.apps.begin(), s.apps.end(), app,
+      [](const AppRow& row, AppId id) { return row.first < id; });
+  return it != s.apps.end() && it->first == app ? &it->second : nullptr;
+}
+
+AppSnapshot* find_app(SysState& s, AppId app) {
+  return const_cast<AppSnapshot*>(
+      find_app(static_cast<const SysState&>(s), app));
 }
 
 }  // namespace arfs::trace

@@ -9,9 +9,10 @@
 // itself can be checked and printed.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "arfs/common/ids.hpp"
 #include "arfs/common/types.hpp"
@@ -41,14 +42,23 @@ struct AppSnapshot {
   bool precondition_ok = false;
 };
 
+/// One application's row of a SysState.
+using AppRow = std::pair<AppId, AppSnapshot>;
+
 /// Snapshot of the whole system at the end of one frame.
 struct SysState {
   Cycle cycle = 0;
   SimTime time = 0;            ///< Frame end instant.
   ConfigId svclvl{};           ///< Current configuration (service level).
-  std::map<AppId, AppSnapshot> apps;
+  /// One row per application, sorted by ascending AppId: a flat vector, so
+  /// recording a frame costs one allocation rather than one per app.
+  std::vector<AppRow> apps;
   env::EnvState env;
 };
+
+/// The row of `app` in `s`, or nullptr (binary search; rows are sorted).
+[[nodiscard]] const AppSnapshot* find_app(const SysState& s, AppId app);
+[[nodiscard]] AppSnapshot* find_app(SysState& s, AppId app);
 
 [[nodiscard]] std::string to_string(ReconfState st);
 

@@ -182,8 +182,10 @@ JournalRecord one_record(MemoryBackend& device, KeyInterner& dict,
   r.epoch = epoch;
   r.cycle = cycle;
   r.entries = {{"k" + std::to_string(epoch), Value{std::int64_t(epoch)}}};
+  StableStorage staged;
+  for (const auto& [key, value] : r.entries) staged.write(key, value);
   std::vector<std::uint8_t> buf;
-  encode_commit(buf, dict, r.epoch, r.cycle, r.entries);
+  encode_commit(buf, dict, r.epoch, r.cycle, staged);
   device.append(buf.data(), buf.size());
   return r;
 }
@@ -221,9 +223,10 @@ TEST(JournalScan, RepeatedKeysShipAsIdsNotStrings) {
     std::uint64_t steady_bytes = 0;
     for (std::uint64_t epoch = 1; epoch <= 20; ++epoch) {
       buf.clear();
-      encode_commit(buf, dict, epoch, epoch,
-                    {{prefix + "a", Value{std::int64_t(epoch)}},
-                     {prefix + "b", Value{true}}});
+      StableStorage staged;
+      staged.write(prefix + "a", Value{std::int64_t(epoch)});
+      staged.write(prefix + "b", Value{true});
+      encode_commit(buf, dict, epoch, epoch, staged);
       device.append(buf.data(), buf.size());
       if (epoch > 1) steady_bytes += buf.size();
     }

@@ -44,7 +44,7 @@ SysState mk_state(Cycle c, ConfigId svclvl, AppSnapshot app_snap,
   s.cycle = c;
   s.time = static_cast<SimTime>(c + 1) * 1000;
   s.svclvl = svclvl;
-  s.apps[synthetic_app(0)] = app_snap;
+  s.apps = {{synthetic_app(0), app_snap}};
   s.env[kChainSeverityFactor] = severity;
   return s;
 }
@@ -86,7 +86,7 @@ TEST(Sp1, FailsWithoutInterruptedAppAtStart) {
   for (Cycle c = 0; c < good.size(); ++c) {
     SysState s = good.at(c);
     if (c == 1) {
-      s.apps[synthetic_app(0)].reconf_st = ReconfState::kHalted;
+      trace::find_app(s, synthetic_app(0))->reconf_st = ReconfState::kHalted;
     }
     t.append(std::move(s));
   }
@@ -102,7 +102,7 @@ TEST(Sp1, FailsWithNormalAppInsideInterval) {
   for (Cycle c = 0; c < good.size(); ++c) {
     SysState s = good.at(c);
     if (c == 2) {
-      s.apps[synthetic_app(0)].reconf_st = ReconfState::kNormal;
+      trace::find_app(s, synthetic_app(0))->reconf_st = ReconfState::kNormal;
     }
     t.append(std::move(s));
   }
@@ -223,7 +223,7 @@ TEST(Sp4, FailsWithoutPrecondition) {
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
     SysState s = good.at(c);
-    if (c >= 4) s.apps[synthetic_app(0)].precondition_ok = false;
+    if (c >= 4) trace::find_app(s, synthetic_app(0))->precondition_ok = false;
     t.append(std::move(s));
   }
   const auto r = only_reconfig(t);
@@ -237,7 +237,8 @@ TEST(Sp4, FailsWithWrongSpecAtEnd) {
   for (Cycle c = 0; c < good.size(); ++c) {
     SysState s = good.at(c);
     if (c >= 4) {
-      s.apps[synthetic_app(0)].spec = synthetic_spec(0, 0);  // stale spec
+      // Stale spec.
+      trace::find_app(s, synthetic_app(0))->spec = synthetic_spec(0, 0);
     }
     t.append(std::move(s));
   }

@@ -15,6 +15,9 @@ using support::make_chain_spec;
 using support::synthetic_app;
 using support::synthetic_config;
 
+// Plans and reports are dense in declaration order; the chain spec declares
+// synthetic_app(i) at position i, so directives.at(i) is that app's.
+
 env::EnvState severity(std::int64_t v) {
   return env::EnvState{{kChainSeverityFactor, v}};
 }
@@ -27,10 +30,10 @@ env::EnvChangeSignal change_signal(Cycle cycle) {
 }
 
 /// Reports every issued directive as completed (one-frame stages).
-std::map<AppId, bool> complete_all(const FramePlan& plan) {
-  std::map<AppId, bool> done;
-  for (const auto& [app, d] : plan.directives) {
-    if (d.kind != DirectiveKind::kNone) done[app] = true;
+PhaseReport complete_all(const FramePlan& plan) {
+  PhaseReport done(plan.directives.size(), false);
+  for (std::size_t i = 0; i < plan.directives.size(); ++i) {
+    done[i] = plan.directives[i].kind != DirectiveKind::kNone;
   }
   return done;
 }
@@ -64,14 +67,14 @@ TEST_F(ScramPhases, Table1FourFrameSequence) {
   // Frame 1: halt to all applications.
   plan = scram_.begin_frame(1, 100, {}, {}, severity(1));
   ASSERT_EQ(plan.directives.size(), 2u);
-  for (const auto& [app, d] : plan.directives) {
+  for (const Directive& d : plan.directives) {
     EXPECT_EQ(d.kind, DirectiveKind::kHalt);
   }
   (void)scram_.end_frame(1, complete_all(plan));
 
   // Frame 2: prepare, carrying the target specs.
   plan = scram_.begin_frame(2, 200, {}, {}, severity(1));
-  for (const auto& [app, d] : plan.directives) {
+  for (const Directive& d : plan.directives) {
     EXPECT_EQ(d.kind, DirectiveKind::kPrepare);
     EXPECT_TRUE(d.target_spec.has_value());
     EXPECT_EQ(d.target_config, synthetic_config(1));
@@ -80,7 +83,7 @@ TEST_F(ScramPhases, Table1FourFrameSequence) {
 
   // Frame 3: initialize; completion at end of frame.
   plan = scram_.begin_frame(3, 300, {}, {}, severity(1));
-  for (const auto& [app, d] : plan.directives) {
+  for (const Directive& d : plan.directives) {
     EXPECT_EQ(d.kind, DirectiveKind::kInitialize);
   }
   const FrameOutcome outcome = scram_.end_frame(3, complete_all(plan));
@@ -106,15 +109,13 @@ TEST_F(ScramPhases, SlowStageHoldsPhase) {
   FramePlan plan = scram_.begin_frame(1, 100, {}, {}, severity(1));
 
   // App 0 completes its halt; app 1 does not.
-  std::map<AppId, bool> done;
-  done[synthetic_app(0)] = true;
-  done[synthetic_app(1)] = false;
+  const PhaseReport done = {true, false};
   (void)scram_.end_frame(1, done);
 
   // Next frame: app 0 is left alone (kNone), app 1 is re-issued halt.
   plan = scram_.begin_frame(2, 200, {}, {}, severity(1));
-  EXPECT_EQ(plan.directives.at(synthetic_app(0)).kind, DirectiveKind::kNone);
-  EXPECT_EQ(plan.directives.at(synthetic_app(1)).kind, DirectiveKind::kHalt);
+  EXPECT_EQ(plan.directives.at(0).kind, DirectiveKind::kNone);
+  EXPECT_EQ(plan.directives.at(1).kind, DirectiveKind::kHalt);
 }
 
 TEST(ScramDependencies, DependentWaitsForIndependent) {
@@ -133,17 +134,15 @@ TEST(ScramDependencies, DependentWaitsForIndependent) {
 
   // Initialize frame A: only the independent app is signaled.
   plan = scram.begin_frame(3, 300, {}, {}, severity(1));
-  EXPECT_EQ(plan.directives.at(synthetic_app(0)).kind,
-            DirectiveKind::kInitialize);
-  EXPECT_EQ(plan.directives.at(synthetic_app(1)).kind, DirectiveKind::kNone);
+  EXPECT_EQ(plan.directives.at(0).kind, DirectiveKind::kInitialize);
+  EXPECT_EQ(plan.directives.at(1).kind, DirectiveKind::kNone);
   FrameOutcome outcome = scram.end_frame(3, complete_all(plan));
   EXPECT_FALSE(outcome.completed);
 
   // Initialize frame B: the dependent app may now initialize.
   plan = scram.begin_frame(4, 400, {}, {}, severity(1));
-  EXPECT_EQ(plan.directives.at(synthetic_app(0)).kind, DirectiveKind::kNone);
-  EXPECT_EQ(plan.directives.at(synthetic_app(1)).kind,
-            DirectiveKind::kInitialize);
+  EXPECT_EQ(plan.directives.at(0).kind, DirectiveKind::kNone);
+  EXPECT_EQ(plan.directives.at(1).kind, DirectiveKind::kInitialize);
   outcome = scram.end_frame(4, complete_all(plan));
   EXPECT_TRUE(outcome.completed);
 }
@@ -187,7 +186,7 @@ TEST(ScramPolicy, ImmediateRetargetsDuringHalt) {
       scram.begin_frame(1, 100, {}, {change_signal(1)}, severity(2));
   EXPECT_EQ(scram.target_config(), synthetic_config(2));
   EXPECT_FALSE(plan.retargeted);  // no rewind needed during halt
-  EXPECT_EQ(plan.directives.at(synthetic_app(0)).kind, DirectiveKind::kHalt);
+  EXPECT_EQ(plan.directives.at(0).kind, DirectiveKind::kHalt);
   (void)scram.end_frame(1, complete_all(plan));
 
   plan = scram.begin_frame(2, 200, {}, {}, severity(2));
@@ -214,9 +213,8 @@ TEST(ScramPolicy, ImmediateRetargetAfterPrepareRewinds) {
   // toward the new target.
   plan = scram.begin_frame(3, 300, {}, {change_signal(3)}, severity(2));
   EXPECT_TRUE(plan.retargeted);
-  EXPECT_EQ(plan.directives.at(synthetic_app(0)).kind,
-            DirectiveKind::kPrepare);
-  EXPECT_EQ(plan.directives.at(synthetic_app(0)).target_config,
+  EXPECT_EQ(plan.directives.at(0).kind, DirectiveKind::kPrepare);
+  EXPECT_EQ(plan.directives.at(0).target_config,
             synthetic_config(2));
   (void)scram.end_frame(3, complete_all(plan));
 

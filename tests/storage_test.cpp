@@ -145,8 +145,8 @@ TEST(StableStorage, PendingExposesTheSortedStagedBatch) {
   s.write("a", std::int64_t{1});
   s.write("b", std::int64_t{22});  // overwrite stays one entry
   ASSERT_EQ(s.pending().size(), 2u);
-  EXPECT_EQ(s.pending()[0].first, "a");
-  EXPECT_EQ(std::get<std::int64_t>(s.pending()[1].second), 22);
+  EXPECT_EQ(s.key_name(s.pending()[0]), "a");
+  EXPECT_EQ(std::get<std::int64_t>(s.pending_value(s.pending()[1])), 22);
   s.drop_pending();
   EXPECT_TRUE(s.pending().empty());
 }

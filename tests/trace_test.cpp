@@ -21,7 +21,7 @@ SysState state(Cycle cycle, ConfigId svclvl,
     AppSnapshot snap;
     snap.reconf_st = st;
     snap.spec = SpecId{1};
-    s.apps[app] = snap;
+    s.apps.emplace_back(app, snap);  // callers list apps in AppId order
   }
   return s;
 }
@@ -153,7 +153,7 @@ TEST(Export, JsonContainsFramesAndReconfigs) {
 TEST(Export, JsonRendersOffAppAsNull) {
   SysTrace trace(1000);
   SysState s = state(0, ConfigId{1}, {{AppId{1}, ReconfState::kNormal}});
-  s.apps[AppId{1}].spec = std::nullopt;
+  find_app(s, AppId{1})->spec = std::nullopt;
   trace.append(std::move(s));
   std::ostringstream os;
   write_json(trace, os);

@@ -5,8 +5,9 @@
 // observed frame-by-frame message/action/predicate table next to the
 // expected Table 1 structure. The timing section measures the cost of
 // driving the protocol through the full frame pipeline; the report also
-// times a steady normal frame at 2/8/32/64 apps and records the costs in
-// BENCH_bench_sfta_phases.json (wall time: reported, never gated).
+// times a steady normal frame and a System::digest() of the live system at
+// 2/8/32/64 apps, plus the digest of a durable 2-app chain, and records the
+// costs in BENCH_bench_sfta_phases.json (wall time: reported, never gated).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -15,6 +16,7 @@
 
 #include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
+#include "arfs/storage/durable/engine.hpp"
 #include "arfs/support/simple_app.hpp"
 #include "arfs/support/synthetic.hpp"
 #include "arfs/trace/export.hpp"
@@ -69,15 +71,33 @@ std::unique_ptr<core::System> normal_frame_system(
   return system;
 }
 
+constexpr int kBlocks = 9;
+
+/// Best of kBlocks timed blocks of `n` digests of `system`, in ns per
+/// digest (the minimum filters scheduler noise on a shared host).
+double best_digest_ns(const core::System& system, int n) {
+  std::uint64_t sink = system.digest();  // warm-up
+  double best_ns = 0.0;
+  for (int b = 0; b < kBlocks; ++b) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < n; ++i) sink ^= system.digest();
+    const auto stop = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(stop - start).count() / n;
+    if (b == 0 || ns < best_ns) best_ns = ns;
+  }
+  benchmark::DoNotOptimize(sink);
+  return best_ns;
+}
+
 /// Steady normal-frame cost at several app counts: best of 9 timed blocks
-/// of about 4k app-frames each (the minimum filters scheduler noise on a
-/// shared host). Recorded as normal_frame/<N>apps/ns_per_frame and
-/// .../ns_per_app_frame.
+/// of about 4k app-frames each. Recorded as normal_frame/<N>apps/
+/// ns_per_frame and .../ns_per_app_frame. The live digest of the same warm
+/// system is timed the same way, as digest/<N>apps/ns_per_digest.
 void report_frame_cost() {
-  constexpr int kBlocks = 9;
-  std::cout << "\n--- steady normal-frame cost (trace off, best of "
-            << kBlocks << " blocks) ---\n"
-            << "apps | ns/frame | ns/app/frame\n";
+  std::cout << "\n--- steady normal-frame and digest cost (trace off, best "
+            << "of " << kBlocks << " blocks) ---\n"
+            << "apps | ns/frame | ns/app/frame | ns/digest\n";
   for (const std::size_t apps : {2u, 8u, 32u, 64u}) {
     support::ChainSpecParams params;
     params.apps = apps;
@@ -97,14 +117,41 @@ void report_frame_cost() {
       if (b == 0 || ns < best_ns) best_ns = ns;
     }
     const double per_app = best_ns / static_cast<double>(apps);
-    char line[64];
-    std::snprintf(line, sizeof line, "%4zu | %8.0f | %12.1f\n", apps, best_ns,
-                  per_app);
+    const double digest_ns =
+        best_digest_ns(*system, static_cast<int>(frames));
+    char line[80];
+    std::snprintf(line, sizeof line, "%4zu | %8.0f | %12.1f | %9.0f\n", apps,
+                  best_ns, per_app, digest_ns);
     std::cout << line;
     const std::string row = "normal_frame/" + std::to_string(apps) + "apps";
     bench::trajectory().record(row + "/ns_per_frame", best_ns, "ns");
     bench::trajectory().record(row + "/ns_per_app_frame", per_app, "ns");
+    bench::trajectory().record(
+        "digest/" + std::to_string(apps) + "apps/ns_per_digest", digest_ns,
+        "ns");
   }
+
+  // A durable chain's digest also hashes every byte of its devices: 2 apps
+  // after 512 frames of frames(4) group commit, a snapshot every 16 epochs.
+  const core::ReconfigSpec spec = support::make_chain_spec({});
+  core::SystemOptions options;
+  options.record_trace = false;
+  options.durable_storage = true;
+  options.durability.sync = storage::durable::SyncPolicy::frames(4);
+  options.durability.snapshot_every_epochs = 16;
+  core::System durable(spec, options);
+  for (const core::AppDecl& decl : spec.apps()) {
+    durable.add_app(std::make_unique<support::SimpleApp>(decl.id, "a"));
+  }
+  durable.run(512);
+  const double durable_ns = best_digest_ns(durable, 256);
+  char line[80];
+  std::snprintf(line, sizeof line,
+                "durable, 2 apps, after 512 frames: %.0f ns/digest\n",
+                durable_ns);
+  std::cout << line;
+  bench::trajectory().record("digest/durable_2apps/ns_per_digest", durable_ns,
+                             "ns");
 }
 
 void report() {

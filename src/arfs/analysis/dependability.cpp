@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/hash.hpp"
 
 namespace arfs::analysis {
 
@@ -135,23 +136,16 @@ DependabilityEstimate normalize(const Partial& sum, std::uint32_t trials) {
   return out;
 }
 
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= 0x100000001B3ULL;
-  }
-}
-
 }  // namespace
 
 std::uint64_t DependabilityEstimate::digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  fnv_mix(h, std::bit_cast<std::uint64_t>(p_full_whole_mission));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(p_safe_whole_mission));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(p_loss));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(full_service_fraction));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(safe_or_better_fraction));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(mean_failures));
+  std::uint64_t h = kFnvBasis;
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(p_full_whole_mission));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(p_safe_whole_mission));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(p_loss));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(full_service_fraction));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(safe_or_better_fraction));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(mean_failures));
   return h;
 }
 
@@ -279,10 +273,10 @@ void fold_chunk(const Partial& part, Partial& sum) {
 }
 
 void digest_row(std::uint64_t& h, const TrialEvidence& row) {
-  fnv_mix(h, std::bit_cast<std::uint64_t>(row.full_fraction));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(row.safe_fraction));
-  fnv_mix(h, std::bit_cast<std::uint64_t>(row.failures));
-  fnv_mix(h, row.flags);
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(row.full_fraction));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(row.safe_fraction));
+  h = fnv_mix(h, std::bit_cast<std::uint64_t>(row.failures));
+  h = fnv_mix(h, row.flags);
 }
 
 }  // namespace
@@ -296,7 +290,7 @@ EvidenceSweep estimate_dependability_evidence(const DesignUnits& design,
 
   EvidenceSweep sweep;
   sweep.rows = mission.trials;
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvBasis;
   Partial sum;
 
   const auto row_fn = [&](const sim::FleetSample& sample) {

@@ -121,6 +121,16 @@ ReconfigurableApp::Checkpoint ReconfigurableApp::checkpoint_state() const {
   return cp;
 }
 
+AppView ReconfigurableApp::view(std::vector<std::uint64_t>& domain) const {
+  domain.clear();
+  save_domain(domain);
+  return {state_, spec_, post_ok_, trans_ok_, pre_ok_, domain};
+}
+
+AppView ReconfigurableApp::Checkpoint::view() const {
+  return {state, spec, post_ok, trans_ok, pre_ok, domain};
+}
+
 void ReconfigurableApp::restore_state(const Checkpoint& cp) {
   state_ = cp.state;
   spec_ = cp.spec;

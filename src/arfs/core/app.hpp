@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,6 +57,18 @@ class PeerReader {
   virtual ~PeerReader() = default;
   [[nodiscard]] virtual Expected<storage::Value> read_peer(
       AppId peer, const std::string& key) const = 0;
+};
+
+/// Read-only view of an application's digested state: phase state, spec,
+/// Table 1 predicate flags and the domain words. Built on the stack by a
+/// live application and by its checkpoint alike (view()).
+struct AppView {
+  trace::ReconfState state = trace::ReconfState::kNormal;
+  std::optional<SpecId> spec;
+  bool post_ok = false;
+  bool trans_ok = false;
+  bool pre_ok = false;
+  std::span<const std::uint64_t> domain;
 };
 
 class ReconfigurableApp {
@@ -134,9 +147,15 @@ class ReconfigurableApp {
     bool trans_ok = false;
     bool pre_ok = false;
     std::vector<std::uint64_t> domain;
+
+    [[nodiscard]] AppView view() const;
   };
   [[nodiscard]] Checkpoint checkpoint_state() const;
   void restore_state(const Checkpoint& cp);
+  /// The digested state, read in place; the domain words are packed into
+  /// `domain` (cleared first — a reused buffer keeps this allocation-free
+  /// once it has grown).
+  [[nodiscard]] AppView view(std::vector<std::uint64_t>& domain) const;
 
  protected:
   // --- domain hooks -------------------------------------------------------

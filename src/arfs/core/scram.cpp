@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/hash.hpp"
 #include "arfs/common/log.hpp"
 
 namespace arfs::core {
@@ -411,6 +412,134 @@ void Scram::restore_state(const Checkpoint& cp) {
   active_start_ = cp.active_start;
   dwell_until_ = cp.dwell_until;
   stats_ = cp.stats;
+}
+
+/// The digest's read of a live kernel: the dense per-app tables walked in
+/// ascending AppId order.
+class Scram::LiveState {
+ public:
+  explicit LiveState(const Scram& k) : k_(k) {}
+  [[nodiscard]] ConfigId current() const { return k_.current_; }
+  [[nodiscard]] ConfigId target() const { return k_.target_; }
+  [[nodiscard]] Phase phase() const { return k_.phase_; }
+  /// `visit(id, stage)` per app; nothing while no stage is tracked.
+  template <class Visit>
+  void each_stage(Visit visit) const {
+    if (k_.stage_.empty()) return;
+    for (const std::size_t pos : k_.spec_.apps_by_id()) {
+      visit(k_.spec_.apps()[pos].id, k_.stage_[pos]);
+    }
+  }
+  /// `visit(id)` per app that completed the current phase.
+  template <class Visit>
+  void each_done(Visit visit) const {
+    each_set(k_.done_, visit);
+  }
+  /// `visit(id)` per app that completed halt, then prepare, then init.
+  template <class Visit>
+  void each_stage_done(Visit visit) const {
+    for (const auto* flags :
+         {&k_.halt_done_, &k_.prepare_done_, &k_.init_done_}) {
+      each_set(*flags, visit);
+    }
+  }
+  [[nodiscard]] bool pending_trigger() const { return k_.pending_trigger_; }
+  [[nodiscard]] bool lossy_pending() const { return k_.lossy_pending_; }
+  [[nodiscard]] std::optional<Cycle> active_start() const {
+    return k_.active_start_;
+  }
+  [[nodiscard]] Cycle dwell_until() const { return k_.dwell_until_; }
+  [[nodiscard]] const ScramStats& stats() const { return k_.stats_; }
+
+ private:
+  template <class Visit>
+  void each_set(const std::vector<bool>& flags, Visit& visit) const {
+    for (const std::size_t pos : k_.spec_.apps_by_id()) {
+      if (flags[pos]) visit(k_.spec_.apps()[pos].id);
+    }
+  }
+
+  const Scram& k_;
+};
+
+namespace {
+
+/// The digest's read of a checkpoint: its tables are already sparse and in
+/// ascending AppId order. Same accessors as Scram::LiveState.
+class CheckpointState {
+ public:
+  explicit CheckpointState(const Scram::Checkpoint& cp) : cp_(cp) {}
+  [[nodiscard]] ConfigId current() const { return cp_.current; }
+  [[nodiscard]] ConfigId target() const { return cp_.target; }
+  [[nodiscard]] auto phase() const { return cp_.phase; }
+  template <class Visit>
+  void each_stage(Visit visit) const {
+    for (const auto& [id, stage] : cp_.stage) visit(id, stage);
+  }
+  template <class Visit>
+  void each_done(Visit visit) const {
+    for (const AppId id : cp_.done) visit(id);
+  }
+  template <class Visit>
+  void each_stage_done(Visit visit) const {
+    for (const auto* ids :
+         {&cp_.halt_done, &cp_.prepare_done, &cp_.init_done}) {
+      for (const AppId id : *ids) visit(id);
+    }
+  }
+  [[nodiscard]] bool pending_trigger() const { return cp_.pending_trigger; }
+  [[nodiscard]] bool lossy_pending() const { return cp_.lossy_pending; }
+  [[nodiscard]] std::optional<Cycle> active_start() const {
+    return cp_.active_start;
+  }
+  [[nodiscard]] Cycle dwell_until() const { return cp_.dwell_until; }
+  [[nodiscard]] const ScramStats& stats() const { return cp_.stats; }
+
+ private:
+  const Scram::Checkpoint& cp_;
+};
+
+/// The one kernel hash body, over either state view.
+template <class State>
+std::uint64_t fold_kernel(std::uint64_t h, const State& s) {
+  h = fnv_mix(h, s.current().value());
+  h = fnv_mix(h, s.target().value());
+  h = fnv_mix(h, static_cast<std::uint64_t>(s.phase()));
+  // The completion sets hash as (app, 1) pairs: the image of maps that
+  // only ever held `true`.
+  const auto flagged = [&h](AppId app) {
+    h = fnv_mix(h, app.value());
+    h = fnv_mix(h, 1);
+  };
+  s.each_done(flagged);
+  s.each_stage([&h](AppId app, auto stage) {
+    h = fnv_mix(h, app.value());
+    h = fnv_mix(h, static_cast<std::uint64_t>(stage));
+  });
+  s.each_stage_done(flagged);
+  h = fnv_mix(h, s.pending_trigger() ? 1 : 0);
+  h = fnv_mix(h, s.lossy_pending() ? 1 : 0);
+  h = fnv_mix(h, s.active_start().has_value() ? *s.active_start() + 1 : 0);
+  h = fnv_mix(h, s.dwell_until());
+  const ScramStats& stats = s.stats();
+  for (const std::uint64_t word :
+       {stats.triggers_received, stats.reconfigs_started,
+        stats.reconfigs_completed, stats.triggers_absorbed, stats.retargets,
+        stats.buffered_triggers, stats.dwell_blocked_frames,
+        stats.lossy_reinits, stats.quorum_losses, stats.quorum_restores}) {
+    h = fnv_mix(h, word);
+  }
+  return h;
+}
+
+}  // namespace
+
+std::uint64_t fold_scram(std::uint64_t h, const Scram& scram) {
+  return fold_kernel(h, Scram::LiveState(scram));
+}
+
+std::uint64_t fold_scram(std::uint64_t h, const Scram::Checkpoint& scram) {
+  return fold_kernel(h, CheckpointState(scram));
 }
 
 }  // namespace arfs::core

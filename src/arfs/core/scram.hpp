@@ -170,7 +170,16 @@ class Scram {
   [[nodiscard]] Checkpoint checkpoint_state() const;
   void restore_state(const Checkpoint& cp);
 
+  /// Folds the kernel state into the FNV-1a digest state `h`: phase and
+  /// target, the completion and stage tables in ascending AppId order, the
+  /// trigger bookkeeping and the stats. The live kernel and a checkpoint
+  /// hash through one body; the live walk reads the dense tables in place
+  /// and allocates nothing.
+  friend std::uint64_t fold_scram(std::uint64_t h, const Scram& scram);
+  friend std::uint64_t fold_scram(std::uint64_t h, const Checkpoint& scram);
+
  private:
+  class LiveState;  ///< The digest's read view of a live kernel.
 
   /// Evaluates choose() and either starts a reconfiguration or absorbs the
   /// trigger. Returns true if a reconfiguration started.

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/hash.hpp"
 #include "arfs/common/log.hpp"
 
 namespace arfs::core {
@@ -543,19 +544,70 @@ System::ShipCatchUp System::ship_catch_up(ProcessorId p) {
 
 namespace {
 
-constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001B3ULL;
+/// The digest's read of a SystemCheckpoint, whose tables are already an
+/// id-ordered map and AppId-sorted vectors. Same accessors as
+/// System::LiveState.
+class CheckpointState {
+ public:
+  explicit CheckpointState(const SystemCheckpoint& cp) : cp_(cp) {}
 
-inline std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xFFu;
-    h *= kFnvPrime;
+  [[nodiscard]] Cycle frame() const { return cp_.frame; }
+  [[nodiscard]] SimTime now() const { return cp_.now; }
+  template <class Visit>
+  void each_processor(Visit visit) const {
+    for (const auto& [pid, p] : cp_.processors) visit(pid, p.view());
   }
-  return h;
-}
+  [[nodiscard]] const env::Environment& environment() const {
+    return cp_.environment;
+  }
+  [[nodiscard]] const failstop::DetectorBank& bank() const { return cp_.bank; }
+  [[nodiscard]] const rtos::HealthMonitor& health() const {
+    return cp_.health;
+  }
+  [[nodiscard]] const Scram::Checkpoint& scram() const { return cp_.scram; }
+  template <class Visit>
+  void each_app(Visit visit) const {
+    for (const auto& [id, a] : cp_.apps) visit(id, a.view());
+  }
+  template <class Visit>
+  void each_region_host(Visit visit) const {
+    for (const auto& [app, host] : cp_.region_host) visit(app, host);
+  }
+  [[nodiscard]] const sim::FaultPlan& fault_plan() const {
+    return cp_.fault_plan;
+  }
+  template <class Visit>
+  void each_forced(Visit visit) const {
+    for (const auto* flags : {&cp_.forced_overrun, &cp_.forced_fault}) {
+      for (const auto& [app, raised] : *flags) visit(app, raised);
+    }
+  }
+  [[nodiscard]] const MessageRouter& router() const { return cp_.router; }
+  [[nodiscard]] bool deadline_alarm_raised() const {
+    return cp_.deadline_alarm_raised;
+  }
+  [[nodiscard]] std::uint64_t noise_rng_state() const {
+    return cp_.noise_rng_state;
+  }
+  /// The trace's row count + 1, or 0 without a trace.
+  [[nodiscard]] std::uint64_t trace_word() const {
+    return cp_.trace.has_value() ? cp_.trace->size() + 1 : 0;
+  }
+  template <class Visit>
+  void each_cohort(Visit visit) const {
+    for (const auto& [pid, group] : cp_.quorum_channels) visit(pid, group);
+  }
+  [[nodiscard]] const SystemStats& stats() const { return cp_.stats; }
+  [[nodiscard]] bool started() const { return cp_.started; }
 
-std::uint64_t fnv_mix_device(std::uint64_t h,
-                             const storage::durable::JournalBackend& device) {
+ private:
+  const SystemCheckpoint& cp_;
+};
+
+/// A device's size, synced size and every logical byte, read in 4 KiB
+/// blocks so nothing is allocated.
+std::uint64_t fold_device(std::uint64_t h,
+                          const storage::durable::JournalBackend& device) {
   h = fnv_mix(h, device.size());
   h = fnv_mix(h, device.synced_size());
   std::uint8_t buf[4096];
@@ -563,132 +615,132 @@ std::uint64_t fnv_mix_device(std::uint64_t h,
   for (;;) {
     const std::size_t n = device.read(offset, buf, sizeof buf);
     if (n == 0) break;
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= buf[i];
-      h *= kFnvPrime;
-    }
+    h = fnv_mix_bytes(h, {buf, n});
     offset += n;
   }
   return h;
 }
 
-std::uint64_t fnv_mix_engine(std::uint64_t h,
-                             const storage::durable::EngineCheckpoint& cp) {
-  h = fnv_mix_device(h, *cp.journal);
-  h = fnv_mix_device(h, *cp.snapshots);
-  h = fnv_mix(h, cp.appended_epoch);
-  h = fnv_mix(h, cp.journal_generation);
-  h = fnv_mix(h, cp.retained_tail.size());
-  for (const std::uint8_t b : cp.retained_tail) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  h = fnv_mix(h, cp.rebase_ok ? 1 : 0);
-  h = fnv_mix(h, cp.rebase_epoch);
-  h = fnv_mix(h, cp.ship_horizon);
-  h = fnv_mix(h, cp.adaptive_watermark_fp);
-  h = fnv_mix(h, cp.reconfig_pressure ? 1 : 0);
+std::uint64_t fold_engine(std::uint64_t h,
+                          const storage::durable::EngineView& engine) {
+  h = fold_device(h, *engine.journal);
+  h = fold_device(h, *engine.snapshots);
+  h = fnv_mix(h, engine.appended_epoch);
+  h = fnv_mix(h, engine.journal_generation);
+  h = fnv_mix(h, engine.retained_tail.size());
+  h = fnv_mix_bytes(h, engine.retained_tail);
+  h = fnv_mix(h, engine.rebase_ok ? 1 : 0);
+  h = fnv_mix(h, engine.rebase_epoch);
+  h = fnv_mix(h, engine.ship_horizon);
+  h = fnv_mix(h, engine.adaptive_watermark_fp);
+  h = fnv_mix(h, engine.reconfig_pressure ? 1 : 0);
   h = fnv_mix(h, 0);  // retired state-flush cycle, kept so digests don't move
   return h;
 }
 
-std::uint64_t fnv_mix_replica(
-    std::uint64_t h, const storage::durable::ShippedReplica::Checkpoint& cp) {
-  h = fnv_mix(h, cp.store.fingerprint());
-  h = fnv_mix(h, cp.store.commit_epochs());
-  h = fnv_mix(h, cp.cursor.generation);
-  h = fnv_mix(h, cp.cursor.offset);
-  h = fnv_mix(h, cp.cursor.epoch);
-  h = fnv_mix(h, cp.dict.size());
-  for (const std::string& key : cp.dict) {
-    for (const char c : key) {
-      h ^= static_cast<std::uint8_t>(c);
-      h *= kFnvPrime;
-    }
-    h = fnv_mix(h, key.size());
+std::uint64_t fold_processor(std::uint64_t h,
+                             const failstop::ProcessorView& processor) {
+  h = fnv_mix(h, static_cast<std::uint64_t>(processor.state));
+  h = fnv_mix(h, processor.stable->fingerprint());
+  h = fnv_mix(h, processor.stable->commit_epochs());
+  h = fnv_mix(h, processor.volatile_store->fingerprint());
+  h = fnv_mix(h, processor.lost_epochs);
+  h = fnv_mix(h, processor.failed_at.has_value() ? *processor.failed_at + 1
+                                                 : 0);
+  h = fnv_mix(h, processor.failures);
+  h = fnv_mix(h, processor.durability.has_value() ? 1 : 0);
+  if (processor.durability.has_value()) {
+    h = fold_engine(h, *processor.durability);
   }
-  h = fnv_mix(h, cp.pending.size());
-  for (const std::uint8_t b : cp.pending) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  h = fnv_mix(h, cp.engine.has_value() ? 1 : 0);
-  if (cp.engine.has_value()) h = fnv_mix_engine(h, *cp.engine);
   return h;
 }
 
-}  // namespace
-
-std::uint64_t SystemCheckpoint::digest() const {
-  return hash(trace.has_value() ? trace->size() + 1 : 0);
+std::uint64_t fold_replica(std::uint64_t h,
+                           const storage::durable::ReplicaView& replica) {
+  h = fnv_mix(h, replica.store->fingerprint());
+  h = fnv_mix(h, replica.store->commit_epochs());
+  h = fnv_mix(h, replica.cursor.generation);
+  h = fnv_mix(h, replica.cursor.offset);
+  h = fnv_mix(h, replica.cursor.epoch);
+  h = fnv_mix(h, replica.dict.size());
+  for (const std::string& key : replica.dict) {
+    h = fnv_mix_bytes(h, key);
+    h = fnv_mix(h, key.size());
+  }
+  h = fnv_mix(h, replica.pending.size());
+  h = fnv_mix_bytes(h, replica.pending);
+  h = fnv_mix(h, replica.engine.has_value() ? 1 : 0);
+  if (replica.engine.has_value()) h = fold_engine(h, *replica.engine);
+  return h;
 }
 
-std::uint64_t SystemCheckpoint::hash(std::uint64_t trace_word) const {
-  std::uint64_t h = kFnvBasis;
-  h = fnv_mix(h, frame);
-  h = fnv_mix(h, static_cast<std::uint64_t>(now));
-
-  for (const auto& [pid, p] : processors) {
-    h = fnv_mix(h, pid.value());
-    h = fnv_mix(h, static_cast<std::uint64_t>(p.state));
-    h = fnv_mix(h, p.stable.fingerprint());
-    h = fnv_mix(h, p.stable.commit_epochs());
-    h = fnv_mix(h, p.volatile_store.fingerprint());
-    h = fnv_mix(h, p.lost_epochs);
-    h = fnv_mix(h, p.failed_at.has_value() ? *p.failed_at + 1 : 0);
-    h = fnv_mix(h, p.failures);
-    h = fnv_mix(h, p.durability.has_value() ? 1 : 0);
-    if (p.durability.has_value()) h = fnv_mix_engine(h, *p.durability);
+/// One replica cohort. `Group` is a live QuorumGroup or its Checkpoint:
+/// both give view() and member_view(id).
+template <class Group>
+std::uint64_t fold_cohort(std::uint64_t h, const Group& group) {
+  using storage::durable::quorum::MemberId;
+  const storage::durable::quorum::QuorumView q = group.view();
+  h = fnv_mix(h, q.members);
+  for (MemberId id = 0; id < q.members; ++id) {
+    const storage::durable::quorum::MemberView m = group.member_view(id);
+    h = fold_replica(h, m.replica);
+    h = fnv_mix(h, m.last_applied);
+    h = fnv_mix(h, (m.live ? 4u : 0u) | (m.retired ? 2u : 0u) |
+                       (m.needs_full_copy ? 1u : 0u));
+    h = fnv_mix(h, m.warm_credit ? 1 : 0);
+    h = fnv_mix(h, m.consecutive_corrupt);
   }
+  h = fnv_mix(h, q.old_voters.size());
+  for (const MemberId v : q.old_voters) h = fnv_mix(h, v);
+  h = fnv_mix(h, q.new_voters.size());
+  for (const MemberId v : q.new_voters) h = fnv_mix(h, v);
+  h = fnv_mix(h, q.reconfiguring ? 1 : 0);
+  h = fnv_mix(h, q.reconfig_epoch);
+  h = fnv_mix(h, q.commit_id);
+  h = fnv_mix(h, q.leader.has_value() ? *q.leader + 1 : 0);
+  const storage::durable::quorum::QuorumStats& st = *q.stats;
+  for (const std::uint64_t word :
+       {st.slots_polled, st.batches_shipped, st.bytes_shipped, st.rebases,
+        st.corrupt_batches, st.fallbacks, st.reseeds, st.elections,
+        st.member_failures, st.member_repairs, st.commit_advances,
+        st.membership_changes}) {
+    h = fnv_mix(h, word);
+  }
+  return h;
+}
 
+/// The one system hash body (see SystemCheckpoint::digest()). `State` is a
+/// CheckpointState or a System::LiveState, and every layer below is read
+/// through a view both sides build (ProcessorView, AppView, the SCRAM's
+/// fold_scram, the cohorts' QuorumView), so a checkpoint and the running
+/// system hash alike.
+template <class State>
+std::uint64_t hash_system(const State& s) {
+  std::uint64_t h = kFnvBasis;
+  h = fnv_mix(h, s.frame());
+  h = fnv_mix(h, static_cast<std::uint64_t>(s.now()));
+
+  s.each_processor([&h](ProcessorId pid, const failstop::ProcessorView& p) {
+    h = fnv_mix(h, pid.value());
+    h = fold_processor(h, p);
+  });
+
+  const env::Environment& environment = s.environment();
   for (const auto& [factor, value] : environment.state()) {
     h = fnv_mix(h, factor.value());
     h = fnv_mix(h, static_cast<std::uint64_t>(value));
   }
   h = fnv_mix(h, environment.change_count());
 
-  h = fnv_mix(h, bank.pending());
-  h = fnv_mix(h, bank.total_raised());
-  h = fnv_mix(h, health.overrun_count());
-  h = fnv_mix(h, health.fault_count());
-  h = fnv_mix(h, health.events().size());
+  h = fnv_mix(h, s.bank().pending());
+  h = fnv_mix(h, s.bank().total_raised());
+  h = fnv_mix(h, s.health().overrun_count());
+  h = fnv_mix(h, s.health().fault_count());
+  h = fnv_mix(h, s.health().events().size());
 
-  h = fnv_mix(h, scram.current.value());
-  h = fnv_mix(h, scram.target.value());
-  h = fnv_mix(h, static_cast<std::uint64_t>(scram.phase));
-  // The completion sets hash as (app, 1) pairs: the image of maps that
-  // only ever held `true`.
-  for (const AppId app : scram.done) {
-    h = fnv_mix(h, app.value());
-    h = fnv_mix(h, 1);
-  }
-  for (const auto& [app, stage] : scram.stage) {
-    h = fnv_mix(h, app.value());
-    h = fnv_mix(h, static_cast<std::uint64_t>(stage));
-  }
-  for (const auto* completed :
-       {&scram.halt_done, &scram.prepare_done, &scram.init_done}) {
-    for (const AppId app : *completed) {
-      h = fnv_mix(h, app.value());
-      h = fnv_mix(h, 1);
-    }
-  }
-  h = fnv_mix(h, scram.pending_trigger ? 1 : 0);
-  h = fnv_mix(h, scram.lossy_pending ? 1 : 0);
-  h = fnv_mix(h, scram.active_start.has_value() ? *scram.active_start + 1 : 0);
-  h = fnv_mix(h, scram.dwell_until);
-  h = fnv_mix(h, scram.stats.triggers_received);
-  h = fnv_mix(h, scram.stats.reconfigs_started);
-  h = fnv_mix(h, scram.stats.reconfigs_completed);
-  h = fnv_mix(h, scram.stats.triggers_absorbed);
-  h = fnv_mix(h, scram.stats.retargets);
-  h = fnv_mix(h, scram.stats.buffered_triggers);
-  h = fnv_mix(h, scram.stats.dwell_blocked_frames);
-  h = fnv_mix(h, scram.stats.lossy_reinits);
-  h = fnv_mix(h, scram.stats.quorum_losses);
-  h = fnv_mix(h, scram.stats.quorum_restores);
+  h = fold_scram(h, s.scram());
 
-  for (const auto& [id, a] : apps) {
+  s.each_app([&h](AppId id, const AppView& a) {
     h = fnv_mix(h, id.value());
     h = fnv_mix(h, static_cast<std::uint64_t>(a.state));
     h = fnv_mix(h, a.spec.has_value() ? a.spec->value() + 1 : 0);
@@ -696,89 +748,57 @@ std::uint64_t SystemCheckpoint::hash(std::uint64_t trace_word) const {
                        (a.pre_ok ? 1u : 0u));
     h = fnv_mix(h, a.domain.size());
     for (const std::uint64_t word : a.domain) h = fnv_mix(h, word);
-  }
+  });
 
-  for (const auto& [app, host] : region_host) {
+  s.each_region_host([&h](AppId app, ProcessorId host) {
     h = fnv_mix(h, app.value());
     h = fnv_mix(h, host.value());
-  }
+  });
 
-  h = fnv_mix(h, fault_plan.size());
-  h = fnv_mix(h, fault_plan.consumed());
-  for (const auto* flags : {&forced_overrun, &forced_fault}) {
-    for (const auto& [app, flag] : *flags) {
-      h = fnv_mix(h, app.value());
-      h = fnv_mix(h, flag ? 1 : 0);
-    }
-  }
+  h = fnv_mix(h, s.fault_plan().size());
+  h = fnv_mix(h, s.fault_plan().consumed());
+  s.each_forced([&h](AppId app, bool raised) {
+    h = fnv_mix(h, app.value());
+    h = fnv_mix(h, raised ? 1 : 0);
+  });
 
-  h = fnv_mix(h, router.stats().sent);
-  h = fnv_mix(h, router.stats().delivered);
-  h = fnv_mix(h, router.stats().dropped_dead_host);
-  h = fnv_mix(h, router.stats().dropped_unknown);
+  const MessagingStats& mail = s.router().stats();
+  h = fnv_mix(h, mail.sent);
+  h = fnv_mix(h, mail.delivered);
+  h = fnv_mix(h, mail.dropped_dead_host);
+  h = fnv_mix(h, mail.dropped_unknown);
 
-  h = fnv_mix(h, deadline_alarm_raised ? 1 : 0);
-  h = fnv_mix(h, noise_rng_state);
-  h = fnv_mix(h, trace_word);
+  h = fnv_mix(h, s.deadline_alarm_raised() ? 1 : 0);
+  h = fnv_mix(h, s.noise_rng_state());
+  h = fnv_mix(h, s.trace_word());
 
-  for (const auto& [pid, qcp] : quorum_channels) {
+  s.each_cohort([&h](ProcessorId pid, const auto& group) {
     h = fnv_mix(h, pid.value());
-    h = fnv_mix(h, qcp.members.size());
-    for (const auto& m : qcp.members) {
-      h = fnv_mix_replica(h, m.replica);
-      h = fnv_mix(h, m.last_applied);
-      h = fnv_mix(h, (m.live ? 4u : 0u) | (m.retired ? 2u : 0u) |
-                         (m.needs_full_copy ? 1u : 0u));
-      h = fnv_mix(h, m.warm_credit ? 1 : 0);
-      h = fnv_mix(h, m.consecutive_corrupt);
-    }
-    h = fnv_mix(h, qcp.old_voters.size());
-    for (const auto v : qcp.old_voters) h = fnv_mix(h, v);
-    h = fnv_mix(h, qcp.new_voters.size());
-    for (const auto v : qcp.new_voters) h = fnv_mix(h, v);
-    h = fnv_mix(h, qcp.reconfiguring ? 1 : 0);
-    h = fnv_mix(h, qcp.reconfig_epoch);
-    h = fnv_mix(h, qcp.commit_id);
-    h = fnv_mix(h, qcp.leader.has_value() ? *qcp.leader + 1 : 0);
-    h = fnv_mix(h, qcp.stats.slots_polled);
-    h = fnv_mix(h, qcp.stats.batches_shipped);
-    h = fnv_mix(h, qcp.stats.bytes_shipped);
-    h = fnv_mix(h, qcp.stats.rebases);
-    h = fnv_mix(h, qcp.stats.corrupt_batches);
-    h = fnv_mix(h, qcp.stats.fallbacks);
-    h = fnv_mix(h, qcp.stats.reseeds);
-    h = fnv_mix(h, qcp.stats.elections);
-    h = fnv_mix(h, qcp.stats.member_failures);
-    h = fnv_mix(h, qcp.stats.member_repairs);
-    h = fnv_mix(h, qcp.stats.commit_advances);
-    h = fnv_mix(h, qcp.stats.membership_changes);
+    h = fold_cohort(h, group);
+  });
+
+  const SystemStats& st = s.stats();
+  for (const std::uint64_t word :
+       {st.frames_run, st.fault_events_applied, st.region_relocations,
+        st.deadline_violations, st.heartbeats_lost, st.false_alarms,
+        st.true_detections, st.journal_faults_injected,
+        st.journal_truncations, st.lossy_recoveries, st.ship_slots_polled,
+        st.ship_bytes_total, st.relocation_catchup_bytes,
+        st.warm_relocations, st.full_copy_relocations, st.full_copy_bytes,
+        st.full_copy_bytes_avoided, st.ship_reseeds,
+        st.quorum_member_failures, st.quorum_member_repairs,
+        st.quorum_losses, st.quorum_restores}) {
+    h = fnv_mix(h, word);
   }
 
-  h = fnv_mix(h, stats.frames_run);
-  h = fnv_mix(h, stats.fault_events_applied);
-  h = fnv_mix(h, stats.region_relocations);
-  h = fnv_mix(h, stats.deadline_violations);
-  h = fnv_mix(h, stats.heartbeats_lost);
-  h = fnv_mix(h, stats.false_alarms);
-  h = fnv_mix(h, stats.true_detections);
-  h = fnv_mix(h, stats.journal_faults_injected);
-  h = fnv_mix(h, stats.journal_truncations);
-  h = fnv_mix(h, stats.lossy_recoveries);
-  h = fnv_mix(h, stats.ship_slots_polled);
-  h = fnv_mix(h, stats.ship_bytes_total);
-  h = fnv_mix(h, stats.relocation_catchup_bytes);
-  h = fnv_mix(h, stats.warm_relocations);
-  h = fnv_mix(h, stats.full_copy_relocations);
-  h = fnv_mix(h, stats.full_copy_bytes);
-  h = fnv_mix(h, stats.full_copy_bytes_avoided);
-  h = fnv_mix(h, stats.ship_reseeds);
-  h = fnv_mix(h, stats.quorum_member_failures);
-  h = fnv_mix(h, stats.quorum_member_repairs);
-  h = fnv_mix(h, stats.quorum_losses);
-  h = fnv_mix(h, stats.quorum_restores);
-
-  h = fnv_mix(h, started ? 1 : 0);
+  h = fnv_mix(h, s.started() ? 1 : 0);
   return h;
+}
+
+}  // namespace
+
+std::uint64_t SystemCheckpoint::digest() const {
+  return hash_system(CheckpointState(*this));
 }
 
 std::uint64_t SystemCheckpoint::spill_devices(storage::MappedArena& arena) {
@@ -796,23 +816,21 @@ std::uint64_t SystemCheckpoint::spill_devices(storage::MappedArena& arena) {
   return bytes;
 }
 
-std::vector<std::pair<AppId, bool>> System::forced_image(
-    const std::vector<Forced>& flags, const std::vector<AppId>& stray) const {
-  std::vector<std::pair<AppId, bool>> out;
+template <class Visit>
+void System::each_forced(const std::vector<Forced>& flags,
+                         const std::vector<AppId>& stray,
+                         Visit&& visit) const {
   auto next_stray = stray.begin();
   for (const std::size_t pos : spec_.apps_by_id()) {
     const AppId id = spec_.apps()[pos].id;
     for (; next_stray != stray.end() && *next_stray < id; ++next_stray) {
-      out.emplace_back(*next_stray, true);
+      visit(*next_stray, true);
     }
     if (flags[pos] != Forced::kUnset) {
-      out.emplace_back(id, flags[pos] == Forced::kRaised);
+      visit(id, flags[pos] == Forced::kRaised);
     }
   }
-  for (; next_stray != stray.end(); ++next_stray) {
-    out.emplace_back(*next_stray, true);
-  }
-  return out;
+  for (; next_stray != stray.end(); ++next_stray) visit(*next_stray, true);
 }
 
 void System::restore_forced(const std::vector<std::pair<AppId, bool>>& image,
@@ -829,7 +847,7 @@ void System::restore_forced(const std::vector<std::pair<AppId, bool>>& image,
   }
 }
 
-SystemCheckpoint System::capture(bool with_trace) const {
+SystemCheckpoint System::checkpoint() const {
   SystemCheckpoint cp;
   cp.frame = clock_.current_frame();
   cp.now = clock_.now();
@@ -855,12 +873,16 @@ SystemCheckpoint System::capture(bool with_trace) const {
     }
   }
   cp.fault_plan = fault_plan_;
-  cp.forced_overrun = forced_image(forced_overrun_, stray_overrun_);
-  cp.forced_fault = forced_image(forced_fault_, stray_fault_);
+  each_forced(forced_overrun_, stray_overrun_, [&cp](AppId id, bool raised) {
+    cp.forced_overrun.emplace_back(id, raised);
+  });
+  each_forced(forced_fault_, stray_fault_, [&cp](AppId id, bool raised) {
+    cp.forced_fault.emplace_back(id, raised);
+  });
   cp.router = router_;
   cp.deadline_alarm_raised = deadline_alarm_raised_;
   cp.noise_rng_state = noise_rng_.state();
-  if (with_trace) cp.trace = trace_;
+  cp.trace = trace_;
   for (const auto& [pid, channel] : quorum_channels_) {
     cp.quorum_channels.emplace(pid, channel->group.checkpoint_state());
   }
@@ -868,8 +890,6 @@ SystemCheckpoint System::capture(bool with_trace) const {
   cp.started = started_;
   return cp;
 }
-
-SystemCheckpoint System::checkpoint() const { return capture(true); }
 
 void System::restore(const SystemCheckpoint& cp) {
   require(cp.processors.size() == group_.size(),
@@ -927,10 +947,82 @@ void System::restore(const SystemCheckpoint& cp) {
   started_ = cp.started;
 }
 
+/// The digest's read of the running system: processors in ascending id and
+/// the dense per-app tables in ascending AppId order, as a checkpoint holds
+/// them. Same accessors as CheckpointState.
+class System::LiveState {
+ public:
+  LiveState(const System& s, std::vector<std::uint64_t>& domain)
+      : s_(s), domain_(domain) {}
+
+  [[nodiscard]] Cycle frame() const { return s_.clock_.current_frame(); }
+  [[nodiscard]] SimTime now() const { return s_.clock_.now(); }
+  template <class Visit>
+  void each_processor(Visit visit) const {
+    s_.group_.for_each_by_id(
+        [&visit](const failstop::Processor& p) { visit(p.id(), p.view()); });
+  }
+  [[nodiscard]] const env::Environment& environment() const {
+    return s_.environment_;
+  }
+  [[nodiscard]] const failstop::DetectorBank& bank() const { return s_.bank_; }
+  [[nodiscard]] const rtos::HealthMonitor& health() const {
+    return s_.health_;
+  }
+  [[nodiscard]] const Scram& scram() const { return s_.scram_; }
+  /// Apps not added yet are skipped, as a checkpoint holds none of them.
+  template <class Visit>
+  void each_app(Visit visit) const {
+    for (const std::size_t pos : s_.spec_.apps_by_id()) {
+      if (s_.apps_[pos] == nullptr) continue;
+      visit(s_.spec_.apps()[pos].id, s_.apps_[pos]->view(domain_));
+    }
+  }
+  /// Nothing before the first frame places the regions.
+  template <class Visit>
+  void each_region_host(Visit visit) const {
+    if (s_.region_host_.empty()) return;
+    for (const std::size_t pos : s_.spec_.apps_by_id()) {
+      visit(s_.spec_.apps()[pos].id, s_.region_host_[pos]);
+    }
+  }
+  [[nodiscard]] const sim::FaultPlan& fault_plan() const {
+    return s_.fault_plan_;
+  }
+  template <class Visit>
+  void each_forced(Visit visit) const {
+    s_.each_forced(s_.forced_overrun_, s_.stray_overrun_, visit);
+    s_.each_forced(s_.forced_fault_, s_.stray_fault_, visit);
+  }
+  [[nodiscard]] const MessageRouter& router() const { return s_.router_; }
+  [[nodiscard]] bool deadline_alarm_raised() const {
+    return s_.deadline_alarm_raised_;
+  }
+  [[nodiscard]] std::uint64_t noise_rng_state() const {
+    return s_.noise_rng_.state();
+  }
+  [[nodiscard]] std::uint64_t trace_word() const {
+    return s_.trace_.size() + 1;
+  }
+  template <class Visit>
+  void each_cohort(Visit visit) const {
+    for (const auto& [pid, channel] : s_.quorum_channels_) {
+      visit(pid, channel->group);
+    }
+  }
+  [[nodiscard]] const SystemStats& stats() const { return s_.stats_; }
+  [[nodiscard]] bool started() const { return s_.started_; }
+
+ private:
+  const System& s_;
+  std::vector<std::uint64_t>& domain_;
+};
+
 std::uint64_t System::digest() const {
-  // checkpoint().digest() without copying the trace: the digest reads only
-  // its row count.
-  return capture(false).hash(trace_.size() + 1);
+  // The apps' domain words go through one buffer per thread: reused, so a
+  // warm digest allocates nothing, and never shared between threads.
+  thread_local std::vector<std::uint64_t> domain;
+  return hash_system(LiveState(*this, domain));
 }
 
 void System::publish_processor_factors(SimTime now) {
@@ -984,7 +1076,8 @@ void System::run_frame() {
   // 1. Physical/environment models.
   for (const EnvHook& hook : env_hooks_) hook(environment_, cycle, t0);
 
-  // 2. Scheduled fault injection.
+  // 2. Scheduled fault injection. The span views fault_plan_'s own events;
+  // applying an event never touches the plan.
   for (const sim::FaultEvent& event : fault_plan_.consume_until(t0)) {
     apply_fault_event(event, cycle, t0);
   }
@@ -1010,8 +1103,8 @@ void System::run_frame() {
   // 4. Virtual monitor applications sample the environment.
   env_signals_.clear();
   for (env::FactorMonitor& monitor : monitors_) {
-    for (env::EnvChangeSignal& s : monitor.sample(environment_, cycle, t0)) {
-      env_signals_.push_back(s);
+    if (const auto s = monitor.sample(environment_, cycle, t0)) {
+      env_signals_.push_back(*s);
     }
   }
 

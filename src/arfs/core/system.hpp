@@ -192,9 +192,36 @@ struct SystemCheckpoint {
   SystemStats stats;
   bool started = false;
 
-  /// Order-sensitive FNV-1a digest over the checkpointed state, durable
-  /// device byte streams included. Two checkpoints of the same factory's
-  /// system with equal digests describe bit-identical mission state.
+  /// Order-sensitive FNV-1a digest over most of the checkpointed state; the
+  /// live System::digest() runs the same hash body over the running system.
+  /// It hashes, in this order:
+  ///  * the frame and the clock;
+  ///  * per processor, in ascending id: fail-stop state, stable-store
+  ///    fingerprint and commit epochs, volatile-store fingerprint, lost
+  ///    epochs, failure cycle and count, and the durability engine (both
+  ///    devices' sizes and every byte, the shipping words, the adaptive
+  ///    controller);
+  ///  * the environment's values and change count; the detector bank's
+  ///    pending and raised counts; the health monitor's overrun, fault and
+  ///    event counts;
+  ///  * the SCRAM: configuration, target, phase, completion and stage
+  ///    tables, trigger bookkeeping and stats;
+  ///  * per application, in ascending AppId: phase state, spec, predicate
+  ///    flags and domain words; then the region placement and the forced
+  ///    fault flags;
+  ///  * the fault plan's size and cursor, the router's counters, the
+  ///    deadline alarm, the noise generator, the trace's row count;
+  ///  * per replica cohort: each member's replica (store fingerprint,
+  ///    cursor, dictionary, partial tail, standby engine) and standing, the
+  ///    voter sets, commit id, leader and cohort stats;
+  ///  * SystemStats and the started flag.
+  /// Not hashed: the ActivityMonitor's watches (misses, reported flags),
+  /// each FactorMonitor's last value and seeded flag, the self-checking
+  /// pairs' counters, the last recovery reports, DurabilityStats, the
+  /// engines' key interners, the replicas' Stats, the contents of mailboxes,
+  /// pending signals, health events, environment history and trace rows.
+  /// Equal digests therefore mean equal hashed state, not bit-identical
+  /// mission state.
   [[nodiscard]] std::uint64_t digest() const;
 
   /// Spills every forked durable-device byte image this checkpoint holds
@@ -204,13 +231,6 @@ struct SystemCheckpoint {
   /// (devices hydrate transparently). Returns bytes spilled. The arena must
   /// outlive the checkpoint or its next restore.
   std::uint64_t spill_devices(storage::MappedArena& arena);
-
- private:
-  friend class System;
-  /// The digest with `trace_word` standing in for the trace (its row count
-  /// + 1, or 0 without one): System::digest() hashes the live trace's size
-  /// instead of copying the trace into a checkpoint first.
-  [[nodiscard]] std::uint64_t hash(std::uint64_t trace_word) const;
 };
 
 class System {
@@ -311,12 +331,17 @@ class System {
   /// built by the same factory as the one checkpointed (same spec, options,
   /// applications, and replica cohorts) — key sets must match exactly.
   void restore(const SystemCheckpoint& cp);
-  /// Digest of the live mutable state; equals checkpoint().digest().
+  /// Digest of the live mutable state; equals checkpoint().digest(). Reads
+  /// the running system in place through the same hash body: no checkpoint
+  /// is built and, once this thread's domain-word buffer has grown, nothing
+  /// is allocated. The buffer is per thread, so concurrent digests share
+  /// no scratch.
   [[nodiscard]] std::uint64_t digest() const;
 
  private:
   class SystemPeerReader;
   struct QuorumChannel;
+  class LiveState;  ///< The digest's read view of the running system.
 
   /// A forced-fault flag of one app: kUnset until a frame looks it up (the
   /// digest tells "never looked at" from "cleared").
@@ -327,12 +352,13 @@ class System {
   /// Raises a forced-fault flag named by a fault event.
   void raise_forced(AppId app, std::vector<Forced>& flags,
                     std::vector<AppId>& stray);
-  /// The checkpoint image of one forced-fault kind: the set flags merged
-  /// with the stray raised ids, in ascending AppId order.
-  [[nodiscard]] std::vector<std::pair<AppId, bool>> forced_image(
-      const std::vector<Forced>& flags,
-      const std::vector<AppId>& stray) const;
-  /// The inverse of forced_image.
+  /// Calls `visit(id, raised)` for one forced-fault kind: the set flags
+  /// merged with the stray raised ids, in ascending AppId order (the
+  /// checkpoint image and the digest order).
+  template <class Visit>
+  void each_forced(const std::vector<Forced>& flags,
+                   const std::vector<AppId>& stray, Visit&& visit) const;
+  /// The inverse of each_forced's image.
   void restore_forced(const std::vector<std::pair<AppId, bool>>& image,
                       std::vector<Forced>& flags, std::vector<AppId>& stray);
   /// Execution host for app `pos` this frame given its directive; nullopt
@@ -347,8 +373,6 @@ class System {
   /// Re-fetches every app's mailbox pointer from the router (after start
   /// and after every restore: the router's nodes may have been reused).
   void refresh_mailboxes();
-  /// Everything checkpoint() captures; the trace only when `with_trace`.
-  [[nodiscard]] SystemCheckpoint capture(bool with_trace) const;
   void record_snapshot(Cycle cycle, SimTime frame_end);
   void publish_processor_factors(SimTime now);
   /// One quorum ship slot per (cohort, member), in schedule order.

@@ -67,12 +67,12 @@ FactorMonitor::FactorMonitor(const FactorRegistry& registry, FactorId factor)
   seeded_ = true;
 }
 
-std::vector<EnvChangeSignal> FactorMonitor::sample(
+std::optional<EnvChangeSignal> FactorMonitor::sample(
     const Environment& environment, Cycle cycle, SimTime now) {
-  std::vector<EnvChangeSignal> out;
+  std::optional<EnvChangeSignal> out;
   const std::int64_t value = environment.get(factor_);
   if (seeded_ && value != last_seen_) {
-    out.push_back(EnvChangeSignal{now, cycle, factor_, last_seen_, value});
+    out = EnvChangeSignal{now, cycle, factor_, last_seen_, value};
   }
   last_seen_ = value;
   return out;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,7 @@ class FactorMonitor {
 
   /// Samples the factor; returns a signal if the value changed since the
   /// previous sample (or since construction).
-  [[nodiscard]] std::vector<EnvChangeSignal> sample(
+  [[nodiscard]] std::optional<EnvChangeSignal> sample(
       const Environment& environment, Cycle cycle, SimTime now);
 
   [[nodiscard]] FactorId factor() const { return factor_; }

@@ -10,6 +10,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "arfs/common/check.hpp"
@@ -53,6 +54,16 @@ class ProcessorGroup {
   /// All processor ids, in creation order.
   [[nodiscard]] const std::vector<ProcessorId>& processor_ids() const {
     return order_;
+  }
+
+  /// Calls `visit(processor)` for every processor in ascending ProcessorId
+  /// order (the order of a map keyed by id; processor_ids() is creation
+  /// order).
+  template <class Visit>
+  void for_each_by_id(Visit&& visit) const {
+    for (const std::unique_ptr<Processor>& p : by_id_) {
+      if (p != nullptr) visit(std::as_const(*p));
+    }
   }
 
   /// Ids of currently running processors.

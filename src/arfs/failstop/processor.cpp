@@ -95,6 +95,30 @@ Processor::Checkpoint Processor::checkpoint_state() const {
   return cp;
 }
 
+ProcessorView Processor::view() const {
+  return {.state = state_,
+          .stable = &stable_,
+          .volatile_store = &volatile_,
+          .lost_epochs = lost_epochs_,
+          .failed_at = failed_at_,
+          .failures = failures_,
+          .durability = durability_ != nullptr
+                            ? std::optional(durability_->view())
+                            : std::nullopt};
+}
+
+ProcessorView Processor::Checkpoint::view() const {
+  return {.state = state,
+          .stable = &stable,
+          .volatile_store = &volatile_store,
+          .lost_epochs = lost_epochs,
+          .failed_at = failed_at,
+          .failures = failures,
+          .durability = durability.has_value()
+                            ? std::optional(durability->view())
+                            : std::nullopt};
+}
+
 void Processor::restore_state(const Checkpoint& cp) {
   require((durability_ != nullptr) == cp.durability.has_value(),
           "processor restore must match its durability attachment");

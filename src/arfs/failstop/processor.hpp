@@ -26,6 +26,21 @@ namespace arfs::failstop {
 
 enum class ProcessorState { kRunning, kFailed };
 
+/// Read-only view of the processor state the system digest covers: fail-
+/// stop status, both stores and the durability engine. Built on the stack
+/// by a live processor and by its checkpoint alike (view()); the self-
+/// checking pair's counters and the last recovery report are not part of
+/// it.
+struct ProcessorView {
+  ProcessorState state = ProcessorState::kRunning;
+  const storage::StableStorage* stable = nullptr;
+  const storage::VolatileStorage* volatile_store = nullptr;
+  std::uint64_t lost_epochs = 0;
+  std::optional<Cycle> failed_at;
+  std::uint64_t failures = 0;
+  std::optional<storage::durable::EngineView> durability;
+};
+
 class Processor {
  public:
   explicit Processor(ProcessorId id) : id_(id) {}
@@ -116,8 +131,12 @@ class Processor {
     std::uint64_t lost_epochs = 0;
     std::optional<Cycle> failed_at;
     std::uint64_t failures = 0;
+
+    [[nodiscard]] ProcessorView view() const;
   };
   [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// The digested state, read in place (see ProcessorView).
+  [[nodiscard]] ProcessorView view() const;
   /// Precondition: durability attachment matches the checkpoint's. The
   /// engine object is rewound in place — references to it stay valid.
   void restore_state(const Checkpoint& cp);

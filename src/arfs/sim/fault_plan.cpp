@@ -122,13 +122,10 @@ void FaultPlan::quorum_member_repair(SimTime when, ProcessorId p,
   add(std::move(e));
 }
 
-std::vector<FaultEvent> FaultPlan::consume_until(SimTime until) {
-  std::vector<FaultEvent> out;
-  while (next_ < events_.size() && events_[next_].when <= until) {
-    out.push_back(events_[next_]);
-    ++next_;
-  }
-  return out;
+std::span<const FaultEvent> FaultPlan::consume_until(SimTime until) {
+  const std::size_t first = next_;
+  while (next_ < events_.size() && events_[next_].when <= until) ++next_;
+  return std::span<const FaultEvent>(events_).subspan(first, next_ - first);
 }
 
 FaultPlan generate_campaign(const CampaignParams& params, Rng& rng) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -92,7 +93,9 @@ class FaultPlan {
 
   /// Returns all events with `when` <= `until` that have not been consumed
   /// yet and marks them consumed. Consumption order is (time, insertion).
-  [[nodiscard]] std::vector<FaultEvent> consume_until(SimTime until);
+  /// The span views the plan's own events (nothing is copied): it stays
+  /// valid until the plan is next modified or assigned.
+  [[nodiscard]] std::span<const FaultEvent> consume_until(SimTime until);
 
   /// Resets consumption so the same plan can be replayed.
   void rewind() { next_ = 0; }

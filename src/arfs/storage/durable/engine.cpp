@@ -360,6 +360,32 @@ std::uint64_t EngineCheckpoint::spill_devices(storage::MappedArena& arena) {
   return bytes;
 }
 
+EngineView DurabilityEngine::view() const {
+  return {.journal = journal_.get(),
+          .snapshots = snapshots_.get(),
+          .appended_epoch = appended_epoch_,
+          .journal_generation = journal_generation_,
+          .retained_tail = retained_tail_,
+          .rebase_ok = rebase_ok_,
+          .rebase_epoch = rebase_epoch_,
+          .ship_horizon = ship_horizon_,
+          .adaptive_watermark_fp = adaptive_watermark_fp_,
+          .reconfig_pressure = reconfig_pressure_};
+}
+
+EngineView EngineCheckpoint::view() const {
+  return {.journal = journal.get(),
+          .snapshots = snapshots.get(),
+          .appended_epoch = appended_epoch,
+          .journal_generation = journal_generation,
+          .retained_tail = retained_tail,
+          .rebase_ok = rebase_ok,
+          .rebase_epoch = rebase_epoch,
+          .ship_horizon = ship_horizon,
+          .adaptive_watermark_fp = adaptive_watermark_fp,
+          .reconfig_pressure = reconfig_pressure};
+}
+
 void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
   journal_ = cp.journal->fork();
   snapshots_ = cp.snapshots->fork();

@@ -50,6 +50,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -189,6 +190,24 @@ struct RecoveryReport {
   std::string note;                    ///< Scanner's reason, when truncated.
 };
 
+/// Read-only view of the engine state the system digest covers: both
+/// devices, the shipping words and the adaptive controller. A live engine
+/// and its checkpoint each build one on the stack (view()), so one hash
+/// body reads both. DurabilityStats and the key interner are not part of
+/// it.
+struct EngineView {
+  const JournalBackend* journal = nullptr;
+  const JournalBackend* snapshots = nullptr;
+  std::uint64_t appended_epoch = 0;
+  std::uint64_t journal_generation = 0;
+  std::span<const std::uint8_t> retained_tail;
+  bool rebase_ok = true;
+  std::uint64_t rebase_epoch = 0;
+  std::uint64_t ship_horizon = 0;
+  std::uint64_t adaptive_watermark_fp = 0;
+  bool reconfig_pressure = false;
+};
+
 /// Frozen image of a DurabilityEngine: forked devices (durable image,
 /// buffered tail, and armed fault hooks included) plus every piece of
 /// engine bookkeeping. Move-only; a checkpoint can be restored any number
@@ -215,6 +234,8 @@ struct EngineCheckpoint {
   /// devices don't fork and never reach a checkpoint. The devices hydrate
   /// transparently on the next access/restore. Returns bytes spilled.
   std::uint64_t spill_devices(storage::MappedArena& arena);
+
+  [[nodiscard]] EngineView view() const;
 };
 
 /// The durable store of one processor: the journal device, the snapshot
@@ -264,6 +285,8 @@ class DurabilityEngine {
   /// checkpoint restorable many times over. Precondition: both devices are
   /// forkable (memory devices; FileBackend is not).
   [[nodiscard]] EngineCheckpoint checkpoint_state() const;
+  /// The digested state, read in place (see EngineView).
+  [[nodiscard]] EngineView view() const;
   /// Rewinds this engine to `cp` in place. The engine object's identity is
   /// preserved deliberately: shippers and units hold references to it.
   void restore_state(const EngineCheckpoint& cp);

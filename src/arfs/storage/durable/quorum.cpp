@@ -386,4 +386,47 @@ void QuorumGroup::restore_state(const Checkpoint& cp) {
   stats_ = cp.stats;
 }
 
+MemberView QuorumGroup::MemberCheckpoint::view() const {
+  return {.replica = replica.view(),
+          .last_applied = last_applied,
+          .live = live,
+          .retired = retired,
+          .needs_full_copy = needs_full_copy,
+          .warm_credit = warm_credit,
+          .consecutive_corrupt = consecutive_corrupt};
+}
+
+MemberView QuorumGroup::member_view(MemberId id) const {
+  const Member& m = member_at(id);
+  return {.replica = m.replica.view(),
+          .last_applied = m.last_applied,
+          .live = m.live,
+          .retired = m.retired,
+          .needs_full_copy = m.needs_full_copy,
+          .warm_credit = m.warm_credit,
+          .consecutive_corrupt = m.consecutive_corrupt};
+}
+
+QuorumView QuorumGroup::Checkpoint::view() const {
+  return {.members = members.size(),
+          .old_voters = old_voters,
+          .new_voters = new_voters,
+          .reconfiguring = reconfiguring,
+          .reconfig_epoch = reconfig_epoch,
+          .commit_id = commit_id,
+          .leader = leader,
+          .stats = &stats};
+}
+
+QuorumView QuorumGroup::view() const {
+  return {.members = members_.size(),
+          .old_voters = old_voters_,
+          .new_voters = new_voters_,
+          .reconfiguring = reconfiguring_,
+          .reconfig_epoch = reconfig_epoch_,
+          .commit_id = commit_id_,
+          .leader = leader_,
+          .stats = &stats_};
+}
+
 }  // namespace arfs::storage::durable::quorum

@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +70,31 @@ struct QuorumStats {
   std::uint64_t member_repairs = 0;
   std::uint64_t commit_advances = 0;     ///< Times commit_id moved forward.
   std::uint64_t membership_changes = 0;  ///< Joint changes completed.
+};
+
+/// Read-only view of one cohort member's digested state.
+struct MemberView {
+  ReplicaView replica;
+  std::uint64_t last_applied = 0;
+  bool live = true;
+  bool retired = false;
+  bool needs_full_copy = false;
+  bool warm_credit = true;
+  std::uint32_t consecutive_corrupt = 0;
+};
+
+/// Read-only view of a cohort's digested group state (its members are read
+/// one at a time through member_view). Built on the stack by a live group
+/// and by its checkpoint alike.
+struct QuorumView {
+  std::size_t members = 0;
+  std::span<const MemberId> old_voters;
+  std::span<const MemberId> new_voters;
+  bool reconfiguring = false;
+  std::uint64_t reconfig_epoch = 0;
+  std::uint64_t commit_id = 0;
+  std::optional<MemberId> leader;
+  const QuorumStats* stats = nullptr;
 };
 
 /// Fans one source engine's synced journal out to N ShippedReplica members
@@ -178,6 +204,8 @@ class QuorumGroup {
     bool needs_full_copy = false;
     bool warm_credit = true;
     std::uint32_t consecutive_corrupt = 0;
+
+    [[nodiscard]] MemberView view() const;
   };
   /// Frozen image of the whole group: every member plus the voter sets,
   /// commit bookkeeping, leadership, and stats. Move-only (the member
@@ -191,8 +219,16 @@ class QuorumGroup {
     std::uint64_t commit_id = 0;
     std::optional<MemberId> leader;
     QuorumStats stats;
+
+    [[nodiscard]] QuorumView view() const;
+    [[nodiscard]] MemberView member_view(MemberId id) const {
+      return members[id].view();
+    }
   };
   [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// The digested state, read in place (see QuorumView and MemberView).
+  [[nodiscard]] QuorumView view() const;
+  [[nodiscard]] MemberView member_view(MemberId id) const;
   /// Rewinds the group to `cp`, creating or discarding trailing members as
   /// needed (a checkpoint may straddle a membership change).
   void restore_state(const Checkpoint& cp);

@@ -303,6 +303,24 @@ void ShippedReplica::restore_state(const Checkpoint& cp) {
   stats_ = cp.stats;
 }
 
+ReplicaView ShippedReplica::view() const {
+  return {.store = &store_,
+          .engine = engine_ != nullptr ? std::optional(engine_->view())
+                                       : std::nullopt,
+          .dict = dict_,
+          .pending = pending_,
+          .cursor = cursor_};
+}
+
+ReplicaView ShippedReplica::Checkpoint::view() const {
+  return {.store = &store,
+          .engine = engine.has_value() ? std::optional(engine->view())
+                                       : std::nullopt,
+          .dict = dict,
+          .pending = pending,
+          .cursor = cursor};
+}
+
 std::uint64_t encoded_state_bytes(const StableStorage& store,
                                   const std::string& prefix) {
   std::vector<std::uint8_t> scratch;

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -109,6 +110,18 @@ enum class ApplyStatus : std::uint8_t {
                    ///< a retransmission retries from there.
 };
 
+/// Read-only view of a replica's digested state: the store's fingerprint
+/// and epoch count, the cursor, the stream dictionary, the partial-record
+/// tail and the standby engine. Built on the stack by a live replica and by
+/// its checkpoint alike (view()); the replica's Stats are not part of it.
+struct ReplicaView {
+  const StableStorage* store = nullptr;
+  std::optional<EngineView> engine;
+  std::span<const std::string> dict;
+  std::span<const std::uint8_t> pending;
+  ShipCursor cursor;
+};
+
 /// The standby side: applies shipped batches into a standby StableStorage,
 /// optionally journaling them through its own DurabilityEngine so the
 /// standby is itself durable.
@@ -168,8 +181,12 @@ class ShippedReplica {
     std::vector<std::uint8_t> pending;
     ShipCursor cursor;
     Stats stats;
+
+    [[nodiscard]] ReplicaView view() const;
   };
   [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// The digested state, read in place (see ReplicaView).
+  [[nodiscard]] ReplicaView view() const;
   /// Precondition: an engine is attached iff the checkpoint holds one (a
   /// replica never gains or loses its standby engine mid-mission).
   void restore_state(const Checkpoint& cp);

@@ -4,6 +4,8 @@
 #include <bit>
 #include <utility>
 
+#include "arfs/common/hash.hpp"
+
 namespace arfs::storage {
 
 namespace {
@@ -297,41 +299,23 @@ void StableStorage::reset_committed() {
   epochs_ = 0;
 }
 
-namespace {
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= 0x100000001B3ULL;
-  }
-}
-
-inline void fnv_mix_bytes(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001B3ULL;
-  }
-}
-
-}  // namespace
-
 std::uint64_t StableStorage::fingerprint() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (const KeyId id : sorted_) {
     const Slot& slot = slots_[id.value()];
     if (!slot.present) continue;
-    fnv_mix_bytes(h, names_[id.value()]);
-    fnv_mix(h, slot.value.index());
+    h = fnv_mix_bytes(h, names_[id.value()]);
+    h = fnv_mix(h, slot.value.index());
     if (const bool* b = std::get_if<bool>(&slot.value)) {
-      fnv_mix(h, *b ? 1 : 0);
+      h = fnv_mix(h, *b ? 1 : 0);
     } else if (const std::int64_t* i = std::get_if<std::int64_t>(&slot.value)) {
-      fnv_mix(h, static_cast<std::uint64_t>(*i));
+      h = fnv_mix(h, static_cast<std::uint64_t>(*i));
     } else if (const double* d = std::get_if<double>(&slot.value)) {
-      fnv_mix(h, std::bit_cast<std::uint64_t>(*d));
+      h = fnv_mix(h, std::bit_cast<std::uint64_t>(*d));
     } else {
-      fnv_mix_bytes(h, std::get<std::string>(slot.value));
+      h = fnv_mix_bytes(h, std::get<std::string>(slot.value));
     }
-    fnv_mix(h, slot.committed_at);
+    h = fnv_mix(h, slot.committed_at);
   }
   return h;
 }

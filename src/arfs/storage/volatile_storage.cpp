@@ -4,6 +4,8 @@
 #include <utility>
 #include <variant>
 
+#include "arfs/common/hash.hpp"
+
 namespace arfs::storage {
 
 void VolatileStorage::write(const std::string& key, Value value) {
@@ -27,38 +29,22 @@ void VolatileStorage::erase_all() {
   ++erases_;
 }
 
-namespace {
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
-  }
-}
-
-inline void fnv_mix_bytes(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
-  }
-}
-
-}  // namespace
-
 std::uint64_t VolatileStorage::fingerprint() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (const auto& [key, value] : data_) {
-    fnv_mix_bytes(h, key);
-    fnv_mix(h, value.index());
+    h = fnv_mix_bytes(h, key);
+    h = fnv_mix(h, value.index());
     if (const bool* b = std::get_if<bool>(&value)) {
-      fnv_mix(h, *b ? 1 : 0);
+      h = fnv_mix(h, *b ? 1 : 0);
     } else if (const std::int64_t* i = std::get_if<std::int64_t>(&value)) {
-      fnv_mix(h, static_cast<std::uint64_t>(*i));
+      h = fnv_mix(h, static_cast<std::uint64_t>(*i));
     } else if (const double* d = std::get_if<double>(&value)) {
-      fnv_mix(h, std::bit_cast<std::uint64_t>(*d));
+      h = fnv_mix(h, std::bit_cast<std::uint64_t>(*d));
     } else {
-      fnv_mix_bytes(h, std::get<std::string>(value));
+      h = fnv_mix_bytes(h, std::get<std::string>(value));
     }
   }
-  fnv_mix(h, erases_);
+  h = fnv_mix(h, erases_);
   return h;
 }
 

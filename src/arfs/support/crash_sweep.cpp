@@ -5,6 +5,7 @@
 #include <type_traits>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/hash.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/sim/fleet.hpp"
 #include "arfs/storage/arena.hpp"
@@ -12,13 +13,6 @@
 namespace arfs::support {
 
 namespace {
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= 0x100000001B3ULL;
-  }
-}
 
 /// One crash point's verdict: arms the device fault, fail-stops the victim
 /// (recovery runs inside fail()), and checks the recovered — and, under
@@ -158,19 +152,20 @@ std::vector<CrashPoint> sweep_from_scratch(const MissionFactory& factory,
 }  // namespace
 
 std::uint64_t CrashSweepReport::digest() const {
-  std::uint64_t h = 0xCBF29CE484222325ULL;
+  std::uint64_t h = kFnvBasis;
   for (const CrashPoint& p : points) {
-    fnv_mix(h, p.crash_frame);
-    fnv_mix(h, p.expected_fingerprint);
-    fnv_mix(h, p.recovered_fingerprint);
-    fnv_mix(h, p.durable_epoch);
-    fnv_mix(h, p.recovered_epoch);
-    fnv_mix(h, p.lost_frames);
-    fnv_mix(h, (p.journal_truncated ? 2u : 0u) | (p.match ? 1u : 0u));
-    fnv_mix(h, p.replica_epoch);
-    fnv_mix(h, p.replica_fingerprint);
-    fnv_mix(h, p.replica_catchup_bytes);
-    fnv_mix(h, (p.replica_reseeded ? 2u : 0u) | (p.replica_match ? 1u : 0u));
+    h = fnv_mix(h, p.crash_frame);
+    h = fnv_mix(h, p.expected_fingerprint);
+    h = fnv_mix(h, p.recovered_fingerprint);
+    h = fnv_mix(h, p.durable_epoch);
+    h = fnv_mix(h, p.recovered_epoch);
+    h = fnv_mix(h, p.lost_frames);
+    h = fnv_mix(h, (p.journal_truncated ? 2u : 0u) | (p.match ? 1u : 0u));
+    h = fnv_mix(h, p.replica_epoch);
+    h = fnv_mix(h, p.replica_fingerprint);
+    h = fnv_mix(h, p.replica_catchup_bytes);
+    h = fnv_mix(h,
+                (p.replica_reseeded ? 2u : 0u) | (p.replica_match ? 1u : 0u));
   }
   return h;
 }

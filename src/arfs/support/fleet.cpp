@@ -5,24 +5,12 @@
 #include <optional>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/hash.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/storage/arena.hpp"
 #include "arfs/support/mission.hpp"
 
 namespace arfs::support {
-
-namespace {
-
-inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFFu;
-    h *= 0x100000001B3ULL;
-  }
-}
-
-constexpr std::uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
-
-}  // namespace
 
 PooledMission::PooledMission(const MissionFactory& factory,
                              Cycle warmup_frames)
@@ -215,7 +203,7 @@ MissionEvidence fly_sample(core::System& sys, const PlanFactory& plan_for,
   acc.reconfigurations += ev.reconfigurations;
   acc.region_relocations += ev.region_relocations;
   acc.deadline_violations += ev.deadline_violations;
-  fnv_mix(acc.chunk_digest, ev.digest);
+  acc.chunk_digest = fnv_mix(acc.chunk_digest, ev.digest);
   return ev;
 }
 
@@ -308,7 +296,7 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
         into.deadline_violations += part.deadline_violations;
         into.pool_resets += part.pool_resets;
         into.systems_constructed += part.systems_constructed;
-        fnv_mix(into.digest, part.chunk_digest);
+        into.digest = fnv_mix(into.digest, part.chunk_digest);
       });
 
   FleetMissionReport report;
@@ -341,8 +329,8 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
     cursor.for_each_chunk(
         [&](const MissionEvidence* rows, std::size_t n, std::size_t) {
           std::uint64_t h = kFnvBasis;
-          for (std::size_t i = 0; i < n; ++i) fnv_mix(h, rows[i].digest);
-          fnv_mix(refold, h);
+          for (std::size_t i = 0; i < n; ++i) h = fnv_mix(h, rows[i].digest);
+          refold = fnv_mix(refold, h);
         });
     report.evidence_digest = refold;
     report.evidence_matches = report.evidence_digest == report.digest;

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "arfs/common/check.hpp"
 #include "arfs/common/expected.hpp"
+#include "arfs/common/hash.hpp"
 #include "arfs/common/ids.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/common/types.hpp"
@@ -37,6 +42,58 @@ TEST(Ids, HashableInUnorderedContainers) {
 TEST(Ids, UsableAsMapKeys) {
   std::set<ConfigId> set{ConfigId{3}, ConfigId{1}, ConfigId{2}};
   EXPECT_EQ(set.begin()->value(), 1u);
+}
+
+/// The plain FNV-1a word step, written out: eight byte steps, high zero
+/// bytes included. fnv_mix must equal it for every word.
+std::uint64_t reference_mix(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (i * 8)) & 0xFFu;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(Hash, WordStepMatchesThePlainEightByteLoop) {
+  std::vector<std::uint64_t> words = {0, 1, 0xFF, 0x100,
+                                      std::numeric_limits<std::uint64_t>::max()};
+  for (int k = 0; k < 64; ++k) {
+    words.push_back((std::uint64_t{1} << k) - 1);
+    words.push_back(std::uint64_t{1} << k);
+  }
+  // Seeded random words: full width, and shifted down so every significant
+  // byte count is drawn.
+  Rng rng(20261017);
+  for (int i = 0; i < 100'000; ++i) {
+    const std::uint64_t w = rng.next_u64();
+    words.push_back(i % 2 == 0 ? w : w >> (i % 64));
+  }
+
+  std::size_t mismatches = 0;
+  std::uint64_t chained = kFnvBasis;
+  std::uint64_t chained_reference = kFnvBasis;
+  for (const std::uint64_t w : words) {
+    if (fnv_mix(kFnvBasis, w) != reference_mix(kFnvBasis, w)) ++mismatches;
+    chained = fnv_mix(chained, w);
+    chained_reference = reference_mix(chained_reference, w);
+    if (chained != chained_reference) ++mismatches;
+  }
+  EXPECT_EQ(mismatches, 0u) << "over " << words.size() << " words";
+}
+
+TEST(Hash, ByteStepFoldsEveryByteInOrder) {
+  using namespace std::string_view_literals;
+  const std::string_view text = "a12/initialized_for\0\xff"sv;  // 21 bytes
+  std::uint64_t reference = kFnvBasis;
+  for (const char c : text) {
+    reference ^= static_cast<std::uint8_t>(c);
+    reference *= 0x100000001B3ULL;
+  }
+  ASSERT_EQ(text.size(), 21u);
+  EXPECT_EQ(fnv_mix_bytes(kFnvBasis, text), reference);
+  const std::vector<std::uint8_t> bytes(text.begin(), text.end());
+  EXPECT_EQ(fnv_mix_bytes(kFnvBasis, bytes), reference);
+  EXPECT_EQ(fnv_mix_bytes(kFnvBasis, std::string_view{}), kFnvBasis);
 }
 
 TEST(Check, RequireThrowsOnViolation) {

@@ -14,10 +14,15 @@
 //  * a spec that declares its apps out of AppId order, under both phase
 //    barriers — the digest, the trace rows and the CSV export must walk
 //    AppId order whatever order the frame loop uses.
+//
+// The DigestView tests hold the live digest (System::digest()) equal to
+// the checkpoint digest at every frame of volatile, durable and quorum
+// systems.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -28,6 +33,7 @@
 #include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/sim/fleet.hpp"
+#include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/support/fleet.hpp"
 #include "arfs/support/mission.hpp"
@@ -374,6 +380,189 @@ TEST(DigestPin, FaultEventsForAnUndeclaredApp) {
   system.run(6);
   EXPECT_PIN(system.digest(), kUndeclaredAppDigest);
   EXPECT_EQ(system.digest(), system.checkpoint().digest());
+}
+
+// --- the live digest equals the checkpoint digest everywhere ---
+//
+// System::digest() reads the running system in place; SystemCheckpoint::
+// digest() reads a frozen image. Both run one hash body, and these tests
+// hold them equal before the first frame, after every frame and after a
+// restore, on every kind of system the digest walks.
+
+/// Checks digest() == checkpoint().digest() before the first frame, after
+/// each of `frames` frames, right after restoring the checkpoint taken
+/// halfway, and after each frame replayed from there.
+void expect_views_agree(core::System& system, Cycle frames) {
+  EXPECT_EQ(hex(system.digest()), hex(system.checkpoint().digest()))
+      << "before the first frame";
+  std::optional<core::SystemCheckpoint> halfway;
+  for (Cycle f = 1; f <= frames; ++f) {
+    system.run(1);
+    core::SystemCheckpoint cp = system.checkpoint();
+    ASSERT_EQ(hex(system.digest()), hex(cp.digest())) << "frame " << f;
+    if (f == frames / 2) halfway = std::move(cp);
+  }
+  system.restore(*halfway);
+  EXPECT_EQ(hex(system.digest()), hex(halfway->digest())) << "after restore";
+  for (Cycle f = frames / 2 + 1; f <= frames; ++f) {
+    system.run(1);
+    ASSERT_EQ(hex(system.digest()), hex(system.checkpoint().digest()))
+        << "replayed frame " << f;
+  }
+}
+
+core::ScramOptions relaxed_immediate() {
+  core::ScramOptions scram;
+  scram.policy = core::ReconfigPolicy::kImmediate;
+  scram.barrier = core::PhaseBarrier::kRelaxed;
+  return scram;
+}
+
+TEST(DigestView, VolatileChainUnderBothBarriersWithEnvCampaigns) {
+  for (const std::size_t apps : {2u, 32u}) {
+    for (const core::ScramOptions& scram :
+         {core::ScramOptions{}, relaxed_immediate()}) {
+      support::ChainSpecParams params;
+      params.apps = apps;
+      params.with_recovery_edges = true;
+      auto spec = std::make_shared<core::ReconfigSpec>(
+          support::make_chain_spec(params));
+      core::SystemOptions options;
+      options.scram = scram;
+      support::CrashMission m = chain_factory(spec, options)();
+      support::EnvPlanParams plan_params;
+      plan_params.factors = spec->factors().factors();
+      plan_params.changes = 6;
+      plan_params.first_frame = 2;
+      plan_params.frames = 36;
+      m.system->set_fault_plan(
+          support::make_env_plan_factory(std::move(plan_params))(7));
+      SCOPED_TRACE(std::to_string(apps) + " apps, barrier " +
+                   std::to_string(static_cast<int>(scram.barrier)));
+      expect_views_agree(*m.system, 40);
+      EXPECT_GE(m.system->scram().stats().reconfigs_started, 1u);
+    }
+  }
+}
+
+TEST(DigestView, OutOfOrderSpecWithStrayForcedFlags) {
+  const core::ReconfigSpec spec = out_of_order_spec();
+  for (const core::ScramOptions& scram :
+       {core::ScramOptions{}, relaxed_immediate()}) {
+    core::SystemOptions options;
+    options.scram = scram;
+    core::System system(spec, options);
+    // Apps not added yet have no part in either digest.
+    for (const AppId app : kDeclared) {
+      EXPECT_EQ(hex(system.digest()), hex(system.checkpoint().digest()));
+      system.add_app(std::make_unique<support::SimpleApp>(
+          app, "app-" + std::to_string(app.value())));
+    }
+    sim::FaultPlan plan;
+    plan.timing_overrun(1 * 10'000, AppId{99});  // undeclared: stray flags
+    plan.software_fault(2 * 10'000, AppId{2});
+    plan.timing_overrun(2 * 10'000, AppId{17});
+    plan.change_environment(3 * 10'000, kLevel, 1);
+    plan.software_fault(5 * 10'000, AppId{30});
+    plan.software_fault(6 * 10'000, AppId{50});
+    plan.fail_processor(9 * 10'000, ProcessorId{3});
+    plan.change_environment(12 * 10'000, kLevel, 2);
+    plan.repair_processor(20 * 10'000, ProcessorId{3});
+    plan.change_environment(24 * 10'000, kLevel, 0);
+    system.set_fault_plan(std::move(plan));
+    expect_views_agree(system, 32);
+    const core::SystemCheckpoint cp = system.checkpoint();
+    EXPECT_EQ(cp.forced_overrun.front(), std::make_pair(AppId{4}, false));
+    EXPECT_EQ(cp.forced_overrun.back(), std::make_pair(AppId{99}, true));
+    EXPECT_EQ(cp.forced_fault.front(), std::make_pair(AppId{2}, true));
+    EXPECT_EQ(cp.forced_fault.back(), std::make_pair(AppId{50}, true));
+    EXPECT_GE(system.scram().stats().reconfigs_completed, 2u);
+  }
+}
+
+TEST(DigestView, ProcessorFailsAndIsRepaired) {
+  auto spec =
+      std::make_shared<core::ReconfigSpec>(support::make_chain_spec({}));
+  support::CrashMission m = chain_factory(spec, {})();
+  support::MissionProfile mission(10'000);
+  mission.fail(4, support::synthetic_processor(0))
+      .repair(12, support::synthetic_processor(0))
+      .at(16, support::kChainSeverityFactor, 0);
+  m.system->set_fault_plan(mission.build());
+  expect_views_agree(*m.system, 24);
+  EXPECT_GE(m.system->stats().true_detections, 1u);
+  EXPECT_TRUE(m.system->processors()
+                  .processor(support::synthetic_processor(0))
+                  .running());
+}
+
+TEST(DigestView, DurableUavUnderEverySyncPolicy) {
+  using storage::durable::SyncPolicy;
+  avionics::UavSpecOptions spec_options;
+  spec_options.dwell_frames = 10;
+  const core::ReconfigSpec spec = avionics::make_uav_spec(spec_options);
+  for (const SyncPolicy& policy :
+       {SyncPolicy::every_commit(), SyncPolicy::bytes(512),
+        SyncPolicy::frames(4), SyncPolicy::hybrid(4096, 8),
+        SyncPolicy::adaptive()}) {
+    avionics::UavPlant plant(42);
+    core::SystemOptions options;
+    options.frame_length = 20'000;
+    options.durable_storage = true;
+    options.durability.snapshot_every_epochs = 16;
+    options.durability.sync = policy;
+    core::System system(spec, options);
+    system.add_app(std::make_unique<avionics::AutopilotApp>(plant));
+    system.add_app(std::make_unique<avionics::FcsApp>(plant));
+    support::MissionProfile mission(options.frame_length);
+    mission.at(10, avionics::kPowerFactor, 1)
+        .at(25, avionics::kPowerFactor, 2)
+        .fail(30, avionics::kComputer1)
+        .repair(36, avionics::kComputer1)
+        .at(40, avionics::kPowerFactor, 0);
+    system.set_fault_plan(mission.build());
+    SCOPED_TRACE(storage::durable::to_string(policy.mode));
+    expect_views_agree(system, 48);
+    EXPECT_GE(system.processors()
+                  .processor(avionics::kComputer2)
+                  .durability()
+                  ->stats()
+                  .snapshots_taken,
+              1u);
+  }
+}
+
+TEST(DigestView, QuorumShippingThroughMemberFailRepairAndReseed) {
+  auto spec =
+      std::make_shared<core::ReconfigSpec>(support::make_chain_spec({}));
+  for (const std::uint32_t members : {1u, 3u, 5u}) {
+    core::SystemOptions options;
+    options.durable_storage = true;
+    options.journal_shipping = true;
+    options.quorum_replicas = members;
+    options.ship_slot_bytes = 64;  // batches split records: partial tails
+    options.durability.snapshot_every_epochs = 7;
+    options.durability.sync = storage::durable::SyncPolicy::bytes(512);
+    support::CrashMission m = chain_factory(spec, options)();
+    core::System& system = *m.system;
+
+    const ProcessorId p0 = support::synthetic_processor(0);
+    const ProcessorId p1 = support::synthetic_processor(1);
+    support::MissionProfile mission(10'000);
+    mission.fail(5, p0)  // before its first sync: a lossy recovery, a reseed
+        .repair(12, p0)
+        .at(15, support::kChainSeverityFactor, 1)
+        .at(20, support::kChainSeverityFactor, 0);
+    sim::FaultPlan plan = mission.build();
+    plan.quorum_member_fail(7 * 10'000, p1, members - 1);
+    plan.quorum_member_repair(10 * 10'000, p1, members - 1);
+    system.set_fault_plan(std::move(plan));
+    SCOPED_TRACE(std::to_string(members) + " members");
+    expect_views_agree(system, 24);
+    EXPECT_GE(system.stats().ship_reseeds, 1u);
+    EXPECT_GE(system.stats().quorum_member_failures, 1u);
+    EXPECT_GE(system.stats().quorum_member_repairs, 1u);
+  }
 }
 
 // --- restores that dense tables and interned keys must survive ---

@@ -109,15 +109,15 @@ TEST(FactorMonitor, SignalsOnChangeOnly) {
   reg.initialize(e);
   FactorMonitor monitor(reg, FactorId{1});
 
-  EXPECT_TRUE(monitor.sample(e, 0, 0).empty());
+  EXPECT_FALSE(monitor.sample(e, 0, 0).has_value());
   e.set(FactorId{1}, 2, 100);
-  const auto signals = monitor.sample(e, 1, 100);
-  ASSERT_EQ(signals.size(), 1u);
-  EXPECT_EQ(signals[0].old_value, 0);
-  EXPECT_EQ(signals[0].new_value, 2);
-  EXPECT_EQ(signals[0].cycle, 1u);
+  const auto signal = monitor.sample(e, 1, 100);
+  ASSERT_TRUE(signal.has_value());
+  EXPECT_EQ(signal->old_value, 0);
+  EXPECT_EQ(signal->new_value, 2);
+  EXPECT_EQ(signal->cycle, 1u);
   // No further signal while the value stays put.
-  EXPECT_TRUE(monitor.sample(e, 2, 200).empty());
+  EXPECT_FALSE(monitor.sample(e, 2, 200).has_value());
 }
 
 TEST(FactorMonitor, UndeclaredFactorRejected) {

@@ -9,7 +9,12 @@
 //  * with the trace on, each frame allocates only its trace row (the row's
 //    app vector and environment copy) plus the trace's amortized growth;
 //  * rewinding the warm system to a checkpoint allocates nothing;
-//  * Expected<T>::value() on a held value allocates nothing.
+//  * Expected<T>::value() on a held value allocates nothing;
+//  * after one warm-up digest, System::digest() allocates nothing on a
+//    volatile 32-app chain (trace on and off), a durable 2-app chain and
+//    the same chain shipping to a 3-member quorum cohort;
+//  * a frame that consumes one environment-change event makes exactly the
+//    recorded number of allocations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,6 +24,8 @@
 
 #include "arfs/common/expected.hpp"
 #include "arfs/core/system.hpp"
+#include "arfs/sim/fault_plan.hpp"
+#include "arfs/storage/durable/engine.hpp"
 #include "arfs/support/simple_app.hpp"
 #include "arfs/support/synthetic.hpp"
 
@@ -88,6 +95,12 @@ namespace {
 
 constexpr Cycle kWarmupFrames = 16;
 constexpr Cycle kMeasuredFrames = 64;
+/// Allocations of the first 32-app frame that consumes an environment
+/// change: the environment's history vector and the frame's reused signal
+/// buffer each grow for the first time. The fault plan hands out its
+/// events as a span and the monitor's sample is an optional, so neither
+/// allocates.
+constexpr std::uint64_t kEnvChangeFrameAllocs = 2;
 
 /// The 32-app chain system (4 configurations, recovery edges), warmed up.
 struct ChainSystem {
@@ -147,6 +160,67 @@ TEST(FrameAlloc, RestoringAWarmCheckpointAllocatesNothing) {
     EXPECT_EQ(t_allocs - before, 0u) << "round " << round;
     EXPECT_EQ(chain.system->digest(), digest);
   }
+}
+
+/// Allocations made by one digest of `system`.
+std::uint64_t digest_allocs(const core::System& system) {
+  const std::uint64_t before = t_allocs;
+  const std::uint64_t digest = system.digest();
+  const std::uint64_t allocs = t_allocs - before;
+  EXPECT_NE(digest, 0u);
+  return allocs;
+}
+
+/// A 2-app chain on durable storage (`frames(4)` group commit, a snapshot
+/// every 16 epochs), optionally shipping to a quorum cohort, after 512
+/// frames.
+std::unique_ptr<core::System> durable_chain(const core::ReconfigSpec& spec,
+                                            std::uint32_t cohort) {
+  core::SystemOptions options;
+  options.record_trace = false;
+  options.durable_storage = true;
+  options.durability.sync = storage::durable::SyncPolicy::frames(4);
+  options.durability.snapshot_every_epochs = 16;
+  if (cohort > 0) {
+    options.journal_shipping = true;
+    options.quorum_replicas = cohort;
+  }
+  auto system = std::make_unique<core::System>(spec, options);
+  for (const core::AppDecl& decl : spec.apps()) {
+    system->add_app(std::make_unique<support::SimpleApp>(decl.id, decl.name));
+  }
+  system->run(512);
+  return system;
+}
+
+TEST(FrameAlloc, DigestAllocatesNothing) {
+  for (const bool record_trace : {false, true}) {
+    ChainSystem chain(record_trace);
+    (void)digest_allocs(*chain.system);  // warm-up: grows the word buffer
+    EXPECT_EQ(digest_allocs(*chain.system), 0u) << "trace " << record_trace;
+    EXPECT_EQ(chain.system->digest(), chain.system->checkpoint().digest());
+  }
+
+  const core::ReconfigSpec spec = support::make_chain_spec({});
+  for (const std::uint32_t cohort : {0u, 3u}) {
+    const std::unique_ptr<core::System> system = durable_chain(spec, cohort);
+    (void)digest_allocs(*system);
+    EXPECT_EQ(digest_allocs(*system), 0u) << "cohort " << cohort;
+    EXPECT_EQ(system->digest(), system->checkpoint().digest());
+  }
+}
+
+TEST(FrameAlloc, EnvChangeFrameMakesTheRecordedAllocations) {
+  ChainSystem chain(/*record_trace=*/false);
+  const Cycle next = chain.system->clock().current_frame();
+  sim::FaultPlan plan;
+  plan.change_environment(
+      static_cast<SimTime>(next) * core::SystemOptions{}.frame_length,
+      support::kChainSeverityFactor, 1);
+  chain.system->set_fault_plan(std::move(plan));
+  EXPECT_EQ(frame_allocs(*chain.system, 1), kEnvChangeFrameAllocs);
+  EXPECT_EQ(chain.system->stats().fault_events_applied, 1u);
+  EXPECT_EQ(chain.system->scram().stats().triggers_received, 1u);
 }
 
 TEST(FrameAlloc, ExpectedValueOnAHeldValueAllocatesNothing) {

@@ -6,13 +6,16 @@
 // expected Table 1 structure. The timing section measures the cost of
 // driving the protocol through the full frame pipeline; the report also
 // times a steady normal frame and a System::digest() of the live system at
-// 2/8/32/64 apps, plus the digest of a durable 2-app chain, and records the
-// costs in BENCH_bench_sfta_phases.json (wall time: reported, never gated).
+// 2/8/32/64 apps, the steady durable frame (alone and shipping to a
+// one-member cohort) at 2 and 32 apps, plus the digest of a durable 2-app
+// chain, and records the costs in BENCH_bench_sfta_phases.json (wall time:
+// reported, never gated).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
@@ -58,12 +61,22 @@ void run_case(const std::string& label, support::SimpleAppParams app_params,
   std::cout << trace::render_phase_table(system.trace(), reconfigs.front());
 }
 
-/// A warm chain-spec system of `apps` apps with the trace off (the steady
-/// normal frame: no reconfiguration, no events).
+/// A chain-spec system of `spec`'s apps with the trace off (the steady
+/// normal frame: no reconfiguration, no events). Durable systems use
+/// frames(4) group commit and a snapshot every 16 epochs; `cohort` > 0
+/// also ships each journal to a cohort of that many members.
 std::unique_ptr<core::System> normal_frame_system(
-    const core::ReconfigSpec& spec) {
+    const core::ReconfigSpec& spec, bool durable = false,
+    std::uint32_t cohort = 0) {
   core::SystemOptions options;
   options.record_trace = false;  // unbounded run: do not grow the trace
+  options.durable_storage = durable;
+  options.durability.sync = storage::durable::SyncPolicy::frames(4);
+  options.durability.snapshot_every_epochs = 16;
+  if (cohort > 0) {
+    options.journal_shipping = true;
+    options.quorum_replicas = cohort;
+  }
   auto system = std::make_unique<core::System>(spec, options);
   for (const core::AppDecl& decl : spec.apps()) {
     system->add_app(std::make_unique<support::SimpleApp>(decl.id, "a"));
@@ -72,6 +85,23 @@ std::unique_ptr<core::System> normal_frame_system(
 }
 
 constexpr int kBlocks = 9;
+
+/// Best of kBlocks timed blocks of `frames` frames of `system`, after one
+/// untimed warm-up block, in ns per frame.
+double best_frame_ns(core::System& system, Cycle frames) {
+  system.run(frames);  // warm-up block
+  double best_ns = 0.0;
+  for (int b = 0; b < kBlocks; ++b) {
+    const auto start = std::chrono::steady_clock::now();
+    system.run(frames);
+    const auto stop = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(stop - start).count() /
+        static_cast<double>(frames);
+    if (b == 0 || ns < best_ns) best_ns = ns;
+  }
+  return best_ns;
+}
 
 /// Best of kBlocks timed blocks of `n` digests of `system`, in ns per
 /// digest (the minimum filters scheduler noise on a shared host).
@@ -105,17 +135,7 @@ void report_frame_cost() {
     const std::unique_ptr<core::System> system = normal_frame_system(spec);
     const Cycle frames = static_cast<Cycle>(std::max<std::size_t>(
         64, 4096 / apps));
-    system->run(frames);  // warm-up block
-    double best_ns = 0.0;
-    for (int b = 0; b < kBlocks; ++b) {
-      const auto start = std::chrono::steady_clock::now();
-      system->run(frames);
-      const auto stop = std::chrono::steady_clock::now();
-      const double ns =
-          std::chrono::duration<double, std::nano>(stop - start).count() /
-          static_cast<double>(frames);
-      if (b == 0 || ns < best_ns) best_ns = ns;
-    }
+    const double best_ns = best_frame_ns(*system, frames);
     const double per_app = best_ns / static_cast<double>(apps);
     const double digest_ns =
         best_digest_ns(*system, static_cast<int>(frames));
@@ -131,20 +151,40 @@ void report_frame_cost() {
         "ns");
   }
 
+  // The steady durable frame, the ruler of the durable write path: journal
+  // encode and group commit, snapshots with GC and compaction, and (with a
+  // cohort) shipping and the replicas' own durable apply.
+  std::cout << "\n--- steady durable frame (frames(4), a snapshot every 16 "
+            << "epochs, trace off, best of " << kBlocks << " blocks) ---\n"
+            << "apps | durable ns/frame | + 1-member cohort ns/frame\n";
+  for (const std::size_t apps : {2u, 32u}) {
+    support::ChainSpecParams params;
+    params.apps = apps;
+    const core::ReconfigSpec spec = support::make_chain_spec(params);
+    const Cycle frames = static_cast<Cycle>(std::max<std::size_t>(
+        64, 4096 / apps));
+    const double durable_ns =
+        best_frame_ns(*normal_frame_system(spec, /*durable=*/true), frames);
+    const double ship_ns = best_frame_ns(
+        *normal_frame_system(spec, /*durable=*/true, /*cohort=*/1), frames);
+    char line[80];
+    std::snprintf(line, sizeof line, "%4zu | %16.0f | %25.0f\n", apps,
+                  durable_ns, ship_ns);
+    std::cout << line;
+    const std::string n = std::to_string(apps) + "apps";
+    bench::trajectory().record("durable_frame/" + n + "/ns_per_frame",
+                               durable_ns, "ns");
+    bench::trajectory().record("durable_ship_frame/" + n + "/ns_per_frame",
+                               ship_ns, "ns");
+  }
+
   // A durable chain's digest also hashes every byte of its devices: 2 apps
   // after 512 frames of frames(4) group commit, a snapshot every 16 epochs.
   const core::ReconfigSpec spec = support::make_chain_spec({});
-  core::SystemOptions options;
-  options.record_trace = false;
-  options.durable_storage = true;
-  options.durability.sync = storage::durable::SyncPolicy::frames(4);
-  options.durability.snapshot_every_epochs = 16;
-  core::System durable(spec, options);
-  for (const core::AppDecl& decl : spec.apps()) {
-    durable.add_app(std::make_unique<support::SimpleApp>(decl.id, "a"));
-  }
-  durable.run(512);
-  const double durable_ns = best_digest_ns(durable, 256);
+  const std::unique_ptr<core::System> durable =
+      normal_frame_system(spec, /*durable=*/true);
+  durable->run(512);
+  const double durable_ns = best_digest_ns(*durable, 256);
   char line[80];
   std::snprintf(line, sizeof line,
                 "durable, 2 apps, after 512 frames: %.0f ns/digest\n",

@@ -10,7 +10,10 @@
 //      simulated frames at F=256).
 //   2. The stride auto-tune curve at fixed F: simulated frames and wall
 //      time across strides bracketing the √F default.
-// Both tables check the checkpointed report's digest against the
+//   3. A warm-start cell: the avionics mission shipping to its one-member
+//      cohort at F = 512, with the cost per crash point and the missions
+//      the sweep built (one per checkpoint interval plus the baseline).
+// The first two tables check the checkpointed report's digest against the
 // from-scratch oracle where the oracle is run.
 //
 // Emit machine-readable numbers for the perf trajectory with:
@@ -21,9 +24,11 @@
 #include <memory>
 #include <string>
 
+#include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/support/crash_sweep.hpp"
+#include "arfs/support/mission.hpp"
 #include "arfs/support/simple_app.hpp"
 #include "arfs/support/synthetic.hpp"
 #include "bench_main.hpp"
@@ -49,6 +54,48 @@ support::MissionFactory sweep_factory(SyncPolicy policy) {
     }
     support::CrashMission mission;
     mission.keepalive = spec;
+    mission.system = std::move(system);
+    return mission;
+  };
+}
+
+/// The section 7 avionics mission on durable storage (frames(4) group
+/// commit, a snapshot every 16 epochs) shipping to its one-member cohort,
+/// with the power factor cycling Full -> Reduced -> Minimal -> Full every
+/// 45 frames of a `frames`-frame mission.
+support::MissionFactory uav_ship_factory(Cycle frames) {
+  return [frames] {
+    struct Bundle {
+      core::ReconfigSpec spec;
+      avionics::UavPlant plant;
+      Bundle(core::ReconfigSpec s, std::uint64_t seed)
+          : spec(std::move(s)), plant(seed) {}
+    };
+    avionics::UavSpecOptions spec_options;
+    spec_options.dwell_frames = 10;
+    auto bundle = std::make_shared<Bundle>(
+        avionics::make_uav_spec(spec_options), 42);
+
+    core::SystemOptions options;
+    options.frame_length = 20'000;
+    options.durable_storage = true;
+    options.journal_shipping = true;
+    options.durability.snapshot_every_epochs = 16;
+    options.durability.sync = SyncPolicy::frames(4);
+    auto system = std::make_unique<core::System>(bundle->spec, options);
+    system->add_app(std::make_unique<avionics::AutopilotApp>(bundle->plant));
+    system->add_app(std::make_unique<avionics::FcsApp>(bundle->plant));
+
+    support::MissionProfile profile(options.frame_length);
+    std::int64_t level = 0;
+    for (Cycle f = 45; f < frames; f += 45) {
+      level = (level + 1) % 3;
+      profile.at(f, avionics::kPowerFactor, level);
+    }
+    system->set_fault_plan(profile.build());
+
+    support::CrashMission mission;
+    mission.keepalive = bundle;
     mission.system = std::move(system);
     return mission;
   };
@@ -151,11 +198,40 @@ void report_stride_curve() {
   }
 }
 
+void report_warm_start_uav() {
+  constexpr Cycle kFrames = 512;
+  support::CrashSweepOptions options;
+  options.frames = kFrames;
+  options.victim = avionics::kComputer1;
+  options.warm_start = true;
+  const support::MissionFactory factory = uav_ship_factory(kFrames);
+  (void)support::run_crash_sweep(factory, options);  // warm-up
+  const auto start = std::chrono::steady_clock::now();
+  const support::CrashSweepReport report =
+      support::run_crash_sweep(factory, options);
+  const double us_per_point =
+      wall_ms(start) * 1e3 / static_cast<double>(kFrames);
+  std::cout << "\nWarm-start avionics sweep (F = " << kFrames
+            << ", one-member cohort, stride auto-tuned)\n";
+  std::cout << std::left << std::setw(8) << "K" << std::setw(10)
+            << "missions" << std::setw(12) << "us/point" << "verdict\n";
+  std::cout << std::left << std::setw(8) << report.stride_used
+            << std::setw(10) << report.missions_built << std::fixed
+            << std::setprecision(1) << std::setw(12) << us_per_point
+            << (report.all_match() ? "all match" : "MISMATCH") << "\n";
+  bench::trajectory().record("sweep/uav_ship_F512/us_per_point", us_per_point,
+                             "us");
+  bench::trajectory().record("sweep/uav_ship_F512/missions_built",
+                             static_cast<double>(report.missions_built),
+                             "missions");
+}
+
 void report() {
   bench::banner("E16: checkpointed crash-point sweep",
                 "the O(F²) → O(F·K) sweep reduction");
   report_scaling();
   report_stride_curve();
+  report_warm_start_uav();
   std::cout << "\n";
 }
 

@@ -155,14 +155,15 @@ struct SystemStats {
 };
 
 /// Frozen image of every piece of mutable state a mission touches: clock,
-/// processors (volatile + committed stores, forked durability devices),
+/// processors (volatile + committed stores, durability device copies),
 /// environment and monitors, detection, SCRAM, applications (including
 /// their opaque domain words), region placement, fault-plan cursor,
 /// messaging, replica cohorts, trace, and statistics. The
 /// configuration-time constants (spec, options, schedules, hooks, cached
 /// key strings) are deliberately absent: a checkpoint is restored into a
-/// System built by the same factory. Move-only — device forks are owned —
-/// but restorable any number of times (restore re-forks, never consumes).
+/// System built by the same factory. Move-only — device copies are owned —
+/// but restorable any number of times (restore copies the device images
+/// into the system's own devices, never consumes them).
 /// Per-app tables are kept in ascending AppId order, the order the digest
 /// walks, whatever order the spec declares its apps in.
 struct SystemCheckpoint {
@@ -224,7 +225,7 @@ struct SystemCheckpoint {
   /// mission state.
   [[nodiscard]] std::uint64_t digest() const;
 
-  /// Spills every forked durable-device byte image this checkpoint holds
+  /// Spills every durable-device byte image this checkpoint holds
   /// (processor engines and cohort members' replica engines) into
   /// CRC-guarded regions of `arena` — the byte mass of a durable mission's
   /// checkpoint, freed from the heap until the checkpoint is next restored
@@ -325,7 +326,8 @@ class System {
   // --- whole-system checkpoint/restore ---
 
   /// Freezes the system's complete mutable state. Precondition: when
-  /// durable storage is on, every device is forkable (in-memory engines).
+  /// durable storage is on, every device is a MemoryBackend (in-memory
+  /// engines).
   [[nodiscard]] SystemCheckpoint checkpoint() const;
   /// Rewinds this system to `cp` in place. Precondition: this System was
   /// built by the same factory as the one checkpointed (same spec, options,

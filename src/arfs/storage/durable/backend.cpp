@@ -135,14 +135,19 @@ std::size_t MemoryBackend::read(std::uint64_t offset, std::uint8_t* out,
                                 std::size_t n) const {
   hydrate();
   const std::uint64_t total = size();
-  if (offset >= total) return 0;
+  if (offset >= total || n == 0) return 0;
   const std::size_t avail =
       static_cast<std::size_t>(std::min<std::uint64_t>(n, total - offset));
-  for (std::size_t i = 0; i < avail; ++i) {
-    const std::uint64_t pos = offset + i;
-    out[i] = pos < durable_.size()
-                 ? durable_[static_cast<std::size_t>(pos)]
-                 : buffered_[static_cast<std::size_t>(pos - durable_.size())];
+  // At most two spans: the part of the range on the durable image, then
+  // the part in the buffered tail.
+  std::size_t done = 0;
+  if (offset < durable_.size()) {
+    done = std::min(avail, static_cast<std::size_t>(durable_.size() - offset));
+    std::memcpy(out, durable_.data() + offset, done);
+  }
+  if (done < avail) {
+    const auto at = static_cast<std::size_t>(offset + done - durable_.size());
+    std::memcpy(out + done, buffered_.data() + at, avail - done);
   }
   return avail;
 }
@@ -273,10 +278,11 @@ std::size_t FileBackend::read(std::uint64_t offset, std::uint8_t* out,
     }
     got = done;
   }
-  while (got < want) {
-    const std::uint64_t pos = offset + got;  // in the buffered tail by now
-    out[got] = buffered_[static_cast<std::size_t>(pos - durable_size_)];
-    ++got;
+  if (got < want) {
+    // The rest lies in the buffered tail.
+    const auto at = static_cast<std::size_t>(offset + got - durable_size_);
+    std::memcpy(out + got, buffered_.data() + at, want - got);
+    got = want;
   }
   return got;
 }

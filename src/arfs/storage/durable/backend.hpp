@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -76,14 +75,6 @@ class JournalBackend {
   /// Flips one bit of the durable image at a position derived
   /// deterministically from `seed` (a latent media fault).
   virtual void corrupt_bit(std::uint64_t seed) { (void)seed; }
-
-  /// Deep copy of the device — durable image, buffered tail, and armed
-  /// fault hooks — for whole-system checkpoints. Devices that cannot be
-  /// duplicated (real files) return nullptr, which makes the owning engine
-  /// un-checkpointable.
-  [[nodiscard]] virtual std::unique_ptr<JournalBackend> fork() const {
-    return nullptr;
-  }
 };
 
 class MemoryBackend final : public JournalBackend {
@@ -95,9 +86,11 @@ class MemoryBackend final : public JournalBackend {
   /// caller arms them through the public hook methods.
   MemoryBackend(std::vector<std::uint8_t> durable,
                 std::vector<std::uint8_t> buffered);
-  /// Copying (incl. fork()) hydrates a spilled source first: the copy is
-  /// always a plain in-RAM device — spill state never aliases across
-  /// backends (two owners of one arena region would double-release it).
+  /// A copy carries the durable image, the buffered tail and the armed
+  /// fault hooks; it is how engine checkpoints capture and restore a
+  /// device. Copying hydrates a spilled source first: the copy is always a
+  /// plain in-RAM device — spill state never aliases across backends (two
+  /// owners of one arena region would double-release it).
   MemoryBackend(const MemoryBackend& other);
   MemoryBackend& operator=(const MemoryBackend& other);
   ~MemoryBackend() override = default;
@@ -121,13 +114,9 @@ class MemoryBackend final : public JournalBackend {
 
   [[nodiscard]] std::uint64_t sync_count() const { return syncs_; }
 
-  [[nodiscard]] std::unique_ptr<JournalBackend> fork() const override {
-    return std::make_unique<MemoryBackend>(*this);
-  }
-
   /// Moves the durable image and buffered tail into one sealed, CRC-guarded
   /// region of `arena`, freeing the heap bytes — the cold-checkpoint spill
-  /// path. The device stays fully usable: any access (and any copy/fork)
+  /// path. The device stays fully usable: any access (and any copy)
   /// hydrates it back transparently. Returns the payload bytes spilled
   /// (0 when empty or already spilled). `arena` must outlive the backend
   /// or its next hydration, whichever comes first.

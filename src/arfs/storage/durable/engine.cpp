@@ -15,41 +15,13 @@ namespace {
 /// crash tore it (the journal is uncompacted in exactly that case).
 constexpr std::size_t kGcKeepImages = 2;
 
-/// Rebuilds `out` from the snapshot scan's last valid image plus the
-/// journal's valid commit prefix. `out` must be empty of committed state.
-RecoveryReport recover_from_scans(const SnapshotScan& snap,
-                                  const ScanResult& scan,
-                                  StableStorage& out) {
-  require(out.committed_count() == 0,
-          "recovery target must have no committed state");
-  RecoveryReport report;
-
-  if (snap.any_valid) {
-    report.used_snapshot = true;
-    report.snapshot_epoch = snap.last.epoch;
-    out.restore_batch(snap.last.entries);
-  }
-
-  std::uint64_t last_epoch = report.snapshot_epoch;
-  for (const JournalRecord& record : scan.records) {
-    if (record.epoch <= report.snapshot_epoch) {
-      ++report.records_skipped;
-      continue;
-    }
-    out.restore_batch(record.entries, record.cycle);
-    last_epoch = record.epoch;
-    ++report.records_applied;
-  }
-  out.set_commit_epochs(last_epoch);
-  report.last_epoch = last_epoch;
-  report.journal_truncated = scan.truncated;
-  report.valid_bytes = scan.valid_bytes;
-  if (scan.truncated) report.note = scan.reason;
-  if (snap.truncated) {
-    report.note += report.note.empty() ? "" : "; ";
-    report.note += "snapshot device: " + snap.reason;
-  }
-  return report;
+/// The engine device a checkpoint copies from and restores into. Only a
+/// memory device can be captured, so a file-backed engine cannot be
+/// checkpointed.
+MemoryBackend& memory_device(JournalBackend& device) {
+  auto* memory = dynamic_cast<MemoryBackend*>(&device);
+  require(memory != nullptr, "checkpoints need memory journal devices");
+  return *memory;
 }
 
 }  // namespace
@@ -210,9 +182,7 @@ bool DurabilityEngine::take_snapshot(const StableStorage& store) {
   // Snapshot boundary: flush the journal lag first, so durability at the
   // boundary never depends on whether the image itself succeeds.
   (void)sync_now();
-  if (!append_snapshot(*snapshots_, store.commit_epochs(),
-                       store.committed_entries()) ||
-      !snapshots_->sync()) {
+  if (!append_snapshot(*snapshots_, store, scratch_) || !snapshots_->sync()) {
     ++stats_.snapshot_failures;
     return false;
   }
@@ -265,13 +235,15 @@ void DurabilityEngine::crash() {
 }
 
 void DurabilityEngine::gc_snapshots() {
-  const SnapshotScan snap = scan_snapshots(*snapshots_);
-  if (snap.truncated || snap.images <= kGcKeepImages) return;
-  const std::uint64_t keep_from =
-      snap.image_offsets[snap.images - kGcKeepImages];
+  const SnapshotWalk walk = walk_snapshots(*snapshots_, decode_scratch_);
+  if (walk.truncated || walk.images <= kGcKeepImages) return;
+  static_assert(kGcKeepImages == 2,
+                "the walk remembers the offsets of the newest two images");
+  const std::uint64_t keep_from = walk.previous_offset;
   // Copy the whole image tail out so a failed rewrite can be rolled back.
-  std::vector<std::uint8_t> tail(
-      static_cast<std::size_t>(snap.valid_bytes - kHeaderSize));
+  // The image is already on the device, so its encode buffer holds it.
+  std::vector<std::uint8_t>& tail = scratch_;
+  tail.resize(static_cast<std::size_t>(walk.valid_bytes - kHeaderSize));
   if (snapshots_->read(kHeaderSize, tail.data(), tail.size()) != tail.size()) {
     return;  // device refused the read; leave it alone
   }
@@ -292,15 +264,37 @@ void DurabilityEngine::gc_snapshots() {
 }
 
 RecoveryReport DurabilityEngine::recover_into(StableStorage& out) {
+  // The last valid image first, then the journal's commits after it, both
+  // straight into `out`; the replay also rebuilds the key dictionary.
   out.reset_committed();
-  const SnapshotScan snap = scan_snapshots(*snapshots_);
+  RecoveryReport report;
+  const SnapshotWalk snap =
+      restore_last_snapshot(*snapshots_, out, decode_scratch_);
+  if (snap.images > 0) {
+    report.used_snapshot = true;
+    report.snapshot_epoch = snap.last_epoch;
+  }
   ScanStats ss;
-  const ScanResult scan = scan_journal(*journal_, decode_scratch_, &ss);
+  const JournalReplay replay =
+      replay_journal(*journal_, report.snapshot_epoch, out, interner_,
+                     decode_scratch_, replay_keys_, &ss);
   stats_.decode_buffer_reuses += ss.payload_reuses;
-  RecoveryReport report = recover_from_scans(snap, scan, out);
+  report.records_applied = replay.records_applied;
+  report.records_skipped = replay.records_skipped;
+  report.last_epoch = replay.last_epoch;
+  out.set_commit_epochs(report.last_epoch);
+  report.journal_truncated = replay.truncated;
+  report.valid_bytes = replay.valid_bytes;
+  if (replay.truncated) report.note = replay.reason;
+  if (snap.truncated) {
+    report.note += report.note.empty() ? "" : "; ";
+    report.note += "snapshot device: ";
+    report.note += snap.reason;
+  }
   // Discard the untrusted tails so appends resume after the last good
   // record — the journal analogue of halting at the last completed
-  // instruction.
+  // instruction. The journal then ends exactly where the replay stopped
+  // trusting it, so the dictionary the replay rebuilt is the writer's.
   journal_->truncate(report.valid_bytes);
   if (report.valid_bytes < ship_horizon_) {
     // The truncation destroyed bytes a shipper may already have served
@@ -316,9 +310,6 @@ RecoveryReport DurabilityEngine::recover_into(StableStorage& out) {
         kHeaderSize, std::min(ship_horizon_, report.valid_bytes));
   }
   if (snap.truncated) snapshots_->truncate(snap.valid_bytes);
-  // The journal now ends exactly where the scan stopped trusting it, so the
-  // scan's dictionary is the writer's dictionary.
-  interner_.adopt(scan.dict);
   stats_.lag_frames = 0;
   stats_.lag_bytes = 0;
   stats_.last_durable_epoch = report.last_epoch;
@@ -333,10 +324,8 @@ bool DurabilityEngine::has_state() const {
 
 EngineCheckpoint DurabilityEngine::checkpoint_state() const {
   EngineCheckpoint cp;
-  cp.journal = journal_->fork();
-  cp.snapshots = snapshots_->fork();
-  require(cp.journal != nullptr && cp.snapshots != nullptr,
-          "checkpoint requires forkable journal devices");
+  cp.journal = std::make_unique<MemoryBackend>(memory_device(*journal_));
+  cp.snapshots = std::make_unique<MemoryBackend>(memory_device(*snapshots_));
   cp.stats = stats_;
   cp.interner = interner_;
   cp.appended_epoch = appended_epoch_;
@@ -352,10 +341,8 @@ EngineCheckpoint DurabilityEngine::checkpoint_state() const {
 
 std::uint64_t EngineCheckpoint::spill_devices(storage::MappedArena& arena) {
   std::uint64_t bytes = 0;
-  for (JournalBackend* device : {journal.get(), snapshots.get()}) {
-    if (auto* mem = dynamic_cast<MemoryBackend*>(device)) {
-      bytes += mem->spill(arena);
-    }
+  for (MemoryBackend* device : {journal.get(), snapshots.get()}) {
+    bytes += device->spill(arena);
   }
   return bytes;
 }
@@ -387,10 +374,10 @@ EngineView EngineCheckpoint::view() const {
 }
 
 void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
-  journal_ = cp.journal->fork();
-  snapshots_ = cp.snapshots->fork();
-  ensure(journal_ != nullptr && snapshots_ != nullptr,
-         "checkpointed journal devices must stay forkable");
+  // Copy-assignment keeps each device's buffers, so a warm restore
+  // allocates nothing.
+  memory_device(*journal_) = *cp.journal;
+  memory_device(*snapshots_) = *cp.snapshots;
   stats_ = cp.stats;
   interner_ = cp.interner;
   appended_epoch_ = cp.appended_epoch;

@@ -208,13 +208,14 @@ struct EngineView {
   bool reconfig_pressure = false;
 };
 
-/// Frozen image of a DurabilityEngine: forked devices (durable image,
-/// buffered tail, and armed fault hooks included) plus every piece of
-/// engine bookkeeping. Move-only; a checkpoint can be restored any number
-/// of times because restore re-forks the devices instead of consuming them.
+/// Frozen image of a DurabilityEngine: copies of its memory devices
+/// (durable image, buffered tail, and armed fault hooks included) plus
+/// every piece of engine bookkeeping. Move-only; a checkpoint can be
+/// restored any number of times because restore copies the devices instead
+/// of consuming them.
 struct EngineCheckpoint {
-  std::unique_ptr<JournalBackend> journal;
-  std::unique_ptr<JournalBackend> snapshots;
+  std::unique_ptr<MemoryBackend> journal;
+  std::unique_ptr<MemoryBackend> snapshots;
   DurabilityStats stats;
   KeyInterner interner;
   std::uint64_t appended_epoch = 0;
@@ -229,10 +230,9 @@ struct EngineCheckpoint {
   std::uint64_t adaptive_watermark_fp = 0;
   bool reconfig_pressure = false;
 
-  /// Spills both forked devices' byte images (the checkpoint's dominant
-  /// mass) to CRC-guarded arena regions; memory devices only — file-backed
-  /// devices don't fork and never reach a checkpoint. The devices hydrate
-  /// transparently on the next access/restore. Returns bytes spilled.
+  /// Spills both devices' byte images (the checkpoint's dominant mass) to
+  /// CRC-guarded arena regions. The devices hydrate transparently on the
+  /// next access/restore. Returns bytes spilled.
   std::uint64_t spill_devices(storage::MappedArena& arena);
 
   [[nodiscard]] EngineView view() const;
@@ -281,14 +281,17 @@ class DurabilityEngine {
   /// True when the devices hold any durable state worth recovering.
   [[nodiscard]] bool has_state() const;
 
-  /// Freezes the engine — forked devices plus all bookkeeping — into a
-  /// checkpoint restorable many times over. Precondition: both devices are
-  /// forkable (memory devices; FileBackend is not).
+  /// Freezes the engine — copies of both devices plus all bookkeeping —
+  /// into a checkpoint restorable many times over. Precondition: both
+  /// devices are MemoryBackends (a FileBackend cannot be checkpointed).
   [[nodiscard]] EngineCheckpoint checkpoint_state() const;
   /// The digested state, read in place (see EngineView).
   [[nodiscard]] EngineView view() const;
   /// Rewinds this engine to `cp` in place. The engine object's identity is
-  /// preserved deliberately: shippers and units hold references to it.
+  /// preserved deliberately: shippers and units hold references to it. So
+  /// is each device's: the checkpoint's image is copy-assigned into it,
+  /// keeping its buffers, so a warm restore allocates nothing. Same
+  /// precondition as checkpoint_state().
   void restore_state(const EngineCheckpoint& cp);
 
   /// SCRAM reconfiguration pressure: while on, a kAdaptive policy's
@@ -334,8 +337,8 @@ class DurabilityEngine {
   [[nodiscard]] std::uint64_t rebase_epoch() const { return rebase_epoch_; }
   /// The journal's current key dictionary — part of the state a full-copy
   /// reseed transfers (later records reference ids announced before it).
-  [[nodiscard]] const std::vector<std::string>& dictionary() const {
-    return interner_.entries();
+  [[nodiscard]] std::span<const std::string> dictionary() const {
+    return interner_.names();
   }
 
   /// Shipping accounting, called by JournalShipper per batch: bytes put on
@@ -366,10 +369,15 @@ class DurabilityEngine {
   std::unique_ptr<JournalBackend> snapshots_;
   DurableOptions options_;
   DurabilityStats stats_;
-  std::vector<std::uint8_t> scratch_;  ///< Reused record encode buffer.
-  /// Reused journal-replay payload buffer (the decode mirror of scratch_);
-  /// reuse is counted in DurabilityStats::decode_buffer_reuses.
+  /// Reused encode buffer: commit records, snapshot images, and the GC's
+  /// rollback copy of the image tail.
+  std::vector<std::uint8_t> scratch_;
+  /// Reused payload buffer of recovery and the GC walk (the decode mirror
+  /// of scratch_); journal-replay reuse is counted in
+  /// DurabilityStats::decode_buffer_reuses.
   std::vector<std::uint8_t> decode_scratch_;
+  /// Recovery's map from journal dictionary ids to the store's KeyIds.
+  DictKeyMap replay_keys_;
   KeyInterner interner_;               ///< Journal key dictionary (writer).
   /// Epoch of the newest record appended to the journal; becomes
   /// last_durable_epoch when the tail syncs.

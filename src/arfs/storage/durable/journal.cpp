@@ -8,32 +8,103 @@
 
 namespace arfs::storage::durable {
 
-std::uint32_t KeyInterner::intern(const std::string& key) {
-  const auto it = std::lower_bound(
-      index_.begin(), index_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it != index_.end() && it->first == key) return it->second;
+// --- NamePool ---
+
+NamePool::NamePool(const NamePool& other)
+    : slots_(other.names().begin(), other.names().end()),
+      size_(other.size_) {}
+
+NamePool& NamePool::operator=(const NamePool& other) {
+  if (this != &other) assign(other.names());
+  return *this;
+}
+
+void NamePool::push_back(std::string_view name) {
+  if (size_ < slots_.size()) {
+    slots_[size_].assign(name);  // reuses the spare string's storage
+  } else {
+    slots_.emplace_back(name);
+  }
+  ++size_;
+}
+
+void NamePool::assign(std::span<const std::string> names) {
+  size_ = 0;
+  for (const std::string& name : names) push_back(name);
+}
+
+// --- KeyInterner ---
+
+KeyInterner::KeyInterner(const KeyInterner& other)
+    : keys_(other.keys_), sorted_(other.sorted_), fresh_(other.fresh_) {}
+
+KeyInterner& KeyInterner::operator=(const KeyInterner& other) {
+  if (this == &other) return *this;
+  keys_ = other.keys_;
+  sorted_ = other.sorted_;
+  fresh_ = other.fresh_;
+  by_key_.clear();
+  return *this;
+}
+
+std::size_t KeyInterner::lower_bound(std::string_view key) const {
+  return static_cast<std::size_t>(
+      std::partition_point(sorted_.begin(), sorted_.end(),
+                           [&](std::uint32_t id) { return keys_[id] < key; }) -
+      sorted_.begin());
+}
+
+std::uint32_t KeyInterner::add(std::string_view key, std::size_t pos) {
   const auto id = static_cast<std::uint32_t>(keys_.size());
   keys_.push_back(key);
-  fresh_.push_back(key);
-  index_.insert(it, {key, id});
+  sorted_.insert(sorted_.begin() + static_cast<std::ptrdiff_t>(pos), id);
   return id;
 }
 
-void KeyInterner::adopt(const std::vector<std::string>& keys) {
-  reset();
-  keys_ = keys;
-  index_.reserve(keys_.size());
-  for (std::uint32_t id = 0; id < keys_.size(); ++id) {
-    index_.emplace_back(keys_[id], id);
+std::uint32_t KeyInterner::intern(std::string_view key) {
+  const std::size_t pos = lower_bound(key);
+  if (pos < sorted_.size() && keys_[sorted_[pos]] == key) return sorted_[pos];
+  ++fresh_;
+  return add(key, pos);
+}
+
+std::uint32_t KeyInterner::intern(const StableStorage& store, KeyId key) {
+  const std::string& name = store.key_name(key);
+  const std::size_t slot = key.value();
+  if (slot < by_key_.size() && by_key_[slot] != 0) {
+    // One comparison guards against an entry made for another store.
+    const std::uint32_t id = by_key_[slot] - 1;
+    if (id < keys_.size() && keys_[id] == name) return id;
   }
-  std::sort(index_.begin(), index_.end());
+  const std::uint32_t id = intern(name);
+  if (slot >= by_key_.size()) by_key_.resize(slot + 1, 0);
+  by_key_[slot] = id + 1;
+  return id;
+}
+
+std::span<const std::uint32_t> KeyInterner::intern_pending(
+    const StableStorage& store) {
+  pending_ids_.clear();
+  for (const KeyId key : store.pending()) {
+    pending_ids_.push_back(intern(store, key));
+  }
+  return pending_ids_;
+}
+
+void KeyInterner::append(std::string_view key) {
+  // After any equal names, so a lookup finds the lowest id of a duplicate.
+  const auto pos = static_cast<std::size_t>(
+      std::partition_point(sorted_.begin(), sorted_.end(),
+                           [&](std::uint32_t id) { return keys_[id] <= key; }) -
+      sorted_.begin());
+  (void)add(key, pos);
 }
 
 void KeyInterner::reset() {
   keys_.clear();
-  index_.clear();
-  fresh_.clear();
+  sorted_.clear();
+  fresh_ = 0;
+  by_key_.clear();
 }
 
 bool ensure_header(JournalBackend& backend) {
@@ -46,40 +117,21 @@ bool ensure_header(JournalBackend& backend) {
   return std::memcmp(magic, kJournalMagic, sizeof magic) == 0;
 }
 
-namespace {
-
-/// Reserves an 8-byte [len][crc] envelope at the end of `out` and returns
-/// its position; close_envelope() back-patches it once the payload follows.
-std::size_t open_envelope(std::vector<std::uint8_t>& out) {
-  const std::size_t env = out.size();
-  out.resize(env + 8);
-  return env;
-}
-
-void close_envelope(std::vector<std::uint8_t>& out, std::size_t env) {
-  const std::size_t payload = env + 8;
-  const auto len = static_cast<std::uint32_t>(out.size() - payload);
-  patch_u32(out, env, len);
-  patch_u32(out, env + 4, crc32(out.data() + payload, len));
-}
-
-}  // namespace
-
 void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
                    std::uint64_t epoch, Cycle cycle,
                    const StableStorage& store) {
-  // Intern every key first so one dictionary record covers the whole commit.
+  // Intern every key first, once, so one dictionary record covers the
+  // whole commit.
   const std::uint32_t first_fresh =
       static_cast<std::uint32_t>(dict.size() - dict.fresh().size());
-  for (const KeyId id : store.pending()) {
-    (void)dict.intern(store.key_name(id));
-  }
+  const std::vector<KeyId>& pending = store.pending();
+  const std::span<const std::uint32_t> ids = dict.intern_pending(store);
   if (!dict.fresh().empty()) {
     const std::size_t env = open_envelope(out);
     put_u8(out, kRecordDict);
     put_varint(out, first_fresh);
     put_varint(out, dict.fresh().size());
-    for (const auto& key : dict.fresh()) put_string(out, key);
+    for (const std::string& key : dict.fresh()) put_string(out, key);
     close_envelope(out, env);
     dict.take_fresh();
   }
@@ -87,10 +139,10 @@ void encode_commit(std::vector<std::uint8_t>& out, KeyInterner& dict,
   put_u8(out, kRecordCommit);
   put_u64(out, epoch);
   put_u64(out, cycle);
-  put_u32(out, static_cast<std::uint32_t>(store.pending().size()));
-  for (const KeyId id : store.pending()) {
-    put_varint(out, dict.intern(store.key_name(id)));
-    put_value(out, store.pending_value(id));
+  put_u32(out, static_cast<std::uint32_t>(pending.size()));
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    put_varint(out, ids[i]);
+    put_value(out, store.pending_value(pending[i]));
   }
   close_envelope(out, env);
 }
@@ -103,48 +155,63 @@ std::uint32_t get_u32(const std::uint8_t* p) {
   return v;
 }
 
-}  // namespace
+/// How a journal walk ended.
+struct WalkEnd {
+  bool header_ok = false;
+  std::uint64_t valid_bytes = 0;
+  bool truncated = false;
+  const char* reason = "";
+};
 
-ScanResult scan_journal(const JournalBackend& backend) {
-  std::vector<std::uint8_t> payload;
-  return scan_journal(backend, payload, nullptr);
-}
-
-ScanResult scan_journal(const JournalBackend& backend,
-                        std::vector<std::uint8_t>& scratch, ScanStats* stats) {
-  ScanResult result;
-  std::vector<std::uint8_t>& payload = scratch;
+/// The one journal scanner. It checks the header, then every record in
+/// order, and stops at the first record that is torn, fails its CRC, is
+/// malformed, references an unknown key id or breaks epoch monotonicity.
+/// It tells `sink`:
+///  * dict_name(name) for each name of a dictionary record as it is
+///    decoded (a record found malformed afterwards has reported its names
+///    already, so recovery's rebuilt dictionary holds them too);
+///  * dict_record(offset, first_id, count) once that record is valid;
+///  * commit(offset, epoch, cycle, n, entries) once a commit record is
+///    valid, where `entries` reads its n (varint id, value) pairs.
+/// Payloads are read into `payload`, the caller's reused buffer.
+template <class Sink>
+WalkEnd walk_journal(const JournalBackend& backend,
+                     std::vector<std::uint8_t>& payload, ScanStats* stats,
+                     Sink& sink) {
+  WalkEnd end;
   const std::uint64_t total = backend.size();
   if (total == 0) {
     // A never-written device is a valid empty journal.
-    result.header_ok = true;
-    result.valid_bytes = 0;
-    return result;
+    end.header_ok = true;
+    return end;
   }
   std::uint8_t magic[8] = {};
   if (backend.read(0, magic, sizeof magic) != sizeof magic ||
       std::memcmp(magic, kJournalMagic, sizeof magic) != 0) {
-    result.reason = "bad or short journal header";
-    result.truncated = true;
-    return result;
+    end.reason = "bad or short journal header";
+    end.truncated = true;
+    return end;
   }
-  result.header_ok = true;
-  result.valid_bytes = kHeaderSize;
+  end.header_ok = true;
+  end.valid_bytes = kHeaderSize;
 
+  const auto stop = [&end](const char* reason) {
+    end.truncated = true;
+    end.reason = reason;
+  };
   std::uint64_t offset = kHeaderSize;
   std::uint64_t last_epoch = 0;
+  std::uint64_t dict_size = 0;
   while (offset < total) {
     std::uint8_t envelope[8] = {};
     if (backend.read(offset, envelope, sizeof envelope) != sizeof envelope) {
-      result.truncated = true;
-      result.reason = "torn record envelope";
+      stop("torn record envelope");
       break;
     }
     const std::uint32_t len = get_u32(envelope);
     const std::uint32_t crc = get_u32(envelope + 4);
     if (len > kMaxPayload) {
-      result.truncated = true;
-      result.reason = "implausible record length (corrupt length prefix)";
+      stop("implausible record length (corrupt length prefix)");
       break;
     }
     if (stats != nullptr) {
@@ -159,13 +226,11 @@ ScanResult scan_journal(const JournalBackend& backend,
     }
     payload.resize(len);
     if (backend.read(offset + 8, payload.data(), len) != len) {
-      result.truncated = true;
-      result.reason = "torn record payload";
+      stop("torn record payload");
       break;
     }
     if (crc32(payload.data(), len) != crc) {
-      result.truncated = true;
-      result.reason = "record CRC mismatch";
+      stop("record CRC mismatch");
       break;
     }
     ByteReader reader(payload.data(), len);
@@ -175,64 +240,148 @@ ScanResult scan_journal(const JournalBackend& backend,
       const std::uint64_t count = reader.varint();
       // Ids must extend the dictionary contiguously; anything else means the
       // record belongs to a different journal generation.
-      if (!reader.ok() || first_id != result.dict.size() ||
-          count > kMaxPayload) {
-        result.truncated = true;
-        result.reason = "malformed dictionary record";
+      if (!reader.ok() || first_id != dict_size || count > kMaxPayload) {
+        stop("malformed dictionary record");
         break;
       }
       for (std::uint64_t i = 0; i < count && reader.ok(); ++i) {
-        result.dict.push_back(reader.string());
+        sink.dict_name(reader.string_view());
+        ++dict_size;
       }
       if (!reader.exhausted()) {
-        result.truncated = true;
-        result.reason = "malformed dictionary record";
+        stop("malformed dictionary record");
         break;
       }
-      result.dict_records.push_back(
-          DictRecordInfo{offset, static_cast<std::uint32_t>(first_id),
-                         static_cast<std::uint32_t>(count)});
+      sink.dict_record(offset, static_cast<std::uint32_t>(first_id),
+                       static_cast<std::uint32_t>(count));
     } else if (kind == kRecordCommit) {
-      JournalRecord record;
-      record.offset = offset;
-      record.epoch = reader.u64();
-      record.cycle = reader.u64();
+      const std::uint64_t epoch = reader.u64();
+      const Cycle cycle = reader.u64();
       const std::uint32_t n = reader.u32();
-      record.entries.reserve(n);
-      record.entry_ids.reserve(n);
+      // A count the payload cannot hold is malformed before anything is
+      // sized by it.
+      if (n > reader.remaining() / kMinCommitEntryBytes) {
+        stop("malformed record payload");
+        break;
+      }
+      const ByteReader entries = reader;
       bool bad_id = false;
       for (std::uint32_t i = 0; i < n && reader.ok(); ++i) {
-        const std::uint64_t id = reader.varint();
-        if (id >= result.dict.size()) {
+        if (reader.varint() >= dict_size) {
           bad_id = true;
           break;
         }
-        Value value = reader.value();
-        record.entries.emplace_back(result.dict[id], std::move(value));
-        record.entry_ids.push_back(static_cast<std::uint32_t>(id));
+        reader.skip_value();
       }
       if (bad_id || !reader.exhausted()) {
-        result.truncated = true;
-        result.reason = bad_id ? "commit references unknown key id"
-                               : "malformed record payload";
+        stop(bad_id ? "commit references unknown key id"
+                    : "malformed record payload");
         break;
       }
-      if (record.epoch <= last_epoch) {
-        result.truncated = true;
-        result.reason = "non-monotone commit epoch";
+      if (epoch <= last_epoch) {
+        stop("non-monotone commit epoch");
         break;
       }
-      last_epoch = record.epoch;
-      result.records.push_back(std::move(record));
+      last_epoch = epoch;
+      sink.commit(offset, epoch, cycle, n, entries);
     } else {
-      result.truncated = true;
-      result.reason = "unknown record kind";
+      stop("unknown record kind");
       break;
     }
     offset += 8 + len;
-    result.valid_bytes = offset;
+    end.valid_bytes = offset;
   }
+  return end;
+}
+
+/// scan_journal's sink: materializes every record and the dictionary.
+struct ScanSink {
+  ScanResult& result;
+
+  void dict_name(std::string_view name) { result.dict.emplace_back(name); }
+  void dict_record(std::uint64_t offset, std::uint32_t first_id,
+                   std::uint32_t count) {
+    result.dict_records.push_back(DictRecordInfo{offset, first_id, count});
+  }
+  void commit(std::uint64_t offset, std::uint64_t epoch, Cycle cycle,
+              std::uint32_t n, ByteReader entries) {
+    JournalRecord record;
+    record.offset = offset;
+    record.epoch = epoch;
+    record.cycle = cycle;
+    record.entries.reserve(n);
+    record.entry_ids.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto id = static_cast<std::uint32_t>(entries.varint());
+      record.entries.emplace_back(result.dict[id], entries.value());
+      record.entry_ids.push_back(id);
+    }
+    result.records.push_back(std::move(record));
+  }
+};
+
+/// replay_journal's sink: restores commits into the store as they pass.
+struct ReplaySink {
+  std::uint64_t after_epoch;
+  StableStorage& out;
+  KeyInterner& dict;
+  DictKeyMap& keys;
+  JournalReplay& replay;
+
+  void dict_name(std::string_view name) { dict.append(name); }
+  void dict_record(std::uint64_t, std::uint32_t, std::uint32_t) {}
+  void commit(std::uint64_t, std::uint64_t epoch, Cycle cycle,
+              std::uint32_t n, ByteReader entries) {
+    if (epoch <= after_epoch) {
+      ++replay.records_skipped;
+      return;
+    }
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto id = static_cast<std::uint32_t>(entries.varint());
+      out.restore(keys.key(out, dict.names(), id), entries.value(), cycle);
+    }
+    replay.last_epoch = epoch;
+    ++replay.records_applied;
+  }
+};
+
+}  // namespace
+
+KeyId DictKeyMap::key(StableStorage& store,
+                      std::span<const std::string> names, std::uint32_t id) {
+  if (ids_.size() < names.size()) ids_.resize(names.size(), kUnresolved);
+  std::uint32_t& key = ids_[id];
+  if (key == kUnresolved) key = store.intern(names[id]).value();
+  return KeyId{key};
+}
+
+ScanResult scan_journal(const JournalBackend& backend) {
+  ScanResult result;
+  ScanSink sink{result};
+  std::vector<std::uint8_t> payload;
+  const WalkEnd end = walk_journal(backend, payload, nullptr, sink);
+  result.header_ok = end.header_ok;
+  result.valid_bytes = end.valid_bytes;
+  result.truncated = end.truncated;
+  result.reason = end.reason;
   return result;
+}
+
+JournalReplay replay_journal(const JournalBackend& backend,
+                             std::uint64_t after_epoch, StableStorage& out,
+                             KeyInterner& dict,
+                             std::vector<std::uint8_t>& payload,
+                             DictKeyMap& keys, ScanStats* stats) {
+  JournalReplay replay;
+  replay.last_epoch = after_epoch;
+  dict.reset();
+  keys.clear();
+  ReplaySink sink{after_epoch, out, dict, keys, replay};
+  const WalkEnd end = walk_journal(backend, payload, stats, sink);
+  replay.valid_bytes = end.valid_bytes;
+  replay.truncated = end.truncated;
+  replay.reason = end.reason;
+  return replay;
 }
 
 std::string to_string(const JournalRecord& record) {

@@ -55,8 +55,7 @@ std::size_t QuorumGroup::step_member(Member& m, std::size_t budget) {
   if (m.needs_full_copy || budget == 0) return 0;
 
   DurabilityEngine& engine = shipper_.engine();
-  ShipBatch batch;
-  switch (shipper_.next_batch(m.replica.cursor(), budget, batch)) {
+  switch (shipper_.next_batch(m.replica.cursor(), budget, batch_)) {
     case ShipStatus::kUpToDate:
       return 0;
     case ShipStatus::kRebase: {
@@ -65,7 +64,7 @@ std::size_t QuorumGroup::step_member(Member& m, std::size_t budget) {
       ++stats_.rebases;
       // The rebase moved no bytes; the fresh generation's tail (if any)
       // ships in this same slot.
-      if (shipper_.next_batch(m.replica.cursor(), budget, batch) !=
+      if (shipper_.next_batch(m.replica.cursor(), budget, batch_) !=
           ShipStatus::kBatch) {
         return 0;
       }
@@ -80,8 +79,8 @@ std::size_t QuorumGroup::step_member(Member& m, std::size_t budget) {
       break;
   }
 
-  const std::size_t bytes = batch.bytes.size();
-  switch (m.replica.apply(batch)) {
+  const std::size_t bytes = batch_.bytes.size();
+  switch (m.replica.apply(batch_)) {
     case ApplyStatus::kApplied:
       m.consecutive_corrupt = 0;
       ++stats_.batches_shipped;
@@ -139,12 +138,11 @@ bool QuorumGroup::member_needs_full_copy(MemberId id) const {
 }
 
 void QuorumGroup::reseed_member(MemberId id, const StableStorage& source_store,
-                                std::vector<std::string> dict,
+                                std::span<const std::string> dict,
                                 std::uint64_t generation,
                                 std::uint64_t offset) {
   Member& m = member_ref(id);
-  m.replica.reset_from_full_copy(source_store, std::move(dict), generation,
-                                 offset);
+  m.replica.reset_from_full_copy(source_store, dict, generation, offset);
   m.needs_full_copy = false;
   m.consecutive_corrupt = 0;
   m.warm_credit = false;  // this member's warmth was bought, not streamed

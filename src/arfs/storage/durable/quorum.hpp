@@ -129,8 +129,8 @@ class QuorumGroup {
   /// commit id re-bases onto the recomputed majority — the one sanctioned
   /// exception to its monotonicity.
   void reseed_member(MemberId id, const StableStorage& source_store,
-                     std::vector<std::string> dict, std::uint64_t generation,
-                     std::uint64_t offset);
+                     std::span<const std::string> dict,
+                     std::uint64_t generation, std::uint64_t offset);
 
   /// Whether a warm relocation from `id` may claim avoided-bytes credit:
   /// false exactly when the member's warmth was bought by a full-copy
@@ -209,7 +209,7 @@ class QuorumGroup {
   };
   /// Frozen image of the whole group: every member plus the voter sets,
   /// commit bookkeeping, leadership, and stats. Move-only (the member
-  /// checkpoints own forked devices) but restorable many times.
+  /// checkpoints own device copies) but restorable many times.
   struct Checkpoint {
     std::vector<MemberCheckpoint> members;
     std::vector<MemberId> old_voters;
@@ -278,6 +278,9 @@ class QuorumGroup {
   QuorumStats stats_;
   /// majority_ack's sort buffer (scratch only; never checkpointed).
   std::vector<std::uint64_t> ack_scratch_;
+  /// step_member's batch buffer: every slot's bytes land here (scratch
+  /// only; never checkpointed).
+  ShipBatch batch_;
 };
 
 }  // namespace arfs::storage::durable::quorum

@@ -178,13 +178,13 @@ bool ShippedReplica::apply_record(const std::uint8_t* payload,
     // time and ship later) — but an overlapping id must re-announce the
     // same key.
     for (std::uint64_t i = 0; i < count; ++i) {
-      std::string key = reader.string();
+      const std::string_view key = reader.string_view();
       if (!reader.ok()) return false;
       const std::uint64_t id = first_id + i;
       if (id < dict_.size()) {
         if (dict_[id] != key) return false;
       } else {
-        dict_.push_back(std::move(key));
+        dict_.push_back(key);
       }
     }
     if (!reader.exhausted()) return false;
@@ -195,13 +195,14 @@ bool ShippedReplica::apply_record(const std::uint8_t* payload,
     const std::uint64_t epoch = reader.u64();
     const auto cycle = static_cast<Cycle>(reader.u64());
     const std::uint32_t n = reader.u32();
-    std::vector<std::pair<std::string, Value>> entries;
-    entries.reserve(n);
+    // A count the payload cannot hold is malformed before anything is
+    // sized by it.
+    if (n > reader.remaining() / kMinCommitEntryBytes) return false;
+    entries_.clear();
     for (std::uint32_t i = 0; i < n && reader.ok(); ++i) {
       const std::uint64_t id = reader.varint();
       if (id >= dict_.size()) return false;
-      Value value = reader.value();
-      entries.emplace_back(dict_[id], std::move(value));
+      entries_.emplace_back(static_cast<std::uint32_t>(id), reader.value());
     }
     if (!reader.ok() || !reader.exhausted()) return false;
     if (epoch <= cursor_.epoch) {
@@ -209,26 +210,29 @@ bool ShippedReplica::apply_record(const std::uint8_t* payload,
       ++stats_.records_skipped;
       return true;
     }
-    apply_commit(epoch, cycle, std::move(entries));
+    apply_commit(epoch, cycle);
     return true;
   }
   return false;
 }
 
-void ShippedReplica::apply_commit(
-    std::uint64_t epoch, Cycle cycle,
-    std::vector<std::pair<std::string, Value>> entries) {
+void ShippedReplica::apply_commit(std::uint64_t epoch, Cycle cycle) {
   if (engine_ != nullptr) {
     // Standby write-ahead: journal into the standby's own devices with the
     // source's epoch numbering, then commit — the standby survives its own
     // crashes with the same guarantees as the source.
     store_.set_commit_epochs(epoch - 1);
-    for (const auto& [key, value] : entries) store_.write(key, value);
+    for (auto& [id, value] : entries_) {
+      store_.write(keys_.key(store_, dict_.names(), id), std::move(value));
+    }
     engine_->record_commit(store_, cycle);
     store_.commit(cycle);
     engine_->after_commit(store_);
   } else {
-    store_.restore_batch(entries, cycle);
+    for (auto& [id, value] : entries_) {
+      store_.restore(keys_.key(store_, dict_.names(), id), std::move(value),
+                     cycle);
+    }
     store_.set_commit_epochs(epoch);
   }
   cursor_.epoch = epoch;
@@ -246,17 +250,19 @@ void ShippedReplica::rebase(std::uint64_t generation, std::uint64_t epoch) {
   // records extend the same numbering.
   if (epoch > store_.commit_epochs()) store_.set_commit_epochs(epoch);
   dict_.clear();
+  keys_.clear();
   ++stats_.rebases;
 }
 
 void ShippedReplica::reset_from_full_copy(const StableStorage& source,
-                                          std::vector<std::string> dict,
+                                          std::span<const std::string> dict,
                                           std::uint64_t generation,
                                           std::uint64_t offset) {
   store_.reset_committed();
   store_.restore_batch(source.committed_entries());
   store_.set_commit_epochs(source.commit_epochs());
-  dict_ = std::move(dict);
+  dict_.assign(dict);
+  keys_.clear();
   pending_.clear();
   // A journal that has never synced has not even its header on the device
   // (synced_size() == 0), but its stream still starts past the header: a
@@ -285,7 +291,7 @@ ShippedReplica::Checkpoint ShippedReplica::checkpoint_state() const {
   Checkpoint cp;
   cp.store = store_;
   if (engine_ != nullptr) cp.engine = engine_->checkpoint_state();
-  cp.dict = dict_;
+  cp.dict.assign(dict_.names().begin(), dict_.names().end());
   cp.pending = pending_;
   cp.cursor = cursor_;
   cp.stats = stats_;
@@ -297,7 +303,8 @@ void ShippedReplica::restore_state(const Checkpoint& cp) {
           "replica restore must match its attached-engine shape");
   store_ = cp.store;
   if (engine_ != nullptr) engine_->restore_state(*cp.engine);
-  dict_ = cp.dict;
+  dict_.assign(cp.dict);
+  keys_.clear();
   pending_ = cp.pending;
   cursor_ = cp.cursor;
   stats_ = cp.stats;
@@ -307,7 +314,7 @@ ReplicaView ShippedReplica::view() const {
   return {.store = &store_,
           .engine = engine_ != nullptr ? std::optional(engine_->view())
                                        : std::nullopt,
-          .dict = dict_,
+          .dict = dict_.names(),
           .pending = pending_,
           .cursor = cursor_};
 }

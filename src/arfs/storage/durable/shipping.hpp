@@ -148,7 +148,7 @@ class ShippedReplica {
   /// later records reference ids announced before the copy), and the
   /// cursor resumes at `offset` of `generation`.
   void reset_from_full_copy(const StableStorage& source,
-                            std::vector<std::string> dict,
+                            std::span<const std::string> dict,
                             std::uint64_t generation, std::uint64_t offset);
 
   [[nodiscard]] const ShipCursor& cursor() const { return cursor_; }
@@ -173,7 +173,7 @@ class ShippedReplica {
 
   /// Frozen image of the standby: store, optional standby engine, stream
   /// dictionary, partial-record tail, cursor, and stats. Move-only (the
-  /// engine checkpoint owns forked devices) but restorable many times.
+  /// engine checkpoint owns device copies) but restorable many times.
   struct Checkpoint {
     StableStorage store;
     std::optional<EngineCheckpoint> engine;
@@ -197,15 +197,20 @@ class ShippedReplica {
   /// cursor rewound to the last good boundary).
   bool drain_pending();
   bool apply_record(const std::uint8_t* payload, std::size_t len);
-  void apply_commit(std::uint64_t epoch, Cycle cycle,
-                    std::vector<std::pair<std::string, Value>> entries);
+  /// Applies the commit decoded into entries_.
+  void apply_commit(std::uint64_t epoch, Cycle cycle);
 
   StableStorage store_;
   std::unique_ptr<DurabilityEngine> engine_;  ///< Optional standby WAL.
-  std::vector<std::string> dict_;             ///< id -> key, this stream.
+  NamePool dict_;                             ///< id -> key, this stream.
   std::vector<std::uint8_t> pending_;         ///< Partial-record tail.
   ShipCursor cursor_;
   Stats stats_;
+  /// The commit being applied: (dictionary id, value) per entry. Reused.
+  std::vector<std::pair<std::uint32_t, Value>> entries_;
+  /// Dictionary id -> store KeyId. Derived state: never checkpointed or
+  /// digested, cleared whenever dict_ or the store is replaced.
+  DictKeyMap keys_;
 };
 
 /// Bytes a full-state copy of `store`'s committed entries (optionally

@@ -7,9 +7,8 @@
 
 namespace arfs::storage::durable {
 
-bool append_snapshot(JournalBackend& backend, std::uint64_t epoch,
-                     const std::vector<std::tuple<std::string, Value, Cycle>>&
-                         entries) {
+bool append_snapshot(JournalBackend& backend, const StableStorage& store,
+                     std::vector<std::uint8_t>& buf) {
   if (backend.size() == 0) {
     backend.append(kSnapshotMagic, sizeof kSnapshotMagic);
   } else {
@@ -19,19 +18,18 @@ bool append_snapshot(JournalBackend& backend, std::uint64_t epoch,
       return false;
     }
   }
-  std::vector<std::uint8_t> payload;
-  put_u64(payload, epoch);
-  put_u64(payload, entries.size());
-  for (const auto& [key, value, committed_at] : entries) {
-    put_string(payload, key);
-    put_value(payload, value);
-    put_u64(payload, committed_at);
-  }
-  std::vector<std::uint8_t> envelope;
-  put_u32(envelope, static_cast<std::uint32_t>(payload.size()));
-  put_u32(envelope, crc32(payload.data(), payload.size()));
-  envelope.insert(envelope.end(), payload.begin(), payload.end());
-  backend.append(envelope.data(), envelope.size());
+  buf.clear();
+  const std::size_t envelope = open_envelope(buf);
+  put_u64(buf, store.commit_epochs());
+  put_u64(buf, store.committed_count());
+  store.for_each_committed(
+      [&buf](const std::string& key, const Value& value, Cycle committed_at) {
+        put_string(buf, key);
+        put_value(buf, value);
+        put_u64(buf, committed_at);
+      });
+  close_envelope(buf, envelope);
+  backend.append(buf.data(), buf.size());
   return true;
 }
 
@@ -45,76 +43,96 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 
 }  // namespace
 
-SnapshotScan scan_snapshots(const JournalBackend& backend) {
-  SnapshotScan result;
+SnapshotWalk walk_snapshots(const JournalBackend& backend,
+                            std::vector<std::uint8_t>& payload) {
+  SnapshotWalk walk;
   const std::uint64_t total = backend.size();
   if (total == 0) {
-    result.header_ok = true;  // empty device: no snapshot yet, not damage
-    return result;
+    walk.header_ok = true;  // empty device: no snapshot yet, not damage
+    return walk;
   }
   std::uint8_t magic[8] = {};
   if (backend.read(0, magic, sizeof magic) != sizeof magic ||
       std::memcmp(magic, kSnapshotMagic, sizeof magic) != 0) {
-    result.reason = "bad or short snapshot header";
-    result.truncated = true;
-    return result;
+    walk.reason = "bad or short snapshot header";
+    walk.truncated = true;
+    return walk;
   }
-  result.header_ok = true;
-  result.valid_bytes = kHeaderSize;
+  walk.header_ok = true;
+  walk.valid_bytes = kHeaderSize;
 
+  const auto stop = [&walk](const char* reason) {
+    walk.truncated = true;
+    walk.reason = reason;
+  };
   std::uint64_t offset = kHeaderSize;
-  std::vector<std::uint8_t> payload;
   while (offset < total) {
     std::uint8_t envelope[8] = {};
     if (backend.read(offset, envelope, sizeof envelope) != sizeof envelope) {
-      result.truncated = true;
-      result.reason = "torn snapshot envelope";
+      stop("torn snapshot envelope");
       break;
     }
     const std::uint32_t len = get_u32(envelope);
     const std::uint32_t crc = get_u32(envelope + 4);
     if (len > kMaxPayload) {
-      result.truncated = true;
-      result.reason = "implausible snapshot length";
+      stop("implausible snapshot length");
       break;
     }
     payload.resize(len);
     if (backend.read(offset + 8, payload.data(), len) != len) {
-      result.truncated = true;
-      result.reason = "torn snapshot payload";
+      stop("torn snapshot payload");
       break;
     }
     if (crc32(payload.data(), len) != crc) {
-      result.truncated = true;
-      result.reason = "snapshot CRC mismatch";
+      stop("snapshot CRC mismatch");
       break;
     }
     ByteReader reader(payload.data(), len);
-    SnapshotImage image;
-    image.offset = offset;
-    image.epoch = reader.u64();
+    const std::uint64_t epoch = reader.u64();
     const std::uint64_t n = reader.u64();
-    image.entries.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
-      std::string key = reader.string();
-      Value value = reader.value();
-      const Cycle committed_at = reader.u64();
-      image.entries.emplace_back(std::move(key), std::move(value),
-                                 committed_at);
-    }
-    if (!reader.exhausted()) {
-      result.truncated = true;
-      result.reason = "malformed snapshot payload";
+    if (n > reader.remaining() / kMinSnapshotEntryBytes) {
+      stop("malformed snapshot payload");
       break;
     }
-    result.image_offsets.push_back(offset);
+    for (std::uint64_t i = 0; i < n && reader.ok(); ++i) {
+      (void)reader.string_view();
+      reader.skip_value();
+      (void)reader.u64();
+    }
+    if (!reader.exhausted()) {
+      stop("malformed snapshot payload");
+      break;
+    }
+    walk.previous_offset = walk.last_offset;
+    walk.last_offset = offset;
+    walk.last_epoch = epoch;
+    ++walk.images;
     offset += 8 + len;
-    result.valid_bytes = offset;
-    result.last = std::move(image);
-    result.any_valid = true;
-    ++result.images;
+    walk.valid_bytes = offset;
   }
-  return result;
+  return walk;
+}
+
+SnapshotWalk restore_last_snapshot(const JournalBackend& backend,
+                                   StableStorage& out,
+                                   std::vector<std::uint8_t>& payload) {
+  const SnapshotWalk walk = walk_snapshots(backend, payload);
+  if (walk.images == 0) return walk;
+  // Re-read the last image the walk found valid and restore its entries.
+  std::uint8_t envelope[8] = {};
+  (void)backend.read(walk.last_offset, envelope, sizeof envelope);
+  payload.resize(get_u32(envelope));
+  (void)backend.read(walk.last_offset + 8, payload.data(), payload.size());
+  ByteReader reader(payload.data(), payload.size());
+  (void)reader.u64();  // epoch
+  const std::uint64_t n = reader.u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const std::string_view key = reader.string_view();
+    Value value = reader.value();
+    const Cycle committed_at = reader.u64();
+    out.restore(out.intern(key), std::move(value), committed_at);
+  }
+  return walk;
 }
 
 }  // namespace arfs::storage::durable

@@ -15,12 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <tuple>
 #include <vector>
 
 #include "arfs/common/types.hpp"
 #include "arfs/storage/durable/backend.hpp"
+#include "arfs/storage/stable_storage.hpp"
 #include "arfs/storage/value.hpp"
 
 namespace arfs::storage::durable {
@@ -28,36 +27,44 @@ namespace arfs::storage::durable {
 inline constexpr std::uint8_t kSnapshotMagic[8] = {'A', 'R', 'F', 'S',
                                                    'S', 'N', 'P', '1'};
 
-/// One decoded snapshot image.
-struct SnapshotImage {
-  std::uint64_t epoch = 0;  ///< Commit epoch the image captures.
-  /// (key, value, committed_at) for every committed entry, sorted by key.
-  std::vector<std::tuple<std::string, Value, Cycle>> entries;
-  std::uint64_t offset = 0;
-};
+/// Smallest encoding of one image entry: an empty key (its 4-byte length),
+/// a bool value (tag and byte) and the commit cycle. An image whose entry
+/// count exceeds its remaining bytes over this is malformed.
+inline constexpr std::size_t kMinSnapshotEntryBytes = 14;
 
-struct SnapshotScan {
+/// Appends (but does not sync) a full image of `store`'s committed entries
+/// at its commit epoch. The image is encoded into `buf` (cleared first, so
+/// a caller that keeps the buffer allocates nothing once it is large
+/// enough), walking the store's slots in name order, with the envelope
+/// written in place. Writes the device header first when the device is
+/// empty. Returns false when an existing header does not match.
+bool append_snapshot(JournalBackend& backend, const StableStorage& store,
+                     std::vector<std::uint8_t>& buf);
+
+/// What a walk of the snapshot device found. The walk (the one snapshot
+/// scanner) checks the header, then each image's envelope, CRC and
+/// structure in device order, stops at the first bad one, and builds no
+/// entry. Malformed content is reported, never fatal.
+struct SnapshotWalk {
   bool header_ok = false;
-  bool any_valid = false;
-  SnapshotImage last;            ///< Meaningful only when any_valid.
-  std::size_t images = 0;        ///< Count of valid images found.
-  /// Envelope byte offset of each valid image, in device order. The GC uses
-  /// these to find where the keep-set starts without re-parsing payloads.
-  std::vector<std::uint64_t> image_offsets;
-  std::uint64_t valid_bytes = 0; ///< End of the last valid image.
-  bool truncated = false;        ///< Torn/corrupt tail after the images.
-  std::string reason;
+  std::size_t images = 0;           ///< Valid images found.
+  std::uint64_t valid_bytes = 0;    ///< End of the last valid image.
+  bool truncated = false;           ///< Torn/corrupt tail after the images.
+  const char* reason = "";
+  std::uint64_t last_offset = 0;    ///< Envelope offset of the last image.
+  std::uint64_t previous_offset = 0;  ///< ...and of the one before it.
+  std::uint64_t last_epoch = 0;     ///< Epoch of the last image.
 };
 
-/// Appends (but does not sync) a full image of `entries` at `epoch`.
-/// Writes the device header first when the device is empty. Returns false
-/// when an existing header does not match.
-bool append_snapshot(JournalBackend& backend, std::uint64_t epoch,
-                     const std::vector<std::tuple<std::string, Value, Cycle>>&
-                         entries);
+/// The walk alone (snapshot GC), reading payloads into the caller's reused
+/// `payload` buffer.
+[[nodiscard]] SnapshotWalk walk_snapshots(const JournalBackend& backend,
+                                          std::vector<std::uint8_t>& payload);
 
-/// Scans the device for the last valid image. Malformed content is reported,
-/// never fatal.
-[[nodiscard]] SnapshotScan scan_snapshots(const JournalBackend& backend);
+/// Recovery's read: the same walk, then the last valid image is restored
+/// straight into `out` (no image is materialized).
+SnapshotWalk restore_last_snapshot(const JournalBackend& backend,
+                                   StableStorage& out,
+                                   std::vector<std::uint8_t>& payload);
 
 }  // namespace arfs::storage::durable

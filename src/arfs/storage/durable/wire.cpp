@@ -94,12 +94,30 @@ void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+namespace {
+
+/// Overwrites 4 already-appended bytes at `pos`.
 void patch_u32(std::vector<std::uint8_t>& buf, std::size_t pos,
                std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     buf[pos + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));
   }
+}
+
+}  // namespace
+
+std::size_t open_envelope(std::vector<std::uint8_t>& buf) {
+  const std::size_t envelope = buf.size();
+  buf.resize(envelope + 8);
+  return envelope;
+}
+
+void close_envelope(std::vector<std::uint8_t>& buf, std::size_t envelope) {
+  const std::size_t payload = envelope + 8;
+  const auto len = static_cast<std::uint32_t>(buf.size() - payload);
+  patch_u32(buf, envelope, len);
+  patch_u32(buf, envelope + 4, crc32(buf.data() + payload, len));
 }
 
 void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
@@ -172,10 +190,12 @@ std::uint64_t ByteReader::varint() {
   return 0;
 }
 
-std::string ByteReader::string() {
+std::string ByteReader::string() { return std::string(string_view()); }
+
+std::string_view ByteReader::string_view() {
   const std::uint32_t n = u32();
   if (!take(n)) return {};
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
+  const std::string_view s(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return s;
 }
@@ -189,6 +209,16 @@ Value ByteReader::value() {
     default:
       ok_ = false;
       return Value{false};
+  }
+}
+
+void ByteReader::skip_value() {
+  switch (u8()) {
+    case kTagBool:   (void)u8(); return;
+    case kTagInt64:
+    case kTagDouble: (void)u64(); return;
+    case kTagString: (void)string_view(); return;
+    default:         ok_ = false; return;
   }
 }
 

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "arfs/storage/value.hpp"
@@ -34,11 +35,12 @@ namespace arfs::storage::durable {
 void put_u8(std::vector<std::uint8_t>& buf, std::uint8_t v);
 void put_u32(std::vector<std::uint8_t>& buf, std::uint32_t v);
 void put_u64(std::vector<std::uint8_t>& buf, std::uint64_t v);
-/// Overwrites 4 already-appended bytes at `pos` (envelope back-patching:
-/// reserve the envelope, encode the payload in place, then patch len + crc —
-/// no temporary payload buffer, no second copy).
-void patch_u32(std::vector<std::uint8_t>& buf, std::size_t pos,
-               std::uint32_t v);
+/// Reserves an 8-byte [u32 len][u32 crc32(payload)] record envelope at the
+/// end of `buf` and returns its position. The caller encodes the payload
+/// in place after it, then close_envelope() back-patches len and crc — no
+/// temporary payload buffer, no second copy.
+std::size_t open_envelope(std::vector<std::uint8_t>& buf);
+void close_envelope(std::vector<std::uint8_t>& buf, std::size_t envelope);
 /// Unsigned LEB128 (7 bits per byte, high bit = continue). Interned key ids
 /// are small, so they ship as one byte in the steady state.
 void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v);
@@ -60,9 +62,18 @@ class ByteReader {
   /// LEB128; more than 10 bytes (or a short buffer) latches not-ok.
   [[nodiscard]] std::uint64_t varint();
   [[nodiscard]] std::string string();
+  /// The same length-prefixed string, as a view into the buffer (no copy;
+  /// valid while the buffer is).
+  [[nodiscard]] std::string_view string_view();
   [[nodiscard]] Value value();
+  /// Consumes one tagged value without building it (validation walks).
+  void skip_value();
 
   [[nodiscard]] bool ok() const { return ok_; }
+  /// Bytes not yet consumed. Decoders check a declared element count
+  /// against it before reserving, so a hostile count cannot demand memory
+  /// the payload could never fill.
+  [[nodiscard]] std::size_t remaining() const { return end_ - pos_; }
   /// True when every byte was consumed and no read failed.
   [[nodiscard]] bool exhausted() const { return ok_ && pos_ == end_; }
 

@@ -258,12 +258,10 @@ std::vector<std::tuple<std::string, Value, Cycle>>
 StableStorage::committed_entries() const {
   std::vector<std::tuple<std::string, Value, Cycle>> out;
   out.reserve(committed_);
-  for (const KeyId id : sorted_) {
-    const Slot& slot = slots_[id.value()];
-    if (slot.present) {
-      out.emplace_back(names_[id.value()], slot.value, slot.committed_at);
-    }
-  }
+  for_each_committed(
+      [&out](const std::string& name, const Value& value, Cycle at) {
+        out.emplace_back(name, value, at);
+      });
   return out;
 }
 

@@ -141,14 +141,28 @@ class StableStorage {
     return slots_[key.value()].staged;
   }
 
-  /// Committed entries as (key, value, committed_at), sorted by key — the
-  /// durability layer's snapshot view.
+  /// Committed entries as (key, value, committed_at), sorted by key.
   [[nodiscard]] std::vector<std::tuple<std::string, Value, Cycle>>
   committed_entries() const;
+
+  /// Calls visit(name, value, committed_at) for every committed entry in
+  /// name order, copying nothing — the snapshot encoder's view.
+  template <typename Visit>
+  void for_each_committed(Visit visit) const {
+    for (const KeyId id : sorted_) {
+      const Slot& slot = slots_[id.value()];
+      if (slot.present) {
+        visit(names_[id.value()], slot.value, slot.committed_at);
+      }
+    }
+  }
 
   /// Installs a committed entry directly, bypassing the staging buffer.
   /// Recovery-replay only: ordinary writers must go through write()/commit()
   /// so the frame-atomicity contract holds.
+  void restore(KeyId key, Value value, Cycle committed_at) {
+    set_slot(key, std::move(value), committed_at);
+  }
   void restore(std::string_view key, Value value, Cycle committed_at);
 
   /// Bulk restore of a sorted-by-key batch (one journal record's entries),

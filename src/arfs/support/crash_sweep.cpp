@@ -181,6 +181,7 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
     report.points = sweep_from_scratch(factory, options, runner);
     report.simulated_frames =
         options.frames * (options.frames + 1) / 2;
+    report.missions_built = options.frames;
   } else {
     const Cycle stride = options.checkpoint_stride > 0
                              ? options.checkpoint_stride
@@ -189,8 +190,7 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
     // Serial baseline pass: run the mission once end to end, recording the
     // shared commit-boundary fingerprint table (index = commit epoch,
     // index 0 = empty pre-mission store) and freezing a whole-system
-    // checkpoint every `stride` frames. Checkpoints fork the durable
-    // devices, so later restores are copy-on-restore — no mission replay.
+    // checkpoint every `stride` frames — checkpoint j stands at frame j·K.
     CrashMission baseline = factory();
     require(baseline.system != nullptr, "mission factory built no system");
     core::System& base_system = *baseline.system;
@@ -216,28 +216,49 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
       }
     }
 
-    // Batch-parallel crash points: each forks a fresh mission, restores the
-    // nearest checkpoint at or below its crash frame, and simulates only
-    // the residual < stride frames before the fail-stop. The checkpoint
-    // table and fingerprint table are shared read-only across jobs.
-    report.points = runner.map<CrashPoint>(
-        static_cast<std::size_t>(options.frames), [&](std::size_t i) {
-          const Cycle crash_frame = static_cast<Cycle>(i) + 1;
-          const Cycle base_frame = crash_frame - crash_frame % stride;
-          CrashMission mission = factory();
-          require(mission.system != nullptr,
-                  "mission factory built no system");
-          core::System& system = *mission.system;
-          system.restore(
-              checkpoints[static_cast<std::size_t>(base_frame / stride)]);
-          system.run(crash_frame - base_frame);
-          return judge_crash_point(system, options, crash_frame,
-                                   fingerprints);
-        });
+    // Batch-parallel interval jobs. Job j owns the crash frames whose
+    // nearest checkpoint at or below is checkpoint j. It builds one mission
+    // and, for each of its crash points in order, restores checkpoint j
+    // over whatever the previous point left (a crashed victim, a failed
+    // cohort leader), simulates only the residual < stride frames and
+    // judges the point. The checkpoint and fingerprint tables are shared
+    // read-only across jobs.
+    const std::vector<std::vector<CrashPoint>> intervals =
+        runner.map<std::vector<CrashPoint>>(
+            checkpoints.size(), [&](std::size_t j) {
+              const Cycle base_frame = static_cast<Cycle>(j) * stride;
+              const Cycle first = std::max<Cycle>(base_frame, 1);
+              const Cycle last =
+                  std::min<Cycle>(base_frame + stride - 1, options.frames);
+              std::vector<CrashPoint> points;
+              if (first > last) return points;  // builds no mission
+              CrashMission mission = factory();
+              require(mission.system != nullptr,
+                      "mission factory built no system");
+              core::System& system = *mission.system;
+              points.reserve(static_cast<std::size_t>(last - first + 1));
+              for (Cycle crash_frame = first; crash_frame <= last;
+                   ++crash_frame) {
+                system.restore(checkpoints[j]);
+                system.run(crash_frame - base_frame);
+                points.push_back(judge_crash_point(system, options,
+                                                   crash_frame, fingerprints));
+              }
+              return points;
+            });
 
+    // Flattened in crash-frame order, so the report does not depend on how
+    // the jobs were scheduled.
+    report.points.reserve(static_cast<std::size_t>(options.frames));
+    report.missions_built = 1;  // the baseline
+    for (const std::vector<CrashPoint>& interval : intervals) {
+      report.points.insert(report.points.end(), interval.begin(),
+                           interval.end());
+      if (!interval.empty()) ++report.missions_built;
+    }
     report.simulated_frames = options.frames;  // the baseline pass
     for (Cycle j = 1; j <= options.frames; ++j) {
-      report.simulated_frames += j % stride;  // each job's residual
+      report.simulated_frames += j % stride;  // each point's residual
     }
     report.checkpoints_taken = checkpoints.size();
     report.stride_used = stride;

@@ -4,21 +4,27 @@
 // one processor at *every* frame of a mission and check that the state its
 // devices recover is exactly the state of the last durable commit epoch —
 // never a torn record, never anything newer than what was synced, never
-// anything older. Crash points are independent missions, so the sweep fans
-// them across a sim::BatchRunner and inherits the batch engine's
+// anything older. Crash points are independent of each other, so the sweep
+// fans them across a sim::BatchRunner and inherits the batch engine's
 // determinism contract: the report is bit-identical at any thread count.
 //
 // Two execution strategies produce bit-identical reports:
 //  * from-scratch (checkpointing off): each job builds a fresh mission and
 //    replays it up to its own crash frame — F crash points simulate
-//    F·(F+1)/2 frames;
+//    F·(F+1)/2 frames and build F missions. This is the oracle;
 //  * checkpointed (the default): one serial baseline pass runs the mission
 //    once, records the shared commit-boundary fingerprint table, and drops
-//    a deterministic core::SystemCheckpoint every K frames; each job then
-//    forks a fresh mission, restores the nearest checkpoint at or below its
-//    crash frame, and simulates only the residual < K frames. Total
-//    simulated frames fall to F + ~F·K/2, minimized at K ≈ √F (the
-//    auto-tune default).
+//    a deterministic core::SystemCheckpoint every K frames. Then one job
+//    per checkpoint interval: job j builds one mission and, for each crash
+//    frame c in [max(jK, 1), min(jK + K − 1, F)] in order, restores
+//    checkpoint j into it, simulates only the residual c − jK < K frames,
+//    and judges the point. A restore copies each durable device image into
+//    the mission's existing device, so after the first point a crash point
+//    costs its residual frames and little else. Total simulated frames
+//    fall to F + ~F·K/2, minimized at K ≈ √F (the auto-tune default); the
+//    sweep builds ⌊F/K⌋ + 2 missions at most (the baseline plus one per
+//    non-empty interval), about √F. Results are flattened in crash-frame
+//    order, so the report does not depend on the schedule.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +54,15 @@ struct CrashMission {
 /// Builds one mission from scratch. Must be deterministic (same mission
 /// every call) and thread-safe to call concurrently — each invocation must
 /// share no mutable state with the others.
+///
+/// The checkpointed strategy restores checkpoints into the missions it
+/// builds, and one mission serves every crash point of its interval: after
+/// each point's fail-stop, the next point restores a checkpoint over the
+/// crashed mission. So core::SystemCheckpoint must capture everything that
+/// decides a mission's future — everything its apps and the objects in the
+/// keepalive mutate included (apps do so through their checkpoint hooks).
+/// State a checkpoint misses would leak from one crash point into the
+/// next, and the sweep would drift from the from-scratch oracle.
 using MissionFactory = std::function<CrashMission()>;
 
 struct CrashSweepOptions {
@@ -93,10 +108,11 @@ struct CrashSweepOptions {
   /// live majority (at most the minority of the cohort).
   std::uint32_t quorum_kills = 0;
 
-  /// O(F·K) strategy: fork each crash point from a stride-K baseline
-  /// checkpoint instead of replaying the mission from frame 0. Off runs the
-  /// from-scratch O(F²) sweep — the oracle the checkpointed path is tested
-  /// bit-identical against.
+  /// O(F·K) strategy: start each crash point from a stride-K baseline
+  /// checkpoint, restored into one mission per checkpoint interval, instead
+  /// of replaying the mission from frame 0. Off runs the from-scratch O(F²)
+  /// sweep — the oracle the checkpointed path is tested bit-identical
+  /// against.
   bool checkpointing = true;
   /// Baseline checkpoint stride K; 0 auto-tunes to max(1, round(√frames)).
   Cycle checkpoint_stride = 0;
@@ -162,6 +178,9 @@ struct CrashSweepReport {
   /// Mission frames simulated across the baseline pass and every job:
   /// frames·(frames+1)/2 from scratch, frames + Σ residuals checkpointed.
   std::uint64_t simulated_frames = 0;
+  /// Missions the factory built: the baseline plus one per non-empty
+  /// checkpoint interval (⌊F/K⌋ + 2 at most), or F from scratch.
+  std::uint64_t missions_built = 0;
   /// Baseline checkpoints held (frame-0 included); 0 from scratch.
   std::uint64_t checkpoints_taken = 0;
   /// The stride actually used after auto-tuning; 0 from scratch.

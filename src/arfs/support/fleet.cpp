@@ -45,7 +45,7 @@ void PooledMission::reset_to(Cycle frame) {
   --it;
   const std::size_t rung = static_cast<std::size_t>(it - ladder_.begin());
   if (rung < rung_spilled_.size() && rung_spilled_[rung]) {
-    // The restore below faults the rung's device bytes back in (the fork
+    // The restore below faults the rung's device bytes back in (the copy
     // inside restore hydrates spilled backends); account for it here.
     rung_spilled_[rung] = false;
     ++hydrations_;

@@ -5,7 +5,10 @@
 //  * core::SystemCheckpoint round-trips bit-identically — at every frame of
 //    a mission, a checkpoint restored into a freshly built system has the
 //    live system's digest, and running the restored fork to mission end
-//    reproduces the live mission's final digest exactly;
+//    reproduces the live mission's final digest exactly. The same holds
+//    when the checkpoint is restored over a mission that has just run a
+//    whole crash point, which is how the sweep reuses one mission per
+//    checkpoint interval;
 //  * the checkpointed sweep strategy is digest-identical to the from-scratch
 //    oracle (CrashSweepOptions::checkpointing = false) under every sync
 //    policy, both io-fault modes, warm-start mode, any stride, and any
@@ -14,6 +17,7 @@
 // what it writes must parse as valid JSON.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -23,6 +27,7 @@
 
 #include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
+#include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
 #include "arfs/support/bench_json.hpp"
 #include "arfs/support/crash_sweep.hpp"
@@ -44,14 +49,17 @@ std::vector<std::pair<std::string, SyncPolicy>> all_policies() {
 }
 
 /// Chain-spec mission, identical to crash_sweep_test's: durable processors,
-/// one SimpleApp per declared app, optional warm-standby shipping.
-MissionFactory chain_factory(SyncPolicy policy, bool shipping = false) {
-  return [policy, shipping] {
+/// one SimpleApp per declared app, optional shipping to a cohort of
+/// `replicas` members.
+MissionFactory chain_factory(SyncPolicy policy, bool shipping = false,
+                             std::uint32_t replicas = 1) {
+  return [policy, shipping, replicas] {
     auto spec =
         std::make_shared<core::ReconfigSpec>(make_chain_spec({}));
     core::SystemOptions options;
     options.durable_storage = true;
     options.journal_shipping = shipping;
+    options.quorum_replicas = replicas;
     options.durability.snapshot_every_epochs = 7;
     options.durability.sync = policy;
     auto system = std::make_unique<core::System>(*spec, options);
@@ -139,8 +147,9 @@ void expect_restore_exact_at_every_frame(const MissionFactory& factory,
     ASSERT_EQ(fork.system->digest(), digests[frames]) << "frame " << f;
   }
 
-  // A checkpoint is restorable more than once (each restore re-forks the
-  // durable devices): two forks of the same mid-mission checkpoint agree.
+  // A checkpoint is restorable more than once (each restore copies the
+  // checkpoint's device images, never consumes them): two forks of the same
+  // mid-mission checkpoint agree.
   const std::size_t mid = static_cast<std::size_t>(frames / 2);
   CrashMission fork_a = factory();
   CrashMission fork_b = factory();
@@ -162,6 +171,79 @@ TEST(SystemCheckpoint, AvionicsMissionRestoresBitIdenticallyAtEveryFrame) {
   // their SFTA phases, so checkpoints are taken mid-reconfiguration too.
   expect_restore_exact_at_every_frame(
       uav_factory(SyncPolicy::hybrid(4096, 8), /*shipping=*/true), 45);
+}
+
+/// The interval sweep's precondition: a checkpoint restored over a mission
+/// that has just run a whole crash point leaves no trace of that point. At
+/// every frame f one reused mission restores checkpoint f, runs up to three
+/// residual frames, arms `fault`, fail-stops the victim, kills the cohort
+/// leader `quorum_kills` times and catches the cohort up — the steps of
+/// judge_crash_point. Then it restores checkpoint f again: the digest must
+/// equal the checkpoint's, and running to mission end must reproduce the
+/// reference mission's final digest.
+void expect_restore_over_crash_exact(const MissionFactory& factory,
+                                     Cycle frames, ProcessorId victim,
+                                     std::uint32_t quorum_kills,
+                                     CrashSweepOptions::IoFault fault) {
+  CrashMission reference = factory();
+  ASSERT_NE(reference.system, nullptr);
+  std::vector<core::SystemCheckpoint> checkpoints;
+  checkpoints.push_back(reference.system->checkpoint());
+  for (Cycle f = 1; f <= frames; ++f) {
+    reference.system->run(1);
+    checkpoints.push_back(reference.system->checkpoint());
+  }
+  const std::uint64_t final_digest = reference.system->digest();
+
+  CrashMission mission = factory();
+  core::System& system = *mission.system;
+  for (Cycle f = 0; f <= frames; ++f) {
+    const auto i = static_cast<std::size_t>(f);
+    system.restore(checkpoints[i]);
+    system.run(std::min<Cycle>(3, frames - f));
+    failstop::Processor& processor = system.processors().processor(victim);
+    storage::durable::JournalBackend& journal =
+        processor.durability()->journal();
+    switch (fault) {
+      case CrashSweepOptions::IoFault::kNone:
+        break;
+      case CrashSweepOptions::IoFault::kTornWrite:
+        journal.tear_on_crash(7);
+        break;
+      case CrashSweepOptions::IoFault::kBitFlip:
+        journal.corrupt_bit(0x9E3779B97F4A7C15ULL * (f + 1));
+        break;
+    }
+    processor.fail(system.clock().current_frame());
+    for (std::uint32_t k = 0; k < quorum_kills; ++k) {
+      system.fail_quorum_member(victim, *system.quorum_group(victim).leader());
+    }
+    (void)system.ship_catch_up(victim);
+
+    system.restore(checkpoints[i]);
+    ASSERT_EQ(system.digest(), checkpoints[i].digest()) << "frame " << f;
+    system.run(frames - f);
+    ASSERT_EQ(system.digest(), final_digest) << "frame " << f;
+  }
+}
+
+TEST(SystemCheckpoint, RestoreOverACrashedMissionIsBitIdentical) {
+  for (const CrashSweepOptions::IoFault fault :
+       {CrashSweepOptions::IoFault::kNone,
+        CrashSweepOptions::IoFault::kTornWrite,
+        CrashSweepOptions::IoFault::kBitFlip}) {
+    SCOPED_TRACE(static_cast<int>(fault));
+    // The chain shipping to a 3-member cohort, its leader killed each time.
+    expect_restore_over_crash_exact(
+        chain_factory(SyncPolicy::frames(4), /*shipping=*/true,
+                      /*replicas=*/3),
+        16, synthetic_processor(0), /*quorum_kills=*/1, fault);
+    // The avionics mission shipping to its one-member cohort, across all
+    // three reconfigurations.
+    expect_restore_over_crash_exact(
+        uav_factory(SyncPolicy::hybrid(4096, 8), /*shipping=*/true), 45,
+        avionics::kComputer1, /*quorum_kills=*/0, fault);
+  }
 }
 
 /// Runs one sweep and returns its report digest.
@@ -260,6 +342,9 @@ TEST(CheckpointedSweep, ReportsItsExecutionCostMetrics) {
   EXPECT_EQ(auto_report.stride_used, 4u);
   EXPECT_EQ(auto_report.checkpoints_taken, 6u);
   EXPECT_EQ(auto_report.simulated_frames, 20u + 30u);
+  // The baseline plus one mission per interval: [1,3], [4,7], ..., [16,19]
+  // and [20,20].
+  EXPECT_EQ(auto_report.missions_built, 7u);
 
   options.checkpoint_stride = 5;
   const CrashSweepReport strided =
@@ -267,6 +352,8 @@ TEST(CheckpointedSweep, ReportsItsExecutionCostMetrics) {
   EXPECT_EQ(strided.stride_used, 5u);
   EXPECT_EQ(strided.checkpoints_taken, 5u);
   EXPECT_EQ(strided.simulated_frames, 20u + 40u);
+  // [1,4], [5,9], [10,14], [15,19], [20,20] plus the baseline.
+  EXPECT_EQ(strided.missions_built, 6u);
 
   options.checkpoint_stride = 0;
   options.checkpointing = false;
@@ -275,6 +362,7 @@ TEST(CheckpointedSweep, ReportsItsExecutionCostMetrics) {
   EXPECT_EQ(scratch.stride_used, 0u);
   EXPECT_EQ(scratch.checkpoints_taken, 0u);
   EXPECT_EQ(scratch.simulated_frames, 20u * 21u / 2u);
+  EXPECT_EQ(scratch.missions_built, 20u);
   // The O(F·K) strategy really simulated far fewer frames.
   EXPECT_LT(auto_report.simulated_frames * 3, scratch.simulated_frames);
 }

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "arfs/common/check.hpp"
 #include "arfs/common/rng.hpp"
@@ -351,32 +353,144 @@ TEST(JournalScan, ImplausibleLengthPrefixDoesNotAllocate) {
   EXPECT_EQ(scan.valid_bytes, kHeaderSize);
 }
 
+/// Appends `payload` to `device` in a CRC-valid record envelope: whatever it
+/// claims, only its structure can give it away.
+void append_record(JournalBackend& device,
+                   const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> env;
+  put_u32(env, static_cast<std::uint32_t>(payload.size()));
+  put_u32(env, crc32(payload.data(), payload.size()));
+  env.insert(env.end(), payload.begin(), payload.end());
+  device.append(env.data(), env.size());
+}
+
+TEST(JournalScan, HostileEntryCountTruncatesAtTheRecord) {
+  MemoryBackend device;
+  KeyInterner dict;
+  ASSERT_TRUE(ensure_header(device));
+  one_record(device, dict, 1, 10);
+  const std::uint64_t good_end = device.size();
+  // A CRC-valid commit record claiming 2^32 - 1 entries but holding one.
+  std::vector<std::uint8_t> payload;
+  put_u8(payload, kRecordCommit);
+  put_u64(payload, 2);   // epoch
+  put_u64(payload, 11);  // cycle
+  put_u32(payload, 0xFFFFFFFFu);
+  put_varint(payload, 0);
+  put_value(payload, Value{std::int64_t{2}});
+  append_record(device, payload);
+  ASSERT_TRUE(device.sync());
+
+  const ScanResult scan = scan_journal(device);
+  EXPECT_TRUE(scan.truncated);
+  EXPECT_EQ(scan.reason, "malformed record payload");
+  ASSERT_EQ(scan.records.size(), 1u);
+  EXPECT_EQ(scan.valid_bytes, good_end);
+
+  // Recovery keeps the good record and cuts the hostile one off.
+  DurabilityEngine engine(std::make_unique<MemoryBackend>(device),
+                          std::make_unique<MemoryBackend>());
+  StableStorage recovered;
+  const RecoveryReport report = engine.recover_into(recovered);
+  EXPECT_TRUE(report.journal_truncated);
+  EXPECT_EQ(report.last_epoch, 1u);
+  EXPECT_EQ(report.valid_bytes, good_end);
+  EXPECT_EQ(engine.journal().size(), good_end);
+  EXPECT_EQ(recovered.read_as<std::int64_t>("k1").value(), 1);
+}
+
 // --- snapshots ---
+
+/// A store whose committed state is exactly `entries` (key, value,
+/// committed_at), stamped at commit epoch `epoch`.
+StableStorage image_of(
+    std::uint64_t epoch,
+    const std::vector<std::tuple<std::string, Value, Cycle>>& entries) {
+  StableStorage store;
+  store.restore_batch(entries);
+  store.set_commit_epochs(epoch);
+  return store;
+}
+
+/// A walk of a snapshot device, and the last valid image it found
+/// restored into a store (empty when there is none).
+struct LastImage {
+  SnapshotWalk walk;
+  StableStorage store;
+};
+
+LastImage last_image(const JournalBackend& device) {
+  LastImage last;
+  std::vector<std::uint8_t> payload;
+  last.walk = restore_last_snapshot(device, last.store, payload);
+  return last;
+}
 
 TEST(Snapshots, LastValidImageWins) {
   MemoryBackend device;
-  ASSERT_TRUE(append_snapshot(device, 4, {{"a", Value{std::int64_t{1}}, 2}}));
-  ASSERT_TRUE(append_snapshot(device, 9, {{"a", Value{std::int64_t{5}}, 8},
-                                          {"b", Value{true}, 9}}));
-  const SnapshotScan scan = scan_snapshots(device);
-  EXPECT_TRUE(scan.any_valid);
-  EXPECT_EQ(scan.images, 2u);
-  EXPECT_EQ(scan.last.epoch, 9u);
-  ASSERT_EQ(scan.last.entries.size(), 2u);
-  EXPECT_EQ(std::get<Cycle>(scan.last.entries[1]), Cycle{9});
+  std::vector<std::uint8_t> buf;
+  ASSERT_TRUE(append_snapshot(
+      device, image_of(4, {{"a", Value{std::int64_t{1}}, 2}}), buf));
+  ASSERT_TRUE(append_snapshot(device,
+                              image_of(9, {{"a", Value{std::int64_t{5}}, 8},
+                                           {"b", Value{true}, 9}}),
+                              buf));
+  const LastImage last = last_image(device);
+  EXPECT_EQ(last.walk.images, 2u);
+  EXPECT_EQ(last.walk.last_epoch, 9u);
+  const auto entries = last.store.committed_entries();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(std::get<Cycle>(entries[1]), Cycle{9});
 }
 
 TEST(Snapshots, TornLastImageFallsBackToPrevious) {
   MemoryBackend device;
-  ASSERT_TRUE(append_snapshot(device, 4, {{"a", Value{std::int64_t{1}}, 2}}));
+  std::vector<std::uint8_t> buf;
+  ASSERT_TRUE(append_snapshot(
+      device, image_of(4, {{"a", Value{std::int64_t{1}}, 2}}), buf));
   const std::uint64_t good_end = device.size();
-  ASSERT_TRUE(append_snapshot(device, 9, {{"a", Value{std::int64_t{5}}, 8}}));
+  ASSERT_TRUE(append_snapshot(
+      device, image_of(9, {{"a", Value{std::int64_t{5}}, 8}}), buf));
   device.truncate(good_end + 6);  // crash mid-snapshot write
-  const SnapshotScan scan = scan_snapshots(device);
-  EXPECT_TRUE(scan.truncated);
-  EXPECT_TRUE(scan.any_valid);
-  EXPECT_EQ(scan.last.epoch, 4u);
-  EXPECT_EQ(scan.valid_bytes, good_end);
+  const SnapshotWalk walk = last_image(device).walk;
+  EXPECT_TRUE(walk.truncated);
+  EXPECT_GT(walk.images, 0u);
+  EXPECT_EQ(walk.last_epoch, 4u);
+  EXPECT_EQ(walk.valid_bytes, good_end);
+}
+
+TEST(Snapshots, HostileEntryCountKeepsTheGoodImage) {
+  MemoryBackend device;
+  std::vector<std::uint8_t> buf;
+  ASSERT_TRUE(append_snapshot(
+      device, image_of(4, {{"a", Value{std::int64_t{1}}, 2}}), buf));
+  const std::uint64_t good_end = device.size();
+  // A CRC-valid image claiming 2^62 entries but holding one.
+  std::vector<std::uint8_t> payload;
+  put_u64(payload, 9);  // epoch
+  put_u64(payload, std::uint64_t{1} << 62);
+  put_string(payload, "a");
+  put_value(payload, Value{std::int64_t{5}});
+  put_u64(payload, 8);
+  append_record(device, payload);
+  ASSERT_TRUE(device.sync());
+
+  const SnapshotWalk walk = last_image(device).walk;
+  EXPECT_TRUE(walk.truncated);
+  EXPECT_STREQ(walk.reason, "malformed snapshot payload");
+  EXPECT_EQ(walk.images, 1u);
+  EXPECT_EQ(walk.last_epoch, 4u);
+  EXPECT_EQ(walk.valid_bytes, good_end);
+
+  // Recovery restores the good image and cuts the hostile one off.
+  DurabilityEngine engine(std::make_unique<MemoryBackend>(),
+                          std::make_unique<MemoryBackend>(device));
+  StableStorage recovered;
+  const RecoveryReport report = engine.recover_into(recovered);
+  EXPECT_TRUE(report.used_snapshot);
+  EXPECT_EQ(report.snapshot_epoch, 4u);
+  EXPECT_EQ(engine.snapshots().size(), good_end);
+  EXPECT_EQ(recovered.read_as<std::int64_t>("a").value(), 1);
 }
 
 // --- engine: commit, crash, recover ---
@@ -744,9 +858,9 @@ TEST(Engine, SnapshotGcKeepsLastTwoImagesAndCountsReclaimedBytes) {
   StableStorage store;
   run_commits(*engine, store, 0, 12);  // snapshots at 2,4,6,8,10,12
   EXPECT_EQ(engine->stats().snapshots_taken, 6u);
-  const SnapshotScan scan = scan_snapshots(engine->snapshots());
-  EXPECT_EQ(scan.images, 2u);  // older images were truncated away
-  EXPECT_EQ(scan.last.epoch, 12u);
+  const SnapshotWalk walk = last_image(engine->snapshots()).walk;
+  EXPECT_EQ(walk.images, 2u);  // older images were truncated away
+  EXPECT_EQ(walk.last_epoch, 12u);
   EXPECT_GT(engine->stats().snapshot_gc_runs, 0u);
   EXPECT_GT(engine->stats().snapshot_bytes_reclaimed, 0u);
   // Recovery from the GC'd device is still bit-identical.
@@ -768,7 +882,7 @@ TEST(Engine, SnapshotGcKeepsFallbackImageForTornNextSnapshot) {
   ASSERT_TRUE(engine->take_snapshot(store));  // image @4
   run_commits(*engine, store, 4, 2);
   ASSERT_TRUE(engine->take_snapshot(store));  // image @6; GC leaves @4,@6
-  ASSERT_EQ(scan_snapshots(engine->snapshots()).images, 2u);
+  ASSERT_EQ(last_image(engine->snapshots()).walk.images, 2u);
 
   run_commits(*engine, store, 6, 2);
   // The next snapshot dies: sync fails and the crash tears the image. The
@@ -803,7 +917,7 @@ TEST(Engine, SnapshotGcSyncFailureRollsBackAndKeepsAllImages) {
   EXPECT_EQ(engine->stats().snapshot_gc_runs, 0u);
   EXPECT_EQ(engine->stats().snapshot_bytes_reclaimed, 0u);
   EXPECT_EQ(engine->stats().snapshot_failures, 1u);
-  EXPECT_EQ(scan_snapshots(engine->snapshots()).images, 3u);
+  EXPECT_EQ(last_image(engine->snapshots()).walk.images, 3u);
   engine->crash();
   StableStorage recovered;
   const RecoveryReport report = engine->recover_into(recovered);

@@ -14,7 +14,15 @@
 //    volatile 32-app chain (trace on and off), a durable 2-app chain and
 //    the same chain shipping to a 3-member quorum cohort;
 //  * a frame that consumes one environment-change event makes exactly the
-//    recorded number of allocations.
+//    recorded number of allocations;
+//  * the 32-app chain on durable storage (frames(4) group commit, a
+//    snapshot every 16 epochs), alone and shipping to 1- and 3-member
+//    cohorts, after a warm-up across three compactions: no frame allocates,
+//    snapshot frames included;
+//  * restoring a warm durable shipping checkpoint allocates nothing, and
+//    one whole crash point on a warm mission (restore, 7 frames, the
+//    victim's fail-stop and recovery, the cohort's catch-up) makes exactly
+//    the recorded number of allocations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,6 +32,7 @@
 
 #include "arfs/common/expected.hpp"
 #include "arfs/core/system.hpp"
+#include "arfs/failstop/processor.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/support/simple_app.hpp"
@@ -221,6 +230,123 @@ TEST(FrameAlloc, EnvChangeFrameMakesTheRecordedAllocations) {
   EXPECT_EQ(frame_allocs(*chain.system, 1), kEnvChangeFrameAllocs);
   EXPECT_EQ(chain.system->stats().fault_events_applied, 1u);
   EXPECT_EQ(chain.system->scram().stats().triggers_received, 1u);
+}
+
+/// Frames of durable warm-up: three compactions (a snapshot every 16
+/// epochs), so every buffer of the write, shipping and snapshot paths has
+/// reached its working size.
+constexpr Cycle kDurableWarmupFrames = 64;
+/// Allocations of a frame in which an engine takes a snapshot: the image
+/// is encoded into the engine's reused buffer, GC walks the device without
+/// decoding it and copies into the same buffer, and the compacted key
+/// dictionary keeps its strings.
+constexpr std::uint64_t kSnapshotFrameAllocs = 0;
+/// Allocations of one crash point on the warm durable chain shipping to a
+/// one-member cohort: the restore copies into the devices' own buffers,
+/// recovery replays without materializing records, and the catch-up ships
+/// through the cohort's reused batch.
+constexpr std::uint64_t kCrashPointAllocs = 0;
+
+/// The 32-app chain on durable storage, optionally shipping to a cohort of
+/// `cohort` members, trace off, after kDurableWarmupFrames frames.
+struct DurableChain {
+  core::ReconfigSpec spec;
+  std::unique_ptr<core::System> system;
+
+  explicit DurableChain(std::uint32_t cohort) {
+    support::ChainSpecParams params;
+    params.apps = 32;
+    spec = support::make_chain_spec(params);
+    core::SystemOptions options;
+    options.record_trace = false;
+    options.durable_storage = true;
+    options.durability.sync = storage::durable::SyncPolicy::frames(4);
+    options.durability.snapshot_every_epochs = 16;
+    if (cohort > 0) {
+      options.journal_shipping = true;
+      options.quorum_replicas = cohort;
+    }
+    system = std::make_unique<core::System>(spec, options);
+    for (const core::AppDecl& decl : spec.apps()) {
+      system->add_app(
+          std::make_unique<support::SimpleApp>(decl.id, decl.name));
+    }
+    system->run(kDurableWarmupFrames);
+  }
+};
+
+/// Journal generations summed over every engine of `system`, processors'
+/// and cohort members' alike. A steady frame bumps it exactly when some
+/// engine took a snapshot (compaction starts a new generation).
+std::uint64_t journal_generations(core::System& system) {
+  std::uint64_t sum = 0;
+  for (const ProcessorId p : system.processors().processor_ids()) {
+    const failstop::ProcessorView view =
+        system.processors().processor(p).view();
+    if (view.durability.has_value()) {
+      sum += view.durability->journal_generation;
+    }
+    if (!system.has_ship_channel(p)) continue;
+    const auto& group = system.quorum_group(p);
+    for (std::uint32_t m = 0; m < group.member_count(); ++m) {
+      sum += group.member_view(m).replica.engine->journal_generation;
+    }
+  }
+  return sum;
+}
+
+TEST(FrameAlloc, DurableChainFramesAllocateNothing) {
+  for (const std::uint32_t cohort : {0u, 1u, 3u}) {
+    DurableChain chain(cohort);
+    std::size_t snapshot_frames = 0;
+    for (Cycle f = 0; f < kMeasuredFrames; ++f) {
+      const std::uint64_t generations = journal_generations(*chain.system);
+      const std::uint64_t allocs = frame_allocs(*chain.system, 1);
+      if (journal_generations(*chain.system) != generations) {
+        ++snapshot_frames;
+        EXPECT_EQ(allocs, kSnapshotFrameAllocs)
+            << "cohort " << cohort << ", snapshot frame " << f;
+      } else {
+        EXPECT_EQ(allocs, 0u) << "cohort " << cohort << ", frame " << f;
+      }
+    }
+    // 64 frames hold four snapshot epochs of every engine.
+    EXPECT_GE(snapshot_frames, 4u) << "cohort " << cohort;
+  }
+}
+
+TEST(FrameAlloc, RestoringAWarmDurableShippingCheckpointAllocatesNothing) {
+  DurableChain chain(/*cohort=*/3);
+  const core::SystemCheckpoint warm = chain.system->checkpoint();
+  const std::uint64_t digest = chain.system->digest();
+  for (int round = 0; round < 3; ++round) {
+    chain.system->run(kMeasuredFrames);
+    const std::uint64_t before = t_allocs;
+    chain.system->restore(warm);
+    EXPECT_EQ(t_allocs - before, 0u) << "round " << round;
+    EXPECT_EQ(chain.system->digest(), digest);
+  }
+}
+
+TEST(FrameAlloc, CrashPointOnAWarmMissionMakesTheRecordedAllocations) {
+  DurableChain chain(/*cohort=*/1);
+  const core::SystemCheckpoint warm = chain.system->checkpoint();
+  const ProcessorId victim = support::synthetic_processor(0);
+  const auto crash_point = [&] {
+    const std::uint64_t before = t_allocs;
+    chain.system->restore(warm);
+    chain.system->run(7);
+    chain.system->processors().processor(victim).fail(
+        chain.system->clock().current_frame());
+    (void)chain.system->ship_catch_up(victim);
+    return t_allocs - before;
+  };
+  (void)crash_point();  // the first recovery sizes its scratch buffers
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_EQ(crash_point(), kCrashPointAllocs) << "round " << round;
+    EXPECT_TRUE(chain.system->processors().processor(victim).last_recovery()
+                    .has_value());
+  }
 }
 
 TEST(FrameAlloc, ExpectedValueOnAHeldValueAllocatesNothing) {

@@ -265,6 +265,49 @@ TEST(ShipReplicate, RecordCorruptionRewindsToTheLastGoodBoundary) {
   EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
 }
 
+TEST(ShipReplicate, HostileEntryCountIsCorruptAndAppliesNothing) {
+  using namespace storage::durable;
+  // A dictionary record, then a CRC-valid commit record that claims
+  // 2^32 - 1 entries but holds one.
+  const auto envelope = [](std::vector<std::uint8_t>& out,
+                           const std::vector<std::uint8_t>& payload) {
+    put_u32(out, static_cast<std::uint32_t>(payload.size()));
+    put_u32(out, crc32(payload.data(), payload.size()));
+    out.insert(out.end(), payload.begin(), payload.end());
+  };
+  std::vector<std::uint8_t> stream;
+  std::vector<std::uint8_t> payload;
+  put_u8(payload, kRecordDict);
+  put_varint(payload, 0);  // first id
+  put_varint(payload, 1);  // count
+  put_string(payload, "k");
+  envelope(stream, payload);
+  const std::size_t dict_end = stream.size();
+  payload.clear();
+  put_u8(payload, kRecordCommit);
+  put_u64(payload, 1);  // epoch
+  put_u64(payload, 1);  // cycle
+  put_u32(payload, 0xFFFFFFFFu);
+  put_varint(payload, 0);
+  put_value(payload, Value{std::int64_t{7}});
+  envelope(stream, payload);
+
+  ShippedReplica replica;
+  const std::uint64_t before = replica.store().fingerprint();
+  ShipBatch batch;
+  batch.generation = replica.cursor().generation;
+  batch.offset = replica.cursor().offset;
+  batch.bytes = stream;
+  batch.crc = crc32(stream.data(), stream.size());
+  EXPECT_EQ(replica.apply(batch), ApplyStatus::kCorrupt);
+  EXPECT_EQ(replica.store().fingerprint(), before);
+  EXPECT_EQ(replica.store().commit_epochs(), 0u);
+  EXPECT_EQ(replica.cursor().epoch, 0u);
+  // The cursor rewound to the hostile record's boundary.
+  EXPECT_EQ(replica.cursor().offset, kHeaderSize + dict_end);
+  EXPECT_EQ(replica.pending_bytes(), 0u);
+}
+
 TEST(ShipReplicate, CompactionRebasesACaughtUpReplica) {
   Source source({/*snapshot_every_epochs=*/4, SyncPolicy::every_commit()});
   JournalShipper shipper(*source.engine);

@@ -162,7 +162,8 @@ DesignResult run_design(const std::string& design) {
   Cycle full = 0;
   Cycle critical = 0;
   Cycle any = 0;
-  for (const trace::SysState& s : system.trace().states()) {
+  for (Cycle c = 0; c < system.trace().size(); ++c) {
+    const trace::SysStateView s = system.trace().at(c);
     if (!trace::all_normal(s)) continue;
     ++any;
     const bool app0_full = trace::find_app(s, synthetic_app(0))->spec ==

@@ -3,11 +3,16 @@
 // The PVS proofs assert the four properties over all traces of the model;
 // this harness runs randomized fault campaigns over randomized systems and
 // reports, for each shape, the number of reconfigurations observed and the
-// SP1-SP4 verdicts (all must pass). The timing section measures checker
+// SP1-SP4 verdicts (all must pass). The report records that table and the
+// offline checker's cost per recorded frame in BENCH_bench_properties.json
+// (wall time: reported, never gated); the timing section measures checker
 // throughput over recorded traces.
+#include <chrono>
+#include <cstdio>
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "arfs/core/system.hpp"
 #include "arfs/props/online.hpp"
@@ -67,6 +72,56 @@ CampaignResult run_campaign(const core::ReconfigSpec& spec,
   return result;
 }
 
+/// The checkers' workload: the default random shape (seed 3) under the
+/// buffer policy, 800 frames of a 24-change binary-factor campaign.
+std::unique_ptr<core::System> checked_system(const core::ReconfigSpec& spec) {
+  std::unique_ptr<core::System> system =
+      make_system(spec, core::ReconfigPolicy::kBuffer, 3);
+  Rng rng(11);
+  sim::CampaignParams campaign;
+  campaign.horizon = 700 * 10'000;
+  campaign.environment_changes = 24;
+  for (const env::FactorSpec& f : spec.factors().factors()) {
+    campaign.factors.push_back(f.id);
+  }
+  campaign.factor_max = 1;
+  system->set_fault_plan(sim::generate_campaign(campaign, rng));
+  system->run(800);
+  return system;
+}
+
+/// props::check_trace over checked_system()'s trace: best of 9 timed
+/// blocks of 16 checks, in ns per recorded frame.
+void report_check_cost() {
+  const core::ReconfigSpec spec =
+      support::make_random_spec(support::RandomSpecParams{}, 3);
+  const std::unique_ptr<core::System> system = checked_system(spec);
+  const trace::SysTrace& trace = system->trace();
+  constexpr int kBlocks = 9;
+  constexpr int kChecks = 16;
+  std::uint64_t reconfigs = props::check_trace(trace, spec).reconfig_count;
+  double best_ns = 0.0;
+  for (int b = 0; b < kBlocks; ++b) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kChecks; ++i) {
+      reconfigs ^= props::check_trace(trace, spec).reconfig_count;
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    const double ns =
+        std::chrono::duration<double, std::nano>(stop - start).count() /
+        (kChecks * static_cast<double>(trace.size()));
+    if (b == 0 || ns < best_ns) best_ns = ns;
+  }
+  benchmark::DoNotOptimize(reconfigs);
+  char line[96];
+  std::snprintf(line, sizeof line,
+                "check_trace over %zu frames: %.1f ns/frame (best of %d "
+                "blocks)\n",
+                trace.size(), best_ns, kBlocks);
+  std::cout << line;
+  bench::trajectory().record("check_trace/ns_per_frame", best_ns, "ns");
+}
+
 void report() {
   bench::banner("E2: formal properties SP1-SP4", "paper Table 2");
   std::cout << "Every completed reconfiguration in every randomized campaign\n"
@@ -78,6 +133,7 @@ void report() {
 
   struct Shape {
     const char* label;
+    const char* key;  ///< The shape's name in the JSON report.
     support::RandomSpecParams params;
     std::size_t env_changes;
   };
@@ -85,12 +141,14 @@ void report() {
   {
     Shape s;
     s.label = "3 apps / 4 configs / 2 factors";
+    s.key = "3apps_4configs_2factors";
     s.env_changes = 16;
     shapes.push_back(s);
   }
   {
     Shape s;
     s.label = "5 apps / 6 configs / 3 factors";
+    s.key = "5apps_6configs_3factors";
     s.params.apps = 5;
     s.params.configs = 6;
     s.params.factors = 3;
@@ -101,6 +159,7 @@ void report() {
   {
     Shape s;
     s.label = "8 apps / 3 configs / 2 factors";
+    s.key = "8apps_3configs_2factors";
     s.params.apps = 8;
     s.params.configs = 3;
     s.params.dependencies = 5;
@@ -122,33 +181,30 @@ void report() {
         reconfigs += r.reconfigs;
         failures += r.sp_failures;
       }
+      const char* policy_name =
+          policy == core::ReconfigPolicy::kBuffer ? "buffer" : "immediate";
       std::cout << std::left << std::setw(34) << shape.label << std::setw(10)
-                << (policy == core::ReconfigPolicy::kBuffer ? "buffer"
-                                                            : "immediate")
-                << std::setw(8) << seeds << std::setw(12) << reconfigs
-                << failures << (failures == 0 ? "  [all hold]" : "  [BROKEN]")
-                << "\n";
+                << policy_name << std::setw(8) << seeds << std::setw(12)
+                << reconfigs << failures
+                << (failures == 0 ? "  [all hold]" : "  [BROKEN]") << "\n";
+      const std::string row =
+          std::string("e2/") + shape.key + "/" + policy_name;
+      bench::trajectory().record(row + "/reconfigs",
+                                 static_cast<double>(reconfigs), "count");
+      bench::trajectory().record(row + "/sp_failures",
+                                 static_cast<double>(failures), "count");
     }
   }
+  std::cout << "\n";
+  report_check_cost();
   std::cout << "\n";
 }
 
 void bm_check_trace(benchmark::State& state) {
-  support::RandomSpecParams params;
-  const core::ReconfigSpec spec = support::make_random_spec(params, 3);
-  const std::unique_ptr<core::System> system_ptr =
-      make_system(spec, core::ReconfigPolicy::kBuffer, 3);
-  core::System& system = *system_ptr;
-  Rng rng(11);
-  sim::CampaignParams campaign;
-  campaign.horizon = 700 * 10'000;
-  campaign.environment_changes = 24;
-  for (const env::FactorSpec& f : spec.factors().factors()) {
-    campaign.factors.push_back(f.id);
-  }
-  campaign.factor_max = 1;
-  system.set_fault_plan(sim::generate_campaign(campaign, rng));
-  system.run(800);
+  const core::ReconfigSpec spec =
+      support::make_random_spec(support::RandomSpecParams{}, 3);
+  const std::unique_ptr<core::System> system_ptr = checked_system(spec);
+  const core::System& system = *system_ptr;
 
   for (auto _ : state) {
     const props::TraceReport report =
@@ -184,26 +240,16 @@ void bm_single_reconfig_check(benchmark::State& state) {
 BENCHMARK(bm_single_reconfig_check)->Unit(benchmark::kNanosecond);
 
 void bm_online_monitor(benchmark::State& state) {
-  support::RandomSpecParams params;
-  const core::ReconfigSpec spec = support::make_random_spec(params, 3);
-  const std::unique_ptr<core::System> system_ptr =
-      make_system(spec, core::ReconfigPolicy::kBuffer, 3);
-  core::System& system = *system_ptr;
-  Rng rng(11);
-  sim::CampaignParams campaign;
-  campaign.horizon = 700 * 10'000;
-  campaign.environment_changes = 24;
-  for (const env::FactorSpec& f : spec.factors().factors()) {
-    campaign.factors.push_back(f.id);
-  }
-  campaign.factor_max = 1;
-  system.set_fault_plan(sim::generate_campaign(campaign, rng));
-  system.run(800);
+  const core::ReconfigSpec spec =
+      support::make_random_spec(support::RandomSpecParams{}, 3);
+  const std::unique_ptr<core::System> system_ptr = checked_system(spec);
+  const core::System& system = *system_ptr;
 
   for (auto _ : state) {
     props::OnlineMonitor monitor(spec, 10'000);
-    for (const trace::SysState& s : system.trace().states()) {
-      benchmark::DoNotOptimize(monitor.observe(s).has_value());
+    for (Cycle c = 0; c < system.trace().size(); ++c) {
+      benchmark::DoNotOptimize(
+          monitor.observe(system.trace().at(c)).has_value());
     }
     benchmark::DoNotOptimize(monitor.stats().reconfigs_checked);
   }

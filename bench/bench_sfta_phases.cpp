@@ -5,8 +5,8 @@
 // observed frame-by-frame message/action/predicate table next to the
 // expected Table 1 structure. The timing section measures the cost of
 // driving the protocol through the full frame pipeline; the report also
-// times a steady normal frame and a System::digest() of the live system at
-// 2/8/32/64 apps, the steady durable frame (alone and shipping to a
+// times a steady normal frame (trace off and on) and a System::digest() of
+// the live system at 2/8/32/64 apps, the steady durable frame (alone and shipping to a
 // one-member cohort) at 2 and 32 apps, plus the digest of a durable 2-app
 // chain, and records the costs in BENCH_bench_sfta_phases.json (wall time:
 // reported, never gated).
@@ -61,15 +61,16 @@ void run_case(const std::string& label, support::SimpleAppParams app_params,
   std::cout << trace::render_phase_table(system.trace(), reconfigs.front());
 }
 
-/// A chain-spec system of `spec`'s apps with the trace off (the steady
-/// normal frame: no reconfiguration, no events). Durable systems use
-/// frames(4) group commit and a snapshot every 16 epochs; `cohort` > 0
-/// also ships each journal to a cohort of that many members.
+/// A chain-spec system of `spec`'s apps (the steady normal frame: no
+/// reconfiguration, no events), with the trace off unless `traced`.
+/// Durable systems use frames(4) group commit and a snapshot every 16
+/// epochs; `cohort` > 0 also ships each journal to a cohort of that many
+/// members.
 std::unique_ptr<core::System> normal_frame_system(
     const core::ReconfigSpec& spec, bool durable = false,
-    std::uint32_t cohort = 0) {
+    std::uint32_t cohort = 0, bool traced = false) {
   core::SystemOptions options;
-  options.record_trace = false;  // unbounded run: do not grow the trace
+  options.record_trace = traced;
   options.durable_storage = durable;
   options.durability.sync = storage::durable::SyncPolicy::frames(4);
   options.durability.snapshot_every_epochs = 16;
@@ -122,12 +123,15 @@ double best_digest_ns(const core::System& system, int n) {
 
 /// Steady normal-frame cost at several app counts: best of 9 timed blocks
 /// of about 4k app-frames each. Recorded as normal_frame/<N>apps/
-/// ns_per_frame and .../ns_per_app_frame. The live digest of the same warm
-/// system is timed the same way, as digest/<N>apps/ns_per_digest.
+/// ns_per_frame and .../ns_per_app_frame, and the same frame with the
+/// trace on as normal_frame_traced/<N>apps/ns_per_frame. The live digest
+/// of the untraced warm system is timed the same way, as
+/// digest/<N>apps/ns_per_digest.
 void report_frame_cost() {
-  std::cout << "\n--- steady normal-frame and digest cost (trace off, best "
-            << "of " << kBlocks << " blocks) ---\n"
-            << "apps | ns/frame | ns/app/frame | ns/digest\n";
+  std::cout << "\n--- steady normal-frame and digest cost (best of "
+            << kBlocks << " blocks) ---\n"
+            << "apps | ns/frame | ns/app/frame | traced ns/frame | "
+               "ns/digest\n";
   for (const std::size_t apps : {2u, 8u, 32u, 64u}) {
     support::ChainSpecParams params;
     params.apps = apps;
@@ -139,13 +143,20 @@ void report_frame_cost() {
     const double per_app = best_ns / static_cast<double>(apps);
     const double digest_ns =
         best_digest_ns(*system, static_cast<int>(frames));
-    char line[80];
-    std::snprintf(line, sizeof line, "%4zu | %8.0f | %12.1f | %9.0f\n", apps,
-                  best_ns, per_app, digest_ns);
+    const double traced_ns = best_frame_ns(
+        *normal_frame_system(spec, /*durable=*/false, /*cohort=*/0,
+                             /*traced=*/true),
+        frames);
+    char line[96];
+    std::snprintf(line, sizeof line, "%4zu | %8.0f | %12.1f | %15.0f | %9.0f\n",
+                  apps, best_ns, per_app, traced_ns, digest_ns);
     std::cout << line;
-    const std::string row = "normal_frame/" + std::to_string(apps) + "apps";
+    const std::string n = std::to_string(apps) + "apps";
+    const std::string row = "normal_frame/" + n;
     bench::trajectory().record(row + "/ns_per_frame", best_ns, "ns");
     bench::trajectory().record(row + "/ns_per_app_frame", per_app, "ns");
+    bench::trajectory().record("normal_frame_traced/" + n + "/ns_per_frame",
+                               traced_ns, "ns");
     bench::trajectory().record(
         "digest/" + std::to_string(apps) + "apps/ns_per_digest", digest_ns,
         "ns");

@@ -29,15 +29,24 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
+namespace detail {
+
+/// Throws the ContractViolation of a failed check: "<file>:<line>: " then
+/// `kind` then `message`. Out of line and cold, so a passing check inlines
+/// to one predicted branch and builds no message.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_contract_violation(
+    std::string_view kind, std::string_view message,
+    const std::source_location& loc);
+
+}  // namespace detail
+
 /// Checks a precondition; throws ContractViolation with location info. The
 /// message is a view and is only copied into a string on failure, so a
 /// passing check allocates nothing.
 inline void require(bool condition, std::string_view message,
                     std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw ContractViolation(std::string(loc.file_name()) + ":" +
-                            std::to_string(loc.line()) + ": " +
-                            std::string(message));
+  if (!condition) [[unlikely]] {
+    detail::throw_contract_violation({}, message, loc);
   }
 }
 
@@ -45,10 +54,8 @@ inline void require(bool condition, std::string_view message,
 /// Like require(), allocates only on failure.
 inline void ensure(bool condition, std::string_view message,
                    std::source_location loc = std::source_location::current()) {
-  if (!condition) {
-    throw ContractViolation(std::string(loc.file_name()) + ":" +
-                            std::to_string(loc.line()) +
-                            ": invariant broken: " + std::string(message));
+  if (!condition) [[unlikely]] {
+    detail::throw_contract_violation("invariant broken: ", message, loc);
   }
 }
 

@@ -7,8 +7,19 @@
 // region can be relocated wholesale to another processor when a
 // reconfiguration moves the application (the survivors poll the failed
 // processor's stable storage, paper section 5.1).
+//
+// A region remembers the KeyIds it has resolved on its current store, so an
+// application's steady-state writes and reads look up no name: the memo is
+// a fixed inline table whose entries are matched against the store's own
+// interned names, so it never copies a key and never allocates. It is
+// derived state, like every KeyId table: rebinding the region to another
+// store forgets it, and a store keeps its ids across restores (see
+// StableStorage::operator=), so nothing about it is checkpointed.
 #pragma once
 
+#include <array>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -19,32 +30,41 @@ namespace arfs::core {
 
 class StableRegion {
  public:
-  /// `backing` must outlive the region.
+  /// Keys resolved per store before the region falls back to a (prefix,
+  /// key) lookup on every access. Today's applications write at most 3.
+  static constexpr std::size_t kMemoCapacity = 8;
+
+  /// An unbound region; bind() it before any access.
+  explicit StableRegion(std::string prefix) : prefix_(std::move(prefix)) {}
+  /// `backing` must outlive the region (or its next bind()).
   StableRegion(storage::StableStorage& backing, std::string prefix)
       : backing_(&backing), prefix_(std::move(prefix)) {}
 
-  // Keys resolve as (prefix, key) against the backing store's interned
-  // names, so a steady-state access never builds `prefix + key`.
+  /// Points the region at `store`. Free when it already points there;
+  /// another store forgets every remembered KeyId (a memo entry is matched
+  /// only past the prefix, so an id from one store could name another
+  /// app's same-named key on the next).
+  void bind(storage::StableStorage& store) {
+    if (backing_ == &store) return;
+    backing_ = &store;
+    memo_size_ = 0;
+  }
 
   /// Stages a write; visible after the end-of-frame commit.
   void write(std::string_view key, storage::Value value) {
-    backing_->write(backing_->intern(prefix_, key), std::move(value));
+    backing_->write(resolve(key), std::move(value));
   }
 
   /// Reads the committed value (what every *other* frame and application
   /// observes).
   [[nodiscard]] Expected<storage::Value> read(std::string_view key) const {
-    if (const auto id = backing_->find_key(prefix_, key)) {
-      return backing_->read(*id);
-    }
+    if (const auto id = find(key)) return backing_->read(*id);
     return backing_->read(full_key(key));  // the store's missing-key error
   }
 
   /// Reads this frame's own staged value if present, else the committed one.
   [[nodiscard]] Expected<storage::Value> read_own(std::string_view key) const {
-    if (const auto id = backing_->find_key(prefix_, key)) {
-      return backing_->read_own(*id);
-    }
+    if (const auto id = find(key)) return backing_->read_own(*id);
     return backing_->read_own(full_key(key));
   }
 
@@ -63,7 +83,7 @@ class StableRegion {
   }
 
   [[nodiscard]] bool contains(std::string_view key) const {
-    const auto id = backing_->find_key(prefix_, key);
+    const auto id = find(key);
     return id.has_value() && backing_->contains(*id);
   }
 
@@ -78,12 +98,49 @@ class StableRegion {
                               const std::string& prefix);
 
  private:
+  /// The remembered id of `key` on the bound store, if any.
+  [[nodiscard]] std::optional<storage::KeyId> recall(
+      std::string_view key) const {
+    for (std::size_t i = 0; i < memo_size_; ++i) {
+      const std::string& name = backing_->key_name(memo_[i]);
+      if (name.size() == prefix_.size() + key.size() &&
+          std::string_view(name).substr(prefix_.size()) == key) {
+        return memo_[i];
+      }
+    }
+    return std::nullopt;
+  }
+
+  void remember(storage::KeyId id) const {
+    if (memo_size_ < kMemoCapacity) memo_[memo_size_++] = id;
+  }
+
+  /// The id of an existing key; a missing key stays un-interned.
+  [[nodiscard]] std::optional<storage::KeyId> find(
+      std::string_view key) const {
+    if (const auto id = recall(key)) return id;
+    const auto id = backing_->find_key(prefix_, key);
+    if (id.has_value()) remember(*id);
+    return id;
+  }
+
+  /// The id of `key`, interned on first sight.
+  [[nodiscard]] storage::KeyId resolve(std::string_view key) {
+    if (const auto id = recall(key)) return *id;
+    const storage::KeyId id = backing_->intern(prefix_, key);
+    remember(id);
+    return id;
+  }
+
   [[nodiscard]] std::string full_key(std::string_view key) const {
     return prefix_ + std::string(key);
   }
 
-  storage::StableStorage* backing_;
+  storage::StableStorage* backing_ = nullptr;
   std::string prefix_;
+  /// Ids resolved on *backing_, in first-use order. Mutable: reads fill it.
+  mutable std::array<storage::KeyId, kMemoCapacity> memo_{};
+  mutable std::size_t memo_size_ = 0;
 };
 
 }  // namespace arfs::core

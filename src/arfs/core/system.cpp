@@ -1,6 +1,7 @@
 #include "arfs/core/system.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "arfs/common/check.hpp"
@@ -40,7 +41,7 @@ class System::SystemPeerReader final : public PeerReader {
     }
     // Peer reads happen every frame for every dependency edge: the key is
     // looked up as (prefix, key) without building the concatenation.
-    const std::string& prefix = system_->app_prefix_[*pos];
+    const std::string& prefix = system_->regions_[*pos].prefix();
     const storage::StableStorage& store =
         system_->group_.processor(system_->region_host_[*pos]).poll_stable();
     if (const auto id = store.find_key(prefix, key)) return store.read(*id);
@@ -134,7 +135,7 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
   storage::StableStorage& scram_stable = group_.processor(scram_proc_).stable();
   for (const AppDecl& decl : spec.apps()) {
     const std::string id = std::to_string(decl.id.value());
-    app_prefix_.push_back("a" + id + "/");
+    regions_.emplace_back("a" + id + "/");
     scram_status_key_.push_back(
         scram_stable.intern("scram/a" + id + "/status"));
   }
@@ -406,7 +407,7 @@ void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
   const ProcessorId from = region_host_[pos];
   if (from == to) return;
   const AppId app = spec_.apps()[pos].id;
-  const std::string& prefix = app_prefix_[pos];
+  const std::string& prefix = regions_[pos].prefix();
 
   const auto quorum_it = quorum_channels_.find(from);
   if (quorum_it != quorum_channels_.end()) {
@@ -1185,16 +1186,17 @@ void System::run_frame() {
     if (directive.kind != DirectiveKind::kNone && host.has_value()) {
       halt_boundary_hosts_.push_back(*host);
     }
-    std::optional<StableRegion> region;
+    StableRegion* region = nullptr;
     if (host.has_value()) {
       relocate_region_if_needed(i, *host, cycle);
-      region.emplace(group_.processor(*host).stable(), app_prefix_[i]);
+      region = &regions_[i];
+      region->bind(group_.processor(*host).stable());
     }
 
     ReconfigurableApp::Ctx ctx;
     ctx.cycle = cycle;
     ctx.now = t0;
-    ctx.own = region.has_value() ? &*region : nullptr;
+    ctx.own = region;
     ctx.peers = peer_reader_.get();
     ctx.mail = mailboxes_[i];
 
@@ -1279,24 +1281,24 @@ void System::run_frame() {
 }
 
 void System::record_snapshot(Cycle cycle, SimTime frame_end) {
-  trace::SysState state;
-  state.cycle = cycle;
-  state.time = frame_end;
-  state.svclvl = scram_.current_config();
-  state.env = environment_.state();
-  state.apps.reserve(apps_.size());
+  // The rows are written in place into the trace's flat row array, in
+  // ascending AppId order.
+  const std::span<trace::AppRow> rows =
+      trace_.append_frame(cycle, frame_end, scram_.current_config(),
+                          environment_.state(), apps_.size());
+  std::size_t r = 0;
   for (const std::size_t pos : spec_.apps_by_id()) {
     const ReconfigurableApp& application = *apps_[pos];
-    trace::AppSnapshot snap;
+    trace::AppRow& row = rows[r++];
+    row.first = spec_.apps()[pos].id;
+    trace::AppSnapshot& snap = row.second;
     snap.reconf_st = application.reconf_state();
     snap.spec = application.current_spec();
     snap.host_running = group_.processor(region_host_[pos]).running();
     snap.postcondition_ok = application.postcondition_ok();
     snap.transition_ok = application.transition_ok();
     snap.precondition_ok = application.precondition_ok();
-    state.apps.emplace_back(spec_.apps()[pos].id, snap);
   }
-  trace_.append(std::move(state));
 }
 
 }  // namespace arfs::core

@@ -403,8 +403,10 @@ class System {
   std::size_t apps_added_ = 0;
   /// Empty before the first frame places every region.
   std::vector<ProcessorId> region_host_;
-  /// "a<id>/" stable-storage prefixes, built once at construction.
-  std::vector<std::string> app_prefix_;
+  /// Each app's stable region ("a<id>/" keys), built once at construction
+  /// and bound to the app's execution host every frame; it remembers the
+  /// KeyIds it resolved on that host's store.
+  std::vector<StableRegion> regions_;
   /// The SCRAM's configuration_status keys, interned once in the SCRAM
   /// processor's store (ids survive restores; see StableStorage).
   std::vector<storage::KeyId> scram_status_key_;

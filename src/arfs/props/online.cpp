@@ -1,6 +1,7 @@
 #include "arfs/props/online.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "arfs/common/check.hpp"
 
@@ -13,7 +14,7 @@ OnlineMonitor::OnlineMonitor(const core::ReconfigSpec& spec,
 }
 
 std::optional<ReconfigVerdict> OnlineMonitor::observe(
-    const trace::SysState& state) {
+    const trace::SysStateView& state) {
   if (expected_cycle_.has_value()) {
     require(state.cycle == *expected_cycle_,
             "online monitor requires contiguous frames");
@@ -25,15 +26,15 @@ std::optional<ReconfigVerdict> OnlineMonitor::observe(
 
   if (buffer_.empty()) {
     if (normal) {
-      last_normal_ = state;
+      keep_normal(state);
       return std::nullopt;
     }
     // A reconfiguration interval opens at this frame.
-    buffer_.push_back(state);
+    buffer_.emplace_back(state);
     return std::nullopt;
   }
 
-  buffer_.push_back(state);
+  buffer_.emplace_back(state);
   stats_.max_buffered_frames =
       std::max(stats_.max_buffered_frames, buffer_.size());
   if (!normal) return std::nullopt;
@@ -43,17 +44,14 @@ std::optional<ReconfigVerdict> OnlineMonitor::observe(
   // cycle 0 is the pre-interval all-normal frame.
   trace::SysTrace mini(frame_length_);
   Cycle next = 0;
+  const auto add = [&mini, &next](const trace::SysState& frame) {
+    const std::span<trace::AppRow> rows = mini.append_frame(
+        next++, frame.time, frame.svclvl, frame.env, frame.apps.size());
+    std::copy(frame.apps.begin(), frame.apps.end(), rows.begin());
+  };
   const bool have_prelude = last_normal_.has_value();
-  if (have_prelude) {
-    trace::SysState prelude = *last_normal_;
-    prelude.cycle = next++;
-    mini.append(std::move(prelude));
-  }
-  for (const trace::SysState& buffered : buffer_) {
-    trace::SysState copy = buffered;
-    copy.cycle = next++;
-    mini.append(std::move(copy));
-  }
+  if (have_prelude) add(*last_normal_);
+  for (const trace::SysState& buffered : buffer_) add(buffered);
 
   trace::Reconfiguration r;
   r.start_c = have_prelude ? 1 : 0;
@@ -71,8 +69,13 @@ std::optional<ReconfigVerdict> OnlineMonitor::observe(
   if (!verdict.all_hold()) ++stats_.violations;
 
   buffer_.clear();
-  last_normal_ = state;
+  keep_normal(state);
   return verdict;
+}
+
+void OnlineMonitor::keep_normal(const trace::SysStateView& state) {
+  if (!last_normal_.has_value()) last_normal_.emplace();
+  last_normal_->assign(state);
 }
 
 }  // namespace arfs::props

@@ -31,13 +31,17 @@ class OnlineMonitor {
 
   /// Feeds the end-of-frame state for the next cycle (must be contiguous).
   /// Returns a verdict exactly when a reconfiguration completed at this
-  /// frame.
-  std::optional<ReconfigVerdict> observe(const trace::SysState& state);
+  /// frame. The monitor copies what it keeps, so `state` may be a view
+  /// into a trace that the next frame appends to.
+  std::optional<ReconfigVerdict> observe(const trace::SysStateView& state);
 
   [[nodiscard]] const OnlineStats& stats() const { return stats_; }
   [[nodiscard]] bool reconfiguring() const { return !buffer_.empty(); }
 
  private:
+  /// Copies `state` into last_normal_, reusing its storage.
+  void keep_normal(const trace::SysStateView& state);
+
   const core::ReconfigSpec& spec_;
   SimDuration frame_length_;
   std::optional<trace::SysState> last_normal_;

@@ -5,7 +5,7 @@
 namespace arfs::props {
 
 using trace::ReconfState;
-using trace::SysState;
+using trace::SysStateView;
 
 PropertyResult check_sp1(const trace::SysTrace& s,
                          const trace::Reconfiguration& r) {
@@ -74,7 +74,7 @@ PropertyResult check_sp3(const trace::SysTrace& s,
 PropertyResult check_sp4(const trace::SysTrace& s,
                          const trace::Reconfiguration& r,
                          const core::ReconfigSpec& spec) {
-  const SysState& end = s.at(r.end_c);
+  const SysStateView end = s.at(r.end_c);
   const core::Configuration& target = spec.config(end.svclvl);
   for (const auto& [app, snap] : end.apps) {
     if (!target.runs(app)) continue;  // off in Cj: no precondition required

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <atomic>
 #include <cstring>
 
@@ -179,8 +180,7 @@ bool FrameRing::try_publish(const FrameRecord& record,
                            slot_bytes_;
   FrameRecord stamped = record;
   stamped.seq = pub;
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kRecordBytes);
+  std::array<std::uint8_t, kRecordBytes> bytes;
   encode_record(bytes, stamped);
   put_u64_raw(slot, pub);
   put_u64_raw(slot + 8, stamp_ns);

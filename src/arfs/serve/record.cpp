@@ -49,7 +49,14 @@ const char* to_string(RecordKind kind) {
 void encode_record(std::vector<std::uint8_t>& out, const FrameRecord& record) {
   const std::size_t at = out.size();
   out.resize(at + kRecordBytes);
-  std::uint8_t* p = out.data() + at;
+  encode_record(std::span<std::uint8_t, kRecordBytes>(out.data() + at,
+                                                      kRecordBytes),
+                record);
+}
+
+void encode_record(std::span<std::uint8_t, kRecordBytes> out,
+                   const FrameRecord& record) {
+  std::uint8_t* p = out.data();
   put_u32(p, static_cast<std::uint32_t>(record.kind));
   put_u32(p + 4, 0);  // reserved
   put_u64(p + 8, record.seq);

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "arfs/common/types.hpp"
@@ -55,6 +56,9 @@ struct FrameRecord {
 /// Fixed wire size of an encoded record (little-endian, 8-byte tail pad).
 constexpr std::size_t kRecordBytes = 48;
 
+/// Writes the record's wire encoding into the caller's buffer.
+void encode_record(std::span<std::uint8_t, kRecordBytes> out,
+                   const FrameRecord& record);
 /// Appends the record's wire encoding to `out` (exactly kRecordBytes).
 void encode_record(std::vector<std::uint8_t>& out, const FrameRecord& record);
 

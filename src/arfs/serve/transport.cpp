@@ -1,5 +1,6 @@
 #include "arfs/serve/transport.hpp"
 
+#include <array>
 #include <cerrno>
 #include <cstring>
 
@@ -88,8 +89,7 @@ bool StreamTransport::try_send(const FrameRecord& record,
   // contiguous across skips.
   FrameRecord stamped = record;
   stamped.seq = next_seq_++;
-  std::vector<std::uint8_t> payload;
-  payload.reserve(kRecordBytes);
+  std::array<std::uint8_t, kRecordBytes> payload;
   encode_record(payload, stamped);
   std::uint8_t head[16];
   put_u32(head, static_cast<std::uint32_t>(payload.size()));

@@ -85,6 +85,8 @@ class StableStorage {
   [[nodiscard]] const std::string& key_name(KeyId id) const {
     return names_[id.value()];
   }
+  /// Names interned so far (committed or not; names are never removed).
+  [[nodiscard]] std::size_t name_count() const { return names_.size(); }
 
   // --- frame protocol ---
 

@@ -7,7 +7,8 @@ namespace arfs::trace {
 void write_csv(const SysTrace& s, std::ostream& os) {
   os << "cycle,time_us,svclvl,app,reconf_st,spec,host_running,"
         "postcondition,transition,precondition,env\n";
-  for (const SysState& state : s.states()) {
+  for (Cycle c = 0; c < s.size(); ++c) {
+    const SysStateView state = s.at(c);
     for (const auto& [app, snap] : state.apps) {
       os << state.cycle << ',' << state.time << ',' << state.svclvl.value()
          << ',' << app.value() << ',' << to_string(snap.reconf_st) << ',';
@@ -29,7 +30,8 @@ void write_json(const SysTrace& s, std::ostream& os) {
   os << "{\n  \"frame_length_us\": " << s.frame_length() << ",\n";
   os << "  \"frames\": [\n";
   bool first_frame = true;
-  for (const SysState& state : s.states()) {
+  for (Cycle c = 0; c < s.size(); ++c) {
+    const SysStateView state = s.at(c);
     if (!first_frame) os << ",\n";
     first_frame = false;
     os << "    {\"cycle\": " << state.cycle << ", \"time_us\": " << state.time
@@ -78,7 +80,7 @@ std::string render_phase_table(const SysTrace& s, const Reconfiguration& r) {
      << duration_frames(r) << " frames)\n";
   os << "frame | cycle | app:status (predicates)\n";
   for (Cycle c = r.start_c; c <= r.end_c; ++c) {
-    const SysState& state = s.at(c);
+    const SysStateView state = s.at(c);
     os << "  " << (c - r.start_c) << "   | " << c << "    | ";
     bool first = true;
     for (const auto& [app, snap] : state.apps) {

@@ -9,7 +9,7 @@ std::vector<Reconfiguration> get_reconfigs(const SysTrace& s) {
   bool open = false;
   Cycle start = 0;
   for (Cycle c = 0; c < s.size(); ++c) {
-    const SysState& state = s.at(c);
+    const SysStateView state = s.at(c);
     if (!open) {
       if (!all_normal(state)) {
         open = true;

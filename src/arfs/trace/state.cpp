@@ -15,21 +15,21 @@ std::string to_string(ReconfState st) {
   return "?";
 }
 
-bool all_normal(const SysState& s) {
+bool all_normal(const SysStateView& s) {
   for (const auto& [app, snap] : s.apps) {
     if (snap.reconf_st != ReconfState::kNormal) return false;
   }
   return true;
 }
 
-bool any_interrupted(const SysState& s) {
+bool any_interrupted(const SysStateView& s) {
   for (const auto& [app, snap] : s.apps) {
     if (snap.reconf_st == ReconfState::kInterrupted) return true;
   }
   return false;
 }
 
-const AppSnapshot* find_app(const SysState& s, AppId app) {
+const AppSnapshot* find_app(const SysStateView& s, AppId app) {
   const auto it = std::lower_bound(
       s.apps.begin(), s.apps.end(), app,
       [](const AppRow& row, AppId id) { return row.first < id; });
@@ -37,8 +37,7 @@ const AppSnapshot* find_app(const SysState& s, AppId app) {
 }
 
 AppSnapshot* find_app(SysState& s, AppId app) {
-  return const_cast<AppSnapshot*>(
-      find_app(static_cast<const SysState&>(s), app));
+  return const_cast<AppSnapshot*>(find_app(SysStateView(s), app));
 }
 
 }  // namespace arfs::trace

@@ -13,13 +13,20 @@
 //  * a 2-app chain sweep through run_mission_sweep;
 //  * a spec that declares its apps out of AppId order, under both phase
 //    barriers — the digest, the trace rows and the CSV export must walk
-//    AppId order whatever order the frame loop uses.
+//    AppId order whatever order the frame loop uses;
+//  * every processor's store fingerprints, frame by frame, through a UAV
+//    mission whose FCS region relocates four times (recorded before
+//    regions remembered their KeyIds);
+//  * the CSV and JSON exports of a 64-frame, 32-app campaign (recorded
+//    before the trace became flat).
 //
 // The DigestView tests hold the live digest (System::digest()) equal to
 // the checkpoint digest at every frame of volatile, durable and quorum
-// systems.
+// systems. The RegionMemo and FlatTrace tests hold writes and trace rows
+// after a restore equal to a run that never rewound.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -344,7 +351,7 @@ void run_out_of_order(core::ScramOptions scram, const OutOfOrderPins& pins) {
   trace::write_csv(system.trace(), csv);
   EXPECT_PIN(fnv_bytes(csv.str()), pins.csv);
   // Rows walk ascending AppId order, not declaration order.
-  const trace::SysState& row = system.trace().at(0);
+  const trace::SysStateView row = system.trace().at(0);
   std::vector<AppId> order;
   for (const auto& [app, snap] : row.apps) order.push_back(app);
   EXPECT_EQ(order, (std::vector<AppId>{AppId{4}, AppId{17}, AppId{30}}));
@@ -693,6 +700,202 @@ TEST(RestoreHazards, RestoresAcrossDifferentKeyTables) {
   ahead->run(9);
   replay->run(9);
   EXPECT_EQ(ahead->digest(), replay->digest());
+}
+
+// --- regions that remember their KeyIds ---
+
+// Every processor's stable-store fingerprints folded frame by frame,
+// recorded before regions remembered their keys: 80 frames of a UAV
+// mission whose FCS relocates computer 2 -> 1 -> 2 -> 1 and back, and 120
+// frames of 4 apps sharing 2 processors, all writing the same key names
+// (so an id remembered on one store would name another app's key there).
+constexpr std::uint64_t kRelocationStoreFold = 0x3e2055ed748b2786;
+constexpr std::uint64_t kSharedHostsStoreFold = 0x6a99f7c6aab11a06;
+
+/// The §7 UAV mission, power cycling Full -> Reduced -> Full -> Reduced ->
+/// Minimal -> Full: each Reduced and Minimal period moves the FCS region to
+/// computer 1, each Full period moves it back.
+struct RelocatingUav {
+  core::ReconfigSpec spec;
+  avionics::UavPlant plant{42};
+  std::unique_ptr<core::System> system;
+
+  RelocatingUav() {
+    avionics::UavSpecOptions spec_options;
+    spec_options.dwell_frames = 10;
+    spec = avionics::make_uav_spec(spec_options);
+    core::SystemOptions options;
+    options.frame_length = 20'000;
+    system = std::make_unique<core::System>(spec, options);
+    system->add_app(std::make_unique<avionics::AutopilotApp>(plant));
+    system->add_app(std::make_unique<avionics::FcsApp>(plant));
+    support::MissionProfile mission(options.frame_length);
+    mission.at(10, avionics::kPowerFactor, 1)
+        .at(24, avionics::kPowerFactor, 0)
+        .at(38, avionics::kPowerFactor, 1)
+        .at(52, avionics::kPowerFactor, 2)
+        .at(66, avionics::kPowerFactor, 0);
+    system->set_fault_plan(mission.build());
+  }
+};
+
+/// Every processor's committed stable-store fingerprint, by ascending id.
+std::uint64_t store_fold(std::uint64_t h, core::System& system) {
+  for (const ProcessorId p : system.processors().processor_ids()) {
+    h = fnv_mix(h, p.value());
+    h = fnv_mix(h, system.processors().processor(p).poll_stable().fingerprint());
+  }
+  return h;
+}
+
+/// The per-frame store folds of `frames` frames.
+std::vector<std::uint64_t> run_folding(core::System& system, Cycle frames) {
+  std::vector<std::uint64_t> folds;
+  for (Cycle f = 0; f < frames; ++f) {
+    system.run(1);
+    folds.push_back(store_fold(kFnvBasis, system));
+  }
+  return folds;
+}
+
+TEST(RegionMemo, RelocatedAppsWriteToTheirHostEachTime) {
+  RelocatingUav uav;
+  std::uint64_t h = kFnvBasis;
+  for (Cycle f = 0; f < 80; ++f) {
+    uav.system->run(1);
+    h = store_fold(h, *uav.system);
+  }
+  EXPECT_PIN(h, kRelocationStoreFold);
+  EXPECT_EQ(uav.system->stats().region_relocations, 4u);
+  EXPECT_EQ(uav.system->scram().stats().reconfigs_completed, 5u);
+
+  support::RandomSpecParams params;
+  params.apps = 4;
+  params.processors = 2;
+  params.configs = 4;
+  params.dependencies = 0;
+  const core::ReconfigSpec spec = support::make_random_spec(params, 1);
+  core::System shared(spec);
+  for (const core::AppDecl& decl : spec.apps()) {
+    shared.add_app(std::make_unique<support::SimpleApp>(decl.id, decl.name));
+  }
+  support::EnvPlanParams plan_params;
+  plan_params.factors = spec.factors().factors();
+  plan_params.changes = 12;
+  plan_params.first_frame = 2;
+  plan_params.frames = 100;
+  shared.set_fault_plan(support::make_env_plan_factory(plan_params)(1));
+  h = kFnvBasis;
+  for (Cycle f = 0; f < 120; ++f) {
+    shared.run(1);
+    h = store_fold(h, shared);
+  }
+  EXPECT_PIN(h, kSharedHostsStoreFold);
+  EXPECT_EQ(shared.stats().region_relocations, 6u);
+}
+
+TEST(RegionMemo, WritesAfterARestoreLandWhereAFreshRunPutsThem) {
+  RelocatingUav reference;
+  const std::vector<std::uint64_t> want = run_folding(*reference.system, 80);
+
+  // Checkpoint at frame 30 (FCS on computer 2), run on through two more
+  // relocations, then rewind: the region is bound where frame 60 left it.
+  RelocatingUav rewound;
+  (void)run_folding(*rewound.system, 30);
+  const core::SystemCheckpoint at30 = rewound.system->checkpoint();
+  (void)run_folding(*rewound.system, 30);
+  rewound.system->restore(at30);
+  EXPECT_EQ(run_folding(*rewound.system, 50),
+            std::vector<std::uint64_t>(want.begin() + 30, want.end()));
+
+  // A system that never ran a frame: no region has been bound yet.
+  RelocatingUav fresh;
+  fresh.system->restore(at30);
+  EXPECT_EQ(run_folding(*fresh.system, 50),
+            std::vector<std::uint64_t>(want.begin() + 30, want.end()));
+}
+
+// --- the flat trace ---
+
+// CSV and JSON exports of a 64-frame, 32-app campaign (6 environment
+// changes, one processor down from frame 20 to 41): FNV-1a of the bytes and
+// their length, recorded before the trace became flat.
+constexpr std::uint64_t kCampaignCsv = 0x5e384728bfa20c;
+constexpr std::size_t kCampaignCsvBytes = 90323;
+constexpr std::uint64_t kCampaignJson = 0x839a4acb8132008a;
+constexpr std::size_t kCampaignJsonBytes = 221122;
+
+std::unique_ptr<core::System> campaign_system(const core::ReconfigSpec& spec) {
+  auto system = std::make_unique<core::System>(spec);
+  for (const core::AppDecl& decl : spec.apps()) {
+    system->add_app(std::make_unique<support::SimpleApp>(decl.id, decl.name));
+  }
+  support::EnvPlanParams plan_params;
+  plan_params.factors = spec.factors().factors();
+  plan_params.changes = 6;
+  plan_params.first_frame = 2;
+  plan_params.frames = 56;
+  sim::FaultPlan plan = support::make_env_plan_factory(plan_params)(11);
+  plan.fail_processor(20 * 10'000, support::synthetic_processor(3));
+  plan.repair_processor(41 * 10'000, support::synthetic_processor(3));
+  system->set_fault_plan(std::move(plan));
+  return system;
+}
+
+core::ReconfigSpec campaign_spec() {
+  support::ChainSpecParams params;
+  params.configs = 4;
+  params.apps = 32;
+  params.with_recovery_edges = true;
+  return support::make_chain_spec(params);
+}
+
+TEST(DigestPin, ExportsOfA32AppCampaign) {
+  const core::ReconfigSpec spec = campaign_spec();
+  const auto system = campaign_system(spec);
+  system->run(64);
+  EXPECT_EQ(system->scram().stats().reconfigs_completed, 4u);
+  std::ostringstream csv;
+  trace::write_csv(system->trace(), csv);
+  EXPECT_PIN(fnv_bytes(csv.str()), kCampaignCsv);
+  EXPECT_EQ(csv.str().size(), kCampaignCsvBytes);
+  std::ostringstream json;
+  trace::write_json(system->trace(), json);
+  EXPECT_PIN(fnv_bytes(json.str()), kCampaignJson);
+  EXPECT_EQ(json.str().size(), kCampaignJsonBytes);
+}
+
+void expect_same_rows(const trace::SysTrace& got,
+                      const trace::SysTrace& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (Cycle c = 0; c < want.size(); ++c) {
+    const trace::SysStateView g = got.at(c);
+    const trace::SysStateView w = want.at(c);
+    ASSERT_EQ(g.time, w.time) << "cycle " << c;
+    ASSERT_EQ(g.svclvl, w.svclvl) << "cycle " << c;
+    ASSERT_EQ(g.env, w.env) << "cycle " << c;
+    ASSERT_TRUE(std::ranges::equal(g.apps, w.apps)) << "cycle " << c;
+  }
+}
+
+TEST(FlatTrace, RestoredTraceEqualsTheCheckpointRowForRow) {
+  const core::ReconfigSpec spec = campaign_spec();
+  const auto system = campaign_system(spec);
+  system->run(24);
+  const core::SystemCheckpoint at24 = system->checkpoint();
+  ASSERT_TRUE(at24.trace.has_value());
+  system->run(40);  // three more environment changes and the repair
+  const trace::SysTrace at64 = system->trace();
+
+  system->restore(at24);
+  expect_same_rows(system->trace(), *at24.trace);
+  // Recording on after the restore reproduces the first run row for row,
+  // the spare environments left by the longer trace notwithstanding.
+  system->run(40);
+  expect_same_rows(system->trace(), at64);
+  std::ostringstream csv;
+  trace::write_csv(system->trace(), csv);
+  EXPECT_PIN(fnv_bytes(csv.str()), kCampaignCsv);
 }
 
 }  // namespace

@@ -3,11 +3,18 @@
 // This executable replaces the global allocation operators with a
 // thread-local counter (the same scheme perfbench uses), so every check
 // counts exactly the allocations its own thread makes between two reads —
-// no timing, no noise. Each system check starts after a 16-frame warm-up
-// and runs frames with no fault or environment events:
+// no timing, no noise. Unless a check says otherwise, it starts after a
+// 16-frame warm-up and runs frames with no fault or environment events:
 //  * a 32-app chain frame with record_trace off allocates nothing;
-//  * with the trace on, each frame allocates only its trace row (the row's
-//    app vector and environment copy) plus the trace's amortized growth;
+//  * with the trace on, a frame writes its row in place into the trace's
+//    flat vectors, so only their amortized growth allocates;
+//  * the fleet op loop (rewind, a 4-change campaign, 64 traced frames)
+//    allocates nothing in its frames once a first pass sized the trace;
+//  * a freshly built durable, journal-shipping UAV mission (the crash
+//    sweep's shape, trace on) makes exactly the recorded number of
+//    allocations over its first 512 frames, under one per frame;
+//  * publishing a frame record on the shared-memory ring or the socket
+//    stream allocates nothing;
 //  * rewinding the warm system to a checkpoint allocates nothing;
 //  * Expected<T>::value() on a held value allocates nothing;
 //  * after one warm-up digest, System::digest() allocates nothing on a
@@ -30,11 +37,20 @@
 #include <memory>
 #include <new>
 
+#include <sys/socket.h>
+
+#include "arfs/avionics/autopilot.hpp"
+#include "arfs/avionics/fcs.hpp"
+#include "arfs/avionics/uav_system.hpp"
 #include "arfs/common/expected.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
+#include "arfs/serve/frame_ring.hpp"
+#include "arfs/serve/transport.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/support/fleet.hpp"
+#include "arfs/support/mission.hpp"
 #include "arfs/support/simple_app.hpp"
 #include "arfs/support/synthetic.hpp"
 
@@ -149,13 +165,49 @@ TEST(FrameAlloc, SteadyFrameWithoutTraceAllocatesNothing) {
 }
 
 TEST(FrameAlloc, SteadyFrameWithTraceAllocatesOnlyItsRow) {
+  // A frame's row goes in place into the trace's flat vectors, so only
+  // their amortized growth allocates: a few reallocations in 64 frames.
   ChainSystem chain(/*record_trace=*/true);
   const std::uint64_t total = frame_allocs(*chain.system, kMeasuredFrames);
   const double per_frame =
       static_cast<double>(total) / static_cast<double>(kMeasuredFrames);
-  EXPECT_LE(per_frame, 2.1) << total << " allocations in "
+  EXPECT_LE(per_frame, 0.1) << total << " allocations in "
                             << kMeasuredFrames << " frames";
   EXPECT_EQ(chain.system->trace().size(), kWarmupFrames + kMeasuredFrames);
+}
+
+TEST(FrameAlloc, TracedChainFramesAfterARestoreAllocateNothing) {
+  // The fleet op loop: rewind the warm system, install a 64-frame campaign
+  // of 4 severity changes, run it traced. A first pass over the campaigns
+  // sizes the trace's vectors and spare environments (and the
+  // environment's history); on the second pass no frame allocates.
+  ChainSystem chain(/*record_trace=*/true);
+  const core::SystemCheckpoint warm = chain.system->checkpoint();
+  support::EnvPlanParams plan_params;
+  plan_params.factors = chain.spec.factors().factors();
+  plan_params.changes = 4;
+  plan_params.first_frame = kWarmupFrames;
+  plan_params.frames = kMeasuredFrames;
+  const support::PlanFactory plans =
+      support::make_env_plan_factory(std::move(plan_params));
+  constexpr std::uint64_t kOps = 4;
+  std::uint64_t reconfigs = 0;
+  for (const bool measured : {false, true}) {
+    for (std::uint64_t op = 0; op < kOps; ++op) {
+      chain.system->restore(warm);
+      chain.system->set_fault_plan(plans(op));
+      const std::uint64_t before =
+          chain.system->scram().stats().reconfigs_completed;
+      const std::uint64_t allocs =
+          frame_allocs(*chain.system, kMeasuredFrames);
+      if (!measured) continue;
+      EXPECT_EQ(allocs, 0u) << "op " << op;
+      EXPECT_EQ(chain.system->trace().size(),
+                kWarmupFrames + kMeasuredFrames);
+      reconfigs += chain.system->scram().stats().reconfigs_completed - before;
+    }
+  }
+  EXPECT_GT(reconfigs, 0u);
 }
 
 TEST(FrameAlloc, RestoringAWarmCheckpointAllocatesNothing) {
@@ -346,6 +398,83 @@ TEST(FrameAlloc, CrashPointOnAWarmMissionMakesTheRecordedAllocations) {
     EXPECT_EQ(crash_point(), kCrashPointAllocs) << "round " << round;
     EXPECT_TRUE(chain.system->processors().processor(victim).last_recovery()
                     .has_value());
+  }
+}
+
+/// Allocations of a freshly built mission shaped like the crash sweep's
+/// (the durable, journal-shipping UAV, trace on) over its first 512
+/// frames: the first pass grows the engines' buffers, the stores' and
+/// interners' name tables, the replica's maps and the trace's vectors once
+/// each; no frame allocates a row.
+constexpr std::uint64_t kFreshUavMissionAllocs = 449;
+constexpr Cycle kUavMissionFrames = 512;
+
+TEST(FrameAlloc, FreshDurableUavMissionMakesTheRecordedAllocations) {
+  avionics::UavSpecOptions spec_options;
+  spec_options.dwell_frames = 10;
+  const core::ReconfigSpec spec = avionics::make_uav_spec(spec_options);
+  avionics::UavPlant plant(7);
+  core::SystemOptions options;
+  options.frame_length = 20'000;
+  options.durable_storage = true;
+  options.journal_shipping = true;
+  options.durability.snapshot_every_epochs = 16;
+  options.durability.sync = storage::durable::SyncPolicy::frames(4);
+  core::System system(spec, options);
+  system.add_app(std::make_unique<avionics::AutopilotApp>(plant));
+  system.add_app(std::make_unique<avionics::FcsApp>(plant));
+  // Full -> Reduced -> Minimal -> Full ... every 45 frames.
+  support::MissionProfile profile(options.frame_length);
+  std::int64_t level = 0;
+  for (Cycle frame = 45; frame < kUavMissionFrames; frame += 45) {
+    level = (level + 1) % 3;
+    profile.at(frame, avionics::kPowerFactor, level);
+  }
+  system.set_fault_plan(profile.build());
+
+  const std::uint64_t allocs = frame_allocs(system, kUavMissionFrames);
+  EXPECT_EQ(allocs, kFreshUavMissionAllocs);
+  EXPECT_LE(static_cast<double>(allocs) /
+                static_cast<double>(kUavMissionFrames),
+            1.0);
+  EXPECT_GE(system.scram().stats().reconfigs_completed, 10u);
+  EXPECT_GE(system.stats().region_relocations, 6u);
+}
+
+serve::FrameRecord frame_record(std::uint64_t frame) {
+  serve::FrameRecord record;
+  record.frame = frame;
+  record.data0 = frame * 3;
+  return record;
+}
+
+TEST(FrameAlloc, PublishingAFrameRecordAllocatesNothing) {
+  serve::RingOptions ring_options;
+  ring_options.slot_count = 8;
+  auto ring = serve::FrameRing::create(ring_options);
+  serve::FrameRing::Delivered delivered;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const std::uint64_t before = t_allocs;
+    ASSERT_TRUE(ring->try_publish(frame_record(i), 100 + i));
+    EXPECT_EQ(t_allocs - before, 0u) << "ring record " << i;
+    ASSERT_EQ(ring->try_consume(delivered), serve::FrameRing::Consume::kRecord);
+    EXPECT_EQ(delivered.record.frame, i);
+  }
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  serve::StreamTransport transport(fds[0]);
+  serve::StreamSource source(fds[1]);
+  serve::FrameSource::Item item;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    const std::uint64_t before = t_allocs;
+    ASSERT_TRUE(transport.try_send(frame_record(i), 100 + i));
+    // The first send sizes the transport's pending buffer.
+    if (i > 0) {
+      EXPECT_EQ(t_allocs - before, 0u) << "stream record " << i;
+    }
+    ASSERT_EQ(source.poll(item), serve::FrameSource::Poll::kRecord);
+    EXPECT_EQ(item.record.frame, i);
   }
 }
 

@@ -128,8 +128,9 @@ TEST_P(RandomSystemSweep, AllPropertiesHoldUnderRandomCampaign) {
   // bounded-memory monitor yields identical verdict counts.
   props::OnlineMonitor monitor(spec, 10'000);
   std::uint64_t online_violations = 0;
-  for (const trace::SysState& s : system.trace().states()) {
-    if (const auto v = monitor.observe(s); v.has_value() && !v->all_hold()) {
+  for (Cycle c = 0; c < system.trace().size(); ++c) {
+    if (const auto v = monitor.observe(system.trace().at(c));
+        v.has_value() && !v->all_hold()) {
       ++online_violations;
     }
   }

@@ -84,7 +84,7 @@ TEST(Sp1, FailsWithoutInterruptedAppAtStart) {
   const SysTrace good = conforming_trace();
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
-    SysState s = good.at(c);
+    SysState s(good.at(c));
     if (c == 1) {
       trace::find_app(s, synthetic_app(0))->reconf_st = ReconfState::kHalted;
     }
@@ -100,7 +100,7 @@ TEST(Sp1, FailsWithNormalAppInsideInterval) {
   const SysTrace good = conforming_trace();
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
-    SysState s = good.at(c);
+    SysState s(good.at(c));
     if (c == 2) {
       trace::find_app(s, synthetic_app(0))->reconf_st = ReconfState::kNormal;
     }
@@ -130,7 +130,7 @@ TEST(Sp2, FailsWhenTargetNeverChosen) {
   const SysTrace good = conforming_trace();
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
-    SysState s = good.at(c);
+    SysState s(good.at(c));
     s.env[kChainSeverityFactor] = 0;  // environment never justified config 1
     t.append(std::move(s));
   }
@@ -146,7 +146,7 @@ TEST(Sp2, HoldsWhenEnvChangesBackBeforeEnd) {
   const SysTrace good = conforming_trace();
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
-    SysState s = good.at(c);
+    SysState s(good.at(c));
     if (c >= 3) s.env[kChainSeverityFactor] = 2;  // worsened late
     t.append(std::move(s));
   }
@@ -222,7 +222,7 @@ TEST(Sp4, FailsWithoutPrecondition) {
   const SysTrace good = conforming_trace();
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
-    SysState s = good.at(c);
+    SysState s(good.at(c));
     if (c >= 4) trace::find_app(s, synthetic_app(0))->precondition_ok = false;
     t.append(std::move(s));
   }
@@ -235,7 +235,7 @@ TEST(Sp4, FailsWithWrongSpecAtEnd) {
   const SysTrace good = conforming_trace();
   SysTrace t(1000);
   for (Cycle c = 0; c < good.size(); ++c) {
-    SysState s = good.at(c);
+    SysState s(good.at(c));
     if (c >= 4) {
       // Stale spec.
       trace::find_app(s, synthetic_app(0))->spec = synthetic_spec(0, 0);

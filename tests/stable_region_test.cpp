@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "arfs/core/stable_region.hpp"
 
 namespace arfs::core {
@@ -86,6 +89,83 @@ TEST(StableRegion, MissingKeyErrors) {
   EXPECT_FALSE(region.read("nope"));
   EXPECT_FALSE(region.read_as<bool>("nope"));
   EXPECT_FALSE(region.contains("nope"));
+}
+
+TEST(StableRegion, MoreKeysThanTheMemoHolds) {
+  // Keys past the memo's capacity fall back to a (prefix, key) lookup on
+  // every access; every key must still land under its own name.
+  storage::StableStorage backing;
+  StableRegion region(backing, "a1/");
+  constexpr std::size_t kKeys = 3 * StableRegion::kMemoCapacity;
+  for (std::int64_t frame = 0; frame < 3; ++frame) {
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      region.write("k" + std::to_string(k),
+                   static_cast<std::int64_t>(100 * frame) +
+                       static_cast<std::int64_t>(k));
+    }
+    backing.commit(static_cast<Cycle>(frame));
+    for (std::size_t k = 0; k < kKeys; ++k) {
+      const std::string key = "k" + std::to_string(k);
+      const std::int64_t want =
+          static_cast<std::int64_t>(100 * frame) + static_cast<std::int64_t>(k);
+      EXPECT_EQ(region.read_as<std::int64_t>(key).value(), want) << key;
+      EXPECT_EQ(backing.read_as<std::int64_t>("a1/" + key).value(), want);
+    }
+  }
+  EXPECT_EQ(backing.name_count(), kKeys);
+  EXPECT_EQ(backing.committed_count(), kKeys);
+}
+
+TEST(StableRegion, ReadOfAMissingKeyInternsNothing) {
+  storage::StableStorage backing;
+  StableRegion region(backing, "a1/");
+  region.write("present", std::int64_t{1});
+  backing.commit(0);
+  const std::size_t names = backing.name_count();
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_FALSE(region.read("missing"));
+    EXPECT_FALSE(region.read_own("missing"));
+    EXPECT_FALSE(region.read_as<std::int64_t>("missing"));
+    EXPECT_FALSE(region.contains("missing"));
+  }
+  EXPECT_EQ(backing.name_count(), names);
+  EXPECT_FALSE(backing.find_key("a1/missing").has_value());
+  // The store's own error, naming the full key.
+  const Expected<storage::Value> missing = region.read("missing");
+  ASSERT_FALSE(missing);
+  EXPECT_NE(missing.error().find("a1/missing"), std::string::npos);
+  // A key that exists only on a prefix boundary is not a match either.
+  region.write("presentx", std::int64_t{2});
+  backing.commit(1);
+  EXPECT_EQ(region.read_as<std::int64_t>("present").value(), 1);
+  EXPECT_EQ(region.read_as<std::int64_t>("presentx").value(), 2);
+}
+
+TEST(StableRegion, RebindingToAnotherStoreForgetsItsKeys) {
+  // The id of "a1/x" on `first` names "a2/x" on `second`, another app's key
+  // with the same name past the prefix: an id remembered on one store must
+  // never be used on the other.
+  storage::StableStorage first;
+  storage::StableStorage second;
+  second.write("a2/x", std::int64_t{0});
+  second.commit(0);
+  StableRegion region("a1/");
+  region.bind(first);
+  region.write("x", std::int64_t{1});
+  first.commit(0);
+  ASSERT_EQ(first.find_key("a1/x"), second.find_key("a2/x"));
+  region.bind(second);
+  region.write("x", std::int64_t{2});
+  second.commit(1);
+  EXPECT_EQ(first.read_as<std::int64_t>("a1/x").value(), 1);
+  EXPECT_EQ(second.read_as<std::int64_t>("a1/x").value(), 2);
+  EXPECT_EQ(second.read_as<std::int64_t>("a2/x").value(), 0);
+  region.bind(first);
+  region.write("x", std::int64_t{3});
+  first.commit(2);
+  EXPECT_EQ(first.read_as<std::int64_t>("a1/x").value(), 3);
+  EXPECT_EQ(second.read_as<std::int64_t>("a1/x").value(), 2);
+  EXPECT_EQ(region.read_as<std::int64_t>("x").value(), 3);
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "arfs/common/check.hpp"
 #include "arfs/trace/export.hpp"
@@ -170,6 +175,105 @@ TEST(Export, PhaseTableShowsEveryFrame) {
   EXPECT_NE(table.find("a1:halted"), std::string::npos);
   EXPECT_NE(table.find("a1:prepared"), std::string::npos);
   EXPECT_NE(table.find("a1:normal"), std::string::npos);
+}
+
+// --- the flat trace: frames read back through views ---
+
+/// Frame `cycle` of a hand-built campaign: `rows` apps (AppIds 2, 4, ...),
+/// varied states, off apps, and an environment drawn from a short cycle of
+/// values, so equal environments recur both on adjacent frames and frames
+/// apart.
+SysState varied_frame(Cycle cycle, std::size_t rows) {
+  SysState s;
+  s.cycle = cycle;
+  s.time = 500 + static_cast<SimTime>(cycle) * 1000;
+  s.svclvl = ConfigId{static_cast<std::uint32_t>(1 + cycle % 3)};
+  for (std::size_t i = 0; i < rows; ++i) {
+    AppSnapshot snap;
+    snap.reconf_st = static_cast<ReconfState>((cycle + i) % 5);
+    if ((cycle + i) % 4 != 0) {
+      snap.spec = SpecId{static_cast<std::uint32_t>(10 * cycle + i)};
+    }
+    snap.host_running = (cycle + i) % 3 != 0;
+    snap.postcondition_ok = i % 2 == 0;
+    snap.transition_ok = cycle % 2 == 0;
+    snap.precondition_ok = (cycle + i) % 2 == 1;
+    s.apps.emplace_back(AppId{static_cast<std::uint32_t>(2 * i + 2)}, snap);
+  }
+  static constexpr std::int64_t kLevels[] = {0, 1, 0, 2, 1, 0};
+  s.env[FactorId{7}] = kLevels[cycle % 6];
+  if (cycle % 5 == 3) s.env[FactorId{9}] = -4;
+  return s;
+}
+
+std::vector<SysState> varied_frames(Cycle n) {
+  std::vector<SysState> frames;
+  for (Cycle c = 0; c < n; ++c) {
+    frames.push_back(varied_frame(c, static_cast<std::size_t>((c * 7) % 5)));
+  }
+  return frames;
+}
+
+void expect_same_frame(const SysStateView& got, const SysState& want) {
+  EXPECT_EQ(got.cycle, want.cycle);
+  EXPECT_EQ(got.time, want.time);
+  EXPECT_EQ(got.svclvl, want.svclvl);
+  EXPECT_EQ(got.env, want.env);
+  EXPECT_TRUE(std::ranges::equal(got.apps, want.apps));
+}
+
+void expect_trace_holds(const SysTrace& trace,
+                        const std::vector<SysState>& frames) {
+  ASSERT_EQ(trace.size(), frames.size());
+  for (Cycle c = 0; c < frames.size(); ++c) {
+    SCOPED_TRACE("cycle " + std::to_string(c));
+    expect_same_frame(trace.at(c), frames[c]);
+  }
+}
+
+TEST(FlatTrace, HandBuiltFramesReadBackUnchanged) {
+  const std::vector<SysState> frames = varied_frames(40);
+  SysTrace trace(1000);
+  for (const SysState& frame : frames) trace.append(frame);
+  expect_trace_holds(trace, frames);
+  // Row counts vary, including frames with no rows at all.
+  EXPECT_TRUE(trace.at(0).apps.empty());
+  EXPECT_EQ(trace.at(2).apps.size(), 4u);
+  // A kept copy of a view equals the frame it viewed.
+  for (Cycle c = 0; c < frames.size(); ++c) {
+    expect_same_frame(SysState(trace.at(c)), frames[c]);
+  }
+}
+
+TEST(FlatTrace, CopiesAndAssignmentsReadBackUnchanged) {
+  const std::vector<SysState> frames = varied_frames(40);
+  SysTrace full(1000);
+  for (const SysState& frame : frames) full.append(frame);
+  SysTrace shorter(1000);
+  for (Cycle c = 0; c < 9; ++c) shorter.append(frames[c]);
+
+  const SysTrace copy(full);
+  expect_trace_holds(copy, frames);
+
+  // Assigning a shorter trace over a longer one (a checkpoint restore), then
+  // recording on: the spare environments left behind must not leak into
+  // the frames that follow.
+  SysTrace warm(full);
+  warm = shorter;
+  expect_trace_holds(warm, {frames.begin(), frames.begin() + 9});
+  std::vector<SysState> replayed(frames.begin(), frames.begin() + 9);
+  for (Cycle c = 9; c < 30; ++c) {
+    SysState frame = varied_frame(c, static_cast<std::size_t>(c % 3));
+    frame.env[FactorId{11}] = static_cast<std::int64_t>(c / 4);
+    warm.append(frame);
+    replayed.push_back(std::move(frame));
+  }
+  expect_trace_holds(warm, replayed);
+
+  SysTrace moved(std::move(warm));
+  expect_trace_holds(moved, replayed);
+  moved = full;
+  expect_trace_holds(moved, frames);
 }
 
 }  // namespace

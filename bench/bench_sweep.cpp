@@ -1,18 +1,25 @@
 // Experiment E16 — the checkpointed crash-point sweep, measured.
 //
 // The from-scratch sweep replays the mission once per crash point: F crash
-// points cost F·(F+1)/2 simulated frames. The checkpointed strategy (one
-// baseline pass dropping a deterministic core::SystemCheckpoint every K
-// frames, each crash point forking from the nearest checkpoint) costs
-// F + ~F·K/2. This experiment measures both against F:
+// points cost F·(F+1)/2 simulated frames. The checkpointed strategy runs
+// one baseline pass that drops a deterministic core::SystemCheckpoint at
+// the start of every interval of K points, then one mission per interval
+// rolls forward from its checkpoint, one frame per point, refreshing the
+// checkpoint in place before each verdict and restoring it after: 2F
+// frames whatever K is. This experiment measures both against F:
 //   1. Simulated frames and wall time, checkpointed vs from-scratch, with
 //      the reduction ratio and measured speedup (acceptance: ≥5× fewer
 //      simulated frames at F=256).
-//   2. The stride auto-tune curve at fixed F: simulated frames and wall
-//      time across strides bracketing the √F default.
+//   2. The stride table at fixed F: K no longer changes the frames
+//      simulated, only the parallel grain — how many missions are built
+//      and checkpoints taken, one each per interval.
 //   3. A warm-start cell: the avionics mission shipping to its one-member
-//      cohort at F = 512, with the cost per crash point and the missions
-//      the sweep built (one per checkpoint interval plus the baseline).
+//      cohort at F = 512, with the cost per crash point, the frames
+//      simulated, and the missions the sweep built (one per interval plus
+//      the baseline).
+//   4. The warm cost of each copy direction on that mission at frame 256:
+//      refreshing one reused checkpoint in place (System::checkpoint_into)
+//      and restoring it.
 // The first two tables check the checkpointed report's digest against the
 // from-scratch oracle where the oracle is run.
 //
@@ -121,7 +128,7 @@ void report_scaling() {
   const support::MissionFactory factory =
       sweep_factory(SyncPolicy::frames(4));
   std::cout << "\nCheckpointed vs from-scratch sweep (chain mission, "
-               "frames(4) policy, stride auto-tuned)\n";
+               "frames(4) policy, stride auto-sized)\n";
   std::cout << std::left << std::setw(8) << "F" << std::setw(8) << "K"
             << std::setw(12) << "frames-ckpt" << std::setw(14)
             << "frames-scratch" << std::setw(8) << "ratio" << std::setw(12)
@@ -168,11 +175,12 @@ void report_stride_curve() {
   const std::uint64_t oracle_digest =
       support::run_crash_sweep(factory, sweep_options(kFrames, false))
           .digest();
-  std::cout << "\nStride auto-tune curve (F = " << kFrames
-            << "; 0 = auto ≈ √F)\n";
+  std::cout << "\nStride table (F = " << kFrames
+            << "; K sets only the parallel grain; 0 = auto, a few intervals"
+               " per worker)\n";
   std::cout << std::left << std::setw(10) << "stride" << std::setw(12)
-            << "frames" << std::setw(8) << "ckpts" << std::setw(10) << "ms"
-            << "digest vs oracle\n";
+            << "frames" << std::setw(8) << "ckpts" << std::setw(10)
+            << "missions" << std::setw(10) << "ms" << "digest vs oracle\n";
   for (const Cycle stride :
        {Cycle{0}, Cycle{1}, Cycle{4}, Cycle{8}, Cycle{32}, Cycle{64},
         Cycle{256}}) {
@@ -186,7 +194,8 @@ void report_stride_curve() {
                       ? "auto(" + std::to_string(report.stride_used) + ")"
                       : std::to_string(stride))
               << std::setw(12) << report.simulated_frames << std::setw(8)
-              << report.checkpoints_taken << std::fixed
+              << report.checkpoints_taken << std::setw(10)
+              << report.missions_built << std::fixed
               << std::setprecision(1) << std::setw(10) << ms
               << (digests_equal ? "equal" : "MISMATCH") << "\n";
     const std::string k =
@@ -212,26 +221,65 @@ void report_warm_start_uav() {
   const double us_per_point =
       wall_ms(start) * 1e3 / static_cast<double>(kFrames);
   std::cout << "\nWarm-start avionics sweep (F = " << kFrames
-            << ", one-member cohort, stride auto-tuned)\n";
+            << ", one-member cohort, stride auto-sized)\n";
   std::cout << std::left << std::setw(8) << "K" << std::setw(10)
-            << "missions" << std::setw(12) << "us/point" << "verdict\n";
+            << "missions" << std::setw(10) << "frames" << std::setw(12)
+            << "us/point" << "verdict\n";
   std::cout << std::left << std::setw(8) << report.stride_used
-            << std::setw(10) << report.missions_built << std::fixed
-            << std::setprecision(1) << std::setw(12) << us_per_point
+            << std::setw(10) << report.missions_built << std::setw(10)
+            << report.simulated_frames << std::fixed << std::setprecision(1)
+            << std::setw(12) << us_per_point
             << (report.all_match() ? "all match" : "MISMATCH") << "\n";
   bench::trajectory().record("sweep/uav_ship_F512/us_per_point", us_per_point,
                              "us");
   bench::trajectory().record("sweep/uav_ship_F512/missions_built",
                              static_cast<double>(report.missions_built),
                              "missions");
+  bench::trajectory().record("sweep/uav_ship_F512/simulated_frames",
+                             static_cast<double>(report.simulated_frames),
+                             "frames");
+}
+
+/// Warm cost of each copy direction on the warm-start cell's mission at
+/// frame 256 (a mid-mission trace and journal): refreshing one reused
+/// checkpoint in place, then restoring it, each averaged over kReps calls
+/// after one warm-up call.
+void report_checkpoint_costs() {
+  constexpr Cycle kFrames = 512;
+  constexpr Cycle kAt = 256;
+  constexpr int kReps = 2000;
+  const support::CrashMission mission = uav_ship_factory(kFrames)();
+  core::System& system = *mission.system;
+  system.run(kAt);
+  core::SystemCheckpoint image = system.checkpoint();
+  system.checkpoint_into(image);
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kReps; ++i) system.checkpoint_into(image);
+  const double into_us = wall_ms(start) * 1e3 / kReps;
+  system.restore(image);
+  start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kReps; ++i) system.restore(image);
+  const double restore_us = wall_ms(start) * 1e3 / kReps;
+  const bool exact = system.digest() == image.digest();
+  std::cout << "\nWarm copy costs (same mission at frame " << kAt << ")\n";
+  std::cout << std::left << std::setw(20) << "checkpoint_into us"
+            << std::setw(14) << "restore us" << "digest\n";
+  std::cout << std::left << std::fixed << std::setprecision(2)
+            << std::setw(20) << into_us << std::setw(14) << restore_us
+            << (exact ? "equal" : "MISMATCH") << "\n";
+  bench::trajectory().record("sweep/uav_ship_F512/checkpoint_into_us",
+                             into_us, "us");
+  bench::trajectory().record("sweep/uav_ship_F512/restore_us", restore_us,
+                             "us");
 }
 
 void report() {
   bench::banner("E16: checkpointed crash-point sweep",
-                "the O(F²) → O(F·K) sweep reduction");
+                "the O(F²) → O(F) sweep reduction");
   report_scaling();
   report_stride_curve();
   report_warm_start_uav();
+  report_checkpoint_costs();
   std::cout << "\n";
 }
 

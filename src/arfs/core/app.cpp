@@ -110,15 +110,14 @@ ReconfigurableApp::StepResult ReconfigurableApp::frame_step(
   return result;
 }
 
-ReconfigurableApp::Checkpoint ReconfigurableApp::checkpoint_state() const {
-  Checkpoint cp;
+void ReconfigurableApp::checkpoint_into(Checkpoint& cp) const {
   cp.state = state_;
   cp.spec = spec_;
   cp.post_ok = post_ok_;
   cp.trans_ok = trans_ok_;
   cp.pre_ok = pre_ok_;
+  cp.domain.clear();
   save_domain(cp.domain);
-  return cp;
 }
 
 AppView ReconfigurableApp::view(std::vector<std::uint64_t>& domain) const {

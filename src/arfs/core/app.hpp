@@ -150,7 +150,8 @@ class ReconfigurableApp {
 
     [[nodiscard]] AppView view() const;
   };
-  [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// Refreshes `cp` in place; its domain buffer keeps its capacity.
+  void checkpoint_into(Checkpoint& cp) const;
   void restore_state(const Checkpoint& cp);
   /// The digested state, read in place; the domain words are packed into
   /// `domain` (cleared first — a reused buffer keeps this allocation-free

@@ -18,14 +18,13 @@ bool any_flag(const std::vector<bool>& flags) {
   return std::find(flags.begin(), flags.end(), true) != flags.end();
 }
 
-/// The AppIds (ascending) whose flag is set.
-std::vector<AppId> flagged_ids(const ReconfigSpec& spec,
-                               const std::vector<bool>& flags) {
-  std::vector<AppId> out;
+/// Fills `out` with the AppIds (ascending) whose flag is set.
+void flagged_ids(const ReconfigSpec& spec, const std::vector<bool>& flags,
+                 std::vector<AppId>& out) {
+  out.clear();
   for (const std::size_t pos : spec.apps_by_id()) {
     if (flags[pos]) out.push_back(spec.apps()[pos].id);
   }
-  return out;
 }
 
 void set_flags(const ReconfigSpec& spec, const std::vector<AppId>& ids,
@@ -366,26 +365,25 @@ FrameOutcome Scram::end_frame(Cycle cycle, const PhaseReport& phase_done) {
   return end_frame_relaxed(cycle, phase_done);
 }
 
-Scram::Checkpoint Scram::checkpoint_state() const {
-  Checkpoint cp;
+void Scram::checkpoint_into(Checkpoint& cp) const {
   cp.current = current_;
   cp.target = target_;
   cp.phase = phase_;
-  cp.done = flagged_ids(spec_, done_);
+  flagged_ids(spec_, done_, cp.done);
+  cp.stage.clear();
   if (!stage_.empty()) {
     for (const std::size_t pos : spec_.apps_by_id()) {
       cp.stage.emplace_back(spec_.apps()[pos].id, stage_[pos]);
     }
   }
-  cp.halt_done = flagged_ids(spec_, halt_done_);
-  cp.prepare_done = flagged_ids(spec_, prepare_done_);
-  cp.init_done = flagged_ids(spec_, init_done_);
+  flagged_ids(spec_, halt_done_, cp.halt_done);
+  flagged_ids(spec_, prepare_done_, cp.prepare_done);
+  flagged_ids(spec_, init_done_, cp.init_done);
   cp.pending_trigger = pending_trigger_;
   cp.lossy_pending = lossy_pending_;
   cp.active_start = active_start_;
   cp.dwell_until = dwell_until_;
   cp.stats = stats_;
-  return cp;
 }
 
 void Scram::restore_state(const Checkpoint& cp) {

@@ -167,7 +167,8 @@ class Scram {
     Cycle dwell_until = 0;
     ScramStats stats;
   };
-  [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// Refreshes `cp` in place; its tables keep their buffers.
+  void checkpoint_into(Checkpoint& cp) const;
   void restore_state(const Checkpoint& cp);
 
   /// Folds the kernel state into the FNV-1a digest state `h`: phase and

@@ -850,23 +850,32 @@ void System::restore_forced(const std::vector<std::pair<AppId, bool>>& image,
 
 SystemCheckpoint System::checkpoint() const {
   SystemCheckpoint cp;
+  checkpoint_into(cp);
+  return cp;
+}
+
+void System::checkpoint_into(SystemCheckpoint& cp) const {
   cp.frame = clock_.current_frame();
   cp.now = clock_.now();
   for (const ProcessorId p : group_.processor_ids()) {
-    cp.processors.emplace(p, group_.processor(p).checkpoint_state());
+    group_.processor(p).checkpoint_into(cp.processors[p]);
   }
   cp.environment = environment_;
   cp.monitors = monitors_;
   cp.activity = activity_;
   cp.bank = bank_;
   cp.health = health_;
-  cp.scram = scram_.checkpoint_state();
+  scram_.checkpoint_into(cp.scram);
   const std::vector<AppDecl>& decls = spec_.apps();
-  cp.apps.reserve(apps_added_);
+  cp.apps.resize(apps_added_);
+  auto next_app = cp.apps.begin();
   for (const std::size_t pos : spec_.apps_by_id()) {
     if (apps_[pos] == nullptr) continue;
-    cp.apps.emplace_back(decls[pos].id, apps_[pos]->checkpoint_state());
+    next_app->first = decls[pos].id;
+    apps_[pos]->checkpoint_into(next_app->second);
+    ++next_app;
   }
+  cp.region_host.clear();
   if (!region_host_.empty()) {
     cp.region_host.reserve(decls.size());
     for (const std::size_t pos : spec_.apps_by_id()) {
@@ -874,9 +883,11 @@ SystemCheckpoint System::checkpoint() const {
     }
   }
   cp.fault_plan = fault_plan_;
+  cp.forced_overrun.clear();
   each_forced(forced_overrun_, stray_overrun_, [&cp](AppId id, bool raised) {
     cp.forced_overrun.emplace_back(id, raised);
   });
+  cp.forced_fault.clear();
   each_forced(forced_fault_, stray_fault_, [&cp](AppId id, bool raised) {
     cp.forced_fault.emplace_back(id, raised);
   });
@@ -885,11 +896,10 @@ SystemCheckpoint System::checkpoint() const {
   cp.noise_rng_state = noise_rng_.state();
   cp.trace = trace_;
   for (const auto& [pid, channel] : quorum_channels_) {
-    cp.quorum_channels.emplace(pid, channel->group.checkpoint_state());
+    channel->group.checkpoint_into(cp.quorum_channels[pid]);
   }
   cp.stats = stats_;
   cp.started = started_;
-  return cp;
 }
 
 void System::restore(const SystemCheckpoint& cp) {

@@ -163,7 +163,8 @@ struct SystemStats {
 /// key strings) are deliberately absent: a checkpoint is restored into a
 /// System built by the same factory. Move-only — device copies are owned —
 /// but restorable any number of times (restore copies the device images
-/// into the system's own devices, never consumes them).
+/// into the system's own devices, never consumes them), and refreshable in
+/// place (System::checkpoint_into copies into the images it holds).
 /// Per-app tables are kept in ascending AppId order, the order the digest
 /// walks, whatever order the spec declares its apps in.
 struct SystemCheckpoint {
@@ -325,10 +326,18 @@ class System {
 
   // --- whole-system checkpoint/restore ---
 
-  /// Freezes the system's complete mutable state. Precondition: when
+  /// Freezes the system's complete mutable state into a fresh image:
+  /// checkpoint_into() on an empty SystemCheckpoint. Precondition: when
   /// durable storage is on, every device is a MemoryBackend (in-memory
   /// engines).
   [[nodiscard]] SystemCheckpoint checkpoint() const;
+  /// Refreshes `cp` to the system's state in place, the mirror of
+  /// restore(): every table, store, trace and device image is
+  /// copy-assigned into the one `cp` already holds, so once `cp` has been
+  /// refreshed from a state as large, nothing is allocated. Preconditions:
+  /// checkpoint()'s, and `cp` is empty or an image of a System built by the
+  /// same factory, at any frame (the same processors and cohorts).
+  void checkpoint_into(SystemCheckpoint& cp) const;
   /// Rewinds this system to `cp` in place. Precondition: this System was
   /// built by the same factory as the one checkpointed (same spec, options,
   /// applications, and replica cohorts) — key sets must match exactly.

@@ -81,18 +81,21 @@ void Processor::commit_frame(Cycle cycle, bool force_durable_sync) {
   stable_.commit(cycle);
 }
 
-Processor::Checkpoint Processor::checkpoint_state() const {
-  Checkpoint cp;
+void Processor::checkpoint_into(Checkpoint& cp) const {
   cp.state = state_;
   cp.pair = pair_;
   cp.stable = stable_;
   cp.volatile_store = volatile_;
-  if (durability_ != nullptr) cp.durability = durability_->checkpoint_state();
+  if (durability_ != nullptr) {
+    if (!cp.durability.has_value()) cp.durability.emplace();
+    durability_->checkpoint_into(*cp.durability);
+  } else {
+    cp.durability.reset();
+  }
   cp.last_recovery = last_recovery_;
   cp.lost_epochs = lost_epochs_;
   cp.failed_at = failed_at_;
   cp.failures = failures_;
-  return cp;
 }
 
 ProcessorView Processor::view() const {

@@ -134,7 +134,10 @@ class Processor {
 
     [[nodiscard]] ProcessorView view() const;
   };
-  [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// Refreshes `cp` to this processor's state by copy-assignment: a
+  /// checkpoint taken before keeps its buffers and device images, so once
+  /// they have grown a refresh allocates nothing.
+  void checkpoint_into(Checkpoint& cp) const;
   /// The digested state, read in place (see ProcessorView).
   [[nodiscard]] ProcessorView view() const;
   /// Precondition: durability attachment matches the checkpoint's. The

@@ -7,7 +7,15 @@ namespace arfs::props {
 TraceReport check_trace(const trace::SysTrace& s,
                         const core::ReconfigSpec& spec) {
   TraceReport report;
-  for (const trace::Reconfiguration& r : trace::get_reconfigs(s)) {
+  // A first walk counts the reconfigurations (and finds one left open), so
+  // the verdicts are sized once; the second checks each as it closes.
+  std::size_t count = 0;
+  report.incomplete_at_end =
+      trace::for_each_reconfig(
+          s, [&count](const trace::Reconfiguration&) { ++count; })
+          .has_value();
+  report.verdicts.reserve(count);
+  (void)trace::for_each_reconfig(s, [&](const trace::Reconfiguration& r) {
     ReconfigVerdict v = check_all(s, r, spec);
     ++report.reconfig_count;
     if (!v.sp1.holds) ++report.sp1_failures;
@@ -15,8 +23,7 @@ TraceReport check_trace(const trace::SysTrace& s,
     if (!v.sp3.holds) ++report.sp3_failures;
     if (!v.sp4.holds) ++report.sp4_failures;
     report.verdicts.push_back(std::move(v));
-  }
-  report.incomplete_at_end = trace::incomplete_reconfig(s).has_value();
+  });
   return report;
 }
 

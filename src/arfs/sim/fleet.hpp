@@ -46,10 +46,11 @@
 
 namespace arfs::sim {
 
-/// Rounded integer √n: the stride minimizing F + F·K/2 residual replay work
-/// for the checkpointed crash sweep, and the shard count balancing per-shard
-/// cache contiguity against merge fan-in for the fleet engine. Integer
-/// arithmetic — the auto-tune must be bit-stable across platforms.
+/// Rounded integer √n: the ladder spacing minimizing F + F·K/2 residual
+/// replay work for a pooled mission's reset_to (support::PooledMission),
+/// and the shard count balancing per-shard cache contiguity against merge
+/// fan-in for the fleet engine. Integer arithmetic — the auto-tune must be
+/// bit-stable across platforms.
 [[nodiscard]] Cycle auto_stride(Cycle n);
 
 /// Samples per chunk — the fleet's atomic accumulation unit. The default

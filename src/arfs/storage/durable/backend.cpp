@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "arfs/common/assign.hpp"
 #include "arfs/common/check.hpp"
 #include "arfs/storage/arena.hpp"
 
@@ -38,9 +39,18 @@ MemoryBackend::MemoryBackend(const MemoryBackend& other) {
 MemoryBackend& MemoryBackend::operator=(const MemoryBackend& other) {
   if (this == &other) return *this;
   other.hydrate();
-  hydrate();  // drop our own spilled region before overwriting
-  durable_ = other.durable_;
-  buffered_ = other.buffered_;
+  if (spill_arena_ != nullptr) {
+    // Our spilled bytes are about to be overwritten: release them unread.
+    spill_arena_->release(spill_region_);
+    spill_arena_ = nullptr;
+    spill_region_ = 0;
+    spilled_durable_ = 0;
+    spilled_buffered_ = 0;
+  }
+  // A device refreshed from one that grows a little every frame (a
+  // checkpoint taken again and again) keeps its copy's capacity ahead.
+  assign_amortized(durable_, other.durable_);
+  assign_amortized(buffered_, other.buffered_);
   syncs_ = other.syncs_;
   sync_failures_armed_ = other.sync_failures_armed_;
   delayed_failure_armed_ = other.delayed_failure_armed_;

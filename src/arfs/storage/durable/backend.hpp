@@ -90,7 +90,9 @@ class MemoryBackend final : public JournalBackend {
   /// fault hooks; it is how engine checkpoints capture and restore a
   /// device. Copying hydrates a spilled source first: the copy is always a
   /// plain in-RAM device — spill state never aliases across backends (two
-  /// owners of one arena region would double-release it).
+  /// owners of one arena region would double-release it). Assignment keeps
+  /// this device's buffers, growing them geometrically, and releases its
+  /// own spilled region unread.
   MemoryBackend(const MemoryBackend& other);
   MemoryBackend& operator=(const MemoryBackend& other);
   ~MemoryBackend() override = default;

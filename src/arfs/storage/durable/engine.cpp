@@ -322,10 +322,17 @@ bool DurabilityEngine::has_state() const {
   return journal_->size() > kHeaderSize || snapshots_->size() > kHeaderSize;
 }
 
-EngineCheckpoint DurabilityEngine::checkpoint_state() const {
-  EngineCheckpoint cp;
-  cp.journal = std::make_unique<MemoryBackend>(memory_device(*journal_));
-  cp.snapshots = std::make_unique<MemoryBackend>(memory_device(*snapshots_));
+void DurabilityEngine::checkpoint_into(EngineCheckpoint& cp) const {
+  const auto refresh = [](JournalBackend& device,
+                          std::unique_ptr<MemoryBackend>& image) {
+    if (image == nullptr) {
+      image = std::make_unique<MemoryBackend>(memory_device(device));
+    } else {
+      *image = memory_device(device);
+    }
+  };
+  refresh(*journal_, cp.journal);
+  refresh(*snapshots_, cp.snapshots);
   cp.stats = stats_;
   cp.interner = interner_;
   cp.appended_epoch = appended_epoch_;
@@ -336,7 +343,6 @@ EngineCheckpoint DurabilityEngine::checkpoint_state() const {
   cp.ship_horizon = ship_horizon_;
   cp.adaptive_watermark_fp = adaptive_watermark_fp_;
   cp.reconfig_pressure = reconfig_pressure_;
-  return cp;
 }
 
 std::uint64_t EngineCheckpoint::spill_devices(storage::MappedArena& arena) {

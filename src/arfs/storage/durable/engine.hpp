@@ -282,16 +282,19 @@ class DurabilityEngine {
   [[nodiscard]] bool has_state() const;
 
   /// Freezes the engine — copies of both devices plus all bookkeeping —
-  /// into a checkpoint restorable many times over. Precondition: both
+  /// into `cp`, restorable many times over. The mirror of restore_state():
+  /// a checkpoint taken before is refreshed in place, its device images
+  /// copy-assigned into its own devices (a spilled one is released, not
+  /// read back), so a warm refresh allocates nothing. Precondition: both
   /// devices are MemoryBackends (a FileBackend cannot be checkpointed).
-  [[nodiscard]] EngineCheckpoint checkpoint_state() const;
+  void checkpoint_into(EngineCheckpoint& cp) const;
   /// The digested state, read in place (see EngineView).
   [[nodiscard]] EngineView view() const;
   /// Rewinds this engine to `cp` in place. The engine object's identity is
   /// preserved deliberately: shippers and units hold references to it. So
   /// is each device's: the checkpoint's image is copy-assigned into it,
   /// keeping its buffers, so a warm restore allocates nothing. Same
-  /// precondition as checkpoint_state().
+  /// precondition as checkpoint_into().
   void restore_state(const EngineCheckpoint& cp);
 
   /// SCRAM reconfiguration pressure: while on, a kAdaptive policy's

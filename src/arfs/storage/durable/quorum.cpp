@@ -329,19 +329,18 @@ void QuorumGroup::elect() {
   }
 }
 
-QuorumGroup::Checkpoint QuorumGroup::checkpoint_state() const {
-  Checkpoint cp;
-  cp.members.reserve(members_.size());
-  for (const Member& m : members_) {
-    MemberCheckpoint mc;
-    mc.replica = m.replica.checkpoint_state();
+void QuorumGroup::checkpoint_into(Checkpoint& cp) const {
+  cp.members.resize(members_.size());
+  for (MemberId id = 0; id < members_.size(); ++id) {
+    const Member& m = members_[id];
+    MemberCheckpoint& mc = cp.members[id];
+    m.replica.checkpoint_into(mc.replica);
     mc.last_applied = m.last_applied;
     mc.live = m.live;
     mc.retired = m.retired;
     mc.needs_full_copy = m.needs_full_copy;
     mc.warm_credit = m.warm_credit;
     mc.consecutive_corrupt = m.consecutive_corrupt;
-    cp.members.push_back(std::move(mc));
   }
   cp.old_voters = old_voters_;
   cp.new_voters = new_voters_;
@@ -350,7 +349,6 @@ QuorumGroup::Checkpoint QuorumGroup::checkpoint_state() const {
   cp.commit_id = commit_id_;
   cp.leader = leader_;
   cp.stats = stats_;
-  return cp;
 }
 
 void QuorumGroup::restore_state(const Checkpoint& cp) {

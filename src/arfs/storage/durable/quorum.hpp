@@ -225,7 +225,10 @@ class QuorumGroup {
       return members[id].view();
     }
   };
-  [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// Refreshes `cp` to the group's state in place, keeping each member
+  /// image's buffers and devices (see DurabilityEngine::checkpoint_into);
+  /// images of members the group no longer has are dropped.
+  void checkpoint_into(Checkpoint& cp) const;
   /// The digested state, read in place (see QuorumView and MemberView).
   [[nodiscard]] QuorumView view() const;
   [[nodiscard]] MemberView member_view(MemberId id) const;

@@ -287,15 +287,18 @@ void ShippedReplica::reset_from_full_copy(const StableStorage& source,
   }
 }
 
-ShippedReplica::Checkpoint ShippedReplica::checkpoint_state() const {
-  Checkpoint cp;
+void ShippedReplica::checkpoint_into(Checkpoint& cp) const {
   cp.store = store_;
-  if (engine_ != nullptr) cp.engine = engine_->checkpoint_state();
-  cp.dict.assign(dict_.names().begin(), dict_.names().end());
+  if (engine_ != nullptr) {
+    if (!cp.engine.has_value()) cp.engine.emplace();
+    engine_->checkpoint_into(*cp.engine);
+  } else {
+    cp.engine.reset();
+  }
+  cp.dict = dict_;
   cp.pending = pending_;
   cp.cursor = cursor_;
   cp.stats = stats_;
-  return cp;
 }
 
 void ShippedReplica::restore_state(const Checkpoint& cp) {
@@ -303,7 +306,7 @@ void ShippedReplica::restore_state(const Checkpoint& cp) {
           "replica restore must match its attached-engine shape");
   store_ = cp.store;
   if (engine_ != nullptr) engine_->restore_state(*cp.engine);
-  dict_.assign(cp.dict);
+  dict_ = cp.dict;
   keys_.clear();
   pending_ = cp.pending;
   cursor_ = cp.cursor;
@@ -323,7 +326,7 @@ ReplicaView ShippedReplica::Checkpoint::view() const {
   return {.store = &store,
           .engine = engine.has_value() ? std::optional(engine->view())
                                        : std::nullopt,
-          .dict = dict,
+          .dict = dict.names(),
           .pending = pending,
           .cursor = cursor};
 }

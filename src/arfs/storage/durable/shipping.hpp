@@ -177,14 +177,16 @@ class ShippedReplica {
   struct Checkpoint {
     StableStorage store;
     std::optional<EngineCheckpoint> engine;
-    std::vector<std::string> dict;
+    NamePool dict;  ///< Keeps spare names, as the live dictionary does.
     std::vector<std::uint8_t> pending;
     ShipCursor cursor;
     Stats stats;
 
     [[nodiscard]] ReplicaView view() const;
   };
-  [[nodiscard]] Checkpoint checkpoint_state() const;
+  /// Refreshes `cp` to this replica's state in place (see
+  /// DurabilityEngine::checkpoint_into).
+  void checkpoint_into(Checkpoint& cp) const;
   /// The digested state, read in place (see ReplicaView).
   [[nodiscard]] ReplicaView view() const;
   /// Precondition: an engine is attached iff the checkpoint holds one (a

@@ -8,10 +8,11 @@
 // record payload.
 //
 // The CRC sits on the per-commit hot path (every journaled byte is hashed),
-// so the default implementation is slicing-by-8: eight compile-time tables
-// consume the input eight bytes per step instead of one. The classic bytewise
-// loop is kept as crc32_bytewise — it is the reference the tests cross-check
-// the sliced version against, and the tail/fallback path for short inputs.
+// so the default implementation is slicing-by-16: sixteen compile-time
+// tables consume the input sixteen bytes per step instead of one, and the
+// last n mod 16 bytes go through an inline bytewise loop on the first table.
+// The classic bytewise loop is kept as crc32_bytewise — the reference the
+// tests cross-check the sliced version against.
 #pragma once
 
 #include <cstddef>
@@ -24,11 +25,12 @@
 
 namespace arfs::storage::durable {
 
-/// IEEE 802.3 CRC32 (the zlib polynomial), over `n` bytes. Slicing-by-8.
+/// IEEE 802.3 CRC32 (the zlib polynomial), over `n` bytes. Slicing-by-16,
+/// with an inline bytewise loop for the tail.
 [[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t n);
 
 /// Reference bytewise implementation of the same CRC. Bit-identical to
-/// crc32() on every input; kept for cross-checking and short tails.
+/// crc32() on every input; kept for cross-checking.
 [[nodiscard]] std::uint32_t crc32_bytewise(const std::uint8_t* data,
                                            std::size_t n);
 

@@ -7,7 +7,6 @@
 #include "arfs/common/check.hpp"
 #include "arfs/common/hash.hpp"
 #include "arfs/failstop/processor.hpp"
-#include "arfs/sim/fleet.hpp"
 #include "arfs/storage/arena.hpp"
 
 namespace arfs::support {
@@ -118,6 +117,19 @@ CrashPoint judge_crash_point(core::System& system,
   return point;
 }
 
+/// Interval jobs per worker when the stride is auto-sized. Every crash
+/// point of the rolling sweep costs the same, so a few even intervals per
+/// worker balance the pool; more would only build more missions and take
+/// more checkpoints.
+constexpr Cycle kIntervalsPerWorker = 4;
+
+/// The auto stride: ⌈frames / (kIntervalsPerWorker · threads)⌉, at least 1.
+Cycle interval_stride(Cycle frames, std::size_t threads) {
+  const Cycle intervals =
+      kIntervalsPerWorker * std::max<Cycle>(1, static_cast<Cycle>(threads));
+  return std::max<Cycle>(1, (frames + intervals - 1) / intervals);
+}
+
 /// From-scratch strategy: every job replays its own mission from frame 0.
 std::vector<CrashPoint> sweep_from_scratch(const MissionFactory& factory,
                                            const CrashSweepOptions& options,
@@ -183,14 +195,16 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
         options.frames * (options.frames + 1) / 2;
     report.missions_built = options.frames;
   } else {
-    const Cycle stride = options.checkpoint_stride > 0
-                             ? options.checkpoint_stride
-                             : sim::auto_stride(options.frames);
+    const Cycle stride =
+        options.checkpoint_stride > 0
+            ? options.checkpoint_stride
+            : interval_stride(options.frames, runner.thread_count());
 
     // Serial baseline pass: run the mission once end to end, recording the
     // shared commit-boundary fingerprint table (index = commit epoch,
     // index 0 = empty pre-mission store) and freezing a whole-system
-    // checkpoint every `stride` frames — checkpoint j stands at frame j·K.
+    // checkpoint at the start of every interval — checkpoint j stands at
+    // frame j·K. No interval starts at frame F.
     CrashMission baseline = factory();
     require(baseline.system != nullptr, "mission factory built no system");
     core::System& base_system = *baseline.system;
@@ -204,45 +218,47 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
     fingerprints.push_back(victim.poll_stable().fingerprint());
     std::vector<core::SystemCheckpoint> checkpoints;
     checkpoints.reserve(
-        static_cast<std::size_t>(options.frames / stride) + 1);
+        static_cast<std::size_t>((options.frames + stride - 1) / stride));
     checkpoints.push_back(base_system.checkpoint());
-    for (Cycle f = 0; f < options.frames; ++f) {
+    for (Cycle f = 1; f <= options.frames; ++f) {
       base_system.run(1);
       fingerprints.push_back(victim.poll_stable().fingerprint());
       require(victim.running(),
               "crash sweep victim was failed by the mission itself");
-      if ((f + 1) % stride == 0) {
+      if (f % stride == 0 && f < options.frames) {
         checkpoints.push_back(base_system.checkpoint());
       }
     }
 
-    // Batch-parallel interval jobs. Job j owns the crash frames whose
-    // nearest checkpoint at or below is checkpoint j. It builds one mission
-    // and, for each of its crash points in order, restores checkpoint j
-    // over whatever the previous point left (a crashed victim, a failed
-    // cohort leader), simulates only the residual < stride frames and
-    // judges the point. The checkpoint and fingerprint tables are shared
-    // read-only across jobs.
+    // Batch-parallel interval jobs. Job j owns crash frames (jK, (j+1)K]
+    // and checkpoint j, which no other job touches. It builds one mission,
+    // restores checkpoint j once, and rolls forward: for each crash point
+    // it runs one frame, refreshes checkpoint j to that frame in place,
+    // judges the point (a crashed victim, a failed cohort leader) and
+    // restores the refreshed checkpoint, so the next point starts one
+    // frame further on from exactly the mission's state. The fingerprint
+    // table is shared read-only across jobs.
     const std::vector<std::vector<CrashPoint>> intervals =
         runner.map<std::vector<CrashPoint>>(
             checkpoints.size(), [&](std::size_t j) {
               const Cycle base_frame = static_cast<Cycle>(j) * stride;
-              const Cycle first = std::max<Cycle>(base_frame, 1);
               const Cycle last =
-                  std::min<Cycle>(base_frame + stride - 1, options.frames);
-              std::vector<CrashPoint> points;
-              if (first > last) return points;  // builds no mission
+                  std::min<Cycle>(base_frame + stride, options.frames);
               CrashMission mission = factory();
               require(mission.system != nullptr,
                       "mission factory built no system");
               core::System& system = *mission.system;
-              points.reserve(static_cast<std::size_t>(last - first + 1));
-              for (Cycle crash_frame = first; crash_frame <= last;
+              core::SystemCheckpoint& rolling = checkpoints[j];
+              system.restore(rolling);
+              std::vector<CrashPoint> points;
+              points.reserve(static_cast<std::size_t>(last - base_frame));
+              for (Cycle crash_frame = base_frame + 1; crash_frame <= last;
                    ++crash_frame) {
-                system.restore(checkpoints[j]);
-                system.run(crash_frame - base_frame);
+                system.run(1);
+                system.checkpoint_into(rolling);
                 points.push_back(judge_crash_point(system, options,
                                                    crash_frame, fingerprints));
+                system.restore(rolling);
               }
               return points;
             });
@@ -250,16 +266,13 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
     // Flattened in crash-frame order, so the report does not depend on how
     // the jobs were scheduled.
     report.points.reserve(static_cast<std::size_t>(options.frames));
-    report.missions_built = 1;  // the baseline
     for (const std::vector<CrashPoint>& interval : intervals) {
       report.points.insert(report.points.end(), interval.begin(),
                            interval.end());
-      if (!interval.empty()) ++report.missions_built;
     }
-    report.simulated_frames = options.frames;  // the baseline pass
-    for (Cycle j = 1; j <= options.frames; ++j) {
-      report.simulated_frames += j % stride;  // each point's residual
-    }
+    // The baseline pass plus one rolled frame per crash point.
+    report.simulated_frames = 2 * options.frames;
+    report.missions_built = 1 + intervals.size();
     report.checkpoints_taken = checkpoints.size();
     report.stride_used = stride;
   }

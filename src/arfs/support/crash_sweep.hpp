@@ -14,17 +14,20 @@
 //    F·(F+1)/2 frames and build F missions. This is the oracle;
 //  * checkpointed (the default): one serial baseline pass runs the mission
 //    once, records the shared commit-boundary fingerprint table, and drops
-//    a deterministic core::SystemCheckpoint every K frames. Then one job
-//    per checkpoint interval: job j builds one mission and, for each crash
-//    frame c in [max(jK, 1), min(jK + K − 1, F)] in order, restores
-//    checkpoint j into it, simulates only the residual c − jK < K frames,
-//    and judges the point. A restore copies each durable device image into
-//    the mission's existing device, so after the first point a crash point
-//    costs its residual frames and little else. Total simulated frames
-//    fall to F + ~F·K/2, minimized at K ≈ √F (the auto-tune default); the
-//    sweep builds ⌊F/K⌋ + 2 missions at most (the baseline plus one per
-//    non-empty interval), about √F. Results are flattened in crash-frame
-//    order, so the report does not depend on the schedule.
+//    a deterministic core::SystemCheckpoint at the start of every interval
+//    of K frames. Then one job per interval: job j builds one mission,
+//    restores checkpoint j once and rolls forward through crash frames
+//    (jK, min((j+1)K, F)]. For each point it runs one frame, refreshes
+//    checkpoint j to that frame in place (System::checkpoint_into, which
+//    allocates nothing once warm), judges the point and restores the
+//    refreshed checkpoint, so the crash never reaches the next point. Every
+//    point costs one frame, a refresh, its verdict and a restore: the sweep
+//    simulates exactly 2F frames whatever K is. K only sets the parallel
+//    grain — the auto default gives each worker of the runner a few even
+//    intervals, ⌈F / (4 · threads)⌉ frames each — and the sweep builds
+//    ⌈F/K⌉ + 1 missions (the baseline plus one per interval). Results are
+//    flattened in crash-frame order, so the report does not depend on the
+//    schedule.
 #pragma once
 
 #include <cstdint>
@@ -57,12 +60,13 @@ struct CrashMission {
 ///
 /// The checkpointed strategy restores checkpoints into the missions it
 /// builds, and one mission serves every crash point of its interval: after
-/// each point's fail-stop, the next point restores a checkpoint over the
-/// crashed mission. So core::SystemCheckpoint must capture everything that
-/// decides a mission's future — everything its apps and the objects in the
-/// keepalive mutate included (apps do so through their checkpoint hooks).
-/// State a checkpoint misses would leak from one crash point into the
-/// next, and the sweep would drift from the from-scratch oracle.
+/// each point's fail-stop it restores the checkpoint it refreshed just
+/// before the crash, and runs on from there. So core::SystemCheckpoint
+/// must capture everything that decides a mission's future — everything
+/// its apps and the objects in the keepalive mutate included (apps do so
+/// through their checkpoint hooks). State a checkpoint misses would leak
+/// from one crash point into the next, and the sweep would drift from the
+/// from-scratch oracle.
 using MissionFactory = std::function<CrashMission()>;
 
 struct CrashSweepOptions {
@@ -108,13 +112,14 @@ struct CrashSweepOptions {
   /// live majority (at most the minority of the cohort).
   std::uint32_t quorum_kills = 0;
 
-  /// O(F·K) strategy: start each crash point from a stride-K baseline
-  /// checkpoint, restored into one mission per checkpoint interval, instead
-  /// of replaying the mission from frame 0. Off runs the from-scratch O(F²)
+  /// O(F) strategy: one mission per interval of K crash points rolls
+  /// forward from a baseline checkpoint, one frame per point, instead of
+  /// replaying the mission from frame 0. Off runs the from-scratch O(F²)
   /// sweep — the oracle the checkpointed path is tested bit-identical
   /// against.
   bool checkpointing = true;
-  /// Baseline checkpoint stride K; 0 auto-tunes to max(1, round(√frames)).
+  /// Interval length K (crash points per job); it sets only the parallel
+  /// grain. 0 auto-sizes it to ⌈frames / (4 · the runner's threads)⌉.
   Cycle checkpoint_stride = 0;
 
   /// Optional result arena (not owned; must outlive the sweep): the point
@@ -176,14 +181,16 @@ struct CrashSweepReport {
   // --- execution-cost metrics; deliberately OUTSIDE digest() so the
   // checkpointed and from-scratch strategies stay digest-comparable ---
   /// Mission frames simulated across the baseline pass and every job:
-  /// frames·(frames+1)/2 from scratch, frames + Σ residuals checkpointed.
+  /// frames·(frames+1)/2 from scratch, 2·frames checkpointed (the baseline
+  /// plus one rolled frame per crash point).
   std::uint64_t simulated_frames = 0;
-  /// Missions the factory built: the baseline plus one per non-empty
-  /// checkpoint interval (⌊F/K⌋ + 2 at most), or F from scratch.
+  /// Missions the factory built: the baseline plus one per interval
+  /// (⌈F/K⌉ + 1), or F from scratch.
   std::uint64_t missions_built = 0;
-  /// Baseline checkpoints held (frame-0 included); 0 from scratch.
+  /// Baseline checkpoints taken, one per interval (frame 0 included); 0
+  /// from scratch.
   std::uint64_t checkpoints_taken = 0;
-  /// The stride actually used after auto-tuning; 0 from scratch.
+  /// The interval length actually used after auto-sizing; 0 from scratch.
   Cycle stride_used = 0;
   /// The point table round-tripped through a CRC-guarded arena region
   /// (CrashSweepOptions::arena); the digest is storage-invariant.

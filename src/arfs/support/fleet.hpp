@@ -35,8 +35,10 @@ namespace arfs::support {
 
 /// One reusable mission instance: a factory-built system plus a ladder of
 /// whole-system checkpoints over the warm-up prefix [0, warmup], spaced
-/// sim::auto_stride(warmup) frames apart (the same √-tuned stride the crash
-/// sweep uses). reset() rewinds to the warm point without reconstruction;
+/// sim::auto_stride(warmup) frames apart: √-tuned, because a reset_to
+/// replays the residual frames past its rung (the crash sweep instead
+/// rolls forward one frame per point and sizes its intervals by thread
+/// count). reset() rewinds to the warm point without reconstruction;
 /// reset_to(f) rewinds to any frame of the prefix by restoring the nearest
 /// ladder checkpoint at or below f and replaying the residual frames.
 class PooledMission {

@@ -24,6 +24,37 @@ struct Reconfiguration {
   ConfigId to{};    ///< svclvl at end_c.
 };
 
+/// Calls `visit(r)` for every completed reconfiguration in the trace, in
+/// time order, and returns the cycle at which a reconfiguration still in
+/// progress when the trace ends started. The one walk behind get_reconfigs,
+/// incomplete_reconfig and props::check_trace; it builds no list.
+template <class Visit>
+std::optional<Cycle> for_each_reconfig(const SysTrace& s, Visit&& visit) {
+  // Plain flag + cycle instead of std::optional: GCC 12 issues a spurious
+  // -Wmaybe-uninitialized through the optional's storage here.
+  bool open = false;
+  Cycle start = 0;
+  for (Cycle c = 0; c < s.size(); ++c) {
+    const SysStateView state = s.at(c);
+    if (!open) {
+      if (!all_normal(state)) {
+        open = true;
+        start = c;
+      }
+      continue;
+    }
+    if (all_normal(state)) {
+      visit(Reconfiguration{.start_c = start,
+                            .end_c = c,
+                            .from = s.at(start).svclvl,
+                            .to = state.svclvl});
+      open = false;
+    }
+  }
+  if (!open) return std::nullopt;
+  return start;
+}
+
 /// All completed reconfigurations in the trace, in time order. A
 /// reconfiguration still in progress when the trace ends is excluded (it has
 /// no end_c); use incomplete_reconfig() to detect that case.

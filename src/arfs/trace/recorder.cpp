@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "arfs/common/assign.hpp"
+
 namespace arfs::trace {
 
 SysTrace::SysTrace(SimDuration frame_length) : frame_length_(frame_length) {
@@ -34,8 +36,8 @@ SysTrace& SysTrace::operator=(SysTrace&& other) noexcept {
 SysTrace& SysTrace::operator=(const SysTrace& other) {
   if (this == &other) return *this;
   frame_length_ = other.frame_length_;
-  frames_ = other.frames_;
-  rows_ = other.rows_;
+  assign_amortized(frames_, other.frames_);
+  assign_amortized(rows_, other.rows_);
   if (envs_.size() < other.env_count_) envs_.resize(other.env_count_);
   std::copy_n(other.envs_.begin(), other.env_count_, envs_.begin());
   env_count_ = other.env_count_;

@@ -32,7 +32,8 @@ class SysTrace {
   SysTrace(SysTrace&& other) noexcept;
   /// Keeps this trace's spare environment entries, so a warm trace assigned
   /// a shorter one (a checkpoint restore) records its next environments
-  /// into existing maps rather than new ones.
+  /// into existing maps rather than new ones; a copy refreshed from a trace
+  /// one frame longer each time grows its vectors geometrically.
   SysTrace& operator=(const SysTrace& other);
   SysTrace& operator=(SysTrace&& other) noexcept;
 

@@ -1,7 +1,7 @@
-// Deterministic whole-system checkpoints and the O(F·K) crash-point sweep
+// Deterministic whole-system checkpoints and the rolling crash-point sweep
 // built on them.
 //
-// Two contracts under test:
+// Three contracts under test:
 //  * core::SystemCheckpoint round-trips bit-identically — at every frame of
 //    a mission, a checkpoint restored into a freshly built system has the
 //    live system's digest, and running the restored fork to mission end
@@ -9,6 +9,12 @@
 //    when the checkpoint is restored over a mission that has just run a
 //    whole crash point, which is how the sweep reuses one mission per
 //    checkpoint interval;
+//  * System::checkpoint_into refreshes one reused image exactly: at every
+//    frame, and from earlier, smaller states (a crashed victim, a killed
+//    cohort member, an image whose devices were spilled to an arena), the
+//    refreshed image has the fresh checkpoint's digest and restores a fork
+//    that follows a fresh run frame by frame. A mission rolling forward
+//    through crash points this way tracks the baseline mission exactly;
 //  * the checkpointed sweep strategy is digest-identical to the from-scratch
 //    oracle (CrashSweepOptions::checkpointing = false) under every sync
 //    policy, both io-fault modes, warm-start mode, any stride, and any
@@ -29,6 +35,7 @@
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
+#include "arfs/storage/arena.hpp"
 #include "arfs/support/bench_json.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/mission.hpp"
@@ -76,9 +83,10 @@ MissionFactory chain_factory(SyncPolicy policy, bool shipping = false,
 
 /// The paper's avionics mission, identical to crash_sweep_test's: autopilot
 /// + FCS with the electrical factor driving reconfigurations at frames 10,
-/// 25, and 40.
-MissionFactory uav_factory(SyncPolicy policy, bool shipping = false) {
-  return [policy, shipping] {
+/// 25, and 40; optionally shipping to a cohort of `replicas` members.
+MissionFactory uav_factory(SyncPolicy policy, bool shipping = false,
+                           std::uint32_t replicas = 1) {
+  return [policy, shipping, replicas] {
     struct Bundle {
       core::ReconfigSpec spec;
       avionics::UavPlant plant;
@@ -94,6 +102,7 @@ MissionFactory uav_factory(SyncPolicy policy, bool shipping = false) {
     options.frame_length = 20'000;
     options.durable_storage = true;
     options.journal_shipping = shipping;
+    options.quorum_replicas = replicas;
     options.durability.snapshot_every_epochs = 16;
     options.durability.sync = policy;
     auto system = std::make_unique<core::System>(bundle->spec, options);
@@ -173,14 +182,38 @@ TEST(SystemCheckpoint, AvionicsMissionRestoresBitIdenticallyAtEveryFrame) {
       uav_factory(SyncPolicy::hybrid(4096, 8), /*shipping=*/true), 45);
 }
 
+/// The steps judge_crash_point takes at crash frame `f`: arms `fault`,
+/// fail-stops the victim, kills the cohort leader `quorum_kills` times and
+/// catches the cohort up.
+void crash_like_the_judge(core::System& system, ProcessorId victim,
+                          std::uint32_t quorum_kills,
+                          CrashSweepOptions::IoFault fault, Cycle f) {
+  failstop::Processor& processor = system.processors().processor(victim);
+  storage::durable::JournalBackend& journal =
+      processor.durability()->journal();
+  switch (fault) {
+    case CrashSweepOptions::IoFault::kNone:
+      break;
+    case CrashSweepOptions::IoFault::kTornWrite:
+      journal.tear_on_crash(7);
+      break;
+    case CrashSweepOptions::IoFault::kBitFlip:
+      journal.corrupt_bit(0x9E3779B97F4A7C15ULL * (f + 1));
+      break;
+  }
+  processor.fail(system.clock().current_frame());
+  for (std::uint32_t k = 0; k < quorum_kills; ++k) {
+    system.fail_quorum_member(victim, *system.quorum_group(victim).leader());
+  }
+  (void)system.ship_catch_up(victim);
+}
+
 /// The interval sweep's precondition: a checkpoint restored over a mission
 /// that has just run a whole crash point leaves no trace of that point. At
 /// every frame f one reused mission restores checkpoint f, runs up to three
-/// residual frames, arms `fault`, fail-stops the victim, kills the cohort
-/// leader `quorum_kills` times and catches the cohort up — the steps of
-/// judge_crash_point. Then it restores checkpoint f again: the digest must
-/// equal the checkpoint's, and running to mission end must reproduce the
-/// reference mission's final digest.
+/// residual frames and takes the judge's steps. Then it restores checkpoint
+/// f again: the digest must equal the checkpoint's, and running to mission
+/// end must reproduce the reference mission's final digest.
 void expect_restore_over_crash_exact(const MissionFactory& factory,
                                      Cycle frames, ProcessorId victim,
                                      std::uint32_t quorum_kills,
@@ -201,24 +234,7 @@ void expect_restore_over_crash_exact(const MissionFactory& factory,
     const auto i = static_cast<std::size_t>(f);
     system.restore(checkpoints[i]);
     system.run(std::min<Cycle>(3, frames - f));
-    failstop::Processor& processor = system.processors().processor(victim);
-    storage::durable::JournalBackend& journal =
-        processor.durability()->journal();
-    switch (fault) {
-      case CrashSweepOptions::IoFault::kNone:
-        break;
-      case CrashSweepOptions::IoFault::kTornWrite:
-        journal.tear_on_crash(7);
-        break;
-      case CrashSweepOptions::IoFault::kBitFlip:
-        journal.corrupt_bit(0x9E3779B97F4A7C15ULL * (f + 1));
-        break;
-    }
-    processor.fail(system.clock().current_frame());
-    for (std::uint32_t k = 0; k < quorum_kills; ++k) {
-      system.fail_quorum_member(victim, *system.quorum_group(victim).leader());
-    }
-    (void)system.ship_catch_up(victim);
+    crash_like_the_judge(system, victim, quorum_kills, fault, f);
 
     system.restore(checkpoints[i]);
     ASSERT_EQ(system.digest(), checkpoints[i].digest()) << "frame " << f;
@@ -243,6 +259,185 @@ TEST(SystemCheckpoint, RestoreOverACrashedMissionIsBitIdentical) {
     expect_restore_over_crash_exact(
         uav_factory(SyncPolicy::hybrid(4096, 8), /*shipping=*/true), 45,
         avionics::kComputer1, /*quorum_kills=*/0, fault);
+  }
+}
+
+/// The rolling sweep's precondition: a judged crash point leaves nothing
+/// behind in the mission that rolls on from it. One mission rolls forward
+/// through every frame the way an interval job does — one frame, a refresh
+/// of one reused checkpoint, the judge's steps, a restore — and after each
+/// restore, and again one frame later, it must stand exactly where the
+/// baseline mission stood at that frame.
+void expect_rolling_mission_tracks_baseline(const MissionFactory& factory,
+                                            Cycle frames, ProcessorId victim,
+                                            std::uint32_t quorum_kills,
+                                            CrashSweepOptions::IoFault fault) {
+  CrashMission baseline = factory();
+  ASSERT_NE(baseline.system, nullptr);
+  std::vector<std::uint64_t> digests{baseline.system->digest()};
+  for (Cycle f = 1; f <= frames + 1; ++f) {
+    baseline.system->run(1);
+    digests.push_back(baseline.system->digest());
+  }
+
+  CrashMission mission = factory();
+  core::System& system = *mission.system;
+  core::SystemCheckpoint rolling;
+  for (Cycle f = 1; f <= frames; ++f) {
+    const auto i = static_cast<std::size_t>(f);
+    system.run(1);
+    ASSERT_EQ(system.digest(), digests[i]) << "frame " << f;
+    system.checkpoint_into(rolling);
+    crash_like_the_judge(system, victim, quorum_kills, fault, f);
+    system.restore(rolling);
+    ASSERT_EQ(system.digest(), digests[i]) << "restored at frame " << f;
+  }
+  system.run(1);
+  EXPECT_EQ(system.digest(), digests.back());
+}
+
+TEST(SystemCheckpoint, RollingMissionTracksTheBaselineAfterEveryPoint) {
+  for (const CrashSweepOptions::IoFault fault :
+       {CrashSweepOptions::IoFault::kNone,
+        CrashSweepOptions::IoFault::kTornWrite,
+        CrashSweepOptions::IoFault::kBitFlip}) {
+    SCOPED_TRACE(static_cast<int>(fault));
+    expect_rolling_mission_tracks_baseline(
+        chain_factory(SyncPolicy::frames(4), /*shipping=*/true,
+                      /*replicas=*/3),
+        24, synthetic_processor(0), /*quorum_kills=*/1, fault);
+    expect_rolling_mission_tracks_baseline(
+        uav_factory(SyncPolicy::frames(4), /*shipping=*/true), 64,
+        avionics::kComputer1, /*quorum_kills=*/0, fault);
+  }
+}
+
+/// Requires every processor's last recovery report to agree field by field
+/// between the two systems (the digest does not hash them).
+void expect_same_recoveries(core::System& expected, core::System& actual) {
+  for (const ProcessorId p : expected.processors().processor_ids()) {
+    const auto& want = expected.processors().processor(p).last_recovery();
+    const auto& got = actual.processors().processor(p).last_recovery();
+    ASSERT_EQ(want.has_value(), got.has_value()) << "processor " << p.value();
+    if (!want.has_value()) continue;
+    EXPECT_EQ(want->used_snapshot, got->used_snapshot);
+    EXPECT_EQ(want->snapshot_epoch, got->snapshot_epoch);
+    EXPECT_EQ(want->records_applied, got->records_applied);
+    EXPECT_EQ(want->records_skipped, got->records_skipped);
+    EXPECT_EQ(want->last_epoch, got->last_epoch);
+    EXPECT_EQ(want->journal_truncated, got->journal_truncated);
+    EXPECT_EQ(want->valid_bytes, got->valid_bytes);
+    EXPECT_EQ(want->note, got->note);
+  }
+}
+
+/// Frames a restored fork is run on and compared against its source.
+constexpr Cycle kFollowFrames = 16;
+
+/// Refreshes the reused image `cp` from `source`, which must then hash like
+/// a fresh checkpoint of it, and restores it into `fork`: the fork must
+/// match the source's digest and recovery reports, then follow the source
+/// frame by frame for kFollowFrames frames (both run on).
+void expect_refresh_exact(core::System& source, core::SystemCheckpoint& cp,
+                          core::System& fork) {
+  source.checkpoint_into(cp);
+  const std::uint64_t digest = source.digest();
+  ASSERT_EQ(cp.digest(), source.checkpoint().digest());
+  ASSERT_EQ(cp.digest(), digest);
+  fork.restore(cp);
+  ASSERT_EQ(fork.digest(), digest);
+  expect_same_recoveries(source, fork);
+  for (Cycle f = 1; f <= kFollowFrames; ++f) {
+    source.run(1);
+    fork.run(1);
+    ASSERT_EQ(fork.digest(), source.digest()) << f << " frames on";
+  }
+}
+
+TEST(SystemCheckpoint, OneImageRefreshedAtEveryFrameRestoresExactly) {
+  // The sweep's mission: the durable UAV shipping to a one-member cohort,
+  // and to a three-member one; 64 frames cover all three reconfigurations
+  // and three snapshot compactions.
+  constexpr Cycle kFrames = 64;
+  for (const std::uint32_t replicas : {1u, 3u}) {
+    SCOPED_TRACE(replicas);
+    const MissionFactory factory =
+        uav_factory(SyncPolicy::frames(4), /*shipping=*/true, replicas);
+    CrashMission reference = factory();
+    std::vector<std::uint64_t> digests{reference.system->digest()};
+    for (Cycle f = 1; f <= kFrames + kFollowFrames; ++f) {
+      reference.system->run(1);
+      digests.push_back(reference.system->digest());
+    }
+
+    CrashMission live = factory();
+    CrashMission fork = factory();
+    core::SystemCheckpoint cp;
+    for (Cycle f = 0; f <= kFrames; ++f) {
+      if (f > 0) live.system->run(1);
+      live.system->checkpoint_into(cp);
+      const auto i = static_cast<std::size_t>(f);
+      ASSERT_EQ(cp.digest(), live.system->checkpoint().digest())
+          << "frame " << f;
+      ASSERT_EQ(cp.digest(), digests[i]) << "frame " << f;
+      fork.system->restore(cp);
+      ASSERT_EQ(fork.system->digest(), digests[i]) << "frame " << f;
+      for (Cycle k = 1; k <= kFollowFrames; ++k) {
+        fork.system->run(1);
+        ASSERT_EQ(fork.system->digest(), digests[i + k])
+            << "frame " << f << ", " << k << " frames on";
+      }
+    }
+  }
+}
+
+TEST(SystemCheckpoint, RefreshFromEarlierSmallerStatesRestoresExactly) {
+  // Each refresh starts from an image of a larger state (a longer trace,
+  // fuller devices, every cohort member live, no recovery report), so
+  // anything the refresh fails to overwrite or shrink shows up.
+  const MissionFactory factory =
+      uav_factory(SyncPolicy::frames(4), /*shipping=*/true, /*replicas=*/3);
+  const ProcessorId victim = avionics::kComputer1;
+  CrashMission late = factory();
+  late.system->run(64);
+  core::SystemCheckpoint cp = late.system->checkpoint();
+  CrashMission fork = factory();
+
+  {
+    SCOPED_TRACE("crashed victim");
+    CrashMission crashed = factory();
+    crashed.system->run(20);
+    crash_like_the_judge(*crashed.system, victim, /*quorum_kills=*/0,
+                         CrashSweepOptions::IoFault::kTornWrite, 20);
+    ASSERT_TRUE(crashed.system->processors()
+                    .processor(victim)
+                    .last_recovery()
+                    .has_value());
+    expect_refresh_exact(*crashed.system, cp, *fork.system);
+  }
+  {
+    SCOPED_TRACE("back to a recovery-free state");
+    expect_refresh_exact(*late.system, cp, *fork.system);
+  }
+  {
+    SCOPED_TRACE("killed cohort member");
+    CrashMission killed = factory();
+    killed.system->run(12);
+    killed.system->fail_quorum_member(
+        victim, *killed.system->quorum_group(victim).leader());
+    expect_refresh_exact(*killed.system, cp, *fork.system);
+  }
+  {
+    SCOPED_TRACE("devices spilled to an arena");
+    late.system->checkpoint_into(cp);
+    storage::MappedArena arena;
+    ASSERT_GT(cp.spill_devices(arena), 0u);
+    CrashMission earlier = factory();
+    earlier.system->run(30);
+    expect_refresh_exact(*earlier.system, cp, *fork.system);
+    // The refresh released the spilled regions without reading them back.
+    EXPECT_EQ(arena.stats().regions_released,
+              arena.stats().regions_allocated);
   }
 }
 
@@ -311,8 +506,9 @@ TEST(CheckpointedSweep, DigestIsStrideAndThreadCountInvariant) {
       sweep_digest(chain_factory(SyncPolicy::frames(4)), options);
 
   options.checkpointing = true;
+  // 25 is longer than the mission: one interval holds every point.
   for (const Cycle stride : {Cycle{0}, Cycle{1}, Cycle{2}, Cycle{5},
-                             Cycle{20}}) {
+                             Cycle{20}, Cycle{25}}) {
     options.checkpoint_stride = stride;
     EXPECT_EQ(sweep_digest(chain_factory(SyncPolicy::frames(4)), options),
               oracle)
@@ -320,7 +516,8 @@ TEST(CheckpointedSweep, DigestIsStrideAndThreadCountInvariant) {
   }
 
   options.checkpoint_stride = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{4}}) {
     sim::BatchOptions batch;
     batch.threads = threads;
     sim::BatchRunner runner(batch);
@@ -334,37 +531,60 @@ TEST(CheckpointedSweep, ReportsItsExecutionCostMetrics) {
   CrashSweepOptions options;
   options.frames = 20;
   options.victim = synthetic_processor(0);
+  // One thread, so the auto stride does not depend on the host.
+  sim::BatchRunner one_thread(sim::BatchOptions{1, 0});
 
-  // Auto stride at F=20 is round(√20) = 4; 6 checkpoints (frame 0 + every
-  // 4th frame); baseline 20 frames + residuals Σ j%4 for j=1..20.
-  const CrashSweepReport auto_report =
-      run_crash_sweep(chain_factory(SyncPolicy::frames(4)), options);
-  EXPECT_EQ(auto_report.stride_used, 4u);
-  EXPECT_EQ(auto_report.checkpoints_taken, 6u);
-  EXPECT_EQ(auto_report.simulated_frames, 20u + 30u);
-  // The baseline plus one mission per interval: [1,3], [4,7], ..., [16,19]
-  // and [20,20].
-  EXPECT_EQ(auto_report.missions_built, 7u);
+  // Auto stride at one thread: 4 intervals, ⌈20/4⌉ = 5 points each; one
+  // checkpoint per interval (frames 0, 5, 10, 15); the baseline's 20
+  // frames plus one rolled frame per point.
+  const CrashSweepReport auto_report = run_crash_sweep(
+      chain_factory(SyncPolicy::frames(4)), options, one_thread);
+  EXPECT_EQ(auto_report.stride_used, 5u);
+  EXPECT_EQ(auto_report.checkpoints_taken, 4u);
+  EXPECT_EQ(auto_report.simulated_frames, 20u + 20u);
+  // The baseline plus one mission per interval: (0,5], (5,10], (10,15],
+  // (15,20].
+  EXPECT_EQ(auto_report.missions_built, 5u);
 
-  options.checkpoint_stride = 5;
-  const CrashSweepReport strided =
-      run_crash_sweep(chain_factory(SyncPolicy::frames(4)), options);
-  EXPECT_EQ(strided.stride_used, 5u);
-  EXPECT_EQ(strided.checkpoints_taken, 5u);
-  EXPECT_EQ(strided.simulated_frames, 20u + 40u);
-  // [1,4], [5,9], [10,14], [15,19], [20,20] plus the baseline.
-  EXPECT_EQ(strided.missions_built, 6u);
+  // The auto stride follows the runner: 3 threads give 12 intervals of
+  // ⌈20/12⌉ = 2 points, so 10 intervals.
+  sim::BatchRunner three_threads(sim::BatchOptions{3, 0});
+  const CrashSweepReport three = run_crash_sweep(
+      chain_factory(SyncPolicy::frames(4)), options, three_threads);
+  EXPECT_EQ(three.stride_used, 2u);
+  EXPECT_EQ(three.checkpoints_taken, 10u);
+  EXPECT_EQ(three.simulated_frames, 20u + 20u);
+  EXPECT_EQ(three.missions_built, 11u);
+  EXPECT_EQ(three.digest(), auto_report.digest());
+
+  // An explicit stride is honoured: (0,7], (7,14], (14,20].
+  options.checkpoint_stride = 7;
+  const CrashSweepReport strided = run_crash_sweep(
+      chain_factory(SyncPolicy::frames(4)), options, one_thread);
+  EXPECT_EQ(strided.stride_used, 7u);
+  EXPECT_EQ(strided.checkpoints_taken, 3u);
+  EXPECT_EQ(strided.simulated_frames, 20u + 20u);
+  EXPECT_EQ(strided.missions_built, 4u);
+
+  // A stride longer than the mission: one interval, one checkpoint.
+  options.checkpoint_stride = 32;
+  const CrashSweepReport whole = run_crash_sweep(
+      chain_factory(SyncPolicy::frames(4)), options, one_thread);
+  EXPECT_EQ(whole.stride_used, 32u);
+  EXPECT_EQ(whole.checkpoints_taken, 1u);
+  EXPECT_EQ(whole.simulated_frames, 20u + 20u);
+  EXPECT_EQ(whole.missions_built, 2u);
 
   options.checkpoint_stride = 0;
   options.checkpointing = false;
-  const CrashSweepReport scratch =
-      run_crash_sweep(chain_factory(SyncPolicy::frames(4)), options);
+  const CrashSweepReport scratch = run_crash_sweep(
+      chain_factory(SyncPolicy::frames(4)), options, one_thread);
   EXPECT_EQ(scratch.stride_used, 0u);
   EXPECT_EQ(scratch.checkpoints_taken, 0u);
   EXPECT_EQ(scratch.simulated_frames, 20u * 21u / 2u);
   EXPECT_EQ(scratch.missions_built, 20u);
-  // The O(F·K) strategy really simulated far fewer frames.
-  EXPECT_LT(auto_report.simulated_frames * 3, scratch.simulated_frames);
+  // The rolling strategy really simulated far fewer frames.
+  EXPECT_LT(auto_report.simulated_frames * 5, scratch.simulated_frames);
 }
 
 // --- the BENCH_*.json trajectory emitter ---

@@ -338,7 +338,8 @@ TEST(EngineCheckpointing, AdaptiveControllerStateRoundTrips) {
   run_commits(*engine, store, 0, 12);
   engine->set_reconfig_pressure(true);
 
-  const auto cp = engine->checkpoint_state();
+  storage::durable::EngineCheckpoint cp;
+  engine->checkpoint_into(cp);
   EXPECT_EQ(cp.adaptive_watermark_fp, engine->adaptive_watermark_fp());
   EXPECT_TRUE(cp.reconfig_pressure);
   const std::uint64_t fp_at_cp = engine->adaptive_watermark_fp();

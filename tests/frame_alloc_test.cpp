@@ -9,7 +9,9 @@
 //  * with the trace on, a frame writes its row in place into the trace's
 //    flat vectors, so only their amortized growth allocates;
 //  * the fleet op loop (rewind, a 4-change campaign, 64 traced frames)
-//    allocates nothing in its frames once a first pass sized the trace;
+//    allocates nothing in its frames once a first pass sized the trace,
+//    and checking SP1–SP4 on each op's trace makes exactly the recorded
+//    number of allocations (the verdict vector, sized once);
 //  * a freshly built durable, journal-shipping UAV mission (the crash
 //    sweep's shape, trace on) makes exactly the recorded number of
 //    allocations over its first 512 frames, under one per frame;
@@ -29,7 +31,11 @@
 //  * restoring a warm durable shipping checkpoint allocates nothing, and
 //    one whole crash point on a warm mission (restore, 7 frames, the
 //    victim's fail-stop and recovery, the cohort's catch-up) makes exactly
-//    the recorded number of allocations.
+//    the recorded number of allocations;
+//  * refreshing a warm durable shipping checkpoint in place
+//    (System::checkpoint_into, 1- and 3-member cohorts) allocates nothing,
+//    and neither does one rolling crash point (a frame, the refresh, the
+//    victim's fail-stop, the catch-up, the restore).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -45,6 +51,7 @@
 #include "arfs/common/expected.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
+#include "arfs/props/report.hpp"
 #include "arfs/serve/frame_ring.hpp"
 #include "arfs/serve/transport.hpp"
 #include "arfs/sim/fault_plan.hpp"
@@ -176,38 +183,67 @@ TEST(FrameAlloc, SteadyFrameWithTraceAllocatesOnlyItsRow) {
   EXPECT_EQ(chain.system->trace().size(), kWarmupFrames + kMeasuredFrames);
 }
 
+/// The fleet op loop on the warm 32-app chain: rewind to the warm
+/// checkpoint, install a 64-frame campaign of 4 severity changes, run it
+/// traced.
+struct FleetOps {
+  static constexpr std::uint64_t kOps = 4;
+  ChainSystem chain{/*record_trace=*/true};
+  core::SystemCheckpoint warm = chain.system->checkpoint();
+  support::PlanFactory plans = support::make_env_plan_factory([this] {
+    support::EnvPlanParams params;
+    params.factors = chain.spec.factors().factors();
+    params.changes = 4;
+    params.first_frame = kWarmupFrames;
+    params.frames = kMeasuredFrames;
+    return params;
+  }());
+
+  /// Runs op `op`; returns the allocations its frames made.
+  std::uint64_t run(std::uint64_t op) {
+    chain.system->restore(warm);
+    chain.system->set_fault_plan(plans(op));
+    return frame_allocs(*chain.system, kMeasuredFrames);
+  }
+};
+
 TEST(FrameAlloc, TracedChainFramesAfterARestoreAllocateNothing) {
-  // The fleet op loop: rewind the warm system, install a 64-frame campaign
-  // of 4 severity changes, run it traced. A first pass over the campaigns
-  // sizes the trace's vectors and spare environments (and the
-  // environment's history); on the second pass no frame allocates.
-  ChainSystem chain(/*record_trace=*/true);
-  const core::SystemCheckpoint warm = chain.system->checkpoint();
-  support::EnvPlanParams plan_params;
-  plan_params.factors = chain.spec.factors().factors();
-  plan_params.changes = 4;
-  plan_params.first_frame = kWarmupFrames;
-  plan_params.frames = kMeasuredFrames;
-  const support::PlanFactory plans =
-      support::make_env_plan_factory(std::move(plan_params));
-  constexpr std::uint64_t kOps = 4;
+  // A first pass over the campaigns sizes the trace's vectors and spare
+  // environments (and the environment's history); on the second pass no
+  // frame allocates.
+  FleetOps fleet;
   std::uint64_t reconfigs = 0;
   for (const bool measured : {false, true}) {
-    for (std::uint64_t op = 0; op < kOps; ++op) {
-      chain.system->restore(warm);
-      chain.system->set_fault_plan(plans(op));
-      const std::uint64_t before =
-          chain.system->scram().stats().reconfigs_completed;
-      const std::uint64_t allocs =
-          frame_allocs(*chain.system, kMeasuredFrames);
+    for (std::uint64_t op = 0; op < FleetOps::kOps; ++op) {
+      const std::uint64_t allocs = fleet.run(op);
       if (!measured) continue;
       EXPECT_EQ(allocs, 0u) << "op " << op;
-      EXPECT_EQ(chain.system->trace().size(),
+      EXPECT_EQ(fleet.chain.system->trace().size(),
                 kWarmupFrames + kMeasuredFrames);
-      reconfigs += chain.system->scram().stats().reconfigs_completed - before;
+      reconfigs += fleet.chain.system->scram().stats().reconfigs_completed -
+                   fleet.warm.scram.stats.reconfigs_completed;
     }
   }
   EXPECT_GT(reconfigs, 0u);
+}
+
+/// Allocations of props::check_trace on a fleet op's trace: one for the
+/// verdict vector, sized after a counting walk over the trace; the walk
+/// builds no list of reconfigurations.
+constexpr std::uint64_t kCheckTraceAllocs = 1;
+
+TEST(FrameAlloc, CheckingAFleetOpTraceMakesTheRecordedAllocations) {
+  FleetOps fleet;
+  for (std::uint64_t op = 0; op < FleetOps::kOps; ++op) {
+    (void)fleet.run(op);
+    const std::uint64_t before = t_allocs;
+    const props::TraceReport report =
+        props::check_trace(fleet.chain.system->trace(), fleet.chain.spec);
+    EXPECT_EQ(t_allocs - before, kCheckTraceAllocs) << "op " << op;
+    EXPECT_GE(report.reconfig_count, 1u) << "op " << op;
+    EXPECT_EQ(report.verdicts.size(), report.reconfig_count);
+    EXPECT_TRUE(report.all_hold()) << "op " << op;
+  }
 }
 
 TEST(FrameAlloc, RestoringAWarmCheckpointAllocatesNothing) {
@@ -399,6 +435,52 @@ TEST(FrameAlloc, CrashPointOnAWarmMissionMakesTheRecordedAllocations) {
     EXPECT_TRUE(chain.system->processors().processor(victim).last_recovery()
                     .has_value());
   }
+}
+
+TEST(FrameAlloc, RefreshingAWarmDurableShippingCheckpointAllocatesNothing) {
+  for (const std::uint32_t cohort : {1u, 3u}) {
+    DurableChain chain(cohort);
+    core::SystemCheckpoint image = chain.system->checkpoint();
+    // A first pass across three compactions grows the image's devices.
+    for (Cycle f = 0; f < kDurableWarmupFrames; ++f) {
+      chain.system->run(1);
+      chain.system->checkpoint_into(image);
+    }
+    for (Cycle f = 0; f < kMeasuredFrames; ++f) {
+      chain.system->run(1);
+      const std::uint64_t before = t_allocs;
+      chain.system->checkpoint_into(image);
+      EXPECT_EQ(t_allocs - before, 0u) << "cohort " << cohort << ", frame "
+                                       << f;
+    }
+    EXPECT_EQ(image.digest(), chain.system->digest()) << "cohort " << cohort;
+  }
+}
+
+TEST(FrameAlloc, RollingCrashPointOnAWarmMissionAllocatesNothing) {
+  // One crash point of the rolling sweep: a frame, the refresh of the
+  // interval's checkpoint, the victim's fail-stop and recovery, the
+  // cohort's catch-up and the restore of the refreshed checkpoint.
+  DurableChain chain(/*cohort=*/1);
+  core::SystemCheckpoint rolling = chain.system->checkpoint();
+  const ProcessorId victim = support::synthetic_processor(0);
+  const auto crash_point = [&] {
+    const std::uint64_t before = t_allocs;
+    chain.system->run(1);
+    chain.system->checkpoint_into(rolling);
+    chain.system->processors().processor(victim).fail(
+        chain.system->clock().current_frame());
+    (void)chain.system->ship_catch_up(victim);
+    chain.system->restore(rolling);
+    return t_allocs - before;
+  };
+  // Points across three compactions size the image and recovery scratch.
+  for (Cycle f = 0; f < kDurableWarmupFrames; ++f) (void)crash_point();
+  for (Cycle f = 0; f < kMeasuredFrames; ++f) {
+    EXPECT_EQ(crash_point(), 0u) << "point " << f;
+  }
+  EXPECT_EQ(chain.system->digest(), rolling.digest());
+  EXPECT_TRUE(chain.system->processors().processor(victim).running());
 }
 
 /// Allocations of a freshly built mission shaped like the crash sweep's

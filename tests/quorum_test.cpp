@@ -292,7 +292,8 @@ TEST(QuorumCheckpoint, RoundTripRestoresTheGroupAcrossAMembershipChange) {
   group.fail_member(2);
   const std::uint64_t frozen_fingerprint =
       group.replica(0).store().fingerprint();
-  const QuorumGroup::Checkpoint cp = group.checkpoint_state();
+  QuorumGroup::Checkpoint cp;
+  group.checkpoint_into(cp);
 
   // Mutate well past the checkpoint: repair, a completed membership change
   // (which retires member 0 and appends member 3), and more streaming.

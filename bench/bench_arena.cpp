@@ -8,8 +8,7 @@
 //     of the in-RAM path (the sealing/msync overhead is amortized across
 //     1024-row chunks);
 //   * determinism: the estimate digest and the evidence digest are
-//     bit-identical at every (threads, shards, storage) combination, and
-//     cold-checkpoint pool spilling never moves a mission digest.
+//     bit-identical at every (threads, shards, storage) combination.
 //
 // ARFS_ARENA_SAMPLES scales the RSS/throughput ladder (default 10^6; the
 // paper-style run uses 10^7; CI smoke uses 2·10^4) without changing the
@@ -27,12 +26,8 @@
 #include <vector>
 
 #include "arfs/analysis/dependability.hpp"
-#include "arfs/core/system.hpp"
 #include "arfs/sim/fleet.hpp"
 #include "arfs/storage/arena.hpp"
-#include "arfs/support/fleet.hpp"
-#include "arfs/support/simple_app.hpp"
-#include "arfs/support/synthetic.hpp"
 #include "bench_main.hpp"
 
 namespace {
@@ -210,97 +205,11 @@ void report_digest_matrix() {
                              "bool");
 }
 
-support::MissionFactory chain_factory() {
-  return [] {
-    auto spec = std::make_shared<core::ReconfigSpec>(
-        support::make_chain_spec({}));
-    core::SystemOptions options;
-    options.durable_storage = true;
-    options.durability.snapshot_every_epochs = 7;
-    auto system = std::make_unique<core::System>(*spec, options);
-    for (const core::AppDecl& decl : spec->apps()) {
-      system->add_app(std::make_unique<support::SimpleApp>(decl.id,
-                                                           decl.name));
-    }
-    support::CrashMission mission;
-    mission.keepalive = spec;
-    mission.system = std::move(system);
-    return mission;
-  };
-}
-
-support::PlanFactory chain_plans(Cycle warmup, Cycle frames) {
-  support::EnvPlanParams params;
-  params.factors = support::make_chain_spec({}).factors().factors();
-  params.changes = 3;
-  params.first_frame = warmup;
-  params.frames = frames;
-  return support::make_env_plan_factory(std::move(params));
-}
-
-void report_pool_spill() {
-  const std::size_t samples = env_size("ARFS_ARENA_MISSIONS", 4096);
-  const Cycle warmup = 64;
-  const Cycle frames = 4;
-
-  support::FleetMissionOptions options;
-  options.samples = samples;
-  options.frames = frames;
-  options.warmup_frames = warmup;
-  options.base_seed = 7;
-  const support::MissionFactory factory = chain_factory();
-  const support::PlanFactory plans = chain_plans(warmup, frames);
-
-  // Baseline: pooled, no arena, no spilling.
-  sim::FleetRunner plain_fleet;
-  const support::FleetMissionReport baseline =
-      support::run_fleet_missions(factory, plans, options, plain_fleet);
-
-  // Spilling run: 4 worker lanes grow the pool past the 1-mission hot
-  // floor, so idle missions spill their cold checkpoint rungs between
-  // chunk leases. Digest must not move.
-  storage::ArenaOptions arena_options;
-  arena_options.path = kArenaPath;
-  storage::MappedArena arena(arena_options);
-  sim::FleetOptions engine;
-  engine.threads = 4;
-  engine.arena = &arena;
-  sim::FleetRunner fleet(engine);
-  options.pool_hot_limit = 1;
-  const support::FleetMissionReport spilled =
-      support::run_fleet_missions(factory, plans, options, fleet);
-
-  const bool equal = spilled.digest == baseline.digest &&
-                     spilled.evidence_matches;
-  std::cout << "cold-checkpoint pool spill, " << samples
-            << " chain missions (" << warmup << "-frame warm-up ladder, hot "
-               "floor 1):\n"
-            << "  spills: " << spilled.pool_spills << ", device bytes "
-            << "moved to arena: " << spilled.pool_spill_bytes
-            << ", hydrations: " << spilled.pool_hydrations << "\n"
-            << "  evidence rows: " << spilled.evidence_rows
-            << ", round-trip digest "
-            << (spilled.evidence_matches ? "matches" : "MISMATCH") << "\n"
-            << "pool spill digest bit-identical: " << (equal ? "yes" : "NO")
-            << "\n\n";
-  std::remove(kArenaPath);
-
-  bench::trajectory().record("arena/spill/spills",
-                             static_cast<double>(spilled.pool_spills),
-                             "spills");
-  bench::trajectory().record("arena/spill/bytes",
-                             static_cast<double>(spilled.pool_spill_bytes),
-                             "B");
-  bench::trajectory().record("arena/spill/digest_equal", equal ? 1 : 0,
-                             "bool");
-}
-
 void report() {
   bench::banner("E19: memory-mapped result arena",
                 "ROADMAP: larger-than-RAM sweeps with bounded RSS");
   report_rss_and_throughput();
   report_digest_matrix();
-  report_pool_spill();
 }
 
 void bm_arena_evidence(benchmark::State& state) {

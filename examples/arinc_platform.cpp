@@ -2,20 +2,20 @@
 // composed without the reconfiguration machinery.
 //
 // Demonstrates: deriving ARINC 653 partition schedules from the avionics
-// configurations (analysis::build_schedule), running them on the cyclic
-// executive over fail-stop processors, moving sensor samples and actuator
-// commands across the TDMA bus through interface units, and watching the
+// configurations (analysis::build_schedule), activating each frame's
+// windows in schedule order over fail-stop processors, moving sensor
+// samples and actuator commands across the TDMA bus, and watching the
 // activity monitor detect a processor fail-stop.
 //
 // Run: build/examples/arinc_platform
 
+#include <algorithm>
 #include <iostream>
-#include <memory>
+#include <vector>
 
 #include "arfs/analysis/schedulability.hpp"
 #include "arfs/avionics/uav_system.hpp"
-#include "arfs/bus/interface_unit.hpp"
-#include "arfs/rtos/executive.hpp"
+#include "arfs/bus/bus.hpp"
 #include "arfs/sim/clock.hpp"
 
 int main() {
@@ -35,18 +35,19 @@ int main() {
               << (f.feasible ? "(fits)" : "(OVERLOAD)") << "\n";
   }
 
-  // 2. Build the Full Service schedule and run it on the executive.
+  // 2. Build the Full Service schedule. Each frame activates its windows
+  //    in schedule order, one unit of work per partition (section 6.1).
   const analysis::BuiltSchedule built =
       analysis::build_schedule(spec, kFullService, frame_us);
+  const std::vector<rtos::Window> windows = built.table.activation_order();
+  const PartitionId autopilot = built.partitions.at(kAutopilot);
 
   failstop::ProcessorGroup group;
   group.add_processor(kComputer1);
   group.add_processor(kComputer2);
-  rtos::HealthMonitor health;
   failstop::DetectorBank bank;
   failstop::ActivityMonitor activity(1);
   group.watch_all(activity);
-  rtos::CyclicExecutive exec(built.table, group, health, bank);
 
   // 3. TDMA bus with one slot per endpoint: altimeter sensor, flight-control
   //    partition, elevator actuator.
@@ -66,39 +67,9 @@ int main() {
             << tdma.worst_case_latency(kFcsEp) << " us\n";
 
   UavPlant plant(7);
-  bus::SensorUnit altimeter(kAltimeterEp, "altitude", [&plant](SimTime) {
-    return storage::Value{plant.readings().altitude_ft};
-  });
-  bus::ActuatorUnit elevator(kElevatorEp, "elevator_cmd",
-                             [&plant](const storage::Value& v, SimTime) {
-                               plant.surfaces().elevator = std::get<double>(v);
-                             });
-
-  // Partition bodies: the autopilot partition computes a crude altitude-hold
-  // command from the latest bus sample; the FCS partition forwards it to the
-  // actuator topic.
   double latest_altitude = plant.readings().altitude_ft;
   double pitch_cmd = 0.0;
   sim::VirtualClock clock(frame_us);
-
-  for (const auto& [app, partition] : built.partitions) {
-    const SpecId assigned = *spec.config(kFullService).spec_of(app);
-    const SimDuration wcet = spec.spec(assigned).wcet_us;
-    const bool is_autopilot = app == kAutopilot;
-    exec.add_partition(std::make_unique<rtos::Partition>(
-        partition, spec.app(app).name,
-        *spec.config(kFullService).host_of(app), app,
-        spec.spec(assigned).budget_us,
-        [&, is_autopilot, wcet](Cycle) {
-          if (is_autopilot) {
-            pitch_cmd = std::clamp((5400.0 - latest_altitude) / 800.0, -1.0,
-                                   1.0);
-          } else {
-            the_bus.post(kFcsEp, "elevator_cmd", pitch_cmd, clock.now());
-          }
-          return rtos::ActivationResult{wcet, true, {}};
-        }));
-  }
 
   // 4. Drive 250 frames (5 s); fail computer 2 at frame 150 and watch the
   //    activity monitor raise the abstract failure signal the SCRAM would
@@ -110,7 +81,7 @@ int main() {
       std::cout << "\nframe 150: computer 2 fail-stopped\n";
     }
 
-    altimeter.poll(the_bus, t0);
+    the_bus.post(kAltimeterEp, "altitude", plant.readings().altitude_ft, t0);
     the_bus.deliver_until(t0 + tdma.round_length());
     for (const bus::Message& m : the_bus.collect(kFcsEp)) {
       if (m.topic == "altitude") latest_altitude = std::get<double>(m.payload);
@@ -124,14 +95,36 @@ int main() {
                 << s.cycle << " (" << s.detail << ")\n";
     }
 
-    const rtos::FrameReport report = exec.run_frame(frame, t0);
+    // Partition bodies, in window order: the autopilot partition computes
+    // a crude altitude-hold command from the latest bus sample; the FCS
+    // partition forwards it to the actuator topic. A window whose processor
+    // has fail-stopped does no work.
+    std::size_t activated = 0;
+    std::size_t skipped = 0;
+    for (const rtos::Window& w : windows) {
+      if (!group.processor(w.processor).running()) {
+        ++skipped;
+        continue;
+      }
+      ++activated;
+      if (w.partition == autopilot) {
+        pitch_cmd =
+            std::clamp((5400.0 - latest_altitude) / 800.0, -1.0, 1.0);
+      } else {
+        the_bus.post(kFcsEp, "elevator_cmd", pitch_cmd, t0);
+      }
+    }
     if (frame == 151) {
-      std::cout << "  frame 151: " << report.activated << " activated, "
-                << report.skipped << " skipped (fcs partition lost)\n";
+      std::cout << "  frame 151: " << activated << " activated, " << skipped
+                << " skipped (fcs partition lost)\n";
     }
 
     the_bus.deliver_until(t0 + frame_us);
-    elevator.poll(the_bus, t0 + frame_us);
+    for (const bus::Message& m : the_bus.collect(kElevatorEp)) {
+      if (m.topic == "elevator_cmd") {
+        plant.surfaces().elevator = std::get<double>(m.payload);
+      }
+    }
     plant.step(static_cast<double>(frame_us) / 1e6);
     clock.advance_frame();
   }
@@ -141,6 +134,5 @@ int main() {
   std::cout << "bus: " << the_bus.stats().posted << " posted, "
             << the_bus.stats().delivered << " delivered, worst latency "
             << the_bus.stats().worst_latency << " us\n";
-  std::cout << "executive frames: " << exec.frames_run() << "\n";
   return 0;
 }

@@ -46,8 +46,8 @@ class SensorSuite {
 };
 
 /// The physical plant shared by the avionics applications: dynamics, control
-/// surfaces (written by the FCS through actuator interface units), sensors
-/// (read through sensor interface units), and the pilot's stick input.
+/// surfaces (written by the FCS), sensor readings and the pilot's stick
+/// input, which the applications reach directly, not through interface units.
 class UavPlant {
  public:
   UavPlant(std::uint64_t seed = 42, DynamicsParams params = {},

@@ -802,21 +802,6 @@ std::uint64_t SystemCheckpoint::digest() const {
   return hash_system(CheckpointState(*this));
 }
 
-std::uint64_t SystemCheckpoint::spill_devices(storage::MappedArena& arena) {
-  std::uint64_t bytes = 0;
-  for (auto& [pid, p] : processors) {
-    if (p.durability.has_value()) bytes += p.durability->spill_devices(arena);
-  }
-  for (auto& [pid, qcp] : quorum_channels) {
-    for (auto& m : qcp.members) {
-      if (m.replica.engine.has_value()) {
-        bytes += m.replica.engine->spill_devices(arena);
-      }
-    }
-  }
-  return bytes;
-}
-
 template <class Visit>
 void System::each_forced(const std::vector<Forced>& flags,
                          const std::vector<AppId>& stray,

@@ -162,9 +162,10 @@ struct SystemStats {
 /// configuration-time constants (spec, options, schedules, hooks, cached
 /// key strings) are deliberately absent: a checkpoint is restored into a
 /// System built by the same factory. Move-only — device copies are owned —
-/// but restorable any number of times (restore copies the device images
-/// into the system's own devices, never consumes them), and refreshable in
-/// place (System::checkpoint_into copies into the images it holds).
+/// but restorable any number of times, from several threads at once
+/// (restore only reads the image, copying its device images into the
+/// system's own devices), and refreshable in place
+/// (System::checkpoint_into copies into the images it holds).
 /// Per-app tables are kept in ascending AppId order, the order the digest
 /// walks, whatever order the spec declares its apps in.
 struct SystemCheckpoint {
@@ -225,14 +226,6 @@ struct SystemCheckpoint {
   /// Equal digests therefore mean equal hashed state, not bit-identical
   /// mission state.
   [[nodiscard]] std::uint64_t digest() const;
-
-  /// Spills every durable-device byte image this checkpoint holds
-  /// (processor engines and cohort members' replica engines) into
-  /// CRC-guarded regions of `arena` — the byte mass of a durable mission's
-  /// checkpoint, freed from the heap until the checkpoint is next restored
-  /// (devices hydrate transparently). Returns bytes spilled. The arena must
-  /// outlive the checkpoint or its next restore.
-  std::uint64_t spill_devices(storage::MappedArena& arena);
 };
 
 class System {

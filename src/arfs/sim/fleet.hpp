@@ -46,11 +46,9 @@
 
 namespace arfs::sim {
 
-/// Rounded integer √n: the ladder spacing minimizing F + F·K/2 residual
-/// replay work for a pooled mission's reset_to (support::PooledMission),
-/// and the shard count balancing per-shard cache contiguity against merge
-/// fan-in for the fleet engine. Integer arithmetic — the auto-tune must be
-/// bit-stable across platforms.
+/// Rounded integer √n: the shard count balancing per-shard cache
+/// contiguity against merge fan-in for the fleet engine. Integer
+/// arithmetic — the auto-tune must be bit-stable across platforms.
 [[nodiscard]] Cycle auto_stride(Cycle n);
 
 /// Samples per chunk — the fleet's atomic accumulation unit. The default
@@ -70,9 +68,9 @@ struct FleetOptions {
   /// result is invariant across threads and shards.
   std::size_t chunk = kFleetChunk;
   /// When set, evidence-producing layers (dependability evidence rows,
-  /// coverage tallies, crash-point tables, pooled-mission evidence and
-  /// checkpoint spill) route materialized per-sample results through this
-  /// arena instead of heap vectors — RSS bounded by in-flight chunks.
+  /// coverage tallies, crash-point tables, pooled-mission evidence) route
+  /// materialized per-sample results through this arena instead of heap
+  /// vectors — RSS bounded by in-flight chunks.
   /// Storage choice only: every digest stays bit-identical to the in-RAM
   /// path. Not owned; must outlive the runner's calls.
   storage::MappedArena* arena = nullptr;

@@ -10,7 +10,6 @@
 
 #include "arfs/common/assign.hpp"
 #include "arfs/common/check.hpp"
-#include "arfs/storage/arena.hpp"
 
 namespace arfs::storage::durable {
 
@@ -22,31 +21,8 @@ MemoryBackend::MemoryBackend(std::vector<std::uint8_t> durable,
   buffered_ = std::move(buffered);
 }
 
-MemoryBackend::MemoryBackend(const MemoryBackend& other) {
-  other.hydrate();
-  durable_ = other.durable_;
-  buffered_ = other.buffered_;
-  syncs_ = other.syncs_;
-  sync_failures_armed_ = other.sync_failures_armed_;
-  delayed_failure_armed_ = other.delayed_failure_armed_;
-  delayed_failure_after_ = other.delayed_failure_after_;
-  tear_armed_ = other.tear_armed_;
-  tear_keep_ = other.tear_keep_;
-  // Spill state and hydration count deliberately not copied: the copy is a
-  // fresh in-RAM device with no claim on the source's arena region.
-}
-
 MemoryBackend& MemoryBackend::operator=(const MemoryBackend& other) {
   if (this == &other) return *this;
-  other.hydrate();
-  if (spill_arena_ != nullptr) {
-    // Our spilled bytes are about to be overwritten: release them unread.
-    spill_arena_->release(spill_region_);
-    spill_arena_ = nullptr;
-    spill_region_ = 0;
-    spilled_durable_ = 0;
-    spilled_buffered_ = 0;
-  }
   // A device refreshed from one that grows a little every frame (a
   // checkpoint taken again and again) keeps its copy's capacity ahead.
   assign_amortized(durable_, other.durable_);
@@ -60,72 +36,19 @@ MemoryBackend& MemoryBackend::operator=(const MemoryBackend& other) {
   return *this;
 }
 
-std::uint64_t MemoryBackend::spill(storage::MappedArena& arena) {
-  if (spill_arena_ != nullptr) return 0;  // already spilled
-  const std::uint64_t payload = 8 + durable_.size() + buffered_.size();
-  if (payload == 8) return 0;  // nothing worth a region
-  const MappedArena::RegionId rid =
-      arena.allocate(static_cast<std::size_t>(payload));
-  std::uint8_t* out = arena.data(rid);
-  const std::uint64_t dlen = durable_.size();
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(dlen >> (8 * i));
-  }
-  if (!durable_.empty()) {
-    std::memcpy(out + 8, durable_.data(), durable_.size());
-  }
-  if (!buffered_.empty()) {
-    std::memcpy(out + 8 + durable_.size(), buffered_.data(),
-                buffered_.size());
-  }
-  arena.seal(rid);
-  spill_arena_ = &arena;
-  spill_region_ = rid;
-  spilled_durable_ = durable_.size();
-  spilled_buffered_ = buffered_.size();
-  // swap-with-empty actually frees the heap capacity (clear() keeps it).
-  std::vector<std::uint8_t>().swap(durable_);
-  std::vector<std::uint8_t>().swap(buffered_);
-  return payload;
-}
-
-void MemoryBackend::hydrate() const {
-  if (spill_arena_ == nullptr) return;
-  std::size_t bytes = 0;
-  const std::uint8_t* in = spill_arena_->read(spill_region_, &bytes);
-  ensure(bytes == 8 + spilled_durable_ + spilled_buffered_,
-         "spilled device region size mismatch");
-  std::uint64_t dlen = 0;
-  for (int i = 7; i >= 0; --i) dlen = (dlen << 8) | in[i];
-  ensure(dlen == spilled_durable_, "spilled device length mismatch");
-  durable_.assign(in + 8, in + 8 + spilled_durable_);
-  buffered_.assign(in + 8 + spilled_durable_,
-                   in + 8 + spilled_durable_ + spilled_buffered_);
-  spill_arena_->release(spill_region_);
-  spill_arena_ = nullptr;
-  spill_region_ = 0;
-  spilled_durable_ = 0;
-  spilled_buffered_ = 0;
-  ++hydrations_;
-}
-
 std::uint64_t MemoryBackend::size() const {
-  if (spill_arena_ != nullptr) return spilled_durable_ + spilled_buffered_;
   return durable_.size() + buffered_.size();
 }
 
 std::uint64_t MemoryBackend::synced_size() const {
-  if (spill_arena_ != nullptr) return spilled_durable_;
   return durable_.size();
 }
 
 void MemoryBackend::append(const std::uint8_t* data, std::size_t n) {
-  hydrate();
   buffered_.insert(buffered_.end(), data, data + n);
 }
 
 bool MemoryBackend::sync() {
-  hydrate();
   if (sync_failures_armed_ > 0) {
     --sync_failures_armed_;
     return false;
@@ -143,7 +66,6 @@ bool MemoryBackend::sync() {
 
 std::size_t MemoryBackend::read(std::uint64_t offset, std::uint8_t* out,
                                 std::size_t n) const {
-  hydrate();
   const std::uint64_t total = size();
   if (offset >= total || n == 0) return 0;
   const std::size_t avail =
@@ -163,7 +85,6 @@ std::size_t MemoryBackend::read(std::uint64_t offset, std::uint8_t* out,
 }
 
 void MemoryBackend::truncate(std::uint64_t new_size) {
-  hydrate();
   if (new_size >= size()) return;
   if (new_size <= durable_.size()) {
     durable_.resize(static_cast<std::size_t>(new_size));
@@ -174,7 +95,6 @@ void MemoryBackend::truncate(std::uint64_t new_size) {
 }
 
 void MemoryBackend::crash() {
-  hydrate();
   if (tear_armed_) {
     // A torn write: the device got part-way through the final transfer.
     const std::size_t keep = std::min(tear_keep_, buffered_.size());
@@ -193,7 +113,6 @@ void MemoryBackend::tear_on_crash(std::size_t keep_bytes) {
 }
 
 void MemoryBackend::corrupt_bit(std::uint64_t seed) {
-  hydrate();
   if (durable_.empty()) return;
   // SplitMix64 finalizer spreads the seed over the durable image.
   std::uint64_t z = seed + 0x9E3779B97F4A7C15ULL;

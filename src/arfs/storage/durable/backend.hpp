@@ -24,10 +24,6 @@
 #include <string>
 #include <vector>
 
-namespace arfs::storage {
-class MappedArena;
-}
-
 namespace arfs::storage::durable {
 
 class JournalBackend {
@@ -88,12 +84,10 @@ class MemoryBackend final : public JournalBackend {
                 std::vector<std::uint8_t> buffered);
   /// A copy carries the durable image, the buffered tail and the armed
   /// fault hooks; it is how engine checkpoints capture and restore a
-  /// device. Copying hydrates a spilled source first: the copy is always a
-  /// plain in-RAM device — spill state never aliases across backends (two
-  /// owners of one arena region would double-release it). Assignment keeps
-  /// this device's buffers, growing them geometrically, and releases its
-  /// own spilled region unread.
-  MemoryBackend(const MemoryBackend& other);
+  /// device. Copying reads only the source, so one image can be restored
+  /// from many threads at once. Assignment keeps this device's buffers,
+  /// growing them geometrically.
+  MemoryBackend(const MemoryBackend& other) = default;
   MemoryBackend& operator=(const MemoryBackend& other);
   ~MemoryBackend() override = default;
 
@@ -116,31 +110,9 @@ class MemoryBackend final : public JournalBackend {
 
   [[nodiscard]] std::uint64_t sync_count() const { return syncs_; }
 
-  /// Moves the durable image and buffered tail into one sealed, CRC-guarded
-  /// region of `arena`, freeing the heap bytes — the cold-checkpoint spill
-  /// path. The device stays fully usable: any access (and any copy)
-  /// hydrates it back transparently. Returns the payload bytes spilled
-  /// (0 when empty or already spilled). `arena` must outlive the backend
-  /// or its next hydration, whichever comes first.
-  std::uint64_t spill(storage::MappedArena& arena);
-  [[nodiscard]] bool spilled() const { return spill_arena_ != nullptr; }
-  /// Hydrations this device performed (spill round-trips survived).
-  [[nodiscard]] std::uint64_t hydrations() const { return hydrations_; }
-
  private:
-  /// Reads the spilled region back (CRC-verified), releases it, and
-  /// restores the in-RAM vectors. No-op when not spilled.
-  void hydrate() const;
-
-  mutable std::vector<std::uint8_t> durable_;
-  mutable std::vector<std::uint8_t> buffered_;
-  mutable storage::MappedArena* spill_arena_ = nullptr;
-  mutable std::uint64_t spill_region_ = 0;
-  /// Sizes while spilled, so size()/synced_size() stay O(1) without
-  /// faulting the bytes back in.
-  mutable std::uint64_t spilled_durable_ = 0;
-  mutable std::uint64_t spilled_buffered_ = 0;
-  mutable std::uint64_t hydrations_ = 0;
+  std::vector<std::uint8_t> durable_;
+  std::vector<std::uint8_t> buffered_;
   std::uint64_t syncs_ = 0;
   std::uint32_t sync_failures_armed_ = 0;
   bool delayed_failure_armed_ = false;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "arfs/common/check.hpp"
-#include "arfs/storage/arena.hpp"
 
 namespace arfs::storage::durable {
 
@@ -343,14 +342,6 @@ void DurabilityEngine::checkpoint_into(EngineCheckpoint& cp) const {
   cp.ship_horizon = ship_horizon_;
   cp.adaptive_watermark_fp = adaptive_watermark_fp_;
   cp.reconfig_pressure = reconfig_pressure_;
-}
-
-std::uint64_t EngineCheckpoint::spill_devices(storage::MappedArena& arena) {
-  std::uint64_t bytes = 0;
-  for (MemoryBackend* device : {journal.get(), snapshots.get()}) {
-    bytes += device->spill(arena);
-  }
-  return bytes;
 }
 
 EngineView DurabilityEngine::view() const {

@@ -230,11 +230,6 @@ struct EngineCheckpoint {
   std::uint64_t adaptive_watermark_fp = 0;
   bool reconfig_pressure = false;
 
-  /// Spills both devices' byte images (the checkpoint's dominant mass) to
-  /// CRC-guarded arena regions. The devices hydrate transparently on the
-  /// next access/restore. Returns bytes spilled.
-  std::uint64_t spill_devices(storage::MappedArena& arena);
-
   [[nodiscard]] EngineView view() const;
 };
 
@@ -284,8 +279,8 @@ class DurabilityEngine {
   /// Freezes the engine — copies of both devices plus all bookkeeping —
   /// into `cp`, restorable many times over. The mirror of restore_state():
   /// a checkpoint taken before is refreshed in place, its device images
-  /// copy-assigned into its own devices (a spilled one is released, not
-  /// read back), so a warm refresh allocates nothing. Precondition: both
+  /// copy-assigned into its own devices, so a warm refresh allocates
+  /// nothing. Precondition: both
   /// devices are MemoryBackends (a FileBackend cannot be checkpointed).
   void checkpoint_into(EngineCheckpoint& cp) const;
   /// The digested state, read in place (see EngineView).

@@ -1,6 +1,5 @@
 #include "arfs/support/fleet.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <optional>
 
@@ -14,58 +13,15 @@ namespace arfs::support {
 
 PooledMission::PooledMission(const MissionFactory& factory,
                              Cycle warmup_frames)
-    : mission_(factory()), warmup_(warmup_frames) {
+    : mission_(factory()) {
   require(mission_.system != nullptr, "mission factory built no system");
-  core::System& sys = *mission_.system;
-  ladder_.emplace_back(0, sys.checkpoint());
-  if (warmup_frames > 0) {
-    const Cycle stride = sim::auto_stride(warmup_frames);
-    Cycle frame = 0;
-    while (frame < warmup_frames) {
-      const Cycle step = std::min(stride, warmup_frames - frame);
-      sys.run(step);
-      frame += step;
-      ladder_.emplace_back(frame, sys.checkpoint());
-    }
-  }
+  mission_.system->run(warmup_frames);
+  mission_.system->checkpoint_into(warm_);
 }
 
 void PooledMission::reset() {
-  mission_.system->restore(ladder_.back().second);
+  mission_.system->restore(warm_);
   ++resets_;
-}
-
-void PooledMission::reset_to(Cycle frame) {
-  require(frame <= warmup_, "reset_to target beyond the warm-up prefix");
-  // Nearest ladder checkpoint at or below `frame`; ladder frames are
-  // strictly increasing, so the predecessor of the first frame > `frame`.
-  auto it = std::upper_bound(
-      ladder_.begin(), ladder_.end(), frame,
-      [](Cycle f, const auto& entry) { return f < entry.first; });
-  --it;
-  const std::size_t rung = static_cast<std::size_t>(it - ladder_.begin());
-  if (rung < rung_spilled_.size() && rung_spilled_[rung]) {
-    // The restore below faults the rung's device bytes back in (the copy
-    // inside restore hydrates spilled backends); account for it here.
-    rung_spilled_[rung] = false;
-    ++hydrations_;
-  }
-  mission_.system->restore(it->second);
-  if (frame > it->first) mission_.system->run(frame - it->first);
-  ++resets_;
-}
-
-std::uint64_t PooledMission::spill_cold(storage::MappedArena& arena) {
-  if (ladder_.size() <= 1) return 0;  // nothing but the warm point
-  rung_spilled_.resize(ladder_.size(), false);
-  std::uint64_t bytes = 0;
-  for (std::size_t r = 0; r + 1 < ladder_.size(); ++r) {
-    if (rung_spilled_[r]) continue;
-    const std::uint64_t spilled = ladder_[r].second.spill_devices(arena);
-    if (spilled > 0) rung_spilled_[r] = true;
-    bytes += spilled;
-  }
-  return bytes;
 }
 
 SystemPool::SystemPool(MissionFactory factory, Cycle warmup_frames)
@@ -93,36 +49,14 @@ SystemPool::Lease SystemPool::lease() {
   return Lease(*this, std::make_unique<PooledMission>(factory_, warmup_));
 }
 
-void SystemPool::enable_spill(storage::MappedArena& arena,
-                              std::size_t hot_limit) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  spill_arena_ = &arena;
-  spill_hot_limit_ = hot_limit;
-}
-
 SystemPool::Stats SystemPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  Stats out = stats_;
-  // Hydration counts live in the missions; the idle set covers all of them
-  // once every lease has been returned (post-sweep).
-  for (const auto& mission : idle_) out.hydrations += mission->hydrations();
-  return out;
+  return stats_;
 }
 
 void SystemPool::give_back(std::unique_ptr<PooledMission> mission) {
   std::lock_guard<std::mutex> lock(mutex_);
   idle_.push_back(std::move(mission));
-  if (spill_arena_ == nullptr) return;
-  // LRU spill: lease() pops from the back, so the front of `idle_` is the
-  // coldest. Everything beyond the hot floor spills its cold rungs.
-  for (std::size_t i = 0;
-       i + spill_hot_limit_ < idle_.size(); ++i) {
-    const std::uint64_t bytes = idle_[i]->spill_cold(*spill_arena_);
-    if (bytes > 0) {
-      ++stats_.spills;
-      stats_.spill_bytes += bytes;
-    }
-  }
 }
 
 PlanFactory make_env_plan_factory(EnvPlanParams params) {
@@ -229,9 +163,6 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
   if (arena != nullptr) {
     evidence_regions.assign(plan.chunks(), storage::MappedArena::kNoRegion);
   }
-  if (pooled && arena != nullptr && options.pool_hot_limit > 0) {
-    pool.enable_spill(*arena, options.pool_hot_limit);
-  }
 
   const auto last_of_chunk = [&plan](std::size_t index) {
     return (index + 1) % plan.chunk() == 0 || index + 1 == plan.samples();
@@ -308,15 +239,8 @@ FleetMissionReport run_fleet_missions(const MissionFactory& factory,
   report.deadline_violations = total.deadline_violations;
   report.digest = total.digest;
   report.pool_resets = total.pool_resets;
-  if (pooled) {
-    const SystemPool::Stats pool_stats = pool.stats();
-    report.systems_constructed = pool_stats.constructions;
-    report.pool_spills = pool_stats.spills;
-    report.pool_spill_bytes = pool_stats.spill_bytes;
-    report.pool_hydrations = pool_stats.hydrations;
-  } else {
-    report.systems_constructed = total.systems_constructed;
-  }
+  report.systems_constructed = pooled ? pool.stats().constructions
+                                      : total.systems_constructed;
   if (arena != nullptr) {
     // Round-trip proof: stream the materialized evidence rows back in
     // global chunk order and refold the digest with the exact per-chunk

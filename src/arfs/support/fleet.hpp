@@ -33,49 +33,27 @@
 
 namespace arfs::support {
 
-/// One reusable mission instance: a factory-built system plus a ladder of
-/// whole-system checkpoints over the warm-up prefix [0, warmup], spaced
-/// sim::auto_stride(warmup) frames apart: √-tuned, because a reset_to
-/// replays the residual frames past its rung (the crash sweep instead
-/// rolls forward one frame per point and sizes its intervals by thread
-/// count). reset() rewinds to the warm point without reconstruction;
-/// reset_to(f) rewinds to any frame of the prefix by restoring the nearest
-/// ladder checkpoint at or below f and replaying the residual frames.
+/// One reusable mission instance: a factory-built system plus one
+/// whole-system checkpoint taken at the warm point. reset() rewinds to it
+/// without reconstruction.
 class PooledMission {
  public:
   /// Builds the mission and warms it: runs `warmup_frames` frames once
   /// (under the factory's own fault plan — for a shared prefix that plan
-  /// must be empty or common to every sample), dropping ladder checkpoints
-  /// as it goes. warmup_frames == 0 pools the pristine frame-0 state.
+  /// must be empty or common to every sample), then checkpoints the warm
+  /// point. warmup_frames == 0 pools the pristine frame-0 state.
   PooledMission(const MissionFactory& factory, Cycle warmup_frames);
 
   [[nodiscard]] core::System& system() { return *mission_.system; }
-  [[nodiscard]] Cycle warmup_frames() const { return warmup_; }
   [[nodiscard]] std::uint64_t resets() const { return resets_; }
 
   /// Rewinds to the warm point (frame `warmup_frames`).
   void reset();
-  /// Rewinds to frame `frame` of the warm-up prefix. Precondition:
-  /// frame <= warmup_frames().
-  void reset_to(Cycle frame);
-
-  /// Spills the durable-device bytes of every *cold* ladder rung (all but
-  /// the warm point) into `arena` — reset(), the per-sample hot path, never
-  /// touches a spilled rung; reset_to() onto one hydrates it back (counted
-  /// in hydrations()). Idempotent per rung. Returns bytes spilled.
-  std::uint64_t spill_cold(storage::MappedArena& arena);
-  /// Cold rungs hydrated back by reset_to() since construction.
-  [[nodiscard]] std::uint64_t hydrations() const { return hydrations_; }
 
  private:
   CrashMission mission_;
-  /// (frame, checkpoint) pairs: frame 0, every stride frames, and the warm
-  /// point itself; strictly increasing frames.
-  std::vector<std::pair<Cycle, core::SystemCheckpoint>> ladder_;
-  std::vector<bool> rung_spilled_;  ///< Parallel to ladder_.
-  Cycle warmup_ = 0;
+  core::SystemCheckpoint warm_;
   std::uint64_t resets_ = 0;
-  std::uint64_t hydrations_ = 0;
 };
 
 /// A thread-safe pool of PooledMissions built from one factory. Workers
@@ -110,22 +88,9 @@ class SystemPool {
   /// every pooled instance is in flight.
   [[nodiscard]] Lease lease();
 
-  /// Enables cold-checkpoint spill: whenever more than `hot_limit` missions
-  /// sit idle, the least-recently-used beyond that limit spill their cold
-  /// ladder rungs into `arena` (the warm rung always stays hot, so leasing
-  /// a spilled mission and reset()-ing it touches no spilled bytes). The
-  /// arena must outlive the pool. hot_limit 0 keeps no hot floor — every
-  /// idle mission spills.
-  void enable_spill(storage::MappedArena& arena, std::size_t hot_limit);
-
   struct Stats {
     std::uint64_t constructions = 0;  ///< Factory builds the pool paid.
     std::uint64_t leases = 0;         ///< Chunk-grain lease operations.
-    std::uint64_t spills = 0;         ///< Missions spilled on give-back.
-    std::uint64_t spill_bytes = 0;    ///< Device bytes moved to the arena.
-    /// Cold-rung hydrations across *idle* missions (complete once every
-    /// lease has been returned — i.e. after a sweep finishes).
-    std::uint64_t hydrations = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -137,8 +102,6 @@ class SystemPool {
   Cycle warmup_;
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<PooledMission>> idle_;
-  storage::MappedArena* spill_arena_ = nullptr;
-  std::size_t spill_hot_limit_ = 0;
   Stats stats_;
 };
 
@@ -172,10 +135,6 @@ struct FleetMissionOptions {
   /// The tentpole knob: reuse checkpoint-seeded pooled systems (default)
   /// or construct a fresh system per sample (the ablation oracle).
   bool pool_systems = true;
-  /// With fleet.options().arena set: idle pooled missions beyond this
-  /// count spill their cold checkpoint rungs to the arena (see
-  /// SystemPool::enable_spill). 0 disables spilling.
-  std::size_t pool_hot_limit = 0;
 };
 
 struct FleetMissionReport {
@@ -207,10 +166,6 @@ struct FleetMissionReport {
   std::uint64_t evidence_digest = 0;
   /// evidence_digest == digest (always true unless storage corrupted).
   bool evidence_matches = false;
-  /// Pool spill counters (pool_hot_limit > 0 and arena set).
-  std::uint64_t pool_spills = 0;
-  std::uint64_t pool_spill_bytes = 0;
-  std::uint64_t pool_hydrations = 0;
 };
 
 /// One mission sample's audit row (24 bytes, trivially copyable): the final

@@ -14,9 +14,8 @@
 //    bit-identically to the in-RAM map() at every (threads, shards) point;
 //  * analysis::estimate_dependability_evidence — arena-backed evidence
 //    reproduces the in-RAM estimate and digest exactly;
-//  * support::run_fleet_missions — the pooled + spill-to-arena path keeps
-//    one digest with the no-arena oracle, and PooledMission::reset_to()
-//    hydrates spilled rungs back bit-exactly;
+//  * support::run_fleet_missions — the pooled path with arena-backed
+//    evidence keeps one digest with the no-arena oracle;
 //  * support::run_crash_sweep — the arena-backed point table rebuilds a
 //    digest-identical report.
 #include <gtest/gtest.h>
@@ -356,7 +355,7 @@ PlanFactory chain_plans(Cycle warmup, Cycle frames) {
   return make_env_plan_factory(std::move(params));
 }
 
-TEST(FleetMissions, SpilledPoolKeepsOneDigestWithTheNoArenaOracle) {
+TEST(FleetMissions, ArenaBackedPoolKeepsOneDigestWithTheNoArenaOracle) {
   const MissionFactory factory = chain_factory();
   FleetMissionOptions options;
   options.samples = 18;
@@ -389,10 +388,8 @@ TEST(FleetMissions, SpilledPoolKeepsOneDigestWithTheNoArenaOracle) {
     fleet_options.chunk = 4;
     fleet_options.arena = &arena;
     sim::FleetRunner fleet(fleet_options);
-    FleetMissionOptions spill_options = options;
-    spill_options.pool_hot_limit = 1;  // spill every idle mission but one
     const FleetMissionReport got =
-        run_fleet_missions(factory, plans, spill_options, fleet);
+        run_fleet_missions(factory, plans, options, fleet);
     EXPECT_EQ(got.digest, oracle.digest) << "threads=" << threads;
     EXPECT_EQ(got.fault_events, oracle.fault_events);
     EXPECT_EQ(got.frames_run, oracle.frames_run);
@@ -402,30 +399,6 @@ TEST(FleetMissions, SpilledPoolKeepsOneDigestWithTheNoArenaOracle) {
     EXPECT_TRUE(got.evidence_matches);
     EXPECT_EQ(got.evidence_digest, got.digest);
   }
-}
-
-TEST(PooledMission, ResetToHydratesSpilledRungsBitExactly) {
-  const MissionFactory factory = chain_factory();
-  storage::MappedArena arena;  // in-memory: spill semantics, no file
-  PooledMission pooled(factory, /*warmup_frames=*/10);
-  const std::uint64_t spilled = pooled.spill_cold(arena);
-  EXPECT_GT(spilled, 0u);
-  EXPECT_EQ(pooled.hydrations(), 0u);
-  // reset() — the per-sample hot path — must not touch spilled rungs.
-  pooled.reset();
-  EXPECT_EQ(pooled.hydrations(), 0u);
-  // Rewinding to a cold rung hydrates it and still lands bit-exactly.
-  pooled.reset_to(3);
-  EXPECT_GE(pooled.hydrations(), 1u);
-  CrashMission fresh = factory();
-  fresh.system->run(3);
-  EXPECT_EQ(pooled.system().digest(), fresh.system->digest());
-  // Spilling again after hydration is safe and idempotent per rung.
-  (void)pooled.spill_cold(arena);
-  pooled.reset_to(7);
-  CrashMission fresh7 = factory();
-  fresh7.system->run(7);
-  EXPECT_EQ(pooled.system().digest(), fresh7.system->digest());
 }
 
 TEST(CrashSweep, ArenaBackedPointTableIsDigestIdentical) {

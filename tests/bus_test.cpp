@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "arfs/bus/bus.hpp"
-#include "arfs/bus/interface_unit.hpp"
 #include "arfs/bus/schedule.hpp"
 #include "arfs/common/check.hpp"
 
@@ -119,34 +118,6 @@ TEST(Bus, StatsCountPostsAndDeliveries) {
   bus.deliver_until(1000);
   EXPECT_EQ(bus.stats().posted, 1u);
   EXPECT_EQ(bus.stats().delivered, 1u);  // one receiver (sender excluded)
-}
-
-TEST(SensorUnit, PostsSamplesUntilFailed) {
-  Bus bus(two_slot_schedule());
-  bus.register_endpoint(EndpointId{2});
-  SensorUnit sensor(EndpointId{1}, "altitude",
-                    [](SimTime t) { return storage::Value{double(t)}; });
-  sensor.poll(bus, 0);
-  sensor.fail();
-  sensor.poll(bus, 300);
-  bus.deliver_until(10'000);
-  // Only the pre-failure sample arrives: failure is visible as silence.
-  EXPECT_EQ(bus.collect(EndpointId{2}).size(), 1u);
-}
-
-TEST(ActuatorUnit, AppliesCommandsOnItsTopic) {
-  Bus bus(two_slot_schedule());
-  bus.register_endpoint(EndpointId{2});
-  double applied = 0.0;
-  ActuatorUnit actuator(EndpointId{2}, "elevator",
-                        [&](const storage::Value& v, SimTime) {
-                          applied = std::get<double>(v);
-                        });
-  bus.post(EndpointId{1}, "elevator", 0.5, 0);
-  bus.post(EndpointId{1}, "other", 0.9, 120);
-  bus.deliver_until(10'000);
-  actuator.poll(bus, 10'000);
-  EXPECT_DOUBLE_EQ(applied, 0.5);
 }
 
 }  // namespace

@@ -11,10 +11,11 @@
 //    checkpoint interval;
 //  * System::checkpoint_into refreshes one reused image exactly: at every
 //    frame, and from earlier, smaller states (a crashed victim, a killed
-//    cohort member, an image whose devices were spilled to an arena), the
-//    refreshed image has the fresh checkpoint's digest and restores a fork
-//    that follows a fresh run frame by frame. A mission rolling forward
-//    through crash points this way tracks the baseline mission exactly;
+//    cohort member), the refreshed image has the fresh checkpoint's digest
+//    and restores a fork that follows a fresh run frame by frame. A mission
+//    rolling forward through crash points this way tracks the baseline
+//    mission exactly. One image restored from several threads at once
+//    gives each the serial restore's mission and is left unchanged;
 //  * the checkpointed sweep strategy is digest-identical to the from-scratch
 //    oracle (CrashSweepOptions::checkpointing = false) under every sync
 //    policy, both io-fault modes, warm-start mode, any stride, and any
@@ -26,8 +27,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -35,7 +38,6 @@
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
-#include "arfs/storage/arena.hpp"
 #include "arfs/support/bench_json.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/mission.hpp"
@@ -427,18 +429,45 @@ TEST(SystemCheckpoint, RefreshFromEarlierSmallerStatesRestoresExactly) {
         victim, *killed.system->quorum_group(victim).leader());
     expect_refresh_exact(*killed.system, cp, *fork.system);
   }
-  {
-    SCOPED_TRACE("devices spilled to an arena");
-    late.system->checkpoint_into(cp);
-    storage::MappedArena arena;
-    ASSERT_GT(cp.spill_devices(arena), 0u);
-    CrashMission earlier = factory();
-    earlier.system->run(30);
-    expect_refresh_exact(*earlier.system, cp, *fork.system);
-    // The refresh released the spilled regions without reading them back.
-    EXPECT_EQ(arena.stats().regions_released,
-              arena.stats().regions_allocated);
+}
+
+TEST(SystemCheckpoint, OneImageRestoresIntoFourMissionsAtOnce) {
+  // A checkpoint is a read-only value: threads restoring one image at the
+  // same time each get the serial restore's mission, and the image is left
+  // as it was.
+  constexpr Cycle kAt = 64;
+  constexpr Cycle kOn = 16;
+  constexpr std::size_t kThreads = 4;
+  const MissionFactory factory =
+      uav_factory(SyncPolicy::frames(4), /*shipping=*/true, /*replicas=*/3);
+  CrashMission source = factory();
+  source.system->run(kAt);
+  const core::SystemCheckpoint cp = source.system->checkpoint();
+  const std::uint64_t image_digest = cp.digest();
+
+  CrashMission serial = factory();
+  serial.system->restore(cp);
+  serial.system->run(kOn);
+  const std::uint64_t want = serial.system->digest();
+
+  std::vector<CrashMission> missions;
+  for (std::size_t t = 0; t < kThreads; ++t) missions.push_back(factory());
+  std::vector<std::uint64_t> got(kThreads, 0);
+  std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      missions[t].system->restore(cp);
+      missions[t].system->run(kOn);
+      got[t] = missions[t].system->digest();
+    });
   }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], want) << "thread " << t;
+  }
+  EXPECT_EQ(cp.digest(), image_digest);
 }
 
 /// Runs one sweep and returns its report digest.

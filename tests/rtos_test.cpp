@@ -1,40 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "arfs/common/check.hpp"
-#include "arfs/rtos/executive.hpp"
 #include "arfs/rtos/health.hpp"
-#include "arfs/rtos/partition.hpp"
 #include "arfs/rtos/schedule.hpp"
 
 namespace arfs::rtos {
 namespace {
-
-Partition::Entry counting_entry(int& count, SimDuration consumed = 100) {
-  return [&count, consumed](Cycle) {
-    ++count;
-    return ActivationResult{consumed, true, {}};
-  };
-}
-
-TEST(Partition, RejectsBadArguments) {
-  EXPECT_THROW(Partition(PartitionId{1}, "p", ProcessorId{1}, AppId{1}, 0,
-                         [](Cycle) { return ActivationResult{}; }),
-               ContractViolation);
-  EXPECT_THROW(
-      Partition(PartitionId{1}, "p", ProcessorId{1}, AppId{1}, 100, nullptr),
-      ContractViolation);
-}
-
-TEST(Partition, SetBudget) {
-  int n = 0;
-  Partition p(PartitionId{1}, "p", ProcessorId{1}, AppId{1}, 100,
-              counting_entry(n));
-  p.set_budget(50);
-  EXPECT_EQ(p.budget(), 50);
-  EXPECT_THROW(p.set_budget(0), ContractViolation);
-}
 
 TEST(ScheduleTable, RejectsWindowBeyondFrame) {
   ScheduleTable table(1000);
@@ -78,120 +49,36 @@ TEST(ScheduleTable, LoadPerProcessor) {
   EXPECT_EQ(table.load_on(ProcessorId{3}), 0);
 }
 
-class ExecutiveTest : public ::testing::Test {
- protected:
-  ExecutiveTest() {
-    group_.add_processor(ProcessorId{1});
-    group_.add_processor(ProcessorId{2});
-  }
-
-  ScheduleTable make_schedule() {
-    ScheduleTable table(10'000);
-    table.add_window(Window{PartitionId{1}, ProcessorId{1}, 0, 4000});
-    table.add_window(Window{PartitionId{2}, ProcessorId{2}, 0, 4000});
-    return table;
-  }
-
-  failstop::ProcessorGroup group_;
-  HealthMonitor health_;
-  failstop::DetectorBank bank_;
-};
-
-TEST_F(ExecutiveTest, ActivatesEveryScheduledPartition) {
-  CyclicExecutive exec(make_schedule(), group_, health_, bank_);
-  int a = 0;
-  int b = 0;
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{1}, "a", ProcessorId{1}, AppId{1}, 4000,
-      counting_entry(a)));
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{2}, "b", ProcessorId{2}, AppId{2}, 4000,
-      counting_entry(b)));
-
-  const FrameReport report = exec.run_frame(0, 0);
-  EXPECT_EQ(report.activated, 2u);
-  EXPECT_EQ(report.skipped, 0u);
-  EXPECT_EQ(a, 1);
-  EXPECT_EQ(b, 1);
-  EXPECT_EQ(exec.frames_run(), 1u);
-}
-
-TEST_F(ExecutiveTest, SkipsPartitionsOnFailedProcessors) {
-  CyclicExecutive exec(make_schedule(), group_, health_, bank_);
-  int a = 0;
-  int b = 0;
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{1}, "a", ProcessorId{1}, AppId{1}, 4000,
-      counting_entry(a)));
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{2}, "b", ProcessorId{2}, AppId{2}, 4000,
-      counting_entry(b)));
-
-  group_.processor(ProcessorId{2}).fail(0);
-  const FrameReport report = exec.run_frame(0, 0);
-  EXPECT_EQ(report.activated, 1u);
-  EXPECT_EQ(report.skipped, 1u);
-  EXPECT_EQ(b, 0);
-}
-
-TEST_F(ExecutiveTest, BudgetOverrunRaisesTimingSignal) {
-  CyclicExecutive exec(make_schedule(), group_, health_, bank_);
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{1}, "hog", ProcessorId{1}, AppId{1}, 1000,
-      [](Cycle) { return ActivationResult{5000, true, {}}; }));
-  int b = 0;
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{2}, "b", ProcessorId{2}, AppId{2}, 4000,
-      counting_entry(b)));
-
-  const FrameReport report = exec.run_frame(3, 30'000);
-  EXPECT_EQ(report.overruns, 1u);
-  EXPECT_EQ(health_.overrun_count(), 1u);
-  const auto signals = bank_.drain();
+TEST(HealthMonitor, OverrunRecordsTheEventAndRaisesOneTimingViolation) {
+  HealthMonitor health;
+  failstop::DetectorBank bank;
+  health.report_overrun(PartitionId{1}, AppId{1}, 3, 30'000, 5000, 1000,
+                        bank);
+  EXPECT_EQ(health.overrun_count(), 1u);
+  ASSERT_EQ(health.events().size(), 1u);
+  EXPECT_EQ(health.events()[0].kind, HealthEventKind::kBudgetOverrun);
+  EXPECT_EQ(health.events()[0].app, AppId{1});
+  EXPECT_EQ(health.events()[0].cycle, 3u);
+  const auto signals = bank.drain();
   ASSERT_EQ(signals.size(), 1u);
   EXPECT_EQ(signals[0].kind, failstop::SignalKind::kTimingViolation);
   EXPECT_EQ(signals[0].app, AppId{1});
   EXPECT_EQ(signals[0].cycle, 3u);
 }
 
-TEST_F(ExecutiveTest, ApplicationFaultReachesHealthAndBank) {
-  CyclicExecutive exec(make_schedule(), group_, health_, bank_);
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{1}, "faulty", ProcessorId{1}, AppId{1}, 4000, [](Cycle) {
-        return ActivationResult{100, false, "divide by zero"};
-      }));
-  int b = 0;
-  exec.add_partition(std::make_unique<Partition>(
-      PartitionId{2}, "b", ProcessorId{2}, AppId{2}, 4000,
-      counting_entry(b)));
-
-  const FrameReport report = exec.run_frame(0, 0);
-  EXPECT_EQ(report.faults, 1u);
-  ASSERT_EQ(health_.events().size(), 1u);
-  EXPECT_EQ(health_.events()[0].kind, HealthEventKind::kApplicationFault);
-  EXPECT_EQ(health_.events()[0].detail, "divide by zero");
-  const auto signals = bank_.drain();
+TEST(HealthMonitor, AppFaultRecordsItsDetailAndRaisesOneSoftwareFailure) {
+  HealthMonitor health;
+  failstop::DetectorBank bank;
+  health.report_app_fault(PartitionId{1}, AppId{1}, 0, 0, "divide by zero",
+                          bank);
+  EXPECT_EQ(health.fault_count(), 1u);
+  ASSERT_EQ(health.events().size(), 1u);
+  EXPECT_EQ(health.events()[0].kind, HealthEventKind::kApplicationFault);
+  EXPECT_EQ(health.events()[0].detail, "divide by zero");
+  const auto signals = bank.drain();
   ASSERT_EQ(signals.size(), 1u);
   EXPECT_EQ(signals[0].kind, failstop::SignalKind::kSoftwareFailure);
-}
-
-TEST_F(ExecutiveTest, UnscheduledPartitionRejected) {
-  CyclicExecutive exec(make_schedule(), group_, health_, bank_);
-  int n = 0;
-  EXPECT_THROW(exec.add_partition(std::make_unique<Partition>(
-                   PartitionId{9}, "x", ProcessorId{1}, AppId{9}, 100,
-                   counting_entry(n))),
-               ContractViolation);
-}
-
-TEST_F(ExecutiveTest, HostMismatchRejected) {
-  CyclicExecutive exec(make_schedule(), group_, health_, bank_);
-  int n = 0;
-  // Partition 1 is scheduled on processor 1 but claims processor 2.
-  EXPECT_THROW(exec.add_partition(std::make_unique<Partition>(
-                   PartitionId{1}, "x", ProcessorId{2}, AppId{1}, 100,
-                   counting_entry(n))),
-               ContractViolation);
+  EXPECT_EQ(signals[0].app, AppId{1});
 }
 
 }  // namespace

@@ -2,12 +2,8 @@
 // schedulability obligation.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "arfs/analysis/schedulability.hpp"
 #include "arfs/avionics/uav_system.hpp"
-#include "arfs/failstop/group.hpp"
-#include "arfs/rtos/executive.hpp"
 #include "arfs/support/synthetic.hpp"
 
 namespace arfs::analysis {
@@ -73,37 +69,27 @@ TEST(Schedulability, FindingsCarryLoads) {
   }
 }
 
-TEST(Schedulability, BuiltScheduleRunsOnExecutive) {
-  // The derived table drives a real cyclic executive end to end.
+TEST(Schedulability, BuiltScheduleGivesEachPartitionOneWindowOnItsHost) {
+  // A frame loop walking the table relies on both: every partition runs
+  // once per frame, and on the processor its application is placed on.
   const core::ReconfigSpec spec = avionics::make_uav_spec();
-  const BuiltSchedule built =
-      build_schedule(spec, avionics::kReducedService, 20'000);
-
-  failstop::ProcessorGroup group;
-  group.add_processor(avionics::kComputer1);
-  group.add_processor(avionics::kComputer2);
-  rtos::HealthMonitor health;
-  failstop::DetectorBank bank;
-  rtos::CyclicExecutive exec(built.table, group, health, bank);
-
-  int activations = 0;
-  for (const auto& [app, partition] : built.partitions) {
-    const SpecId assigned =
-        *spec.config(avionics::kReducedService).spec_of(app);
-    const SimDuration wcet = spec.spec(assigned).wcet_us;
-    exec.add_partition(std::make_unique<rtos::Partition>(
-        partition, "p" + std::to_string(partition.value()),
-        avionics::kComputer1, app, spec.spec(assigned).budget_us,
-        [&activations, wcet](Cycle) {
-          ++activations;
-          return rtos::ActivationResult{wcet, true, {}};
-        }));
+  for (const ConfigId config :
+       {avionics::kFullService, avionics::kReducedService,
+        avionics::kMinimalService}) {
+    const BuiltSchedule built = build_schedule(spec, config, 20'000);
+    ASSERT_FALSE(built.partitions.empty());
+    for (const auto& [app, partition] : built.partitions) {
+      std::size_t windows = 0;
+      for (const rtos::Window& w : built.table.windows()) {
+        if (w.partition != partition) continue;
+        ++windows;
+        EXPECT_EQ(w.processor, *spec.config(config).host_of(app))
+            << "config " << config.value() << ", app " << app.value();
+      }
+      EXPECT_EQ(windows, 1u)
+          << "config " << config.value() << ", app " << app.value();
+    }
   }
-
-  const rtos::FrameReport report = exec.run_frame(0, 0);
-  EXPECT_EQ(report.activated, 2u);
-  EXPECT_EQ(report.overruns, 0u);
-  EXPECT_EQ(activations, 2);
 }
 
 TEST(Schedulability, SyntheticChainConfigsFit) {

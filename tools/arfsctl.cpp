@@ -138,7 +138,7 @@ int usage() {
          "           [--kill K]\n"
          "  fleet    <spec> [--samples N] [--frames F] [--warmup W]\n"
          "           [--shards S] [--threads T] [--seed B] [--no-pool]\n"
-         "           [--arena PATH] [--pool-hot N] [--json [path]]\n"
+         "           [--arena PATH] [--json [path]]\n"
          "  serve    [spec=chain] [--sessions N] [--frames F] [--warmup W]\n"
          "           [--transport shm|socket] [--slots N] [--seed B]\n"
          "  session  <dir> [spec=chain] [--frames F] [--warmup W]\n"
@@ -1038,10 +1038,7 @@ int cmd_fleet(const std::string& spec_name, const SpecChoice& choice,
     if (report.arena_backed) {
       json << ", \"evidence_rows\": " << report.evidence_rows
            << ", \"evidence_matches\": "
-           << (report.evidence_matches ? "true" : "false")
-           << ", \"pool_spills\": " << report.pool_spills
-           << ", \"pool_spill_bytes\": " << report.pool_spill_bytes
-           << ", \"pool_hydrations\": " << report.pool_hydrations;
+           << (report.evidence_matches ? "true" : "false");
     }
     json << ", \"digest\": \"0x" << std::hex << report.digest << std::dec
          << "\"}\n";
@@ -1078,11 +1075,6 @@ int cmd_fleet(const std::string& spec_name, const SpecChoice& choice,
                 << " sealed regions (" << astats.file_bytes
                 << " file bytes), round-trip digest "
                 << (report.evidence_matches ? "matches" : "MISMATCH") << "\n";
-      if (mission_options.pool_hot_limit > 0) {
-        std::cout << "pool spill: " << report.pool_spills << " spills, "
-                  << report.pool_spill_bytes << " bytes, "
-                  << report.pool_hydrations << " hydrations\n";
-      }
     }
     std::cout << "report digest: 0x" << std::hex << report.digest
               << std::dec << "\n";
@@ -1418,8 +1410,6 @@ int main(int argc, char** argv) {
           options.pool_systems = false;
         } else if (arg == "--arena" && i + 1 < argc) {
           arena_path = argv[++i];
-        } else if (arg == "--pool-hot" && i + 1 < argc) {
-          parse_number(argv[++i], options.pool_hot_limit);
         } else if (arg == "--json") {
           if (i + 1 < argc && argv[i + 1][0] != '-') {
             json_path = argv[++i];

@@ -1,27 +1,28 @@
 // Experiment E16 — the checkpointed crash-point sweep, measured.
 //
 // The from-scratch sweep replays the mission once per crash point: F crash
-// points cost F·(F+1)/2 simulated frames. The checkpointed strategy runs
-// one baseline pass that drops a deterministic core::SystemCheckpoint at
-// the start of every interval of K points, then one mission per interval
-// rolls forward from its checkpoint, one frame per point, refreshing the
-// checkpoint in place before each verdict and restoring it after: 2F
-// frames whatever K is. This experiment measures both against F:
-//   1. Simulated frames and wall time, checkpointed vs from-scratch, with
-//      the reduction ratio and measured speedup (acceptance: ≥5× fewer
+// points cost F·(F+1)/2 simulated frames. The rolling strategy splits the
+// points into one interval per runner thread; one mission rolls forward
+// through each, one frame per point, and every point is judged on a spare
+// copy of the victim refreshed in place (support::JudgeBench), so the
+// mission is never crashed and never restored per point. A serial baseline
+// pass runs the mission up to the last interval's start: F frames plus the
+// baseline's, exactly F at one thread. This experiment measures:
+//   1. Simulated frames and wall time, rolling vs from-scratch, with the
+//      reduction ratio and measured speedup (acceptance: ≥5× fewer
 //      simulated frames at F=256).
-//   2. The stride table at fixed F: K no longer changes the frames
-//      simulated, only the parallel grain — how many missions are built
-//      and checkpoints taken, one each per interval.
-//   3. A warm-start cell: the avionics mission shipping to its one-member
-//      cohort at F = 512, with the cost per crash point, the frames
-//      simulated, and the missions the sweep built (one per interval plus
-//      the baseline).
-//   4. The warm cost of each copy direction on that mission at frame 256:
-//      refreshing one reused checkpoint in place (System::checkpoint_into)
-//      and restoring it.
-// The first two tables check the checkpointed report's digest against the
-// from-scratch oracle where the oracle is run.
+//   2. The cost of a crash point against mission length: the avionics
+//      mission shipping to its one-member cohort (a snapshot every 16
+//      epochs), µs per point at F = 512, 2,048 and 8,192 on 1, 2 and 4
+//      runner threads, the best of three reps of at least 50 ms of
+//      back-to-back sweeps, taken in rounds over every cell. A point's
+//      cost should not grow with F.
+//   3. The warm cost of each System copy direction on that mission at
+//      frame 256: refreshing one reused checkpoint in place
+//      (System::checkpoint_into) and restoring it — what an explorer that
+//      branches the whole system pays.
+// The first table checks the rolling report's digest against the
+// from-scratch oracle, the second the digest across thread counts.
 //
 // Emit machine-readable numbers for the perf trajectory with:
 //   bench_sweep --json BENCH_sweep.json
@@ -114,25 +115,23 @@ double wall_ms(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
-support::CrashSweepOptions sweep_options(Cycle frames, bool checkpointing,
-                                         Cycle stride = 0) {
+support::CrashSweepOptions sweep_options(Cycle frames, bool checkpointing) {
   support::CrashSweepOptions options;
   options.frames = frames;
   options.victim = support::synthetic_processor(0);
   options.checkpointing = checkpointing;
-  options.checkpoint_stride = stride;
   return options;
 }
 
 void report_scaling() {
   const support::MissionFactory factory =
       sweep_factory(SyncPolicy::frames(4));
-  std::cout << "\nCheckpointed vs from-scratch sweep (chain mission, "
-               "frames(4) policy, stride auto-sized)\n";
-  std::cout << std::left << std::setw(8) << "F" << std::setw(8) << "K"
-            << std::setw(12) << "frames-ckpt" << std::setw(14)
-            << "frames-scratch" << std::setw(8) << "ratio" << std::setw(12)
-            << "ms-ckpt" << std::setw(12) << "ms-scratch" << std::setw(10)
+  std::cout << "\nRolling vs from-scratch sweep (chain mission, "
+               "frames(4) policy)\n";
+  std::cout << std::left << std::setw(8) << "F" << std::setw(12)
+            << "frames-roll" << std::setw(16) << "frames-scratch"
+            << std::setw(8) << "ratio" << std::setw(12)
+            << "ms-roll" << std::setw(12) << "ms-scratch" << std::setw(10)
             << "speedup" << "digest\n";
   for (const Cycle frames : {Cycle{32}, Cycle{64}, Cycle{128}, Cycle{256}}) {
     auto start = std::chrono::steady_clock::now();
@@ -149,9 +148,9 @@ void report_scaling() {
                          static_cast<double>(ckpt.simulated_frames);
     const double speedup = scratch_ms / ckpt_ms;
     const bool digests_equal = ckpt.digest() == scratch.digest();
-    std::cout << std::left << std::setw(8) << frames << std::setw(8)
-              << ckpt.stride_used << std::setw(12) << ckpt.simulated_frames
-              << std::setw(14) << scratch.simulated_frames << std::fixed
+    std::cout << std::left << std::setw(8) << frames << std::setw(12)
+              << ckpt.simulated_frames << std::setw(16)
+              << scratch.simulated_frames << std::fixed
               << std::setprecision(1) << std::setw(8) << ratio
               << std::setw(12) << ckpt_ms << std::setw(12) << scratch_ms
               << std::setw(10) << speedup
@@ -168,76 +167,80 @@ void report_scaling() {
   }
 }
 
-void report_stride_curve() {
-  constexpr Cycle kFrames = 256;
-  const support::MissionFactory factory =
-      sweep_factory(SyncPolicy::frames(4));
-  const std::uint64_t oracle_digest =
-      support::run_crash_sweep(factory, sweep_options(kFrames, false))
-          .digest();
-  std::cout << "\nStride table (F = " << kFrames
-            << "; K sets only the parallel grain; 0 = auto, a few intervals"
-               " per worker)\n";
-  std::cout << std::left << std::setw(10) << "stride" << std::setw(12)
-            << "frames" << std::setw(8) << "ckpts" << std::setw(10)
-            << "missions" << std::setw(10) << "ms" << "digest vs oracle\n";
-  for (const Cycle stride :
-       {Cycle{0}, Cycle{1}, Cycle{4}, Cycle{8}, Cycle{32}, Cycle{64},
-        Cycle{256}}) {
-    const auto start = std::chrono::steady_clock::now();
-    const support::CrashSweepReport report = support::run_crash_sweep(
-        factory, sweep_options(kFrames, true, stride));
-    const double ms = wall_ms(start);
-    const bool digests_equal = report.digest() == oracle_digest;
-    std::cout << std::left << std::setw(10)
-              << (stride == 0
-                      ? "auto(" + std::to_string(report.stride_used) + ")"
-                      : std::to_string(stride))
-              << std::setw(12) << report.simulated_frames << std::setw(8)
-              << report.checkpoints_taken << std::setw(10)
-              << report.missions_built << std::fixed
-              << std::setprecision(1) << std::setw(10) << ms
-              << (digests_equal ? "equal" : "MISMATCH") << "\n";
-    const std::string k =
-        stride == 0 ? "auto" : std::to_string(stride);
-    bench::trajectory().record("stride/" + k + "/simulated_frames",
-                               static_cast<double>(report.simulated_frames),
-                               "frames");
-    bench::trajectory().record("stride/" + k + "/wall", ms, "ms");
-  }
+/// Wall time one timing rep covers at least: a short sweep is repeated
+/// until it does, so fixed per-sweep costs weigh on F = 512 no more than
+/// on F = 8,192.
+constexpr double kMinRepMs = 50.0;
+
+/// One timing rep of the warm-start avionics sweep: µs per crash point,
+/// the mean over as many back-to-back sweeps as fill kMinRepMs. `digest`
+/// receives the report digest; `ok` is cleared by any mismatched point.
+double rep_us_per_point(const support::MissionFactory& factory,
+                        const support::CrashSweepOptions& options,
+                        sim::BatchRunner& runner, std::uint64_t& digest,
+                        bool& ok) {
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t points = 0;
+  do {
+    const support::CrashSweepReport report =
+        support::run_crash_sweep(factory, options, runner);
+    points += report.points.size();
+    digest = report.digest();
+    ok = ok && report.all_match();
+  } while (wall_ms(start) < kMinRepMs);
+  return wall_ms(start) * 1e3 / static_cast<double>(points);
 }
 
-void report_warm_start_uav() {
-  constexpr Cycle kFrames = 512;
-  support::CrashSweepOptions options;
-  options.frames = kFrames;
-  options.victim = avionics::kComputer1;
-  options.warm_start = true;
-  const support::MissionFactory factory = uav_ship_factory(kFrames);
-  (void)support::run_crash_sweep(factory, options);  // warm-up
-  const auto start = std::chrono::steady_clock::now();
-  const support::CrashSweepReport report =
-      support::run_crash_sweep(factory, options);
-  const double us_per_point =
-      wall_ms(start) * 1e3 / static_cast<double>(kFrames);
-  std::cout << "\nWarm-start avionics sweep (F = " << kFrames
-            << ", one-member cohort, stride auto-sized)\n";
-  std::cout << std::left << std::setw(8) << "K" << std::setw(10)
-            << "missions" << std::setw(10) << "frames" << std::setw(12)
-            << "us/point" << "verdict\n";
-  std::cout << std::left << std::setw(8) << report.stride_used
-            << std::setw(10) << report.missions_built << std::setw(10)
-            << report.simulated_frames << std::fixed << std::setprecision(1)
-            << std::setw(12) << us_per_point
-            << (report.all_match() ? "all match" : "MISMATCH") << "\n";
-  bench::trajectory().record("sweep/uav_ship_F512/us_per_point", us_per_point,
-                             "us");
-  bench::trajectory().record("sweep/uav_ship_F512/missions_built",
-                             static_cast<double>(report.missions_built),
-                             "missions");
-  bench::trajectory().record("sweep/uav_ship_F512/simulated_frames",
-                             static_cast<double>(report.simulated_frames),
-                             "frames");
+/// The cost of a crash point against mission length and runner threads:
+/// the best of three reps per cell. The reps run in rounds over every
+/// cell, so a slow spell of the shared host lands on all cells alike
+/// instead of on whichever one it overlaps.
+void report_point_cost() {
+  constexpr Cycle kFrames[] = {512, 2048, 8192};
+  constexpr std::size_t kThreads[] = {1, 2, 4};
+  constexpr int kRounds = 3;
+  double best[3][3] = {};
+  std::uint64_t digests[3][3] = {};
+  bool ok = true;
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t f = 0; f < 3; ++f) {
+      support::CrashSweepOptions options;
+      options.frames = kFrames[f];
+      options.victim = avionics::kComputer1;
+      options.warm_start = true;
+      const support::MissionFactory factory = uav_ship_factory(kFrames[f]);
+      for (std::size_t t = 0; t < 3; ++t) {
+        sim::BatchRunner runner(sim::BatchOptions{kThreads[t], 0});
+        const double us =
+            rep_us_per_point(factory, options, runner, digests[f][t], ok);
+        if (round == 0 || us < best[f][t]) best[f][t] = us;
+      }
+    }
+  }
+  std::cout << "\nWarm-start avionics sweep, us per crash point (one-member "
+               "cohort, a snapshot every 16 epochs; best of "
+            << kRounds << " reps of at least " << kMinRepMs << " ms)\n";
+  std::cout << std::left << std::setw(8) << "F" << std::setw(12)
+            << "1 thread" << std::setw(12) << "2 threads" << std::setw(12)
+            << "4 threads" << "verdict\n";
+  for (std::size_t f = 0; f < 3; ++f) {
+    const std::string key = "sweep/uav_ship_F" + std::to_string(kFrames[f]) +
+                            "/us_per_point";
+    std::cout << std::left << std::setw(8) << kFrames[f] << std::fixed
+              << std::setprecision(2);
+    bool digests_equal = true;
+    for (std::size_t t = 0; t < 3; ++t) {
+      digests_equal = digests_equal && digests[f][t] == digests[f][0];
+      std::cout << std::setw(12) << best[f][t];
+      bench::trajectory().record(
+          t == 0 ? key : key + "_" + std::to_string(kThreads[t]) + "t",
+          best[f][t], "us");
+    }
+    std::cout << (!ok             ? "MISMATCH"
+                  : digests_equal ? "all match, digest equal"
+                                  : "DIGEST DIFFERS")
+              << "\n";
+  }
 }
 
 /// Warm cost of each copy direction on the warm-start cell's mission at
@@ -277,8 +280,7 @@ void report() {
   bench::banner("E16: checkpointed crash-point sweep",
                 "the O(F²) → O(F) sweep reduction");
   report_scaling();
-  report_stride_curve();
-  report_warm_start_uav();
+  report_point_cost();
   report_checkpoint_costs();
   std::cout << "\n";
 }

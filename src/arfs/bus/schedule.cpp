@@ -6,29 +6,8 @@ namespace arfs::bus {
 
 void TdmaSchedule::add_slot(EndpointId owner, SimDuration length) {
   require(length > 0, "TDMA slot length must be positive");
-  slots_.push_back(Slot{owner, length, SlotKind::kData, 0});
+  slots_.push_back(Slot{owner, length});
   round_length_ += length;
-}
-
-void TdmaSchedule::add_quorum_slot(EndpointId owner, std::uint32_t member,
-                                   SimDuration length,
-                                   std::uint32_t byte_budget) {
-  require(length > 0, "TDMA slot length must be positive");
-  require(byte_budget > 0, "quorum slot needs a positive byte budget");
-  slots_.push_back(
-      Slot{owner, length, SlotKind::kQuorumShip, byte_budget, member});
-  round_length_ += length;
-}
-
-std::uint32_t TdmaSchedule::quorum_budget(EndpointId owner,
-                                          std::uint32_t member) const {
-  for (const Slot& slot : slots_) {
-    if (slot.kind == SlotKind::kQuorumShip && slot.owner == owner &&
-        slot.member == member) {
-      return slot.byte_budget;
-    }
-  }
-  return 0;
 }
 
 bool TdmaSchedule::has_endpoint(EndpointId owner) const {
@@ -40,7 +19,7 @@ std::optional<Slot> TdmaSchedule::find_slot(EndpointId owner,
                                             SimDuration* offset_out) const {
   SimDuration offset = 0;
   for (const Slot& slot : slots_) {
-    if (slot.kind == SlotKind::kData && slot.owner == owner) {
+    if (slot.owner == owner) {
       *offset_out = offset;
       return slot;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <tuple>
 #include <utility>
 
 #include "arfs/common/check.hpp"
@@ -9,21 +10,6 @@
 #include "arfs/common/log.hpp"
 
 namespace arfs::core {
-
-/// One replica cohort: a QuorumGroup fanning the source processor's synced
-/// journal out to N members, each with its own TDMA quorum slot on the
-/// shipping schedule (looked up by the cached endpoint). Every member runs
-/// its own durability engine, so replica state survives with the same
-/// guarantees as the source's.
-struct System::QuorumChannel {
-  EndpointId endpoint;
-  storage::durable::quorum::QuorumGroup group;
-
-  QuorumChannel(EndpointId endpoint_id,
-                storage::durable::DurabilityEngine& source,
-                const storage::durable::quorum::QuorumOptions& options)
-      : endpoint(endpoint_id), group(source, options) {}
-};
 
 /// Reads peer applications' committed stable variables by polling the
 /// processor currently holding the peer's region (which may itself have
@@ -115,13 +101,9 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
       storage::durable::DurabilityEngine* engine =
           group_.processor(p).durability();
       ensure(engine != nullptr, "durable processor without engine");
-      const EndpointId endpoint{p.value()};
-      for (std::uint32_t m = 0; m < options.quorum_replicas; ++m) {
-        ship_schedule_.add_quorum_slot(endpoint, m, /*length=*/100,
-                                       options.ship_slot_bytes);
-      }
-      quorum_channels_.emplace(
-          p, std::make_unique<QuorumChannel>(endpoint, *engine, qopts));
+      quorum_channels_.emplace(std::piecewise_construct,
+                               std::forward_as_tuple(p),
+                               std::forward_as_tuple(*engine, qopts));
     }
   }
 
@@ -309,8 +291,8 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
       const auto it = quorum_channels_.find(event.processor);
       if (it == quorum_channels_.end()) break;  // no cohort; modeled benign
       const auto member = static_cast<std::uint32_t>(event.new_value);
-      if (member >= it->second->group.member_count()) break;
-      if (it->second->group.member_retired(member)) break;
+      if (member >= it->second.member_count()) break;
+      if (it->second.member_retired(member)) break;
       if (event.kind == sim::FaultKind::kQuorumMemberFail) {
         fail_quorum_member(event.processor, member);
       } else {
@@ -325,13 +307,17 @@ const storage::durable::quorum::QuorumGroup& System::quorum_group(
     ProcessorId p) const {
   const auto it = quorum_channels_.find(p);
   require(it != quorum_channels_.end(), "processor has no quorum cohort");
-  return it->second->group;
+  return it->second;
+}
+
+storage::durable::quorum::QuorumGroup& System::quorum_group(ProcessorId p) {
+  const auto it = quorum_channels_.find(p);
+  require(it != quorum_channels_.end(), "processor has no quorum cohort");
+  return it->second;
 }
 
 void System::fail_quorum_member(ProcessorId p, std::uint32_t member) {
-  const auto it = quorum_channels_.find(p);
-  require(it != quorum_channels_.end(), "processor has no quorum cohort");
-  auto& group = it->second->group;
+  storage::durable::quorum::QuorumGroup& group = quorum_group(p);
   require(member < group.member_count(), "quorum member id out of range");
   if (group.member_retired(member) || !group.member_live(member)) return;
   const bool majority_lost = group.fail_member(member);
@@ -354,9 +340,7 @@ void System::fail_quorum_member(ProcessorId p, std::uint32_t member) {
 }
 
 void System::repair_quorum_member(ProcessorId p, std::uint32_t member) {
-  const auto it = quorum_channels_.find(p);
-  require(it != quorum_channels_.end(), "processor has no quorum cohort");
-  auto& group = it->second->group;
+  storage::durable::quorum::QuorumGroup& group = quorum_group(p);
   require(member < group.member_count(), "quorum member id out of range");
   if (group.member_retired(member) || group.member_live(member)) return;
   const bool majority_restored = group.repair_member(member);
@@ -417,25 +401,24 @@ void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
     // source's commit boundary exactly: the bus carried only the tail, not
     // the full encoded region. Any fingerprint-matched member serves; a
     // leader change between frames never forces a full copy.
-    QuorumChannel& channel = *quorum_it->second;
+    storage::durable::quorum::QuorumGroup& cohort = quorum_it->second;
     failstop::Processor& source = group_.processor(from);
-    const ShipCatchUp caught = quorum_catch_up(from, channel);
+    const ShipCatchUp caught = ship_catch_up(from);
     for (const storage::durable::quorum::MemberId m :
-         channel.group.warm_start_order()) {
-      if (channel.group.member_needs_full_copy(m)) continue;
-      if (channel.group.replica(m).store().fingerprint() !=
+         cohort.warm_start_order()) {
+      if (cohort.member_needs_full_copy(m)) continue;
+      if (cohort.replica(m).store().fingerprint() !=
           source.poll_stable().fingerprint()) {
         continue;
       }
       const std::size_t copied = StableRegion::relocate(
-          channel.group.replica(m).store(), group_.processor(to).stable(),
-          prefix);
+          cohort.replica(m).store(), group_.processor(to).stable(), prefix);
       region_host_[pos] = to;
       ++stats_.region_relocations;
       ++stats_.warm_relocations;
       // No avoided-bytes credit when this member's warmth was bought by a
       // full-copy reseed since the last claim (the copy already paid).
-      if (channel.group.take_warm_credit(m)) {
+      if (cohort.take_warm_credit(m)) {
         stats_.full_copy_bytes_avoided +=
             storage::durable::encoded_state_bytes(source.poll_stable(),
                                                   prefix);
@@ -469,59 +452,24 @@ void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
             to.value(), " (", copied, " keys)");
 }
 
-void System::reseed_quorum_member(ProcessorId source, QuorumChannel& channel,
-                                  std::uint32_t member) {
-  failstop::Processor& proc = group_.processor(source);
-  storage::durable::DurabilityEngine* engine = proc.durability();
-  ensure(engine != nullptr, "quorum cohort without a durability engine");
-  channel.group.reseed_member(member, proc.poll_stable(), engine->dictionary(),
-                              engine->journal_generation(),
-                              engine->journal().synced_size());
-  ++stats_.ship_reseeds;
+void System::note_ship_round(
+    ProcessorId source,
+    const storage::durable::quorum::QuorumGroup::Round& round) {
+  stats_.ship_bytes_total += round.bytes;
+  if (round.reseeds == 0) return;
+  // Every reseed of one round copied the same committed source store.
+  stats_.ship_reseeds += round.reseeds;
+  const storage::StableStorage& store = group_.processor(source).poll_stable();
   stats_.full_copy_bytes +=
-      storage::durable::encoded_state_bytes(proc.poll_stable());
+      round.reseeds * storage::durable::encoded_state_bytes(store);
 }
 
 void System::pump_quorum_channels() {
-  for (auto& [pid, channel] : quorum_channels_) {
-    auto& group = channel->group;
-    const auto members = static_cast<std::uint32_t>(group.member_count());
-    for (std::uint32_t m = 0; m < members; ++m) {
-      ++stats_.ship_slots_polled;
-      // Members added mid-mission by a joint membership change have no
-      // static slot of their own; they ride at the configured budget too.
-      std::uint32_t budget = ship_schedule_.quorum_budget(channel->endpoint, m);
-      if (budget == 0) budget = options_.ship_slot_bytes;
-      stats_.ship_bytes_total += group.pump_member(m, budget);
-      if (group.member_live(m) && !group.member_retired(m) &&
-          group.member_needs_full_copy(m)) {
-        reseed_quorum_member(pid, *channel, m);
-      }
-    }
+  for (auto& [pid, cohort] : quorum_channels_) {
+    stats_.ship_slots_polled += cohort.member_count();
+    note_ship_round(pid, cohort.ship_round(group_.processor(pid).poll_stable(),
+                                           options_.ship_slot_bytes));
   }
-}
-
-System::ShipCatchUp System::quorum_catch_up(ProcessorId source,
-                                            QuorumChannel& channel) {
-  failstop::Processor& proc = group_.processor(source);
-  if (proc.running()) {
-    // Halt-boundary flush: only synced bytes ever ship.
-    if (auto* engine = proc.durability()) (void)engine->sync_now();
-  }
-  ShipCatchUp result;
-  auto& group = channel.group;
-  const auto members = static_cast<std::uint32_t>(group.member_count());
-  for (std::uint32_t m = 0; m < members; ++m) {
-    result.bytes += group.catch_up_member(m);
-    if (group.member_live(m) && !group.member_retired(m) &&
-        group.member_needs_full_copy(m)) {
-      reseed_quorum_member(source, channel, m);
-      result.reseeded = true;
-    }
-  }
-  stats_.ship_bytes_total += result.bytes;
-  stats_.relocation_catchup_bytes += result.bytes;
-  return result;
 }
 
 bool System::has_ship_channel(ProcessorId p) const {
@@ -538,9 +486,18 @@ const storage::durable::ShippedReplica& System::ship_replica(
 }
 
 System::ShipCatchUp System::ship_catch_up(ProcessorId p) {
-  const auto it = quorum_channels_.find(p);
-  require(it != quorum_channels_.end(), "processor has no quorum cohort");
-  return quorum_catch_up(p, *it->second);
+  storage::durable::quorum::QuorumGroup& cohort = quorum_group(p);
+  failstop::Processor& proc = group_.processor(p);
+  if (proc.running()) {
+    // Halt-boundary flush: only synced bytes ever ship.
+    if (auto* engine = proc.durability()) (void)engine->sync_now();
+  }
+  const storage::durable::quorum::QuorumGroup::Round round =
+      cohort.ship_round(proc.poll_stable(),
+                        storage::durable::quorum::QuorumGroup::kCatchUp);
+  note_ship_round(p, round);
+  stats_.relocation_catchup_bytes += round.bytes;
+  return {.bytes = round.bytes, .reseeded = round.reseeds > 0};
 }
 
 namespace {
@@ -881,7 +838,7 @@ void System::checkpoint_into(SystemCheckpoint& cp) const {
   cp.noise_rng_state = noise_rng_.state();
   cp.trace = trace_;
   for (const auto& [pid, channel] : quorum_channels_) {
-    channel->group.checkpoint_into(cp.quorum_channels[pid]);
+    channel.checkpoint_into(cp.quorum_channels[pid]);
   }
   cp.stats = stats_;
   cp.started = started_;
@@ -937,7 +894,7 @@ void System::restore(const SystemCheckpoint& cp) {
     const auto it = quorum_channels_.find(pid);
     require(it != quorum_channels_.end(),
             "checkpoint names unknown quorum cohort");
-    it->second->group.restore_state(qcp);
+    it->second.restore_state(qcp);
   }
   stats_ = cp.stats;
   started_ = cp.started;
@@ -1003,7 +960,7 @@ class System::LiveState {
   template <class Visit>
   void each_cohort(Visit visit) const {
     for (const auto& [pid, channel] : s_.quorum_channels_) {
-      visit(pid, channel->group);
+      visit(pid, channel);
     }
   }
   [[nodiscard]] const SystemStats& stats() const { return s_.stats_; }

@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "arfs/bus/schedule.hpp"
 #include "arfs/common/ids.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/common/types.hpp"
@@ -306,10 +305,14 @@ class System {
 
   // --- quorum replication (quorum_replicas option) ---
 
-  /// The cohort shadowing `p`'s durable store.
+  /// The cohort shadowing `p`'s durable store. Changing it through the
+  /// mutable overload bypasses the System's stats and SCRAM signals (the
+  /// crash sweep's judge does so on missions it throws away).
   /// Precondition: has_ship_channel(p).
   [[nodiscard]] const storage::durable::quorum::QuorumGroup& quorum_group(
       ProcessorId p) const;
+  [[nodiscard]] storage::durable::quorum::QuorumGroup& quorum_group(
+      ProcessorId p);
   /// Fail-stops / repairs cohort member `member` of `p`'s quorum group.
   /// A transition that costs (restores) the live majority raises a
   /// kQuorumLost (kQuorumDurable) signal toward the SCRAM.
@@ -344,7 +347,6 @@ class System {
 
  private:
   class SystemPeerReader;
-  struct QuorumChannel;
   class LiveState;  ///< The digest's read view of the running system.
 
   /// A forced-fault flag of one app: kUnset until a frame looks it up (the
@@ -379,14 +381,13 @@ class System {
   void refresh_mailboxes();
   void record_snapshot(Cycle cycle, SimTime frame_end);
   void publish_processor_factors(SimTime now);
-  /// One quorum ship slot per (cohort, member), in schedule order.
+  /// One quorum ship slot of options_.ship_slot_bytes per (cohort,
+  /// member), cohorts in processor order.
   void pump_quorum_channels();
-  /// Full-copy reseed of one cohort member whose cursor was lost.
-  void reseed_quorum_member(ProcessorId source, QuorumChannel& channel,
-                            std::uint32_t member);
-  /// Relocation-grade catch-up of every live cohort member (syncs the
-  /// source's boundary first, reseeds lost cursors).
-  ShipCatchUp quorum_catch_up(ProcessorId source, QuorumChannel& channel);
+  /// Adds one ship_round of `source`'s cohort to the shipping stats.
+  void note_ship_round(
+      ProcessorId source,
+      const storage::durable::quorum::QuorumGroup::Round& round);
 
   const ReconfigSpec& spec_;
   SystemOptions options_;
@@ -429,10 +430,11 @@ class System {
   trace::SysTrace trace_;
   std::unique_ptr<SystemPeerReader> peer_reader_;
   /// Replica cohorts (journal_shipping), keyed by source processor. Each
-  /// member owns a dedicated quorum slot per round (= per frame) in the
-  /// schedule.
-  std::map<ProcessorId, std::unique_ptr<QuorumChannel>> quorum_channels_;
-  bus::TdmaSchedule ship_schedule_;
+  /// member gets one quorum slot of options_.ship_slot_bytes per frame.
+  /// Every member runs its own durability engine, so replica state
+  /// survives with the same guarantees as the source's.
+  std::map<ProcessorId, storage::durable::quorum::QuorumGroup>
+      quorum_channels_;
   SystemStats stats_;
   bool started_ = false;
 

@@ -133,6 +133,24 @@ std::size_t QuorumGroup::catch_up_member(MemberId id) {
   return total;
 }
 
+QuorumGroup::Round QuorumGroup::ship_round(const StableStorage& source_store,
+                                           std::size_t slot_bytes) {
+  DurabilityEngine& engine = shipper_.engine();
+  Round round;
+  for (MemberId id = 0; id < members_.size(); ++id) {
+    round.bytes += slot_bytes == kCatchUp ? catch_up_member(id)
+                                          : pump_member(id, slot_bytes);
+    const Member& m = members_[id];
+    if (m.live && !m.retired && m.needs_full_copy) {
+      reseed_member(id, source_store, engine.dictionary(),
+                    engine.journal_generation(),
+                    engine.journal().synced_size());
+      ++round.reseeds;
+    }
+  }
+  return round;
+}
+
 bool QuorumGroup::member_needs_full_copy(MemberId id) const {
   return member_at(id).needs_full_copy;
 }

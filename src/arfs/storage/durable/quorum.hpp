@@ -118,6 +118,21 @@ class QuorumGroup {
   /// necessary. Returns the bytes moved.
   std::size_t catch_up_member(MemberId id);
 
+  /// What one ship_round moved.
+  struct Round {
+    std::size_t bytes = 0;      ///< Journal bytes shipped, all members.
+    std::uint32_t reseeds = 0;  ///< Members reseeded from a full copy.
+  };
+  /// ship_round's budget for a relocation-grade catch-up.
+  static constexpr std::size_t kCatchUp = SIZE_MAX;
+  /// One pass over every member in id order, the loop both the frame's
+  /// quorum slots and a catch-up run: each member ships one slot of
+  /// `slot_bytes` (pump_member) or, at kCatchUp, its whole remaining tail
+  /// (catch_up_member); then a live member whose cursor was lost is
+  /// reseeded from `source_store`, the source's committed store, at the
+  /// source engine's dictionary, generation and synced size.
+  Round ship_round(const StableStorage& source_store, std::size_t slot_bytes);
+
   /// True when `id`'s cursor was lost and shipping to it is paused until
   /// the owner reseeds it (reseed_member).
   [[nodiscard]] bool member_needs_full_copy(MemberId id) const;
@@ -192,6 +207,7 @@ class QuorumGroup {
     return new_voters_;
   }
   [[nodiscard]] DurabilityEngine& source() { return shipper_.engine(); }
+  [[nodiscard]] const QuorumOptions& options() const { return options_; }
   [[nodiscard]] const QuorumStats& stats() const { return stats_; }
 
   // --- checkpointing ---

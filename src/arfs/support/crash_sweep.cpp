@@ -13,17 +13,154 @@ namespace arfs::support {
 
 namespace {
 
-/// One crash point's verdict: arms the device fault, fail-stops the victim
-/// (recovery runs inside fail()), and checks the recovered — and, under
-/// warm_start, the replicated — state against the shared fingerprint table.
-/// `system` must stand exactly at `crash_frame` frames run. The victim is
-/// fetched once, mutably; every check reads through that same reference.
-CrashPoint judge_crash_point(core::System& system,
+using storage::durable::quorum::QuorumGroup;
+
+/// A mission's judged pair: its victim processor and, under warm_start,
+/// the victim's replica cohort (null otherwise).
+struct Victim {
+  failstop::Processor& processor;
+  QuorumGroup* cohort;
+};
+
+Victim victim_of(core::System& system, const CrashSweepOptions& options) {
+  require(system.processors().has_processor(options.victim),
+          "crash sweep victim is not in the system");
+  QuorumGroup* cohort = nullptr;
+  if (options.warm_start) {
+    require(system.has_ship_channel(options.victim),
+            "warm-start sweep needs SystemOptions::journal_shipping");
+    cohort = &system.quorum_group(options.victim);
+  }
+  return {system.processors().processor(options.victim), cohort};
+}
+
+CrashMission build_mission(const MissionFactory& factory) {
+  CrashMission mission = factory();
+  require(mission.system != nullptr, "mission factory built no system");
+  return mission;
+}
+
+/// Runs one frame of `system` and returns the victim's committed-store
+/// fingerprint after it: every frame the victim survives commits exactly
+/// once, so the fingerprint of commit epoch f is the one after frame f.
+std::uint64_t run_committed_frame(core::System& system,
+                                  const failstop::Processor& victim) {
+  system.run(1);
+  require(victim.running(),
+          "crash sweep victim was failed by the mission itself");
+  return victim.poll_stable().fingerprint();
+}
+
+/// From-scratch strategy: every job replays its own mission from frame 0
+/// and judges its victim in place.
+std::vector<CrashPoint> sweep_from_scratch(const MissionFactory& factory,
+                                           const CrashSweepOptions& options,
+                                           sim::BatchRunner& runner) {
+  return runner.map<CrashPoint>(
+      static_cast<std::size_t>(options.frames), [&](std::size_t i) {
+        const Cycle crash_frame = static_cast<Cycle>(i) + 1;
+        CrashMission mission = build_mission(factory);
+        const Victim victim = victim_of(*mission.system, options);
+        std::vector<std::uint64_t> fingerprints;
+        fingerprints.reserve(static_cast<std::size_t>(crash_frame) + 1);
+        fingerprints.push_back(victim.processor.poll_stable().fingerprint());
+        for (Cycle f = 0; f < crash_frame; ++f) {
+          fingerprints.push_back(
+              run_committed_frame(*mission.system, victim.processor));
+        }
+        return judge_crash_point(victim.processor, victim.cohort, options,
+                                 crash_frame, fingerprints);
+      });
+}
+
+/// Rolling strategy: one interval of crash points per runner thread (at
+/// most one per point), each rolled forward by one mission whose victim is
+/// judged on a JudgeBench, never crashed. Interval j holds crash frames
+/// (start(j), start(j + 1)].
+std::vector<CrashPoint> sweep_rolling(const MissionFactory& factory,
+                                      const CrashSweepOptions& options,
+                                      sim::BatchRunner& runner,
+                                      CrashSweepReport& report) {
+  const Cycle frames = options.frames;
+  const std::size_t jobs = static_cast<std::size_t>(std::min<Cycle>(
+      frames, std::max<std::size_t>(1, runner.thread_count())));
+  const auto start = [&](std::size_t j) {
+    return frames * static_cast<Cycle>(j) / static_cast<Cycle>(jobs);
+  };
+
+  // Serial baseline pass up to the last interval's start: the shared
+  // fingerprint table (index = commit epoch, index 0 = the empty
+  // pre-mission store) and a checkpoint at each inner interval's start —
+  // checkpoint j - 1 stands at start(j). The table is sized for the whole
+  // mission up front: the last job fills in the entries past its start,
+  // which no other job reads.
+  CrashMission baseline = build_mission(factory);
+  const Victim base = victim_of(*baseline.system, options);
+  std::vector<std::uint64_t> fingerprints(
+      static_cast<std::size_t>(frames) + 1);
+  fingerprints[0] = base.processor.poll_stable().fingerprint();
+  std::vector<core::SystemCheckpoint> checkpoints;
+  checkpoints.reserve(jobs > 2 ? jobs - 2 : 0);
+  Cycle frame = 0;
+  for (std::size_t j = 1; j < jobs; ++j) {
+    for (; frame < start(j); ++frame) {
+      fingerprints[static_cast<std::size_t>(frame) + 1] =
+          run_committed_frame(*baseline.system, base.processor);
+    }
+    if (j + 1 < jobs) checkpoints.push_back(baseline.system->checkpoint());
+  }
+
+  // Batch-parallel interval jobs. Job 0 rolls a fresh mission, an inner
+  // job a mission restored once to its checkpoint, and the last job the
+  // baseline mission itself. Every point runs one frame, refreshes the
+  // job's bench from the mission's victim and judges the bench.
+  const std::vector<std::vector<CrashPoint>> intervals =
+      runner.map<std::vector<CrashPoint>>(jobs, [&](std::size_t j) {
+        const bool last = j + 1 == jobs;
+        CrashMission own;
+        if (!last) {
+          own = build_mission(factory);
+          if (j > 0) own.system->restore(checkpoints[j - 1]);
+        }
+        core::System& system = last ? *baseline.system : *own.system;
+        const Victim live = victim_of(system, options);
+        JudgeBench bench(live.processor, live.cohort);
+        std::vector<CrashPoint> points;
+        points.reserve(static_cast<std::size_t>(start(j + 1) - start(j)));
+        for (Cycle crash_frame = start(j) + 1; crash_frame <= start(j + 1);
+             ++crash_frame) {
+          const std::uint64_t fingerprint =
+              run_committed_frame(system, live.processor);
+          if (last) {
+            fingerprints[static_cast<std::size_t>(crash_frame)] = fingerprint;
+          }
+          bench.refresh(live.processor, live.cohort);
+          points.push_back(judge_crash_point(bench.victim(), bench.cohort(),
+                                             options, crash_frame,
+                                             fingerprints));
+        }
+        return points;
+      });
+
+  report.simulated_frames = start(jobs - 1) + frames;
+  report.missions_built = jobs;
+  // Flattened in crash-frame order, so the report does not depend on how
+  // the jobs were scheduled.
+  std::vector<CrashPoint> points;
+  points.reserve(static_cast<std::size_t>(frames));
+  for (const std::vector<CrashPoint>& interval : intervals) {
+    points.insert(points.end(), interval.begin(), interval.end());
+  }
+  return points;
+}
+
+}  // namespace
+
+CrashPoint judge_crash_point(failstop::Processor& victim,
+                             QuorumGroup* cohort,
                              const CrashSweepOptions& options,
                              Cycle crash_frame,
-                             const std::vector<std::uint64_t>& fingerprints) {
-  failstop::Processor& victim =
-      system.processors().processor(options.victim);
+                             std::span<const std::uint64_t> fingerprints) {
   require(victim.running(),
           "crash sweep victim was failed by the mission itself");
   storage::durable::DurabilityEngine* engine = victim.durability();
@@ -80,28 +217,27 @@ CrashPoint judge_crash_point(core::System& system,
     // Warm-start relocation check: drain the victim's replica cohort and
     // require the leader's replica to be bit-identical to the recovered
     // commit boundary — the state a relocated app would warm-start from.
-    require(system.has_ship_channel(options.victim),
-            "warm-start sweep needs SystemOptions::journal_shipping");
-    const storage::durable::quorum::QuorumGroup& group =
-        system.quorum_group(options.victim);
+    require(cohort != nullptr, "warm-start judge needs the victim's cohort");
     // Quorum adversary: fail-stop the elected leader `quorum_kills` times,
     // re-electing between kills, so the warm start below must be served by
     // a surviving (non-leader-at-crash-time) member's cursor — with no
     // full-copy reseed allowed by the election protocol.
     for (std::uint32_t k = 0; k < options.quorum_kills; ++k) {
       const std::optional<storage::durable::quorum::MemberId> leader =
-          group.leader();
+          cohort->leader();
       require(leader.has_value(), "quorum kills exhausted the cohort");
-      system.fail_quorum_member(options.victim, *leader);
+      (void)cohort->fail_member(*leader);
     }
-    const core::System::ShipCatchUp catch_up =
-        system.ship_catch_up(options.victim);
-    const storage::durable::ShippedReplica& replica =
-        system.ship_replica(options.victim);
+    const QuorumGroup::Round catch_up =
+        cohort->ship_round(victim.poll_stable(), QuorumGroup::kCatchUp);
+    const std::optional<storage::durable::quorum::MemberId> leader =
+        cohort->leader();
+    require(leader.has_value(), "quorum cohort has no live member");
+    const storage::durable::ShippedReplica& replica = cohort->replica(*leader);
     point.replica_epoch = replica.store().commit_epochs();
     point.replica_fingerprint = replica.store().fingerprint();
     point.replica_catchup_bytes = catch_up.bytes;
-    point.replica_reseeded = catch_up.reseeded;
+    point.replica_reseeded = catch_up.reseeds > 0;
     // Commit-rule check: the cohort must still hold a live majority and
     // its majority-acknowledged boundary must be exactly the epoch the warm
     // start served. After a full catch-up of every live member the two
@@ -112,56 +248,32 @@ CrashPoint judge_crash_point(core::System& system,
         point.replica_fingerprint == point.recovered_fingerprint &&
         point.replica_fingerprint ==
             fingerprints[static_cast<std::size_t>(point.replica_epoch)] &&
-        group.has_majority() && group.commit_id() == point.replica_epoch;
+        cohort->has_majority() && cohort->commit_id() == point.replica_epoch;
   }
   return point;
 }
 
-/// Interval jobs per worker when the stride is auto-sized. Every crash
-/// point of the rolling sweep costs the same, so a few even intervals per
-/// worker balance the pool; more would only build more missions and take
-/// more checkpoints.
-constexpr Cycle kIntervalsPerWorker = 4;
-
-/// The auto stride: ⌈frames / (kIntervalsPerWorker · threads)⌉, at least 1.
-Cycle interval_stride(Cycle frames, std::size_t threads) {
-  const Cycle intervals =
-      kIntervalsPerWorker * std::max<Cycle>(1, static_cast<Cycle>(threads));
-  return std::max<Cycle>(1, (frames + intervals - 1) / intervals);
+JudgeBench::JudgeBench(failstop::Processor& victim, const QuorumGroup* cohort)
+    : victim_(victim.id()) {
+  storage::durable::DurabilityEngine* engine = victim.durability();
+  require(engine != nullptr, "crash sweep victim is not durable");
+  victim_.enable_durability(
+      storage::durable::make_memory_engine(engine->options()));
+  if (cohort != nullptr) {
+    cohort_.emplace(*victim_.durability(), cohort->options());
+  }
 }
 
-/// From-scratch strategy: every job replays its own mission from frame 0.
-std::vector<CrashPoint> sweep_from_scratch(const MissionFactory& factory,
-                                           const CrashSweepOptions& options,
-                                           sim::BatchRunner& runner) {
-  return runner.map<CrashPoint>(
-      static_cast<std::size_t>(options.frames), [&](std::size_t i) {
-        const Cycle crash_frame = static_cast<Cycle>(i) + 1;
-        CrashMission mission = factory();
-        require(mission.system != nullptr, "mission factory built no system");
-        core::System& system = *mission.system;
-        require(system.processors().has_processor(options.victim),
-                "crash sweep victim is not in the system");
-
-        // Fingerprint of the victim's committed store after each commit
-        // epoch; index 0 is the empty pre-mission store. Every frame the
-        // victim survives commits exactly once, so epoch == frames run.
-        const failstop::Processor& victim =
-            system.processors().processor(options.victim);
-        std::vector<std::uint64_t> fingerprints;
-        fingerprints.reserve(static_cast<std::size_t>(crash_frame) + 1);
-        fingerprints.push_back(victim.poll_stable().fingerprint());
-        for (Cycle f = 0; f < crash_frame; ++f) {
-          system.run(1);
-          fingerprints.push_back(victim.poll_stable().fingerprint());
-          require(victim.running(),
-                  "crash sweep victim was failed by the mission itself");
-        }
-        return judge_crash_point(system, options, crash_frame, fingerprints);
-      });
+void JudgeBench::refresh(const failstop::Processor& victim,
+                         const QuorumGroup* cohort) {
+  victim.checkpoint_into(victim_image_);
+  victim_.restore_state(victim_image_);
+  if (cohort_.has_value()) {
+    require(cohort != nullptr, "judge bench refreshed without its cohort");
+    cohort->checkpoint_into(cohort_image_);
+    cohort_->restore_state(cohort_image_);
+  }
 }
-
-}  // namespace
 
 std::uint64_t CrashSweepReport::digest() const {
   std::uint64_t h = kFnvBasis;
@@ -191,90 +303,10 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
   CrashSweepReport report;
   if (!options.checkpointing) {
     report.points = sweep_from_scratch(factory, options, runner);
-    report.simulated_frames =
-        options.frames * (options.frames + 1) / 2;
+    report.simulated_frames = options.frames * (options.frames + 1) / 2;
     report.missions_built = options.frames;
   } else {
-    const Cycle stride =
-        options.checkpoint_stride > 0
-            ? options.checkpoint_stride
-            : interval_stride(options.frames, runner.thread_count());
-
-    // Serial baseline pass: run the mission once end to end, recording the
-    // shared commit-boundary fingerprint table (index = commit epoch,
-    // index 0 = empty pre-mission store) and freezing a whole-system
-    // checkpoint at the start of every interval — checkpoint j stands at
-    // frame j·K. No interval starts at frame F.
-    CrashMission baseline = factory();
-    require(baseline.system != nullptr, "mission factory built no system");
-    core::System& base_system = *baseline.system;
-    require(base_system.processors().has_processor(options.victim),
-            "crash sweep victim is not in the system");
-    const failstop::Processor& victim =
-        base_system.processors().processor(options.victim);
-
-    std::vector<std::uint64_t> fingerprints;
-    fingerprints.reserve(static_cast<std::size_t>(options.frames) + 1);
-    fingerprints.push_back(victim.poll_stable().fingerprint());
-    std::vector<core::SystemCheckpoint> checkpoints;
-    checkpoints.reserve(
-        static_cast<std::size_t>((options.frames + stride - 1) / stride));
-    checkpoints.push_back(base_system.checkpoint());
-    for (Cycle f = 1; f <= options.frames; ++f) {
-      base_system.run(1);
-      fingerprints.push_back(victim.poll_stable().fingerprint());
-      require(victim.running(),
-              "crash sweep victim was failed by the mission itself");
-      if (f % stride == 0 && f < options.frames) {
-        checkpoints.push_back(base_system.checkpoint());
-      }
-    }
-
-    // Batch-parallel interval jobs. Job j owns crash frames (jK, (j+1)K]
-    // and checkpoint j, which no other job touches. It builds one mission,
-    // restores checkpoint j once, and rolls forward: for each crash point
-    // it runs one frame, refreshes checkpoint j to that frame in place,
-    // judges the point (a crashed victim, a failed cohort leader) and
-    // restores the refreshed checkpoint, so the next point starts one
-    // frame further on from exactly the mission's state. The fingerprint
-    // table is shared read-only across jobs.
-    const std::vector<std::vector<CrashPoint>> intervals =
-        runner.map<std::vector<CrashPoint>>(
-            checkpoints.size(), [&](std::size_t j) {
-              const Cycle base_frame = static_cast<Cycle>(j) * stride;
-              const Cycle last =
-                  std::min<Cycle>(base_frame + stride, options.frames);
-              CrashMission mission = factory();
-              require(mission.system != nullptr,
-                      "mission factory built no system");
-              core::System& system = *mission.system;
-              core::SystemCheckpoint& rolling = checkpoints[j];
-              system.restore(rolling);
-              std::vector<CrashPoint> points;
-              points.reserve(static_cast<std::size_t>(last - base_frame));
-              for (Cycle crash_frame = base_frame + 1; crash_frame <= last;
-                   ++crash_frame) {
-                system.run(1);
-                system.checkpoint_into(rolling);
-                points.push_back(judge_crash_point(system, options,
-                                                   crash_frame, fingerprints));
-                system.restore(rolling);
-              }
-              return points;
-            });
-
-    // Flattened in crash-frame order, so the report does not depend on how
-    // the jobs were scheduled.
-    report.points.reserve(static_cast<std::size_t>(options.frames));
-    for (const std::vector<CrashPoint>& interval : intervals) {
-      report.points.insert(report.points.end(), interval.begin(),
-                           interval.end());
-    }
-    // The baseline pass plus one rolled frame per crash point.
-    report.simulated_frames = 2 * options.frames;
-    report.missions_built = 1 + intervals.size();
-    report.checkpoints_taken = checkpoints.size();
-    report.stride_used = stride;
+    report.points = sweep_rolling(factory, options, runner, report);
   }
 
   if (options.arena != nullptr && !report.points.empty()) {

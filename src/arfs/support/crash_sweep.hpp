@@ -9,36 +9,41 @@
 // determinism contract: the report is bit-identical at any thread count.
 //
 // Two execution strategies produce bit-identical reports:
-//  * from-scratch (checkpointing off): each job builds a fresh mission and
-//    replays it up to its own crash frame — F crash points simulate
-//    F·(F+1)/2 frames and build F missions. This is the oracle;
-//  * checkpointed (the default): one serial baseline pass runs the mission
-//    once, records the shared commit-boundary fingerprint table, and drops
-//    a deterministic core::SystemCheckpoint at the start of every interval
-//    of K frames. Then one job per interval: job j builds one mission,
-//    restores checkpoint j once and rolls forward through crash frames
-//    (jK, min((j+1)K, F)]. For each point it runs one frame, refreshes
-//    checkpoint j to that frame in place (System::checkpoint_into, which
-//    allocates nothing once warm), judges the point and restores the
-//    refreshed checkpoint, so the crash never reaches the next point. Every
-//    point costs one frame, a refresh, its verdict and a restore: the sweep
-//    simulates exactly 2F frames whatever K is. K only sets the parallel
-//    grain — the auto default gives each worker of the runner a few even
-//    intervals, ⌈F / (4 · threads)⌉ frames each — and the sweep builds
-//    ⌈F/K⌉ + 1 missions (the baseline plus one per interval). Results are
-//    flattened in crash-frame order, so the report does not depend on the
-//    schedule.
+//  * from-scratch (checkpointing off): each job builds a fresh mission,
+//    replays it up to its own crash frame and judges its victim in place —
+//    F crash points simulate F·(F+1)/2 frames and build F missions. This is
+//    the oracle;
+//  * rolling (the default): the crash points are split into one interval
+//    per runner thread, and one mission rolls forward through each. A point
+//    never crashes its mission: the mission runs one frame, a JudgeBench —
+//    a spare victim processor and cohort — is refreshed from the live
+//    victim and cohort in place (allocating nothing once warm), and the
+//    bench is crashed and judged. A serial baseline pass runs the mission
+//    up to the last interval's start, records the shared commit-boundary
+//    fingerprint table and drops a core::SystemCheckpoint at each inner
+//    interval's start; the first interval starts from a fresh mission, each
+//    inner one restores its checkpoint once, and the baseline mission
+//    itself rolls the last interval, extending the fingerprint table as it
+//    goes. A point costs one frame, the bench refresh and its verdict,
+//    whatever the mission's length; the sweep simulates F frames plus the
+//    baseline's (exactly F at one thread) and builds one mission per
+//    interval. Results are flattened in crash-frame order, so the report
+//    does not depend on the schedule.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "arfs/common/ids.hpp"
 #include "arfs/common/types.hpp"
 #include "arfs/core/system.hpp"
+#include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
+#include "arfs/storage/durable/quorum.hpp"
 
 namespace arfs::storage {
 class MappedArena;
@@ -58,15 +63,15 @@ struct CrashMission {
 /// every call) and thread-safe to call concurrently — each invocation must
 /// share no mutable state with the others.
 ///
-/// The checkpointed strategy restores checkpoints into the missions it
-/// builds, and one mission serves every crash point of its interval: after
-/// each point's fail-stop it restores the checkpoint it refreshed just
-/// before the crash, and runs on from there. So core::SystemCheckpoint
-/// must capture everything that decides a mission's future — everything
-/// its apps and the objects in the keepalive mutate included (apps do so
-/// through their checkpoint hooks). State a checkpoint misses would leak
-/// from one crash point into the next, and the sweep would drift from the
-/// from-scratch oracle.
+/// The rolling strategy restores each inner interval's baseline checkpoint
+/// into a mission it builds, once per job, and runs on from there. So
+/// core::SystemCheckpoint must capture everything that decides a mission's
+/// future — everything its apps and the objects in the keepalive mutate
+/// included (apps do so through their checkpoint hooks). And the verdict is
+/// reached on a JudgeBench copy of the victim, so Processor::Checkpoint and
+/// QuorumGroup::Checkpoint must capture everything recovery and the
+/// cohort's catch-up read. State either misses would make the sweep drift
+/// from the from-scratch oracle, which judges the mission's own victim.
 using MissionFactory = std::function<CrashMission()>;
 
 struct CrashSweepOptions {
@@ -112,15 +117,8 @@ struct CrashSweepOptions {
   /// live majority (at most the minority of the cohort).
   std::uint32_t quorum_kills = 0;
 
-  /// O(F) strategy: one mission per interval of K crash points rolls
-  /// forward from a baseline checkpoint, one frame per point, instead of
-  /// replaying the mission from frame 0. Off runs the from-scratch O(F²)
-  /// sweep — the oracle the checkpointed path is tested bit-identical
-  /// against.
+  /// The rolling O(F) strategy; false = the from-scratch oracle.
   bool checkpointing = true;
-  /// Interval length K (crash points per job); it sets only the parallel
-  /// grain. 0 auto-sizes it to ⌈frames / (4 · the runner's threads)⌉.
-  Cycle checkpoint_stride = 0;
 
   /// Optional result arena (not owned; must outlive the sweep): the point
   /// table is sealed into one CRC-guarded arena region and the report is
@@ -179,19 +177,15 @@ struct CrashSweepReport {
   std::size_t replica_reseeds = 0;
 
   // --- execution-cost metrics; deliberately OUTSIDE digest() so the
-  // checkpointed and from-scratch strategies stay digest-comparable ---
+  // rolling and from-scratch strategies stay digest-comparable ---
   /// Mission frames simulated across the baseline pass and every job:
-  /// frames·(frames+1)/2 from scratch, 2·frames checkpointed (the baseline
-  /// plus one rolled frame per crash point).
+  /// frames·(frames+1)/2 from scratch; rolling, one frame per crash point
+  /// plus the baseline's frames up to the last interval's start (frames
+  /// exactly at one thread).
   std::uint64_t simulated_frames = 0;
-  /// Missions the factory built: the baseline plus one per interval
-  /// (⌈F/K⌉ + 1), or F from scratch.
+  /// Missions the factory built: one per interval rolling (the baseline
+  /// mission rolls the last one), or F from scratch.
   std::uint64_t missions_built = 0;
-  /// Baseline checkpoints taken, one per interval (frame 0 included); 0
-  /// from scratch.
-  std::uint64_t checkpoints_taken = 0;
-  /// The interval length actually used after auto-sizing; 0 from scratch.
-  Cycle stride_used = 0;
   /// The point table round-tripped through a CRC-guarded arena region
   /// (CrashSweepOptions::arena); the digest is storage-invariant.
   bool arena_backed = false;
@@ -210,5 +204,56 @@ struct CrashSweepReport {
 [[nodiscard]] CrashSweepReport run_crash_sweep(
     const MissionFactory& factory, const CrashSweepOptions& options,
     sim::BatchRunner& runner = sim::BatchRunner::shared());
+
+/// One crash point's verdict: arms options.io_fault on `victim`'s journal,
+/// fail-stops it (recovery runs inside fail()) and checks the recovered
+/// store against `fingerprints` (the victim's committed-store fingerprint
+/// after each commit epoch, index 0 = the empty store; it must hold every
+/// epoch up to `crash_frame`). Under options.warm_start it then kills
+/// `cohort`'s leader options.quorum_kills times, catches the cohort up
+/// (QuorumGroup::ship_round) and checks the leader's replica too; `cohort`
+/// is the victim's replica cohort then, and may be null otherwise. Both
+/// must stand exactly at `crash_frame` frames run, and both are left
+/// crashed: the from-scratch oracle judges its throw-away mission's victim
+/// in place, the rolling sweep a JudgeBench.
+[[nodiscard]] CrashPoint judge_crash_point(
+    failstop::Processor& victim,
+    storage::durable::quorum::QuorumGroup* cohort,
+    const CrashSweepOptions& options, Cycle crash_frame,
+    std::span<const std::uint64_t> fingerprints);
+
+/// A spare copy of a mission's crash victim, for judging crash points
+/// without crashing the mission: a processor with its own durability engine
+/// (built from the victim engine's options) and, when given the victim's
+/// cohort, a QuorumGroup on that engine (built from the cohort's options).
+/// refresh() copies the live victim and cohort in through their
+/// checkpoint_into/restore_state, keeping every buffer, so once a refresh
+/// has seen states as large it allocates nothing. A bench is built once
+/// per job and refreshed before each point.
+class JudgeBench {
+ public:
+  /// Precondition: `victim` carries a durability engine, and `cohort`, when
+  /// not null, is a cohort on that engine.
+  JudgeBench(failstop::Processor& victim,
+             const storage::durable::quorum::QuorumGroup* cohort);
+
+  /// Makes the bench an exact copy of `victim` and, if the bench has one,
+  /// its cohort of `cohort` — the pair it was built from, at any frame.
+  void refresh(const failstop::Processor& victim,
+               const storage::durable::quorum::QuorumGroup* cohort);
+
+  [[nodiscard]] failstop::Processor& victim() { return victim_; }
+  /// Null when the bench was built without a cohort.
+  [[nodiscard]] storage::durable::quorum::QuorumGroup* cohort() {
+    return cohort_.has_value() ? &*cohort_ : nullptr;
+  }
+
+ private:
+  failstop::Processor victim_;
+  std::optional<storage::durable::quorum::QuorumGroup> cohort_;
+  // The two halves of a refresh meet in these images.
+  failstop::Processor::Checkpoint victim_image_;
+  storage::durable::quorum::QuorumGroup::Checkpoint cohort_image_;
+};
 
 }  // namespace arfs::support

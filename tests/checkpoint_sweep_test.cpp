@@ -1,14 +1,13 @@
 // Deterministic whole-system checkpoints and the rolling crash-point sweep
 // built on them.
 //
-// Three contracts under test:
+// Four contracts under test:
 //  * core::SystemCheckpoint round-trips bit-identically — at every frame of
 //    a mission, a checkpoint restored into a freshly built system has the
 //    live system's digest, and running the restored fork to mission end
 //    reproduces the live mission's final digest exactly. The same holds
 //    when the checkpoint is restored over a mission that has just run a
-//    whole crash point, which is how the sweep reuses one mission per
-//    checkpoint interval;
+//    whole crash point;
 //  * System::checkpoint_into refreshes one reused image exactly: at every
 //    frame, and from earlier, smaller states (a crashed victim, a killed
 //    cohort member), the refreshed image has the fresh checkpoint's digest
@@ -16,10 +15,14 @@
 //    rolling forward through crash points this way tracks the baseline
 //    mission exactly. One image restored from several threads at once
 //    gives each the serial restore's mission and is left unchanged;
-//  * the checkpointed sweep strategy is digest-identical to the from-scratch
+//  * a reused support::JudgeBench judges like a fresh one: refreshed at
+//    every frame of a mission whose cohort loses, regains and reseeds a
+//    member, it holds the fresh bench's victim and cohort state and reaches
+//    its verdict, under every io fault. Judging a bench at every frame
+//    leaves the mission exactly where an unjudged run stands;
+//  * the rolling sweep strategy is digest-identical to the from-scratch
 //    oracle (CrashSweepOptions::checkpointing = false) under every sync
-//    policy, both io-fault modes, warm-start mode, any stride, and any
-//    thread count.
+//    policy, both io-fault modes, warm-start mode, and any thread count.
 // Plus the BENCH_*.json trajectory emitter (bench/bench_main.hpp --json):
 // what it writes must parse as valid JSON.
 #include <gtest/gtest.h>
@@ -38,6 +41,8 @@
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
+#include "arfs/sim/fault_plan.hpp"
+#include "arfs/storage/durable/quorum.hpp"
 #include "arfs/support/bench_json.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/mission.hpp"
@@ -470,6 +475,165 @@ TEST(SystemCheckpoint, OneImageRestoresIntoFourMissionsAtOnce) {
   EXPECT_EQ(cp.digest(), image_digest);
 }
 
+/// Requires two refreshed benches to hold the same victim and cohort: what
+/// a verdict reads, and the recovery report and lost epochs no digest
+/// hashes.
+void expect_same_bench(JudgeBench& got, JudgeBench& want) {
+  failstop::Processor& a = got.victim();
+  failstop::Processor& b = want.victim();
+  EXPECT_EQ(a.running(), b.running());
+  EXPECT_EQ(a.poll_stable().fingerprint(), b.poll_stable().fingerprint());
+  EXPECT_EQ(a.poll_stable().commit_epochs(), b.poll_stable().commit_epochs());
+  EXPECT_EQ(a.lost_epochs(), b.lost_epochs());
+  EXPECT_EQ(a.failure_count(), b.failure_count());
+  ASSERT_EQ(a.last_recovery().has_value(), b.last_recovery().has_value());
+  if (a.last_recovery().has_value()) {
+    EXPECT_EQ(a.last_recovery()->last_epoch, b.last_recovery()->last_epoch);
+    EXPECT_EQ(a.last_recovery()->journal_truncated,
+              b.last_recovery()->journal_truncated);
+  }
+  storage::durable::DurabilityEngine& ea = *a.durability();
+  storage::durable::DurabilityEngine& eb = *b.durability();
+  EXPECT_EQ(ea.stats().last_durable_epoch, eb.stats().last_durable_epoch);
+  EXPECT_EQ(ea.journal_generation(), eb.journal_generation());
+  EXPECT_EQ(ea.journal().size(), eb.journal().size());
+  EXPECT_EQ(ea.journal().synced_size(), eb.journal().synced_size());
+  EXPECT_EQ(ea.snapshots().size(), eb.snapshots().size());
+
+  const storage::durable::quorum::QuorumGroup& ca = *got.cohort();
+  const storage::durable::quorum::QuorumGroup& cb = *want.cohort();
+  EXPECT_EQ(ca.commit_id(), cb.commit_id());
+  EXPECT_EQ(ca.leader(), cb.leader());
+  ASSERT_EQ(ca.member_count(), cb.member_count());
+  for (std::uint32_t m = 0; m < ca.member_count(); ++m) {
+    SCOPED_TRACE(m);
+    EXPECT_EQ(ca.member_live(m), cb.member_live(m));
+    EXPECT_EQ(ca.last_applied(m), cb.last_applied(m));
+    EXPECT_EQ(ca.member_needs_full_copy(m), cb.member_needs_full_copy(m));
+    EXPECT_EQ(ca.replica(m).store().fingerprint(),
+              cb.replica(m).store().fingerprint());
+    EXPECT_EQ(ca.replica(m).cursor().generation,
+              cb.replica(m).cursor().generation);
+    EXPECT_EQ(ca.replica(m).cursor().offset, cb.replica(m).cursor().offset);
+  }
+}
+
+/// One point's verdict as a number: the digest of a one-point report.
+std::uint64_t verdict(const CrashPoint& point) {
+  CrashSweepReport report;
+  report.points.push_back(point);
+  return report.digest();
+}
+
+TEST(JudgeBench, ReusedBenchJudgesLikeAFreshOneAtEveryFrame) {
+  // The durable chain shipping to a 3-member cohort whose member 2 fails
+  // at frame 2 and is repaired at frame 24, after three compactions have
+  // dropped its cursor: the mission reseeds it. One bench, reused at every
+  // frame, must hold what a freshly built bench holds after its first
+  // refresh, and reach the same verdict — its leader killed each time.
+  constexpr Cycle kFrames = 30;
+  const ProcessorId victim_id = synthetic_processor(0);
+  for (const CrashSweepOptions::IoFault fault :
+       {CrashSweepOptions::IoFault::kNone,
+        CrashSweepOptions::IoFault::kTornWrite,
+        CrashSweepOptions::IoFault::kBitFlip}) {
+    SCOPED_TRACE(static_cast<int>(fault));
+    CrashMission mission = chain_factory(SyncPolicy::frames(4),
+                                         /*shipping=*/true, /*replicas=*/3)();
+    core::System& system = *mission.system;
+    sim::FaultPlan plan;
+    plan.quorum_member_fail(2 * 10'000, victim_id, 2);
+    plan.quorum_member_repair(24 * 10'000, victim_id, 2);
+    system.set_fault_plan(std::move(plan));
+    failstop::Processor& victim = system.processors().processor(victim_id);
+    storage::durable::quorum::QuorumGroup& cohort =
+        system.quorum_group(victim_id);
+
+    CrashSweepOptions options;
+    options.victim = victim_id;
+    options.warm_start = true;
+    options.quorum_kills = 1;
+    options.io_fault = fault;
+    std::vector<std::uint64_t> fingerprints{
+        victim.poll_stable().fingerprint()};
+    JudgeBench reused(victim, &cohort);
+    for (Cycle f = 1; f <= kFrames; ++f) {
+      SCOPED_TRACE(f);
+      system.run(1);
+      fingerprints.push_back(victim.poll_stable().fingerprint());
+      reused.refresh(victim, &cohort);
+      JudgeBench fresh(victim, &cohort);
+      fresh.refresh(victim, &cohort);
+      expect_same_bench(reused, fresh);
+      const CrashPoint got = judge_crash_point(
+          reused.victim(), reused.cohort(), options, f, fingerprints);
+      const CrashPoint want = judge_crash_point(
+          fresh.victim(), fresh.cohort(), options, f, fingerprints);
+      ASSERT_EQ(verdict(got), verdict(want));
+    }
+    EXPECT_GE(system.stats().ship_reseeds, 1u);
+    EXPECT_EQ(system.stats().quorum_member_repairs, 1u);
+  }
+}
+
+TEST(JudgeBench, JudgingEveryFrameLeavesTheMissionUntouched) {
+  // The sweep's premise: a bench refreshed from the mission and crashed at
+  // every frame never reaches back into it. The judged mission keeps the
+  // digest of an unjudged reference run at every frame.
+  struct Case {
+    MissionFactory factory;
+    ProcessorId victim;
+    std::uint32_t quorum_kills;
+    Cycle frames;
+  };
+  const Case cases[] = {
+      {chain_factory(SyncPolicy::frames(4), /*shipping=*/true,
+                     /*replicas=*/3),
+       synthetic_processor(0), 1, 24},
+      {uav_factory(SyncPolicy::frames(4), /*shipping=*/true),
+       avionics::kComputer1, 0, 64}};
+  for (const CrashSweepOptions::IoFault fault :
+       {CrashSweepOptions::IoFault::kNone,
+        CrashSweepOptions::IoFault::kTornWrite,
+        CrashSweepOptions::IoFault::kBitFlip}) {
+    for (const Case& c : cases) {
+      SCOPED_TRACE(static_cast<int>(fault));
+      CrashMission reference = c.factory();
+      std::vector<std::uint64_t> digests{reference.system->digest()};
+      for (Cycle f = 1; f <= c.frames; ++f) {
+        reference.system->run(1);
+        digests.push_back(reference.system->digest());
+      }
+
+      CrashMission mission = c.factory();
+      core::System& system = *mission.system;
+      failstop::Processor& victim = system.processors().processor(c.victim);
+      storage::durable::quorum::QuorumGroup& cohort =
+          system.quorum_group(c.victim);
+      CrashSweepOptions options;
+      options.victim = c.victim;
+      options.warm_start = true;
+      options.quorum_kills = c.quorum_kills;
+      options.io_fault = fault;
+      std::vector<std::uint64_t> fingerprints{
+          victim.poll_stable().fingerprint()};
+      JudgeBench bench(victim, &cohort);
+      for (Cycle f = 1; f <= c.frames; ++f) {
+        system.run(1);
+        fingerprints.push_back(victim.poll_stable().fingerprint());
+        bench.refresh(victim, &cohort);
+        const CrashPoint point = judge_crash_point(
+            bench.victim(), bench.cohort(), options, f, fingerprints);
+        EXPECT_TRUE(point.match && point.replica_match) << "frame " << f;
+        ASSERT_EQ(system.digest(), digests[static_cast<std::size_t>(f)])
+            << "frame " << f;
+        ASSERT_TRUE(victim.running());
+        ASSERT_FALSE(victim.last_recovery().has_value());
+      }
+    }
+  }
+}
+
 /// Runs one sweep and returns its report digest.
 std::uint64_t sweep_digest(const MissionFactory& factory,
                            CrashSweepOptions options) {
@@ -527,32 +691,29 @@ TEST(CheckpointedSweep, MatchesFromScratchOracleUnderWarmStart) {
 }
 
 TEST(CheckpointedSweep, DigestIsStrideAndThreadCountInvariant) {
-  CrashSweepOptions options;
-  options.frames = 20;
-  options.victim = synthetic_processor(0);
-  options.checkpointing = false;
-  const std::uint64_t oracle =
-      sweep_digest(chain_factory(SyncPolicy::frames(4)), options);
+  // One interval per runner thread: 1–5 threads split 20 points into 1–5
+  // intervals; a 1-frame mission and a 3-frame one under 5 threads give
+  // one point per interval, as many intervals as points.
+  for (const Cycle frames : {Cycle{20}, Cycle{1}, Cycle{3}}) {
+    CrashSweepOptions options;
+    options.frames = frames;
+    options.victim = synthetic_processor(0);
+    options.checkpointing = false;
+    const std::uint64_t oracle =
+        sweep_digest(chain_factory(SyncPolicy::frames(4)), options);
 
-  options.checkpointing = true;
-  // 25 is longer than the mission: one interval holds every point.
-  for (const Cycle stride : {Cycle{0}, Cycle{1}, Cycle{2}, Cycle{5},
-                             Cycle{20}, Cycle{25}}) {
-    options.checkpoint_stride = stride;
-    EXPECT_EQ(sweep_digest(chain_factory(SyncPolicy::frames(4)), options),
-              oracle)
-        << "stride " << stride;
-  }
-
-  options.checkpoint_stride = 0;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}, std::size_t{4}}) {
-    sim::BatchOptions batch;
-    batch.threads = threads;
-    sim::BatchRunner runner(batch);
-    const CrashSweepReport report = run_crash_sweep(
-        chain_factory(SyncPolicy::frames(4)), options, runner);
-    EXPECT_EQ(report.digest(), oracle) << threads << " threads";
+    options.checkpointing = true;
+    for (std::size_t threads = 1; threads <= 5; ++threads) {
+      sim::BatchOptions batch;
+      batch.threads = threads;
+      sim::BatchRunner runner(batch);
+      const CrashSweepReport report = run_crash_sweep(
+          chain_factory(SyncPolicy::frames(4)), options, runner);
+      EXPECT_TRUE(report.all_match());
+      EXPECT_EQ(report.points.size(), frames);
+      EXPECT_EQ(report.digest(), oracle)
+          << frames << " frames, " << threads << " threads";
+    }
   }
 }
 
@@ -560,60 +721,30 @@ TEST(CheckpointedSweep, ReportsItsExecutionCostMetrics) {
   CrashSweepOptions options;
   options.frames = 20;
   options.victim = synthetic_processor(0);
-  // One thread, so the auto stride does not depend on the host.
+  // One thread: one interval, rolled by the baseline mission from frame 0,
+  // so the sweep simulates the mission once and builds it once.
   sim::BatchRunner one_thread(sim::BatchOptions{1, 0});
-
-  // Auto stride at one thread: 4 intervals, ⌈20/4⌉ = 5 points each; one
-  // checkpoint per interval (frames 0, 5, 10, 15); the baseline's 20
-  // frames plus one rolled frame per point.
-  const CrashSweepReport auto_report = run_crash_sweep(
+  const CrashSweepReport rolled = run_crash_sweep(
       chain_factory(SyncPolicy::frames(4)), options, one_thread);
-  EXPECT_EQ(auto_report.stride_used, 5u);
-  EXPECT_EQ(auto_report.checkpoints_taken, 4u);
-  EXPECT_EQ(auto_report.simulated_frames, 20u + 20u);
-  // The baseline plus one mission per interval: (0,5], (5,10], (10,15],
-  // (15,20].
-  EXPECT_EQ(auto_report.missions_built, 5u);
+  EXPECT_EQ(rolled.simulated_frames, 20u);
+  EXPECT_EQ(rolled.missions_built, 1u);
 
-  // The auto stride follows the runner: 3 threads give 12 intervals of
-  // ⌈20/12⌉ = 2 points, so 10 intervals.
+  // Three threads: intervals (0,6], (6,13], (13,20]. The baseline runs to
+  // frame 13 and rolls the last one; the other two build a mission each.
   sim::BatchRunner three_threads(sim::BatchOptions{3, 0});
   const CrashSweepReport three = run_crash_sweep(
       chain_factory(SyncPolicy::frames(4)), options, three_threads);
-  EXPECT_EQ(three.stride_used, 2u);
-  EXPECT_EQ(three.checkpoints_taken, 10u);
-  EXPECT_EQ(three.simulated_frames, 20u + 20u);
-  EXPECT_EQ(three.missions_built, 11u);
-  EXPECT_EQ(three.digest(), auto_report.digest());
+  EXPECT_EQ(three.simulated_frames, 13u + 20u);
+  EXPECT_EQ(three.missions_built, 3u);
+  EXPECT_EQ(three.digest(), rolled.digest());
 
-  // An explicit stride is honoured: (0,7], (7,14], (14,20].
-  options.checkpoint_stride = 7;
-  const CrashSweepReport strided = run_crash_sweep(
-      chain_factory(SyncPolicy::frames(4)), options, one_thread);
-  EXPECT_EQ(strided.stride_used, 7u);
-  EXPECT_EQ(strided.checkpoints_taken, 3u);
-  EXPECT_EQ(strided.simulated_frames, 20u + 20u);
-  EXPECT_EQ(strided.missions_built, 4u);
-
-  // A stride longer than the mission: one interval, one checkpoint.
-  options.checkpoint_stride = 32;
-  const CrashSweepReport whole = run_crash_sweep(
-      chain_factory(SyncPolicy::frames(4)), options, one_thread);
-  EXPECT_EQ(whole.stride_used, 32u);
-  EXPECT_EQ(whole.checkpoints_taken, 1u);
-  EXPECT_EQ(whole.simulated_frames, 20u + 20u);
-  EXPECT_EQ(whole.missions_built, 2u);
-
-  options.checkpoint_stride = 0;
   options.checkpointing = false;
   const CrashSweepReport scratch = run_crash_sweep(
       chain_factory(SyncPolicy::frames(4)), options, one_thread);
-  EXPECT_EQ(scratch.stride_used, 0u);
-  EXPECT_EQ(scratch.checkpoints_taken, 0u);
   EXPECT_EQ(scratch.simulated_frames, 20u * 21u / 2u);
   EXPECT_EQ(scratch.missions_built, 20u);
   // The rolling strategy really simulated far fewer frames.
-  EXPECT_LT(auto_report.simulated_frames * 5, scratch.simulated_frames);
+  EXPECT_LT(rolled.simulated_frames * 5, scratch.simulated_frames);
 }
 
 // --- the BENCH_*.json trajectory emitter ---

@@ -35,13 +35,17 @@
 //  * refreshing a warm durable shipping checkpoint in place
 //    (System::checkpoint_into, 1- and 3-member cohorts) allocates nothing,
 //    and neither does one rolling crash point (a frame, the refresh, the
-//    victim's fail-stop, the catch-up, the restore).
+//    victim's fail-stop, the catch-up, the restore);
+//  * one crash point of the sweep judged on a warm bench (a frame, the
+//    support::JudgeBench refresh, the bench victim's fail-stop and the
+//    bench cohort's catch-up; 1- and 3-member cohorts) allocates nothing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include <sys/socket.h>
 
@@ -56,6 +60,8 @@
 #include "arfs/serve/transport.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/storage/durable/quorum.hpp"
+#include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/fleet.hpp"
 #include "arfs/support/mission.hpp"
 #include "arfs/support/simple_app.hpp"
@@ -481,6 +487,49 @@ TEST(FrameAlloc, RollingCrashPointOnAWarmMissionAllocatesNothing) {
   }
   EXPECT_EQ(chain.system->digest(), rolling.digest());
   EXPECT_TRUE(chain.system->processors().processor(victim).running());
+}
+
+TEST(FrameAlloc, BenchCrashPointOnAWarmMissionAllocatesNothing) {
+  // One crash point of the sweep: a frame, the refresh of the judge bench
+  // from the live victim and cohort, and the verdict on the bench (the
+  // bench victim's fail-stop and recovery, the bench cohort's catch-up).
+  for (const std::uint32_t cohort : {1u, 3u}) {
+    DurableChain chain(cohort);
+    const ProcessorId victim_id = support::synthetic_processor(0);
+    failstop::Processor& victim =
+        chain.system->processors().processor(victim_id);
+    storage::durable::quorum::QuorumGroup& group =
+        chain.system->quorum_group(victim_id);
+    support::JudgeBench bench(victim, &group);
+    support::CrashSweepOptions options;
+    options.victim = victim_id;
+    options.warm_start = true;
+    // Index = commit epoch, filled in as the points roll on.
+    std::vector<std::uint64_t> fingerprints(
+        static_cast<std::size_t>(2 * kDurableWarmupFrames + kMeasuredFrames) +
+        1);
+    Cycle frame = kDurableWarmupFrames;
+    support::CrashPoint point;
+    const auto crash_point = [&] {
+      const std::uint64_t before = t_allocs;
+      chain.system->run(1);
+      ++frame;
+      fingerprints[static_cast<std::size_t>(frame)] =
+          victim.poll_stable().fingerprint();
+      bench.refresh(victim, &group);
+      point = support::judge_crash_point(bench.victim(), bench.cohort(),
+                                         options, frame, fingerprints);
+      return t_allocs - before;
+    };
+    // Points across three compactions size the bench and its scratch.
+    for (Cycle f = 0; f < kDurableWarmupFrames; ++f) (void)crash_point();
+    for (Cycle f = 0; f < kMeasuredFrames; ++f) {
+      EXPECT_EQ(crash_point(), 0u) << "cohort " << cohort << ", point " << f;
+      EXPECT_TRUE(point.match && point.replica_match)
+          << "cohort " << cohort << ", point " << f;
+    }
+    EXPECT_TRUE(victim.running());
+  }
 }
 
 /// Allocations of a freshly built mission shaped like the crash sweep's

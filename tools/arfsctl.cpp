@@ -6,11 +6,11 @@
 //                                           print SFTA phase tables and the
 //                                           SP1-SP4 report
 //   arfsctl sweep <spec> [--frames N] [--io-fault torn|bitflip] [--warm]
-//                 [--adaptive] [--checkpoint-stride K] [--json]
+//                 [--adaptive] [--json]
 //                                           crash-point sweep: fail-stop the
 //                                           mission's durable victim at every
 //                                           frame and verify each recovery
-//                                           (checkpointed O(F·K) strategy)
+//                                           (rolling O(F) strategy)
 //   arfsctl engine stat <spec> [--adaptive] [--frames N] [--json]
 //                                           run a durable mission and print
 //                                           the victim's durability-engine
@@ -131,7 +131,6 @@ int usage() {
          "  simulate <spec> [frames=400] [seed=1]\n"
          "  sweep    <spec> [--frames N] [--io-fault torn|bitflip] [--warm]\n"
          "           [--adaptive] [--quorum N] [--kill K]\n"
-         "           [--checkpoint-stride K]\n"
          "           [--arena PATH] [--json]\n"
          "  engine   stat <spec> [--adaptive] [--frames N] [--json]\n"
          "  quorum   <demo|status> [spec=chain] [--replicas N] [--frames F]\n"
@@ -639,8 +638,6 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
               << options.frames << ", \"io_fault\": \"" << fault
               << "\", \"warm_start\": "
               << (options.warm_start ? "true" : "false")
-              << ", \"stride\": " << report.stride_used
-              << ", \"checkpoints\": " << report.checkpoints_taken
               << ", \"simulated_frames\": " << report.simulated_frames
               << ", \"mismatches\": " << report.mismatches
               << ", \"replica_mismatches\": " << report.replica_mismatches
@@ -653,8 +650,6 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
     std::cout << "crash-point sweep: " << spec_name << ", " << options.frames
               << " crash points, io-fault " << fault
               << (options.warm_start ? ", warm-start" : "") << "\n"
-              << "stride " << report.stride_used << " ("
-              << report.checkpoints_taken << " checkpoints), "
               << report.simulated_frames << " frames simulated (from-scratch"
               << " would need "
               << options.frames * (options.frames + 1) / 2 << ")\n"
@@ -1365,8 +1360,6 @@ int main(int argc, char** argv) {
           }
         } else if (arg == "--warm") {
           options.warm_start = true;
-        } else if (arg == "--checkpoint-stride" && i + 1 < argc) {
-          parse_number(argv[++i], options.checkpoint_stride);
         } else if (arg == "--arena" && i + 1 < argc) {
           arena_path = argv[++i];
         } else if (arg == "--json") {

@@ -95,9 +95,8 @@ void FrameRing::map_and_validate(bool create) {
     require(create, "an in-memory ring cannot be attached");
     mapping_bytes_ =
         kSlotsOffset + static_cast<std::size_t>(slot_bytes_) * slot_count_;
-    heap_ = std::make_unique<std::uint8_t[]>(mapping_bytes_);
+    heap_ = std::make_unique<std::uint8_t[]>(mapping_bytes_);  // zeroed
     base_ = heap_.get();
-    std::memset(base_, 0, mapping_bytes_);
   } else if (create) {
     mapping_bytes_ =
         kSlotsOffset + static_cast<std::size_t>(slot_bytes_) * slot_count_;
@@ -195,6 +194,14 @@ bool FrameRing::try_publish(const FrameRecord& record,
 
 void FrameRing::close() {
   word32(base_, kClosedOffset).store(1, std::memory_order_release);
+}
+
+void FrameRing::reset() {
+  word64(base_, kPublishedOffset).store(0, std::memory_order_relaxed);
+  word64(base_, kConsumedOffset).store(0, std::memory_order_relaxed);
+  word32(base_, kClosedOffset).store(0, std::memory_order_relaxed);
+  reclaim_from_ = 0;
+  stats_ = RingStats{};
 }
 
 FrameRing::Consume FrameRing::try_consume(Delivered& out) {

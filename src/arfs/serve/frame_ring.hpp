@@ -91,6 +91,13 @@ class FrameRing {
   /// remaining slots and then observe kClosed.
   void close();
 
+  /// Rewinds the ring in place for a new stream: both cursors to 0, the
+  /// closed flag cleared and the stats zeroed; the geometry and the
+  /// mapping are kept. Stale slot bytes need no wipe, because a consumer
+  /// reads only slots below `published`. Precondition: no consumer holds
+  /// the ring (a consumer still attached would read the next stream).
+  void reset();
+
   // --- consumer side ---
 
   enum class Consume : std::uint8_t {

@@ -24,13 +24,24 @@
 // length is capped by options.frame_budget. Finished sessions return their
 // leased system to the pool immediately, so a long serving run constructs
 // about peak-concurrency systems, not one per session.
+//
+// Each active session runs in a *slot*, and a retired session's slot is
+// reused by the next one, so the server keeps about peak-concurrency slots.
+// A slot keeps its heap ring (kShm without shm_dir) across sessions and
+// rewinds it in place when no client still holds it; a client that
+// outlives its session keeps its ring, and the slot's next session gets a
+// fresh one, so no client ever reads another session's records. Once the
+// slots and the pool are warm, opening a heap-ring session allocates only
+// its fault plan (one allocation from make_env_plan_factory) and the
+// client's RingSource, and pump()/drain() allocate nothing. Stream and file-backed sessions get their own transport each
+// (their fds and ring file belong to one session).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "arfs/serve/transport.hpp"
 #include "arfs/support/fleet.hpp"
@@ -123,11 +134,12 @@ class SimServer {
   bool drain();
 
   /// Active = admitted and not yet fully delivered.
-  [[nodiscard]] std::size_t active_sessions() const { return sessions_.size(); }
-  [[nodiscard]] std::size_t sessions_opened() const { return next_index_; }
+  [[nodiscard]] std::size_t active_sessions() const { return active_; }
+  [[nodiscard]] std::size_t sessions_opened() const { return opened_; }
   [[nodiscard]] std::size_t sessions_rejected() const { return rejected_; }
 
   /// Report for any session this server admitted (active or finished).
+  /// O(1); the reference stays valid for the server's lifetime.
   [[nodiscard]] const SessionReport& report(std::uint64_t id) const;
 
   [[nodiscard]] const ServeOptions& options() const { return options_; }
@@ -136,22 +148,36 @@ class SimServer {
   }
 
  private:
-  struct Session;
+  struct Slot;
 
+  /// Reports per chunk: one chunk allocation per this many sessions.
+  static constexpr std::size_t kReportsPerChunk = 256;
+
+  /// Points `slot` at a transport of `kind` for session `opened.id` and
+  /// fills in the client's side of `opened`.
+  void attach_transport(Slot& slot, TransportKind kind, Opened& opened);
   /// One production step: run the frame, fold it, try to deliver (gap
   /// first, then the frame). Precondition: session still has budget.
-  void pump_session(Session& session);
+  void pump_session(Slot& slot);
   /// Delivery-only step for a session past its budget: pending gap, end
   /// record, transport flush; releases the lease once the end is accepted.
-  void drain_session(Session& session);
+  void drain_session(Slot& slot);
+  /// Drains every finished session and, with `produce`, pumps the others.
+  /// Completed sessions retire; the active slots are compacted in place,
+  /// in admission order. Returns the sessions pumped; `all_flushed` says
+  /// whether every finished session completed.
+  std::size_t round(bool produce, bool& all_flushed);
 
   ServeOptions options_;
   support::PlanFactory plan_for_;
   support::SystemPool pool_;
-  std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;
-  std::map<std::uint64_t, SessionReport> reports_;
-  std::uint64_t next_id_ = 1;
-  std::size_t next_index_ = 0;
+  /// Every slot: [0, active_) hold the active sessions in admission order,
+  /// the rest are idle. Declared after pool_, so leases return first.
+  std::vector<std::unique_ptr<Slot>> slots_;
+  std::size_t active_ = 0;
+  /// Session id - 1 indexes these chunks; a chunk never moves.
+  std::vector<std::unique_ptr<SessionReport[]>> report_chunks_;
+  std::size_t opened_ = 0;
   std::size_t rejected_ = 0;
 };
 

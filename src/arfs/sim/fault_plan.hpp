@@ -65,6 +65,10 @@ class FaultPlan {
   /// sorted by (time, insertion order).
   void add(FaultEvent event);
 
+  /// Room for `events` events in all, so a generator that knows its event
+  /// count makes one allocation.
+  void reserve(std::size_t events) { events_.reserve(events); }
+
   // Convenience builders.
   void fail_processor(SimTime when, ProcessorId p, std::string note = {});
   void repair_processor(SimTime when, ProcessorId p, std::string note = {});

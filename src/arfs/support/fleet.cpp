@@ -7,7 +7,6 @@
 #include "arfs/common/hash.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/storage/arena.hpp"
-#include "arfs/support/mission.hpp"
 
 namespace arfs::support {
 
@@ -62,9 +61,11 @@ void SystemPool::give_back(std::unique_ptr<PooledMission> mission) {
 PlanFactory make_env_plan_factory(EnvPlanParams params) {
   require(!params.factors.empty(), "env plan factory needs factors");
   require(params.frames > 0, "env plan factory needs a positive frame span");
+  require(params.frame_length > 0, "frame length must be positive");
   return [params = std::move(params)](std::uint64_t seed) {
     Rng rng(seed);
-    MissionProfile profile(params.frame_length);
+    sim::FaultPlan plan;
+    plan.reserve(params.changes);
     for (std::size_t c = 0; c < params.changes; ++c) {
       const env::FactorSpec& factor =
           params.factors[static_cast<std::size_t>(
@@ -77,9 +78,11 @@ PlanFactory make_env_plan_factory(EnvPlanParams params) {
           static_cast<std::int64_t>(rng.uniform(
               0, static_cast<std::uint64_t>(factor.max_value -
                                             factor.min_value)));
-      profile.at(frame, factor.id, value);
+      plan.change_environment(
+          static_cast<SimTime>(frame) * params.frame_length, factor.id,
+          value);
     }
-    return profile.build();
+    return plan;
   };
 }
 

@@ -121,6 +121,7 @@ struct EnvPlanParams {
 
 /// Builds a PlanFactory drawing `changes` uniform factor changes per sample
 /// from Rng(seed) — the standard fleet campaign for spec-driven missions.
+/// Each plan makes one allocation: its event vector, reserved up front.
 [[nodiscard]] PlanFactory make_env_plan_factory(EnvPlanParams params);
 
 struct FleetMissionOptions {

@@ -113,6 +113,7 @@ MissionProfile& MissionProfile::with_jitter(Cycle max_frames,
 
 sim::FaultPlan MissionProfile::build() const {
   sim::FaultPlan plan;
+  plan.reserve(events_.size());
   for (const Event& event : events_) {
     plan.add(event.proto);
   }

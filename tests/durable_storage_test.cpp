@@ -43,16 +43,32 @@ TEST(Wire, Crc32MatchesReferenceVector) {
 }
 
 TEST(Wire, Crc32SlicingEqualsBytewiseOnRandomInputs) {
+  // Every length 0..4,096 at every alignment 0..15: the dispatched CRC
+  // (the PCLMULQDQ fold where the CPU has it) and the slicing-by-16 loop
+  // both equal the bytewise reference, across the fold's 64-byte and
+  // 16-byte blocks and every tail length.
+  constexpr std::size_t kMaxLength = 4096;
+  constexpr std::size_t kAlignments = 16;
   Rng rng(77);
-  for (int round = 0; round < 200; ++round) {
-    // Lengths straddle the 8-byte slicing block size, including 0..7 tails.
-    const std::size_t n = static_cast<std::size_t>(rng.uniform(0, 100));
-    std::vector<std::uint8_t> data(n);
-    for (std::uint8_t& b : data) {
-      b = static_cast<std::uint8_t>(rng.next_u64());
+  std::vector<std::uint8_t> buffer(kMaxLength + kAlignments);
+  for (std::uint8_t& b : buffer) b = static_cast<std::uint8_t>(rng.next_u64());
+  std::size_t mismatches = 0;
+  for (std::size_t align = 0; align < kAlignments; ++align) {
+    for (std::size_t n = 0; n <= kMaxLength; ++n) {
+      const std::uint8_t* data = buffer.data() + align;
+      const std::uint32_t want = crc32_bytewise(data, n);
+      const std::uint32_t dispatched = crc32(data, n);
+      const std::uint32_t sliced = crc32_sliced(data, n);
+      if (dispatched != want || sliced != want) {
+        if (++mismatches <= 8) {
+          ADD_FAILURE() << "length " << n << ", alignment " << align
+                        << ": bytewise " << want << ", crc32 " << dispatched
+                        << ", sliced " << sliced;
+        }
+      }
     }
-    EXPECT_EQ(crc32(data.data(), n), crc32_bytewise(data.data(), n));
   }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Wire, Crc32SlicingEqualsBytewiseOnAdversarialInputs) {

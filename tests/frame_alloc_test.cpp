@@ -17,6 +17,11 @@
 //    allocations over its first 512 frames, under one per frame;
 //  * publishing a frame record on the shared-memory ring or the socket
 //    stream allocates nothing;
+//  * on a warm serve::SimServer, opening a heap-ring session makes exactly
+//    the recorded number of allocations (its fault plan and the client's
+//    RingSource; a fresh ring too when the slot's last client still holds
+//    its ring), and its rounds (pump, client polls, drain, retire) make
+//    none, across reopens into reused slots;
 //  * rewinding the warm system to a checkpoint allocates nothing;
 //  * Expected<T>::value() on a held value allocates nothing;
 //  * after one warm-up digest, System::digest() allocates nothing on a
@@ -41,10 +46,12 @@
 //    bench cohort's catch-up; 1- and 3-member cohorts) allocates nothing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include <sys/socket.h>
@@ -56,7 +63,9 @@
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/props/report.hpp"
+#include "arfs/serve/client.hpp"
 #include "arfs/serve/frame_ring.hpp"
+#include "arfs/serve/server.hpp"
 #include "arfs/serve/transport.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
@@ -537,7 +546,7 @@ TEST(FrameAlloc, BenchCrashPointOnAWarmMissionAllocatesNothing) {
 /// frames: the first pass grows the engines' buffers, the stores' and
 /// interners' name tables, the replica's maps and the trace's vectors once
 /// each; no frame allocates a row.
-constexpr std::uint64_t kFreshUavMissionAllocs = 449;
+constexpr std::uint64_t kFreshUavMissionAllocs = 437;
 constexpr Cycle kUavMissionFrames = 512;
 
 TEST(FrameAlloc, FreshDurableUavMissionMakesTheRecordedAllocations) {
@@ -607,6 +616,180 @@ TEST(FrameAlloc, PublishingAFrameRecordAllocatesNothing) {
     ASSERT_EQ(source.poll(item), serve::FrameSource::Poll::kRecord);
     EXPECT_EQ(item.record.frame, i);
   }
+}
+
+/// Allocations of opening a heap-ring session on a warm SimServer: the
+/// fault plan (its event vector, reserved once) and the client's
+/// RingSource. The slot, its rewound ring and the report chunk are reused.
+constexpr std::uint64_t kWarmServeOpenAllocs = 2;
+/// The same open when the slot's previous client still holds its ring:
+/// the session gets a fresh ring (the FrameRing, its buffer and the
+/// shared_ptr's control block).
+constexpr std::uint64_t kHeldRingServeOpenAllocs = kWarmServeOpenAllocs + 3;
+
+/// A SimServer in perfbench serve_stream's shape (2-app chain, 4 warm-up
+/// frames, 32-frame sessions, 3 environment changes per plan), serving
+/// kConcurrent heap-ring sessions at a time to in-place SessionClients.
+/// Construction runs kWarmGenerations generations of sessions. They size
+/// the slots, their rings, the report chunk and the pool's idle list, and
+/// give every pooled system a mission whose three changes each open a new
+/// environment run in its trace, so no later plan grows the trace's
+/// environment table (with four generations, one still did).
+struct ServeRig {
+  static constexpr std::size_t kConcurrent = 4;
+  static constexpr int kWarmGenerations = 6;
+  static constexpr Cycle kWarmup = 4;
+  static constexpr Cycle kSessionFrames = 32;
+
+  std::shared_ptr<core::ReconfigSpec> spec =
+      std::make_shared<core::ReconfigSpec>(support::make_chain_spec({}));
+  serve::SimServer server{missions(spec), plans(*spec), options()};
+  std::array<std::optional<serve::SessionClient>, kConcurrent> clients;
+  /// When set, client 0 moves here once it finishes instead of being
+  /// dropped: it keeps its ring past its session's retirement.
+  std::optional<serve::SessionClient>* keep_first = nullptr;
+  std::uint64_t audited = 0;
+  std::uint64_t audit_failures = 0;
+
+  ServeRig() {
+    for (int g = 0; g < kWarmGenerations; ++g) {
+      for (std::size_t c = 0; c < kConcurrent; ++c) (void)open(c);
+      while (live() > 0) (void)round();
+      (void)server.drain();
+    }
+  }
+
+  static support::MissionFactory missions(
+      std::shared_ptr<core::ReconfigSpec> spec) {
+    return [spec] {
+      auto system = std::make_unique<core::System>(*spec);
+      for (const core::AppDecl& decl : spec->apps()) {
+        system->add_app(
+            std::make_unique<support::SimpleApp>(decl.id, decl.name));
+      }
+      support::CrashMission mission;
+      mission.keepalive = spec;
+      mission.system = std::move(system);
+      return mission;
+    };
+  }
+
+  static support::PlanFactory plans(const core::ReconfigSpec& spec) {
+    support::EnvPlanParams params;
+    params.factors = spec.factors().factors();
+    params.changes = 3;
+    params.first_frame = kWarmup;
+    params.frames = kSessionFrames;
+    return support::make_env_plan_factory(std::move(params));
+  }
+
+  static serve::ServeOptions options() {
+    serve::ServeOptions options;
+    options.max_sessions = kConcurrent;
+    options.frame_budget = kSessionFrames;
+    options.warmup_frames = kWarmup;
+    options.ring_slot_count = 64;  // budget + end: lossless
+    return options;
+  }
+
+  std::size_t live() const {
+    std::size_t n = 0;
+    for (const auto& client : clients) n += client.has_value() ? 1 : 0;
+    return n;
+  }
+
+  /// Opens a session for client `c`; returns the open's allocations.
+  std::uint64_t open(std::size_t c) {
+    const std::uint64_t before = t_allocs;
+    serve::SimServer::Opened opened =
+        server.open_session(serve::TransportKind::kShm);
+    const std::uint64_t allocs = t_allocs - before;
+    clients[c].emplace(std::move(opened.source));
+    return allocs;
+  }
+
+  /// One serving round, as perfbench runs it: pump, every client polls,
+  /// finished clients are audited and dropped, then drain retires their
+  /// sessions. Returns the round's allocations; `finished` marks the
+  /// clients dropped.
+  std::uint64_t round(std::array<bool, kConcurrent>* finished = nullptr) {
+    const std::uint64_t before = t_allocs;
+    (void)server.pump();
+    for (std::size_t c = 0; c < kConcurrent; ++c) {
+      const bool done = clients[c].has_value() &&
+                        (clients[c]->poll(), clients[c]->done());
+      if (finished != nullptr) (*finished)[c] = done;
+      if (!done) continue;
+      const serve::ClientReport& report = clients[c]->report();
+      ++audited;
+      if (!report.accounted() || !report.digest_matches()) ++audit_failures;
+      if (c == 0 && keep_first != nullptr) {
+        keep_first->swap(clients[0]);
+        keep_first = nullptr;
+      }
+      clients[c].reset();
+    }
+    (void)server.drain();
+    return t_allocs - before;
+  }
+};
+
+TEST(FrameAlloc, OpeningAWarmServeSessionMakesTheRecordedAllocations) {
+  ServeRig rig;
+  for (std::size_t c = 0; c < ServeRig::kConcurrent; ++c) {
+    EXPECT_EQ(rig.open(c), kWarmServeOpenAllocs) << "open " << c;
+  }
+  // Keep the first client once it finishes: the next session in its slot
+  // must get a fresh ring, not the one this client still reads.
+  std::optional<serve::SessionClient> kept;
+  rig.keep_first = &kept;
+  while (rig.live() > 0) (void)rig.round();
+  ASSERT_TRUE(kept.has_value());
+  // Every slot is reused; exactly one of them needs a fresh ring.
+  std::uint64_t reopen_allocs = 0;
+  for (std::size_t c = 0; c < ServeRig::kConcurrent; ++c) {
+    reopen_allocs += rig.open(c);
+  }
+  EXPECT_EQ(reopen_allocs,
+            (ServeRig::kConcurrent - 1) * kWarmServeOpenAllocs +
+                kHeldRingServeOpenAllocs);
+  while (rig.live() > 0) {
+    (void)rig.round();
+    EXPECT_EQ(kept->poll(), 0u);  // the new sessions' records never reach it
+  }
+  EXPECT_TRUE(kept->report().digest_matches());
+  EXPECT_EQ(rig.audit_failures, 0u);
+}
+
+TEST(FrameAlloc, WarmServeRoundsAllocateNothing) {
+  // Sessions start one round apart and reopen as soon as they finish, so
+  // rounds mix production, end records, retirement and fresh sessions in
+  // reused slots.
+  ServeRig rig;
+  constexpr std::uint64_t kSessions = 4 * ServeRig::kConcurrent;
+  const std::uint64_t audited_before = rig.audited;
+  std::uint64_t opened = 0;
+  std::uint64_t rounds = 0;
+  std::uint64_t round_allocs = 0;
+  std::array<bool, ServeRig::kConcurrent> finished{};
+  do {
+    if (opened < ServeRig::kConcurrent) {
+      EXPECT_EQ(rig.open(opened), kWarmServeOpenAllocs) << "start " << opened;
+      ++opened;
+    }
+    round_allocs += rig.round(&finished);
+    ++rounds;
+    for (std::size_t c = 0; c < ServeRig::kConcurrent; ++c) {
+      if (!finished[c] || opened == kSessions) continue;
+      EXPECT_EQ(rig.open(c), kWarmServeOpenAllocs) << "session " << opened;
+      ++opened;
+    }
+  } while (rig.live() > 0);
+  EXPECT_EQ(round_allocs, 0u) << "over " << rounds << " rounds";
+  EXPECT_EQ(rig.audited - audited_before, kSessions);
+  EXPECT_EQ(rig.audit_failures, 0u);
+  EXPECT_EQ(rig.server.active_sessions(), 0u);
+  EXPECT_LE(rig.server.pool_stats().constructions, ServeRig::kConcurrent);
 }
 
 TEST(FrameAlloc, ExpectedValueOnAHeldValueAllocatesNothing) {

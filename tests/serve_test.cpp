@@ -9,11 +9,15 @@
 //    reclaim bounding the resident window;
 //  * StreamTransport/StreamSource: length-prefixed framing round-trips,
 //    the pending-buffer cap rejects instead of blocking, EOF closes;
+//  * FrameRing::reset: a rewound ring behaves like a fresh one;
 //  * SimServer: admission control at max_sessions, streamed sessions over
 //    both transports digest bit-identical to the run_mission_sweep pooled
-//    oracle, and — the backpressure contract — a fully stalled consumer
-//    costs itself frames (explicit gap records, contiguous seq and frame
-//    accounting) but never stalls System::run_frame;
+//    oracle, also through reused slots, a client that keeps a retired
+//    session's ring never sees the next session's records, report
+//    references stay valid, and — the backpressure contract — a fully
+//    stalled consumer costs itself frames (explicit gap records,
+//    contiguous seq and frame accounting) but never stalls
+//    System::run_frame;
 //  * concurrent producer/consumer on one ring (the TSan target for the
 //    `serve` label);
 //  * bench::Log2Histogram percentile extraction.
@@ -119,65 +123,104 @@ TEST(Record, FoldIgnoresTransportMetadata) {
 
 // --- FrameRing ---
 
+/// A ring with `options`: fresh, or (`rewound`) one that carried a stream
+/// of its own first — records published and consumed past a wrap, a full
+/// ring with a rejected publish, unconsumed records, close() — and was then
+/// rewound by reset(). Every FrameRing check that takes both must hold for
+/// both.
+std::unique_ptr<FrameRing> make_ring(const RingOptions& options,
+                                     bool rewound) {
+  auto ring = FrameRing::create(options);
+  if (!rewound) return ring;
+  FrameRing::Delivered got;
+  for (std::uint64_t i = 0; i < ring->slot_count() + 3; ++i) {
+    EXPECT_TRUE(ring->try_publish(frame_record(900 + i, 900 + i), 9));
+    EXPECT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
+  }
+  while (ring->try_publish(frame_record(999, 999), 9)) {
+  }
+  ring->close();
+  ring->reset();
+  return ring;
+}
+
 TEST(FrameRing, PublishConsumeInOrder) {
   RingOptions options;
   options.slot_count = 8;
-  auto ring = FrameRing::create(options);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_TRUE(ring->try_publish(frame_record(i + 1, i), 1000 + i));
+  for (const bool rewound : {false, true}) {
+    auto ring = make_ring(options, rewound);
+    EXPECT_EQ(ring->published(), 0u) << "rewound " << rewound;
+    EXPECT_EQ(ring->consumed(), 0u) << "rewound " << rewound;
+    EXPECT_FALSE(ring->closed()) << "rewound " << rewound;
+    EXPECT_EQ(ring->free_slots(), ring->slot_count()) << "rewound " << rewound;
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE(ring->try_publish(frame_record(i + 1, i), 1000 + i));
+    }
+    FrameRing::Delivered got;
+    for (std::uint64_t i = 0; i < 5; ++i) {
+      ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
+      EXPECT_EQ(got.record.seq, i);  // assigned at publish, contiguous
+      EXPECT_EQ(got.record.frame, i + 1);
+      EXPECT_EQ(got.record.data0, i);
+      EXPECT_EQ(got.stamp_ns, 1000 + i);
+    }
+    EXPECT_EQ(ring->try_consume(got), FrameRing::Consume::kEmpty);
+    EXPECT_EQ(ring->stats().published, 5u) << "rewound " << rewound;
+    EXPECT_EQ(ring->stats().consumed, 5u) << "rewound " << rewound;
+    EXPECT_EQ(ring->stats().publish_fails, 0u) << "rewound " << rewound;
   }
-  FrameRing::Delivered got;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
-    EXPECT_EQ(got.record.seq, i);  // assigned at publish, contiguous
-    EXPECT_EQ(got.record.frame, i + 1);
-    EXPECT_EQ(got.record.data0, i);
-    EXPECT_EQ(got.stamp_ns, 1000 + i);
-  }
-  EXPECT_EQ(ring->try_consume(got), FrameRing::Consume::kEmpty);
 }
 
 TEST(FrameRing, FullRingRejectsWithoutBlocking) {
   RingOptions options;
   options.slot_count = 4;
-  auto ring = FrameRing::create(options);
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ring->try_publish(frame_record(i + 1, i), 0));
-  }
-  EXPECT_FALSE(ring->try_publish(frame_record(5, 5), 0));
-  EXPECT_EQ(ring->stats().publish_fails, 1u);
-  EXPECT_EQ(ring->free_slots(), 0u);
+  for (const bool rewound : {false, true}) {
+    auto ring = make_ring(options, rewound);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(ring->try_publish(frame_record(i + 1, i), 0));
+    }
+    EXPECT_FALSE(ring->try_publish(frame_record(5, 5), 0));
+    EXPECT_EQ(ring->stats().publish_fails, 1u) << "rewound " << rewound;
+    EXPECT_EQ(ring->free_slots(), 0u);
 
-  FrameRing::Delivered got;
-  ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
-  EXPECT_TRUE(ring->try_publish(frame_record(5, 5), 0));
+    FrameRing::Delivered got;
+    ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
+    EXPECT_TRUE(ring->try_publish(frame_record(5, 5), 0));
+  }
 }
 
 TEST(FrameRing, WrapKeepsSequenceContiguous) {
   RingOptions options;
   options.slot_count = 4;
-  auto ring = FrameRing::create(options);
-  FrameRing::Delivered got;
-  std::uint64_t next = 0;
-  for (int round = 0; round < 10; ++round) {
-    ASSERT_TRUE(ring->try_publish(frame_record(round + 1, round), 0));
-    ASSERT_TRUE(ring->try_publish(frame_record(round + 1, round), 0));
-    for (int k = 0; k < 2; ++k) {
-      ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
-      EXPECT_EQ(got.record.seq, next++);
+  for (const bool rewound : {false, true}) {
+    auto ring = make_ring(options, rewound);
+    FrameRing::Delivered got;
+    std::uint64_t next = 0;
+    for (int round = 0; round < 10; ++round) {
+      ASSERT_TRUE(ring->try_publish(frame_record(round + 1, round), 0));
+      ASSERT_TRUE(ring->try_publish(frame_record(round + 1, round), 0));
+      for (int k = 0; k < 2; ++k) {
+        ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
+        EXPECT_EQ(got.record.seq, next++);
+        EXPECT_EQ(got.record.data0, static_cast<std::uint64_t>(round));
+      }
     }
+    EXPECT_EQ(ring->published(), 20u);
+    EXPECT_EQ(ring->consumed(), 20u);
   }
-  EXPECT_EQ(ring->published(), 20u);
-  EXPECT_EQ(ring->consumed(), 20u);
 }
 
 TEST(FrameRing, CloseDrainsThenReportsClosed) {
-  auto ring = FrameRing::create(RingOptions{});
-  ASSERT_TRUE(ring->try_publish(frame_record(1, 0), 0));
-  ring->close();
-  FrameRing::Delivered got;
-  ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
-  EXPECT_EQ(ring->try_consume(got), FrameRing::Consume::kClosed);
+  for (const bool rewound : {false, true}) {
+    auto ring = make_ring(RingOptions{}, rewound);
+    FrameRing::Delivered got;
+    EXPECT_EQ(ring->try_consume(got), FrameRing::Consume::kEmpty);
+    ASSERT_TRUE(ring->try_publish(frame_record(1, 0), 0));
+    ring->close();
+    ASSERT_EQ(ring->try_consume(got), FrameRing::Consume::kRecord);
+    EXPECT_EQ(got.record.frame, 1u);
+    EXPECT_EQ(ring->try_consume(got), FrameRing::Consume::kClosed);
+  }
 }
 
 TEST(FrameRing, FileBackedAttachConsumesAcrossMappings) {
@@ -512,6 +555,141 @@ TEST(SimServer, ShmAndStreamDigestsAgree) {
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(shm[i].digest, stream[i].digest);  // transport never digests
   }
+}
+
+TEST(SimServer, SlotReusingSessionsMatchTheSweepOracle) {
+  // Three generations of sessions through the same three slots, a new
+  // session opening as soon as one completes. The middle generation mixes
+  // in stream sessions, so a slot goes heap ring -> stream -> heap ring;
+  // each heap-ring session after the first generation runs on its slot's
+  // rewound ring.
+  ServeOptions options = small_serve_options();
+  options.max_sessions = 3;
+  constexpr std::size_t kGenerations = 3;
+  constexpr std::size_t kSessions = kGenerations * 3;
+  const std::vector<std::uint64_t> oracle =
+      oracle_digests(kSessions, options);
+
+  SimServer server = make_server(options);
+  struct Live {
+    std::uint64_t id = 0;
+    std::unique_ptr<SessionClient> client;
+  };
+  std::vector<Live> live;
+  std::size_t opened = 0;
+  std::size_t checked = 0;
+  const auto open = [&] {
+    const bool stream = opened >= 3 && opened < 6 && opened % 2 == 0;
+    SimServer::Opened session = server.open_session(
+        stream ? TransportKind::kStream : TransportKind::kShm);
+    live.push_back(
+        Live{session.id,
+             std::make_unique<SessionClient>(std::move(session.source))});
+    ++opened;
+  };
+  while (opened < 3) open();
+  for (int round = 0; round < 100'000 && !live.empty(); ++round) {
+    (void)server.pump();
+    std::size_t completed = 0;
+    for (std::size_t i = 0; i < live.size();) {
+      (void)live[i].client->poll();
+      if (!live[i].client->done()) {
+        ++i;
+        continue;
+      }
+      const ClientReport& report = live[i].client->report();
+      const SessionReport& producer = server.report(live[i].id);
+      EXPECT_TRUE(report.accounted()) << "session " << producer.index;
+      EXPECT_TRUE(report.digest_matches()) << "session " << producer.index;
+      EXPECT_EQ(report.digest, oracle[producer.index])
+          << "session " << producer.index;
+      ++checked;
+      ++completed;
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    (void)server.drain();
+    for (std::size_t k = 0; k < completed && opened < kSessions; ++k) open();
+  }
+  EXPECT_EQ(checked, kSessions);
+  EXPECT_EQ(server.sessions_opened(), kSessions);
+  EXPECT_EQ(server.active_sessions(), 0u);
+  EXPECT_LE(server.pool_stats().constructions, options.max_sessions);
+}
+
+TEST(SimServer, HeldRingIsNeverRewoundForTheNextSession) {
+  // One slot. The first session's client finishes but keeps its source
+  // (and so its ring) past the session's retirement; the next session in
+  // that slot must stream on a fresh ring: the kept client sees none of
+  // its records, and the new client gets them all.
+  ServeOptions options = small_serve_options();
+  options.max_sessions = 1;
+  const std::vector<std::uint64_t> oracle = oracle_digests(2, options);
+  SimServer server = make_server(options);
+
+  SessionClient first(server.open_session(TransportKind::kShm).source);
+  server.pump_all();
+  for (int round = 0; round < 100'000; ++round) {
+    (void)first.poll();
+    if (server.drain() && first.done()) break;
+  }
+  ASSERT_TRUE(first.done());
+  ASSERT_EQ(server.active_sessions(), 0u);
+  const std::uint64_t first_records = first.report().records;
+
+  SimServer::Opened second_opened = server.open_session(TransportKind::kShm);
+  SessionClient second(std::move(second_opened.source));
+  for (int round = 0; round < 100'000 && !second.done(); ++round) {
+    (void)server.pump();
+    EXPECT_EQ(first.poll(), 0u) << "round " << round;
+    (void)second.poll();
+    (void)server.drain();
+  }
+  EXPECT_EQ(first.report().records, first_records);
+  EXPECT_TRUE(first.report().digest_matches());
+  EXPECT_EQ(first.report().digest, oracle[0]);
+  ASSERT_TRUE(second.done());
+  EXPECT_TRUE(second.report().accounted());
+  EXPECT_TRUE(second.report().digest_matches());
+  EXPECT_EQ(second.report().digest, oracle[1]);
+}
+
+TEST(SimServer, ReportReferencesStayValidAcrossLaterOpens) {
+  // Reports live in fixed chunks: a reference taken early reads the same
+  // report, at the same address, after 1,000 later sessions (several
+  // chunks) have been opened and retired.
+  ServeOptions options = small_serve_options();
+  options.frame_budget = 1;
+  options.max_sessions = 1;
+  SimServer server = make_server(options);
+  const auto run_one = [&] {
+    SimServer::Opened opened = server.open_session(TransportKind::kShm);
+    SessionClient client(std::move(opened.source));
+    server.pump_all();
+    for (int round = 0; round < 1'000 && !(server.drain() && client.done());
+         ++round) {
+      (void)client.poll();
+    }
+    EXPECT_TRUE(client.report().digest_matches());
+    return opened.id;
+  };
+  const std::uint64_t first_id = run_one();
+  const SessionReport& first = server.report(first_id);
+  const SessionReport snapshot = first;
+  ASSERT_TRUE(snapshot.completed);
+  for (int i = 0; i < 1'000; ++i) (void)run_one();
+  EXPECT_EQ(&server.report(first_id), &first);
+  EXPECT_EQ(first.id, snapshot.id);
+  EXPECT_EQ(first.index, 0u);
+  EXPECT_EQ(first.seed, snapshot.seed);
+  EXPECT_EQ(first.frames_produced, snapshot.frames_produced);
+  EXPECT_EQ(first.producer_digest, snapshot.producer_digest);
+  EXPECT_TRUE(first.completed);
+  for (std::uint64_t id = 1; id <= 1'001; ++id) {
+    EXPECT_EQ(server.report(id).id, id);
+    EXPECT_EQ(server.report(id).index, id - 1);
+  }
+  EXPECT_THROW((void)server.report(0), ContractViolation);
+  EXPECT_THROW((void)server.report(1'002), ContractViolation);
 }
 
 TEST(SimServer, AdmissionControlCapsConcurrentSessions) {

@@ -47,6 +47,9 @@ struct Directive {
   std::optional<SpecId> target_spec;
   /// Target configuration, for context-dependent behaviour.
   ConfigId target_config{};
+  /// Host of the application in the target configuration; set exactly
+  /// when target_spec is.
+  ProcessorId target_host{};
 };
 
 /// Lets an application read other applications' committed stable variables

@@ -69,7 +69,14 @@ class MessageRouter {
   /// `receiver_alive(app)` gates delivery (dead-host messages are dropped).
   template <typename AliveFn>
   void exchange(Cycle cycle, AliveFn&& receiver_alive) {
-    for (auto& [app, box] : boxes_) box.inbox_.clear();
+    // Every inbox is cleared before any delivery; a frame in which nobody
+    // sent (the steady frame of most specs) ends after that one pass.
+    bool any_outgoing = false;
+    for (auto& [app, box] : boxes_) {
+      box.inbox_.clear();
+      any_outgoing = any_outgoing || !box.outgoing_.empty();
+    }
+    if (!any_outgoing) return;
     for (auto& [app, box] : boxes_) {
       stats_.sent += box.outgoing_.size();
       for (AppMessage& msg : box.outgoing_) {

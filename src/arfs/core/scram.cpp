@@ -83,6 +83,7 @@ DepPhase Scram::phase_dep() const {
 
 bool Scram::deps_met(AppId app, DepPhase phase,
                      const std::vector<bool>& completed) const {
+  if (spec_.dependencies().all().empty()) return true;
   for (const Dependency& c :
        spec_.dependencies().constraints_on(app, phase, target_)) {
     const std::optional<std::size_t> pos = spec_.app_index(c.independent);
@@ -130,33 +131,59 @@ bool Scram::try_start(Cycle cycle, const env::EnvState& env_now,
   return true;
 }
 
-void Scram::plan_global(FramePlan& plan) const {
-  const DirectiveKind kind = phase_directive();
-  const DepPhase dep_phase = phase_dep();
+void Scram::set_targets(FramePlan& plan) const {
+  // One walk of the target's assignment and placement maps in AppId order
+  // (validate() gives both the same keys, all declared apps) instead of two
+  // tree lookups per app on the frames that reconfigure.
   const Configuration& target_cfg = spec_.config(target_);
-
-  const std::vector<AppDecl>& apps = spec_.apps();
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    Directive d;
-    if (done_[i] || !deps_met(apps[i].id, dep_phase, done_)) {
-      d.kind = DirectiveKind::kNone;
-    } else {
-      d.kind = kind;
-    }
-    d.target_spec = target_cfg.spec_of(apps[i].id);
-    d.target_config = target_;
-    plan.directives.push_back(d);
+  auto assigned = target_cfg.assignment.begin();
+  auto placed = target_cfg.placement.begin();
+  for (const std::size_t pos : spec_.apps_by_id()) {
+    if (assigned == target_cfg.assignment.end()) break;
+    if (assigned->first != spec_.apps()[pos].id) continue;  // off there
+    Directive& d = plan.directives[pos];
+    d.target_spec = assigned->second;
+    d.target_host = placed->second;
+    ++assigned;
+    ++placed;
   }
 }
 
-void Scram::plan_relaxed(FramePlan& plan) const {
-  const Configuration& target_cfg = spec_.config(target_);
+void Scram::reset_directives(FramePlan& plan) {
+  // An SFTA directs every app toward one target for three frames or more;
+  // the targets are set on its first directive frame and after a retarget.
+  const std::size_t n = spec_.apps().size();
+  if (plan.directives.size() == n && targets_of_ == target_) return;
+  plan.directives.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    Directive d;
+    d.target_config = target_;
+    plan.directives.push_back(d);
+  }
+  set_targets(plan);
+  targets_of_ = target_;
+}
+
+void Scram::plan_global(FramePlan& plan) {
+  reset_directives(plan);
+  const DirectiveKind kind = phase_directive();
+  const DepPhase dep_phase = phase_dep();
+
+  const std::vector<AppDecl>& apps = spec_.apps();
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    plan.directives[i].kind =
+        done_[i] || !deps_met(apps[i].id, dep_phase, done_)
+            ? DirectiveKind::kNone
+            : kind;
+  }
+}
+
+void Scram::plan_relaxed(FramePlan& plan) {
+  reset_directives(plan);
   const std::vector<AppDecl>& apps = spec_.apps();
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const AppId app = apps[i].id;
-    Directive d;
-    d.target_spec = target_cfg.spec_of(app);
-    d.target_config = target_;
+    Directive& d = plan.directives[i];
     switch (stage_.at(i)) {
       case AppStage::kHalt:
         d.kind = deps_met(app, DepPhase::kHalt, halt_done_)
@@ -177,7 +204,6 @@ void Scram::plan_relaxed(FramePlan& plan) const {
         d.kind = DirectiveKind::kNone;
         break;
     }
-    plan.directives.push_back(d);
   }
 }
 
@@ -188,7 +214,8 @@ const FramePlan& Scram::begin_frame(
     const env::EnvState& env_now) {
   (void)now;
   FramePlan& plan = plan_;
-  plan.directives.clear();
+  // plan.directives keeps the previous frame's entries until this frame
+  // is known to direct nobody (see reset_directives).
   plan.trigger_accepted = false;
   plan.retargeted = false;
   plan.target = ConfigId{};
@@ -250,12 +277,16 @@ const FramePlan& Scram::begin_frame(
 
   // Idle with a pending (new or buffered or dwell-deferred) trigger: decide.
   if (phase_ == Phase::kIdle && pending_trigger_) {
+    plan.directives.clear();
     try_start(cycle, env_now, plan);
     // Frame 0 of Table 1: signal receipt only, no application directives.
     return plan;
   }
 
-  if (phase_ == Phase::kIdle) return plan;
+  if (phase_ == Phase::kIdle) {
+    plan.directives.clear();
+    return plan;
+  }
   plan.target = target_;
 
   if (phase_ == Phase::kSignaled) {

@@ -187,9 +187,15 @@ class Scram {
   bool try_start(Cycle cycle, const env::EnvState& env_now, FramePlan& plan);
 
   /// Fills plan.directives for the global-barrier protocol.
-  void plan_global(FramePlan& plan) const;
+  void plan_global(FramePlan& plan);
   /// Fills plan.directives for the relaxed protocol.
-  void plan_relaxed(FramePlan& plan) const;
+  void plan_relaxed(FramePlan& plan);
+  /// Leaves plan.directives one per app toward target_, keeping the
+  /// previous frame's when they already head there; callers set each kind.
+  void reset_directives(FramePlan& plan);
+  /// Sets each planned directive's target_spec and target_host from the
+  /// target configuration (both stay unset for an app that is off there).
+  void set_targets(FramePlan& plan) const;
 
   [[nodiscard]] FrameOutcome end_frame_global(Cycle cycle,
                                               const PhaseReport& phase_done);
@@ -224,6 +230,8 @@ class Scram {
   std::vector<bool> init_done_;
   /// begin_frame's result, reused so planning allocates nothing.
   FramePlan plan_;
+  /// The configuration plan_.directives' targets were set for.
+  ConfigId targets_of_{};
   bool pending_trigger_ = false;   ///< Buffered/deferred evaluation request.
   /// A lossy-recovery signal awaits evaluation; consumed by try_start (it
   /// upgrades an absorbed trigger into a re-initialization when the option

@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "arfs/storage/stable_storage.hpp"
@@ -50,21 +51,26 @@ class StableRegion {
     memo_size_ = 0;
   }
 
-  /// Stages a write; visible after the end-of-frame commit.
-  void write(std::string_view key, storage::Value value) {
-    backing_->write(resolve(key), std::move(value));
+  /// Stages a write; visible after the end-of-frame commit. `value` goes
+  /// straight into the store's staged slot (see StableStorage::write).
+  template <typename V>
+    requires std::is_assignable_v<storage::Value&, V&&>
+  void write(std::string_view key, V&& value) {
+    backing_->write(resolve(key), std::forward<V>(value));
   }
 
   /// Reads the committed value (what every *other* frame and application
   /// observes).
   [[nodiscard]] Expected<storage::Value> read(std::string_view key) const {
-    if (const auto id = find(key)) return backing_->read(*id);
+    storage::KeyId id;
+    if (find(key, id)) return backing_->read(id);
     return backing_->read(full_key(key));  // the store's missing-key error
   }
 
   /// Reads this frame's own staged value if present, else the committed one.
   [[nodiscard]] Expected<storage::Value> read_own(std::string_view key) const {
-    if (const auto id = find(key)) return backing_->read_own(*id);
+    storage::KeyId id;
+    if (find(key, id)) return backing_->read_own(id);
     return backing_->read_own(full_key(key));
   }
 
@@ -83,8 +89,8 @@ class StableRegion {
   }
 
   [[nodiscard]] bool contains(std::string_view key) const {
-    const auto id = find(key);
-    return id.has_value() && backing_->contains(*id);
+    storage::KeyId id;
+    return find(key, id) && backing_->contains(id);
   }
 
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
@@ -98,36 +104,46 @@ class StableRegion {
                               const std::string& prefix);
 
  private:
-  /// The remembered id of `key` on the bound store, if any.
-  [[nodiscard]] std::optional<storage::KeyId> recall(
-      std::string_view key) const {
+  // recall() and find() report a found id through `id` and a bool, not as
+  // a returned std::optional<KeyId>: GCC builds such an optional in two
+  // stack stores (the id, then the flag) and reloads them as one 8-byte
+  // word, which the CPU cannot forward from the two smaller stores, a
+  // stall on every region access of every frame.
+
+  /// Sets `id` to the remembered id of `key` on the bound store, if any.
+  [[nodiscard]] bool recall(std::string_view key, storage::KeyId& id) const {
     for (std::size_t i = 0; i < memo_size_; ++i) {
       const std::string& name = backing_->key_name(memo_[i]);
       if (name.size() == prefix_.size() + key.size() &&
           std::string_view(name).substr(prefix_.size()) == key) {
-        return memo_[i];
+        id = memo_[i];
+        return true;
       }
     }
-    return std::nullopt;
+    return false;
   }
 
   void remember(storage::KeyId id) const {
     if (memo_size_ < kMemoCapacity) memo_[memo_size_++] = id;
   }
 
-  /// The id of an existing key; a missing key stays un-interned.
-  [[nodiscard]] std::optional<storage::KeyId> find(
-      std::string_view key) const {
-    if (const auto id = recall(key)) return id;
-    const auto id = backing_->find_key(prefix_, key);
-    if (id.has_value()) remember(*id);
-    return id;
+  /// Sets `id` to the id of an existing key; a missing key stays
+  /// un-interned.
+  [[nodiscard]] bool find(std::string_view key, storage::KeyId& id) const {
+    if (recall(key, id)) return true;
+    const std::optional<storage::KeyId> found =
+        backing_->find_key(prefix_, key);
+    if (!found.has_value()) return false;
+    id = *found;
+    remember(id);
+    return true;
   }
 
   /// The id of `key`, interned on first sight.
   [[nodiscard]] storage::KeyId resolve(std::string_view key) {
-    if (const auto id = recall(key)) return *id;
-    const storage::KeyId id = backing_->intern(prefix_, key);
+    storage::KeyId id;
+    if (recall(key, id)) return id;
+    id = backing_->intern(prefix_, key);
     remember(id);
     return id;
   }

@@ -115,12 +115,17 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
   const std::size_t n = spec.apps().size();
   apps_.resize(n);
   storage::StableStorage& scram_stable = group_.processor(scram_proc_).stable();
-  for (const AppDecl& decl : spec.apps()) {
-    const std::string id = std::to_string(decl.id.value());
+  for (std::size_t pos = 0; pos < n; ++pos) {
+    const std::string id = std::to_string(spec.apps()[pos].id.value());
     regions_.emplace_back("a" + id + "/");
-    scram_status_key_.push_back(
-        scram_stable.intern("scram/a" + id + "/status"));
+    scram_status_key_.emplace_back(
+        pos, scram_stable.intern("scram/a" + id + "/status"));
   }
+  std::sort(scram_status_key_.begin(), scram_status_key_.end(),
+            [&scram_stable](const auto& a, const auto& b) {
+              return scram_stable.key_name(a.second) <
+                     scram_stable.key_name(b.second);
+            });
   forced_overrun_.assign(n, Forced::kUnset);
   forced_fault_.assign(n, Forced::kUnset);
   mailboxes_.assign(n, nullptr);
@@ -357,33 +362,22 @@ void System::repair_quorum_member(ProcessorId p, std::uint32_t member) {
   bank_.raise(std::move(s));
 }
 
-std::optional<ProcessorId> System::execution_host(
-    std::size_t pos, const Directive& directive) const {
+bool System::execution_host(std::size_t pos, const Directive& directive,
+                            ProcessorId& host) const {
   ensure(!region_host_.empty(), "app region host unset");
-  const AppId app = spec_.apps()[pos].id;
-  const ProcessorId region = region_host_[pos];
-
-  switch (directive.kind) {
-    case DirectiveKind::kNone:
-    case DirectiveKind::kHalt: {
-      if (group_.processor(region).running()) return region;
-      return std::nullopt;
-    }
-    case DirectiveKind::kPrepare:
-    case DirectiveKind::kInitialize: {
-      const Configuration& target = spec_.config(directive.target_config);
-      const std::optional<ProcessorId> host = target.host_of(app);
-      if (host.has_value()) {
-        if (group_.processor(*host).running()) return *host;
-        return std::nullopt;  // target host is down
-      }
-      // The application is off in the target configuration; wind-down runs
-      // on the old host if it survives, else it is trivially complete.
-      if (group_.processor(region).running()) return region;
-      return std::nullopt;
-    }
+  ProcessorId candidate = region_host_[pos];
+  if ((directive.kind == DirectiveKind::kPrepare ||
+       directive.kind == DirectiveKind::kInitialize) &&
+      directive.target_spec.has_value()) {
+    // The target host (the SCRAM's plan carries it) if the app runs in the
+    // target configuration, none while that host is down. An app that is
+    // off there winds down on its old host if it survives, else it is
+    // trivially complete.
+    candidate = directive.target_host;
   }
-  return std::nullopt;
+  if (!group_.processor(candidate).running()) return false;
+  host = candidate;
+  return true;
 }
 
 void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
@@ -1117,9 +1111,8 @@ void System::run_frame() {
   if (group_.processor(scram_proc_).running()) {
     storage::StableStorage& scram_stable =
         group_.processor(scram_proc_).stable();
-    for (std::size_t i = 0; i < decls.size(); ++i) {
-      scram_stable.write(scram_status_key_[i],
-                         std::string(directive_name(directive_of(i).kind)));
+    for (const auto& [pos, key] : scram_status_key_) {
+      scram_stable.write(key, directive_name(directive_of(pos).kind));
     }
   }
 
@@ -1134,15 +1127,15 @@ void System::run_frame() {
     ReconfigurableApp& application = *apps_[i];
     const Directive directive = directive_of(i);
 
-    const std::optional<ProcessorId> host = execution_host(i, directive);
-    if (directive.kind != DirectiveKind::kNone && host.has_value()) {
-      halt_boundary_hosts_.push_back(*host);
-    }
+    ProcessorId host;
     StableRegion* region = nullptr;
-    if (host.has_value()) {
-      relocate_region_if_needed(i, *host, cycle);
+    if (execution_host(i, directive, host)) {
+      if (directive.kind != DirectiveKind::kNone) {
+        halt_boundary_hosts_.push_back(host);
+      }
+      relocate_region_if_needed(i, host, cycle);
       region = &regions_[i];
-      region->bind(group_.processor(*host).stable());
+      region->bind(group_.processor(host).stable());
     }
 
     ReconfigurableApp::Ctx ctx;
@@ -1188,9 +1181,13 @@ void System::run_frame() {
   // 7. The SCRAM collects completion reports; on completion, start signals.
   const FrameOutcome outcome = scram_.end_frame(cycle, phase_done_);
   if (outcome.completed) {
-    const Configuration& cfg = spec_.config(outcome.to);
+    // Only a frame that directed every app toward outcome.to completes, so
+    // each app's directive already names its spec there.
+    ensure(plan.target == outcome.to &&
+               plan.directives.size() == decls.size(),
+           "completion without a plan toward the new configuration");
     for (std::size_t i = 0; i < decls.size(); ++i) {
-      apps_[i]->start(cfg.spec_of(decls[i].id));
+      apps_[i]->start(plan.directives[i].target_spec);
     }
     deadline_alarm_raised_ = false;
   }
@@ -1209,17 +1206,24 @@ void System::run_frame() {
   // mid-transition should lose as little committed work as possible, so the
   // engines trade throughput for a tight durable boundary until the SCRAM
   // reports completion. Static policies are unaffected.
+  // Each engine's pressure only shapes its own processor's commit, so one
+  // pass sets it and commits.
   const bool reconfig_pressure = scram_.reconfiguring() || directives_issued;
+  // The constructor creates the processors in ascending id order, so one
+  // cursor over the sorted boundaries meets each of them in turn.
+  auto boundary = halt_boundary_hosts_.cbegin();
   for (const ProcessorId p : group_.processor_ids()) {
-    if (auto* engine = group_.processor(p).durability()) {
+    failstop::Processor& processor = group_.processor(p);
+    if (auto* engine = processor.durability()) {
       engine->set_reconfig_pressure(reconfig_pressure);
     }
+    const bool force =
+        boundary != halt_boundary_hosts_.cend() && *boundary == p;
+    if (force) ++boundary;
+    processor.commit_frame(cycle, force);
   }
-  for (const ProcessorId p : group_.processor_ids()) {
-    const bool force = std::binary_search(halt_boundary_hosts_.begin(),
-                                          halt_boundary_hosts_.end(), p);
-    group_.processor(p).commit_frame(cycle, force);
-  }
+  ensure(boundary == halt_boundary_hosts_.cend(),
+         "a halt boundary names no processor");
   // 8b. Journal shipping: each cohort member gets its one TDMA quorum slot
   // per round, moving at most the slot's byte budget of freshly-synced
   // journal toward its replica.

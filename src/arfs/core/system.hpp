@@ -367,10 +367,14 @@ class System {
   /// The inverse of each_forced's image.
   void restore_forced(const std::vector<std::pair<AppId, bool>>& image,
                       std::vector<Forced>& flags, std::vector<AppId>& stray);
-  /// Execution host for app `pos` this frame given its directive; nullopt
-  /// when the application cannot execute anywhere.
-  [[nodiscard]] std::optional<ProcessorId> execution_host(
-      std::size_t pos, const Directive& directive) const;
+  /// Whether app `pos` executes this frame given its directive, and on
+  /// which processor (`host`, set only when it does). Returns no
+  /// std::optional<ProcessorId>: GCC builds a returned optional id in two
+  /// stack stores and reloads them as one 8-byte word that the CPU cannot
+  /// forward, a stall on every app of every frame.
+  [[nodiscard]] bool execution_host(std::size_t pos,
+                                    const Directive& directive,
+                                    ProcessorId& host) const;
   void relocate_region_if_needed(std::size_t pos, ProcessorId to,
                                  Cycle cycle);
   /// `spec` as declared, looked up among app `pos`'s own specs first.
@@ -410,9 +414,11 @@ class System {
   /// and bound to the app's execution host every frame; it remembers the
   /// KeyIds it resolved on that host's store.
   std::vector<StableRegion> regions_;
-  /// The SCRAM's configuration_status keys, interned once in the SCRAM
-  /// processor's store (ids survive restores; see StableStorage).
-  std::vector<storage::KeyId> scram_status_key_;
+  /// The SCRAM's configuration_status keys as (app position, key) pairs,
+  /// interned once in the SCRAM processor's store (ids survive restores;
+  /// see StableStorage) and sorted by key name, so the SCRAM stages them
+  /// in name order and each write appends to the store's pending list.
+  std::vector<std::pair<std::size_t, storage::KeyId>> scram_status_key_;
   std::vector<Forced> forced_overrun_;
   std::vector<Forced> forced_fault_;
   /// Flags raised by fault events naming apps the spec does not declare:

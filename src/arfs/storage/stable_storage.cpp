@@ -162,11 +162,7 @@ void StableStorage::intern_batch(const Batch& batch, NameOf name_of,
   }
 }
 
-void StableStorage::write(KeyId key, Value value) {
-  Slot& slot = slots_[key.value()];
-  slot.staged = std::move(value);
-  if (slot.is_staged) return;
-  slot.is_staged = true;
+void StableStorage::insert_pending(KeyId key) {
   const std::uint32_t rank = rank_[key.value()];
   pending_.insert(std::partition_point(pending_.begin(), pending_.end(),
                                        [&](KeyId id) {
@@ -175,11 +171,7 @@ void StableStorage::write(KeyId key, Value value) {
                   key);
 }
 
-void StableStorage::write(std::string_view key, Value value) {
-  write(intern(key), std::move(value));
-}
-
-void StableStorage::set_slot(KeyId id, Value value, Cycle committed_at) {
+void StableStorage::set_slot(KeyId id, Value&& value, Cycle committed_at) {
   Slot& slot = slots_[id.value()];
   if (!slot.present) {
     slot.present = true;
@@ -277,7 +269,7 @@ void StableStorage::restore_batch(
       entries,
       [](const auto& entry) -> std::string_view { return entry.first; },
       [&](KeyId id, const auto& entry) {
-        set_slot(id, entry.second, committed_at);
+        set_slot(id, Value(entry.second), committed_at);
       });
 }
 
@@ -287,7 +279,7 @@ void StableStorage::restore_batch(
       entries,
       [](const auto& entry) -> std::string_view { return std::get<0>(entry); },
       [&](KeyId id, const auto& entry) {
-        set_slot(id, std::get<1>(entry), std::get<2>(entry));
+        set_slot(id, Value(std::get<1>(entry)), std::get<2>(entry));
       });
 }
 

@@ -31,6 +31,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -91,8 +92,23 @@ class StableStorage {
   // --- frame protocol ---
 
   /// Stages a write; visible to readers only after the next commit().
-  void write(KeyId key, Value value);
-  void write(std::string_view key, Value value);
+  /// `value` is assigned into the slot's staged Value in place, through
+  /// Value's converting assignment, so no temporary Value is built. That
+  /// assignment picks the alternative a Value built from `value` holds: a
+  /// bool stays bool, a double stays double, a const char* becomes a
+  /// std::string (plain overloads would turn a bool or double into int64).
+  template <typename V>
+    requires std::is_assignable_v<Value&, V&&>
+  void write(KeyId key, V&& value) {
+    Slot& slot = slots_[key.value()];
+    slot.staged = std::forward<V>(value);
+    if (!slot.is_staged) mark_staged(key);
+  }
+  template <typename V>
+    requires std::is_assignable_v<Value&, V&&>
+  void write(std::string_view key, V&& value) {
+    write(intern(key), std::forward<V>(value));
+  }
 
   /// Atomically applies all staged writes, stamping them with `cycle`.
   /// Returns the number of keys committed.
@@ -212,6 +228,20 @@ class StableStorage {
     bool is_staged = false;
   };
 
+  /// Marks `key`'s slot staged and adds it to pending_ in name order. A key
+  /// that ranks after the last staged one (writers that stage in name
+  /// order, like the SCRAM) is appended; any other is inserted.
+  void mark_staged(KeyId key) {
+    slots_[key.value()].is_staged = true;
+    if (pending_.empty() ||
+        rank_[pending_.back().value()] < rank_[key.value()]) {
+      pending_.push_back(key);
+    } else {
+      insert_pending(key);
+    }
+  }
+  /// The out-of-order branch of mark_staged().
+  void insert_pending(KeyId key);
   /// Adds a new name at `pos` of the sorted index; returns its id.
   KeyId add_name(std::string name, std::size_t pos);
   /// Interns every name of a batch (name_of(entry) gives the name) and calls
@@ -219,8 +249,10 @@ class StableStorage {
   /// one merge pass with the sorted index; anything else interns one by one.
   template <typename Batch, typename NameOf, typename Apply>
   void intern_batch(const Batch& batch, NameOf name_of, Apply apply);
-  /// Sets a committed slot, keeping committed_ in step.
-  void set_slot(KeyId id, Value value, Cycle committed_at);
+  /// Sets a committed slot, keeping committed_ in step. Takes an rvalue so
+  /// commit() moves a staged value into its slot exactly once; callers
+  /// holding a const entry pass a copy.
+  void set_slot(KeyId id, Value&& value, Cycle committed_at);
   /// First position of the sorted index whose name is not below
   /// `prefix + name`.
   [[nodiscard]] std::vector<KeyId>::const_iterator name_bound(

@@ -4,6 +4,7 @@
 // the dwell rule.
 #include <gtest/gtest.h>
 
+#include "arfs/common/rng.hpp"
 #include "arfs/core/scram.hpp"
 #include "arfs/support/synthetic.hpp"
 
@@ -254,6 +255,81 @@ TEST(ScramDwell, BlocksBackToBackReconfigs) {
   plan = scram.begin_frame(14, 0, {}, {}, severity(0));
   EXPECT_TRUE(plan.trigger_accepted);
   EXPECT_EQ(scram.target_config(), synthetic_config(0));
+}
+
+// Every directive carries its app's spec and host in the target
+// configuration, also on the frames that keep the previous frame's targets
+// (the same SFTA) and after a retarget; idle and frame-0 plans are empty.
+// Random specs have apps that are off in some configurations, shared and
+// shuffled placements and dependencies; stages complete at random, so some
+// take several frames.
+TEST(ScramTargets, EveryDirectiveCarriesItsTargetSpecAndHost) {
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    support::RandomSpecParams params;
+    params.apps = 6;
+    params.configs = 5;
+    params.processors = 4;
+    params.dependencies = 3;
+    const ReconfigSpec spec = support::make_random_spec(params, seed);
+    for (const ReconfigPolicy policy :
+         {ReconfigPolicy::kBuffer, ReconfigPolicy::kImmediate}) {
+      for (const PhaseBarrier barrier :
+           {PhaseBarrier::kGlobal, PhaseBarrier::kRelaxed}) {
+        ScramOptions options;
+        options.policy = policy;
+        options.barrier = barrier;
+        Scram scram(spec, options);
+        Rng rng(seed * 31 + 7);
+        env::EnvState env_now;
+        for (std::size_t f = 0; f < params.factors; ++f) {
+          env_now[support::synthetic_factor(f)] = 0;
+        }
+        for (Cycle c = 0; c < 400; ++c) {
+          std::vector<env::EnvChangeSignal> signals;
+          if (rng.chance(0.15)) {
+            const FactorId factor = support::synthetic_factor(
+                rng.uniform(0, params.factors - 1));
+            env::EnvChangeSignal s;
+            s.cycle = c;
+            s.factor = factor;
+            s.old_value = env_now[factor];
+            s.new_value = 1 - s.old_value;
+            env_now[factor] = s.new_value;
+            signals.push_back(s);
+          }
+          const FramePlan& plan = scram.begin_frame(c, 0, {}, signals,
+                                                    env_now);
+          if (!scram.reconfiguring() || plan.trigger_accepted) {
+            EXPECT_TRUE(plan.directives.empty()) << "cycle " << c;
+          } else {
+            const ConfigId target = *scram.target_config();
+            const Configuration& cfg = spec.config(target);
+            ASSERT_EQ(plan.directives.size(), spec.apps().size());
+            EXPECT_EQ(plan.target, target);
+            for (std::size_t i = 0; i < spec.apps().size(); ++i) {
+              const AppId app = spec.apps()[i].id;
+              const Directive& d = plan.directives[i];
+              EXPECT_EQ(d.target_config, target) << "cycle " << c;
+              EXPECT_EQ(d.target_spec, cfg.spec_of(app)) << "cycle " << c;
+              if (d.target_spec.has_value()) {
+                EXPECT_EQ(d.target_host, *cfg.host_of(app))
+                    << "cycle " << c;
+              }
+              ++checked;
+            }
+          }
+          PhaseReport done(plan.directives.size(), false);
+          for (std::size_t i = 0; i < plan.directives.size(); ++i) {
+            done[i] = plan.directives[i].kind != DirectiveKind::kNone &&
+                      rng.chance(0.7);
+          }
+          (void)scram.end_frame(c, done);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 10'000u);
 }
 
 }  // namespace

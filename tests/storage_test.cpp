@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "arfs/common/rng.hpp"
 #include "arfs/storage/stable_storage.hpp"
 #include "arfs/storage/value.hpp"
 #include "arfs/storage/volatile_storage.hpp"
@@ -189,6 +197,214 @@ TEST(StableStorage, MissingKeyIsError) {
   const auto v = s.read("missing");
   ASSERT_FALSE(v);
   EXPECT_NE(v.error().find("missing"), std::string::npos);
+}
+
+// --- the write path against a reference model ---
+
+/// What a StableStorage must hold after a script, kept in plain maps by
+/// name: committed (value, cycle) pairs, staged values and the history.
+struct StoreModel {
+  std::map<std::string, std::pair<Value, Cycle>> committed;
+  std::map<std::string, Value> staged;
+  std::vector<CommitRecord> history;
+  std::uint64_t epochs = 0;
+
+  void commit(Cycle cycle) {
+    for (const auto& [name, value] : staged) {
+      committed[name] = {value, cycle};
+      history.push_back(CommitRecord{cycle, name, value});
+    }
+    staged.clear();
+    ++epochs;
+  }
+};
+
+/// Key names. The scripts write them in random order, so a store interns
+/// them in an order other than name order and ids differ from ranks.
+const std::vector<std::string> kModelNames = {
+    "a0", "a1", "b", "b/x", "b/y", "c", "m", "scram/a10/status",
+    "scram/a2/status", "z"};
+
+/// Short strings live in the std::string itself, long ones on the heap.
+const char* const kModelTexts[] = {"", "halt", "initialize",
+                                   "a string that is far too long for SSO"};
+
+/// The model's committed state rebuilt through restore(), which shares
+/// nothing with write() and commit(): the fingerprint a matching store has.
+std::uint64_t model_fingerprint(const StoreModel& m) {
+  StableStorage ref;
+  for (const auto& [name, entry] : m.committed) {
+    ref.restore(name, entry.first, entry.second);
+  }
+  return ref.fingerprint();
+}
+
+void expect_matches_model(const StableStorage& s, const StoreModel& m) {
+  ASSERT_EQ(s.committed_count(), m.committed.size());
+  for (const std::string& name : kModelNames) {
+    const auto it = m.committed.find(name);
+    if (it == m.committed.end()) {
+      EXPECT_FALSE(s.contains(name)) << name;
+    } else {
+      const Expected<Value> got = s.read(name);
+      ASSERT_TRUE(got) << name;
+      // Value's == compares the alternative before the value.
+      EXPECT_EQ(got.value(), it->second.first) << name;
+      EXPECT_EQ(s.last_commit_cycle(name), it->second.second) << name;
+    }
+    const auto staged = m.staged.find(name);
+    if (staged != m.staged.end()) {
+      const Expected<Value> own = s.read_own(name);
+      ASSERT_TRUE(own) << name;
+      EXPECT_EQ(own.value(), staged->second) << name;
+    }
+  }
+  ASSERT_EQ(s.pending().size(), m.staged.size());
+  auto staged = m.staged.begin();
+  for (const KeyId id : s.pending()) {  // name order
+    EXPECT_EQ(s.key_name(id), staged->first);
+    EXPECT_EQ(s.pending_value(id), staged->second) << staged->first;
+    ++staged;
+  }
+  ASSERT_EQ(s.history().size(), m.history.size());
+  for (std::size_t i = 0; i < m.history.size(); ++i) {
+    EXPECT_EQ(s.history()[i].cycle, m.history[i].cycle) << i;
+    EXPECT_EQ(s.history()[i].key, m.history[i].key) << i;
+    EXPECT_EQ(s.history()[i].value, m.history[i].value) << i;
+  }
+  EXPECT_EQ(s.commit_epochs(), m.epochs);
+  EXPECT_EQ(s.fingerprint(), model_fingerprint(m));
+}
+
+/// Stages a random value of a random alternative under `name`, passed as
+/// one of the argument types callers use, and returns what the model
+/// expects the store to stage: the alternative a Value built from that
+/// argument holds.
+Value write_random(StableStorage& s, const std::string& name, Rng& rng) {
+  switch (rng.uniform(0, 7)) {
+    case 0: {
+      const bool b = rng.chance(0.5);
+      s.write(name, b);
+      return Value{b};
+    }
+    case 1: {
+      const auto i = static_cast<std::int64_t>(rng.next_u64());
+      s.write(name, i);
+      return Value{i};
+    }
+    case 2: {
+      const double d = rng.uniform_real(-1e6, 1e6);
+      s.write(name, d);
+      return Value{d};
+    }
+    case 3: {
+      const char* const text = kModelTexts[rng.uniform(0, 3)];
+      s.write(name, text);
+      return Value{std::string(text)};
+    }
+    case 4: {
+      std::string text = kModelTexts[rng.uniform(0, 3)];
+      const Value expected{text};
+      s.write(name, std::move(text));
+      return expected;
+    }
+    case 5: {  // an lvalue Value, by KeyId
+      const Value v{rng.chance(0.5)};
+      s.write(s.intern(name), v);
+      return v;
+    }
+    case 6: {  // a bool and a double by KeyId
+      const KeyId id = s.intern(name);
+      if (rng.chance(0.5)) {
+        s.write(id, true);
+        return Value{true};
+      }
+      s.write(id, 0.5);
+      return Value{0.5};
+    }
+    default: {
+      s.write(name, Value{std::string(kModelTexts[3])});
+      return Value{std::string(kModelTexts[3])};
+    }
+  }
+}
+
+// Random scripts of writes (every alternative, in name order, reverse
+// order and random order), commits, fail-stop drops and mid-frame copy
+// assignments into a table that is a prefix of the source's and into a
+// foreign one, checked against the model after every step.
+TEST(StableStorageModel, RandomScriptsMatchAMapModel) {
+  std::size_t type_changes_in_frame = 0;
+  std::size_t type_changes_across_frames = 0;
+  std::size_t copies = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    // stores[0] starts empty; stores[1] starts empty, so its table is a
+    // prefix of whatever it is assigned from; stores[2] interned every name
+    // in reverse order and holds state of its own, so assigning into it
+    // goes through the foreign-table path.
+    std::array<StableStorage, 3> stores;
+    stores[0].enable_history(true);
+    for (auto it = kModelNames.rbegin(); it != kModelNames.rend(); ++it) {
+      stores[2].write(*it, std::int64_t{-1});
+    }
+    stores[2].commit(0);
+    std::size_t active = 0;
+    StoreModel model;
+    Cycle cycle = 1;
+    for (int step = 0; step < 250; ++step) {
+      StableStorage& s = stores[active];
+      const std::uint64_t op = rng.uniform(0, 99);
+      if (op < 45) {
+        std::vector<std::string> batch;
+        for (const std::string& name : kModelNames) {
+          if (rng.chance(0.4)) batch.push_back(name);
+        }
+        switch (rng.uniform(0, 2)) {
+          case 0: break;  // name order: every write appends
+          case 1: std::reverse(batch.begin(), batch.end()); break;
+          default:
+            for (std::size_t i = batch.size(); i > 1; --i) {
+              std::swap(batch[i - 1], batch[rng.uniform(0, i - 1)]);
+            }
+        }
+        for (const std::string& name : batch) {
+          const Value v = write_random(s, name, rng);
+          const auto staged = model.staged.find(name);
+          if (staged != model.staged.end() &&
+              staged->second.index() != v.index()) {
+            ++type_changes_in_frame;
+          }
+          model.staged[name] = v;
+        }
+      } else if (op < 70) {
+        for (const auto& [name, v] : model.staged) {
+          const auto it = model.committed.find(name);
+          if (it != model.committed.end() &&
+              it->second.first.index() != v.index()) {
+            ++type_changes_across_frames;
+          }
+        }
+        EXPECT_EQ(s.commit(cycle), model.staged.size());
+        model.commit(cycle++);
+      } else if (op < 80) {
+        s.drop_pending();
+        model.staged.clear();
+      } else {
+        const std::size_t target = (active + 1 + rng.uniform(0, 1)) % 3;
+        stores[target] = s;
+        ++copies;
+        expect_matches_model(stores[target], model);
+        if (rng.chance(0.5)) active = target;
+      }
+      expect_matches_model(stores[active], model);
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(type_changes_in_frame, 0u);
+  EXPECT_GT(type_changes_across_frames, 0u);
+  EXPECT_GT(copies, 0u);
 }
 
 TEST(VolatileStorage, WriteAndRead) {

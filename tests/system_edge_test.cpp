@@ -65,6 +65,83 @@ ReconfigSpec off_on_spec() {
   return spec;
 }
 
+/// One app that config 0 places on processor 0 and config 1 on processor
+/// 1. Factor kMode selects the config.
+ReconfigSpec moving_spec() {
+  ReconfigSpec spec;
+  AppDecl decl;
+  decl.id = synthetic_app(0);
+  decl.name = "app0";
+  decl.specs = {FunctionalSpec{synthetic_spec(0, 0), "s", {}, 100, 400}};
+  spec.declare_app(std::move(decl));
+  spec.declare_factor(env::FactorSpec{kMode, "mode", 0, 1, 0});
+  for (const std::size_t c : {0u, 1u}) {
+    Configuration config;
+    config.id = synthetic_config(c);
+    config.name = c == 0 ? "home" : "away";
+    config.assignment = {{synthetic_app(0), synthetic_spec(0, 0)}};
+    config.placement = {{synthetic_app(0), synthetic_processor(c)}};
+    config.safe = true;
+    spec.declare_config(std::move(config));
+  }
+  for (const std::size_t i : {0u, 1u}) {
+    for (const std::size_t j : {0u, 1u}) {
+      spec.set_transition_bound(synthetic_config(i), synthetic_config(j), 8);
+    }
+  }
+  spec.set_choose([](ConfigId, const env::EnvState& e) {
+    return e.at(kMode) == 0 ? synthetic_config(0) : synthetic_config(1);
+  });
+  spec.set_initial_config(synthetic_config(0));
+  spec.validate();
+  return spec;
+}
+
+TEST(SystemExecutionHost, AppOffInTheTargetWindsDownOnItsOldHost) {
+  // Config 1 turns app 1 off. Its host, processor 1, survives, so the app
+  // runs its halt, prepare and initialize stages there.
+  const ReconfigSpec spec = off_on_spec();
+  System system(spec);
+  system.add_app(std::make_unique<SimpleApp>(synthetic_app(0), "a"));
+  system.add_app(std::make_unique<SimpleApp>(synthetic_app(1), "b"));
+  system.run(5);
+  system.set_factor(kMode, 1);
+  system.run(10);
+
+  const auto& app1 = static_cast<SimpleApp&>(system.app(synthetic_app(1)));
+  EXPECT_FALSE(app1.current_spec().has_value());
+  EXPECT_EQ(app1.halts(), 1u);
+  EXPECT_EQ(app1.prepares(), 1u);
+  EXPECT_EQ(app1.initializes(), 1u);
+  EXPECT_EQ(system.region_host(synthetic_app(1)), synthetic_processor(1));
+}
+
+TEST(SystemExecutionHost, AppWhoseTargetHostIsDownRunsNowhere) {
+  // Config 1 moves the app to processor 1, which is down. The app halts on
+  // processor 0, its host, but prepare and initialize belong to the target
+  // host: with none running they must not run on processor 0 either, so
+  // the app signals a fault and the reconfiguration stalls.
+  const ReconfigSpec spec = moving_spec();
+  System system(spec);
+  system.add_app(std::make_unique<SimpleApp>(synthetic_app(0), "a"));
+  system.run(3);
+  system.processors().processor(synthetic_processor(1)).fail(3);
+  system.set_factor(kMode, 1);
+  system.run(20);
+
+  const auto& app0 = static_cast<SimpleApp&>(system.app(synthetic_app(0)));
+  EXPECT_EQ(app0.halts(), 1u);
+  EXPECT_EQ(app0.prepares(), 0u);
+  EXPECT_EQ(app0.initializes(), 0u);
+  EXPECT_EQ(system.region_host(synthetic_app(0)), synthetic_processor(0));
+  EXPECT_FALSE(system.processors()
+                   .processor(synthetic_processor(0))
+                   .poll_stable()
+                   .contains("a1/initialized_for"));
+  EXPECT_TRUE(trace::incomplete_reconfig(system.trace()).has_value());
+  EXPECT_GT(system.health().fault_count(), 0u);
+}
+
 TEST(SystemOffOn, AppTurnsOffAndStopsWorking) {
   const ReconfigSpec spec = off_on_spec();
   System system(spec);

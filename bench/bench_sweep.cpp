@@ -17,7 +17,11 @@
 //      runner threads, the best of three reps of at least 50 ms of
 //      back-to-back sweeps, taken in rounds over every cell. A point's
 //      cost should not grow with F.
-//   3. The warm cost of each System copy direction on that mission at
+//   3. Where one point's time goes, at one thread on the F = 512 cell's
+//      mission: the mission's frame, the JudgeBench refresh from the live
+//      victim and cohort, and the verdict on the bench (judge_crash_point),
+//      each timed apart through the public API.
+//   4. The warm cost of each System copy direction on that mission at
 //      frame 256: refreshing one reused checkpoint in place
 //      (System::checkpoint_into) and restoring it — what an explorer that
 //      branches the whole system pays.
@@ -31,10 +35,13 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
+#include "arfs/failstop/processor.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/storage/durable/quorum.hpp"
 #include "arfs/support/crash_sweep.hpp"
 #include "arfs/support/mission.hpp"
 #include "arfs/support/simple_app.hpp"
@@ -243,6 +250,71 @@ void report_point_cost() {
   }
 }
 
+/// One crash point's three steps, timed apart at one thread on the
+/// warm-start F = 512 cell's mission, as the rolling sweep takes them: the
+/// mission's frame (with the victim's fingerprint the sweep records), the
+/// bench refresh and the verdict on the bench. Each step's mean µs over
+/// the mission's points, the best of kPasses fresh missions (the first
+/// points of a pass grow the bench's buffers). Four clock reads per point
+/// are included, about 0.1 µs in all.
+void report_point_split() {
+  constexpr Cycle kFrames = 512;
+  constexpr int kPasses = 5;
+  using Clock = std::chrono::steady_clock;
+  double best[3] = {};
+  bool ok = true;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const support::CrashMission mission = uav_ship_factory(kFrames)();
+    core::System& system = *mission.system;
+    failstop::Processor& victim =
+        system.processors().processor(avionics::kComputer1);
+    storage::durable::quorum::QuorumGroup& cohort =
+        system.quorum_group(avionics::kComputer1);
+    support::JudgeBench bench(victim, &cohort);
+    support::CrashSweepOptions options;
+    options.victim = avionics::kComputer1;
+    options.warm_start = true;
+    std::vector<std::uint64_t> fingerprints{
+        victim.poll_stable().fingerprint()};
+    fingerprints.reserve(static_cast<std::size_t>(kFrames) + 1);
+    Clock::duration spent[3] = {};
+    for (Cycle f = 1; f <= kFrames; ++f) {
+      const Clock::time_point t0 = Clock::now();
+      system.run(1);
+      fingerprints.push_back(victim.poll_stable().fingerprint());
+      const Clock::time_point t1 = Clock::now();
+      bench.refresh(victim, &cohort);
+      const Clock::time_point t2 = Clock::now();
+      const support::CrashPoint point = support::judge_crash_point(
+          bench.victim(), bench.cohort(), options, f, fingerprints);
+      const Clock::time_point t3 = Clock::now();
+      ok = ok && point.match && point.replica_match;
+      spent[0] += t1 - t0;
+      spent[1] += t2 - t1;
+      spent[2] += t3 - t2;
+    }
+    for (int step = 0; step < 3; ++step) {
+      const double us =
+          std::chrono::duration<double, std::micro>(spent[step]).count() /
+          static_cast<double>(kFrames);
+      if (pass == 0 || us < best[step]) best[step] = us;
+    }
+  }
+  std::cout << "\nOne crash point, step by step (1 thread, F = " << kFrames
+            << ", best of " << kPasses << " fresh missions)\n";
+  std::cout << std::left << std::setw(12) << "frame us" << std::setw(14)
+            << "refresh us" << std::setw(12) << "judge us" << "verdict\n";
+  std::cout << std::left << std::fixed << std::setprecision(2)
+            << std::setw(12) << best[0] << std::setw(14) << best[1]
+            << std::setw(12) << best[2] << (ok ? "all match" : "MISMATCH")
+            << "\n";
+  const char* const names[] = {"frame_us", "refresh_us", "judge_us"};
+  for (int step = 0; step < 3; ++step) {
+    bench::trajectory().record(
+        std::string("sweep/uav_ship_F512/") + names[step], best[step], "us");
+  }
+}
+
 /// Warm cost of each copy direction on the warm-start cell's mission at
 /// frame 256 (a mid-mission trace and journal): refreshing one reused
 /// checkpoint in place, then restoring it, each averaged over kReps calls
@@ -281,6 +353,7 @@ void report() {
                 "the O(F²) → O(F) sweep reduction");
   report_scaling();
   report_point_cost();
+  report_point_split();
   report_checkpoint_costs();
   std::cout << "\n";
 }

@@ -37,7 +37,9 @@ struct MessagingStats {
   std::uint64_t dropped_unknown = 0;    ///< Receiver app does not exist.
 };
 
-/// Per-application send/receive endpoint, owned by the System.
+class MessageRouter;
+
+/// Per-application send/receive endpoint, made by MessageRouter::endpoint.
 class Mailbox {
  public:
   /// Queues a message for delivery at the start of the next frame.
@@ -53,6 +55,7 @@ class Mailbox {
 
  private:
   friend class MessageRouter;
+  MessageRouter* router_ = nullptr;  ///< Counts this box's sends.
   std::vector<AppMessage> outgoing_;
   std::vector<AppMessage> inbox_;
 };
@@ -60,6 +63,14 @@ class Mailbox {
 /// Owns all mailboxes and performs the frame-boundary exchange.
 class MessageRouter {
  public:
+  MessageRouter() = default;
+  /// Copies and moves carry the mail in flight and point every mailbox at
+  /// its new router, so a send on a copy's mailbox is seen by that copy.
+  MessageRouter(const MessageRouter& other);
+  MessageRouter(MessageRouter&& other) noexcept;
+  MessageRouter& operator=(const MessageRouter& other);
+  MessageRouter& operator=(MessageRouter&& other) noexcept;
+
   /// Registers an application endpoint. Idempotent.
   Mailbox& endpoint(AppId app);
   [[nodiscard]] bool has_endpoint(AppId app) const;
@@ -69,14 +80,15 @@ class MessageRouter {
   /// `receiver_alive(app)` gates delivery (dead-host messages are dropped).
   template <typename AliveFn>
   void exchange(Cycle cycle, AliveFn&& receiver_alive) {
-    // Every inbox is cleared before any delivery; a frame in which nobody
-    // sent (the steady frame of most specs) ends after that one pass.
-    bool any_outgoing = false;
-    for (auto& [app, box] : boxes_) {
-      box.inbox_.clear();
-      any_outgoing = any_outgoing || !box.outgoing_.empty();
+    // Only a delivery fills an inbox and only a send an outgoing queue, so
+    // a frame after one that delivered nothing, in which nobody sent (the
+    // steady frame of most specs), touches no mailbox.
+    if (delivered_) {
+      for (auto& [app, box] : boxes_) box.inbox_.clear();
+      delivered_ = false;
     }
-    if (!any_outgoing) return;
+    if (outgoing_ == 0) return;
+    outgoing_ = 0;
     for (auto& [app, box] : boxes_) {
       stats_.sent += box.outgoing_.size();
       for (AppMessage& msg : box.outgoing_) {
@@ -93,6 +105,7 @@ class MessageRouter {
         msg.from = app;
         it->second.inbox_.push_back(std::move(msg));
         ++stats_.delivered;
+        delivered_ = true;
       }
       box.outgoing_.clear();
     }
@@ -101,8 +114,16 @@ class MessageRouter {
   [[nodiscard]] const MessagingStats& stats() const { return stats_; }
 
  private:
+  friend class Mailbox;
+  /// Points every mailbox at this router (after a copy or a move).
+  void adopt_boxes();
+
   std::map<AppId, Mailbox> boxes_;
   MessagingStats stats_;
+  /// Messages sent since the last exchange, in every outgoing queue.
+  std::size_t outgoing_ = 0;
+  /// The last exchange delivered mail, so some inbox may hold it.
+  bool delivered_ = false;
 };
 
 }  // namespace arfs::core

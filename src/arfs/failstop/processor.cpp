@@ -122,8 +122,21 @@ ProcessorView Processor::Checkpoint::view() const {
                             : std::nullopt};
 }
 
-void Processor::restore_state(const Checkpoint& cp) {
-  require((durability_ != nullptr) == cp.durability.has_value(),
+struct Processor::LiveState {
+  ProcessorState state;
+  const SelfCheckingPair& pair;
+  const storage::StableStorage& stable;
+  const storage::VolatileStorage& volatile_store;
+  const storage::durable::DurabilityEngine* durability;
+  const std::optional<storage::durable::RecoveryReport>& last_recovery;
+  std::uint64_t lost_epochs;
+  std::optional<Cycle> failed_at;
+  std::uint64_t failures;
+};
+
+template <class Image>
+void Processor::restore_from(const Image& cp) {
+  require((durability_ != nullptr) == static_cast<bool>(cp.durability),
           "processor restore must match its durability attachment");
   state_ = cp.state;
   pair_ = cp.pair;
@@ -134,6 +147,20 @@ void Processor::restore_state(const Checkpoint& cp) {
   lost_epochs_ = cp.lost_epochs;
   failed_at_ = cp.failed_at;
   failures_ = cp.failures;
+}
+
+void Processor::restore_state(const Checkpoint& cp) { restore_from(cp); }
+
+void Processor::restore_state(const Processor& live) {
+  restore_from(LiveState{.state = live.state_,
+                         .pair = live.pair_,
+                         .stable = live.stable_,
+                         .volatile_store = live.volatile_,
+                         .durability = live.durability_.get(),
+                         .last_recovery = live.last_recovery_,
+                         .lost_epochs = live.lost_epochs_,
+                         .failed_at = live.failed_at_,
+                         .failures = live.failures_});
 }
 
 void Processor::enable_durability(

@@ -143,8 +143,19 @@ class Processor {
   /// Precondition: durability attachment matches the checkpoint's. The
   /// engine object is rewound in place — references to it stay valid.
   void restore_state(const Checkpoint& cp);
+  /// Makes this processor what checkpoint_into(cp) then restore_state(cp)
+  /// would make it, copying `live` straight in with no image between: the
+  /// same fields, buffers kept, derived state cleared. Precondition: both
+  /// processors match in durability attachment.
+  void restore_state(const Processor& live);
 
  private:
+  /// A live processor read under its Checkpoint's field names.
+  struct LiveState;
+  /// The one restore body, over a Checkpoint or a LiveState.
+  template <class Image>
+  void restore_from(const Image& cp);
+
   ProcessorId id_;
   ProcessorState state_ = ProcessorState::kRunning;
   SelfCheckingPair pair_;

@@ -14,9 +14,9 @@ namespace {
 /// crash tore it (the journal is uncompacted in exactly that case).
 constexpr std::size_t kGcKeepImages = 2;
 
-/// The engine device a checkpoint copies from and restores into. Only a
-/// memory device can be captured, so a file-backed engine cannot be
-/// checkpointed.
+/// The engine device a checkpoint copies from, and a restore copies into
+/// (from a checkpoint or a live engine). Only a memory device can be
+/// captured, so a file-backed engine cannot be checkpointed.
 MemoryBackend& memory_device(JournalBackend& device) {
   auto* memory = dynamic_cast<MemoryBackend*>(&device);
   require(memory != nullptr, "checkpoints need memory journal devices");
@@ -370,7 +370,23 @@ EngineView EngineCheckpoint::view() const {
           .reconfig_pressure = reconfig_pressure};
 }
 
-void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
+struct DurabilityEngine::LiveState {
+  const MemoryBackend* journal;
+  const MemoryBackend* snapshots;
+  const DurabilityStats& stats;
+  const KeyInterner& interner;
+  std::uint64_t appended_epoch;
+  std::uint64_t journal_generation;
+  const std::vector<std::uint8_t>& retained_tail;
+  bool rebase_ok;
+  std::uint64_t rebase_epoch;
+  std::uint64_t ship_horizon;
+  std::uint64_t adaptive_watermark_fp;
+  bool reconfig_pressure;
+};
+
+template <class Image>
+void DurabilityEngine::restore_from(const Image& cp) {
   // Copy-assignment keeps each device's buffers, so a warm restore
   // allocates nothing.
   memory_device(*journal_) = *cp.journal;
@@ -387,6 +403,26 @@ void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
   reconfig_pressure_ = cp.reconfig_pressure;
   scratch_.clear();
   decode_scratch_.clear();
+}
+
+void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
+  restore_from(cp);
+}
+
+void DurabilityEngine::restore_state(const DurabilityEngine& live) {
+  restore_from(LiveState{
+      .journal = &memory_device(*live.journal_),
+      .snapshots = &memory_device(*live.snapshots_),
+      .stats = live.stats_,
+      .interner = live.interner_,
+      .appended_epoch = live.appended_epoch_,
+      .journal_generation = live.journal_generation_,
+      .retained_tail = live.retained_tail_,
+      .rebase_ok = live.rebase_ok_,
+      .rebase_epoch = live.rebase_epoch_,
+      .ship_horizon = live.ship_horizon_,
+      .adaptive_watermark_fp = live.adaptive_watermark_fp_,
+      .reconfig_pressure = live.reconfig_pressure_});
 }
 
 std::unique_ptr<DurabilityEngine> make_memory_engine(DurableOptions options) {

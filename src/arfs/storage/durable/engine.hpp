@@ -291,6 +291,10 @@ class DurabilityEngine {
   /// keeping its buffers, so a warm restore allocates nothing. Same
   /// precondition as checkpoint_into().
   void restore_state(const EngineCheckpoint& cp);
+  /// Rewinds this engine in place to what checkpoint_into(cp) then
+  /// restore_state(cp) would make it, copying `live` straight in with no
+  /// image between. Same precondition, for both engines.
+  void restore_state(const DurabilityEngine& live);
 
   /// SCRAM reconfiguration pressure: while on, a kAdaptive policy's
   /// effective watermark drops to its floor so directives become durable
@@ -362,6 +366,11 @@ class DurabilityEngine {
   /// Syncs the journal and settles the lag counters. Shared by the policy
   /// path, sync_now(), and the snapshot boundary.
   bool do_sync();
+  /// A live engine read under EngineCheckpoint's field names.
+  struct LiveState;
+  /// The one restore body, over an EngineCheckpoint or a LiveState.
+  template <class Image>
+  void restore_from(const Image& cp);
 
   std::unique_ptr<JournalBackend> journal_;
   std::unique_ptr<JournalBackend> snapshots_;

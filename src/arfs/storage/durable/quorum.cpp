@@ -369,7 +369,19 @@ void QuorumGroup::checkpoint_into(Checkpoint& cp) const {
   cp.stats = stats_;
 }
 
-void QuorumGroup::restore_state(const Checkpoint& cp) {
+struct QuorumGroup::LiveState {
+  const std::vector<Member>& members;
+  const std::vector<MemberId>& old_voters;
+  const std::vector<MemberId>& new_voters;
+  bool reconfiguring;
+  std::uint64_t reconfig_epoch;
+  std::uint64_t commit_id;
+  std::optional<MemberId> leader;
+  const QuorumStats& stats;
+};
+
+template <class Image>
+void QuorumGroup::restore_from(const Image& cp) {
   require(!cp.members.empty(), "quorum checkpoint holds no members");
   // The checkpoint may straddle a membership change relative to the live
   // group: discard members created after it, recreate members it holds
@@ -382,7 +394,7 @@ void QuorumGroup::restore_state(const Checkpoint& cp) {
   while (members_.size() < cp.members.size()) append_member();
   for (MemberId id = 0; id < members_.size(); ++id) {
     Member& m = members_[id];
-    const MemberCheckpoint& mc = cp.members[id];
+    const auto& mc = cp.members[id];
     m.replica.restore_state(mc.replica);
     m.last_applied = mc.last_applied;
     m.live = mc.live;
@@ -398,6 +410,19 @@ void QuorumGroup::restore_state(const Checkpoint& cp) {
   commit_id_ = cp.commit_id;
   leader_ = cp.leader;
   stats_ = cp.stats;
+}
+
+void QuorumGroup::restore_state(const Checkpoint& cp) { restore_from(cp); }
+
+void QuorumGroup::restore_state(const QuorumGroup& live) {
+  restore_from(LiveState{.members = live.members_,
+                         .old_voters = live.old_voters_,
+                         .new_voters = live.new_voters_,
+                         .reconfiguring = live.reconfiguring_,
+                         .reconfig_epoch = live.reconfig_epoch_,
+                         .commit_id = live.commit_id_,
+                         .leader = live.leader_,
+                         .stats = live.stats_});
 }
 
 MemberView QuorumGroup::MemberCheckpoint::view() const {

@@ -251,6 +251,11 @@ class QuorumGroup {
   /// Rewinds the group to `cp`, creating or discarding trailing members as
   /// needed (a checkpoint may straddle a membership change).
   void restore_state(const Checkpoint& cp);
+  /// Makes the group what checkpoint_into(cp) then restore_state(cp) would
+  /// make it, copying `live` straight in with no image between: members
+  /// are created or discarded the same way, and this group keeps its own
+  /// source engine, shipper and scratch buffers.
+  void restore_state(const QuorumGroup& live);
 
  private:
   struct Member {
@@ -280,6 +285,12 @@ class QuorumGroup {
   /// actually changes.
   void elect();
   void append_member();
+  /// A live group read under its Checkpoint's field names (its Members
+  /// share MemberCheckpoint's).
+  struct LiveState;
+  /// The one restore body, over a Checkpoint or a LiveState.
+  template <class Image>
+  void restore_from(const Image& cp);
   Member& member_ref(MemberId id);
   [[nodiscard]] const Member& member_at(MemberId id) const;
 

@@ -301,8 +301,18 @@ void ShippedReplica::checkpoint_into(Checkpoint& cp) const {
   cp.stats = stats_;
 }
 
-void ShippedReplica::restore_state(const Checkpoint& cp) {
-  require((engine_ != nullptr) == cp.engine.has_value(),
+struct ShippedReplica::LiveState {
+  const StableStorage& store;
+  const DurabilityEngine* engine;
+  const NamePool& dict;
+  const std::vector<std::uint8_t>& pending;
+  const ShipCursor& cursor;
+  const Stats& stats;
+};
+
+template <class Image>
+void ShippedReplica::restore_from(const Image& cp) {
+  require((engine_ != nullptr) == static_cast<bool>(cp.engine),
           "replica restore must match its attached-engine shape");
   store_ = cp.store;
   if (engine_ != nullptr) engine_->restore_state(*cp.engine);
@@ -311,6 +321,17 @@ void ShippedReplica::restore_state(const Checkpoint& cp) {
   pending_ = cp.pending;
   cursor_ = cp.cursor;
   stats_ = cp.stats;
+}
+
+void ShippedReplica::restore_state(const Checkpoint& cp) { restore_from(cp); }
+
+void ShippedReplica::restore_state(const ShippedReplica& live) {
+  restore_from(LiveState{.store = live.store_,
+                         .engine = live.engine_.get(),
+                         .dict = live.dict_,
+                         .pending = live.pending_,
+                         .cursor = live.cursor_,
+                         .stats = live.stats_});
 }
 
 ReplicaView ShippedReplica::view() const {

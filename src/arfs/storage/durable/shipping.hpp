@@ -192,8 +192,18 @@ class ShippedReplica {
   /// Precondition: an engine is attached iff the checkpoint holds one (a
   /// replica never gains or loses its standby engine mid-mission).
   void restore_state(const Checkpoint& cp);
+  /// Makes this replica what checkpoint_into(cp) then restore_state(cp)
+  /// would make it, copying `live` straight in with no image between.
+  /// Precondition: both replicas match in engine attachment.
+  void restore_state(const ShippedReplica& live);
 
  private:
+  /// A live replica read under its Checkpoint's field names.
+  struct LiveState;
+  /// The one restore body, over a Checkpoint or a LiveState.
+  template <class Image>
+  void restore_from(const Image& cp);
+
   /// Applies every complete record in pending_; returns false on a corrupt
   /// or malformed record (the un-applied suffix is then discarded and the
   /// cursor rewound to the last good boundary).

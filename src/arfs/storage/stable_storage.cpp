@@ -24,6 +24,17 @@ Unexpected missing_key(std::string_view key) {
   return unexpected("stable-storage key not committed: " + std::string(key));
 }
 
+/// Value equality at fingerprint() resolution: the same alternative and,
+/// for a double, the same bit pattern rather than the same number.
+bool same_bits(const Value& a, const Value& b) {
+  if (a.index() != b.index()) return false;
+  if (const double* d = std::get_if<double>(&a)) {
+    return std::bit_cast<std::uint64_t>(*d) ==
+           std::bit_cast<std::uint64_t>(std::get<double>(b));
+  }
+  return a == b;
+}
+
 }  // namespace
 
 StableStorage& StableStorage::operator=(const StableStorage& other) {
@@ -308,6 +319,24 @@ std::uint64_t StableStorage::fingerprint() const {
     h = fnv_mix(h, slot.committed_at);
   }
   return h;
+}
+
+bool StableStorage::same_committed(const StableStorage& other) const {
+  if (committed_ != other.committed_) return false;
+  // Both walks visit exactly committed_ present slots, in name order.
+  auto mine = sorted_.begin();
+  auto theirs = other.sorted_.begin();
+  for (std::size_t n = 0; n < committed_; ++n, ++mine, ++theirs) {
+    while (!slots_[mine->value()].present) ++mine;
+    while (!other.slots_[theirs->value()].present) ++theirs;
+    const Slot& a = slots_[mine->value()];
+    const Slot& b = other.slots_[theirs->value()];
+    if (a.committed_at != b.committed_at || !same_bits(a.value, b.value) ||
+        names_[mine->value()] != other.names_[theirs->value()]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace arfs::storage

@@ -209,6 +209,13 @@ class StableStorage {
   /// equal fingerprints hold bit-identical committed state (FNV-1a,
   /// collision odds ~2^-64).
   [[nodiscard]] std::uint64_t fingerprint() const;
+  /// True when `other` holds the same committed entries as this store bit
+  /// for bit: the same names, value alternatives, value bits and commit
+  /// cycles, so the two fingerprints are equal. A double compares by its
+  /// bit pattern, as fingerprint() hashes it: +0.0 and -0.0 differ, and a
+  /// NaN equals only a NaN with the same payload. Hashes nothing, so it
+  /// costs less than a fingerprint.
+  [[nodiscard]] bool same_committed(const StableStorage& other) const;
 
   /// Enables retention of every commit for post-mortem analysis.
   void enable_history(bool on) { history_on_ = on; }

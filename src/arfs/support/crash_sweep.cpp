@@ -233,9 +233,13 @@ CrashPoint judge_crash_point(failstop::Processor& victim,
     const std::optional<storage::durable::quorum::MemberId> leader =
         cohort->leader();
     require(leader.has_value(), "quorum cohort has no live member");
-    const storage::durable::ShippedReplica& replica = cohort->replica(*leader);
-    point.replica_epoch = replica.store().commit_epochs();
-    point.replica_fingerprint = replica.store().fingerprint();
+    const storage::StableStorage& replica = cohort->replica(*leader).store();
+    point.replica_epoch = replica.commit_epochs();
+    // Stores with the same committed entries share a fingerprint, so the
+    // recovered store's stands in unless the two differ.
+    point.replica_fingerprint = replica.same_committed(victim.poll_stable())
+                                    ? point.recovered_fingerprint
+                                    : replica.fingerprint();
     point.replica_catchup_bytes = catch_up.bytes;
     point.replica_reseeded = catch_up.reseeds > 0;
     // Commit-rule check: the cohort must still hold a live majority and
@@ -266,12 +270,10 @@ JudgeBench::JudgeBench(failstop::Processor& victim, const QuorumGroup* cohort)
 
 void JudgeBench::refresh(const failstop::Processor& victim,
                          const QuorumGroup* cohort) {
-  victim.checkpoint_into(victim_image_);
-  victim_.restore_state(victim_image_);
+  victim_.restore_state(victim);
   if (cohort_.has_value()) {
     require(cohort != nullptr, "judge bench refreshed without its cohort");
-    cohort->checkpoint_into(cohort_image_);
-    cohort_->restore_state(cohort_image_);
+    cohort_->restore_state(*cohort);
   }
 }
 

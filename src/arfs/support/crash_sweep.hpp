@@ -68,10 +68,11 @@ struct CrashMission {
 /// core::SystemCheckpoint must capture everything that decides a mission's
 /// future — everything its apps and the objects in the keepalive mutate
 /// included (apps do so through their checkpoint hooks). And the verdict is
-/// reached on a JudgeBench copy of the victim, so Processor::Checkpoint and
-/// QuorumGroup::Checkpoint must capture everything recovery and the
-/// cohort's catch-up read. State either misses would make the sweep drift
-/// from the from-scratch oracle, which judges the mission's own victim.
+/// reached on a JudgeBench copy of the victim, so the restore_state of a
+/// Processor and of a QuorumGroup (one body per layer, from a checkpoint or
+/// a live source) must copy everything recovery and the cohort's catch-up
+/// read. State either misses would make the sweep drift from the
+/// from-scratch oracle, which judges the mission's own victim.
 using MissionFactory = std::function<CrashMission()>;
 
 struct CrashSweepOptions {
@@ -226,10 +227,12 @@ struct CrashSweepReport {
 /// without crashing the mission: a processor with its own durability engine
 /// (built from the victim engine's options) and, when given the victim's
 /// cohort, a QuorumGroup on that engine (built from the cohort's options).
-/// refresh() copies the live victim and cohort in through their
-/// checkpoint_into/restore_state, keeping every buffer, so once a refresh
-/// has seen states as large it allocates nothing. A bench is built once
-/// per job and refreshed before each point.
+/// refresh() copies the live victim and cohort straight into the bench
+/// through their restore_state overloads for a live source, one copy with
+/// no image between, keeping every buffer; so once a refresh has seen
+/// states as large it allocates nothing. The bench's cohort keeps its own
+/// shipper and batch buffer, and grows or sheds members to match the live
+/// cohort. A bench is built once per job and refreshed before each point.
 class JudgeBench {
  public:
   /// Precondition: `victim` carries a durability engine, and `cohort`, when
@@ -251,9 +254,6 @@ class JudgeBench {
  private:
   failstop::Processor victim_;
   std::optional<storage::durable::quorum::QuorumGroup> cohort_;
-  // The two halves of a refresh meet in these images.
-  failstop::Processor::Checkpoint victim_image_;
-  storage::durable::quorum::QuorumGroup::Checkpoint cohort_image_;
 };
 
 }  // namespace arfs::support

@@ -14,7 +14,9 @@
 //    number of allocations (the verdict vector, sized once);
 //  * a freshly built durable, journal-shipping UAV mission (the crash
 //    sweep's shape, trace on) makes exactly the recorded number of
-//    allocations over its first 512 frames, under one per frame;
+//    allocations over its first 512 frames, under one per frame, and a
+//    fresh one-thread warm-start sweep of its 512 crash points makes
+//    exactly the recorded number outside the mission factory;
 //  * publishing a frame record on the shared-memory ring or the socket
 //    stream allocates nothing;
 //  * on a warm serve::SimServer, opening a heap-ring session makes exactly
@@ -67,6 +69,7 @@
 #include "arfs/serve/frame_ring.hpp"
 #include "arfs/serve/server.hpp"
 #include "arfs/serve/transport.hpp"
+#include "arfs/sim/batch.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
 #include "arfs/storage/durable/quorum.hpp"
@@ -549,29 +552,44 @@ TEST(FrameAlloc, BenchCrashPointOnAWarmMissionAllocatesNothing) {
 constexpr std::uint64_t kFreshUavMissionAllocs = 437;
 constexpr Cycle kUavMissionFrames = 512;
 
-TEST(FrameAlloc, FreshDurableUavMissionMakesTheRecordedAllocations) {
+/// A mission shaped like perfbench's crash_sweep: the durable UAV
+/// (frames(4) group commit, a snapshot every 16 epochs) shipping to its
+/// one-member cohort, the power factor cycling Full -> Reduced -> Minimal
+/// -> Full every 45 frames.
+support::CrashMission uav_sweep_mission() {
+  struct Bundle {
+    core::ReconfigSpec spec;
+    avionics::UavPlant plant{7};
+  };
+  auto bundle = std::make_shared<Bundle>();
   avionics::UavSpecOptions spec_options;
   spec_options.dwell_frames = 10;
-  const core::ReconfigSpec spec = avionics::make_uav_spec(spec_options);
-  avionics::UavPlant plant(7);
+  bundle->spec = avionics::make_uav_spec(spec_options);
   core::SystemOptions options;
   options.frame_length = 20'000;
   options.durable_storage = true;
   options.journal_shipping = true;
   options.durability.snapshot_every_epochs = 16;
   options.durability.sync = storage::durable::SyncPolicy::frames(4);
-  core::System system(spec, options);
-  system.add_app(std::make_unique<avionics::AutopilotApp>(plant));
-  system.add_app(std::make_unique<avionics::FcsApp>(plant));
-  // Full -> Reduced -> Minimal -> Full ... every 45 frames.
+  auto system = std::make_unique<core::System>(bundle->spec, options);
+  system->add_app(std::make_unique<avionics::AutopilotApp>(bundle->plant));
+  system->add_app(std::make_unique<avionics::FcsApp>(bundle->plant));
   support::MissionProfile profile(options.frame_length);
   std::int64_t level = 0;
   for (Cycle frame = 45; frame < kUavMissionFrames; frame += 45) {
     level = (level + 1) % 3;
     profile.at(frame, avionics::kPowerFactor, level);
   }
-  system.set_fault_plan(profile.build());
+  system->set_fault_plan(profile.build());
+  support::CrashMission mission;
+  mission.keepalive = bundle;
+  mission.system = std::move(system);
+  return mission;
+}
 
+TEST(FrameAlloc, FreshDurableUavMissionMakesTheRecordedAllocations) {
+  const support::CrashMission mission = uav_sweep_mission();
+  core::System& system = *mission.system;
   const std::uint64_t allocs = frame_allocs(system, kUavMissionFrames);
   EXPECT_EQ(allocs, kFreshUavMissionAllocs);
   EXPECT_LE(static_cast<double>(allocs) /
@@ -579,6 +597,38 @@ TEST(FrameAlloc, FreshDurableUavMissionMakesTheRecordedAllocations) {
             1.0);
   EXPECT_GE(system.scram().stats().reconfigs_completed, 10u);
   EXPECT_GE(system.stats().region_relocations, 6u);
+}
+
+/// Allocations of a fresh one-thread warm-start sweep of that mission's
+/// 512 crash points, the factory's own excluded: the mission's first pass
+/// (above), the judge bench and its first refreshes and recoveries growing
+/// their buffers once, and the point table. The bench copies the live
+/// victim and cohort straight in; staging each refresh in a checkpoint
+/// image grew two more sets of buffers (592 allocations, 67 more).
+constexpr std::uint64_t kFreshUavSweepAllocs = 525;
+
+TEST(FrameAlloc, FreshUavCrashSweepMakesTheRecordedAllocations) {
+  sim::BatchRunner runner(sim::BatchOptions{1, 0});
+  std::uint64_t factory_allocs = 0;
+  const support::MissionFactory factory = [&factory_allocs] {
+    const std::uint64_t before = t_allocs;
+    support::CrashMission mission = uav_sweep_mission();
+    factory_allocs += t_allocs - before;
+    return mission;
+  };
+  support::CrashSweepOptions options;
+  options.frames = kUavMissionFrames;
+  options.victim = avionics::kComputer1;
+  options.warm_start = true;
+  const std::uint64_t before = t_allocs;
+  const support::CrashSweepReport report =
+      support::run_crash_sweep(factory, options, runner);
+  const std::uint64_t allocs = t_allocs - before - factory_allocs;
+  EXPECT_TRUE(report.all_match());
+  EXPECT_EQ(report.points.size(), kUavMissionFrames);
+  EXPECT_EQ(report.missions_built, 1u);
+  EXPECT_GT(factory_allocs, 0u);
+  EXPECT_EQ(allocs, kFreshUavSweepAllocs);
 }
 
 serve::FrameRecord frame_record(std::uint64_t frame) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 
 #include "arfs/core/messaging.hpp"
 #include "arfs/core/system.hpp"
@@ -61,6 +62,81 @@ TEST(MessageRouter, DropsForDeadReceiversAndUnknownApps) {
   EXPECT_EQ(router.stats().dropped_dead_host, 1u);
   EXPECT_EQ(router.stats().dropped_unknown, 1u);
   EXPECT_EQ(router.stats().delivered, 0u);
+}
+
+TEST(MessageRouter, DeliversAfterIdleFrames) {
+  MessageRouter router;
+  Mailbox& a = router.endpoint(AppId{1});
+  Mailbox& b = router.endpoint(AppId{2});
+  const auto alive = [](AppId) { return true; };
+  for (Cycle c = 1; c <= 3; ++c) router.exchange(c, alive);
+  a.send(AppId{2}, "cmd", std::int64_t{7});
+  router.exchange(4, alive);
+  ASSERT_EQ(b.inbox().size(), 1u);
+  EXPECT_EQ(b.inbox()[0].sent_cycle, 3u);
+
+  // The next idle exchange empties the inbox; later idle ones keep it so.
+  router.exchange(5, alive);
+  EXPECT_TRUE(b.inbox().empty());
+  router.exchange(6, alive);
+  EXPECT_TRUE(b.inbox().empty());
+
+  // Mail both ways after the idle frames, in send order per sender.
+  b.send(AppId{1}, "ack", std::int64_t{1});
+  a.send(AppId{2}, "cmd", std::int64_t{8});
+  a.send(AppId{2}, "cmd", std::int64_t{9});
+  router.exchange(7, alive);
+  ASSERT_EQ(a.inbox().size(), 1u);
+  ASSERT_EQ(b.inbox().size(), 2u);
+  EXPECT_EQ(std::get<std::int64_t>(b.inbox()[0].payload), 8);
+  EXPECT_EQ(std::get<std::int64_t>(b.inbox()[1].payload), 9);
+  EXPECT_EQ(router.stats().sent, 4u);
+  EXPECT_EQ(router.stats().delivered, 4u);
+}
+
+TEST(MessageRouter, CopiesAndMovesCarryTheirOwnMail) {
+  const auto alive = [](AppId) { return true; };
+  MessageRouter router;
+  Mailbox& a = router.endpoint(AppId{1});
+  router.endpoint(AppId{2});
+  a.send(AppId{2}, "cmd", std::int64_t{7});
+
+  // A copy taken with mail outgoing delivers it, and so does the original.
+  MessageRouter copy = router;
+  copy.exchange(1, alive);
+  EXPECT_EQ(copy.endpoint(AppId{2}).inbox().size(), 1u);
+  router.exchange(1, alive);
+  EXPECT_EQ(router.endpoint(AppId{2}).inbox().size(), 1u);
+
+  // A send on the copy's mailbox is the copy's alone.
+  copy.endpoint(AppId{1}).send(AppId{2}, "cmd", std::int64_t{8});
+  router.exchange(2, alive);
+  EXPECT_TRUE(router.endpoint(AppId{2}).inbox().empty());
+  EXPECT_EQ(router.stats().sent, 1u);
+
+  // An assigned router keeps the copy's mail outgoing and delivers it.
+  MessageRouter assigned;
+  assigned = copy;
+  assigned.exchange(2, alive);
+  ASSERT_EQ(assigned.endpoint(AppId{2}).inbox().size(), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(
+                assigned.endpoint(AppId{2}).inbox()[0].payload),
+            8);
+
+  // A move keeps each mailbox: one held across a move, made with no mail
+  // in flight, sends into the router it moved to.
+  Mailbox& held = assigned.endpoint(AppId{1});
+  MessageRouter moved = std::move(assigned);
+  held.send(AppId{2}, "cmd", std::int64_t{9});
+  moved.exchange(3, alive);
+  EXPECT_EQ(moved.endpoint(AppId{2}).inbox().size(), 1u);
+  MessageRouter target;
+  target = std::move(moved);
+  held.send(AppId{2}, "cmd", std::int64_t{10});
+  target.exchange(4, alive);
+  EXPECT_EQ(target.endpoint(AppId{2}).inbox().size(), 1u);
+  EXPECT_EQ(target.stats().delivered, 4u);
+  EXPECT_EQ(copy.stats().delivered, 1u);
 }
 
 /// Application pair: the producer sends its work counter each frame; the
@@ -129,6 +205,30 @@ TEST(SystemMessaging, OneFrameDeliveryLatency) {
   // still in flight, so four messages have crossed a boundary.
   EXPECT_EQ(system.messaging().sent, 4u);
   EXPECT_EQ(system.messaging().delivered, 4u);
+}
+
+TEST(SystemMessaging, MailOutgoingAtACheckpointIsDeliveredAfterTheRestore) {
+  support::ChainSpecParams params;
+  params.configs = 2;
+  params.apps = 2;
+  const ReconfigSpec spec = support::make_chain_spec(params);
+  System system(spec);
+  system.add_app(std::make_unique<ProducerApp>());
+  auto consumer = std::make_unique<ConsumerApp>();
+  ConsumerApp* consumer_ptr = consumer.get();
+  system.add_app(std::move(consumer));
+
+  // Frame 2's send (3) is still outgoing when the checkpoint is taken.
+  system.run(3);
+  const SystemCheckpoint cp = system.checkpoint();
+  system.run(4);
+  EXPECT_EQ(consumer_ptr->last_seen(), 6);
+  system.restore(cp);
+  EXPECT_EQ(system.messaging().sent, 2u);
+  system.run(1);
+  EXPECT_EQ(consumer_ptr->last_seen(), 3);
+  EXPECT_EQ(system.messaging().sent, 3u);
+  EXPECT_EQ(system.messaging().delivered, 3u);
 }
 
 TEST(SystemMessaging, MessagesPauseDuringReconfiguration) {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -190,6 +192,122 @@ TEST(StableStorage, FingerprintSeesValuesTypesAndCommitCycles) {
   as_double.write("k", 1.0);
   as_double.commit(0);
   EXPECT_NE(make(1, 0), as_double.fingerprint());  // type
+}
+
+/// A store holding one committed entry, "k" = `v` committed at `cycle`.
+StableStorage one_entry(const Value& v, Cycle cycle = 0) {
+  StableStorage s;
+  s.restore("k", v, cycle);
+  return s;
+}
+
+/// Two stores that differ only in the one thing each case names: never the
+/// same committed entries, and never the same fingerprint.
+TEST(StableStorage, SameCommittedSeesValueBitsAlternativesAndCycles) {
+  const double nan_a = std::bit_cast<double>(0x7FF8000000000001ULL);
+  const double nan_b = std::bit_cast<double>(0x7FF8000000000002ULL);
+  const std::pair<Value, Value> differing[] = {
+      {Value{0.0}, Value{-0.0}},                 // == as numbers
+      {Value{nan_a}, Value{nan_b}},              // NaN payloads
+      {Value{std::int64_t{1}}, Value{1.0}},      // alternative
+      {Value{true}, Value{std::int64_t{1}}},     // alternative
+      {Value{std::string("1")}, Value{std::int64_t{1}}}};
+  for (const auto& [a, b] : differing) {
+    SCOPED_TRACE(to_string(a) + " vs " + to_string(b));
+    EXPECT_FALSE(one_entry(a).same_committed(one_entry(b)));
+    EXPECT_FALSE(one_entry(b).same_committed(one_entry(a)));
+    EXPECT_NE(one_entry(a).fingerprint(), one_entry(b).fingerprint());
+  }
+  // The commit cycle.
+  const Value one{std::int64_t{1}};
+  EXPECT_FALSE(one_entry(one, 3).same_committed(one_entry(one, 4)));
+  EXPECT_NE(one_entry(one, 3).fingerprint(), one_entry(one, 4).fingerprint());
+  // A NaN is the same as itself bit for bit, though it never compares
+  // equal to itself as a number.
+  EXPECT_TRUE(one_entry(Value{nan_a}).same_committed(one_entry(Value{nan_a})));
+  EXPECT_TRUE(one_entry(Value{-0.0}).same_committed(one_entry(Value{-0.0})));
+}
+
+TEST(StableStorage, SameCommittedIgnoresInterningOrderAndStagedWrites) {
+  // The same committed entries, interned in opposite orders, one store
+  // with a staged write and a name that was never committed.
+  StableStorage a;
+  a.write("b", std::int64_t{2});
+  a.write("a", 1.5);
+  a.commit(7);
+  StableStorage b;
+  b.write("c", true);
+  b.drop_pending();
+  b.write("a", 1.5);
+  b.write("b", std::int64_t{2});
+  b.commit(7);
+  b.write("a", 9.0);
+  EXPECT_TRUE(a.same_committed(b));
+  EXPECT_TRUE(b.same_committed(a));
+  EXPECT_EQ(a.fingerprint(), b.fingerprint());
+  // An entry more, or a name fewer, is not the same.
+  b.commit(8);
+  EXPECT_FALSE(a.same_committed(b));
+  StableStorage c;
+  c.write("a", 1.5);
+  c.commit(7);
+  EXPECT_FALSE(a.same_committed(c));
+  EXPECT_FALSE(c.same_committed(a));
+}
+
+// Random pairs of stores over a few names, values and commit cycles, the
+// second one a copy of the first in a random interning order that may
+// change one entry: the two are the same committed entries exactly when
+// their fingerprints agree (FNV-1a collisions aside), so "the same" always
+// implies the same fingerprint.
+TEST(StableStorage, SameCommittedHoldsExactlyWhenFingerprintsAgree) {
+  const std::array<std::string, 3> names = {"a", "b", "k"};
+  const std::array<Value, 9> values = {
+      Value{std::int64_t{0}},
+      Value{std::int64_t{1}},
+      Value{0.0},
+      Value{-0.0},
+      Value{1.0},
+      Value{std::bit_cast<double>(0x7FF8000000000001ULL)},
+      Value{std::bit_cast<double>(0x7FF8000000000002ULL)},
+      Value{true},
+      Value{std::string("1")}};
+  Rng rng(26);
+  std::size_t same = 0;
+  std::size_t differ = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<std::tuple<std::string, Value, Cycle>> entries;
+    for (const std::string& name : names) {
+      if (rng.chance(0.8)) {
+        entries.emplace_back(name, values[rng.uniform(0, values.size() - 1)],
+                             rng.uniform(0, 1));
+      }
+    }
+    std::vector<std::tuple<std::string, Value, Cycle>> other = entries;
+    if (!other.empty() && rng.chance(0.6)) {
+      auto& [name, value, cycle] = other[rng.uniform(0, other.size() - 1)];
+      switch (rng.uniform(0, 2)) {
+        case 0: value = values[rng.uniform(0, values.size() - 1)]; break;
+        case 1: cycle = rng.uniform(0, 1); break;
+        default: name = "z"; break;
+      }
+    }
+    if (rng.chance(0.5)) std::reverse(other.begin(), other.end());
+    StableStorage a;
+    for (const auto& [name, value, cycle] : entries) {
+      a.restore(name, value, cycle);
+    }
+    StableStorage b;
+    for (const auto& [name, value, cycle] : other) {
+      b.restore(name, value, cycle);
+    }
+    const bool equal = a.same_committed(b);
+    ASSERT_EQ(equal, b.same_committed(a)) << "trial " << trial;
+    ASSERT_EQ(equal, a.fingerprint() == b.fingerprint()) << "trial " << trial;
+    ++(equal ? same : differ);
+  }
+  EXPECT_GT(same, 1000u);
+  EXPECT_GT(differ, 1000u);
 }
 
 TEST(StableStorage, MissingKeyIsError) {

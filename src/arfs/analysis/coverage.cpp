@@ -90,14 +90,6 @@ void add_global_obligations(CoverageReport& report,
   }
 }
 
-/// Arena row for the fleet path: one starting configuration's obligation
-/// counts (trivially copyable — the full Obligation strings are only
-/// re-derived for the rare failing configurations).
-struct ConfigTally {
-  std::uint64_t generated = 0;
-  std::uint64_t discharged = 0;
-};
-
 }  // namespace
 
 std::vector<Obligation> CoverageReport::failures() const {
@@ -150,41 +142,12 @@ CoverageReport check_coverage(const core::ReconfigSpec& spec,
   // shard-local result caches concatenated in configuration order — the
   // report is identical to the serial and BatchRunner paths. The jobs are
   // pure, so the sample seeds go unused.
-  storage::MappedArena* arena = fleet.options().arena;
-  if (arena != nullptr && !keep_discharged) {
-    // Arena path (counts-only sweeps): each configuration materializes a
-    // 16-byte tally row instead of a CoverageReport, so the sweep's RSS is
-    // bounded regardless of configuration count. Obligation text is only
-    // needed for failures, which are re-derived serially in configuration
-    // order — the jobs are pure, so the re-run sees identical obligations
-    // and the report matches the in-RAM path exactly.
-    sim::ArenaCursor<ConfigTally> cursor = fleet.map_arena<ConfigTally>(
-        config_ids.size(), /*base_seed=*/0,
-        [&](const sim::FleetSample& job) {
-          const CoverageReport part = check_config_transitions(
-              spec, config_ids[job.index], states, /*keep_discharged=*/false);
-          return ConfigTally{part.generated, part.discharged};
-        },
-        *arena);
-    cursor.for_each([&](const ConfigTally& tally, std::size_t i) {
-      report.generated += tally.generated;
-      report.discharged += tally.discharged;
-      if (tally.discharged != tally.generated) {
-        merge(report, check_config_transitions(spec, config_ids[i], states,
-                                               /*keep_discharged=*/false));
-        report.generated -= tally.generated;
-        report.discharged -= tally.discharged;
-      }
-    });
-  } else {
-    std::vector<CoverageReport> parts = fleet.map<CoverageReport>(
-        config_ids.size(), /*base_seed=*/0,
-        [&](const sim::FleetSample& job) {
-          return check_config_transitions(spec, config_ids[job.index], states,
-                                          keep_discharged);
-        });
-    for (CoverageReport& part : parts) merge(report, std::move(part));
-  }
+  std::vector<CoverageReport> parts = fleet.map<CoverageReport>(
+      config_ids.size(), /*base_seed=*/0, [&](const sim::FleetSample& job) {
+        return check_config_transitions(spec, config_ids[job.index], states,
+                                        keep_discharged);
+      });
+  for (CoverageReport& part : parts) merge(report, std::move(part));
 
   add_global_obligations(report, spec, keep_discharged, env_limit);
   return report;

@@ -626,10 +626,9 @@ std::uint64_t fold_replica(std::uint64_t h,
   return h;
 }
 
-/// One replica cohort. `Group` is a live QuorumGroup or its Checkpoint:
-/// both give view() and member_view(id).
-template <class Group>
-std::uint64_t fold_cohort(std::uint64_t h, const Group& group) {
+/// One replica cohort, live or a checkpoint's spare.
+std::uint64_t fold_cohort(
+    std::uint64_t h, const storage::durable::quorum::QuorumGroup& group) {
   using storage::durable::quorum::MemberId;
   const storage::durable::quorum::QuorumView q = group.view();
   h = fnv_mix(h, q.members);
@@ -662,10 +661,11 @@ std::uint64_t fold_cohort(std::uint64_t h, const Group& group) {
 }
 
 /// The one system hash body (see SystemCheckpoint::digest()). `State` is a
-/// CheckpointState or a System::LiveState, and every layer below is read
-/// through a view both sides build (ProcessorView, AppView, the SCRAM's
-/// fold_scram, the cohorts' QuorumView), so a checkpoint and the running
-/// system hash alike.
+/// CheckpointState or a System::LiveState. A checkpoint's processors and
+/// cohorts are spares of the live ones, read through the same views
+/// (ProcessorView, the cohorts' QuorumView), and its apps and SCRAM
+/// through views both sides build (AppView, the SCRAM's fold_scram), so a
+/// checkpoint and the running system hash alike.
 template <class State>
 std::uint64_t hash_system(const State& s) {
   std::uint64_t h = kFnvBasis;
@@ -793,8 +793,15 @@ SystemCheckpoint System::checkpoint() const {
 void System::checkpoint_into(SystemCheckpoint& cp) const {
   cp.frame = clock_.current_frame();
   cp.now = clock_.now();
+  // An empty image gets a spare of each processor and, on the spare's
+  // engine, of each cohort; a refresh copies into the spares it holds.
   for (const ProcessorId p : group_.processor_ids()) {
-    group_.processor(p).checkpoint_into(cp.processors[p]);
+    const failstop::Processor& live = group_.processor(p);
+    auto spare = cp.processors.find(p);
+    if (spare == cp.processors.end()) {
+      spare = cp.processors.emplace(p, live.spare()).first;
+    }
+    spare->second.restore_state(live);
   }
   cp.environment = environment_;
   cp.monitors = monitors_;
@@ -832,7 +839,14 @@ void System::checkpoint_into(SystemCheckpoint& cp) const {
   cp.noise_rng_state = noise_rng_.state();
   cp.trace = trace_;
   for (const auto& [pid, channel] : quorum_channels_) {
-    channel.checkpoint_into(cp.quorum_channels[pid]);
+    auto spare = cp.quorum_channels.find(pid);
+    if (spare == cp.quorum_channels.end()) {
+      spare = cp.quorum_channels
+                  .try_emplace(pid, *cp.processors.at(pid).durability(),
+                               channel.options())
+                  .first;
+    }
+    spare->second.restore_state(channel);
   }
   cp.stats = stats_;
   cp.started = started_;

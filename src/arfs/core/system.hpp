@@ -154,23 +154,28 @@ struct SystemStats {
 };
 
 /// Frozen image of every piece of mutable state a mission touches: clock,
-/// processors (volatile + committed stores, durability device copies),
+/// processors (volatile + committed stores, durability devices),
 /// environment and monitors, detection, SCRAM, applications (including
 /// their opaque domain words), region placement, fault-plan cursor,
 /// messaging, replica cohorts, trace, and statistics. The
 /// configuration-time constants (spec, options, schedules, hooks, cached
 /// key strings) are deliberately absent: a checkpoint is restored into a
-/// System built by the same factory. Move-only — device copies are owned —
-/// but restorable any number of times, from several threads at once
-/// (restore only reads the image, copying its device images into the
-/// system's own devices), and refreshable in place
-/// (System::checkpoint_into copies into the images it holds).
+/// System built by the same factory.
+/// Its processors and cohorts are spares of the live ones: each processor
+/// is a failstop::Processor::spare() with its own memory engine, and each
+/// cohort a QuorumGroup on its spare processor's engine, so the image owns
+/// everything it holds. The first refresh of an empty image builds them;
+/// after that System::checkpoint_into copies the live objects into them
+/// (restore_state) and System::restore copies them back the same way.
+/// Move-only, but restorable any number of times, from several threads at
+/// once (restore only reads the image, copying its device images into the
+/// system's own devices), and refreshable in place.
 /// Per-app tables are kept in ascending AppId order, the order the digest
 /// walks, whatever order the spec declares its apps in.
 struct SystemCheckpoint {
   Cycle frame = 0;
   SimTime now = 0;
-  std::map<ProcessorId, failstop::Processor::Checkpoint> processors;
+  std::map<ProcessorId, failstop::Processor> processors;
   env::Environment environment;
   std::vector<env::FactorMonitor> monitors;
   std::optional<failstop::ActivityMonitor> activity;
@@ -189,7 +194,8 @@ struct SystemCheckpoint {
   bool deadline_alarm_raised = false;
   std::uint64_t noise_rng_state = 0;
   std::optional<trace::SysTrace> trace;
-  std::map<ProcessorId, storage::durable::quorum::QuorumGroup::Checkpoint>
+  /// Each cohort ships from the engine of its spare in `processors`.
+  std::map<ProcessorId, storage::durable::quorum::QuorumGroup>
       quorum_channels;
   SystemStats stats;
   bool started = false;
@@ -329,7 +335,8 @@ class System {
   [[nodiscard]] SystemCheckpoint checkpoint() const;
   /// Refreshes `cp` to the system's state in place, the mirror of
   /// restore(): every table, store, trace and device image is
-  /// copy-assigned into the one `cp` already holds, so once `cp` has been
+  /// copy-assigned into the one `cp` already holds (an empty `cp` first
+  /// gets its spare processors and cohorts), so once `cp` has been
   /// refreshed from a state as large, nothing is allocated. Preconditions:
   /// checkpoint()'s, and `cp` is empty or an image of a System built by the
   /// same factory, at any frame (the same processors and cohorts).

@@ -81,21 +81,13 @@ void Processor::commit_frame(Cycle cycle, bool force_durable_sync) {
   stable_.commit(cycle);
 }
 
-void Processor::checkpoint_into(Checkpoint& cp) const {
-  cp.state = state_;
-  cp.pair = pair_;
-  cp.stable = stable_;
-  cp.volatile_store = volatile_;
+Processor Processor::spare() const {
+  Processor spare(id_);
   if (durability_ != nullptr) {
-    if (!cp.durability.has_value()) cp.durability.emplace();
-    durability_->checkpoint_into(*cp.durability);
-  } else {
-    cp.durability.reset();
+    spare.enable_durability(
+        storage::durable::make_memory_engine(durability_->options()));
   }
-  cp.last_recovery = last_recovery_;
-  cp.lost_epochs = lost_epochs_;
-  cp.failed_at = failed_at_;
-  cp.failures = failures_;
+  return spare;
 }
 
 ProcessorView Processor::view() const {
@@ -110,57 +102,18 @@ ProcessorView Processor::view() const {
                             : std::nullopt};
 }
 
-ProcessorView Processor::Checkpoint::view() const {
-  return {.state = state,
-          .stable = &stable,
-          .volatile_store = &volatile_store,
-          .lost_epochs = lost_epochs,
-          .failed_at = failed_at,
-          .failures = failures,
-          .durability = durability.has_value()
-                            ? std::optional(durability->view())
-                            : std::nullopt};
-}
-
-struct Processor::LiveState {
-  ProcessorState state;
-  const SelfCheckingPair& pair;
-  const storage::StableStorage& stable;
-  const storage::VolatileStorage& volatile_store;
-  const storage::durable::DurabilityEngine* durability;
-  const std::optional<storage::durable::RecoveryReport>& last_recovery;
-  std::uint64_t lost_epochs;
-  std::optional<Cycle> failed_at;
-  std::uint64_t failures;
-};
-
-template <class Image>
-void Processor::restore_from(const Image& cp) {
-  require((durability_ != nullptr) == static_cast<bool>(cp.durability),
+void Processor::restore_state(const Processor& source) {
+  require((durability_ != nullptr) == (source.durability_ != nullptr),
           "processor restore must match its durability attachment");
-  state_ = cp.state;
-  pair_ = cp.pair;
-  stable_ = cp.stable;
-  volatile_ = cp.volatile_store;
-  if (durability_ != nullptr) durability_->restore_state(*cp.durability);
-  last_recovery_ = cp.last_recovery;
-  lost_epochs_ = cp.lost_epochs;
-  failed_at_ = cp.failed_at;
-  failures_ = cp.failures;
-}
-
-void Processor::restore_state(const Checkpoint& cp) { restore_from(cp); }
-
-void Processor::restore_state(const Processor& live) {
-  restore_from(LiveState{.state = live.state_,
-                         .pair = live.pair_,
-                         .stable = live.stable_,
-                         .volatile_store = live.volatile_,
-                         .durability = live.durability_.get(),
-                         .last_recovery = live.last_recovery_,
-                         .lost_epochs = live.lost_epochs_,
-                         .failed_at = live.failed_at_,
-                         .failures = live.failures_});
+  state_ = source.state_;
+  pair_ = source.pair_;
+  stable_ = source.stable_;
+  volatile_ = source.volatile_;
+  if (durability_ != nullptr) durability_->restore_state(*source.durability_);
+  last_recovery_ = source.last_recovery_;
+  lost_epochs_ = source.lost_epochs_;
+  failed_at_ = source.failed_at_;
+  failures_ = source.failures_;
 }
 
 void Processor::enable_durability(

@@ -27,10 +27,10 @@ namespace arfs::failstop {
 enum class ProcessorState { kRunning, kFailed };
 
 /// Read-only view of the processor state the system digest covers: fail-
-/// stop status, both stores and the durability engine. Built on the stack
-/// by a live processor and by its checkpoint alike (view()); the self-
-/// checking pair's counters and the last recovery report are not part of
-/// it.
+/// stop status, both stores and the durability engine, built on the stack
+/// by view(). It exposes a failed processor's volatile store, which the
+/// public accessors refuse to hand out. The self-checking pair's counters
+/// and the last recovery report are not part of it.
 struct ProcessorView {
   ProcessorState state = ProcessorState::kRunning;
   const storage::StableStorage* stable = nullptr;
@@ -118,44 +118,22 @@ class Processor {
   [[nodiscard]] std::uint64_t failure_count() const { return failures_; }
   [[nodiscard]] SelfCheckingPair& pair() { return pair_; }
 
-  /// Frozen image of everything a mission mutates on this processor. The
-  /// durability slot mirrors the attachment: engaged iff an engine is
-  /// attached (its devices forked). Move-only, restorable many times.
-  struct Checkpoint {
-    ProcessorState state = ProcessorState::kRunning;
-    SelfCheckingPair pair;
-    storage::StableStorage stable;
-    storage::VolatileStorage volatile_store;
-    std::optional<storage::durable::EngineCheckpoint> durability;
-    std::optional<storage::durable::RecoveryReport> last_recovery;
-    std::uint64_t lost_epochs = 0;
-    std::optional<Cycle> failed_at;
-    std::uint64_t failures = 0;
-
-    [[nodiscard]] ProcessorView view() const;
-  };
-  /// Refreshes `cp` to this processor's state by copy-assignment: a
-  /// checkpoint taken before keeps its buffers and device images, so once
-  /// they have grown a refresh allocates nothing.
-  void checkpoint_into(Checkpoint& cp) const;
+  /// A processor to copy this one into with restore_state: the same id,
+  /// empty stores and, when this one is durable, an empty memory engine with
+  /// this engine's options. A checkpoint of a processor is such a spare,
+  /// refreshed by spare.restore_state(live) and restored by
+  /// live.restore_state(spare).
+  [[nodiscard]] Processor spare() const;
   /// The digested state, read in place (see ProcessorView).
   [[nodiscard]] ProcessorView view() const;
-  /// Precondition: durability attachment matches the checkpoint's. The
-  /// engine object is rewound in place — references to it stay valid.
-  void restore_state(const Checkpoint& cp);
-  /// Makes this processor what checkpoint_into(cp) then restore_state(cp)
-  /// would make it, copying `live` straight in with no image between: the
-  /// same fields, buffers kept, derived state cleared. Precondition: both
-  /// processors match in durability attachment.
-  void restore_state(const Processor& live);
+  /// Makes this processor a copy of `source`, keeping its own id, engine
+  /// object and buffers: fail-stop state, the pair, both stores, the
+  /// engine's state (DurabilityEngine::restore_state), the last recovery
+  /// report, lost epochs and the failure record. Only reads `source`.
+  /// Precondition: both processors match in durability attachment.
+  void restore_state(const Processor& source);
 
  private:
-  /// A live processor read under its Checkpoint's field names.
-  struct LiveState;
-  /// The one restore body, over a Checkpoint or a LiveState.
-  template <class Image>
-  void restore_from(const Image& cp);
-
   ProcessorId id_;
   ProcessorState state_ = ProcessorState::kRunning;
   SelfCheckingPair pair_;

@@ -67,10 +67,10 @@ struct FleetOptions {
   /// order (a different estimate, equally valid); for any fixed chunk the
   /// result is invariant across threads and shards.
   std::size_t chunk = kFleetChunk;
-  /// When set, evidence-producing layers (dependability evidence rows,
-  /// coverage tallies, crash-point tables, pooled-mission evidence) route
-  /// materialized per-sample results through this arena instead of heap
-  /// vectors — RSS bounded by in-flight chunks.
+  /// When set, the evidence-producing layers (dependability evidence rows
+  /// and pooled-mission evidence) route materialized per-sample results
+  /// through this arena instead of heap vectors — RSS bounded by in-flight
+  /// chunks.
   /// Storage choice only: every digest stays bit-identical to the in-RAM
   /// path. Not owned; must outlive the runner's calls.
   storage::MappedArena* arena = nullptr;
@@ -154,14 +154,6 @@ class ArenaCursor {
       fn(reinterpret_cast<const R*>(raw), r.size(), r.first);
       arena_->release(regions_[c]);
     }
-  }
-
-  /// Convenience row-wise pass: `fn(row, global_index)`.
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for_each_chunk([&](const R* rows, std::size_t n, std::size_t first) {
-      for (std::size_t i = 0; i < n; ++i) fn(rows[i], first + i);
-    });
   }
 
  private:
@@ -296,35 +288,6 @@ class FleetRunner {
     const ShardPlan p = plan(samples);
     // One region slot per chunk, written lock-free (slot discipline as in
     // reduce(): a chunk is one job and owns its slot).
-    std::vector<storage::MappedArena::RegionId> regions(
-        p.chunks(), storage::MappedArena::kNoRegion);
-    run_plan(p, [&](std::size_t c, std::size_t shard, std::size_t first,
-                    std::size_t end) {
-      const storage::MappedArena::RegionId rid =
-          arena.allocate((end - first) * sizeof(R));
-      R* out = reinterpret_cast<R*>(arena.data(rid));
-      for (std::size_t i = first; i < end; ++i) {
-        const R row = fn(FleetSample{i, job_seed(base_seed, i), shard});
-        std::memcpy(out + (i - first), &row, sizeof(R));
-      }
-      arena.seal(rid);
-      regions[c] = rid;
-    });
-    return ArenaCursor<R>(arena, p, std::move(regions));
-  }
-
-  /// Job-grain arena materialization — the arena counterpart of map():
-  /// one heavyweight job per chunk, one region per job.
-  template <typename R>
-  [[nodiscard]] ArenaCursor<R> map_arena(
-      std::size_t jobs, std::uint64_t base_seed,
-      const std::function<R(const FleetSample&)>& fn,
-      storage::MappedArena& arena) {
-    static_assert(std::is_trivially_copyable_v<R>,
-                  "arena rows are raw bytes: R must be trivially copyable");
-    static_assert(alignof(R) <= 8,
-                  "arena chunks are 8-byte aligned: alignof(R) must be <= 8");
-    const ShardPlan p = job_plan(jobs);
     std::vector<storage::MappedArena::RegionId> regions(
         p.chunks(), storage::MappedArena::kNoRegion);
     run_plan(p, [&](std::size_t c, std::size_t shard, std::size_t first,

@@ -1,8 +1,7 @@
 // Memory-mapped result arena.
 //
-// Evidence-producing sweeps (materialized per-sample results, per-crash-point
-// reports, pooled-mission evidence) are capped by RAM when their rows live
-// in heap vectors. MappedArena moves those rows into a growable file-backed
+// Evidence-producing sweeps (dependability evidence rows, pooled-mission
+// evidence) are capped by RAM when their rows live in heap vectors. MappedArena moves those rows into a growable file-backed
 // mmap so the working set is bounded by *in-flight* chunks, not total
 // samples: a producer allocates a chunk-granular region, writes rows through
 // a plain pointer, and seals it; sealing CRC32-guards the chunk header

@@ -14,9 +14,8 @@ namespace {
 /// crash tore it (the journal is uncompacted in exactly that case).
 constexpr std::size_t kGcKeepImages = 2;
 
-/// The engine device a checkpoint copies from, and a restore copies into
-/// (from a checkpoint or a live engine). Only a memory device can be
-/// captured, so a file-backed engine cannot be checkpointed.
+/// An engine device restore_state copies from or into. Only a memory
+/// device can be copied, so a file-backed engine cannot be checkpointed.
 MemoryBackend& memory_device(JournalBackend& device) {
   auto* memory = dynamic_cast<MemoryBackend*>(&device);
   require(memory != nullptr, "checkpoints need memory journal devices");
@@ -321,29 +320,6 @@ bool DurabilityEngine::has_state() const {
   return journal_->size() > kHeaderSize || snapshots_->size() > kHeaderSize;
 }
 
-void DurabilityEngine::checkpoint_into(EngineCheckpoint& cp) const {
-  const auto refresh = [](JournalBackend& device,
-                          std::unique_ptr<MemoryBackend>& image) {
-    if (image == nullptr) {
-      image = std::make_unique<MemoryBackend>(memory_device(device));
-    } else {
-      *image = memory_device(device);
-    }
-  };
-  refresh(*journal_, cp.journal);
-  refresh(*snapshots_, cp.snapshots);
-  cp.stats = stats_;
-  cp.interner = interner_;
-  cp.appended_epoch = appended_epoch_;
-  cp.journal_generation = journal_generation_;
-  cp.retained_tail = retained_tail_;
-  cp.rebase_ok = rebase_ok_;
-  cp.rebase_epoch = rebase_epoch_;
-  cp.ship_horizon = ship_horizon_;
-  cp.adaptive_watermark_fp = adaptive_watermark_fp_;
-  cp.reconfig_pressure = reconfig_pressure_;
-}
-
 EngineView DurabilityEngine::view() const {
   return {.journal = journal_.get(),
           .snapshots = snapshots_.get(),
@@ -357,72 +333,29 @@ EngineView DurabilityEngine::view() const {
           .reconfig_pressure = reconfig_pressure_};
 }
 
-EngineView EngineCheckpoint::view() const {
-  return {.journal = journal.get(),
-          .snapshots = snapshots.get(),
-          .appended_epoch = appended_epoch,
-          .journal_generation = journal_generation,
-          .retained_tail = retained_tail,
-          .rebase_ok = rebase_ok,
-          .rebase_epoch = rebase_epoch,
-          .ship_horizon = ship_horizon,
-          .adaptive_watermark_fp = adaptive_watermark_fp,
-          .reconfig_pressure = reconfig_pressure};
-}
-
-struct DurabilityEngine::LiveState {
-  const MemoryBackend* journal;
-  const MemoryBackend* snapshots;
-  const DurabilityStats& stats;
-  const KeyInterner& interner;
-  std::uint64_t appended_epoch;
-  std::uint64_t journal_generation;
-  const std::vector<std::uint8_t>& retained_tail;
-  bool rebase_ok;
-  std::uint64_t rebase_epoch;
-  std::uint64_t ship_horizon;
-  std::uint64_t adaptive_watermark_fp;
-  bool reconfig_pressure;
-};
-
-template <class Image>
-void DurabilityEngine::restore_from(const Image& cp) {
-  // Copy-assignment keeps each device's buffers, so a warm restore
-  // allocates nothing.
-  memory_device(*journal_) = *cp.journal;
-  memory_device(*snapshots_) = *cp.snapshots;
-  stats_ = cp.stats;
-  interner_ = cp.interner;
-  appended_epoch_ = cp.appended_epoch;
-  journal_generation_ = cp.journal_generation;
-  retained_tail_ = cp.retained_tail;
-  rebase_ok_ = cp.rebase_ok;
-  rebase_epoch_ = cp.rebase_epoch;
-  ship_horizon_ = cp.ship_horizon;
-  adaptive_watermark_fp_ = cp.adaptive_watermark_fp;
-  reconfig_pressure_ = cp.reconfig_pressure;
+void DurabilityEngine::restore_state(const DurabilityEngine& source) {
+  // Every device is checked before anything is written, so a file device
+  // on either side leaves this engine unchanged.
+  const MemoryBackend& journal = memory_device(*source.journal_);
+  const MemoryBackend& snapshots = memory_device(*source.snapshots_);
+  MemoryBackend& own_journal = memory_device(*journal_);
+  MemoryBackend& own_snapshots = memory_device(*snapshots_);
+  // Copy-assignment keeps each device's buffers, so a warm copy allocates
+  // nothing.
+  own_journal = journal;
+  own_snapshots = snapshots;
+  stats_ = source.stats_;
+  interner_ = source.interner_;
+  appended_epoch_ = source.appended_epoch_;
+  journal_generation_ = source.journal_generation_;
+  retained_tail_ = source.retained_tail_;
+  rebase_ok_ = source.rebase_ok_;
+  rebase_epoch_ = source.rebase_epoch_;
+  ship_horizon_ = source.ship_horizon_;
+  adaptive_watermark_fp_ = source.adaptive_watermark_fp_;
+  reconfig_pressure_ = source.reconfig_pressure_;
   scratch_.clear();
   decode_scratch_.clear();
-}
-
-void DurabilityEngine::restore_state(const EngineCheckpoint& cp) {
-  restore_from(cp);
-}
-
-void DurabilityEngine::restore_state(const DurabilityEngine& live) {
-  restore_from(LiveState{
-      .journal = &memory_device(*live.journal_),
-      .snapshots = &memory_device(*live.snapshots_),
-      .stats = live.stats_,
-      .interner = live.interner_,
-      .appended_epoch = live.appended_epoch_,
-      .journal_generation = live.journal_generation_,
-      .retained_tail = live.retained_tail_,
-      .rebase_ok = live.rebase_ok_,
-      .rebase_epoch = live.rebase_epoch_,
-      .ship_horizon = live.ship_horizon_,
-      .adaptive_watermark_fp = live.adaptive_watermark_fp_,
-      .reconfig_pressure = live.reconfig_pressure_});
 }
 
 std::unique_ptr<DurabilityEngine> make_memory_engine(DurableOptions options) {

@@ -191,9 +191,8 @@ struct RecoveryReport {
 };
 
 /// Read-only view of the engine state the system digest covers: both
-/// devices, the shipping words and the adaptive controller. A live engine
-/// and its checkpoint each build one on the stack (view()), so one hash
-/// body reads both. DurabilityStats and the key interner are not part of
+/// devices, the shipping words and the adaptive controller, built on the
+/// stack by view(). DurabilityStats and the key interner are not part of
 /// it.
 struct EngineView {
   const JournalBackend* journal = nullptr;
@@ -206,31 +205,6 @@ struct EngineView {
   std::uint64_t ship_horizon = 0;
   std::uint64_t adaptive_watermark_fp = 0;
   bool reconfig_pressure = false;
-};
-
-/// Frozen image of a DurabilityEngine: copies of its memory devices
-/// (durable image, buffered tail, and armed fault hooks included) plus
-/// every piece of engine bookkeeping. Move-only; a checkpoint can be
-/// restored any number of times because restore copies the devices instead
-/// of consuming them.
-struct EngineCheckpoint {
-  std::unique_ptr<MemoryBackend> journal;
-  std::unique_ptr<MemoryBackend> snapshots;
-  DurabilityStats stats;
-  KeyInterner interner;
-  std::uint64_t appended_epoch = 0;
-  std::uint64_t journal_generation = 0;
-  std::vector<std::uint8_t> retained_tail;
-  bool rebase_ok = true;
-  std::uint64_t rebase_epoch = 0;
-  std::uint64_t ship_horizon = 0;
-  /// Adaptive controller state (fixed-point watermark + SCRAM pressure) —
-  /// restored exactly so a forked mission retunes identically to the
-  /// original.
-  std::uint64_t adaptive_watermark_fp = 0;
-  bool reconfig_pressure = false;
-
-  [[nodiscard]] EngineView view() const;
 };
 
 /// The durable store of one processor: the journal device, the snapshot
@@ -276,25 +250,21 @@ class DurabilityEngine {
   /// True when the devices hold any durable state worth recovering.
   [[nodiscard]] bool has_state() const;
 
-  /// Freezes the engine — copies of both devices plus all bookkeeping —
-  /// into `cp`, restorable many times over. The mirror of restore_state():
-  /// a checkpoint taken before is refreshed in place, its device images
-  /// copy-assigned into its own devices, so a warm refresh allocates
-  /// nothing. Precondition: both
-  /// devices are MemoryBackends (a FileBackend cannot be checkpointed).
-  void checkpoint_into(EngineCheckpoint& cp) const;
   /// The digested state, read in place (see EngineView).
   [[nodiscard]] EngineView view() const;
-  /// Rewinds this engine to `cp` in place. The engine object's identity is
-  /// preserved deliberately: shippers and units hold references to it. So
-  /// is each device's: the checkpoint's image is copy-assigned into it,
-  /// keeping its buffers, so a warm restore allocates nothing. Same
-  /// precondition as checkpoint_into().
-  void restore_state(const EngineCheckpoint& cp);
-  /// Rewinds this engine in place to what checkpoint_into(cp) then
-  /// restore_state(cp) would make it, copying `live` straight in with no
-  /// image between. Same precondition, for both engines.
-  void restore_state(const DurabilityEngine& live);
+  /// Makes this engine a copy of `source` in place: both devices' images
+  /// (durable image, buffered tail and armed fault hooks included), the
+  /// stats, the key dictionary, the shipping words and the adaptive
+  /// controller; the encode and decode buffers are cleared. The engine
+  /// object's identity is kept deliberately (shippers and units hold
+  /// references to it), and so is each device's: the source's image is
+  /// copy-assigned into it, keeping its buffers, so a warm copy allocates
+  /// nothing. The options are this engine's own. A checkpoint of an engine
+  /// is a spare engine refreshed this way. Only reads `source`.
+  /// Precondition: all four devices are MemoryBackends (a FileBackend
+  /// cannot be copied); otherwise this throws and leaves this engine
+  /// unchanged.
+  void restore_state(const DurabilityEngine& source);
 
   /// SCRAM reconfiguration pressure: while on, a kAdaptive policy's
   /// effective watermark drops to its floor so directives become durable
@@ -366,11 +336,6 @@ class DurabilityEngine {
   /// Syncs the journal and settles the lag counters. Shared by the policy
   /// path, sync_now(), and the snapshot boundary.
   bool do_sync();
-  /// A live engine read under EngineCheckpoint's field names.
-  struct LiveState;
-  /// The one restore body, over an EngineCheckpoint or a LiveState.
-  template <class Image>
-  void restore_from(const Image& cp);
 
   std::unique_ptr<JournalBackend> journal_;
   std::unique_ptr<JournalBackend> snapshots_;

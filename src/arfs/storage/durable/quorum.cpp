@@ -347,92 +347,31 @@ void QuorumGroup::elect() {
   }
 }
 
-void QuorumGroup::checkpoint_into(Checkpoint& cp) const {
-  cp.members.resize(members_.size());
-  for (MemberId id = 0; id < members_.size(); ++id) {
-    const Member& m = members_[id];
-    MemberCheckpoint& mc = cp.members[id];
-    m.replica.checkpoint_into(mc.replica);
-    mc.last_applied = m.last_applied;
-    mc.live = m.live;
-    mc.retired = m.retired;
-    mc.needs_full_copy = m.needs_full_copy;
-    mc.warm_credit = m.warm_credit;
-    mc.consecutive_corrupt = m.consecutive_corrupt;
+void QuorumGroup::restore_state(const QuorumGroup& source) {
+  // Shed the members the source does not have, grow the ones it has beyond
+  // this roster.
+  if (members_.size() > source.members_.size()) {
+    members_.resize(source.members_.size());
   }
-  cp.old_voters = old_voters_;
-  cp.new_voters = new_voters_;
-  cp.reconfiguring = reconfiguring_;
-  cp.reconfig_epoch = reconfig_epoch_;
-  cp.commit_id = commit_id_;
-  cp.leader = leader_;
-  cp.stats = stats_;
-}
-
-struct QuorumGroup::LiveState {
-  const std::vector<Member>& members;
-  const std::vector<MemberId>& old_voters;
-  const std::vector<MemberId>& new_voters;
-  bool reconfiguring;
-  std::uint64_t reconfig_epoch;
-  std::uint64_t commit_id;
-  std::optional<MemberId> leader;
-  const QuorumStats& stats;
-};
-
-template <class Image>
-void QuorumGroup::restore_from(const Image& cp) {
-  require(!cp.members.empty(), "quorum checkpoint holds no members");
-  // The checkpoint may straddle a membership change relative to the live
-  // group: discard members created after it, recreate members it holds
-  // beyond the current roster.
-  if (members_.size() > cp.members.size()) {
-    members_.erase(members_.begin() +
-                       static_cast<std::ptrdiff_t>(cp.members.size()),
-                   members_.end());
-  }
-  while (members_.size() < cp.members.size()) append_member();
-  for (MemberId id = 0; id < members_.size(); ++id) {
+  while (members_.size() < source.members_.size()) append_member();
+  for (MemberId id = 0; id < source.members_.size(); ++id) {
     Member& m = members_[id];
-    const auto& mc = cp.members[id];
-    m.replica.restore_state(mc.replica);
-    m.last_applied = mc.last_applied;
-    m.live = mc.live;
-    m.retired = mc.retired;
-    m.needs_full_copy = mc.needs_full_copy;
-    m.warm_credit = mc.warm_credit;
-    m.consecutive_corrupt = mc.consecutive_corrupt;
+    const Member& from = source.members_[id];
+    m.replica.restore_state(from.replica);
+    m.last_applied = from.last_applied;
+    m.live = from.live;
+    m.retired = from.retired;
+    m.needs_full_copy = from.needs_full_copy;
+    m.warm_credit = from.warm_credit;
+    m.consecutive_corrupt = from.consecutive_corrupt;
   }
-  old_voters_ = cp.old_voters;
-  new_voters_ = cp.new_voters;
-  reconfiguring_ = cp.reconfiguring;
-  reconfig_epoch_ = cp.reconfig_epoch;
-  commit_id_ = cp.commit_id;
-  leader_ = cp.leader;
-  stats_ = cp.stats;
-}
-
-void QuorumGroup::restore_state(const Checkpoint& cp) { restore_from(cp); }
-
-void QuorumGroup::restore_state(const QuorumGroup& live) {
-  restore_from(LiveState{.members = live.members_,
-                         .old_voters = live.old_voters_,
-                         .new_voters = live.new_voters_,
-                         .reconfiguring = live.reconfiguring_,
-                         .reconfig_epoch = live.reconfig_epoch_,
-                         .commit_id = live.commit_id_,
-                         .leader = live.leader_,
-                         .stats = live.stats_});
-}
-
-MemberView QuorumGroup::MemberCheckpoint::view() const {
-  return {.replica = replica.view(),
-          .last_applied = last_applied,
-          .live = live,
-          .retired = retired,
-          .needs_full_copy = needs_full_copy,
-          .warm_credit = warm_credit,
-          .consecutive_corrupt = consecutive_corrupt};
+  old_voters_ = source.old_voters_;
+  new_voters_ = source.new_voters_;
+  reconfiguring_ = source.reconfiguring_;
+  reconfig_epoch_ = source.reconfig_epoch_;
+  commit_id_ = source.commit_id_;
+  leader_ = source.leader_;
+  stats_ = source.stats_;
 }
 
 MemberView QuorumGroup::member_view(MemberId id) const {
@@ -444,17 +383,6 @@ MemberView QuorumGroup::member_view(MemberId id) const {
           .needs_full_copy = m.needs_full_copy,
           .warm_credit = m.warm_credit,
           .consecutive_corrupt = m.consecutive_corrupt};
-}
-
-QuorumView QuorumGroup::Checkpoint::view() const {
-  return {.members = members.size(),
-          .old_voters = old_voters,
-          .new_voters = new_voters,
-          .reconfiguring = reconfiguring,
-          .reconfig_epoch = reconfig_epoch,
-          .commit_id = commit_id,
-          .leader = leader,
-          .stats = &stats};
 }
 
 QuorumView QuorumGroup::view() const {

@@ -83,9 +83,8 @@ struct MemberView {
   std::uint32_t consecutive_corrupt = 0;
 };
 
-/// Read-only view of a cohort's digested group state (its members are read
-/// one at a time through member_view). Built on the stack by a live group
-/// and by its checkpoint alike.
+/// Read-only view of a cohort's digested group state, built on the stack by
+/// view() (its members are read one at a time through member_view).
 struct QuorumView {
   std::size_t members = 0;
   std::span<const MemberId> old_voters;
@@ -210,52 +209,19 @@ class QuorumGroup {
   [[nodiscard]] const QuorumOptions& options() const { return options_; }
   [[nodiscard]] const QuorumStats& stats() const { return stats_; }
 
-  // --- checkpointing ---
+  // --- copying ---
 
-  struct MemberCheckpoint {
-    ShippedReplica::Checkpoint replica;
-    std::uint64_t last_applied = 0;
-    bool live = true;
-    bool retired = false;
-    bool needs_full_copy = false;
-    bool warm_credit = true;
-    std::uint32_t consecutive_corrupt = 0;
-
-    [[nodiscard]] MemberView view() const;
-  };
-  /// Frozen image of the whole group: every member plus the voter sets,
-  /// commit bookkeeping, leadership, and stats. Move-only (the member
-  /// checkpoints own device copies) but restorable many times.
-  struct Checkpoint {
-    std::vector<MemberCheckpoint> members;
-    std::vector<MemberId> old_voters;
-    std::vector<MemberId> new_voters;
-    bool reconfiguring = false;
-    std::uint64_t reconfig_epoch = 0;
-    std::uint64_t commit_id = 0;
-    std::optional<MemberId> leader;
-    QuorumStats stats;
-
-    [[nodiscard]] QuorumView view() const;
-    [[nodiscard]] MemberView member_view(MemberId id) const {
-      return members[id].view();
-    }
-  };
-  /// Refreshes `cp` to the group's state in place, keeping each member
-  /// image's buffers and devices (see DurabilityEngine::checkpoint_into);
-  /// images of members the group no longer has are dropped.
-  void checkpoint_into(Checkpoint& cp) const;
   /// The digested state, read in place (see QuorumView and MemberView).
   [[nodiscard]] QuorumView view() const;
   [[nodiscard]] MemberView member_view(MemberId id) const;
-  /// Rewinds the group to `cp`, creating or discarding trailing members as
-  /// needed (a checkpoint may straddle a membership change).
-  void restore_state(const Checkpoint& cp);
-  /// Makes the group what checkpoint_into(cp) then restore_state(cp) would
-  /// make it, copying `live` straight in with no image between: members
-  /// are created or discarded the same way, and this group keeps its own
-  /// source engine, shipper and scratch buffers.
-  void restore_state(const QuorumGroup& live);
+  /// Makes the group a copy of `source`: every member's replica
+  /// (ShippedReplica::restore_state) and standing, the voter sets, the
+  /// commit bookkeeping, leadership and stats. Members are created or
+  /// discarded at the end of the roster to match the source's (a copy may
+  /// straddle a membership change). This group keeps its own source
+  /// engine, shipper and scratch buffers, so a checkpoint of a group is a
+  /// spare group on a spare processor's engine. Only reads `source`.
+  void restore_state(const QuorumGroup& source);
 
  private:
   struct Member {
@@ -285,12 +251,6 @@ class QuorumGroup {
   /// actually changes.
   void elect();
   void append_member();
-  /// A live group read under its Checkpoint's field names (its Members
-  /// share MemberCheckpoint's).
-  struct LiveState;
-  /// The one restore body, over a Checkpoint or a LiveState.
-  template <class Image>
-  void restore_from(const Image& cp);
   Member& member_ref(MemberId id);
   [[nodiscard]] const Member& member_at(MemberId id) const;
 
@@ -306,10 +266,10 @@ class QuorumGroup {
   std::uint64_t commit_id_ = 0;
   std::optional<MemberId> leader_;
   QuorumStats stats_;
-  /// majority_ack's sort buffer (scratch only; never checkpointed).
+  /// majority_ack's sort buffer (scratch only; never copied).
   std::vector<std::uint64_t> ack_scratch_;
   /// step_member's batch buffer: every slot's bytes land here (scratch
-  /// only; never checkpointed).
+  /// only; never copied).
   ShipBatch batch_;
 };
 

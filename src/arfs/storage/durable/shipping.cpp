@@ -287,51 +287,16 @@ void ShippedReplica::reset_from_full_copy(const StableStorage& source,
   }
 }
 
-void ShippedReplica::checkpoint_into(Checkpoint& cp) const {
-  cp.store = store_;
-  if (engine_ != nullptr) {
-    if (!cp.engine.has_value()) cp.engine.emplace();
-    engine_->checkpoint_into(*cp.engine);
-  } else {
-    cp.engine.reset();
-  }
-  cp.dict = dict_;
-  cp.pending = pending_;
-  cp.cursor = cursor_;
-  cp.stats = stats_;
-}
-
-struct ShippedReplica::LiveState {
-  const StableStorage& store;
-  const DurabilityEngine* engine;
-  const NamePool& dict;
-  const std::vector<std::uint8_t>& pending;
-  const ShipCursor& cursor;
-  const Stats& stats;
-};
-
-template <class Image>
-void ShippedReplica::restore_from(const Image& cp) {
-  require((engine_ != nullptr) == static_cast<bool>(cp.engine),
+void ShippedReplica::restore_state(const ShippedReplica& source) {
+  require((engine_ != nullptr) == (source.engine_ != nullptr),
           "replica restore must match its attached-engine shape");
-  store_ = cp.store;
-  if (engine_ != nullptr) engine_->restore_state(*cp.engine);
-  dict_ = cp.dict;
+  store_ = source.store_;
+  if (engine_ != nullptr) engine_->restore_state(*source.engine_);
+  dict_ = source.dict_;
   keys_.clear();
-  pending_ = cp.pending;
-  cursor_ = cp.cursor;
-  stats_ = cp.stats;
-}
-
-void ShippedReplica::restore_state(const Checkpoint& cp) { restore_from(cp); }
-
-void ShippedReplica::restore_state(const ShippedReplica& live) {
-  restore_from(LiveState{.store = live.store_,
-                         .engine = live.engine_.get(),
-                         .dict = live.dict_,
-                         .pending = live.pending_,
-                         .cursor = live.cursor_,
-                         .stats = live.stats_});
+  pending_ = source.pending_;
+  cursor_ = source.cursor_;
+  stats_ = source.stats_;
 }
 
 ReplicaView ShippedReplica::view() const {
@@ -341,15 +306,6 @@ ReplicaView ShippedReplica::view() const {
           .dict = dict_.names(),
           .pending = pending_,
           .cursor = cursor_};
-}
-
-ReplicaView ShippedReplica::Checkpoint::view() const {
-  return {.store = &store,
-          .engine = engine.has_value() ? std::optional(engine->view())
-                                       : std::nullopt,
-          .dict = dict.names(),
-          .pending = pending,
-          .cursor = cursor};
 }
 
 std::uint64_t encoded_state_bytes(const StableStorage& store,

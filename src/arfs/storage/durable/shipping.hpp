@@ -112,8 +112,8 @@ enum class ApplyStatus : std::uint8_t {
 
 /// Read-only view of a replica's digested state: the store's fingerprint
 /// and epoch count, the cursor, the stream dictionary, the partial-record
-/// tail and the standby engine. Built on the stack by a live replica and by
-/// its checkpoint alike (view()); the replica's Stats are not part of it.
+/// tail and the standby engine, built on the stack by view(). The
+/// replica's Stats are not part of it.
 struct ReplicaView {
   const StableStorage* store = nullptr;
   std::optional<EngineView> engine;
@@ -171,39 +171,17 @@ class ShippedReplica {
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  /// Frozen image of the standby: store, optional standby engine, stream
-  /// dictionary, partial-record tail, cursor, and stats. Move-only (the
-  /// engine checkpoint owns device copies) but restorable many times.
-  struct Checkpoint {
-    StableStorage store;
-    std::optional<EngineCheckpoint> engine;
-    NamePool dict;  ///< Keeps spare names, as the live dictionary does.
-    std::vector<std::uint8_t> pending;
-    ShipCursor cursor;
-    Stats stats;
-
-    [[nodiscard]] ReplicaView view() const;
-  };
-  /// Refreshes `cp` to this replica's state in place (see
-  /// DurabilityEngine::checkpoint_into).
-  void checkpoint_into(Checkpoint& cp) const;
   /// The digested state, read in place (see ReplicaView).
   [[nodiscard]] ReplicaView view() const;
-  /// Precondition: an engine is attached iff the checkpoint holds one (a
-  /// replica never gains or loses its standby engine mid-mission).
-  void restore_state(const Checkpoint& cp);
-  /// Makes this replica what checkpoint_into(cp) then restore_state(cp)
-  /// would make it, copying `live` straight in with no image between.
-  /// Precondition: both replicas match in engine attachment.
-  void restore_state(const ShippedReplica& live);
+  /// Makes this replica a copy of `source`, keeping its own engine object
+  /// and buffers: the store, the standby engine's state, the stream
+  /// dictionary, the partial-record tail, the cursor and the stats. The
+  /// dictionary-id memo is cleared. Only reads `source`. Precondition: an
+  /// engine is attached to both or to neither (a replica never gains or
+  /// loses its standby engine mid-mission).
+  void restore_state(const ShippedReplica& source);
 
  private:
-  /// A live replica read under its Checkpoint's field names.
-  struct LiveState;
-  /// The one restore body, over a Checkpoint or a LiveState.
-  template <class Image>
-  void restore_from(const Image& cp);
-
   /// Applies every complete record in pending_; returns false on a corrupt
   /// or malformed record (the un-applied suffix is then discarded and the
   /// cursor rewound to the last good boundary).
@@ -220,7 +198,7 @@ class ShippedReplica {
   Stats stats_;
   /// The commit being applied: (dictionary id, value) per entry. Reused.
   std::vector<std::pair<std::uint32_t, Value>> entries_;
-  /// Dictionary id -> store KeyId. Derived state: never checkpointed or
+  /// Dictionary id -> store KeyId. Derived state: never copied or
   /// digested, cleared whenever dict_ or the store is replaced.
   DictKeyMap keys_;
 };

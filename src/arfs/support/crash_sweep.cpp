@@ -1,13 +1,10 @@
 #include "arfs/support/crash_sweep.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <type_traits>
 
 #include "arfs/common/check.hpp"
 #include "arfs/common/hash.hpp"
 #include "arfs/failstop/processor.hpp"
-#include "arfs/storage/arena.hpp"
 
 namespace arfs::support {
 
@@ -257,12 +254,10 @@ CrashPoint judge_crash_point(failstop::Processor& victim,
   return point;
 }
 
-JudgeBench::JudgeBench(failstop::Processor& victim, const QuorumGroup* cohort)
-    : victim_(victim.id()) {
-  storage::durable::DurabilityEngine* engine = victim.durability();
-  require(engine != nullptr, "crash sweep victim is not durable");
-  victim_.enable_durability(
-      storage::durable::make_memory_engine(engine->options()));
+JudgeBench::JudgeBench(const failstop::Processor& victim,
+                       const QuorumGroup* cohort)
+    : victim_(victim.spare()) {
+  require(victim_.durability() != nullptr, "crash sweep victim is not durable");
   if (cohort != nullptr) {
     cohort_.emplace(*victim_.durability(), cohort->options());
   }
@@ -309,25 +304,6 @@ CrashSweepReport run_crash_sweep(const MissionFactory& factory,
     report.missions_built = options.frames;
   } else {
     report.points = sweep_rolling(factory, options, runner, report);
-  }
-
-  if (options.arena != nullptr && !report.points.empty()) {
-    // Round-trip the point table through one CRC-guarded arena region and
-    // rebuild the report from the re-read bytes: the digest below is then
-    // computed from what storage actually holds, not the in-RAM originals.
-    static_assert(std::is_trivially_copyable_v<CrashPoint>,
-                  "arena rows are raw bytes");
-    storage::MappedArena& arena = *options.arena;
-    const std::size_t bytes = report.points.size() * sizeof(CrashPoint);
-    const storage::MappedArena::RegionId rid = arena.allocate(bytes);
-    std::memcpy(arena.data(rid), report.points.data(), bytes);
-    arena.seal(rid);
-    std::size_t stored = 0;
-    const std::uint8_t* raw = arena.read(rid, &stored);
-    ensure(stored == bytes, "crash sweep arena region size mismatch");
-    std::memcpy(report.points.data(), raw, bytes);
-    arena.release(rid);
-    report.arena_backed = true;
   }
 
   for (const CrashPoint& point : report.points) {

@@ -45,10 +45,6 @@
 #include "arfs/sim/batch.hpp"
 #include "arfs/storage/durable/quorum.hpp"
 
-namespace arfs::storage {
-class MappedArena;
-}  // namespace arfs::storage
-
 namespace arfs::support {
 
 /// One freshly built mission: a system plus whatever owns the objects the
@@ -69,10 +65,11 @@ struct CrashMission {
 /// future — everything its apps and the objects in the keepalive mutate
 /// included (apps do so through their checkpoint hooks). And the verdict is
 /// reached on a JudgeBench copy of the victim, so the restore_state of a
-/// Processor and of a QuorumGroup (one body per layer, from a checkpoint or
-/// a live source) must copy everything recovery and the cohort's catch-up
-/// read. State either misses would make the sweep drift from the
-/// from-scratch oracle, which judges the mission's own victim.
+/// Processor and of a QuorumGroup (each layer's one copy body, which also
+/// fills and restores a checkpoint's spares) must copy everything recovery
+/// and the cohort's catch-up read. State either misses would make the
+/// sweep drift from the from-scratch oracle, which judges the mission's own
+/// victim.
 using MissionFactory = std::function<CrashMission()>;
 
 struct CrashSweepOptions {
@@ -120,12 +117,6 @@ struct CrashSweepOptions {
 
   /// The rolling O(F) strategy; false = the from-scratch oracle.
   bool checkpointing = true;
-
-  /// Optional result arena (not owned; must outlive the sweep): the point
-  /// table is sealed into one CRC-guarded arena region and the report is
-  /// rebuilt from the re-read (CRC-verified) bytes — storage choice only,
-  /// the report and its digest are bit-identical with or without it.
-  storage::MappedArena* arena = nullptr;
 };
 
 /// One crash point's verdict. `match` asserts the fail-stop contract:
@@ -187,9 +178,6 @@ struct CrashSweepReport {
   /// Missions the factory built: one per interval rolling (the baseline
   /// mission rolls the last one), or F from scratch.
   std::uint64_t missions_built = 0;
-  /// The point table round-tripped through a CRC-guarded arena region
-  /// (CrashSweepOptions::arena); the digest is storage-invariant.
-  bool arena_backed = false;
 
   [[nodiscard]] bool all_match() const {
     return mismatches == 0 && replica_mismatches == 0;
@@ -224,20 +212,21 @@ struct CrashSweepReport {
     std::span<const std::uint64_t> fingerprints);
 
 /// A spare copy of a mission's crash victim, for judging crash points
-/// without crashing the mission: a processor with its own durability engine
-/// (built from the victim engine's options) and, when given the victim's
-/// cohort, a QuorumGroup on that engine (built from the cohort's options).
+/// without crashing the mission: the victim's Processor::spare() (its own
+/// memory engine, built from the victim engine's options) and, when given
+/// the victim's cohort, a QuorumGroup on that engine (built from the
+/// cohort's options) — the same spares a core::SystemCheckpoint holds.
 /// refresh() copies the live victim and cohort straight into the bench
-/// through their restore_state overloads for a live source, one copy with
-/// no image between, keeping every buffer; so once a refresh has seen
-/// states as large it allocates nothing. The bench's cohort keeps its own
-/// shipper and batch buffer, and grows or sheds members to match the live
-/// cohort. A bench is built once per job and refreshed before each point.
+/// through their restore_state, keeping every buffer; so once a refresh has
+/// seen states as large it allocates nothing. The bench's cohort keeps its
+/// own shipper and batch buffer, and grows or sheds members to match the
+/// live cohort. A bench is built once per job and refreshed before each
+/// point.
 class JudgeBench {
  public:
   /// Precondition: `victim` carries a durability engine, and `cohort`, when
   /// not null, is a cohort on that engine.
-  JudgeBench(failstop::Processor& victim,
+  JudgeBench(const failstop::Processor& victim,
              const storage::durable::quorum::QuorumGroup* cohort);
 
   /// Makes the bench an exact copy of `victim` and, if the bench has one,

@@ -15,9 +15,7 @@
 //  * analysis::estimate_dependability_evidence — arena-backed evidence
 //    reproduces the in-RAM estimate and digest exactly;
 //  * support::run_fleet_missions — the pooled path with arena-backed
-//    evidence keeps one digest with the no-arena oracle;
-//  * support::run_crash_sweep — the arena-backed point table rebuilds a
-//    digest-identical report.
+//    evidence keeps one digest with the no-arena oracle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -276,7 +274,8 @@ TEST(FleetRunner, MaterializeFoldsBitIdenticalToInRamMapEverywhere) {
         // The cursor released every chunk as it went.
         EXPECT_EQ(arena.stats().regions_released,
                   arena.stats().regions_sealed);
-        EXPECT_THROW(cursor.for_each([](std::uint64_t, std::size_t) {}),
+        EXPECT_THROW(cursor.for_each_chunk([](const std::uint64_t*,
+                                              std::size_t, std::size_t) {}),
                      ContractViolation);  // one-shot
       }
     }
@@ -399,29 +398,6 @@ TEST(FleetMissions, ArenaBackedPoolKeepsOneDigestWithTheNoArenaOracle) {
     EXPECT_TRUE(got.evidence_matches);
     EXPECT_EQ(got.evidence_digest, got.digest);
   }
-}
-
-TEST(CrashSweep, ArenaBackedPointTableIsDigestIdentical) {
-  MissionFactory factory = chain_factory();
-  CrashSweepOptions options;
-  options.frames = 6;
-  options.victim = synthetic_processor(0);
-
-  const CrashSweepReport oracle = run_crash_sweep(factory, options);
-  ASSERT_FALSE(oracle.points.empty());
-  EXPECT_FALSE(oracle.arena_backed);
-
-  TempFile tmp("arena_test_sweep.arena");
-  storage::ArenaOptions arena_options;
-  arena_options.path = tmp.path;
-  storage::MappedArena arena(arena_options);
-  CrashSweepOptions arena_sweep = options;
-  arena_sweep.arena = &arena;
-  const CrashSweepReport got = run_crash_sweep(factory, arena_sweep);
-  EXPECT_TRUE(got.arena_backed);
-  EXPECT_EQ(got.digest(), oracle.digest());
-  ASSERT_EQ(got.points.size(), oracle.points.size());
-  EXPECT_EQ(got.all_match(), oracle.all_match());
 }
 
 }  // namespace

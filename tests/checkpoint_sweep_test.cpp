@@ -14,7 +14,9 @@
 //    and restores a fork that follows a fresh run frame by frame. A mission
 //    rolling forward through crash points this way tracks the baseline
 //    mission exactly. One image restored from several threads at once
-//    gives each the serial restore's mission and is left unchanged;
+//    gives each the serial restore's mission and is left unchanged, and
+//    an image owns its spare processors and cohorts (each cohort ships
+//    from its own image's engine), so it outlives its system;
 //  * a reused support::JudgeBench judges like a fresh one: refreshed at
 //    every frame of a mission whose cohort loses, regains and reseeds a
 //    member, it holds the fresh bench's victim and cohort state and reaches
@@ -473,6 +475,45 @@ TEST(SystemCheckpoint, OneImageRestoresIntoFourMissionsAtOnce) {
     EXPECT_EQ(got[t], want) << "thread " << t;
   }
   EXPECT_EQ(cp.digest(), image_digest);
+}
+
+TEST(SystemCheckpoint, AnImageOwnsItsSparesAndOutlivesItsSystem) {
+  // A checkpoint's processors are spares with engines of their own, and
+  // each cohort ships from its spare processor's engine in the same image,
+  // never from the live system's, through a refresh and a move alike. So
+  // the image keeps its state when its system runs on, and outlives it.
+  const MissionFactory factory =
+      chain_factory(SyncPolicy::frames(4), /*shipping=*/true, /*replicas=*/3);
+  core::SystemCheckpoint refreshed;
+  core::SystemCheckpoint moved;
+  std::uint64_t want = 0;
+  {
+    CrashMission source = factory();
+    source.system->run(20);
+    source.system->checkpoint_into(refreshed);
+    moved = source.system->checkpoint();
+    want = source.system->digest();
+    for (core::SystemCheckpoint* cp : {&refreshed, &moved}) {
+      ASSERT_EQ(cp->quorum_channels.size(), cp->processors.size());
+      for (auto& [pid, cohort] : cp->quorum_channels) {
+        SCOPED_TRACE(pid.value());
+        storage::durable::DurabilityEngine* spare =
+            cp->processors.at(pid).durability();
+        ASSERT_NE(spare, nullptr);
+        EXPECT_EQ(&cohort.source(), spare);
+        EXPECT_NE(spare, source.system->processors().processor(pid).durability());
+      }
+    }
+    source.system->run(5);
+    EXPECT_NE(source.system->digest(), want);
+    EXPECT_EQ(refreshed.digest(), want);
+  }
+  for (const core::SystemCheckpoint* cp : {&refreshed, &moved}) {
+    EXPECT_EQ(cp->digest(), want);
+    CrashMission fork = factory();
+    fork.system->restore(*cp);
+    EXPECT_EQ(fork.system->digest(), want);
+  }
 }
 
 /// Requires two refreshed benches to hold the same victim and cohort: what

@@ -3,7 +3,10 @@
 // The scenarios mirror paper §5.1 at the device level: a halt preserves
 // exactly the prefix of commits that reached the durable image — the "last
 // successfully completed instruction" boundary — and recovery truncates a
-// torn or corrupt tail rather than ever applying part of a commit.
+// torn or corrupt tail rather than ever applying part of a commit. The
+// spares a checkpoint is made of are checked here too: a spare processor's
+// engine carries its source's options, so a refreshed spare driven like
+// its source stays its copy, and an engine copy refuses file devices.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -14,9 +17,11 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/hash.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
@@ -941,6 +946,37 @@ TEST(Engine, SnapshotGcSyncFailureRollsBackAndKeepsAllImages) {
   EXPECT_EQ(recovered.fingerprint(), store.fingerprint());
 }
 
+/// An engine's whole state as one hash: every byte of both devices (and
+/// their synced sizes), the digested words, the stats and the journal
+/// dictionary.
+std::uint64_t engine_state(DurabilityEngine& engine) {
+  std::uint64_t h = kFnvBasis;
+  for (JournalBackend* device : {&engine.journal(), &engine.snapshots()}) {
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(device->size()));
+    EXPECT_EQ(device->read(0, bytes.data(), bytes.size()), bytes.size());
+    h = fnv_mix(h, device->size());
+    h = fnv_mix(h, device->synced_size());
+    h = fnv_mix_bytes(h, bytes);
+  }
+  const EngineView view = engine.view();
+  for (const std::uint64_t word :
+       {view.appended_epoch, view.journal_generation, view.rebase_epoch,
+        view.ship_horizon, view.adaptive_watermark_fp,
+        std::uint64_t{view.rebase_ok}, std::uint64_t{view.reconfig_pressure}}) {
+    h = fnv_mix(h, word);
+  }
+  h = fnv_mix_bytes(h, view.retained_tail);
+  const DurabilityStats& stats = engine.stats();
+  static_assert(std::has_unique_object_representations_v<DurabilityStats>);
+  h = fnv_mix_bytes(
+      h, {reinterpret_cast<const std::uint8_t*>(&stats), sizeof stats});
+  for (const std::string& name : engine.dictionary()) {
+    h = fnv_mix_bytes(h, name);
+    h = fnv_mix(h, name.size());
+  }
+  return h;
+}
+
 // --- file backend ---
 
 TEST(FileBackend, ColdRestartRecoversFromDisk) {
@@ -1039,6 +1075,63 @@ TEST(FileBackend, SyncRetriesEintrFromPwriteAndFsync) {
   std::remove(path.c_str());
 }
 
+/// The ContractViolation `target.restore_state(source)` throws, as text;
+/// empty when the copy went through.
+std::string copy_refusal(DurabilityEngine& target,
+                         const DurabilityEngine& source) {
+  try {
+    target.restore_state(source);
+  } catch (const ContractViolation& refused) {
+    return refused.what();
+  }
+  return {};
+}
+
+TEST(FileBackend, EngineCopyRefusesAFileDeviceOnEitherSideAndChangesNothing) {
+  // Only memory devices can be copied. A file device on either side, or
+  // behind either device of the target, refuses the copy before anything
+  // is written: the target keeps every byte and word it had.
+  const std::string dir = ::testing::TempDir();
+  const std::string wal = dir + "/arfs_copy.wal";
+  const std::string snap = dir + "/arfs_copy.snap";
+  const std::string mixed_snap = dir + "/arfs_copy_mixed.snap";
+  for (const std::string& path : {wal, snap, mixed_snap}) {
+    std::remove(path.c_str());
+  }
+  {
+    DurableOptions options;
+    options.snapshot_every_epochs = 3;
+    DurabilityEngine file(std::make_unique<FileBackend>(wal),
+                          std::make_unique<FileBackend>(snap), options);
+    StableStorage file_store;
+    run_commits(file, file_store, 0, 5);
+    // A memory journal in front of a file snapshot device.
+    DurabilityEngine mixed(std::make_unique<MemoryBackend>(),
+                           std::make_unique<FileBackend>(mixed_snap),
+                           options);
+    StableStorage mixed_store;
+    run_commits(mixed, mixed_store, 0, 4);
+    auto memory = make_memory_engine(options);
+    StableStorage memory_store;
+    run_commits(*memory, memory_store, 0, 7);
+
+    const std::uint64_t file_before = engine_state(file);
+    const std::uint64_t mixed_before = engine_state(mixed);
+    const std::uint64_t memory_before = engine_state(*memory);
+    const std::string refusal = "checkpoints need memory journal devices";
+    EXPECT_NE(copy_refusal(*memory, file).find(refusal), std::string::npos);
+    EXPECT_NE(copy_refusal(file, *memory).find(refusal), std::string::npos);
+    EXPECT_NE(copy_refusal(mixed, *memory).find(refusal), std::string::npos);
+    EXPECT_NE(copy_refusal(*memory, mixed).find(refusal), std::string::npos);
+    EXPECT_EQ(engine_state(file), file_before);
+    EXPECT_EQ(engine_state(mixed), mixed_before);
+    EXPECT_EQ(engine_state(*memory), memory_before);
+  }
+  for (const std::string& path : {wal, snap, mixed_snap}) {
+    std::remove(path.c_str());
+  }
+}
+
 // --- processor integration: halt mid-frame, restart, recover ---
 
 TEST(ProcessorDurability, HaltReconcilesPollableStateWithDevices) {
@@ -1109,6 +1202,92 @@ TEST(ProcessorDurability, ColdRestartViaEnableDurability) {
       std::get<std::int64_t>(proc.poll_stable().read("persisted").value()),
       11);
   EXPECT_TRUE(proc.last_recovery().has_value());
+}
+
+// --- spares: a checkpoint of a processor is a spare processor ---
+
+TEST(ProcessorSpare, AVolatileProcessorsSpareHasNoEngine) {
+  failstop::Processor proc{ProcessorId{4}};
+  proc.stable().write("x", std::int64_t{1});
+  proc.commit_frame(0);
+  failstop::Processor spare = proc.spare();
+  EXPECT_EQ(spare.id(), proc.id());
+  EXPECT_TRUE(spare.running());
+  EXPECT_EQ(spare.durability(), nullptr);
+  EXPECT_EQ(spare.poll_stable().committed_count(), 0u);
+}
+
+TEST(ProcessorSpare, ADurableProcessorsSpareHasAnEmptyEngineWithItsOptions) {
+  DurableOptions options;
+  options.snapshot_every_epochs = 3;
+  options.sync = SyncPolicy::adaptive(1024, 256, 8192, 9);
+  failstop::Processor proc{ProcessorId{5}};
+  proc.enable_durability(make_memory_engine(options));
+  for (Cycle c = 0; c < 5; ++c) {
+    proc.stable().write("x", static_cast<std::int64_t>(c));
+    proc.commit_frame(c);
+  }
+  failstop::Processor spare = proc.spare();
+  EXPECT_EQ(spare.id(), proc.id());
+  EXPECT_EQ(spare.poll_stable().committed_count(), 0u);
+  DurabilityEngine* engine = spare.durability();
+  ASSERT_NE(engine, nullptr);
+  EXPECT_NE(engine, proc.durability());
+  EXPECT_FALSE(engine->has_state());
+  EXPECT_EQ(engine->stats().commits_journaled, 0u);
+  EXPECT_NE(dynamic_cast<MemoryBackend*>(&engine->journal()), nullptr);
+  EXPECT_NE(dynamic_cast<MemoryBackend*>(&engine->snapshots()), nullptr);
+  const DurableOptions& got = engine->options();
+  EXPECT_EQ(got.snapshot_every_epochs, options.snapshot_every_epochs);
+  EXPECT_EQ(got.sync.mode, options.sync.mode);
+  EXPECT_EQ(got.sync.bytes_watermark, options.sync.bytes_watermark);
+  EXPECT_EQ(got.sync.frames_watermark, options.sync.frames_watermark);
+  EXPECT_EQ(got.sync.adaptive_min_bytes, options.sync.adaptive_min_bytes);
+  EXPECT_EQ(got.sync.adaptive_max_bytes, options.sync.adaptive_max_bytes);
+}
+
+TEST(ProcessorSpare, ARefreshedSpareDrivenLikeItsSourceStaysItsCopy) {
+  // A spare refreshed from a live processor and then given the same
+  // commits runs its own engine under its own options, so it stays an
+  // exact copy only if the spare's engine carries the source's: the same
+  // sync policy and the same compaction cadence.
+  DurableOptions options;
+  options.snapshot_every_epochs = 4;
+  options.sync = SyncPolicy::frames(3);
+  failstop::Processor source{ProcessorId{6}};
+  source.enable_durability(make_memory_engine(options));
+  const auto commit = [](failstop::Processor& p, Cycle c) {
+    p.stable().write("counter", static_cast<std::int64_t>(c));
+    p.stable().write("key" + std::to_string(c % 3),
+                     0.5 * static_cast<double>(c));
+    p.commit_frame(c);
+  };
+  for (Cycle c = 0; c < 6; ++c) commit(source, c);
+  failstop::Processor spare = source.spare();
+  spare.restore_state(source);
+  const std::uint64_t generation = source.durability()->journal_generation();
+  for (Cycle c = 6; c < 22; ++c) {
+    commit(source, c);
+    commit(spare, c);
+  }
+  // At least two compactions and un-synced lag since the refresh.
+  ASSERT_GE(source.durability()->journal_generation(), generation + 2);
+  ASSERT_GT(source.durability()->stats().lag_frames, 0u);
+  EXPECT_EQ(engine_state(*spare.durability()),
+            engine_state(*source.durability()));
+  EXPECT_EQ(spare.poll_stable().fingerprint(),
+            source.poll_stable().fingerprint());
+  EXPECT_EQ(spare.poll_stable().commit_epochs(),
+            source.poll_stable().commit_epochs());
+
+  // And both halt to the same recovered store.
+  source.fail(22);
+  spare.fail(22);
+  EXPECT_EQ(spare.poll_stable().fingerprint(),
+            source.poll_stable().fingerprint());
+  EXPECT_EQ(spare.lost_epochs(), source.lost_epochs());
+  EXPECT_EQ(engine_state(*spare.durability()),
+            engine_state(*source.durability()));
 }
 
 // --- determinism across thread counts ---

@@ -1,11 +1,13 @@
-// Restoring a durable layer from a live object of its own type.
+// Copying a durable layer into a spare of its own type and back.
 //
+// failstop::Processor, durable::DurabilityEngine, durable::ShippedReplica
+// and quorum::QuorumGroup each have one copy body, restore_state(source):
 // support::JudgeBench::refresh copies the live crash victim and its cohort
-// straight into the bench: failstop::Processor, durable::DurabilityEngine,
-// durable::ShippedReplica and quorum::QuorumGroup each take a live source
-// in restore_state, through the same body as their checkpoint restore.
-// A live-source restore must leave its object exactly as checkpoint_into
-// followed by restore_state(image) does, and holding its source's state:
+// into the bench with it, and a core::SystemCheckpoint's spare processors
+// and cohorts are refreshed and restored from with it too. A copy straight
+// from a live object must leave its target exactly as a round trip through
+// a spare does (the live object into a spare, then the spare into the
+// target), and holding its source's state:
 //  * a durable victim and its cohort at every frame of a mission whose
 //    engine compacts its journal (the frames just after a compaction keep
 //    the previous generation's retained tail), refreshed over a later,
@@ -25,8 +27,8 @@
 // its own.
 // Each comparison hashes the layer's view (what the system digest reads)
 // together with the state no digest covers: stats, the journal dictionary,
-// the recovery report and the self-checking pair's counters. Each restored
-// bench is then judged (judge_crash_point); both restores must reach the
+// the recovery report and the self-checking pair's counters. Each copied
+// bench is then judged (judge_crash_point); both copies must reach the
 // same verdict and leave the same state behind.
 #include <gtest/gtest.h>
 
@@ -208,25 +210,17 @@ std::uint64_t state_digest(const QuorumGroup& group) {
   return fold_words(h, *view.stats);
 }
 
-// --- the two restores, compared ------------------------------------------
+// --- the two copies, compared -------------------------------------------
 
-/// The images the checkpoint route meets in, reused like a sweep's.
-struct Images {
-  failstop::Processor::Checkpoint victim;
-  QuorumGroup::Checkpoint cohort;
-};
-
-/// Refreshes `direct` from the live pair (restore_state from a live
-/// source) and `imaged` through `images` (checkpoint_into, then
-/// restore_state from the image). Both must then hold the live pair's
-/// state.
-void refresh_both(JudgeBench& direct, JudgeBench& imaged, Images& images,
+/// Refreshes `direct` from the live pair, and `imaged` through `spare`, a
+/// bench reused like a checkpoint's spares: the live pair is copied into
+/// the spare, then the spare into `imaged`. Both must then hold the live
+/// pair's state.
+void refresh_both(JudgeBench& direct, JudgeBench& imaged, JudgeBench& spare,
                   failstop::Processor& victim, QuorumGroup& cohort) {
   direct.refresh(victim, &cohort);
-  victim.checkpoint_into(images.victim);
-  imaged.victim().restore_state(images.victim);
-  cohort.checkpoint_into(images.cohort);
-  imaged.cohort()->restore_state(images.cohort);
+  spare.refresh(victim, &cohort);
+  imaged.refresh(spare.victim(), spare.cohort());
 
   const std::uint64_t want_victim = state_digest(victim);
   EXPECT_EQ(state_digest(direct.victim()), want_victim);
@@ -282,7 +276,7 @@ TEST(LiveRestore, VictimAndCohortAcrossCompactionsMatchTheirImages) {
   QuorumGroup& cohort = cohort_of(mission);
   JudgeBench direct(victim, &cohort);
   JudgeBench imaged(victim, &cohort);
-  Images images;
+  JudgeBench spare(victim, &cohort);
   std::vector<std::uint64_t> fingerprints{victim.poll_stable().fingerprint()};
   std::uint64_t generation = victim.durability()->journal_generation();
   int compactions = 0;
@@ -295,8 +289,8 @@ TEST(LiveRestore, VictimAndCohortAcrossCompactionsMatchTheirImages) {
       ASSERT_FALSE(engine.retained_tail().empty());
       ++compactions;
     }
-    refresh_both(direct, imaged, images, victim_of(late), cohort_of(late));
-    refresh_both(direct, imaged, images, victim, cohort);
+    refresh_both(direct, imaged, spare, victim_of(late), cohort_of(late));
+    refresh_both(direct, imaged, spare, victim, cohort);
     const CrashPoint point = judge_both(direct, imaged, f, fingerprints);
     EXPECT_TRUE(point.match && point.replica_match);
   }
@@ -315,7 +309,7 @@ TEST(LiveRestore, VictimAfterATornTailCrashMatchesItsImage) {
   JudgeBench crashed(victim, &cohort);
   JudgeBench direct(victim, &cohort);
   JudgeBench imaged(victim, &cohort);
-  Images images;
+  JudgeBench spare(victim, &cohort);
   std::vector<std::uint64_t> fingerprints{victim.poll_stable().fingerprint()};
   int truncated = 0;
   for (Cycle f = 1; f <= kFrames; ++f) {
@@ -327,7 +321,7 @@ TEST(LiveRestore, VictimAfterATornTailCrashMatchesItsImage) {
     ASSERT_TRUE(crashed.victim().last_recovery().has_value());
     if (crashed.victim().last_recovery()->journal_truncated) ++truncated;
 
-    refresh_both(direct, imaged, images, crashed.victim(), *crashed.cohort());
+    refresh_both(direct, imaged, spare, crashed.victim(), *crashed.cohort());
     ASSERT_FALSE(direct.victim().running());
     direct.victim().repair(f);
     imaged.victim().repair(f);
@@ -359,7 +353,8 @@ TEST(LiveRestore, CohortShrinksAndGrowsLikeItsImage) {
   // Grows: a bench holding three members, restored from five.
   JudgeBench growing(victim_of(three), &cohort_of(three));
   JudgeBench growing_imaged(victim_of(three), &cohort_of(three));
-  Images images;
+  // The round trips' spare, reused across both pairs like a sweep's.
+  JudgeBench spare(victim_of(three), &cohort_of(three));
   bool uncredited = false;
   for (Cycle f = kChangeAt + 1; f <= kFrames; ++f) {
     SCOPED_TRACE(f);
@@ -370,16 +365,16 @@ TEST(LiveRestore, CohortShrinksAndGrowsLikeItsImage) {
       uncredited = uncredited || !cohort_of(five).member_view(id).warm_credit;
     }
 
-    refresh_both(shrinking, shrinking_imaged, images, victim_of(five),
+    refresh_both(shrinking, shrinking_imaged, spare, victim_of(five),
                  cohort_of(five));
-    refresh_both(shrinking, shrinking_imaged, images, victim_of(three),
+    refresh_both(shrinking, shrinking_imaged, spare, victim_of(three),
                  cohort_of(three));
     ASSERT_EQ(shrinking.cohort()->member_count(), 3u);
     EXPECT_TRUE(judge_both(shrinking, shrinking_imaged, f, three_fps).match);
 
-    refresh_both(growing, growing_imaged, images, victim_of(three),
+    refresh_both(growing, growing_imaged, spare, victim_of(three),
                  cohort_of(three));
-    refresh_both(growing, growing_imaged, images, victim_of(five),
+    refresh_both(growing, growing_imaged, spare, victim_of(five),
                  cohort_of(five));
     ASSERT_EQ(growing.cohort()->member_count(), 5u);
     EXPECT_TRUE(judge_both(growing, growing_imaged, f, five_fps).match);
@@ -488,9 +483,9 @@ TEST(LiveRestore, ReplicaWithAPartialRecordMatchesItsImage) {
   ASSERT_GT(live->pending_bytes(), 0u);
 
   direct->restore_state(*live);
-  ShippedReplica::Checkpoint image;
-  live->checkpoint_into(image);
-  imaged->restore_state(image);
+  auto spare = standby();
+  spare->restore_state(*live);
+  imaged->restore_state(*spare);
   const std::uint64_t want = fold_replica(kFnvBasis, *live);
   EXPECT_EQ(fold_replica(kFnvBasis, *direct), want);
   EXPECT_EQ(fold_replica(kFnvBasis, *imaged), want);

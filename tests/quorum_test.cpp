@@ -292,8 +292,11 @@ TEST(QuorumCheckpoint, RoundTripRestoresTheGroupAcrossAMembershipChange) {
   group.fail_member(2);
   const std::uint64_t frozen_fingerprint =
       group.replica(0).store().fingerprint();
-  QuorumGroup::Checkpoint cp;
-  group.checkpoint_into(cp);
+  // The checkpoint: a spare group on a spare engine, copied from the live
+  // group.
+  const std::unique_ptr<DurabilityEngine> spare_engine = make_memory_engine();
+  QuorumGroup spare(*spare_engine, group.options());
+  spare.restore_state(group);
 
   // Mutate well past the checkpoint: repair, a completed membership change
   // (which retires member 0 and appends member 3), and more streaming.
@@ -310,7 +313,7 @@ TEST(QuorumCheckpoint, RoundTripRestoresTheGroupAcrossAMembershipChange) {
 
   // Restore rewinds everything: roster size, retirement, liveness, voter
   // sets, the commit boundary, leadership, and the stats block.
-  group.restore_state(cp);
+  group.restore_state(spare);
   EXPECT_EQ(group.member_count(), 3u);
   EXPECT_FALSE(group.member_retired(0));
   EXPECT_FALSE(group.member_live(2));

@@ -130,8 +130,7 @@ int usage() {
          "  certify  <spec> [--json]\n"
          "  simulate <spec> [frames=400] [seed=1]\n"
          "  sweep    <spec> [--frames N] [--io-fault torn|bitflip] [--warm]\n"
-         "           [--adaptive] [--quorum N] [--kill K]\n"
-         "           [--arena PATH] [--json]\n"
+         "           [--adaptive] [--quorum N] [--kill K] [--json]\n"
          "  engine   stat <spec> [--adaptive] [--frames N] [--json]\n"
          "  quorum   <demo|status> [spec=chain] [--replicas N] [--frames F]\n"
          "           [--kill K]\n"
@@ -610,18 +609,10 @@ support::MissionFactory sweep_mission_factory(
 
 int cmd_sweep(const std::string& spec_name, bool is_uav,
               const support::CrashSweepOptions& sweep_options,
-              std::uint32_t quorum_replicas, const std::string& arena_path,
-              bool adaptive, bool json) {
+              std::uint32_t quorum_replicas, bool adaptive, bool json) {
   support::CrashSweepOptions options = sweep_options;
   options.victim =
       is_uav ? avionics::kComputer1 : support::synthetic_processor(0);
-  std::unique_ptr<storage::MappedArena> arena;
-  if (!arena_path.empty()) {
-    storage::ArenaOptions arena_options;
-    arena_options.path = arena_path;
-    arena = std::make_unique<storage::MappedArena>(arena_options);
-    options.arena = arena.get();
-  }
   const support::CrashSweepReport report = support::run_crash_sweep(
       sweep_mission_factory(spec_name, options.warm_start, quorum_replicas,
                             adaptive),
@@ -642,8 +633,6 @@ int cmd_sweep(const std::string& spec_name, bool is_uav,
               << ", \"mismatches\": " << report.mismatches
               << ", \"replica_mismatches\": " << report.replica_mismatches
               << ", \"max_lost_frames\": " << report.max_lost_frames
-              << ", \"arena_backed\": "
-              << (report.arena_backed ? "true" : "false")
               << ", \"digest\": \"0x" << std::hex << report.digest()
               << std::dec << "\"}\n";
   } else {
@@ -1335,7 +1324,6 @@ int main(int argc, char** argv) {
       support::CrashSweepOptions options;
       options.frames = 24;
       std::optional<std::uint32_t> quorum_replicas;
-      std::string arena_path;
       bool adaptive = false;
       bool json = false;
       for (int i = 3; i < argc; ++i) {
@@ -1360,8 +1348,6 @@ int main(int argc, char** argv) {
           }
         } else if (arg == "--warm") {
           options.warm_start = true;
-        } else if (arg == "--arena" && i + 1 < argc) {
-          arena_path = argv[++i];
         } else if (arg == "--json") {
           json = true;
         } else {
@@ -1373,8 +1359,7 @@ int main(int argc, char** argv) {
         return usage();
       }
       return cmd_sweep(argv[2], choice->is_uav, options,
-                       quorum_replicas.value_or(1), arena_path, adaptive,
-                       json);
+                       quorum_replicas.value_or(1), adaptive, json);
     }
     if (cmd == "fleet") {
       support::FleetMissionOptions options;

@@ -14,6 +14,10 @@
 //   3. Backpressure: a fully stalled consumer must cost itself frames
 //      (explicit gap records) while the simulation loop's per-frame wall
 //      time stays flat — delivery loss, never producer stall.
+//   4. Memory: the heap bytes of one warm image, one pooled mission, one
+//      session ring and one session report, read from glibc's mallinfo2
+//      (skipped elsewhere and under sanitizers, whose allocators it does
+//      not see).
 //
 // Scale knobs (smoke runs set these small):
 //   ARFS_SERVE_SESSIONS  peak concurrent sessions   (default 1024)
@@ -28,6 +32,9 @@
 #include <memory>
 #include <string>
 #include <vector>
+#if defined(__GLIBC__)  // defined by the C++ headers above
+#include <malloc.h>
+#endif
 
 #include "arfs/core/system.hpp"
 #include "arfs/serve/client.hpp"
@@ -58,10 +65,12 @@ double wall_ms(const std::chrono::steady_clock::time_point& start) {
       .count();
 }
 
+/// Every mission shares the factory's one spec, as perfbench's serve
+/// workload does: a spec is read-only while systems run.
 support::MissionFactory chain_factory() {
-  return [] {
-    auto spec = std::make_shared<core::ReconfigSpec>(
-        support::make_chain_spec({}));
+  auto spec =
+      std::make_shared<core::ReconfigSpec>(support::make_chain_spec({}));
+  return [spec] {
     auto system = std::make_unique<core::System>(*spec);
     for (const core::AppDecl& decl : spec->apps()) {
       system->add_app(
@@ -346,6 +355,90 @@ void report_backpressure(Cycle frames) {
                              ratio, "x");
 }
 
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+/// Heap bytes in use, as glibc's allocator counts them.
+double heap_in_use() { return static_cast<double>(mallinfo2().uordblks); }
+
+/// What each part of a serving server holds on the heap, in the serve
+/// shape of the load matrix: a system pool keeps one warm image and one
+/// system per peak-concurrent session, the server one ring per slot and one
+/// report per session served. Each part is built kCopies times and the
+/// growth averaged, so chunks the allocator recycles from its caches (which
+/// mallinfo2 counts as in use) do not hide a part's size.
+void report_memory(Cycle frames) {
+  constexpr std::size_t kCopies = 32;
+  const serve::ServeOptions options = base_options(64, frames);
+  const support::MissionFactory factory = chain_factory();
+  support::PooledMission first(factory, options.warmup_frames);
+  // Mean heap growth of one of kCopies parts `make` builds, all kept alive
+  // until they are counted.
+  const auto bytes_per = [](const auto& make) {
+    std::vector<decltype(make())> parts;
+    parts.reserve(kCopies);
+    const double before = heap_in_use();
+    for (std::size_t i = 0; i < kCopies; ++i) parts.push_back(make());
+    return (heap_in_use() - before) / static_cast<double>(kCopies);
+  };
+  const double image_bytes = bytes_per([&first] {
+    return std::make_shared<const core::SystemCheckpoint>(
+        first.system().checkpoint());
+  });
+  const double mission_bytes = bytes_per([&] {
+    return std::make_unique<support::PooledMission>(factory, first.warm());
+  });
+  serve::RingOptions ring_options;
+  ring_options.slot_count = options.ring_slot_count;
+  ring_options.slot_bytes = static_cast<std::uint32_t>(
+      serve::FrameRing::kSlotHeaderBytes + serve::kRecordBytes);
+  const double ring_bytes = bytes_per(
+      [&ring_options] { return serve::FrameRing::create(ring_options); });
+
+  // Reports: a warm one-slot server runs 256 one-frame sessions, then 256
+  // more; the second batch grows the heap by its reports alone (the slot,
+  // its ring and its system are reused, and each plan replaces the last).
+  serve::ServeOptions one = options;
+  one.max_sessions = 1;
+  one.frame_budget = 1;
+  serve::SimServer server = make_server(one);
+  constexpr std::size_t kBatch = 256;
+  const auto run_batch = [&server] {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      serve::SessionClient client(
+          server.open_session(serve::TransportKind::kShm).source);
+      server.pump_all();
+      while (!(server.drain() && client.done())) (void)client.poll();
+    }
+  };
+  run_batch();
+  const double before = heap_in_use();
+  run_batch();
+  const double report_bytes =
+      (heap_in_use() - before) / static_cast<double>(kBatch);
+
+  std::cout << "\nHeap per serve component (mallinfo2 in-use bytes, mean of "
+            << kCopies << "; chain missions, " << options.warmup_frames
+            << "-frame warm-up, " << ring_options.slot_count
+            << "-slot rings)\n"
+            << std::fixed << std::setprecision(0)
+            << "  warm image (one per pool)        " << image_bytes << " B\n"
+            << "  pooled mission (one per session) " << mission_bytes
+            << " B\n"
+            << "  session ring (" << ring_options.slot_bytes
+            << "-byte slots)    " << ring_bytes << " B\n"
+            << std::setprecision(1)
+            << "  session report (one per session) " << report_bytes
+            << " B\n";
+  bench::trajectory().record("serve/heap/warm_image_bytes", image_bytes, "B");
+  bench::trajectory().record("serve/heap/pooled_mission_bytes", mission_bytes,
+                             "B");
+  bench::trajectory().record("serve/heap/ring_bytes", ring_bytes, "B");
+  bench::trajectory().record("serve/heap/report_bytes", report_bytes, "B");
+}
+#else
+void report_memory(Cycle) {}
+#endif
+
 void report() {
   bench::banner("E21: resident simulator service",
                 "shared-memory frame streaming vs socket fallback under "
@@ -358,6 +451,7 @@ void report() {
   // Fixed scale: long enough that per-frame cost dominates the constant
   // overheads (first-touch page faults, session setup) in the wall ratio.
   report_backpressure(1024);
+  report_memory(frames);
   std::cout << "\n";
 }
 

@@ -18,13 +18,11 @@ void DependencyGraph::add(Dependency dep) {
 std::vector<Dependency> DependencyGraph::constraints_on(
     AppId dependent, DepPhase phase, ConfigId target) const {
   std::vector<Dependency> out;
-  for (const Dependency& d : deps_) {
-    if (d.dependent != dependent || d.phase != phase) continue;
-    if (d.only_for_target.has_value() && *d.only_for_target != target) {
-      continue;
-    }
-    out.push_back(d);
-  }
+  (void)all_constraints_on(dependent, phase, target,
+                           [&out](const Dependency& d) {
+                             out.push_back(d);
+                             return true;
+                           });
   return out;
 }
 

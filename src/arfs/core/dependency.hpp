@@ -41,6 +41,22 @@ class DependencyGraph {
   [[nodiscard]] std::vector<Dependency> constraints_on(
       AppId dependent, DepPhase phase, ConfigId target) const;
 
+  /// True when `holds(d)` is true for every dependency constraining
+  /// `dependent` in `phase` toward `target`, walked in declaration order
+  /// up to the first that fails; nothing is copied.
+  template <typename Pred>
+  [[nodiscard]] bool all_constraints_on(AppId dependent, DepPhase phase,
+                                        ConfigId target, Pred holds) const {
+    for (const Dependency& d : deps_) {
+      if (d.dependent != dependent || d.phase != phase) continue;
+      if (d.only_for_target.has_value() && *d.only_for_target != target) {
+        continue;
+      }
+      if (!holds(d)) return false;
+    }
+    return true;
+  }
+
   /// True if the dependency relation (ignoring phases/targets) is acyclic —
   /// the paper's structural requirement on application dependencies.
   [[nodiscard]] bool acyclic() const;

@@ -83,13 +83,11 @@ DepPhase Scram::phase_dep() const {
 
 bool Scram::deps_met(AppId app, DepPhase phase,
                      const std::vector<bool>& completed) const {
-  if (spec_.dependencies().all().empty()) return true;
-  for (const Dependency& c :
-       spec_.dependencies().constraints_on(app, phase, target_)) {
-    const std::optional<std::size_t> pos = spec_.app_index(c.independent);
-    if (!pos.has_value() || !completed[*pos]) return false;
-  }
-  return true;
+  return spec_.dependencies().all_constraints_on(
+      app, phase, target_, [&](const Dependency& c) {
+        const std::optional<std::size_t> pos = spec_.app_index(c.independent);
+        return pos.has_value() && completed[*pos];
+      });
 }
 
 bool Scram::try_start(Cycle cycle, const env::EnvState& env_now,

@@ -6,13 +6,12 @@ std::size_t StableRegion::relocate(const storage::StableStorage& source,
                                    storage::StableStorage& target,
                                    const std::string& prefix) {
   std::size_t copied = 0;
-  for (const std::string& key : source.keys()) {
-    if (key.rfind(prefix, 0) != 0) continue;
-    const Expected<storage::Value> value = source.read(key);
-    if (!value) continue;
-    target.write(key, value.value());
-    ++copied;
-  }
+  source.for_each_committed(
+      [&](const std::string& key, const storage::Value& value, Cycle) {
+        if (!key.starts_with(prefix)) return;
+        target.write(key, value);
+        ++copied;
+      });
   return copied;
 }
 

@@ -107,7 +107,9 @@ void SimServer::attach_transport(Slot& slot, TransportKind kind,
     return;
   }
   RingOptions ring_options;
-  ring_options.slot_bytes = options_.ring_slot_bytes;
+  // A slot only ever carries one fixed-size record.
+  ring_options.slot_bytes =
+      static_cast<std::uint32_t>(FrameRing::kSlotHeaderBytes + kRecordBytes);
   ring_options.slot_count = options_.ring_slot_count;
   ring_options.reclaim_watermark_bytes = options_.ring_reclaim_watermark;
   if (!options_.shm_dir.empty()) {

@@ -33,8 +33,13 @@
 // fresh one, so no client ever reads another session's records. Once the
 // slots and the pool are warm, opening a heap-ring session allocates only
 // its fault plan (one allocation from make_env_plan_factory) and the
-// client's RingSource, and pump()/drain() allocate nothing. Stream and file-backed sessions get their own transport each
-// (their fds and ring file belong to one session).
+// client's RingSource, and pump()/drain() allocate nothing. Stream and
+// file-backed sessions get their own transport each (their fds and ring
+// file belong to one session). A ring slot holds exactly one record.
+//
+// The pool keeps one warm image for every system it builds (see
+// support::SystemPool), so the server's memory grows with its peak
+// concurrency by one system and one slot per session, not by an image.
 #pragma once
 
 #include <cstdint>
@@ -61,13 +66,13 @@ struct ServeOptions {
   std::size_t max_sessions = 1024;
   /// Frames each session runs beyond the warm point (its mission length).
   Cycle frame_budget = 64;
-  /// Shared deterministic prefix, warmed once per pooled system.
+  /// Shared deterministic prefix, warmed once by the pool's first system.
   Cycle warmup_frames = 0;
   /// Sweep-compatible seeding root: session i uses job_seed(base_seed, i).
   std::uint64_t base_seed = 1;
-  /// Ring geometry for shm sessions.
+  /// Slots per shm session ring; each slot holds one record
+  /// (FrameRing::kSlotHeaderBytes + kRecordBytes).
   std::uint32_t ring_slot_count = 64;
-  std::uint32_t ring_slot_bytes = 128;
   /// Consumer-side reclaim watermark for file-backed rings (bytes).
   std::size_t ring_reclaim_watermark = 0;
   /// When set, shm rings are file-backed under this directory

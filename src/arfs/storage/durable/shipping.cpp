@@ -310,18 +310,14 @@ ReplicaView ShippedReplica::view() const {
 
 std::uint64_t encoded_state_bytes(const StableStorage& store,
                                   const std::string& prefix) {
-  std::vector<std::uint8_t> scratch;
+  // Counted from the wire format, nothing encoded: per entry a u32 length
+  // and the key, the tagged value, and a u64 cycle.
   std::uint64_t total = 0;
-  for (const auto& [key, value, cycle] : store.committed_entries()) {
-    if (!prefix.empty() && key.compare(0, prefix.size(), prefix) != 0) {
-      continue;
-    }
-    scratch.clear();
-    put_string(scratch, key);
-    put_value(scratch, value);
-    put_u64(scratch, cycle);
-    total += scratch.size();
-  }
+  store.for_each_committed(
+      [&](const std::string& key, const Value& value, Cycle) {
+        if (!key.starts_with(prefix)) return;
+        total += 4 + key.size() + value_wire_bytes(value) + 8;
+      });
   return total;
 }
 

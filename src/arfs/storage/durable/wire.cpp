@@ -279,6 +279,13 @@ void put_value(std::vector<std::uint8_t>& buf, const Value& v) {
   }
 }
 
+std::size_t value_wire_bytes(const Value& v) {
+  if (const std::string* s = std::get_if<std::string>(&v)) {
+    return 1 + 4 + s->size();
+  }
+  return std::holds_alternative<bool>(v) ? 1 + 1 : 1 + 8;
+}
+
 std::string ByteReader::string() { return std::string(string_view()); }
 
 Value ByteReader::value() {

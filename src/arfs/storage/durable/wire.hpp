@@ -57,6 +57,8 @@ void put_string(std::vector<std::uint8_t>& buf, const std::string& s);
 /// Tagged Value encoding: u8 tag (0 bool, 1 int64, 2 double, 3 string) then
 /// the payload; doubles are stored as their raw IEEE-754 bit pattern.
 void put_value(std::vector<std::uint8_t>& buf, const Value& v);
+/// Bytes put_value appends for `v`, counted without encoding it.
+[[nodiscard]] std::size_t value_wire_bytes(const Value& v);
 
 /// Sequential decoder over a byte range. Every read checks bounds; the first
 /// short or malformed read latches ok() to false and subsequent reads return

@@ -15,11 +15,20 @@ PooledMission::PooledMission(const MissionFactory& factory,
     : mission_(factory()) {
   require(mission_.system != nullptr, "mission factory built no system");
   mission_.system->run(warmup_frames);
-  mission_.system->checkpoint_into(warm_);
+  warm_ = std::make_shared<const core::SystemCheckpoint>(
+      mission_.system->checkpoint());
+}
+
+PooledMission::PooledMission(const MissionFactory& factory,
+                             std::shared_ptr<const core::SystemCheckpoint> warm)
+    : mission_(factory()), warm_(std::move(warm)) {
+  require(mission_.system != nullptr, "mission factory built no system");
+  require(warm_ != nullptr, "pooled mission needs a warm image");
+  mission_.system->restore(*warm_);
 }
 
 void PooledMission::reset() {
-  mission_.system->restore(warm_);
+  mission_.system->restore(*warm_);
   ++resets_;
 }
 
@@ -43,14 +52,30 @@ SystemPool::Lease SystemPool::lease() {
     }
     ++stats_.constructions;
   }
-  // Construct (and warm) outside the lock: the expensive path must not
-  // serialize other lanes' lease/release traffic.
-  return Lease(*this, std::make_unique<PooledMission>(factory_, warmup_));
+  // Construct outside the lock: the expensive path must not serialize
+  // other lanes' lease/release traffic.
+  return Lease(*this, build());
+}
+
+std::unique_ptr<PooledMission> SystemPool::build() {
+  std::unique_ptr<PooledMission> first;
+  std::call_once(warm_once_, [this, &first] {
+    first = std::make_unique<PooledMission>(factory_, warmup_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    warm_ = first->warm();
+  });
+  if (first != nullptr) return first;
+  return std::make_unique<PooledMission>(factory_, warm_);
 }
 
 SystemPool::Stats SystemPool::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
+}
+
+std::shared_ptr<const core::SystemCheckpoint> SystemPool::warm() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return warm_;
 }
 
 void SystemPool::give_back(std::unique_ptr<PooledMission> mission) {

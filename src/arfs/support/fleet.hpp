@@ -4,8 +4,9 @@
 // (core::SystemCheckpoint restores bit-identically); the fleet layer turns
 // that into the hot-path allocator for massed Monte-Carlo mission sampling:
 // instead of paying a full core::System construction per sample, each
-// worker leases a pooled mission — built once by the factory, warmed once
-// through the shared deterministic prefix — and resets it per sample via
+// worker leases a pooled mission — built once by the factory and restored
+// to the pool's one warm image, which the pool's first mission took after
+// running the shared deterministic prefix — and resets it per sample via
 // SystemCheckpoint::restore(). Samples differ only by their fault plan,
 // which is a pure function of the sample's seed, so pooled and
 // construct-per-sample execution produce bit-identical mission populations
@@ -33,26 +34,37 @@
 
 namespace arfs::support {
 
-/// One reusable mission instance: a factory-built system plus one
-/// whole-system checkpoint taken at the warm point. reset() rewinds to it
-/// without reconstruction.
+/// One reusable mission instance: a factory-built system plus the
+/// whole-system checkpoint of its warm point. reset() rewinds to it without
+/// reconstruction. The image is shared and read-only: every mission of a
+/// SystemPool resets from the pool's one image, from any thread.
 class PooledMission {
  public:
   /// Builds the mission and warms it: runs `warmup_frames` frames once
   /// (under the factory's own fault plan — for a shared prefix that plan
   /// must be empty or common to every sample), then checkpoints the warm
-  /// point. warmup_frames == 0 pools the pristine frame-0 state.
+  /// point into an image of its own. warmup_frames == 0 pools the pristine
+  /// frame-0 state.
   PooledMission(const MissionFactory& factory, Cycle warmup_frames);
+  /// Builds the mission and restores it to `warm`, an image of a mission
+  /// the same factory built; it resets to that image from then on.
+  PooledMission(const MissionFactory& factory,
+                std::shared_ptr<const core::SystemCheckpoint> warm);
 
   [[nodiscard]] core::System& system() { return *mission_.system; }
   [[nodiscard]] std::uint64_t resets() const { return resets_; }
+  /// The image reset() restores.
+  [[nodiscard]] const std::shared_ptr<const core::SystemCheckpoint>& warm()
+      const {
+    return warm_;
+  }
 
   /// Rewinds to the warm point (frame `warmup_frames`).
   void reset();
 
  private:
   CrashMission mission_;
-  core::SystemCheckpoint warm_;
+  std::shared_ptr<const core::SystemCheckpoint> warm_;
   std::uint64_t resets_ = 0;
 };
 
@@ -62,6 +74,12 @@ class PooledMission {
 /// lanes, so a 10^6-sample sweep constructs a handful of systems, not 10^6.
 /// The pool mutex is touched once per lease/release — chunk grain, never
 /// the per-sample path.
+///
+/// The pool keeps one warm image. Its first mission warms by replay and
+/// its checkpoint becomes the pool's; every later mission is built by the
+/// factory and restored from that image, and every mission resets from it.
+/// Concurrent first leases build one first mission: the others wait for
+/// its image, then restore theirs from it.
 class SystemPool {
  public:
   explicit SystemPool(MissionFactory factory, Cycle warmup_frames = 0);
@@ -94,12 +112,22 @@ class SystemPool {
   };
   [[nodiscard]] Stats stats() const;
 
+  /// The pool's warm image; null until the first lease has built it.
+  [[nodiscard]] std::shared_ptr<const core::SystemCheckpoint> warm() const;
+
  private:
   friend class Lease;
   void give_back(std::unique_ptr<PooledMission> mission);
+  /// Builds one mission: the first warms by replay and publishes its image,
+  /// every other one restores from that image.
+  [[nodiscard]] std::unique_ptr<PooledMission> build();
 
   MissionFactory factory_;
   Cycle warmup_;
+  std::once_flag warm_once_;
+  /// Set once, inside warm_once_ and under mutex_: build() reads it after
+  /// warm_once_, warm() under mutex_.
+  std::shared_ptr<const core::SystemCheckpoint> warm_;
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<PooledMission>> idle_;
   Stats stats_;
@@ -129,9 +157,9 @@ struct FleetMissionOptions {
   /// Frames each sample runs beyond the warm point.
   Cycle frames = 32;
   std::uint64_t base_seed = 1;
-  /// Shared deterministic prefix, warmed once per pooled system and
-  /// replayed per sample when pooling is off. Plan events must land at or
-  /// after this frame.
+  /// Shared deterministic prefix, warmed once per pool and replayed per
+  /// sample when pooling is off. Plan events must land at or after this
+  /// frame.
   Cycle warmup_frames = 0;
   /// The tentpole knob: reuse checkpoint-seeded pooled systems (default)
   /// or construct a fresh system per sample (the ablation oracle).

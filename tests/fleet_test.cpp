@@ -15,11 +15,18 @@
 //    digest across {threads} × {shards} × {pooled, construct-per-sample},
 //    equal to the 1-thread/1-shard/no-pool serial oracle;
 //  * PooledMission::reset() rewinds exactly: however far the mission ran
-//    on, it lands on a fresh build's state after the warm-up.
+//    on, it lands on a fresh build's state after the warm-up;
+//  * a SystemPool keeps one warm image: a mission built by restoring it
+//    digests like one warmed by replay (chain and UAV missions), every
+//    mission of a pool resets from it, and concurrent first leases
+//    publish one image and reproduce the serial oracle.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -425,6 +432,138 @@ TEST(SystemPool, ReusesIdleMissionsAndCountsConstructions) {
   const SystemPool::Stats stats = pool.stats();
   EXPECT_EQ(stats.leases, 3u);
   EXPECT_EQ(stats.constructions, 2u);
+}
+
+/// A mission built by restore from a replay-built one's image digests like
+/// it at the warm point, and after a 32-frame sample as constructed and
+/// again after a reset.
+void expect_restore_built_matches_replay_built(const MissionFactory& factory,
+                                               const PlanFactory& plans,
+                                               Cycle warmup) {
+  PooledMission replayed(factory, warmup);
+  PooledMission restored(factory, replayed.warm());
+  ASSERT_EQ(restored.warm(), replayed.warm());
+  EXPECT_EQ(restored.system().digest(), replayed.system().digest());
+  EXPECT_EQ(restored.system().digest(), replayed.warm()->digest());
+  const auto fly = [&](std::uint64_t seed) {
+    replayed.system().set_fault_plan(plans(seed));
+    restored.system().set_fault_plan(plans(seed));
+    replayed.system().run(32);
+    restored.system().run(32);
+    EXPECT_EQ(restored.system().digest(), replayed.system().digest())
+        << "seed " << seed;
+  };
+  fly(5);  // as built
+  replayed.reset();
+  restored.reset();
+  fly(77);
+  EXPECT_GT(restored.system().stats().fault_events_applied, 0u);
+}
+
+TEST(PooledMission, RestoreBuiltChainMissionMatchesAReplayBuiltOne) {
+  const core::ReconfigSpec spec = make_chain_spec({});
+  expect_restore_built_matches_replay_built(
+      fleet_chain_factory(), env_plans_for(spec, 6, 32, 10'000),
+      /*warmup=*/6);
+}
+
+TEST(PooledMission, RestoreBuiltUavMissionMatchesAReplayBuiltOne) {
+  // The factory keeps the plant in its keepalive; the autopilot carries
+  // its state through the checkpoint's domain words.
+  avionics::UavSpecOptions spec_options;
+  spec_options.dwell_frames = 10;
+  const core::ReconfigSpec spec = avionics::make_uav_spec(spec_options);
+  expect_restore_built_matches_replay_built(
+      fleet_uav_factory(), env_plans_for(spec, 8, 32, 20'000),
+      /*warmup=*/8);
+}
+
+TEST(SystemPool, EveryMissionResetsFromThePoolsOneImage) {
+  SystemPool pool(fleet_chain_factory(), /*warmup_frames=*/6);
+  EXPECT_EQ(pool.warm(), nullptr);
+  {
+    // Four leases out at once: four missions, one warmed by replay.
+    std::vector<SystemPool::Lease> leases;
+    for (int i = 0; i < 4; ++i) leases.push_back(pool.lease());
+    const std::shared_ptr<const core::SystemCheckpoint> image = pool.warm();
+    ASSERT_NE(image, nullptr);
+    const std::uint64_t warm_digest = image->digest();
+    for (SystemPool::Lease& lease : leases) {
+      PooledMission& mission = lease.mission();
+      EXPECT_EQ(mission.warm(), image);
+      EXPECT_EQ(mission.system().digest(), warm_digest);
+      mission.system().run(9);
+      mission.reset();
+      EXPECT_EQ(mission.system().digest(), warm_digest);
+    }
+  }
+  // The pool and its four missions hold the one image.
+  EXPECT_EQ(pool.warm().use_count(), 1 + 4 + 1);
+  EXPECT_EQ(pool.stats().constructions, 4u);
+}
+
+TEST(SystemPool, ConcurrentFirstLeasesPublishOneImage) {
+  const MissionFactory factory = fleet_chain_factory();
+  const core::ReconfigSpec spec = make_chain_spec({});
+  constexpr Cycle kWarmup = 6;
+  constexpr Cycle kFrames = 8;
+  constexpr std::size_t kMissions = 16;
+  const PlanFactory plans = env_plans_for(spec, kWarmup, kFrames, 10'000);
+
+  // Serial oracle: a fresh build replaying the warm-up per mission.
+  const std::function<std::uint64_t(const MissionJob&)> construct_fly =
+      [&](const MissionJob& job) {
+        CrashMission mission = factory();
+        mission.system->run(kWarmup);
+        mission.system->set_fault_plan(plans(job.seed));
+        mission.system->run(kFrames);
+        return mission.system->digest();
+      };
+  const std::vector<std::uint64_t> oracle = run_mission_sweep<std::uint64_t>(
+      kMissions, /*base_seed=*/21, construct_fly);
+
+  // Four lanes lease at once; each mission records the image it holds.
+  // The pool's first build waits up to 100 ms for a second build to start:
+  // a pool that let racing first leases each warm a mission would build
+  // them side by side and keep several images. A pool that publishes once
+  // starts no other build before the first image exists, so the wait
+  // times out and changes nothing else.
+  std::mutex gate;
+  std::condition_variable gate_moved;
+  std::size_t builds_started = 0;
+  SystemPool pool(
+      [&] {
+        std::unique_lock<std::mutex> lock(gate);
+        if (++builds_started == 1) {
+          gate_moved.wait_for(lock, std::chrono::milliseconds(100),
+                              [&] { return builds_started > 1; });
+        } else {
+          gate_moved.notify_all();
+        }
+        lock.unlock();
+        return factory();
+      },
+      kWarmup);
+  sim::FleetOptions options;
+  options.threads = 4;
+  sim::FleetRunner fleet(options);
+  std::vector<const core::SystemCheckpoint*> images(kMissions, nullptr);
+  const std::function<std::uint64_t(const MissionJob&, PooledMission&)>
+      pooled_fly = [&](const MissionJob& job, PooledMission& mission) {
+        images[job.index] = mission.warm().get();
+        mission.system().set_fault_plan(plans(job.seed));
+        mission.system().run(kFrames);
+        return mission.system().digest();
+      };
+  const std::vector<std::uint64_t> pooled = run_mission_sweep<std::uint64_t>(
+      kMissions, /*base_seed=*/21, pooled_fly, pool, fleet);
+  EXPECT_EQ(pooled, oracle);
+  ASSERT_NE(pool.warm(), nullptr);
+  for (std::size_t i = 0; i < kMissions; ++i) {
+    EXPECT_EQ(images[i], pool.warm().get()) << "mission " << i;
+  }
+  EXPECT_GE(pool.stats().constructions, 1u);
+  EXPECT_LE(pool.stats().constructions, 4u);
 }
 
 TEST(Sweep, FleetOverloadMatchesBatchRunnerSweep) {

@@ -11,6 +11,7 @@
 namespace arfs::core {
 namespace {
 
+using support::ChainSpecParams;
 using support::kChainSeverityFactor;
 using support::make_chain_spec;
 using support::synthetic_app;
@@ -146,6 +147,61 @@ TEST(ScramDependencies, DependentWaitsForIndependent) {
   EXPECT_EQ(plan.directives.at(1).kind, DirectiveKind::kInitialize);
   outcome = scram.end_frame(4, complete_all(plan));
   EXPECT_TRUE(outcome.completed);
+}
+
+/// Drives one reconfiguration toward severity `level` from the signal to
+/// completion, every issued stage completing in its frame, and returns
+/// each frame's directive kinds after the signal frame.
+std::vector<std::vector<DirectiveKind>> reconfigure_to(Scram& scram,
+                                                       std::int64_t level) {
+  (void)scram.begin_frame(0, 0, {}, {change_signal(0)}, severity(level));
+  (void)scram.end_frame(0, {});
+  std::vector<std::vector<DirectiveKind>> frames;
+  for (Cycle cycle = 1; cycle < 16 && scram.reconfiguring(); ++cycle) {
+    const FramePlan plan =
+        scram.begin_frame(cycle, cycle * 100, {}, {}, severity(level));
+    std::vector<DirectiveKind> kinds;
+    for (const Directive& d : plan.directives) kinds.push_back(d.kind);
+    frames.push_back(std::move(kinds));
+    (void)scram.end_frame(cycle, complete_all(plan));
+  }
+  EXPECT_FALSE(scram.reconfiguring());
+  return frames;
+}
+
+TEST(ScramDependencies, PhaseAndTargetSpecificConstraintsGateOnlyTheirOwn) {
+  ChainSpecParams params;
+  params.apps = 3;
+  ReconfigSpec spec = make_chain_spec(params);
+  // App 1 halts after app 0, only toward configuration 1; app 2
+  // initializes after app 0, only toward configuration 2.
+  spec.add_dependency(Dependency{synthetic_app(1), synthetic_app(0),
+                                 DepPhase::kHalt, synthetic_config(1)});
+  spec.add_dependency(Dependency{synthetic_app(2), synthetic_app(0),
+                                 DepPhase::kInitialize, synthetic_config(2)});
+  constexpr DirectiveKind kNone = DirectiveKind::kNone;
+  constexpr DirectiveKind kHalt = DirectiveKind::kHalt;
+  constexpr DirectiveKind kPrepare = DirectiveKind::kPrepare;
+  constexpr DirectiveKind kInit = DirectiveKind::kInitialize;
+  using Frames = std::vector<std::vector<DirectiveKind>>;
+
+  // Toward configuration 1 the halt waits a frame; prepare and initialize
+  // are not held by the halt-phase constraint or the other target's.
+  Scram to_one(spec);
+  EXPECT_EQ(reconfigure_to(to_one, 1),
+            (Frames{{kHalt, kNone, kHalt},
+                    {kNone, kHalt, kNone},
+                    {kPrepare, kPrepare, kPrepare},
+                    {kInit, kInit, kInit}}));
+
+  // Toward configuration 2 only the initialize waits.
+  Scram to_two(spec);
+  EXPECT_EQ(reconfigure_to(to_two, 2),
+            (Frames{{kHalt, kHalt, kHalt},
+                    {kPrepare, kPrepare, kPrepare},
+                    {kInit, kInit, kNone},
+                    {kNone, kNone, kInit}}));
+  EXPECT_EQ(to_two.current_config(), synthetic_config(2));
 }
 
 TEST(ScramPolicy, BufferQueuesMidReconfigTriggers) {

@@ -12,7 +12,9 @@
 //  * FrameRing::reset: a rewound ring behaves like a fresh one;
 //  * SimServer: admission control at max_sessions, streamed sessions over
 //    both transports digest bit-identical to the run_mission_sweep pooled
-//    oracle, also through reused slots, a client that keeps a retired
+//    oracle, also through reused slots and through pooled systems built by
+//    restoring the pool's one image (against fresh builds), a ring slot
+//    holds exactly one record, a client that keeps a retired
 //    session's ring never sees the next session's records, report
 //    references stay valid, and — the backpressure contract — a fully
 //    stalled consumer costs itself frames (explicit gap records,
@@ -739,6 +741,69 @@ TEST(SimServer, FileBackedRingSessionAttachesByPath) {
   EXPECT_TRUE(client.report().digest_matches());
   ::unlink(opened.ring_path.c_str());
   ::rmdir(options.shm_dir.c_str());
+}
+
+TEST(SimServer, SessionRingSlotsHoldOneRecord) {
+  ServeOptions options = small_serve_options();
+  options.shm_dir = temp_path("slotdir");
+  ASSERT_EQ(::mkdir(options.shm_dir.c_str(), 0755), 0);
+  const std::vector<std::uint64_t> oracle = oracle_digests(1, options);
+
+  SimServer server = make_server(options);
+  SimServer::Opened opened = server.open_session(TransportKind::kShm);
+  std::shared_ptr<FrameRing> ring(FrameRing::attach(opened.ring_path));
+  EXPECT_EQ(ring->slot_bytes(), FrameRing::kSlotHeaderBytes + kRecordBytes);
+  EXPECT_EQ(ring->slot_count(), options.ring_slot_count);
+  SessionClient client(std::make_unique<RingSource>(ring));
+  server.pump_all();
+  for (int round = 0; round < 100'000; ++round) {
+    (void)client.poll();
+    if (server.drain() && client.done()) break;
+  }
+  EXPECT_TRUE(client.report().accounted());
+  EXPECT_TRUE(client.report().digest_matches());
+  EXPECT_EQ(client.report().frames, options.frame_budget);
+  EXPECT_EQ(client.report().digest, oracle[0]);
+  ::unlink(opened.ring_path.c_str());
+  ::rmdir(options.shm_dir.c_str());
+}
+
+TEST(SimServer, RestoreBuiltSystemsMatchFreshBuilds) {
+  // Eight concurrent sessions make the pool build eight systems: the first
+  // warms by replay, the other seven restore its image. Every session must
+  // stream what a fresh build that replays the warm-up computes, an oracle
+  // that shares no pool with the server.
+  ServeOptions options = small_serve_options();
+  constexpr std::size_t kSessions = 8;
+  options.max_sessions = kSessions;
+  const support::MissionFactory factory = chain_mission_factory();
+  const support::PlanFactory plans =
+      chain_plan_factory(options.warmup_frames, options.frame_budget);
+  const std::vector<std::uint64_t> fresh = support::run_mission_sweep<
+      std::uint64_t>(
+      kSessions, options.base_seed,
+      std::function<std::uint64_t(const support::MissionJob&)>(
+          [&](const support::MissionJob& job) {
+            support::CrashMission mission = factory();
+            mission.system->run(options.warmup_frames);
+            mission.system->set_fault_plan(plans(job.seed));
+            std::uint64_t digest = kDigestBasis;
+            for (Cycle f = 1; f <= options.frame_budget; ++f) {
+              mission.system->run_frame();
+              fold_record(digest, make_frame_record(*mission.system,
+                                                    options.warmup_frames + f));
+            }
+            return digest;
+          }));
+
+  SimServer server = make_server(options);
+  const std::vector<ClientReport> reports =
+      run_sessions(server, TransportKind::kShm, kSessions);
+  EXPECT_EQ(server.pool_stats().constructions, kSessions);
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    EXPECT_TRUE(reports[i].digest_matches()) << "session " << i;
+    EXPECT_EQ(reports[i].digest, fresh[i]) << "session " << i;
+  }
 }
 
 TEST(SimServer, StalledConsumerGetsGapsAndNeverStallsProduction) {

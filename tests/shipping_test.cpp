@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arfs/common/check.hpp"
+#include "arfs/common/rng.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/sim/fault_plan.hpp"
 #include "arfs/storage/durable/engine.hpp"
@@ -428,6 +429,80 @@ TEST(ShipReplicate, EncodedStateBytesRestrictsToThePrefix) {
   const std::uint64_t a1 = encoded_state_bytes(store, "a1/");
   EXPECT_GT(a1, 0u);
   EXPECT_LT(a1, all);
+}
+
+/// The wire bytes of `store`'s committed entries under `prefix`, from a
+/// real encoding: what encoded_state_bytes counts without encoding.
+std::uint64_t encoded_length(const StableStorage& store,
+                             const std::string& prefix) {
+  std::vector<std::uint8_t> bytes;
+  for (const auto& [key, value, cycle] : store.committed_entries()) {
+    if (key.compare(0, prefix.size(), prefix) != 0) continue;
+    storage::durable::put_string(bytes, key);
+    storage::durable::put_value(bytes, value);
+    storage::durable::put_u64(bytes, cycle);
+  }
+  return bytes.size();
+}
+
+TEST(ShipReplicate, EncodedStateBytesEqualsTheLengthOfARealEncoding) {
+  Rng rng(2718);
+  const std::vector<std::string> prefixes = {"", "a1/", "a2/", "b/",
+                                             "zz/", "a1/long"};
+  // Three regions and unprefixed keys.
+  const char* const regions[] = {"a1/", "a2/", "b/", ""};
+  for (int round = 0; round < 40; ++round) {
+    StableStorage store;
+    const std::uint64_t keys = rng.uniform(0, 24);
+    Cycle cycle = 1;
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      // Keys repeat, so later commits overwrite earlier ones.
+      std::string key = regions[rng.uniform(0, 3)];
+      key += rng.uniform(0, 1) == 0 ? "k" : "long_key_name_";
+      key += std::to_string(rng.uniform(0, 9));
+      switch (rng.uniform(0, 5)) {
+        case 0:
+          store.write(key, Value{rng.uniform(0, 1) == 1});
+          break;
+        case 1:
+          store.write(key, Value{static_cast<std::int64_t>(rng.next_u64())});
+          break;
+        case 2:
+          store.write(key, Value{rng.uniform_real(-1e9, 1e9)});
+          break;
+        case 3:
+          store.write(key, Value{std::string()});
+          break;
+        case 4:
+          store.write(key,
+                      Value{std::string(rng.uniform(100, 5'000), 'x')});
+          break;
+        default:
+          store.write(key, Value{std::string("short")});
+          break;
+      }
+      if (rng.uniform(0, 2) == 0) store.commit(cycle++);
+    }
+    store.commit(cycle);
+    for (const std::string& prefix : prefixes) {
+      EXPECT_EQ(encoded_state_bytes(store, prefix),
+                encoded_length(store, prefix))
+          << "round " << round << ", prefix '" << prefix << "'";
+    }
+    // A cleared store keeps its interned names and counts none of them.
+    store.reset_committed();
+    EXPECT_EQ(encoded_state_bytes(store), 0u) << "round " << round;
+  }
+  // Prefixes that match no key, some keys and every key of one store.
+  StableStorage store;
+  store.write("a1/x", Value{true});
+  store.write("a1/y", Value{std::string(300, 'y')});
+  store.write("a2/z", Value{2.5});
+  store.commit(3);
+  EXPECT_EQ(encoded_state_bytes(store, "zz/"), 0u);
+  EXPECT_EQ(encoded_state_bytes(store, "a1/"), encoded_length(store, "a1/"));
+  EXPECT_EQ(encoded_state_bytes(store, "a"), encoded_state_bytes(store));
+  EXPECT_EQ(encoded_state_bytes(store), encoded_length(store, ""));
 }
 
 // --- the one-member replica cohort (the warm standby) ---

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "arfs/common/rng.hpp"
 #include "arfs/core/stable_region.hpp"
 
 namespace arfs::core {
@@ -81,6 +82,78 @@ TEST(StableRegion, RelocateFromFailedProcessorsView) {
   StableRegion::relocate(source, target, "a1/");
   target.commit(4);
   EXPECT_EQ(std::get<std::int64_t>(target.read("a1/state").value()), 7);
+}
+
+/// The name-based copy relocate() once made: list the committed keys, read
+/// each back by name, stage it on `target`.
+std::size_t relocate_by_name(const storage::StableStorage& source,
+                             storage::StableStorage& target,
+                             const std::string& prefix) {
+  std::size_t copied = 0;
+  for (const std::string& key : source.keys()) {
+    if (key.rfind(prefix, 0) != 0) continue;
+    const Expected<storage::Value> value = source.read(key);
+    if (!value) continue;
+    target.write(key, value.value());
+    ++copied;
+  }
+  return copied;
+}
+
+TEST(StableRegion, RelocateCopiesWhatANameBasedCopyCopies) {
+  Rng rng(31);
+  const char* const regions[] = {"a1/", "a10/", "a2/", ""};
+  for (int round = 0; round < 30; ++round) {
+    storage::StableStorage source;
+    // Names interned by an earlier life of the store, then cleared: they
+    // stay in its name table but are not committed.
+    source.write("a1/gone", std::int64_t{1});
+    source.commit(1);
+    source.reset_committed();
+    const std::uint64_t keys = rng.uniform(0, 20);
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      const std::string key = std::string(regions[rng.uniform(0, 3)]) +
+                              "k" + std::to_string(rng.uniform(0, 7));
+      switch (rng.uniform(0, 3)) {
+        case 0:
+          source.write(key, rng.uniform(0, 1) == 1);
+          break;
+        case 1:
+          source.write(key, static_cast<std::int64_t>(rng.next_u64()));
+          break;
+        case 2:
+          source.write(key, rng.uniform_real(-1.0, 1.0));
+          break;
+        default:
+          source.write(key, std::string(rng.uniform(0, 64), 's'));
+          break;
+      }
+      if (rng.uniform(0, 1) == 0) source.commit(2 + k);
+    }
+    source.commit(100);
+    source.write("a1/staged", std::int64_t{5});  // never committed
+
+    for (const std::string prefix : {"a1/", "a10/", "a2/", "zz/", ""}) {
+      storage::StableStorage walked;
+      storage::StableStorage named;
+      // The targets hold a region of their own, which the copy overwrites
+      // where the names meet.
+      for (storage::StableStorage* target : {&walked, &named}) {
+        target->write("a1/k0", std::int64_t{-1});
+        target->write("b/own", std::int64_t{-2});
+        target->commit(50);
+      }
+      EXPECT_EQ(StableRegion::relocate(source, walked, prefix),
+                relocate_by_name(source, named, prefix))
+          << "round " << round << ", prefix '" << prefix << "'";
+      EXPECT_EQ(walked.pending(), named.pending());
+      walked.commit(101);
+      named.commit(101);
+      EXPECT_TRUE(walked.same_committed(named))
+          << "round " << round << ", prefix '" << prefix << "'";
+      EXPECT_EQ(walked.fingerprint(), named.fingerprint());
+    }
+  }
 }
 
 TEST(StableRegion, MissingKeyErrors) {

@@ -164,7 +164,7 @@ void report_frame_cost() {
 
   // The steady durable frame, the ruler of the durable write path: journal
   // encode and group commit, snapshots with GC and compaction, and (with a
-  // cohort) shipping and the replicas' own durable apply.
+  // cohort) shipping and the replica's apply.
   std::cout << "\n--- steady durable frame (frames(4), a snapshot every 16 "
             << "epochs, trace off, best of " << kBlocks << " blocks) ---\n"
             << "apps | durable ns/frame | + 1-member cohort ns/frame\n";

@@ -94,9 +94,8 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
   require(options.quorum_replicas == 1 || options.journal_shipping,
           "quorum_replicas requires journal_shipping");
   if (options.journal_shipping) {
-    storage::durable::quorum::QuorumOptions qopts;
-    qopts.replicas = options.quorum_replicas;
-    qopts.member_durability = options.durability;
+    const storage::durable::quorum::QuorumOptions qopts{
+        .replicas = options.quorum_replicas};
     for (const ProcessorId p : group_.processor_ids()) {
       storage::durable::DurabilityEngine* engine =
           group_.processor(p).durability();
@@ -621,8 +620,6 @@ std::uint64_t fold_replica(std::uint64_t h,
   }
   h = fnv_mix(h, replica.pending.size());
   h = fnv_mix_bytes(h, replica.pending);
-  h = fnv_mix(h, replica.engine.has_value() ? 1 : 0);
-  if (replica.engine.has_value()) h = fold_engine(h, *replica.engine);
   return h;
 }
 

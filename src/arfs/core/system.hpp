@@ -219,8 +219,8 @@ struct SystemCheckpoint {
   ///    fault flags;
   ///  * the fault plan's size and cursor, the router's counters, the
   ///    deadline alarm, the noise generator, the trace's row count;
-  ///  * per replica cohort: each member's replica (store fingerprint,
-  ///    cursor, dictionary, partial tail, standby engine) and standing, the
+  ///  * per replica cohort: each member's replica (store fingerprint and
+  ///    commit epochs, cursor, dictionary, partial tail) and standing, the
   ///    voter sets, commit id, leader and cohort stats;
   ///  * SystemStats and the started flag.
   /// Not hashed: the ActivityMonitor's watches (misses, reported flags),
@@ -444,8 +444,8 @@ class System {
   std::unique_ptr<SystemPeerReader> peer_reader_;
   /// Replica cohorts (journal_shipping), keyed by source processor. Each
   /// member gets one quorum slot of options_.ship_slot_bytes per frame.
-  /// Every member runs its own durability engine, so replica state
-  /// survives with the same guarantees as the source's.
+  /// A member's replica store is stable storage (§5.1), so replica state
+  /// survives the member's fail-stop as the source's store does.
   std::map<ProcessorId, storage::durable::quorum::QuorumGroup>
       quorum_channels_;
   SystemStats stats_;

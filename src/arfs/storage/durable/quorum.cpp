@@ -26,19 +26,12 @@ bool contains(const std::vector<MemberId>& ids, MemberId id) {
 QuorumGroup::QuorumGroup(DurabilityEngine& source, QuorumOptions options)
     : shipper_(source), options_(options) {
   require(options_.replicas >= 1, "a quorum group needs at least one member");
-  members_.reserve(options_.replicas);
+  members_.resize(options_.replicas);
   for (std::uint32_t i = 0; i < options_.replicas; ++i) {
-    append_member();
     old_voters_.push_back(i);
   }
   new_voters_ = old_voters_;
   leader_ = 0;  // election by construction: lowest id, everyone live
-}
-
-void QuorumGroup::append_member() {
-  Member m;
-  m.replica.attach_engine(make_memory_engine(options_.member_durability));
-  members_.push_back(std::move(m));
 }
 
 QuorumGroup::Member& QuorumGroup::member_ref(MemberId id) {
@@ -235,7 +228,7 @@ std::vector<MemberId> QuorumGroup::begin_reconfig(
   std::vector<MemberId> added;
   for (std::uint32_t i = 0; i < add; ++i) {
     const auto id = static_cast<MemberId>(members_.size());
-    append_member();
+    members_.emplace_back();
     // A fresh member holds nothing: it joins via the full-copy path and
     // streams from there, exactly like a lost-cursor fallback.
     members_.back().needs_full_copy = true;
@@ -304,7 +297,7 @@ std::uint64_t QuorumGroup::majority_ack(const std::vector<MemberId>& voters) {
   }
   std::sort(ack_scratch_.begin(), ack_scratch_.end(), std::greater<>());
   // Descending order statistic at |S|/2: the highest epoch held by a strict
-  // majority. Dead members' acks count (their stable devices survive).
+  // majority. Dead members' acks count (their replica stores survive).
   return ack_scratch_[ack_scratch_.size() / 2];
 }
 
@@ -350,10 +343,7 @@ void QuorumGroup::elect() {
 void QuorumGroup::restore_state(const QuorumGroup& source) {
   // Shed the members the source does not have, grow the ones it has beyond
   // this roster.
-  if (members_.size() > source.members_.size()) {
-    members_.resize(source.members_.size());
-  }
-  while (members_.size() < source.members_.size()) append_member();
+  members_.resize(source.members_.size());
   for (MemberId id = 0; id < source.members_.size(); ++id) {
     Member& m = members_[id];
     const Member& from = source.members_[id];

@@ -12,12 +12,14 @@
 //                 acknowledged by a majority of voters, monotone.
 //
 // Fail-stop semantics (paper section 5.1) make the majority rule unusually
-// clean: a member's acknowledged bytes live on its stable devices, which
-// survive the member's own fail-stop, so a dead member's acks still count
-// toward the boundary — only *retired* members leave the vote. A one-member
-// cohort is the classic warm standby: its majority is the lone member, so
-// the commit id is simply that member's cursor epoch. A single replica is
-// still a single point of failure during a relocation; N >= 3 removes it.
+// clean: a member's replica store is stable storage, which survives the
+// member's own fail-stop, so a dead member's acks still count toward the
+// boundary — only *retired* members leave the vote. A member therefore
+// keeps no journal of its own: the commit rule reads only its cursor
+// epoch. A one-member cohort is the classic warm standby: its majority is
+// the lone member, so the commit id is simply that member's cursor epoch.
+// A single replica is still a single point of failure during a
+// relocation; N >= 3 removes it.
 //
 // Leadership is deterministic: the lowest-id live, non-retired member is
 // the shipper-leader (relocations warm-start from it first). When the
@@ -52,9 +54,6 @@ struct QuorumOptions {
   /// Initial cohort size. 1 is the warm standby (the commit boundary is
   /// then the lone member's cursor epoch).
   std::uint32_t replicas = 3;
-  /// Durability options of each member's own replica engine (every member
-  /// is itself durable).
-  DurableOptions member_durability{};
 };
 
 struct QuorumStats {
@@ -153,8 +152,8 @@ class QuorumGroup {
 
   // --- liveness, election, membership ---
 
-  /// Fail-stops member `id` (its stable devices — and therefore its acks —
-  /// survive). Returns true exactly when this failure cost the live
+  /// Fail-stops member `id` (its replica store — and therefore its acks —
+  /// survives). Returns true exactly when this failure cost the live
   /// majority. No-op (false) if already down.
   bool fail_member(MemberId id);
 
@@ -244,13 +243,13 @@ class QuorumGroup {
   /// in-flight membership change when the new majority has caught up.
   void update_commit();
   /// Majority order statistic of `voters`' last_applied (the epoch held by
-  /// more than half of them). Dead members count; `voters` is non-empty.
-  /// Sorts in the reused ack_scratch_, so a commit update allocates nothing.
+  /// more than half of them). Dead members count, since a replica store
+  /// survives its member's fail-stop; `voters` is non-empty. Sorts in the
+  /// reused ack_scratch_, so a commit update allocates nothing.
   [[nodiscard]] std::uint64_t majority_ack(const std::vector<MemberId>& voters);
   /// Deterministic re-election; bumps stats_.elections when the leader
   /// actually changes.
   void elect();
-  void append_member();
   Member& member_ref(MemberId id);
   [[nodiscard]] const Member& member_at(MemberId id) const;
 

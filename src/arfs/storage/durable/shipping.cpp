@@ -95,13 +95,6 @@ ShipStatus JournalShipper::next_batch(const ShipCursor& cursor,
   return ShipStatus::kCursorLost;
 }
 
-void ShippedReplica::attach_engine(
-    std::unique_ptr<DurabilityEngine> engine) {
-  require(engine != nullptr, "null standby engine");
-  require(engine_ == nullptr, "standby engine already attached");
-  engine_ = std::move(engine);
-}
-
 ApplyStatus ShippedReplica::apply(const ShipBatch& batch) {
   if (batch.generation != cursor_.generation) {
     return ApplyStatus::kBadGeneration;
@@ -217,24 +210,11 @@ bool ShippedReplica::apply_record(const std::uint8_t* payload,
 }
 
 void ShippedReplica::apply_commit(std::uint64_t epoch, Cycle cycle) {
-  if (engine_ != nullptr) {
-    // Standby write-ahead: journal into the standby's own devices with the
-    // source's epoch numbering, then commit — the standby survives its own
-    // crashes with the same guarantees as the source.
-    store_.set_commit_epochs(epoch - 1);
-    for (auto& [id, value] : entries_) {
-      store_.write(keys_.key(store_, dict_.names(), id), std::move(value));
-    }
-    engine_->record_commit(store_, cycle);
-    store_.commit(cycle);
-    engine_->after_commit(store_);
-  } else {
-    for (auto& [id, value] : entries_) {
-      store_.restore(keys_.key(store_, dict_.names(), id), std::move(value),
-                     cycle);
-    }
-    store_.set_commit_epochs(epoch);
+  for (auto& [id, value] : entries_) {
+    store_.restore(keys_.key(store_, dict_.names(), id), std::move(value),
+                   cycle);
   }
+  store_.set_commit_epochs(epoch);
   cursor_.epoch = epoch;
   ++stats_.records_applied;
 }
@@ -280,18 +260,10 @@ void ShippedReplica::reset_from_full_copy(const StableStorage& source,
   stats_.records_skipped = 0;
   stats_.dict_records = 0;
   ++stats_.resets;
-  if (engine_ != nullptr) {
-    // Re-anchor the standby devices on the copied image so its own journal
-    // does not mix generations.
-    (void)engine_->take_snapshot(store_);
-  }
 }
 
 void ShippedReplica::restore_state(const ShippedReplica& source) {
-  require((engine_ != nullptr) == (source.engine_ != nullptr),
-          "replica restore must match its attached-engine shape");
   store_ = source.store_;
-  if (engine_ != nullptr) engine_->restore_state(*source.engine_);
   dict_ = source.dict_;
   keys_.clear();
   pending_ = source.pending_;
@@ -301,8 +273,6 @@ void ShippedReplica::restore_state(const ShippedReplica& source) {
 
 ReplicaView ShippedReplica::view() const {
   return {.store = &store_,
-          .engine = engine_ != nullptr ? std::optional(engine_->view())
-                                       : std::nullopt,
           .dict = dict_.names(),
           .pending = pending_,
           .cursor = cursor_};

@@ -7,7 +7,9 @@
 // emits framed byte batches that a ShippedReplica replays into a standby
 // StableStorage, so by the time a relocation is ordered the standby already
 // holds the source's last durable commit boundary and only the un-shipped
-// tail has to move.
+// tail has to move. The standby store is stable storage in the fail-stop
+// model (§5.1): it survives the replica's own halt, so the replica keeps no
+// journal of its own.
 //
 // The stream is the journal itself: ARFSWAL2 records are already
 // CRC-guarded, dictionary records already precede the commits that use
@@ -34,7 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -111,28 +112,21 @@ enum class ApplyStatus : std::uint8_t {
 };
 
 /// Read-only view of a replica's digested state: the store's fingerprint
-/// and epoch count, the cursor, the stream dictionary, the partial-record
-/// tail and the standby engine, built on the stack by view(). The
-/// replica's Stats are not part of it.
+/// and epoch count, the cursor, the stream dictionary and the
+/// partial-record tail, built on the stack by view(). The replica's Stats
+/// are not part of it.
 struct ReplicaView {
   const StableStorage* store = nullptr;
-  std::optional<EngineView> engine;
   std::span<const std::string> dict;
   std::span<const std::uint8_t> pending;
   ShipCursor cursor;
 };
 
 /// The standby side: applies shipped batches into a standby StableStorage,
-/// optionally journaling them through its own DurabilityEngine so the
-/// standby is itself durable.
+/// each commit restored with its source cycle and epoch.
 class ShippedReplica {
  public:
   ShippedReplica() = default;
-
-  /// Attaches a standby engine: every applied commit is journaled
-  /// (write-ahead) into it with the source's epoch numbering, and a full-
-  /// copy reset snapshots into it. Call before the first apply.
-  void attach_engine(std::unique_ptr<DurabilityEngine> engine);
 
   ApplyStatus apply(const ShipBatch& batch);
 
@@ -153,7 +147,6 @@ class ShippedReplica {
 
   [[nodiscard]] const ShipCursor& cursor() const { return cursor_; }
   [[nodiscard]] const StableStorage& store() const { return store_; }
-  [[nodiscard]] DurabilityEngine* engine() { return engine_.get(); }
   /// Bytes held beyond the last complete record (a split batch's tail).
   [[nodiscard]] std::size_t pending_bytes() const { return pending_.size(); }
 
@@ -173,12 +166,9 @@ class ShippedReplica {
 
   /// The digested state, read in place (see ReplicaView).
   [[nodiscard]] ReplicaView view() const;
-  /// Makes this replica a copy of `source`, keeping its own engine object
-  /// and buffers: the store, the standby engine's state, the stream
-  /// dictionary, the partial-record tail, the cursor and the stats. The
-  /// dictionary-id memo is cleared. Only reads `source`. Precondition: an
-  /// engine is attached to both or to neither (a replica never gains or
-  /// loses its standby engine mid-mission).
+  /// Makes this replica a copy of `source`, keeping its own buffers: the
+  /// store, the stream dictionary, the partial-record tail, the cursor and
+  /// the stats. The dictionary-id memo is cleared. Only reads `source`.
   void restore_state(const ShippedReplica& source);
 
  private:
@@ -191,9 +181,8 @@ class ShippedReplica {
   void apply_commit(std::uint64_t epoch, Cycle cycle);
 
   StableStorage store_;
-  std::unique_ptr<DurabilityEngine> engine_;  ///< Optional standby WAL.
-  NamePool dict_;                             ///< id -> key, this stream.
-  std::vector<std::uint8_t> pending_;         ///< Partial-record tail.
+  NamePool dict_;                      ///< id -> key, this stream.
+  std::vector<std::uint8_t> pending_;  ///< Partial-record tail.
   ShipCursor cursor_;
   Stats stats_;
   /// The commit being applied: (dictionary id, value) per entry. Reused.

@@ -181,8 +181,6 @@ std::uint64_t fold_replica(std::uint64_t h, const ShippedReplica& replica) {
   h = fold_names(h, view.dict);
   h = fnv_mix(h, view.pending.size());
   h = fnv_mix_bytes(h, view.pending);
-  h = fnv_mix(h, view.engine.has_value() ? 1 : 0);
-  if (view.engine.has_value()) h = fold_engine(h, *view.engine);
   return fold_words(h, replica.stats());
 }
 
@@ -438,11 +436,9 @@ struct Source {
   }
 };
 
-/// A replica with its own standby engine.
+/// A standby replica.
 std::unique_ptr<ShippedReplica> standby() {
-  auto replica = std::make_unique<ShippedReplica>();
-  replica->attach_engine(storage::durable::make_memory_engine());
-  return replica;
+  return std::make_unique<ShippedReplica>();
 }
 
 /// Ships `source`'s synced journal to `replica` in batches of at most

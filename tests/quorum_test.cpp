@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -530,6 +531,116 @@ TEST(QuorumSystem, FaultPlanDrivesCohortFailuresAndRepairs) {
   const QuorumGroup& group = system.quorum_group(victim);
   EXPECT_TRUE(group.member_live(1));
   EXPECT_FALSE(group.member_live(2));
+}
+
+// --- the one apply path: every member at its own epoch ---
+
+/// Byte budget of each member's slot in the apply-path missions: small
+/// enough that batches end inside records under every sync policy, large
+/// enough that members catch up between compactions and rebase.
+constexpr std::uint32_t kSplittingSlotBytes = 96;
+
+/// What one apply-path mission exercised, summed over its frames.
+struct ApplyCoverage {
+  std::uint64_t member_checks = 0;  ///< (frame, live member) pairs checked.
+  std::uint64_t split_frames = 0;   ///< Frames a member ended mid-record.
+};
+
+/// Runs `system` for `frames` frames and checks, after every frame, that
+/// each live member of `victim`'s cohort holds exactly the committed store
+/// `victim` had at the member's cursor epoch, and counts that many commit
+/// epochs. The victim's store is copied at each epoch it reaches while
+/// running; a lossy recovery rewinds its epoch count, and the epochs it
+/// then commits again overwrite the vanished ones.
+ApplyCoverage check_every_member_at_its_epoch(core::System& system,
+                                              ProcessorId victim,
+                                              Cycle frames) {
+  std::map<std::uint64_t, StableStorage> source_at;
+  failstop::Processor& source = system.processors().processor(victim);
+  source_at.insert_or_assign(source.stable().commit_epochs(),
+                             source.stable());
+  ApplyCoverage coverage;
+  for (Cycle f = 0; f < frames; ++f) {
+    system.run_frame();
+    if (source.running()) {
+      source_at.insert_or_assign(source.stable().commit_epochs(),
+                                 source.stable());
+    }
+    const QuorumGroup& group = system.quorum_group(victim);
+    bool split = false;
+    for (MemberId id = 0; id < group.member_count(); ++id) {
+      if (!group.member_live(id) || group.member_retired(id)) continue;
+      const storage::durable::ShippedReplica& replica = group.replica(id);
+      const std::uint64_t epoch = replica.cursor().epoch;
+      EXPECT_EQ(replica.store().commit_epochs(), epoch)
+          << "frame " << f << ", member " << id;
+      const auto at = source_at.find(epoch);
+      if (at == source_at.end()) {
+        ADD_FAILURE() << "frame " << f << ", member " << id << ": epoch "
+                      << epoch << " the source never reached";
+        continue;
+      }
+      EXPECT_TRUE(replica.store().same_committed(at->second))
+          << "frame " << f << ", member " << id << ", epoch " << epoch;
+      split = split || replica.pending_bytes() > 0;
+      ++coverage.member_checks;
+    }
+    if (split) ++coverage.split_frames;
+  }
+  return coverage;
+}
+
+TEST(QuorumSystem, EveryLiveMemberHoldsTheSourceAtItsCursorEpoch) {
+  // A replica has one apply path: each shipped commit is restored with its
+  // source cycle and epoch. After every frame, every live member must hold
+  // the source's committed entries as they stood at its cursor epoch —
+  // through compactions and rebases (a snapshot every 7 epochs), a bit flip
+  // whose lossy recovery reseeds the cohort, a member fail and repair, and
+  // slots small enough to split records across batches. All four sync
+  // policies, one- and three-member cohorts.
+  const auto spec = support::make_chain_spec({});
+  const ProcessorId victim = synthetic_processor(0);
+  for (const auto& [name, policy] : all_policies()) {
+    for (const std::uint32_t replicas : {1u, 3u}) {
+      SCOPED_TRACE(name + ", N = " + std::to_string(replicas));
+      core::SystemOptions options;
+      options.durable_storage = true;
+      options.journal_shipping = true;
+      options.quorum_replicas = replicas;
+      options.ship_slot_bytes = kSplittingSlotBytes;
+      options.durability.snapshot_every_epochs = 7;
+      options.durability.sync = policy;
+      core::System system(spec, options);
+      for (const core::AppDecl& decl : spec.apps()) {
+        system.add_app(std::make_unique<SimpleApp>(decl.id, decl.name));
+      }
+      const MemberId last = replicas - 1;
+      support::MissionProfile mission(options.frame_length);
+      mission.at(6, support::kChainSeverityFactor, 1)
+          .journal_bit_flip(17, victim, 3)
+          .fail(18, victim)
+          .repair(21, victim)
+          .at(34, support::kChainSeverityFactor, 0);
+      sim::FaultPlan plan = mission.build();
+      plan.quorum_member_fail(26 * options.frame_length, victim, last);
+      plan.quorum_member_repair(31 * options.frame_length, victim, last);
+      system.set_fault_plan(std::move(plan));
+
+      const ApplyCoverage coverage =
+          check_every_member_at_its_epoch(system, victim, 56);
+
+      const storage::durable::quorum::QuorumStats& stats =
+          system.quorum_group(victim).stats();
+      // The mission reached every case it is meant to cover.
+      EXPECT_GT(coverage.member_checks, 0u);
+      EXPECT_GT(coverage.split_frames, 0u);
+      EXPECT_GT(stats.rebases, 0u);
+      EXPECT_GT(stats.reseeds, 0u);
+      EXPECT_EQ(system.stats().lossy_recoveries, 1u);
+      EXPECT_EQ(stats.member_failures, 1u);
+      EXPECT_EQ(stats.member_repairs, 1u);
+    }
+  }
 }
 
 // --- crash-point sweeps: the quorum adversary ---

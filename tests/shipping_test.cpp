@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -398,26 +399,56 @@ TEST(ShipReplicate, FullCopyBeforeTheFirstSyncResumesPastTheHeader) {
   EXPECT_EQ(replica.store().fingerprint(), source.store.fingerprint());
 }
 
-TEST(ShipReplicate, AttachedEngineMakesTheStandbyItselfDurable) {
-  Source source;
+TEST(ShipReplicate, ReplicaHoldsTheSourceAtItsCursorEpochAfterEveryStep) {
+  // The one apply path, step by step: after every batch, rebase and full
+  // copy, the replica holds the source's committed entries (names, values,
+  // commit cycles) as they stood at its cursor epoch, and counts that many
+  // commit epochs. 11-byte batches split every record; a snapshot every 5
+  // epochs compacts under the replica, which rebases when caught up and
+  // loses its cursor when it skips shipping across two compactions.
+  Source source({/*snapshot_every_epochs=*/5, SyncPolicy::every_commit()});
   JournalShipper shipper(*source.engine);
   ShippedReplica replica;
-  replica.attach_engine(make_memory_engine());
+  std::map<std::uint64_t, StableStorage> source_at{{0, source.store}};
+  const auto expect_at_its_epoch = [&](Cycle c) {
+    const std::uint64_t epoch = replica.cursor().epoch;
+    EXPECT_EQ(replica.store().commit_epochs(), epoch) << "cycle " << c;
+    const auto at = source_at.find(epoch);
+    ASSERT_NE(at, source_at.end()) << "cycle " << c << ", epoch " << epoch;
+    EXPECT_TRUE(replica.store().same_committed(at->second))
+        << "cycle " << c << ", epoch " << epoch;
+  };
 
-  for (Cycle c = 1; c <= 5; ++c) {
-    source.commit_frame(c, {{"k", std::int64_t(c)}});
+  std::uint64_t split_batches = 0;
+  ShipBatch batch;
+  for (Cycle c = 1; c <= 40; ++c) {
+    source.commit_frame(c, {{"k" + std::to_string(c % 3), std::int64_t(c)},
+                            {"alt", std::int64_t(1000 - c)}});
+    source_at.insert_or_assign(source.store.commit_epochs(), source.store);
+    if (c >= 20 && c < 31) continue;  // two compactions pass unshipped
+    for (int step = 0; step < 32; ++step) {
+      const ShipStatus status =
+          shipper.next_batch(replica.cursor(), 11, batch);
+      if (status == ShipStatus::kUpToDate) break;
+      if (status == ShipStatus::kBatch) {
+        ASSERT_EQ(replica.apply(batch), ApplyStatus::kApplied);
+        if (replica.pending_bytes() > 0) ++split_batches;
+      } else if (status == ShipStatus::kRebase) {
+        replica.rebase(source.engine->journal_generation(),
+                       source.engine->rebase_epoch());
+      } else {
+        replica.reset_from_full_copy(
+            source.store, source.engine->dictionary(),
+            source.engine->journal_generation(),
+            source.engine->journal().synced_size());
+      }
+      expect_at_its_epoch(c);
+    }
+    EXPECT_EQ(replica.cursor().epoch, source.store.commit_epochs());
   }
-  ship_all(shipper, replica);
-  ASSERT_EQ(replica.store().fingerprint(), source.store.fingerprint());
-
-  // The standby crashes. Its own write-ahead journal recovers the replica
-  // state bit-identically — shipping composed with durability, not instead
-  // of it.
-  replica.engine()->crash();
-  StableStorage recovered;
-  const auto report = replica.engine()->recover_into(recovered);
-  EXPECT_EQ(report.last_epoch, 5u);
-  EXPECT_EQ(recovered.fingerprint(), source.store.fingerprint());
+  EXPECT_GT(split_batches, 0u);
+  EXPECT_GT(replica.stats().rebases, 0u);
+  EXPECT_EQ(replica.stats().resets, 1u);
 }
 
 TEST(ShipReplicate, EncodedStateBytesRestrictsToThePrefix) {

@@ -7,19 +7,23 @@
 // driving the protocol through the full frame pipeline; the report also
 // times a steady normal frame (trace off and on) and a System::digest() of
 // the live system at 2/8/32/64 apps, the steady durable frame (alone and shipping to a
-// one-member cohort) at 2 and 32 apps, plus the digest of a durable 2-app
-// chain, and records the costs in BENCH_bench_sfta_phases.json (wall time:
-// reported, never gated).
+// one-member cohort) at 2 and 32 apps with the shipping part split into
+// JournalShipper::next_batch and ShippedReplica::apply, plus the digest of
+// a durable 2-app chain, and records the costs in
+// BENCH_bench_sfta_phases.json (wall time: reported, never gated).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "arfs/avionics/uav_system.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/storage/durable/engine.hpp"
+#include "arfs/storage/durable/shipping.hpp"
 #include "arfs/support/simple_app.hpp"
 #include "arfs/support/synthetic.hpp"
 #include "arfs/trace/export.hpp"
@@ -121,6 +125,112 @@ double best_digest_ns(const core::System& system, int n) {
   return best_ns;
 }
 
+/// Best of kBlocks timed blocks of `pairs` back-to-back clock reads, in ns
+/// per read: what one timed interval adds to the interval it times.
+double best_clock_read_ns(int pairs) {
+  double best_ns = 0.0;
+  for (int b = 0; b < kBlocks; ++b) {
+    std::chrono::steady_clock::duration total{};
+    for (int i = 0; i < pairs; ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      total += std::chrono::steady_clock::now() - start;
+    }
+    const double ns =
+        std::chrono::duration<double, std::nano>(total).count() / pairs;
+    if (b == 0 || ns < best_ns) best_ns = ns;
+  }
+  return best_ns;
+}
+
+struct ShipSplit {
+  double ship_ns = 0.0;   ///< JournalShipper::next_batch, per frame.
+  double apply_ns = 0.0;  ///< ShippedReplica::apply, per frame.
+  double bytes = 0.0;     ///< Journal bytes shipped per frame.
+};
+
+/// Splits what shipping adds to a steady durable frame. A durable system
+/// without a cohort runs its frames untimed; after each frame, every
+/// processor's journal ships to a replica of its own through the calls a
+/// one-member cohort's slot makes (QuorumGroup::step_member, one slot of
+/// the default budget): all next_batch calls (and the rare rebase) timed
+/// as one interval, then all apply calls as another, each less one clock
+/// read. Best of kBlocks blocks of `frames` frames, after one warm-up
+/// block.
+ShipSplit best_ship_split(const core::ReconfigSpec& spec, Cycle frames) {
+  using storage::durable::ShipStatus;
+  const std::size_t slot_bytes = core::SystemOptions{}.ship_slot_bytes;
+  const std::unique_ptr<core::System> system =
+      normal_frame_system(spec, /*durable=*/true);
+  struct Channel {
+    storage::durable::DurabilityEngine* engine;
+    storage::durable::JournalShipper shipper;
+    storage::durable::ShippedReplica replica;
+    storage::durable::ShipBatch batch;
+    bool ready = false;
+  };
+  std::vector<Channel> channels;
+  for (const ProcessorId p : system->processors().processor_ids()) {
+    storage::durable::DurabilityEngine* engine =
+        system->processors().processor(p).durability();
+    channels.push_back({engine, storage::durable::JournalShipper(*engine),
+                        {}, {}, false});
+  }
+  const auto next_batch = [slot_bytes](Channel& c) {
+    switch (c.shipper.next_batch(c.replica.cursor(), slot_bytes, c.batch)) {
+      case ShipStatus::kBatch:
+        return true;
+      case ShipStatus::kRebase:
+        c.replica.rebase(c.engine->journal_generation(),
+                         c.engine->rebase_epoch());
+        c.engine->note_ship_rebase();
+        return c.shipper.next_batch(c.replica.cursor(), slot_bytes,
+                                    c.batch) == ShipStatus::kBatch;
+      case ShipStatus::kUpToDate:
+        return false;
+      case ShipStatus::kCursorLost:
+        break;
+    }
+    std::fprintf(stderr, "ship split: a replica lost its cursor\n");
+    std::abort();
+  };
+  const double clock_ns = best_clock_read_ns(4096);
+  ShipSplit best;
+  for (int b = -1; b < kBlocks; ++b) {  // block -1 warms up
+    ShipSplit block;
+    for (Cycle f = 0; f < frames; ++f) {
+      system->run_frame();
+      const auto t0 = std::chrono::steady_clock::now();
+      for (Channel& c : channels) c.ready = next_batch(c);
+      const auto t1 = std::chrono::steady_clock::now();
+      for (Channel& c : channels) {
+        if (!c.ready) continue;
+        block.bytes += static_cast<double>(c.batch.bytes.size());
+        if (c.replica.apply(c.batch) !=
+            storage::durable::ApplyStatus::kApplied) {
+          std::fprintf(stderr, "ship split: a batch did not apply\n");
+          std::abort();
+        }
+      }
+      const auto t2 = std::chrono::steady_clock::now();
+      block.ship_ns +=
+          std::chrono::duration<double, std::nano>(t1 - t0).count() -
+          clock_ns;
+      block.apply_ns +=
+          std::chrono::duration<double, std::nano>(t2 - t1).count() -
+          clock_ns;
+    }
+    const auto n = static_cast<double>(frames);
+    block = {block.ship_ns / n, block.apply_ns / n, block.bytes / n};
+    if (b < 0) continue;
+    if (b == 0 || block.ship_ns < best.ship_ns) best.ship_ns = block.ship_ns;
+    if (b == 0 || block.apply_ns < best.apply_ns) {
+      best.apply_ns = block.apply_ns;
+    }
+    best.bytes = block.bytes;
+  }
+  return best;
+}
+
 /// Steady normal-frame cost at several app counts: best of 9 timed blocks
 /// of about 4k app-frames each. Recorded as normal_frame/<N>apps/
 /// ns_per_frame and .../ns_per_app_frame, and the same frame with the
@@ -167,7 +277,8 @@ void report_frame_cost() {
   // cohort) shipping and the replica's apply.
   std::cout << "\n--- steady durable frame (frames(4), a snapshot every 16 "
             << "epochs, trace off, best of " << kBlocks << " blocks) ---\n"
-            << "apps | durable ns/frame | + 1-member cohort ns/frame\n";
+            << "apps | durable ns/frame | + 1-member cohort ns/frame | "
+               "next_batch ns/frame | apply ns/frame | shipped B/frame\n";
   for (const std::size_t apps : {2u, 32u}) {
     support::ChainSpecParams params;
     params.apps = apps;
@@ -178,15 +289,22 @@ void report_frame_cost() {
         best_frame_ns(*normal_frame_system(spec, /*durable=*/true), frames);
     const double ship_ns = best_frame_ns(
         *normal_frame_system(spec, /*durable=*/true, /*cohort=*/1), frames);
-    char line[80];
-    std::snprintf(line, sizeof line, "%4zu | %16.0f | %25.0f\n", apps,
-                  durable_ns, ship_ns);
+    const ShipSplit split = best_ship_split(spec, frames);
+    char line[128];
+    std::snprintf(line, sizeof line,
+                  "%4zu | %16.0f | %25.0f | %19.0f | %14.0f | %15.0f\n", apps,
+                  durable_ns, ship_ns, split.ship_ns, split.apply_ns,
+                  split.bytes);
     std::cout << line;
     const std::string n = std::to_string(apps) + "apps";
     bench::trajectory().record("durable_frame/" + n + "/ns_per_frame",
                                durable_ns, "ns");
-    bench::trajectory().record("durable_ship_frame/" + n + "/ns_per_frame",
-                               ship_ns, "ns");
+    const std::string row = "durable_ship_frame/" + n;
+    bench::trajectory().record(row + "/ns_per_frame", ship_ns, "ns");
+    bench::trajectory().record(row + "/ship_ns_per_frame", split.ship_ns,
+                               "ns");
+    bench::trajectory().record(row + "/apply_ns_per_frame", split.apply_ns,
+                               "ns");
   }
 
   // A durable chain's digest also hashes every byte of its devices: 2 apps

@@ -56,9 +56,11 @@ void MessageRouter::adopt_boxes() {
 }
 
 Mailbox& MessageRouter::endpoint(AppId app) {
-  Mailbox& box = boxes_[app];
-  box.router_ = this;
-  return box;
+  // Only a new box is pointed here: an existing one already points at this
+  // router (the copies and moves re-point every box they carry).
+  const auto [it, created] = boxes_.try_emplace(app);
+  if (created) it->second.router_ = this;
+  return it->second;
 }
 
 bool MessageRouter::has_endpoint(AppId app) const {

@@ -28,11 +28,10 @@ void ReconfigSpec::declare_app(AppDecl app) {
     spec_index_.insert(at, slot);
   }
   apps_by_id_.insert(
-      std::lower_bound(apps_by_id_.begin(), apps_by_id_.end(), app.id,
-                       [this](std::size_t pos, AppId id) {
-                         return apps_[pos].id < id;
-                       }),
-      position);
+      std::lower_bound(
+          apps_by_id_.begin(), apps_by_id_.end(), app.id,
+          [](const AppSlot& slot, AppId id) { return slot.id < id; }),
+      AppSlot{position, app.id});
   apps_.push_back(std::move(app));
 }
 
@@ -61,9 +60,9 @@ void ReconfigSpec::set_initial_config(ConfigId config) { initial_ = config; }
 std::optional<std::size_t> ReconfigSpec::app_index(AppId id) const {
   const auto it = std::lower_bound(
       apps_by_id_.begin(), apps_by_id_.end(), id,
-      [this](std::size_t pos, AppId key) { return apps_[pos].id < key; });
-  if (it == apps_by_id_.end() || apps_[*it].id != id) return std::nullopt;
-  return *it;
+      [](const AppSlot& slot, AppId key) { return slot.id < key; });
+  if (it == apps_by_id_.end() || it->id != id) return std::nullopt;
+  return it->pos;
 }
 
 const AppDecl& ReconfigSpec::app(AppId id) const {

@@ -34,6 +34,15 @@ namespace arfs::core {
 /// reconfiguration needed".
 using ChooseFn = std::function<ConfigId(ConfigId, const env::EnvState&)>;
 
+/// One declared app's place: its position in ReconfigSpec::apps() and its
+/// id.
+struct AppSlot {
+  std::size_t pos = 0;
+  AppId id;
+
+  friend bool operator==(const AppSlot&, const AppSlot&) = default;
+};
+
 class ReconfigSpec {
  public:
   ReconfigSpec() = default;
@@ -63,9 +72,9 @@ class ReconfigSpec {
   /// Position of `id` in apps() (declaration order), or nullopt when the
   /// app is not declared. Binary search over an index built by declare_app.
   [[nodiscard]] std::optional<std::size_t> app_index(AppId id) const;
-  /// Positions in apps() ordered by ascending AppId: the order digests,
-  /// trace rows and exports walk, whatever order the apps were declared in.
-  [[nodiscard]] const std::vector<std::size_t>& apps_by_id() const {
+  /// Every app's slot, in ascending AppId order: the order digests, trace
+  /// rows and exports walk, whatever order the apps were declared in.
+  [[nodiscard]] const std::vector<AppSlot>& apps_by_id() const {
     return apps_by_id_;
   }
   [[nodiscard]] const FunctionalSpec& spec(SpecId id) const;
@@ -116,8 +125,8 @@ class ReconfigSpec {
   [[nodiscard]] const SpecSlot* find_spec(SpecId id) const;
 
   std::vector<AppDecl> apps_;
-  /// Positions in apps_, sorted by AppId (see apps_by_id()).
-  std::vector<std::size_t> apps_by_id_;
+  /// Slots of apps_, sorted by AppId (see apps_by_id()).
+  std::vector<AppSlot> apps_by_id_;
   /// Every declared spec, sorted by SpecId: spec lookups run once per app
   /// per frame, so they binary-search this instead of scanning all apps.
   std::vector<SpecSlot> spec_index_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "arfs/common/check.hpp"
-#include "arfs/common/hash.hpp"
 #include "arfs/common/log.hpp"
 
 namespace arfs::core {
@@ -18,54 +17,38 @@ bool any_flag(const std::vector<bool>& flags) {
   return std::find(flags.begin(), flags.end(), true) != flags.end();
 }
 
-/// Fills `out` with the AppIds (ascending) whose flag is set.
-void flagged_ids(const ReconfigSpec& spec, const std::vector<bool>& flags,
-                 std::vector<AppId>& out) {
-  out.clear();
-  for (const std::size_t pos : spec.apps_by_id()) {
-    if (flags[pos]) out.push_back(spec.apps()[pos].id);
-  }
-}
-
-void set_flags(const ReconfigSpec& spec, const std::vector<AppId>& ids,
-               std::vector<bool>& flags) {
-  clear_flags(flags);
-  for (const AppId id : ids) {
-    const std::optional<std::size_t> pos = spec.app_index(id);
-    require(pos.has_value(), "scram checkpoint names an undeclared app");
-    flags[*pos] = true;
-  }
-}
-
 }  // namespace
 
 Scram::Scram(const ReconfigSpec& spec, ScramOptions options)
-    : spec_(spec), options_(options), current_(spec.initial_config()) {
+    : spec_(spec), options_(options) {
   spec.validate();
   const std::size_t n = spec.apps().size();
-  done_.assign(n, false);
-  halt_done_.assign(n, false);
-  prepare_done_.assign(n, false);
-  init_done_.assign(n, false);
+  state_.current = spec.initial_config();
+  state_.done.assign(n, false);
+  state_.halt_done.assign(n, false);
+  state_.prepare_done.assign(n, false);
+  state_.init_done.assign(n, false);
 }
 
 void Scram::clear_progress() {
-  clear_flags(done_);
-  stage_.clear();
-  clear_flags(halt_done_);
-  clear_flags(prepare_done_);
-  clear_flags(init_done_);
+  clear_flags(state_.done);
+  state_.stage.clear();
+  clear_flags(state_.halt_done);
+  clear_flags(state_.prepare_done);
+  clear_flags(state_.init_done);
 }
 
 std::optional<ConfigId> Scram::target_config() const {
-  if (phase_ == Phase::kIdle) return std::nullopt;
-  return target_;
+  if (state_.phase == Phase::kIdle) return std::nullopt;
+  return state_.target;
 }
 
-std::optional<Cycle> Scram::active_start_cycle() const { return active_start_; }
+std::optional<Cycle> Scram::active_start_cycle() const {
+  return state_.active_start;
+}
 
 DirectiveKind Scram::phase_directive() const {
-  switch (phase_) {
+  switch (state_.phase) {
     case Phase::kHalt:       return DirectiveKind::kHalt;
     case Phase::kPrepare:    return DirectiveKind::kPrepare;
     case Phase::kInitialize: return DirectiveKind::kInitialize;
@@ -74,7 +57,7 @@ DirectiveKind Scram::phase_directive() const {
 }
 
 DepPhase Scram::phase_dep() const {
-  switch (phase_) {
+  switch (state_.phase) {
     case Phase::kHalt:       return DepPhase::kHalt;
     case Phase::kPrepare:    return DepPhase::kPrepare;
     default:                 return DepPhase::kInitialize;
@@ -84,7 +67,7 @@ DepPhase Scram::phase_dep() const {
 bool Scram::deps_met(AppId app, DepPhase phase,
                      const std::vector<bool>& completed) const {
   return spec_.dependencies().all_constraints_on(
-      app, phase, target_, [&](const Dependency& c) {
+      app, phase, state_.target, [&](const Dependency& c) {
         const std::optional<std::size_t> pos = spec_.app_index(c.independent);
         return pos.has_value() && completed[*pos];
       });
@@ -92,16 +75,16 @@ bool Scram::deps_met(AppId app, DepPhase phase,
 
 bool Scram::try_start(Cycle cycle, const env::EnvState& env_now,
                       FramePlan& plan) {
-  if (spec_.dwell_frames() > 0 && cycle < dwell_until_) {
-    ++stats_.dwell_blocked_frames;
-    return false;  // pending_trigger_ stays set; retried next frame
+  if (spec_.dwell_frames() > 0 && cycle < state_.dwell_until) {
+    ++state_.stats.dwell_blocked_frames;
+    return false;  // pending_trigger stays set; retried next frame
   }
-  ConfigId chosen = spec_.choose(current_, env_now);
-  if (chosen == current_) {
-    if (!(lossy_pending_ && options_.reinit_on_lossy_recovery)) {
-      pending_trigger_ = false;
-      lossy_pending_ = false;
-      ++stats_.triggers_absorbed;
+  ConfigId chosen = spec_.choose(state_.current, env_now);
+  if (chosen == state_.current) {
+    if (!(state_.lossy_pending && options_.reinit_on_lossy_recovery)) {
+      state_.pending_trigger = false;
+      state_.lossy_pending = false;
+      ++state_.stats.triggers_absorbed;
       return false;
     }
     // A lossy recovery rolled some processor's stable state back to an
@@ -110,22 +93,22 @@ bool Scram::try_start(Cycle cycle, const env::EnvState& env_now,
     // Reconfigure onto the current configuration itself: the halt /
     // prepare / initialize sequence re-establishes every precondition from
     // the recovered state.
-    ++stats_.lossy_reinits;
+    ++state_.stats.lossy_reinits;
   }
   require(spec_.has_config(chosen),
           "choose() returned an undeclared configuration");
 
-  pending_trigger_ = false;
-  lossy_pending_ = false;
-  target_ = chosen;
-  phase_ = Phase::kSignaled;
-  active_start_ = cycle;
+  state_.pending_trigger = false;
+  state_.lossy_pending = false;
+  state_.target = chosen;
+  state_.phase = Phase::kSignaled;
+  state_.active_start = cycle;
   clear_progress();
   plan.trigger_accepted = true;
-  plan.target = target_;
-  ++stats_.reconfigs_started;
+  plan.target = state_.target;
+  ++state_.stats.reconfigs_started;
   log_info("scram", "cycle ", cycle, ": reconfiguration ",
-           current_.value(), " -> ", target_.value(), " accepted");
+           state_.current.value(), " -> ", state_.target.value(), " accepted");
   return true;
 }
 
@@ -133,12 +116,12 @@ void Scram::set_targets(FramePlan& plan) const {
   // One walk of the target's assignment and placement maps in AppId order
   // (validate() gives both the same keys, all declared apps) instead of two
   // tree lookups per app on the frames that reconfigure.
-  const Configuration& target_cfg = spec_.config(target_);
+  const Configuration& target_cfg = spec_.config(state_.target);
   auto assigned = target_cfg.assignment.begin();
   auto placed = target_cfg.placement.begin();
-  for (const std::size_t pos : spec_.apps_by_id()) {
+  for (const auto& [pos, id] : spec_.apps_by_id()) {
     if (assigned == target_cfg.assignment.end()) break;
-    if (assigned->first != spec_.apps()[pos].id) continue;  // off there
+    if (assigned->first != id) continue;  // off there
     Directive& d = plan.directives[pos];
     d.target_spec = assigned->second;
     d.target_host = placed->second;
@@ -151,15 +134,15 @@ void Scram::reset_directives(FramePlan& plan) {
   // An SFTA directs every app toward one target for three frames or more;
   // the targets are set on its first directive frame and after a retarget.
   const std::size_t n = spec_.apps().size();
-  if (plan.directives.size() == n && targets_of_ == target_) return;
+  if (plan.directives.size() == n && targets_of_ == state_.target) return;
   plan.directives.clear();
   for (std::size_t i = 0; i < n; ++i) {
     Directive d;
-    d.target_config = target_;
+    d.target_config = state_.target;
     plan.directives.push_back(d);
   }
   set_targets(plan);
-  targets_of_ = target_;
+  targets_of_ = state_.target;
 }
 
 void Scram::plan_global(FramePlan& plan) {
@@ -170,7 +153,7 @@ void Scram::plan_global(FramePlan& plan) {
   const std::vector<AppDecl>& apps = spec_.apps();
   for (std::size_t i = 0; i < apps.size(); ++i) {
     plan.directives[i].kind =
-        done_[i] || !deps_met(apps[i].id, dep_phase, done_)
+        state_.done[i] || !deps_met(apps[i].id, dep_phase, state_.done)
             ? DirectiveKind::kNone
             : kind;
   }
@@ -182,19 +165,19 @@ void Scram::plan_relaxed(FramePlan& plan) {
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const AppId app = apps[i].id;
     Directive& d = plan.directives[i];
-    switch (stage_.at(i)) {
+    switch (state_.stage.at(i)) {
       case AppStage::kHalt:
-        d.kind = deps_met(app, DepPhase::kHalt, halt_done_)
+        d.kind = deps_met(app, DepPhase::kHalt, state_.halt_done)
                      ? DirectiveKind::kHalt
                      : DirectiveKind::kNone;
         break;
       case AppStage::kPrepare:
-        d.kind = deps_met(app, DepPhase::kPrepare, prepare_done_)
+        d.kind = deps_met(app, DepPhase::kPrepare, state_.prepare_done)
                      ? DirectiveKind::kPrepare
                      : DirectiveKind::kNone;
         break;
       case AppStage::kInitialize:
-        d.kind = deps_met(app, DepPhase::kInitialize, init_done_)
+        d.kind = deps_met(app, DepPhase::kInitialize, state_.init_done)
                      ? DirectiveKind::kInitialize
                      : DirectiveKind::kNone;
         break;
@@ -219,53 +202,54 @@ const FramePlan& Scram::begin_frame(
   plan.target = ConfigId{};
 
   const std::size_t signal_count = hw_signals.size() + env_signals.size();
-  stats_.triggers_received += signal_count;
+  state_.stats.triggers_received += signal_count;
   for (const failstop::FailureSignal& s : hw_signals) {
     if (s.kind == failstop::SignalKind::kLossyRecovery) {
-      lossy_pending_ = true;  // sticky until an SFTA (re)initializes apps
+      state_.lossy_pending = true;  // sticky until an SFTA (re)initializes apps
     } else if (s.kind == failstop::SignalKind::kQuorumLost) {
-      ++stats_.quorum_losses;
+      ++state_.stats.quorum_losses;
     } else if (s.kind == failstop::SignalKind::kQuorumDurable) {
-      ++stats_.quorum_restores;
+      ++state_.stats.quorum_restores;
     }
   }
 
   if (signal_count > 0) {
-    if (phase_ == Phase::kIdle) {
-      pending_trigger_ = true;
+    if (state_.phase == Phase::kIdle) {
+      state_.pending_trigger = true;
     } else if (options_.policy == ReconfigPolicy::kBuffer) {
-      stats_.buffered_triggers += signal_count;
-      pending_trigger_ = true;
+      state_.stats.buffered_triggers += signal_count;
+      state_.pending_trigger = true;
     } else {
       // Immediate policy (section 5.3 option 1): the postconditions either
       // are or will be established by the halt stage; re-choose the target.
-      const ConfigId chosen = spec_.choose(current_, env_now);
-      if (chosen != target_) {
-        ++stats_.retargets;
-        log_info("scram", "cycle ", cycle, ": retarget ", target_.value(),
+      const ConfigId chosen = spec_.choose(state_.current, env_now);
+      if (chosen != state_.target) {
+        ++state_.stats.retargets;
+        log_info("scram", "cycle ", cycle, ": retarget ", state_.target.value(),
                  " -> ", chosen.value());
-        target_ = chosen;
+        state_.target = chosen;
         if (options_.barrier == PhaseBarrier::kGlobal) {
-          if (phase_ == Phase::kPrepare || phase_ == Phase::kInitialize) {
+          if (state_.phase == Phase::kPrepare ||
+              state_.phase == Phase::kInitialize) {
             // Work toward the old target is void; rerun prepare toward the
             // new target. Applications past halt rewind to halted.
-            phase_ = Phase::kPrepare;
-            clear_flags(done_);
+            state_.phase = Phase::kPrepare;
+            clear_flags(state_.done);
             plan.retargeted = true;
           }
           // kSignaled / kHalt: the halt stage is target-independent.
         } else {
           // Relaxed: every application past its halt stage re-prepares.
           bool any_rewound = false;
-          for (AppStage& stage : stage_) {
+          for (AppStage& stage : state_.stage) {
             if (stage == AppStage::kInitialize || stage == AppStage::kDone) {
               stage = AppStage::kPrepare;
               any_rewound = true;
             }
           }
-          if (any_rewound || any_flag(prepare_done_)) {
-            clear_flags(prepare_done_);
-            clear_flags(init_done_);
+          if (any_rewound || any_flag(state_.prepare_done)) {
+            clear_flags(state_.prepare_done);
+            clear_flags(state_.init_done);
             plan.retargeted = true;
           }
         }
@@ -274,25 +258,25 @@ const FramePlan& Scram::begin_frame(
   }
 
   // Idle with a pending (new or buffered or dwell-deferred) trigger: decide.
-  if (phase_ == Phase::kIdle && pending_trigger_) {
+  if (state_.phase == Phase::kIdle && state_.pending_trigger) {
     plan.directives.clear();
     try_start(cycle, env_now, plan);
     // Frame 0 of Table 1: signal receipt only, no application directives.
     return plan;
   }
 
-  if (phase_ == Phase::kIdle) {
+  if (state_.phase == Phase::kIdle) {
     plan.directives.clear();
     return plan;
   }
-  plan.target = target_;
+  plan.target = state_.target;
 
-  if (phase_ == Phase::kSignaled) {
+  if (state_.phase == Phase::kSignaled) {
     // Frame 1 begins the halt stage.
-    phase_ = Phase::kHalt;
-    clear_flags(done_);
+    state_.phase = Phase::kHalt;
+    clear_flags(state_.done);
     if (options_.barrier == PhaseBarrier::kRelaxed) {
-      stage_.assign(spec_.apps().size(), AppStage::kHalt);
+      state_.stage.assign(spec_.apps().size(), AppStage::kHalt);
     }
   }
 
@@ -307,22 +291,22 @@ const FramePlan& Scram::begin_frame(
 FrameOutcome Scram::complete(Cycle cycle) {
   FrameOutcome outcome;
   outcome.completed = true;
-  outcome.from = current_;
-  outcome.to = target_;
-  current_ = target_;
-  phase_ = Phase::kIdle;
+  outcome.from = state_.current;
+  outcome.to = state_.target;
+  state_.current = state_.target;
+  state_.phase = Phase::kIdle;
   clear_progress();
-  active_start_.reset();
-  dwell_until_ = cycle + 1 + spec_.dwell_frames();
+  state_.active_start.reset();
+  state_.dwell_until = cycle + 1 + spec_.dwell_frames();
   // Re-evaluate once at completion: signals consumed while reconfiguring may
   // leave the environment demanding a further transition (section 5.3's
   // buffered option), and design-time choose transforms (safe interposition)
   // rely on the deferred demand being picked up here. If the current
   // configuration is already the proper choice, the evaluation is absorbed.
-  pending_trigger_ = true;
-  ++stats_.reconfigs_completed;
+  state_.pending_trigger = true;
+  ++state_.stats.reconfigs_completed;
   log_info("scram", "cycle ", cycle, ": reconfiguration to ",
-           current_.value(), " complete");
+           state_.current.value(), " complete");
   return outcome;
 }
 
@@ -330,20 +314,21 @@ FrameOutcome Scram::end_frame_global(Cycle cycle,
                                      const PhaseReport& phase_done) {
   FrameOutcome outcome;
   for (std::size_t i = 0; i < phase_done.size(); ++i) {
-    if (phase_done[i]) done_[i] = true;
+    if (phase_done[i]) state_.done[i] = true;
   }
-  if (std::find(done_.begin(), done_.end(), false) != done_.end()) {
+  if (std::find(state_.done.begin(), state_.done.end(), false) !=
+      state_.done.end()) {
     return outcome;  // phase incomplete
   }
 
-  switch (phase_) {
+  switch (state_.phase) {
     case Phase::kHalt:
-      phase_ = Phase::kPrepare;
-      clear_flags(done_);
+      state_.phase = Phase::kPrepare;
+      clear_flags(state_.done);
       return outcome;
     case Phase::kPrepare:
-      phase_ = Phase::kInitialize;
-      clear_flags(done_);
+      state_.phase = Phase::kInitialize;
+      clear_flags(state_.done);
       return outcome;
     case Phase::kInitialize:
       // Every application established its precondition: the system starts
@@ -357,35 +342,37 @@ FrameOutcome Scram::end_frame_global(Cycle cycle,
 FrameOutcome Scram::end_frame_relaxed(Cycle cycle,
                                       const PhaseReport& phase_done) {
   FrameOutcome outcome;
-  if (stage_.empty()) return outcome;
+  if (state_.stage.empty()) return outcome;
   for (std::size_t i = 0; i < phase_done.size(); ++i) {
     if (!phase_done[i]) continue;
-    switch (stage_[i]) {
+    switch (state_.stage[i]) {
       case AppStage::kHalt:
-        halt_done_[i] = true;
-        stage_[i] = AppStage::kPrepare;
+        state_.halt_done[i] = true;
+        state_.stage[i] = AppStage::kPrepare;
         break;
       case AppStage::kPrepare:
-        prepare_done_[i] = true;
-        stage_[i] = AppStage::kInitialize;
+        state_.prepare_done[i] = true;
+        state_.stage[i] = AppStage::kInitialize;
         break;
       case AppStage::kInitialize:
-        init_done_[i] = true;
-        stage_[i] = AppStage::kDone;
+        state_.init_done[i] = true;
+        state_.stage[i] = AppStage::kDone;
         break;
       case AppStage::kDone:
         break;
     }
   }
 
-  for (const AppStage stage : stage_) {
+  for (const AppStage stage : state_.stage) {
     if (stage != AppStage::kDone) return outcome;
   }
   return complete(cycle);
 }
 
 FrameOutcome Scram::end_frame(Cycle cycle, const PhaseReport& phase_done) {
-  if (phase_ == Phase::kIdle || phase_ == Phase::kSignaled) return {};
+  if (state_.phase == Phase::kIdle || state_.phase == Phase::kSignaled) {
+    return {};
+  }
   require(phase_done.empty() || phase_done.size() == spec_.apps().size(),
           "phase report must cover every declared app");
   if (options_.barrier == PhaseBarrier::kGlobal) {
@@ -394,179 +381,13 @@ FrameOutcome Scram::end_frame(Cycle cycle, const PhaseReport& phase_done) {
   return end_frame_relaxed(cycle, phase_done);
 }
 
-void Scram::checkpoint_into(Checkpoint& cp) const {
-  cp.current = current_;
-  cp.target = target_;
-  cp.phase = phase_;
-  flagged_ids(spec_, done_, cp.done);
-  cp.stage.clear();
-  if (!stage_.empty()) {
-    for (const std::size_t pos : spec_.apps_by_id()) {
-      cp.stage.emplace_back(spec_.apps()[pos].id, stage_[pos]);
-    }
-  }
-  flagged_ids(spec_, halt_done_, cp.halt_done);
-  flagged_ids(spec_, prepare_done_, cp.prepare_done);
-  flagged_ids(spec_, init_done_, cp.init_done);
-  cp.pending_trigger = pending_trigger_;
-  cp.lossy_pending = lossy_pending_;
-  cp.active_start = active_start_;
-  cp.dwell_until = dwell_until_;
-  cp.stats = stats_;
-}
-
-void Scram::restore_state(const Checkpoint& cp) {
-  current_ = cp.current;
-  target_ = cp.target;
-  phase_ = cp.phase;
-  set_flags(spec_, cp.done, done_);
-  stage_.clear();
-  if (!cp.stage.empty()) {
-    require(cp.stage.size() == spec_.apps().size(),
-            "scram checkpoint stage table does not match the spec");
-    stage_.resize(cp.stage.size());
-    for (const auto& [id, stage] : cp.stage) {
-      const std::optional<std::size_t> pos = spec_.app_index(id);
-      require(pos.has_value(), "scram checkpoint names an undeclared app");
-      stage_[*pos] = stage;
-    }
-  }
-  set_flags(spec_, cp.halt_done, halt_done_);
-  set_flags(spec_, cp.prepare_done, prepare_done_);
-  set_flags(spec_, cp.init_done, init_done_);
-  pending_trigger_ = cp.pending_trigger;
-  lossy_pending_ = cp.lossy_pending;
-  active_start_ = cp.active_start;
-  dwell_until_ = cp.dwell_until;
-  stats_ = cp.stats;
-}
-
-/// The digest's read of a live kernel: the dense per-app tables walked in
-/// ascending AppId order.
-class Scram::LiveState {
- public:
-  explicit LiveState(const Scram& k) : k_(k) {}
-  [[nodiscard]] ConfigId current() const { return k_.current_; }
-  [[nodiscard]] ConfigId target() const { return k_.target_; }
-  [[nodiscard]] Phase phase() const { return k_.phase_; }
-  /// `visit(id, stage)` per app; nothing while no stage is tracked.
-  template <class Visit>
-  void each_stage(Visit visit) const {
-    if (k_.stage_.empty()) return;
-    for (const std::size_t pos : k_.spec_.apps_by_id()) {
-      visit(k_.spec_.apps()[pos].id, k_.stage_[pos]);
-    }
-  }
-  /// `visit(id)` per app that completed the current phase.
-  template <class Visit>
-  void each_done(Visit visit) const {
-    each_set(k_.done_, visit);
-  }
-  /// `visit(id)` per app that completed halt, then prepare, then init.
-  template <class Visit>
-  void each_stage_done(Visit visit) const {
-    for (const auto* flags :
-         {&k_.halt_done_, &k_.prepare_done_, &k_.init_done_}) {
-      each_set(*flags, visit);
-    }
-  }
-  [[nodiscard]] bool pending_trigger() const { return k_.pending_trigger_; }
-  [[nodiscard]] bool lossy_pending() const { return k_.lossy_pending_; }
-  [[nodiscard]] std::optional<Cycle> active_start() const {
-    return k_.active_start_;
-  }
-  [[nodiscard]] Cycle dwell_until() const { return k_.dwell_until_; }
-  [[nodiscard]] const ScramStats& stats() const { return k_.stats_; }
-
- private:
-  template <class Visit>
-  void each_set(const std::vector<bool>& flags, Visit& visit) const {
-    for (const std::size_t pos : k_.spec_.apps_by_id()) {
-      if (flags[pos]) visit(k_.spec_.apps()[pos].id);
-    }
-  }
-
-  const Scram& k_;
-};
-
-namespace {
-
-/// The digest's read of a checkpoint: its tables are already sparse and in
-/// ascending AppId order. Same accessors as Scram::LiveState.
-class CheckpointState {
- public:
-  explicit CheckpointState(const Scram::Checkpoint& cp) : cp_(cp) {}
-  [[nodiscard]] ConfigId current() const { return cp_.current; }
-  [[nodiscard]] ConfigId target() const { return cp_.target; }
-  [[nodiscard]] auto phase() const { return cp_.phase; }
-  template <class Visit>
-  void each_stage(Visit visit) const {
-    for (const auto& [id, stage] : cp_.stage) visit(id, stage);
-  }
-  template <class Visit>
-  void each_done(Visit visit) const {
-    for (const AppId id : cp_.done) visit(id);
-  }
-  template <class Visit>
-  void each_stage_done(Visit visit) const {
-    for (const auto* ids :
-         {&cp_.halt_done, &cp_.prepare_done, &cp_.init_done}) {
-      for (const AppId id : *ids) visit(id);
-    }
-  }
-  [[nodiscard]] bool pending_trigger() const { return cp_.pending_trigger; }
-  [[nodiscard]] bool lossy_pending() const { return cp_.lossy_pending; }
-  [[nodiscard]] std::optional<Cycle> active_start() const {
-    return cp_.active_start;
-  }
-  [[nodiscard]] Cycle dwell_until() const { return cp_.dwell_until; }
-  [[nodiscard]] const ScramStats& stats() const { return cp_.stats; }
-
- private:
-  const Scram::Checkpoint& cp_;
-};
-
-/// The one kernel hash body, over either state view.
-template <class State>
-std::uint64_t fold_kernel(std::uint64_t h, const State& s) {
-  h = fnv_mix(h, s.current().value());
-  h = fnv_mix(h, s.target().value());
-  h = fnv_mix(h, static_cast<std::uint64_t>(s.phase()));
-  // The completion sets hash as (app, 1) pairs: the image of maps that
-  // only ever held `true`.
-  const auto flagged = [&h](AppId app) {
-    h = fnv_mix(h, app.value());
-    h = fnv_mix(h, 1);
-  };
-  s.each_done(flagged);
-  s.each_stage([&h](AppId app, auto stage) {
-    h = fnv_mix(h, app.value());
-    h = fnv_mix(h, static_cast<std::uint64_t>(stage));
-  });
-  s.each_stage_done(flagged);
-  h = fnv_mix(h, s.pending_trigger() ? 1 : 0);
-  h = fnv_mix(h, s.lossy_pending() ? 1 : 0);
-  h = fnv_mix(h, s.active_start().has_value() ? *s.active_start() + 1 : 0);
-  h = fnv_mix(h, s.dwell_until());
-  const ScramStats& stats = s.stats();
-  for (const std::uint64_t word :
-       {stats.triggers_received, stats.reconfigs_started,
-        stats.reconfigs_completed, stats.triggers_absorbed, stats.retargets,
-        stats.buffered_triggers, stats.dwell_blocked_frames,
-        stats.lossy_reinits, stats.quorum_losses, stats.quorum_restores}) {
-    h = fnv_mix(h, word);
-  }
-  return h;
-}
-
-}  // namespace
-
-std::uint64_t fold_scram(std::uint64_t h, const Scram& scram) {
-  return fold_kernel(h, Scram::LiveState(scram));
-}
-
-std::uint64_t fold_scram(std::uint64_t h, const Scram::Checkpoint& scram) {
-  return fold_kernel(h, CheckpointState(scram));
+void Scram::restore_state(const ScramState& state) {
+  const std::size_t n = spec_.apps().size();
+  require(state.done.size() == n && state.halt_done.size() == n &&
+              state.prepare_done.size() == n && state.init_done.size() == n &&
+              (state.stage.empty() || state.stage.size() == n),
+          "scram state does not match the spec");
+  state_ = state;
 }
 
 }  // namespace arfs::core

@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "arfs/common/ids.hpp"
@@ -110,6 +109,40 @@ struct ScramStats {
 /// Empty when no app reports anything.
 using PhaseReport = std::vector<bool>;
 
+/// Every mutable value of the kernel, in the one form the kernel works on
+/// and a SystemCheckpoint holds (the spec and options are
+/// construction-time constants). The per-app tables are indexed by
+/// position in spec.apps(); the system digest walks them in ascending
+/// AppId order.
+struct ScramState {
+  enum class Phase { kIdle, kSignaled, kHalt, kPrepare, kInitialize };
+  /// Per-application stage progression for the relaxed barrier.
+  enum class AppStage { kHalt, kPrepare, kInitialize, kDone };
+
+  ConfigId current{};
+  ConfigId target{};
+  Phase phase = Phase::kIdle;
+  /// Completion of the current phase (global barrier).
+  std::vector<bool> done;
+  /// Relaxed barrier: each app's current stage (empty while no
+  /// reconfiguration tracks stages) and per-stage completions (needed to
+  /// evaluate dependencies).
+  std::vector<AppStage> stage;
+  std::vector<bool> halt_done;
+  std::vector<bool> prepare_done;
+  std::vector<bool> init_done;
+  bool pending_trigger = false;  ///< Buffered/deferred evaluation request.
+  /// A lossy-recovery signal awaits evaluation; consumed by try_start (it
+  /// upgrades an absorbed trigger into a re-initialization when the option
+  /// asks for that, and clears whenever any reconfiguration starts — the
+  /// SFTA re-initializes every application either way).
+  bool lossy_pending = false;
+  /// Cycle at which the in-progress reconfiguration started (its frame 0).
+  std::optional<Cycle> active_start;
+  Cycle dwell_until = 0;  ///< No new reconfiguration before this.
+  ScramStats stats;
+};
+
 class Scram {
  public:
   /// `spec` must outlive the Scram and must validate().
@@ -130,57 +163,27 @@ class Scram {
   [[nodiscard]] FrameOutcome end_frame(Cycle cycle,
                                        const PhaseReport& phase_done);
 
-  [[nodiscard]] ConfigId current_config() const { return current_; }
-  [[nodiscard]] bool reconfiguring() const { return phase_ != Phase::kIdle; }
+  [[nodiscard]] ConfigId current_config() const { return state_.current; }
+  [[nodiscard]] bool reconfiguring() const {
+    return state_.phase != ScramState::Phase::kIdle;
+  }
   [[nodiscard]] std::optional<ConfigId> target_config() const;
-  [[nodiscard]] const ScramStats& stats() const { return stats_; }
+  [[nodiscard]] const ScramStats& stats() const { return state_.stats; }
   [[nodiscard]] ReconfigPolicy policy() const { return options_.policy; }
 
   /// Cycle at which the in-progress reconfiguration started (its frame 0).
   [[nodiscard]] std::optional<Cycle> active_start_cycle() const;
 
- private:
-  enum class Phase { kIdle, kSignaled, kHalt, kPrepare, kInitialize };
-  /// Per-application stage progression for the relaxed barrier.
-  enum class AppStage { kHalt, kPrepare, kInitialize, kDone };
-
- public:
-  /// Frozen image of the kernel's mutable state (the spec and options are
-  /// construction-time constants). Nested so it may name the private enums.
-  /// The per-app tables are stored sparse and in ascending AppId order —
-  /// the order the system digest walks — whatever the declaration order.
-  struct Checkpoint {
-    ConfigId current{};
-    ConfigId target{};
-    Phase phase = Phase::kIdle;
-    /// Apps that completed the current phase (global barrier).
-    std::vector<AppId> done;
-    /// Relaxed barrier: every app's stage, or empty when none is tracked.
-    std::vector<std::pair<AppId, AppStage>> stage;
-    /// Relaxed barrier: apps that completed each stage.
-    std::vector<AppId> halt_done;
-    std::vector<AppId> prepare_done;
-    std::vector<AppId> init_done;
-    bool pending_trigger = false;
-    bool lossy_pending = false;
-    std::optional<Cycle> active_start;
-    Cycle dwell_until = 0;
-    ScramStats stats;
-  };
-  /// Refreshes `cp` in place; its tables keep their buffers.
-  void checkpoint_into(Checkpoint& cp) const;
-  void restore_state(const Checkpoint& cp);
-
-  /// Folds the kernel state into the FNV-1a digest state `h`: phase and
-  /// target, the completion and stage tables in ascending AppId order, the
-  /// trigger bookkeeping and the stats. The live kernel and a checkpoint
-  /// hash through one body; the live walk reads the dense tables in place
-  /// and allocates nothing.
-  friend std::uint64_t fold_scram(std::uint64_t h, const Scram& scram);
-  friend std::uint64_t fold_scram(std::uint64_t h, const Checkpoint& scram);
+  /// The kernel's whole mutable state, read in place.
+  [[nodiscard]] const ScramState& state() const { return state_; }
+  /// Rewinds the kernel to `state`. Precondition: `state` is the state of a
+  /// kernel of the same spec (every table one entry per declared app,
+  /// checked before anything is written).
+  void restore_state(const ScramState& state);
 
  private:
-  class LiveState;  ///< The digest's read view of a live kernel.
+  using Phase = ScramState::Phase;
+  using AppStage = ScramState::AppStage;
 
   /// Evaluates choose() and either starts a reconfiguration or absorbs the
   /// trigger. Returns true if a reconfiguration started.
@@ -190,7 +193,7 @@ class Scram {
   void plan_global(FramePlan& plan);
   /// Fills plan.directives for the relaxed protocol.
   void plan_relaxed(FramePlan& plan);
-  /// Leaves plan.directives one per app toward target_, keeping the
+  /// Leaves plan.directives one per app toward the target, keeping the
   /// previous frame's when they already head there; callers set each kind.
   void reset_directives(FramePlan& plan);
   /// Sets each planned directive's target_spec and target_host from the
@@ -216,31 +219,11 @@ class Scram {
 
   const ReconfigSpec& spec_;
   ScramOptions options_;
-  ConfigId current_;
-  ConfigId target_{};
-  Phase phase_ = Phase::kIdle;
-  // Per-app tables, indexed by position in spec.apps().
-  std::vector<bool> done_;  ///< Completion of the current phase.
-  // Relaxed-barrier state: each app's current stage (empty while no
-  // reconfiguration tracks stages) and per-stage completions (needed to
-  // evaluate dependencies).
-  std::vector<AppStage> stage_;
-  std::vector<bool> halt_done_;
-  std::vector<bool> prepare_done_;
-  std::vector<bool> init_done_;
+  ScramState state_;
   /// begin_frame's result, reused so planning allocates nothing.
   FramePlan plan_;
   /// The configuration plan_.directives' targets were set for.
   ConfigId targets_of_{};
-  bool pending_trigger_ = false;   ///< Buffered/deferred evaluation request.
-  /// A lossy-recovery signal awaits evaluation; consumed by try_start (it
-  /// upgrades an absorbed trigger into a re-initialization when the option
-  /// asks for that, and clears whenever any reconfiguration starts — the
-  /// SFTA re-initializes every application either way).
-  bool lossy_pending_ = false;
-  std::optional<Cycle> active_start_;
-  Cycle dwell_until_ = 0;          ///< No new reconfiguration before this.
-  ScramStats stats_;
 };
 
 }  // namespace arfs::core

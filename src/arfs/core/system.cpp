@@ -22,14 +22,15 @@ class System::SystemPeerReader final : public PeerReader {
   [[nodiscard]] Expected<storage::Value> read_peer(
       AppId peer, const std::string& key) const override {
     const std::optional<std::size_t> pos = system_->spec_.app_index(peer);
-    if (!pos.has_value() || system_->region_host_.empty()) {
+    if (!pos.has_value() || system_->state_.region_host.empty()) {
       return unexpected("peer app has no stable region");
     }
     // Peer reads happen every frame for every dependency edge: the key is
     // looked up as (prefix, key) without building the concatenation.
     const std::string& prefix = system_->regions_[*pos].prefix();
     const storage::StableStorage& store =
-        system_->group_.processor(system_->region_host_[*pos]).poll_stable();
+        system_->group_.processor(system_->state_.region_host[*pos])
+            .poll_stable();
     if (const auto id = store.find_key(prefix, key)) return store.read(*id);
     return store.read(prefix + key);  // the store's own missing-key error
   }
@@ -66,10 +67,13 @@ const char* directive_name(DirectiveKind kind) {
 
 }  // namespace
 
+SystemState::SystemState(const SystemOptions& options)
+    : clock(options.frame_length), activity(options.detection_threshold),
+      noise_rng(options.noise_seed), trace(options.frame_length) {}
+
 System::System(const ReconfigSpec& spec, SystemOptions options)
-    : spec_(spec), options_(options), clock_(options.frame_length),
-      activity_(options.detection_threshold), scram_(spec, options.scram),
-      noise_rng_(options.noise_seed), trace_(options.frame_length) {
+    : spec_(spec), options_(options), scram_(spec, options.scram),
+      state_(options) {
   spec.validate();
   require(options.heartbeat_loss_prob >= 0.0 &&
               options.heartbeat_loss_prob < 1.0,
@@ -106,9 +110,9 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
     }
   }
 
-  spec.factors().initialize(environment_);
+  spec.factors().initialize(state_.environment);
   for (const env::FactorSpec& f : spec.factors().factors()) {
-    monitors_.emplace_back(spec.factors(), f.id);
+    state_.monitors.emplace_back(spec.factors(), f.id);
   }
 
   const std::size_t n = spec.apps().size();
@@ -125,8 +129,8 @@ System::System(const ReconfigSpec& spec, SystemOptions options)
               return scram_stable.key_name(a.second) <
                      scram_stable.key_name(b.second);
             });
-  forced_overrun_.assign(n, Forced::kUnset);
-  forced_fault_.assign(n, Forced::kUnset);
+  state_.forced_overrun.assign(n, Forced::kUnset);
+  state_.forced_fault.assign(n, Forced::kUnset);
   mailboxes_.assign(n, nullptr);
 
   peer_reader_ = std::make_unique<SystemPeerReader>(*this);
@@ -136,7 +140,7 @@ System::~System() = default;
 
 void System::add_app(std::unique_ptr<ReconfigurableApp> app) {
   require(app != nullptr, "null application");
-  require(!started_, "cannot add applications after the system started");
+  require(!state_.started, "cannot add applications after the system started");
   const std::optional<std::size_t> pos = spec_.app_index(app->id());
   require(pos.has_value(), "application was not declared in the spec");
   require(apps_[*pos] == nullptr, "application added twice");
@@ -145,7 +149,7 @@ void System::add_app(std::unique_ptr<ReconfigurableApp> app) {
 }
 
 void System::set_fault_plan(sim::FaultPlan plan) {
-  fault_plan_ = std::move(plan);
+  state_.fault_plan = std::move(plan);
 }
 
 void System::bind_processor_factor(ProcessorId processor, FactorId factor) {
@@ -161,7 +165,7 @@ void System::add_env_hook(EnvHook hook) {
 }
 
 void System::set_factor(FactorId factor, std::int64_t value) {
-  environment_.set(factor, value, clock_.now());
+  state_.environment.set(factor, value, state_.clock.now());
 }
 
 ReconfigurableApp& System::app(AppId id) {
@@ -172,9 +176,9 @@ ReconfigurableApp& System::app(AppId id) {
 
 ProcessorId System::region_host(AppId app) const {
   const std::optional<std::size_t> pos = spec_.app_index(app);
-  require(pos.has_value() && !region_host_.empty(),
+  require(pos.has_value() && !state_.region_host.empty(),
           "app has no stable region yet");
-  return region_host_[*pos];
+  return state_.region_host[*pos];
 }
 
 void System::raise_forced(AppId app, std::vector<Forced>& flags,
@@ -199,8 +203,8 @@ const FunctionalSpec& System::spec_of_app(std::size_t pos,
 void System::refresh_mailboxes() {
   const std::vector<AppDecl>& decls = spec_.apps();
   for (std::size_t i = 0; i < decls.size(); ++i) {
-    mailboxes_[i] = router_.has_endpoint(decls[i].id)
-                        ? &router_.endpoint(decls[i].id)
+    mailboxes_[i] = state_.router.has_endpoint(decls[i].id)
+                        ? &state_.router.endpoint(decls[i].id)
                         : nullptr;
   }
 }
@@ -211,7 +215,7 @@ void System::run(Cycle frames) {
 
 void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
                                SimTime now) {
-  ++stats_.fault_events_applied;
+  ++state_.stats.fault_events_applied;
   switch (event.kind) {
     case sim::FaultKind::kProcessorFailStop: {
       require(group_.has_processor(event.processor),
@@ -222,7 +226,7 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
       if (proc.last_recovery().has_value()) {
         const storage::durable::RecoveryReport& report =
             *proc.last_recovery();
-        if (report.journal_truncated) ++stats_.journal_truncations;
+        if (report.journal_truncated) ++state_.stats.journal_truncations;
         if (report.journal_truncated || proc.lost_epochs() > 0) {
           // The recovered store is older than the state the applications
           // last observed: a torn/corrupt tail was discarded, or group-
@@ -230,7 +234,7 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
           // applications whose precondition no longer holds — tell the
           // SCRAM so it can force a re-initialization (journal-aware
           // recovery, ScramOptions::reinit_on_lossy_recovery).
-          ++stats_.lossy_recoveries;
+          ++state_.stats.lossy_recoveries;
           failstop::FailureSignal signal;
           signal.at = now;
           signal.cycle = cycle;
@@ -240,13 +244,13 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
               "recovery rolled back " + std::to_string(proc.lost_epochs()) +
               " commit epoch(s)" +
               (report.journal_truncated ? "; journal tail truncated" : "");
-          bank_.raise(std::move(signal));
+          state_.bank.raise(std::move(signal));
         }
       }
-      if (!region_host_.empty()) {
-        for (const std::size_t pos : spec_.apps_by_id()) {
-          if (region_host_[pos] == event.processor) {
-            apps_[pos]->on_host_failure();
+      if (!state_.region_host.empty()) {
+        for (const AppSlot& slot : spec_.apps_by_id()) {
+          if (state_.region_host[slot.pos] == event.processor) {
+            apps_[slot.pos]->on_host_failure();
           }
         }
       }
@@ -259,13 +263,13 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
       break;
     }
     case sim::FaultKind::kEnvironmentChange:
-      environment_.set(event.factor, event.new_value, now);
+      state_.environment.set(event.factor, event.new_value, now);
       break;
     case sim::FaultKind::kTimingOverrun:
-      raise_forced(event.app, forced_overrun_, stray_overrun_);
+      raise_forced(event.app, state_.forced_overrun, state_.stray_overrun);
       break;
     case sim::FaultKind::kSoftwareFault:
-      raise_forced(event.app, forced_fault_, stray_fault_);
+      raise_forced(event.app, state_.forced_fault, state_.stray_fault);
       break;
     case sim::FaultKind::kJournalSyncFail:
     case sim::FaultKind::kJournalTornWrite:
@@ -285,7 +289,7 @@ void System::apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
       } else {
         device.corrupt_bit(static_cast<std::uint64_t>(event.new_value));
       }
-      ++stats_.journal_faults_injected;
+      ++state_.stats.journal_faults_injected;
       break;
     }
     case sim::FaultKind::kQuorumMemberFail:
@@ -325,22 +329,22 @@ void System::fail_quorum_member(ProcessorId p, std::uint32_t member) {
   require(member < group.member_count(), "quorum member id out of range");
   if (group.member_retired(member) || !group.member_live(member)) return;
   const bool majority_lost = group.fail_member(member);
-  ++stats_.quorum_member_failures;
+  ++state_.stats.quorum_member_failures;
   if (!majority_lost) return;
   // The cohort can no longer acknowledge commits by majority: frames keep
   // committing on the source, but their durability boundary stops advancing
   // and a relocation could only warm-start from a minority member. Tell the
   // SCRAM, like lossy recovery does.
-  ++stats_.quorum_losses;
+  ++state_.stats.quorum_losses;
   failstop::FailureSignal s;
-  s.at = clock_.now();
-  s.cycle = clock_.current_frame();
+  s.at = state_.clock.now();
+  s.cycle = state_.clock.current_frame();
   s.kind = failstop::SignalKind::kQuorumLost;
   s.processor = p;
   s.detail = "quorum cohort of processor " + std::to_string(p.value()) +
              " lost its live majority (" + std::to_string(group.live_count()) +
              "/" + std::to_string(group.member_count()) + " live)";
-  bank_.raise(std::move(s));
+  state_.bank.raise(std::move(s));
 }
 
 void System::repair_quorum_member(ProcessorId p, std::uint32_t member) {
@@ -348,23 +352,23 @@ void System::repair_quorum_member(ProcessorId p, std::uint32_t member) {
   require(member < group.member_count(), "quorum member id out of range");
   if (group.member_retired(member) || group.member_live(member)) return;
   const bool majority_restored = group.repair_member(member);
-  ++stats_.quorum_member_repairs;
+  ++state_.stats.quorum_member_repairs;
   if (!majority_restored) return;
-  ++stats_.quorum_restores;
+  ++state_.stats.quorum_restores;
   failstop::FailureSignal s;
-  s.at = clock_.now();
-  s.cycle = clock_.current_frame();
+  s.at = state_.clock.now();
+  s.cycle = state_.clock.current_frame();
   s.kind = failstop::SignalKind::kQuorumDurable;
   s.processor = p;
   s.detail = "quorum cohort of processor " + std::to_string(p.value()) +
              " regained its live majority";
-  bank_.raise(std::move(s));
+  state_.bank.raise(std::move(s));
 }
 
 bool System::execution_host(std::size_t pos, const Directive& directive,
                             ProcessorId& host) const {
-  ensure(!region_host_.empty(), "app region host unset");
-  ProcessorId candidate = region_host_[pos];
+  ensure(!state_.region_host.empty(), "app region host unset");
+  ProcessorId candidate = state_.region_host[pos];
   if ((directive.kind == DirectiveKind::kPrepare ||
        directive.kind == DirectiveKind::kInitialize) &&
       directive.target_spec.has_value()) {
@@ -381,7 +385,7 @@ bool System::execution_host(std::size_t pos, const Directive& directive,
 
 void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
                                        Cycle cycle) {
-  const ProcessorId from = region_host_[pos];
+  const ProcessorId from = state_.region_host[pos];
   if (from == to) return;
   const AppId app = spec_.apps()[pos].id;
   const std::string& prefix = regions_[pos].prefix();
@@ -406,13 +410,13 @@ void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
       }
       const std::size_t copied = StableRegion::relocate(
           cohort.replica(m).store(), group_.processor(to).stable(), prefix);
-      region_host_[pos] = to;
-      ++stats_.region_relocations;
-      ++stats_.warm_relocations;
+      state_.region_host[pos] = to;
+      ++state_.stats.region_relocations;
+      ++state_.stats.warm_relocations;
       // No avoided-bytes credit when this member's warmth was bought by a
       // full-copy reseed since the last claim (the copy already paid).
       if (cohort.take_warm_credit(m)) {
-        stats_.full_copy_bytes_avoided +=
+        state_.stats.full_copy_bytes_avoided +=
             storage::durable::encoded_state_bytes(source.poll_stable(),
                                                   prefix);
       }
@@ -425,21 +429,21 @@ void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
     // No member converged on the source's boundary (every member is down,
     // or a sync failure left the boundary un-shippable): full copy from the
     // source (reseeds already ran inside the catch-up).
-    ++stats_.full_copy_relocations;
-    stats_.full_copy_bytes +=
+    ++state_.stats.full_copy_relocations;
+    state_.stats.full_copy_bytes +=
         storage::durable::encoded_state_bytes(source.poll_stable(), prefix);
   } else {
     // No replica cohort: every relocation moves the full encoded region.
-    ++stats_.full_copy_relocations;
-    stats_.full_copy_bytes += storage::durable::encoded_state_bytes(
+    ++state_.stats.full_copy_relocations;
+    state_.stats.full_copy_bytes += storage::durable::encoded_state_bytes(
         group_.processor(from).poll_stable(), prefix);
   }
 
   const std::size_t copied = StableRegion::relocate(
       group_.processor(from).poll_stable(), group_.processor(to).stable(),
       prefix);
-  region_host_[pos] = to;
-  ++stats_.region_relocations;
+  state_.region_host[pos] = to;
+  ++state_.stats.region_relocations;
   log_debug("system", "cycle ", cycle, ": relocated region of app ",
             app.value(), " from processor ", from.value(), " to ",
             to.value(), " (", copied, " keys)");
@@ -448,18 +452,18 @@ void System::relocate_region_if_needed(std::size_t pos, ProcessorId to,
 void System::note_ship_round(
     ProcessorId source,
     const storage::durable::quorum::QuorumGroup::Round& round) {
-  stats_.ship_bytes_total += round.bytes;
+  state_.stats.ship_bytes_total += round.bytes;
   if (round.reseeds == 0) return;
   // Every reseed of one round copied the same committed source store.
-  stats_.ship_reseeds += round.reseeds;
+  state_.stats.ship_reseeds += round.reseeds;
   const storage::StableStorage& store = group_.processor(source).poll_stable();
-  stats_.full_copy_bytes +=
+  state_.stats.full_copy_bytes +=
       round.reseeds * storage::durable::encoded_state_bytes(store);
 }
 
 void System::pump_quorum_channels() {
   for (auto& [pid, cohort] : quorum_channels_) {
-    stats_.ship_slots_polled += cohort.member_count();
+    state_.stats.ship_slots_polled += cohort.member_count();
     note_ship_round(pid, cohort.ship_round(group_.processor(pid).poll_stable(),
                                            options_.ship_slot_bytes));
   }
@@ -489,71 +493,11 @@ System::ShipCatchUp System::ship_catch_up(ProcessorId p) {
       cohort.ship_round(proc.poll_stable(),
                         storage::durable::quorum::QuorumGroup::kCatchUp);
   note_ship_round(p, round);
-  stats_.relocation_catchup_bytes += round.bytes;
+  state_.stats.relocation_catchup_bytes += round.bytes;
   return {.bytes = round.bytes, .reseeded = round.reseeds > 0};
 }
 
 namespace {
-
-/// The digest's read of a SystemCheckpoint, whose tables are already an
-/// id-ordered map and AppId-sorted vectors. Same accessors as
-/// System::LiveState.
-class CheckpointState {
- public:
-  explicit CheckpointState(const SystemCheckpoint& cp) : cp_(cp) {}
-
-  [[nodiscard]] Cycle frame() const { return cp_.frame; }
-  [[nodiscard]] SimTime now() const { return cp_.now; }
-  template <class Visit>
-  void each_processor(Visit visit) const {
-    for (const auto& [pid, p] : cp_.processors) visit(pid, p.view());
-  }
-  [[nodiscard]] const env::Environment& environment() const {
-    return cp_.environment;
-  }
-  [[nodiscard]] const failstop::DetectorBank& bank() const { return cp_.bank; }
-  [[nodiscard]] const rtos::HealthMonitor& health() const {
-    return cp_.health;
-  }
-  [[nodiscard]] const Scram::Checkpoint& scram() const { return cp_.scram; }
-  template <class Visit>
-  void each_app(Visit visit) const {
-    for (const auto& [id, a] : cp_.apps) visit(id, a.view());
-  }
-  template <class Visit>
-  void each_region_host(Visit visit) const {
-    for (const auto& [app, host] : cp_.region_host) visit(app, host);
-  }
-  [[nodiscard]] const sim::FaultPlan& fault_plan() const {
-    return cp_.fault_plan;
-  }
-  template <class Visit>
-  void each_forced(Visit visit) const {
-    for (const auto* flags : {&cp_.forced_overrun, &cp_.forced_fault}) {
-      for (const auto& [app, raised] : *flags) visit(app, raised);
-    }
-  }
-  [[nodiscard]] const MessageRouter& router() const { return cp_.router; }
-  [[nodiscard]] bool deadline_alarm_raised() const {
-    return cp_.deadline_alarm_raised;
-  }
-  [[nodiscard]] std::uint64_t noise_rng_state() const {
-    return cp_.noise_rng_state;
-  }
-  /// The trace's row count + 1, or 0 without a trace.
-  [[nodiscard]] std::uint64_t trace_word() const {
-    return cp_.trace.has_value() ? cp_.trace->size() + 1 : 0;
-  }
-  template <class Visit>
-  void each_cohort(Visit visit) const {
-    for (const auto& [pid, group] : cp_.quorum_channels) visit(pid, group);
-  }
-  [[nodiscard]] const SystemStats& stats() const { return cp_.stats; }
-  [[nodiscard]] bool started() const { return cp_.started; }
-
- private:
-  const SystemCheckpoint& cp_;
-};
 
 /// A device's size, synced size and every logical byte, read in 4 KiB
 /// blocks so nothing is allocated.
@@ -657,39 +601,104 @@ std::uint64_t fold_cohort(
   return h;
 }
 
-/// The one system hash body (see SystemCheckpoint::digest()). `State` is a
-/// CheckpointState or a System::LiveState. A checkpoint's processors and
-/// cohorts are spares of the live ones, read through the same views
-/// (ProcessorView, the cohorts' QuorumView), and its apps and SCRAM
-/// through views both sides build (AppView, the SCRAM's fold_scram), so a
-/// checkpoint and the running system hash alike.
-template <class State>
-std::uint64_t hash_system(const State& s) {
-  std::uint64_t h = kFnvBasis;
-  h = fnv_mix(h, s.frame());
-  h = fnv_mix(h, static_cast<std::uint64_t>(s.now()));
+/// The SCRAM's part of the system hash: every ScramState member, the
+/// per-app tables in ascending AppId order.
+std::uint64_t fold_scram(std::uint64_t h, const ScramState& s,
+                         std::span<const AppSlot> order) {
+  h = fnv_mix(h, s.current.value());
+  h = fnv_mix(h, s.target.value());
+  h = fnv_mix(h, static_cast<std::uint64_t>(s.phase));
+  // The completion sets hash as (app, 1) pairs: the image of maps that
+  // only ever held `true`.
+  const auto fold_flags = [&h, order](const std::vector<bool>& flags) {
+    for (const auto& [pos, id] : order) {
+      if (!flags[pos]) continue;
+      h = fnv_mix(h, id.value());
+      h = fnv_mix(h, 1);
+    }
+  };
+  fold_flags(s.done);
+  if (!s.stage.empty()) {
+    for (const auto& [pos, id] : order) {
+      h = fnv_mix(h, id.value());
+      h = fnv_mix(h, static_cast<std::uint64_t>(s.stage[pos]));
+    }
+  }
+  fold_flags(s.halt_done);
+  fold_flags(s.prepare_done);
+  fold_flags(s.init_done);
+  h = fnv_mix(h, s.pending_trigger ? 1 : 0);
+  h = fnv_mix(h, s.lossy_pending ? 1 : 0);
+  h = fnv_mix(h, s.active_start.has_value() ? *s.active_start + 1 : 0);
+  h = fnv_mix(h, s.dwell_until);
+  const ScramStats& st = s.stats;
+  for (const std::uint64_t word :
+       {st.triggers_received, st.reconfigs_started, st.reconfigs_completed,
+        st.triggers_absorbed, st.retargets, st.buffered_triggers,
+        st.dwell_blocked_frames, st.lossy_reinits, st.quorum_losses,
+        st.quorum_restores}) {
+    h = fnv_mix(h, word);
+  }
+  return h;
+}
 
-  s.each_processor([&h](ProcessorId pid, const failstop::ProcessorView& p) {
+/// One kind of forced-fault flag: each set flag merged with the stray
+/// raised ids, in ascending AppId order.
+std::uint64_t fold_forced(std::uint64_t h, const std::vector<Forced>& flags,
+                          const std::vector<AppId>& stray,
+                          std::span<const AppSlot> order) {
+  const auto fold = [&h](AppId app, bool raised) {
+    h = fnv_mix(h, app.value());
+    h = fnv_mix(h, raised ? 1 : 0);
+  };
+  auto next_stray = stray.begin();
+  for (const auto& [pos, id] : order) {
+    for (; next_stray != stray.end() && *next_stray < id; ++next_stray) {
+      fold(*next_stray, true);
+    }
+    if (flags[pos] != Forced::kUnset) fold(id, flags[pos] == Forced::kRaised);
+  }
+  for (; next_stray != stray.end(); ++next_stray) fold(*next_stray, true);
+  return h;
+}
+
+/// The one system hash body (see SystemCheckpoint::digest()), over the two
+/// state values and `order`, the spec's app order. The processors and apps
+/// are objects on the live side and images in a checkpoint: each side
+/// passes a loop that calls `visit(id, view)` per processor (ProcessorView)
+/// in ascending id and per added app (AppView) in ascending AppId, so a
+/// checkpoint and the running system hash alike.
+template <class EachProcessor, class EachApp>
+std::uint64_t hash_system(
+    const SystemState& s, const ScramState& scram,
+    std::span<const AppSlot> order, EachProcessor each_processor,
+    EachApp each_app,
+    const std::map<ProcessorId, storage::durable::quorum::QuorumGroup>&
+        cohorts) {
+  std::uint64_t h = kFnvBasis;
+  h = fnv_mix(h, s.clock.current_frame());
+  h = fnv_mix(h, static_cast<std::uint64_t>(s.clock.now()));
+
+  each_processor([&h](ProcessorId pid, const failstop::ProcessorView& p) {
     h = fnv_mix(h, pid.value());
     h = fold_processor(h, p);
   });
 
-  const env::Environment& environment = s.environment();
-  for (const auto& [factor, value] : environment.state()) {
+  for (const auto& [factor, value] : s.environment.state()) {
     h = fnv_mix(h, factor.value());
     h = fnv_mix(h, static_cast<std::uint64_t>(value));
   }
-  h = fnv_mix(h, environment.change_count());
+  h = fnv_mix(h, s.environment.change_count());
 
-  h = fnv_mix(h, s.bank().pending());
-  h = fnv_mix(h, s.bank().total_raised());
-  h = fnv_mix(h, s.health().overrun_count());
-  h = fnv_mix(h, s.health().fault_count());
-  h = fnv_mix(h, s.health().events().size());
+  h = fnv_mix(h, s.bank.pending());
+  h = fnv_mix(h, s.bank.total_raised());
+  h = fnv_mix(h, s.health.overrun_count());
+  h = fnv_mix(h, s.health.fault_count());
+  h = fnv_mix(h, s.health.events().size());
 
-  h = fold_scram(h, s.scram());
+  h = fold_scram(h, scram, order);
 
-  s.each_app([&h](AppId id, const AppView& a) {
+  each_app([&h](AppId id, const AppView& a) {
     h = fnv_mix(h, id.value());
     h = fnv_mix(h, static_cast<std::uint64_t>(a.state));
     h = fnv_mix(h, a.spec.has_value() ? a.spec->value() + 1 : 0);
@@ -699,34 +708,35 @@ std::uint64_t hash_system(const State& s) {
     for (const std::uint64_t word : a.domain) h = fnv_mix(h, word);
   });
 
-  s.each_region_host([&h](AppId app, ProcessorId host) {
-    h = fnv_mix(h, app.value());
-    h = fnv_mix(h, host.value());
-  });
+  // Nothing before the first frame places the regions.
+  if (!s.region_host.empty()) {
+    for (const auto& [pos, id] : order) {
+      h = fnv_mix(h, id.value());
+      h = fnv_mix(h, s.region_host[pos].value());
+    }
+  }
 
-  h = fnv_mix(h, s.fault_plan().size());
-  h = fnv_mix(h, s.fault_plan().consumed());
-  s.each_forced([&h](AppId app, bool raised) {
-    h = fnv_mix(h, app.value());
-    h = fnv_mix(h, raised ? 1 : 0);
-  });
+  h = fnv_mix(h, s.fault_plan.size());
+  h = fnv_mix(h, s.fault_plan.consumed());
+  h = fold_forced(h, s.forced_overrun, s.stray_overrun, order);
+  h = fold_forced(h, s.forced_fault, s.stray_fault, order);
 
-  const MessagingStats& mail = s.router().stats();
+  const MessagingStats& mail = s.router.stats();
   h = fnv_mix(h, mail.sent);
   h = fnv_mix(h, mail.delivered);
   h = fnv_mix(h, mail.dropped_dead_host);
   h = fnv_mix(h, mail.dropped_unknown);
 
-  h = fnv_mix(h, s.deadline_alarm_raised() ? 1 : 0);
-  h = fnv_mix(h, s.noise_rng_state());
-  h = fnv_mix(h, s.trace_word());
+  h = fnv_mix(h, s.deadline_alarm_raised ? 1 : 0);
+  h = fnv_mix(h, s.noise_rng.state());
+  h = fnv_mix(h, s.trace.size() + 1);
 
-  s.each_cohort([&h](ProcessorId pid, const auto& group) {
+  for (const auto& [pid, group] : cohorts) {
     h = fnv_mix(h, pid.value());
     h = fold_cohort(h, group);
-  });
+  }
 
-  const SystemStats& st = s.stats();
+  const SystemStats& st = s.stats;
   for (const std::uint64_t word :
        {st.frames_run, st.fault_events_applied, st.region_relocations,
         st.deadline_violations, st.heartbeats_lost, st.false_alarms,
@@ -740,45 +750,44 @@ std::uint64_t hash_system(const State& s) {
     h = fnv_mix(h, word);
   }
 
-  h = fnv_mix(h, s.started() ? 1 : 0);
+  h = fnv_mix(h, s.started ? 1 : 0);
   return h;
 }
 
 }  // namespace
 
 std::uint64_t SystemCheckpoint::digest() const {
-  return hash_system(CheckpointState(*this));
+  return hash_system(
+      state, scram, app_order,
+      [this](auto visit) {
+        for (const auto& [pid, p] : processors) visit(pid, p.view());
+      },
+      [this](auto visit) {
+        for (const auto& [pos, id] : app_order) {
+          if (apps[pos].has_value()) visit(id, apps[pos]->view());
+        }
+      },
+      quorum_channels);
 }
 
-template <class Visit>
-void System::each_forced(const std::vector<Forced>& flags,
-                         const std::vector<AppId>& stray,
-                         Visit&& visit) const {
-  auto next_stray = stray.begin();
-  for (const std::size_t pos : spec_.apps_by_id()) {
-    const AppId id = spec_.apps()[pos].id;
-    for (; next_stray != stray.end() && *next_stray < id; ++next_stray) {
-      visit(*next_stray, true);
-    }
-    if (flags[pos] != Forced::kUnset) {
-      visit(id, flags[pos] == Forced::kRaised);
-    }
-  }
-  for (; next_stray != stray.end(); ++next_stray) visit(*next_stray, true);
-}
-
-void System::restore_forced(const std::vector<std::pair<AppId, bool>>& image,
-                            std::vector<Forced>& flags,
-                            std::vector<AppId>& stray) {
-  std::fill(flags.begin(), flags.end(), Forced::kUnset);
-  stray.clear();
-  for (const auto& [id, flag] : image) {
-    if (const std::optional<std::size_t> pos = spec_.app_index(id)) {
-      flags[*pos] = flag ? Forced::kRaised : Forced::kClear;
-    } else {
-      stray.push_back(id);
-    }
-  }
+std::uint64_t System::digest() const {
+  // The apps' domain words go through one buffer per thread: reused, so a
+  // warm digest allocates nothing, and never shared between threads.
+  thread_local std::vector<std::uint64_t> domain;
+  return hash_system(
+      state_, scram_.state(), spec_.apps_by_id(),
+      [this](auto visit) {
+        group_.for_each_by_id([&visit](const failstop::Processor& p) {
+          visit(p.id(), p.view());
+        });
+      },
+      [this](auto visit) {
+        // Apps not added yet are skipped, as a checkpoint holds none.
+        for (const auto& [pos, id] : spec_.apps_by_id()) {
+          if (apps_[pos] != nullptr) visit(id, apps_[pos]->view(domain));
+        }
+      },
+      quorum_channels_);
 }
 
 SystemCheckpoint System::checkpoint() const {
@@ -788,8 +797,6 @@ SystemCheckpoint System::checkpoint() const {
 }
 
 void System::checkpoint_into(SystemCheckpoint& cp) const {
-  cp.frame = clock_.current_frame();
-  cp.now = clock_.now();
   // An empty image gets a spare of each processor and, on the spare's
   // engine, of each cohort; a refresh copies into the spares it holds.
   for (const ProcessorId p : group_.processor_ids()) {
@@ -800,41 +807,6 @@ void System::checkpoint_into(SystemCheckpoint& cp) const {
     }
     spare->second.restore_state(live);
   }
-  cp.environment = environment_;
-  cp.monitors = monitors_;
-  cp.activity = activity_;
-  cp.bank = bank_;
-  cp.health = health_;
-  scram_.checkpoint_into(cp.scram);
-  const std::vector<AppDecl>& decls = spec_.apps();
-  cp.apps.resize(apps_added_);
-  auto next_app = cp.apps.begin();
-  for (const std::size_t pos : spec_.apps_by_id()) {
-    if (apps_[pos] == nullptr) continue;
-    next_app->first = decls[pos].id;
-    apps_[pos]->checkpoint_into(next_app->second);
-    ++next_app;
-  }
-  cp.region_host.clear();
-  if (!region_host_.empty()) {
-    cp.region_host.reserve(decls.size());
-    for (const std::size_t pos : spec_.apps_by_id()) {
-      cp.region_host.emplace_back(decls[pos].id, region_host_[pos]);
-    }
-  }
-  cp.fault_plan = fault_plan_;
-  cp.forced_overrun.clear();
-  each_forced(forced_overrun_, stray_overrun_, [&cp](AppId id, bool raised) {
-    cp.forced_overrun.emplace_back(id, raised);
-  });
-  cp.forced_fault.clear();
-  each_forced(forced_fault_, stray_fault_, [&cp](AppId id, bool raised) {
-    cp.forced_fault.emplace_back(id, raised);
-  });
-  cp.router = router_;
-  cp.deadline_alarm_raised = deadline_alarm_raised_;
-  cp.noise_rng_state = noise_rng_.state();
-  cp.trace = trace_;
   for (const auto& [pid, channel] : quorum_channels_) {
     auto spare = cp.quorum_channels.find(pid);
     if (spare == cp.quorum_channels.end()) {
@@ -845,161 +817,76 @@ void System::checkpoint_into(SystemCheckpoint& cp) const {
     }
     spare->second.restore_state(channel);
   }
-  cp.stats = stats_;
-  cp.started = started_;
+  cp.state = state_;
+  cp.scram = scram_.state();
+  cp.apps.resize(apps_.size());
+  for (std::size_t pos = 0; pos < apps_.size(); ++pos) {
+    if (apps_[pos] == nullptr) {
+      cp.apps[pos].reset();
+      continue;
+    }
+    if (!cp.apps[pos].has_value()) cp.apps[pos].emplace();
+    apps_[pos]->checkpoint_into(*cp.apps[pos]);
+  }
+  cp.app_order = spec_.apps_by_id();
 }
 
 void System::restore(const SystemCheckpoint& cp) {
-  require(cp.processors.size() == group_.size(),
+  // Every shape check runs before the first write.
+  require(cp.app_order == spec_.apps_by_id(),
+          "checkpoint app order does not match this system");
+  bool same_processors = cp.processors.size() == group_.size();
+  for (const auto& [pid, spare] : cp.processors) {
+    same_processors = same_processors && group_.has_processor(pid);
+  }
+  require(same_processors,
           "checkpoint processor set does not match this system");
-  require(cp.apps.size() == apps_added_,
-          "checkpoint application set does not match this system");
-  require(cp.quorum_channels.size() == quorum_channels_.size(),
+  bool same_cohorts = cp.quorum_channels.size() == quorum_channels_.size();
+  for (const auto& [pid, spare] : cp.quorum_channels) {
+    same_cohorts = same_cohorts && quorum_channels_.contains(pid);
+  }
+  require(same_cohorts,
           "checkpoint quorum-cohort set does not match this system");
-  require(cp.monitors.size() == monitors_.size(),
+  require(cp.state.monitors.size() == state_.monitors.size(),
           "checkpoint monitor set does not match this system");
-  require(cp.activity.has_value() && cp.trace.has_value(),
-          "checkpoint is missing its platform monitors");
-
-  clock_.restore(cp.frame, cp.now);
-  for (const auto& [pid, pcp] : cp.processors) {
-    require(group_.has_processor(pid), "checkpoint names unknown processor");
-    group_.processor(pid).restore_state(pcp);
+  bool same_apps = cp.apps.size() == apps_.size();
+  for (std::size_t pos = 0; same_apps && pos < apps_.size(); ++pos) {
+    same_apps = cp.apps[pos].has_value() == (apps_[pos] != nullptr);
   }
-  environment_ = cp.environment;
-  monitors_ = cp.monitors;
-  activity_ = *cp.activity;
-  bank_ = cp.bank;
-  health_ = cp.health;
+  require(same_apps,
+          "checkpoint application set does not match this system");
+
   scram_.restore_state(cp.scram);
-  for (const auto& [id, acp] : cp.apps) {
-    const std::optional<std::size_t> pos = spec_.app_index(id);
-    require(pos.has_value() && apps_[*pos] != nullptr,
-            "checkpoint names unknown application");
-    apps_[*pos]->restore_state(acp);
+  state_ = cp.state;
+  for (const auto& [pid, spare] : cp.processors) {
+    group_.processor(pid).restore_state(spare);
   }
-  region_host_.clear();
-  if (!cp.region_host.empty()) {
-    region_host_.resize(apps_.size());
-    for (const auto& [id, host] : cp.region_host) {
-      const std::optional<std::size_t> pos = spec_.app_index(id);
-      require(pos.has_value(), "checkpoint places an unknown application");
-      region_host_[*pos] = host;
-    }
+  for (const auto& [pid, spare] : cp.quorum_channels) {
+    quorum_channels_.at(pid).restore_state(spare);
   }
-  fault_plan_ = cp.fault_plan;
-  restore_forced(cp.forced_overrun, forced_overrun_, stray_overrun_);
-  restore_forced(cp.forced_fault, forced_fault_, stray_fault_);
-  router_ = cp.router;
+  for (std::size_t pos = 0; pos < apps_.size(); ++pos) {
+    if (apps_[pos] != nullptr) apps_[pos]->restore_state(*cp.apps[pos]);
+  }
   refresh_mailboxes();
-  deadline_alarm_raised_ = cp.deadline_alarm_raised;
-  noise_rng_.set_state(cp.noise_rng_state);
-  trace_ = *cp.trace;
-  for (const auto& [pid, qcp] : cp.quorum_channels) {
-    const auto it = quorum_channels_.find(pid);
-    require(it != quorum_channels_.end(),
-            "checkpoint names unknown quorum cohort");
-    it->second.restore_state(qcp);
-  }
-  stats_ = cp.stats;
-  started_ = cp.started;
-}
-
-/// The digest's read of the running system: processors in ascending id and
-/// the dense per-app tables in ascending AppId order, as a checkpoint holds
-/// them. Same accessors as CheckpointState.
-class System::LiveState {
- public:
-  LiveState(const System& s, std::vector<std::uint64_t>& domain)
-      : s_(s), domain_(domain) {}
-
-  [[nodiscard]] Cycle frame() const { return s_.clock_.current_frame(); }
-  [[nodiscard]] SimTime now() const { return s_.clock_.now(); }
-  template <class Visit>
-  void each_processor(Visit visit) const {
-    s_.group_.for_each_by_id(
-        [&visit](const failstop::Processor& p) { visit(p.id(), p.view()); });
-  }
-  [[nodiscard]] const env::Environment& environment() const {
-    return s_.environment_;
-  }
-  [[nodiscard]] const failstop::DetectorBank& bank() const { return s_.bank_; }
-  [[nodiscard]] const rtos::HealthMonitor& health() const {
-    return s_.health_;
-  }
-  [[nodiscard]] const Scram& scram() const { return s_.scram_; }
-  /// Apps not added yet are skipped, as a checkpoint holds none of them.
-  template <class Visit>
-  void each_app(Visit visit) const {
-    for (const std::size_t pos : s_.spec_.apps_by_id()) {
-      if (s_.apps_[pos] == nullptr) continue;
-      visit(s_.spec_.apps()[pos].id, s_.apps_[pos]->view(domain_));
-    }
-  }
-  /// Nothing before the first frame places the regions.
-  template <class Visit>
-  void each_region_host(Visit visit) const {
-    if (s_.region_host_.empty()) return;
-    for (const std::size_t pos : s_.spec_.apps_by_id()) {
-      visit(s_.spec_.apps()[pos].id, s_.region_host_[pos]);
-    }
-  }
-  [[nodiscard]] const sim::FaultPlan& fault_plan() const {
-    return s_.fault_plan_;
-  }
-  template <class Visit>
-  void each_forced(Visit visit) const {
-    s_.each_forced(s_.forced_overrun_, s_.stray_overrun_, visit);
-    s_.each_forced(s_.forced_fault_, s_.stray_fault_, visit);
-  }
-  [[nodiscard]] const MessageRouter& router() const { return s_.router_; }
-  [[nodiscard]] bool deadline_alarm_raised() const {
-    return s_.deadline_alarm_raised_;
-  }
-  [[nodiscard]] std::uint64_t noise_rng_state() const {
-    return s_.noise_rng_.state();
-  }
-  [[nodiscard]] std::uint64_t trace_word() const {
-    return s_.trace_.size() + 1;
-  }
-  template <class Visit>
-  void each_cohort(Visit visit) const {
-    for (const auto& [pid, channel] : s_.quorum_channels_) {
-      visit(pid, channel);
-    }
-  }
-  [[nodiscard]] const SystemStats& stats() const { return s_.stats_; }
-  [[nodiscard]] bool started() const { return s_.started_; }
-
- private:
-  const System& s_;
-  std::vector<std::uint64_t>& domain_;
-};
-
-std::uint64_t System::digest() const {
-  // The apps' domain words go through one buffer per thread: reused, so a
-  // warm digest allocates nothing, and never shared between threads.
-  thread_local std::vector<std::uint64_t> domain;
-  return hash_system(LiveState(*this, domain));
 }
 
 void System::publish_processor_factors(SimTime now) {
   for (const auto& [processor, factor] : processor_factors_) {
     const std::int64_t value = group_.processor(processor).running() ? 0 : 1;
-    environment_.set(factor, value, now);
+    state_.environment.set(factor, value, now);
   }
 }
 
 void System::run_frame() {
-  const Cycle cycle = clock_.current_frame();
-  const SimTime t0 = clock_.now();
+  const Cycle cycle = state_.clock.current_frame();
+  const SimTime t0 = state_.clock.now();
   const std::vector<AppDecl>& decls = spec_.apps();
 
-  if (!started_) {
+  if (!state_.started) {
     require(apps_added_ == decls.size(),
             "every declared application must be added before running");
     const Configuration& initial = spec_.config(spec_.initial_config());
-    region_host_.resize(decls.size());
+    state_.region_host.resize(decls.size());
     for (std::size_t i = 0; i < decls.size(); ++i) {
       const AppId id = decls[i].id;
       apps_[i]->force_spec(initial.spec_of(id));
@@ -1014,11 +901,11 @@ void System::run_frame() {
           }
         }
       }
-      region_host_[i] = host.value_or(scram_proc_);
+      state_.region_host[i] = host.value_or(scram_proc_);
     }
-    group_.watch_all(activity_);
+    group_.watch_all(state_.activity);
     for (const AppDecl& decl : decls) {
-      router_.endpoint(decl.id);
+      state_.router.endpoint(decl.id);
     }
     refresh_mailboxes();
     if (options_.record_storage_history) {
@@ -1028,15 +915,15 @@ void System::run_frame() {
         }
       }
     }
-    started_ = true;
+    state_.started = true;
   }
 
   // 1. Physical/environment models.
-  for (const EnvHook& hook : env_hooks_) hook(environment_, cycle, t0);
+  for (const EnvHook& hook : env_hooks_) hook(state_.environment, cycle, t0);
 
-  // 2. Scheduled fault injection. The span views fault_plan_'s own events;
-  // applying an event never touches the plan.
-  for (const sim::FaultEvent& event : fault_plan_.consume_until(t0)) {
+  // 2. Scheduled fault injection. The span views the fault plan's own
+  // events; applying an event never touches the plan.
+  for (const sim::FaultEvent& event : state_.fault_plan.consume_until(t0)) {
     apply_fault_event(event, cycle, t0);
   }
   publish_processor_factors(t0);
@@ -1045,50 +932,51 @@ void System::run_frame() {
   // suppress a running processor's heartbeat; the detection threshold is
   // what filters such glitches from real fail-stops.
   if (options_.heartbeat_loss_prob <= 0.0) {
-    group_.heartbeat_all(activity_);
+    group_.heartbeat_all(state_.activity);
   } else {
     for (const ProcessorId id : group_.processor_ids()) {
       if (!group_.processor(id).running()) continue;
-      if (noise_rng_.chance(options_.heartbeat_loss_prob)) {
-        ++stats_.heartbeats_lost;
+      if (state_.noise_rng.chance(options_.heartbeat_loss_prob)) {
+        ++state_.stats.heartbeats_lost;
         continue;
       }
-      activity_.heartbeat(id);
+      state_.activity.heartbeat(id);
     }
   }
-  activity_.end_of_frame(cycle, t0, bank_);
+  state_.activity.end_of_frame(cycle, t0, state_.bank);
 
   // 4. Virtual monitor applications sample the environment.
   env_signals_.clear();
-  for (env::FactorMonitor& monitor : monitors_) {
-    if (const auto s = monitor.sample(environment_, cycle, t0)) {
+  for (env::FactorMonitor& monitor : state_.monitors) {
+    if (const auto s = monitor.sample(state_.environment, cycle, t0)) {
       env_signals_.push_back(*s);
     }
   }
 
   // 4b. Frame-boundary message delivery (messages sent during the previous
   // frame arrive now; receivers on fail-stopped hosts lose theirs).
-  router_.exchange(cycle, [this](AppId app) {
-    return group_.processor(region_host_[*spec_.app_index(app)]).running();
+  state_.router.exchange(cycle, [this](AppId app) {
+    return group_.processor(state_.region_host[*spec_.app_index(app)])
+        .running();
   });
 
   // 4c. Runtime SP3 watchdog: an in-progress reconfiguration that has
   // already consumed its whole T bound is a deadline violation — raised
   // once as a timing signal so the SCRAM (and the operator) see it.
-  if (scram_.reconfiguring() && !deadline_alarm_raised_) {
+  if (scram_.reconfiguring() && !state_.deadline_alarm_raised) {
     const std::optional<Cycle> started = scram_.active_start_cycle();
     const std::optional<ConfigId> target = scram_.target_config();
     if (started.has_value() && target.has_value()) {
       const std::optional<Cycle> bound =
           spec_.transition_bound(scram_.current_config(), *target);
       if (bound.has_value() && cycle - *started + 1 > *bound) {
-        deadline_alarm_raised_ = true;
-        ++stats_.deadline_violations;
+        state_.deadline_alarm_raised = true;
+        ++state_.stats.deadline_violations;
         log_warn("system", "cycle ", cycle,
                  ": reconfiguration exceeded its T bound (", *bound,
                  " frames)");
         failstop::TimingMonitor().report_overrun(
-            AppId{}, cycle, t0, bank_,
+            AppId{}, cycle, t0, state_.bank,
             "reconfiguration deadline exceeded");
       }
     }
@@ -1096,17 +984,17 @@ void System::run_frame() {
 
   // 5. The SCRAM consumes this frame's signals. Classify processor-failure
   // signals against ground truth for detector-quality accounting.
-  bank_.drain_into(hw_signals_);
+  state_.bank.drain_into(hw_signals_);
   for (const failstop::FailureSignal& s : hw_signals_) {
     if (s.kind != failstop::SignalKind::kProcessorFailure) continue;
     if (group_.processor(s.processor).running()) {
-      ++stats_.false_alarms;
+      ++state_.stats.false_alarms;
     } else {
-      ++stats_.true_detections;
+      ++state_.stats.true_detections;
     }
   }
   const FramePlan& plan = scram_.begin_frame(
-      cycle, t0, hw_signals_, env_signals_, environment_.state());
+      cycle, t0, hw_signals_, env_signals_, state_.environment.state());
   if (plan.trigger_accepted) {
     for (const auto& application : apps_) application->mark_interrupted();
   }
@@ -1160,7 +1048,8 @@ void System::run_frame() {
         application.frame_step(ctx, directive);
 
     // Reading a forced flag leaves it cleared (kClear), raised or not.
-    if (std::exchange(forced_fault_[i], Forced::kClear) == Forced::kRaised) {
+    if (std::exchange(state_.forced_fault[i], Forced::kClear) ==
+        Forced::kRaised) {
       result.ok = false;
       result.fault_detail = "injected software fault";
     }
@@ -1171,18 +1060,18 @@ void System::run_frame() {
         application.current_spec().has_value()) {
       const FunctionalSpec& fs = spec_of_app(i, *application.current_spec());
       SimDuration consumed = result.consumed;
-      if (std::exchange(forced_overrun_[i], Forced::kClear) ==
+      if (std::exchange(state_.forced_overrun[i], Forced::kClear) ==
           Forced::kRaised) {
         consumed = fs.budget_us + 100;
       }
       if (consumed > fs.budget_us) {
-        health_.report_overrun(PartitionId{id.value()}, id, cycle, t0,
-                               consumed, fs.budget_us, bank_);
+        state_.health.report_overrun(PartitionId{id.value()}, id, cycle, t0,
+                               consumed, fs.budget_us, state_.bank);
       }
     }
     if (!result.ok) {
-      health_.report_app_fault(PartitionId{id.value()}, id, cycle, t0,
-                               result.fault_detail, bank_);
+      state_.health.report_app_fault(PartitionId{id.value()}, id, cycle, t0,
+                               result.fault_detail, state_.bank);
     }
     if (directive.kind != DirectiveKind::kNone) {
       phase_done_[i] = result.phase_done;
@@ -1200,7 +1089,7 @@ void System::run_frame() {
     for (std::size_t i = 0; i < decls.size(); ++i) {
       apps_[i]->start(plan.directives[i].target_spec);
     }
-    deadline_alarm_raised_ = false;
+    state_.deadline_alarm_raised = false;
   }
 
   // 8. Frame-boundary commit and trace snapshot. The SCRAM's own processor
@@ -1243,25 +1132,25 @@ void System::run_frame() {
     record_snapshot(cycle, t0 + options_.frame_length);
   }
 
-  ++stats_.frames_run;
-  clock_.advance_frame();
+  ++state_.stats.frames_run;
+  state_.clock.advance_frame();
 }
 
 void System::record_snapshot(Cycle cycle, SimTime frame_end) {
   // The rows are written in place into the trace's flat row array, in
   // ascending AppId order.
-  const std::span<trace::AppRow> rows =
-      trace_.append_frame(cycle, frame_end, scram_.current_config(),
-                          environment_.state(), apps_.size());
+  const std::span<trace::AppRow> rows = state_.trace.append_frame(
+      cycle, frame_end, scram_.current_config(), state_.environment.state(),
+      apps_.size());
   std::size_t r = 0;
-  for (const std::size_t pos : spec_.apps_by_id()) {
+  for (const auto& [pos, id] : spec_.apps_by_id()) {
     const ReconfigurableApp& application = *apps_[pos];
     trace::AppRow& row = rows[r++];
-    row.first = spec_.apps()[pos].id;
+    row.first = id;
     trace::AppSnapshot& snap = row.second;
     snap.reconf_st = application.reconf_state();
     snap.spec = application.current_spec();
-    snap.host_running = group_.processor(region_host_[pos]).running();
+    snap.host_running = group_.processor(state_.region_host[pos]).running();
     snap.postcondition_ok = application.postcondition_ok();
     snap.transition_ok = application.transition_ok();
     snap.precondition_ok = application.precondition_ok();

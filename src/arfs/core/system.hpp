@@ -153,14 +153,52 @@ struct SystemStats {
   std::uint64_t quorum_restores = 0;
 };
 
-/// Frozen image of every piece of mutable state a mission touches: clock,
-/// processors (volatile + committed stores, durability devices),
-/// environment and monitors, detection, SCRAM, applications (including
-/// their opaque domain words), region placement, fault-plan cursor,
-/// messaging, replica cohorts, trace, and statistics. The
-/// configuration-time constants (spec, options, schedules, hooks, cached
-/// key strings) are deliberately absent: a checkpoint is restored into a
-/// System built by the same factory.
+/// A forced-fault flag of one app: kUnset until a frame looks it up (the
+/// digest tells "never looked at" from "cleared").
+enum class Forced : std::uint8_t { kUnset, kClear, kRaised };
+
+/// Every mutable value of a System outside its processors, cohorts, SCRAM
+/// and applications, in the one form the frame loop works on and a
+/// SystemCheckpoint holds. The per-app tables are indexed by position in
+/// the spec's apps(), as the System's are.
+struct SystemState {
+  SystemState() : SystemState(SystemOptions{}) {}
+  /// A System's state before its constructor sizes the per-app tables:
+  /// the clock, activity monitor, noise generator and trace set up from
+  /// `options`, everything else empty.
+  explicit SystemState(const SystemOptions& options);
+
+  sim::VirtualClock clock;
+  env::Environment environment;
+  std::vector<env::FactorMonitor> monitors;
+  failstop::ActivityMonitor activity;
+  failstop::DetectorBank bank;
+  rtos::HealthMonitor health;
+  /// Each app's region host; empty before the first frame places them.
+  std::vector<ProcessorId> region_host;
+  /// Each app's forced-fault flags.
+  std::vector<Forced> forced_overrun;
+  std::vector<Forced> forced_fault;
+  /// Flags raised by fault events naming apps the spec does not declare:
+  /// never consumed, but part of the digested state. Sorted AppIds.
+  std::vector<AppId> stray_overrun;
+  std::vector<AppId> stray_fault;
+  sim::FaultPlan fault_plan;  ///< Carries its consumption cursor.
+  MessageRouter router;
+  bool deadline_alarm_raised = false;
+  Rng noise_rng;
+  trace::SysTrace trace;
+  SystemStats stats;
+  bool started = false;
+};
+
+/// Frozen image of every piece of mutable state a mission touches: the
+/// System's SystemState and its SCRAM's ScramState, each copied whole; the
+/// processors (volatile + committed stores, durability devices) and replica
+/// cohorts; and the applications (including their opaque domain words).
+/// The configuration-time constants (spec, options, schedules, hooks,
+/// cached keys, regions) are deliberately absent: a checkpoint is restored
+/// into a System built by the same factory.
 /// Its processors and cohorts are spares of the live ones: each processor
 /// is a failstop::Processor::spare() with its own memory engine, and each
 /// cohort a QuorumGroup on its spare processor's engine, so the image owns
@@ -170,64 +208,57 @@ struct SystemStats {
 /// Move-only, but restorable any number of times, from several threads at
 /// once (restore only reads the image, copying its device images into the
 /// system's own devices), and refreshable in place.
-/// Per-app tables are kept in ascending AppId order, the order the digest
-/// walks, whatever order the spec declares its apps in.
+/// The per-app tables of both states are indexed by spec position; the
+/// image's own copy of the spec's app order says which AppId each position
+/// holds, so the image hashes without its spec and may outlive it.
 struct SystemCheckpoint {
-  Cycle frame = 0;
-  SimTime now = 0;
+  SystemState state;
+  ScramState scram;
   std::map<ProcessorId, failstop::Processor> processors;
-  env::Environment environment;
-  std::vector<env::FactorMonitor> monitors;
-  std::optional<failstop::ActivityMonitor> activity;
-  failstop::DetectorBank bank;
-  rtos::HealthMonitor health;
-  Scram::Checkpoint scram;
-  std::vector<std::pair<AppId, ReconfigurableApp::Checkpoint>> apps;
-  /// Empty before the first frame places the regions.
-  std::vector<std::pair<AppId, ProcessorId>> region_host;
-  sim::FaultPlan fault_plan;  ///< Copy carries the consumption cursor.
-  /// Forced-fault flags: an app has an entry once a frame has looked it up
-  /// or a fault event named it, so absent, false and true all differ.
-  std::vector<std::pair<AppId, bool>> forced_overrun;
-  std::vector<std::pair<AppId, bool>> forced_fault;
-  MessageRouter router;
-  bool deadline_alarm_raised = false;
-  std::uint64_t noise_rng_state = 0;
-  std::optional<trace::SysTrace> trace;
   /// Each cohort ships from the engine of its spare in `processors`.
   std::map<ProcessorId, storage::durable::quorum::QuorumGroup>
       quorum_channels;
-  SystemStats stats;
-  bool started = false;
+  /// One image per app position, empty for an app not added yet.
+  std::vector<std::optional<ReconfigurableApp::Checkpoint>> apps;
+  /// The spec's apps_by_id(): each position and its AppId, in ascending
+  /// AppId order (the order the digest walks the per-app tables). Empty
+  /// in an empty image.
+  std::vector<AppSlot> app_order;
 
   /// Order-sensitive FNV-1a digest over most of the checkpointed state; the
   /// live System::digest() runs the same hash body over the running system.
   /// It hashes, in this order:
-  ///  * the frame and the clock;
+  ///  * state.clock's frame and instant;
   ///  * per processor, in ascending id: fail-stop state, stable-store
   ///    fingerprint and commit epochs, volatile-store fingerprint, lost
   ///    epochs, failure cycle and count, and the durability engine (both
   ///    devices' sizes and every byte, the shipping words, the adaptive
   ///    controller);
-  ///  * the environment's values and change count; the detector bank's
-  ///    pending and raised counts; the health monitor's overrun, fault and
-  ///    event counts;
-  ///  * the SCRAM: configuration, target, phase, completion and stage
-  ///    tables, trigger bookkeeping and stats;
+  ///  * state.environment's values and change count, state.bank's pending
+  ///    and raised counts, state.health's overrun, fault and event counts;
+  ///  * every ScramState member: current, target, phase, done, stage,
+  ///    halt_done, prepare_done, init_done (the tables per app in ascending
+  ///    AppId), pending_trigger, lossy_pending, active_start, dwell_until
+  ///    and stats;
   ///  * per application, in ascending AppId: phase state, spec, predicate
-  ///    flags and domain words; then the region placement and the forced
-  ///    fault flags;
-  ///  * the fault plan's size and cursor, the router's counters, the
-  ///    deadline alarm, the noise generator, the trace's row count;
+  ///    flags and domain words;
+  ///  * state.region_host per app in ascending AppId; state.fault_plan's
+  ///    size and cursor; state.forced_overrun merged with
+  ///    state.stray_overrun, then state.forced_fault with
+  ///    state.stray_fault, each set flag in ascending AppId;
+  ///  * state.router's counters, state.deadline_alarm_raised,
+  ///    state.noise_rng's state and state.trace's row count;
   ///  * per replica cohort: each member's replica (store fingerprint and
   ///    commit epochs, cursor, dictionary, partial tail) and standing, the
   ///    voter sets, commit id, leader and cohort stats;
-  ///  * SystemStats and the started flag.
-  /// Not hashed: the ActivityMonitor's watches (misses, reported flags),
-  /// each FactorMonitor's last value and seeded flag, the self-checking
-  /// pairs' counters, the last recovery reports, DurabilityStats, the
-  /// engines' key interners, the replicas' Stats, the contents of mailboxes,
-  /// pending signals, health events, environment history and trace rows.
+  ///  * state.stats and state.started.
+  /// Not hashed: the SystemState members state.monitors (each
+  /// FactorMonitor's last value and seeded flag) and state.activity (the
+  /// ActivityMonitor's watches); and, inside hashed members, the contents
+  /// of state.router's mailboxes, state.bank's pending signals,
+  /// state.health's events, state.environment's history and state.trace's
+  /// rows, the self-checking pairs' counters, the last recovery reports,
+  /// DurabilityStats, the engines' key interners and the replicas' Stats.
   /// Equal digests therefore mean equal hashed state, not bit-identical
   /// mission state.
   [[nodiscard]] std::uint64_t digest() const;
@@ -271,14 +302,20 @@ class System {
   void set_factor(FactorId factor, std::int64_t value);
 
   // --- observers ---
-  [[nodiscard]] const trace::SysTrace& trace() const { return trace_; }
+  [[nodiscard]] const trace::SysTrace& trace() const { return state_.trace; }
   [[nodiscard]] const Scram& scram() const { return scram_; }
-  [[nodiscard]] env::Environment& environment() { return environment_; }
+  [[nodiscard]] env::Environment& environment() {
+    return state_.environment;
+  }
   [[nodiscard]] failstop::ProcessorGroup& processors() { return group_; }
-  [[nodiscard]] const sim::VirtualClock& clock() const { return clock_; }
+  [[nodiscard]] const sim::VirtualClock& clock() const {
+    return state_.clock;
+  }
   [[nodiscard]] ReconfigurableApp& app(AppId id);
-  [[nodiscard]] const SystemStats& stats() const { return stats_; }
-  [[nodiscard]] const rtos::HealthMonitor& health() const { return health_; }
+  [[nodiscard]] const SystemStats& stats() const { return state_.stats; }
+  [[nodiscard]] const rtos::HealthMonitor& health() const {
+    return state_.health;
+  }
   [[nodiscard]] ProcessorId scram_processor() const { return scram_proc_; }
 
   /// Processor currently holding `app`'s stable region.
@@ -286,7 +323,7 @@ class System {
 
   /// Message-passing statistics (paper section 3 communication).
   [[nodiscard]] const MessagingStats& messaging() const {
-    return router_.stats();
+    return state_.router.stats();
   }
 
   // --- journal shipping (journal_shipping option) ---
@@ -344,6 +381,9 @@ class System {
   /// Rewinds this system to `cp` in place. Precondition: this System was
   /// built by the same factory as the one checkpointed (same spec, options,
   /// applications, and replica cohorts) — key sets must match exactly.
+  /// The shapes are checked before anything is written: an image of
+  /// another app order, processor set, cohort set, monitor count or set of
+  /// added apps throws ContractViolation and leaves the system unchanged.
   void restore(const SystemCheckpoint& cp);
   /// Digest of the live mutable state; equals checkpoint().digest(). Reads
   /// the running system in place through the same hash body: no checkpoint
@@ -354,26 +394,12 @@ class System {
 
  private:
   class SystemPeerReader;
-  class LiveState;  ///< The digest's read view of the running system.
-
-  /// A forced-fault flag of one app: kUnset until a frame looks it up (the
-  /// digest tells "never looked at" from "cleared").
-  enum class Forced : std::uint8_t { kUnset, kClear, kRaised };
 
   void apply_fault_event(const sim::FaultEvent& event, Cycle cycle,
                          SimTime now);
   /// Raises a forced-fault flag named by a fault event.
   void raise_forced(AppId app, std::vector<Forced>& flags,
                     std::vector<AppId>& stray);
-  /// Calls `visit(id, raised)` for one forced-fault kind: the set flags
-  /// merged with the stray raised ids, in ascending AppId order (the
-  /// checkpoint image and the digest order).
-  template <class Visit>
-  void each_forced(const std::vector<Forced>& flags,
-                   const std::vector<AppId>& stray, Visit&& visit) const;
-  /// The inverse of each_forced's image.
-  void restore_forced(const std::vector<std::pair<AppId, bool>>& image,
-                      std::vector<Forced>& flags, std::vector<AppId>& stray);
   /// Whether app `pos` executes this frame given its directive, and on
   /// which processor (`host`, set only when it does). Returns no
   /// std::optional<ProcessorId>: GCC builds a returned optional id in two
@@ -400,23 +426,14 @@ class System {
       ProcessorId source,
       const storage::durable::quorum::QuorumGroup::Round& round);
 
+  // Configuration: fixed once the apps are added.
   const ReconfigSpec& spec_;
   SystemOptions options_;
-  sim::VirtualClock clock_;
-  failstop::ProcessorGroup group_;
   ProcessorId scram_proc_{};
-  env::Environment environment_;
-  std::vector<env::FactorMonitor> monitors_;
-  failstop::ActivityMonitor activity_;
-  failstop::DetectorBank bank_;
-  rtos::HealthMonitor health_;
-  Scram scram_;
   // Per-app tables, indexed by position in spec_.apps(); the frame loop
   // walks them in that order, the digest and trace rows in AppId order.
   std::vector<std::unique_ptr<ReconfigurableApp>> apps_;
   std::size_t apps_added_ = 0;
-  /// Empty before the first frame places every region.
-  std::vector<ProcessorId> region_host_;
   /// Each app's stable region ("a<id>/" keys), built once at construction
   /// and bound to the app's execution host every frame; it remembers the
   /// KeyIds it resolved on that host's store.
@@ -426,31 +443,24 @@ class System {
   /// see StableStorage) and sorted by key name, so the SCRAM stages them
   /// in name order and each write appends to the store's pending list.
   std::vector<std::pair<std::size_t, storage::KeyId>> scram_status_key_;
-  std::vector<Forced> forced_overrun_;
-  std::vector<Forced> forced_fault_;
-  /// Flags raised by fault events naming apps the spec does not declare:
-  /// never consumed, but part of the digested state. Sorted AppIds.
-  std::vector<AppId> stray_overrun_;
-  std::vector<AppId> stray_fault_;
-  /// Each app's router endpoint (see refresh_mailboxes).
-  std::vector<Mailbox*> mailboxes_;
   std::map<ProcessorId, FactorId> processor_factors_;
-  sim::FaultPlan fault_plan_;
   std::vector<EnvHook> env_hooks_;
-  MessageRouter router_;
-  bool deadline_alarm_raised_ = false;
-  Rng noise_rng_{9001};
-  trace::SysTrace trace_;
   std::unique_ptr<SystemPeerReader> peer_reader_;
+
+  // Mutable state: the objects with their own copy bodies, and the rest
+  // in one value.
+  failstop::ProcessorGroup group_;
+  Scram scram_;
   /// Replica cohorts (journal_shipping), keyed by source processor. Each
   /// member gets one quorum slot of options_.ship_slot_bytes per frame.
   /// A member's replica store is stable storage (§5.1), so replica state
   /// survives the member's fail-stop as the source's store does.
   std::map<ProcessorId, storage::durable::quorum::QuorumGroup>
       quorum_channels_;
-  SystemStats stats_;
-  bool started_ = false;
+  SystemState state_;
 
+  /// Each app's router endpoint (see refresh_mailboxes).
+  std::vector<Mailbox*> mailboxes_;
   // Per-frame scratch, reused so a steady-state frame allocates nothing.
   std::vector<env::EnvChangeSignal> env_signals_;
   std::vector<failstop::FailureSignal> hw_signals_;

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "arfs/avionics/uav_system.hpp"
+#include "arfs/common/check.hpp"
 #include "arfs/core/system.hpp"
 #include "arfs/failstop/processor.hpp"
 #include "arfs/sim/batch.hpp"
@@ -514,6 +515,99 @@ TEST(SystemCheckpoint, AnImageOwnsItsSparesAndOutlivesItsSystem) {
     fork.system->restore(*cp);
     EXPECT_EQ(fork.system->digest(), want);
   }
+}
+
+/// A two-app spec of two configurations, switched by the chain severity
+/// factor, whose apps are `first` and `second` on processors `processor`
+/// and `processor` + 1. Specs built with other arguments differ in their
+/// AppIds or their processor set only.
+core::ReconfigSpec two_app_spec(AppId first, AppId second,
+                                std::uint32_t processor = 1) {
+  core::ReconfigSpec spec;
+  const AppId ids[] = {first, second};
+  for (std::size_t a = 0; a < 2; ++a) {
+    core::AppDecl decl;
+    decl.id = ids[a];
+    decl.name = "app-" + std::to_string(a);
+    decl.specs = {core::FunctionalSpec{synthetic_spec(a, 0), "only",
+                                       core::ResourceDemand{0.1, 16.0, 5.0},
+                                       80, 300}};
+    spec.declare_app(std::move(decl));
+  }
+  spec.declare_factor(
+      env::FactorSpec{kChainSeverityFactor, "severity", 0, 1, 0});
+  for (std::size_t c = 0; c < 2; ++c) {
+    core::Configuration config;
+    config.id = synthetic_config(c);
+    config.name = "level-" + std::to_string(c);
+    for (std::size_t a = 0; a < 2; ++a) {
+      config.assignment[ids[a]] = synthetic_spec(a, 0);
+      config.placement[ids[a]] =
+          ProcessorId{processor + static_cast<std::uint32_t>(a)};
+    }
+    config.safe = c == 1;
+    spec.declare_config(std::move(config));
+    for (std::size_t to = 0; to < 2; ++to) {
+      spec.set_transition_bound(synthetic_config(c), synthetic_config(to),
+                                16);
+    }
+  }
+  spec.set_choose([](ConfigId, const env::EnvState& e) {
+    const auto it = e.find(kChainSeverityFactor);
+    return synthetic_config(it != e.end() && it->second > 0 ? 1 : 0);
+  });
+  spec.set_initial_config(synthetic_config(0));
+  spec.validate();
+  return spec;
+}
+
+/// A volatile System of `spec` after `frames` frames.
+std::unique_ptr<core::System> started_system(const core::ReconfigSpec& spec,
+                                             Cycle frames) {
+  auto system = std::make_unique<core::System>(spec);
+  for (const core::AppDecl& decl : spec.apps()) {
+    system->add_app(std::make_unique<SimpleApp>(decl.id, decl.name));
+  }
+  system->run(frames);
+  return system;
+}
+
+/// Restoring `image` into `system` must throw ContractViolation naming
+/// `what`, and leave the system's digest where it was.
+void expect_rejected(core::System& system, const core::SystemCheckpoint& image,
+                     const std::string& what) {
+  const std::uint64_t before = system.digest();
+  try {
+    system.restore(image);
+    ADD_FAILURE() << "a foreign image (" << what << ") was restored";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(system.digest(), before) << what;
+}
+
+TEST(SystemCheckpoint, AForeignImageIsRejectedBeforeAnythingIsWritten) {
+  const core::ReconfigSpec spec = two_app_spec(AppId{1}, AppId{2});
+  const std::unique_ptr<core::System> system = started_system(spec, 6);
+
+  // Same app count, processors and monitors; other AppIds.
+  const core::ReconfigSpec renumbered = two_app_spec(AppId{5}, AppId{6});
+  expect_rejected(*system, started_system(renumbered, 9)->checkpoint(),
+                  "app order");
+
+  // Same apps; processors 2, 3 and the SCRAM's 4 instead of 1, 2 and 3.
+  const core::ReconfigSpec moved = two_app_spec(AppId{1}, AppId{2}, 2);
+  expect_rejected(*system, started_system(moved, 9)->checkpoint(),
+                  "processor set");
+
+  // Same spec and durable processors; only the image ships to cohorts.
+  CrashMission shipping = chain_factory(SyncPolicy::frames(4), true)();
+  shipping.system->run(9);
+  CrashMission plain = chain_factory(SyncPolicy::frames(4), false)();
+  plain.system->run(6);
+  expect_rejected(*plain.system, shipping.system->checkpoint(),
+                  "quorum-cohort set");
 }
 
 /// Requires two refreshed benches to hold the same victim and cohort: what

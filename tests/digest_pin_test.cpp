@@ -485,13 +485,145 @@ TEST(DigestView, OutOfOrderSpecWithStrayForcedFlags) {
     plan.change_environment(24 * 10'000, kLevel, 0);
     system.set_fault_plan(std::move(plan));
     expect_views_agree(system, 32);
+    // The image holds the flags as the frame loop does: one per declared
+    // app (AppId 4, the lowest, looked up and clear; 17's overrun and 30's
+    // fault consumed), and the stray ids (every one raised) sorted.
     const core::SystemCheckpoint cp = system.checkpoint();
-    EXPECT_EQ(cp.forced_overrun.front(), std::make_pair(AppId{4}, false));
-    EXPECT_EQ(cp.forced_overrun.back(), std::make_pair(AppId{99}, true));
-    EXPECT_EQ(cp.forced_fault.front(), std::make_pair(AppId{2}, true));
-    EXPECT_EQ(cp.forced_fault.back(), std::make_pair(AppId{50}, true));
+    const auto flag = [&spec](const std::vector<core::Forced>& flags,
+                              AppId app) {
+      return flags[*spec.app_index(app)];
+    };
+    EXPECT_EQ(flag(cp.state.forced_overrun, AppId{4}), core::Forced::kClear);
+    EXPECT_EQ(flag(cp.state.forced_overrun, AppId{17}), core::Forced::kClear);
+    EXPECT_EQ(flag(cp.state.forced_fault, AppId{30}), core::Forced::kClear);
+    EXPECT_EQ(cp.state.stray_overrun, std::vector<AppId>{AppId{99}});
+    EXPECT_EQ(cp.state.stray_fault, (std::vector<AppId>{AppId{2}, AppId{50}}));
     EXPECT_GE(system.scram().stats().reconfigs_completed, 2u);
   }
+}
+
+TEST(DigestView, EveryStateMemberMovesTheDigestUnlessListedAsNotHashed) {
+  // A system mid-reconfiguration under the relaxed barrier (stage table
+  // tracked), with stray and declared forced flags set.
+  const core::ReconfigSpec spec = out_of_order_spec();
+  core::SystemOptions options;
+  options.scram = relaxed_immediate();
+  core::System system(spec, options);
+  for (const AppId app : kDeclared) {
+    system.add_app(std::make_unique<support::SimpleApp>(
+        app, "app-" + std::to_string(app.value())));
+  }
+  sim::FaultPlan plan;
+  plan.timing_overrun(1 * 10'000, AppId{99});
+  plan.software_fault(2 * 10'000, AppId{2});
+  plan.change_environment(3 * 10'000, kLevel, 1);
+  system.set_fault_plan(std::move(plan));
+  system.run(5);
+  ASSERT_TRUE(system.scram().reconfiguring());
+
+  core::SystemCheckpoint cp = system.checkpoint();
+  const std::uint64_t base = cp.digest();
+  ASSERT_EQ(base, system.digest());
+  const core::SystemState state_before = cp.state;
+  const core::ScramState scram_before = cp.scram;
+  // Exactly one binding per member: a new member fails to compile here
+  // until this test changes it.
+  auto& [clock, environment, monitors, activity, bank, health, region_host,
+         forced_overrun, forced_fault, stray_overrun, stray_fault,
+         fault_plan, router, deadline_alarm_raised, noise_rng, trace, stats,
+         started] = cp.state;
+  auto& [current, target, phase, done, stage, halt_done, prepare_done,
+         init_done, pending_trigger, lossy_pending, active_start,
+         dwell_until, scram_stats] = cp.scram;
+  // After each change: the digest moved iff the member is hashed, and the
+  // image is put back.
+  std::size_t checked = 0;
+  const auto expect = [&](const char* member, bool hashed) {
+    EXPECT_EQ(cp.digest() != base, hashed) << member;
+    cp.state = state_before;
+    cp.scram = scram_before;
+    ASSERT_EQ(cp.digest(), base) << member;
+    ++checked;
+  };
+  const auto flip = [](core::Forced& flag) {
+    flag = flag == core::Forced::kRaised ? core::Forced::kClear
+                                         : core::Forced::kRaised;
+  };
+  const AppId some_app = spec.apps().front().id;
+
+  clock.advance_frame();
+  expect("clock", true);
+  environment.set(kLevel, environment.get(kLevel) + 1, clock.now());
+  expect("environment", true);
+  ASSERT_FALSE(monitors.empty());
+  monitors.pop_back();
+  expect("monitors", false);
+  activity = failstop::ActivityMonitor(activity.miss_threshold() + 1);
+  expect("activity", false);
+  bank.raise(failstop::FailureSignal{});
+  expect("bank", true);
+  failstop::DetectorBank scratch;
+  health.report_app_fault(PartitionId{1}, some_app, 0, 0, "x", scratch);
+  expect("health", true);
+  region_host.front() = ProcessorId{region_host.front().value() + 1};
+  expect("region_host", true);
+  flip(forced_overrun.front());
+  expect("forced_overrun", true);
+  flip(forced_fault.front());
+  expect("forced_fault", true);
+  stray_overrun.push_back(AppId{1000});
+  expect("stray_overrun", true);
+  stray_fault.push_back(AppId{1000});
+  expect("stray_fault", true);
+  ASSERT_GT(fault_plan.consumed(), 0u);
+  fault_plan.rewind();
+  expect("fault_plan", true);
+  router.endpoint(some_app).send(some_app, "t", std::int64_t{1});
+  router.exchange(0, [](AppId) { return true; });
+  expect("router", true);
+  deadline_alarm_raised = !deadline_alarm_raised;
+  expect("deadline_alarm_raised", true);
+  (void)noise_rng.next_u64();
+  expect("noise_rng", true);
+  (void)trace.append_frame(trace.size(), clock.now(), current,
+                           environment.state(), 0);
+  expect("trace", true);
+  ++stats.frames_run;
+  expect("stats", true);
+  started = !started;
+  expect("started", true);
+
+  current = ConfigId{current.value() + 100};
+  expect("current", true);
+  target = ConfigId{target.value() + 100};
+  expect("target", true);
+  phase = phase == core::ScramState::Phase::kIdle
+              ? core::ScramState::Phase::kHalt
+              : core::ScramState::Phase::kIdle;
+  expect("phase", true);
+  done.front() = !done.front();
+  expect("done", true);
+  ASSERT_FALSE(stage.empty());
+  stage.clear();
+  expect("stage", true);
+  halt_done.front() = !halt_done.front();
+  expect("halt_done", true);
+  prepare_done.front() = !prepare_done.front();
+  expect("prepare_done", true);
+  init_done.front() = !init_done.front();
+  expect("init_done", true);
+  pending_trigger = !pending_trigger;
+  expect("pending_trigger", true);
+  lossy_pending = !lossy_pending;
+  expect("lossy_pending", true);
+  active_start = active_start.value_or(0) + 1;
+  expect("active_start", true);
+  ++dwell_until;
+  expect("dwell_until", true);
+  ++scram_stats.triggers_received;
+  expect("scram stats", true);
+
+  EXPECT_EQ(checked, 31u);
 }
 
 TEST(DigestView, ProcessorFailsAndIsRepaired) {
@@ -890,12 +1022,12 @@ TEST(FlatTrace, RestoredTraceEqualsTheCheckpointRowForRow) {
   const auto system = campaign_system(spec);
   system->run(24);
   const core::SystemCheckpoint at24 = system->checkpoint();
-  ASSERT_TRUE(at24.trace.has_value());
+  ASSERT_EQ(at24.state.trace.size(), 24u);
   system->run(40);  // three more environment changes and the repair
   const trace::SysTrace at64 = system->trace();
 
   system->restore(at24);
-  expect_same_rows(system->trace(), *at24.trace);
+  expect_same_rows(system->trace(), at24.state.trace);
   // Recording on after the restore reproduces the first run row for row,
   // the spare environments left by the longer trace notwithstanding.
   system->run(40);

@@ -123,19 +123,28 @@ TEST(MessageRouter, CopiesAndMovesCarryTheirOwnMail) {
                 assigned.endpoint(AppId{2}).inbox()[0].payload),
             8);
 
+  // A send through a box of the assigned router, before any move, is
+  // delivered by the assigned router.
+  assigned.endpoint(AppId{1}).send(AppId{2}, "cmd", std::int64_t{11});
+  assigned.exchange(3, alive);
+  ASSERT_EQ(assigned.endpoint(AppId{2}).inbox().size(), 1u);
+  EXPECT_EQ(std::get<std::int64_t>(
+                assigned.endpoint(AppId{2}).inbox()[0].payload),
+            11);
+
   // A move keeps each mailbox: one held across a move, made with no mail
   // in flight, sends into the router it moved to.
   Mailbox& held = assigned.endpoint(AppId{1});
   MessageRouter moved = std::move(assigned);
   held.send(AppId{2}, "cmd", std::int64_t{9});
-  moved.exchange(3, alive);
+  moved.exchange(4, alive);
   EXPECT_EQ(moved.endpoint(AppId{2}).inbox().size(), 1u);
   MessageRouter target;
   target = std::move(moved);
   held.send(AppId{2}, "cmd", std::int64_t{10});
-  target.exchange(4, alive);
+  target.exchange(5, alive);
   EXPECT_EQ(target.endpoint(AppId{2}).inbox().size(), 1u);
-  EXPECT_EQ(target.stats().delivered, 4u);
+  EXPECT_EQ(target.stats().delivered, 5u);
   EXPECT_EQ(copy.stats().delivered, 1u);
 }
 

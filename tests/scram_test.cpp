@@ -4,6 +4,7 @@
 // the dwell rule.
 #include <gtest/gtest.h>
 
+#include "arfs/common/check.hpp"
 #include "arfs/common/rng.hpp"
 #include "arfs/core/scram.hpp"
 #include "arfs/support/synthetic.hpp"
@@ -386,6 +387,30 @@ TEST(ScramTargets, EveryDirectiveCarriesItsTargetSpecAndHost) {
     }
   }
   EXPECT_GT(checked, 10'000u);
+}
+
+TEST(ScramState, RestoresIntoAKernelOfTheSameSpecOnly) {
+  ChainSpecParams two_apps;
+  ChainSpecParams three_apps;
+  three_apps.apps = 3;
+  const ReconfigSpec spec = make_chain_spec(two_apps);
+  const ReconfigSpec other = make_chain_spec(three_apps);
+  Scram scram(spec);
+  Scram reconfiguring(spec);
+  (void)reconfiguring.begin_frame(0, 0, {}, {change_signal(0)}, severity(1));
+  (void)reconfiguring.begin_frame(1, 0, {}, {}, severity(1));
+  ASSERT_TRUE(reconfiguring.reconfiguring());
+
+  // A state with one table entry per app of another spec is refused
+  // before it is written.
+  EXPECT_THROW(scram.restore_state(Scram(other).state()), ContractViolation);
+  EXPECT_EQ(scram.state().done.size(), 2u);
+  EXPECT_FALSE(scram.reconfiguring());
+
+  scram.restore_state(reconfiguring.state());
+  EXPECT_TRUE(scram.reconfiguring());
+  EXPECT_EQ(scram.target_config(), reconfiguring.target_config());
+  EXPECT_EQ(scram.active_start_cycle(), reconfiguring.active_start_cycle());
 }
 
 }  // namespace
